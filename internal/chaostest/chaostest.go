@@ -224,7 +224,7 @@ type cconn struct {
 	estErr      error
 	closed      bool
 	closeErr    error
-	watchdog    sim.Timer
+	watchdog    sim.Handle
 }
 
 // srvConn tracks one accepted connection on the server.
@@ -577,9 +577,7 @@ func (h *harness) startConn(i int) {
 		OnClose: func(err error) {
 			c.closed = true
 			c.closeErr = err
-			if c.watchdog != nil {
-				c.watchdog.Stop()
-			}
+			c.watchdog.Stop()
 			h.tracef("conn %d: closed (%v) sent=%d echoed=%d", c.id, err, c.sent, len(c.echoed))
 		},
 	})

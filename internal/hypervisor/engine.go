@@ -181,8 +181,9 @@ type pairShard struct {
 	// (by Seq) so the mapping can be installed.
 	pendingFD map[uint64]int32
 
-	vmScheduled  bool
-	nsmScheduled bool
+	// vmPump and nsmPump run pumpVM and pumpNSM one notify latency
+	// after a kick; a kick while one is pending coalesces into it.
+	vmPump, nsmPump sim.Timer
 	// stalled holds elements that could not be pushed to a full queue.
 	stalledToNSM []nqe.Element
 	stalledToVM  []stalledOut
@@ -209,12 +210,15 @@ func (ce *CoreEngine) Attach(ch *nkchan.Pair, vmID, nsmID uint32, notifyExtra ti
 		readyAt: readyAt,
 	}
 	for i := range ch.Shards {
-		ep.shards = append(ep.shards, &pairShard{
+		sh := &pairShard{
 			ep: ep, idx: i, rings: &ch.Shards[i],
 			fdToCID:   make(map[int32]uint32),
 			cidToFD:   make(map[uint32]int32),
 			pendingFD: make(map[uint64]int32),
-		})
+		}
+		sh.vmPump.Init(ce.clock, sh.pumpVM)
+		sh.nsmPump.Init(ce.clock, sh.pumpNSM)
+		ep.shards = append(ep.shards, sh)
 	}
 	ch.KickEngineVM = func(shard int) { ep.shard(shard).kickVM() }
 	ch.KickEngineNSM = func(shard int) { ep.shard(shard).kickNSM() }
@@ -243,19 +247,15 @@ func (ep *enginePair) delay() time.Duration {
 }
 
 func (sh *pairShard) kickVM() {
-	if sh.vmScheduled {
-		return
+	if !sh.vmPump.Pending() {
+		sh.vmPump.Reset(sh.ep.delay())
 	}
-	sh.vmScheduled = true
-	sh.ep.engine.clock.AfterFunc(sh.ep.delay(), sh.pumpVM)
 }
 
 func (sh *pairShard) kickNSM() {
-	if sh.nsmScheduled {
-		return
+	if !sh.nsmPump.Pending() {
+		sh.nsmPump.Reset(sh.ep.delay())
 	}
-	sh.nsmScheduled = true
-	sh.ep.engine.clock.AfterFunc(sh.ep.delay(), sh.pumpNSM)
 }
 
 // gated defers a pump that fires inside a freeze window (a kick
@@ -279,7 +279,6 @@ func (sh *pairShard) gated(rekick func()) bool {
 // not a full decode/encode), transfers contiguous runs with PushSpan,
 // and rings the NSM doorbell once.
 func (sh *pairShard) pumpVM() {
-	sh.vmScheduled = false
 	if sh.gated(sh.kickVM) {
 		return
 	}
@@ -414,7 +413,6 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 // the VM in batches, translating <NSM ID, cID> back to <VM ID, fd> in
 // place.
 func (sh *pairShard) pumpNSM() {
-	sh.nsmScheduled = false
 	if sh.gated(sh.kickNSM) {
 		return
 	}

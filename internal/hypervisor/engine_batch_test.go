@@ -197,3 +197,27 @@ func TestEngineBatchNSMToVMBackpressure(t *testing.T) {
 		}
 	}
 }
+
+// A kick arms the shard's pump timer: no closure, no bound-method value
+// per kick, and kicks while a pump is pending coalesce into it.
+func TestAllocsEngineKick(t *testing.T) {
+	loop := sim.NewLoop()
+	ce := NewCoreEngine(loop, EngineConfig{})
+	ch := asymPair(t, 64, 64)
+	ce.Attach(ch, 1, 1, 0, 0, 0)
+	ch.KickEngineVM(0)
+	ch.KickEngineNSM(0)
+	loop.Run()
+	n := testing.AllocsPerRun(100, func() {
+		ch.KickEngineVM(0)
+		ch.KickEngineVM(0)
+		ch.KickEngineNSM(0)
+		if loop.Pending() != 2 {
+			t.Fatalf("%d events pending after three kicks, want one pump per direction", loop.Pending())
+		}
+		loop.Run()
+	})
+	if n != 0 {
+		t.Errorf("kick+pump of idle rings: %v allocs, want 0", n)
+	}
+}

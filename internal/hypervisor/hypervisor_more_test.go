@@ -318,3 +318,71 @@ func TestUDPDatagramsThroughNSM(t *testing.T) {
 	}
 	c.loop.RunFor(100 * time.Millisecond)
 }
+
+// Close on a socket whose sends still sit in ServiceLib's queue (the TCP
+// send buffer was full) must not drop them: the FIN goes out behind the
+// queued bytes, the receiver gets every byte and then EOF, and no
+// huge-page reference outlives the connection.
+func TestCloseDrainsQueuedSends(t *testing.T) {
+	// A 64 KiB TCP send buffer under the 1 MiB per-socket send credit:
+	// most of the megabyte waits in ServiceLib when Close arrives.
+	c := newCluster(t, func(cfg *HostConfig) { cfg.SendBufSize = 64 << 10 })
+	vma, vmb := c.nkPair(t, "cubic", "cubic")
+
+	lfd := vmb.Guest.Socket(guestlib.Callbacks{})
+	vmb.Guest.Listen(lfd, 9000, 4)
+	cfd := vma.Guest.Socket(guestlib.Callbacks{})
+	vma.Guest.Connect(cfd, ipVMB, 9000)
+	c.loop.RunFor(200 * time.Millisecond)
+	sfd, ok := vmb.Guest.Accept(lfd)
+	if !ok {
+		t.Fatal("accept failed")
+	}
+
+	payload := make([]byte, 1<<20)
+	rng := sim.NewRNG(5)
+	for i := range payload {
+		payload[i] = byte(rng.Uint64())
+	}
+	// Offer the whole megabyte as fast as send credit allows, never
+	// reading meanwhile, and close the instant the last byte is taken.
+	for sent := 0; sent < len(payload); {
+		n := vma.Guest.Send(cfd, payload[sent:])
+		sent += n
+		if n == 0 {
+			c.loop.RunFor(10 * time.Microsecond)
+		}
+	}
+	vma.Guest.Close(cfd)
+
+	var got bytes.Buffer
+	buf := make([]byte, 256<<10)
+	eof := false
+	for iter := 0; iter < 2000 && !eof; iter++ {
+		c.loop.RunFor(time.Millisecond)
+		for {
+			var n int
+			n, eof = vmb.Guest.Recv(sfd, buf)
+			got.Write(buf[:n])
+			if n == 0 {
+				break
+			}
+		}
+	}
+	if !eof {
+		t.Fatalf("no EOF after %d of %d bytes", got.Len(), len(payload))
+	}
+	if !bytes.Equal(got.Bytes(), payload) {
+		t.Fatalf("receiver got %d of %d bytes before EOF", got.Len(), len(payload))
+	}
+	vmb.Guest.Close(sfd)
+	vmb.Guest.Close(lfd)
+	c.loop.RunFor(500 * time.Millisecond)
+	for _, vm := range []*VM{vma, vmb} {
+		for _, pair := range vm.Guest.Pairs() {
+			if n := pair.Pages.LiveRefs(); n != 0 {
+				t.Errorf("%s: %d live huge-page refs after close", vm.Name, n)
+			}
+		}
+	}
+}

@@ -42,6 +42,20 @@ func (c *CPU) Cores() int { return len(c.cores) }
 // directly (RSS-style steering). Zero-cost work still respects FIFO
 // order. Must be called from the clock's executor.
 func (c *CPU) Dispatch(core int, cost time.Duration, fn func()) {
+	if wait := c.charge(core, cost); fn != nil {
+		c.clock.AfterFunc(wait, fn)
+	}
+}
+
+// DispatchFrame is Dispatch for per-frame work: when the work completes
+// it runs h.HandleFrame(frame, arg), with no closure built.
+func (c *CPU) DispatchFrame(core int, cost time.Duration, h sim.FrameHandler, frame []byte, arg uint64) {
+	c.clock.AfterFrame(c.charge(core, cost), h, frame, arg)
+}
+
+// charge books cost on a core and returns how long from now until the
+// work completes.
+func (c *CPU) charge(core int, cost time.Duration) time.Duration {
 	if cost < 0 {
 		cost = 0
 	}
@@ -55,9 +69,7 @@ func (c *CPU) Dispatch(core int, cost time.Duration, fn func()) {
 	s.busyUntil = done
 	s.busyTotal += cost
 	s.jobs++
-	if fn != nil {
-		c.clock.AfterFunc(done.Sub(now), fn)
-	}
+	return done.Sub(now)
 }
 
 // BusyTime returns the cumulative busy time of one core.

@@ -76,38 +76,60 @@ func (g *GilbertElliott) Bad() bool { return g.bad }
 
 // frameFate is the set of per-frame fault decisions, all drawn when the
 // frame is admitted so the RNG consumption order is timing-independent.
-type frameFate struct {
-	lost    bool
-	dup     bool
-	corrupt bool
-	bitIdx  int // bit to flip when corrupt
-	jitter  time.Duration
+// It is packed into one word so it can ride in the serialisation event's
+// arg: bit 0 lost, bit 1 duplicated, bit 2 corrupted, 24 bits of which
+// bit to flip (frames up to 2 MiB), 37 bits of reordering jitter in
+// nanoseconds (NewLink rejects a ReorderSpread beyond that).
+type frameFate uint64
+
+const (
+	fateLost frameFate = 1 << iota
+	fateDup
+	fateCorrupt
+
+	fateBitShift    = 3
+	fateBitMask     = 1<<24 - 1
+	fateJitterShift = 27
+	maxReorder      = time.Duration(1)<<37 - 1
+)
+
+func (f frameFate) lost() bool { return f&fateLost != 0 }
+func (f frameFate) dup() bool  { return f&fateDup != 0 }
+
+// corruptBit returns which bit of the frame to flip, if any.
+func (f frameFate) corruptBit() (int, bool) {
+	return int(f >> fateBitShift & fateBitMask), f&fateCorrupt != 0
 }
+
+func (f frameFate) jitter() time.Duration { return time.Duration(f >> fateJitterShift) }
 
 // drawFate consumes the link RNG for one frame. With an all-zero fault
 // config no draws are consumed (Bernoulli(0) short-circuits), so
 // configurations predating the fault model replay unchanged.
 func (l *Link) drawFate(frameBits int) frameFate {
-	var f frameFate
 	if l.rng == nil {
-		return f
+		return 0
 	}
 	fc := &l.cfg.Faults
+	var lost bool
 	if fc.GE != nil {
-		f.lost = fc.GE.Lost(l.rng)
+		lost = fc.GE.Lost(l.rng)
 	} else {
-		f.lost = l.rng.Bernoulli(fc.LossProb)
+		lost = l.rng.Bernoulli(fc.LossProb)
 	}
-	if f.lost {
-		return f
+	if lost {
+		return fateLost
 	}
+	var f frameFate
 	if l.rng.Bernoulli(fc.CorruptProb) && frameBits > 0 {
-		f.corrupt = true
-		f.bitIdx = l.rng.Intn(frameBits)
+		// Masking can only lower the index, so it stays inside the frame.
+		f |= fateCorrupt | frameFate(l.rng.Intn(frameBits)&fateBitMask)<<fateBitShift
 	}
-	f.dup = l.rng.Bernoulli(fc.DupProb)
+	if l.rng.Bernoulli(fc.DupProb) {
+		f |= fateDup
+	}
 	if fc.ReorderSpread > 0 && l.rng.Bernoulli(fc.ReorderProb) {
-		f.jitter = time.Duration(1 + l.rng.Intn(int(fc.ReorderSpread)))
+		f |= frameFate(1+l.rng.Intn(int(fc.ReorderSpread))) << fateJitterShift
 	}
 	return f
 }

@@ -141,6 +141,9 @@ func NewLink(clock sim.Clock, rng *sim.RNG, cfg LinkConfig, dst Port) *Link {
 	if cfg.FrameOverhead < 0 {
 		cfg.FrameOverhead = 0
 	}
+	if cfg.Faults.ReorderSpread > maxReorder {
+		panic("netsim: ReorderSpread beyond what a frame's fate can carry")
+	}
 	if cfg.LossProb > 0 && cfg.Faults.LossProb == 0 && cfg.Faults.GE == nil {
 		cfg.Faults.LossProb = cfg.LossProb
 	}
@@ -190,46 +193,59 @@ func (l *Link) Send(frame []byte) {
 	done := start.Add(tx)
 	l.busyUntil = done
 
-	fate := l.drawFate(len(frame) * 8)
-	l.clock.AfterFunc(done.Sub(now), func() {
-		l.queued -= wire
-		if l.down {
-			l.stats.DownDrops++
-			return
-		}
-		if fate.lost {
-			l.stats.LossDrops++
-			return
-		}
-		l.stats.TxFrames++
-		l.stats.TxBytes += uint64(wire)
-		var dup []byte
-		if fate.dup {
-			// Copy before any corruption: the duplicate models a clean
-			// retransmission of the same frame.
-			l.stats.DupFrames++
-			dup = append([]byte(nil), frame...)
-		}
-		if fate.corrupt {
-			frame[fate.bitIdx/8] ^= 1 << (fate.bitIdx % 8)
-			l.stats.CorruptFrames++
-		}
-		if fate.jitter > 0 {
-			l.stats.ReorderedFrames++
-		}
-		if dup != nil {
-			l.propagate(dup, 0)
-		}
-		l.propagate(frame, fate.jitter)
-	})
+	l.clock.AfterFrame(done.Sub(now), (*serialized)(l), frame, uint64(l.drawFate(len(frame)*8)))
 }
+
+// serialized and arrived are the Link as the handler of a frame's two
+// hops — off the transmitter, then out of the far end — so neither hop
+// builds a closure. A frame's fate rides in the event's arg.
+type (
+	serialized Link
+	arrived    Link
+)
+
+func (s *serialized) HandleFrame(frame []byte, arg uint64) {
+	l, fate := (*Link)(s), frameFate(arg)
+	wire := len(frame) + l.cfg.FrameOverhead
+	l.queued -= wire
+	if l.down {
+		l.stats.DownDrops++
+		return
+	}
+	if fate.lost() {
+		l.stats.LossDrops++
+		return
+	}
+	l.stats.TxFrames++
+	l.stats.TxBytes += uint64(wire)
+	var dup []byte
+	if fate.dup() {
+		// Copy before any corruption: the duplicate models a clean
+		// retransmission of the same frame.
+		l.stats.DupFrames++
+		dup = append([]byte(nil), frame...)
+	}
+	if bit, ok := fate.corruptBit(); ok {
+		frame[bit/8] ^= 1 << (bit % 8)
+		l.stats.CorruptFrames++
+	}
+	if fate.jitter() > 0 {
+		l.stats.ReorderedFrames++
+	}
+	if dup != nil {
+		l.propagate(dup, 0)
+	}
+	l.propagate(frame, fate.jitter())
+}
+
+func (a *arrived) HandleFrame(frame []byte, _ uint64) { a.dst.Deliver(frame) }
 
 // propagate delivers a frame after the propagation delay plus any
 // reordering jitter.
 func (l *Link) propagate(frame []byte, jitter time.Duration) {
 	delay := l.cfg.Delay + jitter
 	if delay > 0 {
-		l.clock.AfterFunc(delay, func() { l.dst.Deliver(frame) })
+		l.clock.AfterFrame(delay, (*arrived)(l), frame, 0)
 	} else {
 		l.dst.Deliver(frame)
 	}

@@ -298,3 +298,74 @@ func TestMACString(t *testing.T) {
 		t.Fatal("broadcast detection broken")
 	}
 }
+
+type nopHandler struct{ n int }
+
+func (h *nopHandler) HandleFrame([]byte, uint64) { h.n++ }
+
+// A frame's two link hops (serialise, propagate) and a CPU charge are
+// closure-free events: none of them may allocate.
+func TestAllocsLinkAndCPUHops(t *testing.T) {
+	loop := sim.NewLoop()
+	delivered := 0
+	link := NewLink(loop, sim.NewRNG(1), Testbed40G(), PortFunc(func([]byte) { delivered++ }))
+	cpu := NewCPU(loop, 4)
+	done := new(nopHandler)
+	frame := make([]byte, 1514)
+	warm := func() {
+		for i := 0; i < 32; i++ {
+			link.Send(frame)
+			cpu.DispatchFrame(i, 470*time.Nanosecond, done, frame, 0)
+		}
+		loop.Run()
+	}
+	warm() // grow the loop's heap and slot table once
+	if n := testing.AllocsPerRun(100, func() { link.Send(frame); loop.Run() }); n != 0 {
+		t.Errorf("Link.Send through delivery: %v allocs per frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { cpu.DispatchFrame(1, 470*time.Nanosecond, done, frame, 0); loop.Run() }); n != 0 {
+		t.Errorf("CPU.DispatchFrame: %v allocs per dispatch, want 0", n)
+	}
+	if delivered == 0 || done.n == 0 {
+		t.Fatalf("hops did not run: delivered %d, dispatched %d", delivered, done.n)
+	}
+}
+
+// A frame's fate must survive being packed into the event's arg.
+func TestFrameFatePacking(t *testing.T) {
+	loop := sim.NewLoop()
+	spread := 3 * time.Second
+	link := NewLink(loop, sim.NewRNG(7), LinkConfig{Faults: FaultConfig{
+		CorruptProb: 0.5, DupProb: 0.5, ReorderProb: 0.5, ReorderSpread: spread, LossProb: 0.1,
+	}}, PortFunc(func([]byte) {}))
+	const bits = 9000 * 8
+	var lost, dup, corrupt, jittered int
+	for i := 0; i < 4000; i++ {
+		f := link.drawFate(bits)
+		if f.lost() {
+			lost++
+			if f != fateLost {
+				t.Fatalf("a lost frame carries other fate bits: %#x", uint64(f))
+			}
+			continue
+		}
+		if f.dup() {
+			dup++
+		}
+		if bit, ok := f.corruptBit(); ok {
+			corrupt++
+			if bit < 0 || bit >= bits {
+				t.Fatalf("corrupt bit %d outside the %d-bit frame", bit, bits)
+			}
+		}
+		if j := f.jitter(); j != 0 {
+			jittered++
+			if j < 0 || j > spread {
+				t.Fatalf("jitter %v outside (0, %v]", j, spread)
+			}
+		}
+	}
+	if lost == 0 || dup == 0 || corrupt == 0 || jittered == 0 {
+		t.Fatalf("fates not exercised: lost %d dup %d corrupt %d jittered %d", lost, dup, corrupt, jittered)
+	}
+}

@@ -87,7 +87,7 @@ type cacheEntry struct {
 type pendingResolution struct {
 	waiters  []func(ethernet.MAC)
 	attempts int
-	timer    sim.Timer
+	timer    sim.Handle
 }
 
 // Cache maps IPv4 addresses to MACs with expiry, and parks packets that
@@ -131,9 +131,7 @@ func (c *Cache) Learn(ip ipv4.Addr, mac ethernet.MAC) {
 	c.entries[ip] = cacheEntry{mac: mac, expires: c.clock.Now().Add(c.ttl)}
 	if p := c.pending[ip]; p != nil {
 		delete(c.pending, ip)
-		if p.timer != nil {
-			p.timer.Stop()
-		}
+		p.timer.Stop()
 		for _, fn := range p.waiters {
 			fn(mac)
 		}
@@ -180,9 +178,7 @@ func (c *Cache) armRetry(ip ipv4.Addr, p *pendingResolution) {
 // calls it on teardown so no resolution timer outlives the stack.
 func (c *Cache) Reset() {
 	for _, p := range c.pending {
-		if p.timer != nil {
-			p.timer.Stop()
-		}
+		p.timer.Stop()
 	}
 	c.pending = make(map[ipv4.Addr]*pendingResolution)
 	c.entries = make(map[ipv4.Addr]cacheEntry)

@@ -200,7 +200,7 @@ type Conn struct {
 	srtt     time.Duration
 	rttvar   time.Duration
 	rtoTimer sim.Timer
-	inflight []*segMeta
+	inflight scoreboard
 	backoff  int
 
 	// Recovery (NewReno + SACK-lite).
@@ -269,6 +269,11 @@ func newConn(cfg Config) *Conn {
 		cc:     cfg.CC,
 		rto:    time.Second,
 	}
+	c.rtoTimer.Init(cfg.Clock, c.onRTO)
+	c.delackTimer.Init(cfg.Clock, c.onDelack)
+	c.paceTimer.Init(cfg.Clock, c.onPace)
+	c.persistTimer.Init(cfg.Clock, c.onPersist)
+	c.timeWaitTimer.Init(cfg.Clock, c.onTimeWait)
 	if c.rto < cfg.MinRTO {
 		c.rto = cfg.MinRTO
 	}
@@ -502,11 +507,7 @@ func (c *Conn) teardown(err error) {
 	}
 	c.closed = true
 	c.state = StateClosed
-	for _, t := range []sim.Timer{c.rtoTimer, c.delackTimer, c.paceTimer, c.persistTimer, c.timeWaitTimer} {
-		if t != nil {
-			t.Stop()
-		}
-	}
+	c.stopTimers()
 	// Any spans still unacknowledged die with the connection: fire their
 	// release hooks so borrowed huge-page chunks return to the pool.
 	c.sndBuf.ReleaseAll()
@@ -523,6 +524,12 @@ func (c *Conn) teardown(err error) {
 	}
 	if c.cfg.OnClose != nil {
 		c.cfg.OnClose(err)
+	}
+}
+
+func (c *Conn) stopTimers() {
+	for _, t := range [...]*sim.Timer{&c.rtoTimer, &c.delackTimer, &c.paceTimer, &c.persistTimer, &c.timeWaitTimer} {
+		t.Stop()
 	}
 }
 
@@ -586,7 +593,7 @@ func (c *Conn) Input(h *Header, payload []byte, ceMarked bool) {
 		}
 		if h.Flags&FlagACK != 0 && h.Ack == c.sndNxt {
 			c.sndUna = h.Ack
-			c.clearInflightUpTo(h.Ack)
+			c.inflight.ackUpTo(h.Ack)
 			c.sndWnd = int(h.Window) << c.peerWScale
 			c.establish()
 			// Fall through to normal processing for any payload.
@@ -636,7 +643,7 @@ func (c *Conn) inputSynSent(h *Header) {
 	c.irs = h.Seq
 	c.rcvNxt = h.Seq + 1
 	c.sndUna = h.Ack
-	c.clearInflightUpTo(h.Ack)
+	c.inflight.ackUpTo(h.Ack)
 	c.applySynOptions(&h.Opts)
 	c.sndWnd = int(h.Window) // unscaled in the SYN-ACK
 	// RFC 3168 §6.1.1.1: SYN-ACK with ECE and not CWR means ECN is on.
@@ -830,18 +837,15 @@ func (c *Conn) insertOOO(s oooSeg) {
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.stopRTO()
-	if c.timeWaitTimer != nil {
-		c.timeWaitTimer.Stop()
-	}
 	c.armTimeWait(2 * c.cfg.MSL)
 }
 
 func (c *Conn) armTimeWait(d time.Duration) {
 	c.timeWaitDeadline = c.cfg.Clock.Now().Add(d)
-	c.timeWaitTimer = c.cfg.Clock.AfterFunc(d, func() {
-		c.teardown(nil)
-	})
+	c.timeWaitTimer.Reset(d)
 }
+
+func (c *Conn) onTimeWait() { c.teardown(nil) }
 
 // TimeWaitRemaining returns how long a TIME_WAIT connection will linger
 // (0 for other states). The port recycler and migration snapshots read
@@ -908,9 +912,7 @@ func (c *Conn) advertisedWindow() uint16 {
 }
 
 func (c *Conn) sendAck() {
-	if c.delackTimer != nil {
-		c.delackTimer.Stop()
-	}
+	c.delackTimer.Stop()
 	c.unackedSegs = 0
 	h := &Header{
 		Flags:  FlagACK,
@@ -926,15 +928,12 @@ func (c *Conn) sendAck() {
 	c.transmit(h, nil, false)
 }
 
-func (c *Conn) armDelack() {
-	if c.delackTimer != nil {
-		c.delackTimer.Stop()
+func (c *Conn) armDelack() { c.delackTimer.Reset(c.cfg.DelayedAckTimeout) }
+
+func (c *Conn) onDelack() {
+	if !c.closed && c.unackedSegs > 0 {
+		c.sendAck()
 	}
-	c.delackTimer = c.cfg.Clock.AfterFunc(c.cfg.DelayedAckTimeout, func() {
-		if !c.closed && c.unackedSegs > 0 {
-			c.sendAck()
-		}
-	})
 }
 
 // maybeSendWindowUpdate re-advertises after the application drains the
@@ -983,7 +982,7 @@ func (c *Conn) DebugOutstanding() int { return c.outstanding() }
 func (c *Conn) DebugSndWnd() int { return c.sndWnd }
 
 // DebugInflightLen returns tracked in-flight segment count.
-func (c *Conn) DebugInflightLen() int { return len(c.inflight) }
+func (c *Conn) DebugInflightLen() int { return c.inflight.len() }
 
 // DebugRcvBufLen returns buffered in-order bytes.
 func (c *Conn) DebugRcvBufLen() int { return c.rcvBuf.Len() }

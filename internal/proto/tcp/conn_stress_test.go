@@ -45,7 +45,7 @@ func TestTransferSurvivesRandomAdversity(t *testing.T) {
 					n.loop.AfterFunc(n.delay+extra, func() {
 						hh, pl, err := Parse(src.Addr, dst.Addr, seg)
 						if err == nil && into() != nil {
-							into().Input(&hh, pl, false)
+							n.input(into(), &hh, pl, false)
 						}
 					})
 					return true
@@ -64,7 +64,7 @@ func TestTransferSurvivesRandomAdversity(t *testing.T) {
 					n.loop.AfterFunc(n.delay*2, func() {
 						hh, pl, err := Parse(src.Addr, dst.Addr, seg)
 						if err == nil && into() != nil {
-							into().Input(&hh, pl, false)
+							n.input(into(), &hh, pl, false)
 						}
 					})
 					return false // deliver the original too
@@ -242,7 +242,7 @@ func TestAbortDuringTransfer(t *testing.T) {
 	}
 }
 
-func mustCC(t *testing.T, name string) tcpcc.Algorithm {
+func mustCC(t testing.TB, name string) tcpcc.Algorithm {
 	t.Helper()
 	cc, err := tcpcc.New(name)
 	if err != nil {
@@ -266,7 +266,7 @@ func redeliver(n *testNet, dir string, h *Header, payload []byte, extra time.Dur
 			into = n.a
 		}
 		if hh, pl, err := Parse(src.Addr, dst.Addr, seg); err == nil && into != nil {
-			into.Input(&hh, pl, false)
+			n.input(into, &hh, pl, false)
 		}
 	})
 }

@@ -59,7 +59,7 @@ func (n *testNet) outputTo(dir string, src, dst AddrPort, peer func() *Conn) Out
 				n.t.Fatalf("wire corruption %s: %v", dir, err)
 			}
 			if p := peer(); p != nil {
-				p.Input(&hh, pl, ce)
+				n.input(p, &hh, pl, ce)
 			}
 		})
 	}
@@ -454,7 +454,7 @@ func TestOutOfOrderReassembly(t *testing.T) {
 			seg := h.Marshal(n.aAddr.Addr, n.bAddr.Addr, payload)
 			n.loop.AfterFunc(origDelay*4, func() {
 				hh, pl, _ := Parse(n.aAddr.Addr, n.bAddr.Addr, seg)
-				n.b.Input(&hh, pl, false)
+				n.input(n.b, &hh, pl, false)
 			})
 			return true // drop the on-time copy
 		}

@@ -54,9 +54,8 @@ func (c *Conn) processAck(h *Header) {
 	// Window update (plain; the dup-ack path above tolerates counting
 	// pure window updates as dups, which only hastens recovery).
 	c.sndWnd = wnd
-	if wnd > 0 && c.persistTimer != nil {
+	if wnd > 0 {
 		c.persistTimer.Stop()
-		c.persistTimer = nil
 	}
 	if c.wantWrite && c.sndBuf.Free() > 0 && c.cfg.OnWritable != nil {
 		c.wantWrite = false
@@ -89,7 +88,7 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 	c.dupAcks = 0
 	c.backoff = 0
 
-	rttSeg, newlyDelivered := c.clearInflightUpTo(ack)
+	rttSeg, haveRTTSeg, newlyDelivered := c.inflight.ackUpTo(ack)
 	if newlyDelivered > 0 {
 		// Bytes SACKed earlier were already counted delivered; only
 		// fresh ones advance the rate-sampling counter here.
@@ -101,7 +100,7 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 	// recovery is skipped too, because segments that sat behind a hole
 	// for the length of the recovery would poison the estimator.
 	var rtt time.Duration
-	if rttSeg != nil && !rttSeg.retransmitted && !c.inRecovery {
+	if haveRTTSeg && !rttSeg.retransmitted && !c.inRecovery {
 		rtt = now.Sub(rttSeg.sentAt)
 		c.updateRTT(rtt)
 	}
@@ -141,7 +140,7 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 	if ece {
 		s.MarkedBytes = payloadAcked
 	}
-	if rttSeg != nil {
+	if haveRTTSeg {
 		s.AppLimited = rttSeg.appLimited
 		if !rttSeg.retransmitted {
 			// Rate sample over the delivered-counter timeline (BBR's
@@ -225,46 +224,14 @@ func max4(v, floor time.Duration) time.Duration {
 // outstanding returns the bytes in flight: sent but neither cumulatively
 // acked nor selectively acked.
 func (c *Conn) outstanding() int {
-	out := seqDiff(c.sndNxt, c.sndUna)
+	out := seqDiff(c.sndNxt, c.sndUna) - c.inflight.sacked
 	if c.finSent {
 		out--
-	}
-	for _, s := range c.inflight {
-		if s.sacked {
-			out -= s.length
-		}
 	}
 	if out < 0 {
 		out = 0
 	}
 	return out
-}
-
-// clearInflightUpTo removes fully-acked segments, returning the newest
-// one (for RTT/rate sampling) and the payload bytes that had not
-// already been counted delivered via SACK.
-func (c *Conn) clearInflightUpTo(ack uint32) (*segMeta, int) {
-	var newest *segMeta
-	fresh := 0
-	i := 0
-	for ; i < len(c.inflight); i++ {
-		s := c.inflight[i]
-		end := s.seq + uint32(s.length)
-		if s.fin {
-			end++
-		}
-		if seqGT(end, ack) {
-			break
-		}
-		if !s.sacked {
-			fresh += s.length
-		}
-		newest = s
-	}
-	if i > 0 {
-		c.inflight = append(c.inflight[:0], c.inflight[i:]...)
-	}
-	return newest, fresh
 }
 
 // applySACK marks selectively-acknowledged segments so they are
@@ -280,21 +247,9 @@ func (c *Conn) applySACK(blocks []SACKBlock) {
 		if seqGEQ(b.Start, b.End) {
 			continue
 		}
-		for _, s := range c.inflight {
-			// A zero-length (FIN-only) segment is never SACK-covered: its
-			// degenerate interval fits inside any block whose End touches
-			// finSeq, but a receiver that SACKs the final data segment has
-			// said nothing about the FIN. Marking it sacked here wedges the
-			// close — retransmitFront skips sacked segments and trySend
-			// refuses to run post-FIN, so every RTO becomes a no-op.
-			if s.length == 0 {
-				continue
-			}
-			if !s.sacked && seqGEQ(s.seq, b.Start) && seqLEQ(s.seq+uint32(s.length), b.End) {
-				s.sacked = true
-				c.delivered += uint64(s.length)
-				c.deliveredAt = c.cfg.Clock.Now()
-			}
+		if n := c.inflight.sack(b); n > 0 {
+			c.delivered += uint64(n)
+			c.deliveredAt = c.cfg.Clock.Now()
 		}
 	}
 }
@@ -310,12 +265,11 @@ func (c *Conn) enterRecovery() {
 
 // retransmitFront resends the first unsacked hole.
 func (c *Conn) retransmitFront() {
-	for _, s := range c.inflight {
-		if s.sacked {
-			continue
+	for i := 0; i < c.inflight.len(); i++ {
+		if s := c.inflight.at(i); !s.sacked {
+			c.retransmitSeg(s)
+			return
 		}
-		c.retransmitSeg(s)
-		return
 	}
 }
 
@@ -376,21 +330,18 @@ func (c *Conn) retransmitSeg(s *segMeta) {
 // lets multi-loss windows on long-RTT paths recover in one round trip
 // instead of one hole per RTT.
 func (c *Conn) sackRetransmit(budget int) {
-	if !c.sackOK || len(c.inflight) == 0 {
-		return
+	if !c.sackOK || c.inflight.sacked == 0 {
+		return // nothing sacked, so nothing is presumed lost
 	}
 	var hi uint32
 	found := false
-	for _, s := range c.inflight {
-		if s.sacked {
+	for i := 0; i < c.inflight.len(); i++ {
+		if s := c.inflight.at(i); s.sacked {
 			if end := s.seq + uint32(s.length); !found || seqGT(end, hi) {
 				hi = end
 				found = true
 			}
 		}
-	}
-	if !found {
-		return
 	}
 	lostBelow := hi - uint32(3*c.cfg.MSS) // dupThresh worth of headroom
 	// RACK-style re-arming: a hole whose last transmission is older
@@ -400,10 +351,11 @@ func (c *Conn) sackRetransmit(budget int) {
 	// away.
 	reXmitAfter := c.rto
 	now := c.cfg.Clock.Now()
-	for _, s := range c.inflight {
+	for i := 0; i < c.inflight.len(); i++ {
 		if budget == 0 {
 			return
 		}
+		s := c.inflight.at(i)
 		if s.sacked {
 			continue
 		}
@@ -492,21 +444,18 @@ func (c *Conn) trySend() {
 		if got == avail {
 			h.Flags |= FlagPSH
 		}
-		meta := &segMeta{
+		c.inflight.push(segMeta{
 			seq:                 c.sndNxt,
 			length:              got,
 			sentAt:              now,
 			deliveredAtSend:     c.delivered,
 			deliveredTimeAtSend: c.deliveredAt,
 			appLimited:          got == avail && cwndAvail-got > 0,
-		}
-		c.inflight = append(c.inflight, meta)
+		})
 		c.sndNxt += uint32(got)
 		c.sndMax = seqMax(c.sndMax, c.sndNxt)
 		c.unackedSegs = 0
-		if c.delackTimer != nil {
-			c.delackTimer.Stop()
-		}
+		c.delackTimer.Stop()
 		c.transmit(h, payload, c.ecnEnabled)
 		c.armRTO()
 	}
@@ -522,7 +471,7 @@ func (c *Conn) emitFIN() {
 		Ack:    c.rcvNxt,
 		Window: c.advertisedWindow(),
 	}
-	c.inflight = append(c.inflight, &segMeta{
+	c.inflight.push(segMeta{
 		seq: c.sndNxt, length: 0, fin: true,
 		sentAt: c.cfg.Clock.Now(), deliveredAtSend: c.delivered,
 	})
@@ -540,19 +489,9 @@ func (c *Conn) emitFIN() {
 
 // --- timers ---
 
-func (c *Conn) armRTO() {
-	if c.rtoTimer != nil {
-		c.rtoTimer.Stop()
-	}
-	c.rtoTimer = c.cfg.Clock.AfterFunc(c.rto, c.onRTO)
-}
+func (c *Conn) armRTO() { c.rtoTimer.Reset(c.rto) }
 
-func (c *Conn) stopRTO() {
-	if c.rtoTimer != nil {
-		c.rtoTimer.Stop()
-		c.rtoTimer = nil
-	}
-}
+func (c *Conn) stopRTO() { c.rtoTimer.Stop() }
 
 func (c *Conn) onRTO() {
 	if c.closed {
@@ -587,13 +526,13 @@ func (c *Conn) onRTO() {
 	c.dupAcks = 0
 	c.paceNext = 0
 
-	if len(c.inflight) > 0 {
+	if c.inflight.len() > 0 {
 		// Standard RFC 6298 behaviour: retransmit the earliest
 		// outstanding segment and keep the SACK scoreboard. Clearing
 		// the retransmitted marks lets SACK-driven recovery resend
 		// holes whose earlier retransmission was itself lost.
-		for _, s := range c.inflight {
-			s.retransmitted = false
+		for i := 0; i < c.inflight.len(); i++ {
+			c.inflight.at(i).retransmitted = false
 		}
 		c.retransmitFront()
 		c.trySend()
@@ -621,26 +560,29 @@ func (c *Conn) armPacing(d time.Duration) {
 		return
 	}
 	c.pacePinned = true
-	c.paceTimer = c.cfg.Clock.AfterFunc(d, func() {
-		c.pacePinned = false
-		if !c.closed {
-			c.trySend()
-		}
-	})
+	c.paceTimer.Reset(d)
+}
+
+func (c *Conn) onPace() {
+	c.pacePinned = false
+	if !c.closed {
+		c.trySend()
+	}
 }
 
 func (c *Conn) armPersist() {
-	if c.persistTimer != nil || c.outstanding() > 0 {
+	if c.persistTimer.Pending() || c.outstanding() > 0 {
 		return // RTO already guards outstanding data
 	}
-	c.persistTimer = c.cfg.Clock.AfterFunc(c.rto, func() {
-		c.persistTimer = nil
-		if c.closed || c.sndWnd > 0 {
-			return
-		}
-		c.sendWindowProbe()
-		c.armPersist()
-	})
+	c.persistTimer.Reset(c.rto)
+}
+
+func (c *Conn) onPersist() {
+	if c.closed || c.sndWnd > 0 {
+		return
+	}
+	c.sendWindowProbe()
+	c.armPersist()
 }
 
 // sendWindowProbe transmits one byte past the closed window without

@@ -176,7 +176,8 @@ func (c *Conn) Snapshot() *ConnSnapshot {
 		s.RecvBuf = make([]byte, n)
 		c.rcvBuf.Peek(s.RecvBuf, 0)
 	}
-	for _, m := range c.inflight {
+	for i := 0; i < c.inflight.len(); i++ {
+		m := c.inflight.at(i)
 		s.Inflight = append(s.Inflight, SegSnapshot{
 			Seq:                 m.seq,
 			Length:              m.length,
@@ -210,11 +211,7 @@ func (c *Conn) Detach() {
 	}
 	c.closed = true
 	c.state = StateClosed
-	for _, t := range []sim.Timer{c.rtoTimer, c.delackTimer, c.paceTimer, c.persistTimer, c.timeWaitTimer} {
-		if t != nil {
-			t.Stop()
-		}
-	}
+	c.stopTimers()
 	c.sndBuf.ReleaseAll()
 	if c.ownerHook != nil {
 		c.ownerHook()
@@ -296,7 +293,7 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 	c.paceNext = s.PaceNext
 
 	for _, m := range s.Inflight {
-		c.inflight = append(c.inflight, &segMeta{
+		c.inflight.push(segMeta{
 			seq:                 m.Seq,
 			length:              m.Length,
 			sentAt:              m.SentAt,
@@ -304,7 +301,7 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 			deliveredTimeAtSend: m.DeliveredTimeAtSend,
 			appLimited:          m.AppLimited,
 			retransmitted:       m.Retransmitted,
-			sacked:              m.Sacked,
+			sacked:              m.Sacked && m.Length > 0, // as sack(): a bare FIN is never SACK-covered
 			fin:                 m.Fin,
 		})
 	}

@@ -149,7 +149,8 @@ type connState struct {
 	conn         *tcp.Conn
 	udp          *stack.UDPSocket // datagram sockets, set at bind
 	sendQ        []sendChunk
-	recvDebt     int // bytes at the VM awaiting an OpRecv credit
+	closePending bool // the guest closed with sendQ unsent: close once it drains
+	recvDebt     int  // bytes at the VM awaiting an OpRecv credit
 	eofSent      bool
 	shaperWait   bool // a shaper retry timer is pending
 	flushPending bool // a coalescing flush timer is pending
@@ -659,7 +660,13 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			}
 			s.freeConnState(cs)
 		} else if cs != nil && cs.conn != nil {
-			cs.conn.Close()
+			// Closing now would have connClosed free sends the guest was
+			// told are queued; the FIN goes out behind them instead.
+			if len(cs.sendQ) > 0 {
+				cs.closePending = true
+			} else {
+				cs.conn.Close()
+			}
 		} else if ls := s.listeners[e.CID]; ls != nil {
 			s.cfg.Stack.CloseListener(ls.lst.Addr().Port)
 			delete(s.listeners, e.CID)
@@ -1069,6 +1076,10 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 			Op: nqe.OpSend, CID: cs.cid, DataLen: uint32(head.size), Status: nqe.StatusOK,
 		})
 		cs.sendQ = cs.sendQ[1:]
+	}
+	if cs.closePending {
+		cs.closePending = false
+		cs.conn.Close()
 	}
 }
 

@@ -1,26 +1,57 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Loop is a deterministic discrete-event loop implementing Clock in
-// virtual time. Events scheduled for the same instant run in scheduling
-// order. Loop is not safe for concurrent use: everything that touches a
-// Loop must run either before Run/RunFor or from inside its callbacks.
+// virtual time. Events run in (instant, scheduling order): two events
+// due at the same instant run in the order they were scheduled. Loop is
+// not safe for concurrent use: everything that touches a Loop must run
+// either before Run/RunFor or from inside its callbacks.
+//
+// Pending events live in a 4-ary min-heap whose entries carry their own
+// (at, seq) key, so ordering never leaves the heap array; what an event
+// runs lives in a recycled slot the entry points at. Cancellation is
+// exact — Stop removes the entry at once — so the heap holds live
+// events only, and neither scheduling nor cancelling allocates.
 type Loop struct {
-	now    Time
-	events eventHeap
-	seq    uint64
-	free   []*event // recycled event structs
-	nrun   uint64
+	now   Time
+	heap  []heapEntry
+	slots []slot
+	free  int32 // head of the free-slot list (linked through slot.pos), -1 when empty
+	seq   uint64
+	nrun  uint64
+}
+
+// heapEntry is one pending event's ordering key and its slot.
+type heapEntry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+func (a heapEntry) before(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// slot is what a pending event runs: fn, or handler.HandleFrame(frame,
+// arg) when fn is nil. seq is the pending event's sequence number and
+// zero while the slot is free, which is how a Handle outliving its event
+// (run, stopped, or the slot reissued) is recognised as stale.
+type slot struct {
+	fn      func()
+	handler FrameHandler
+	frame   []byte
+	arg     uint64
+	seq     uint64
+	pos     int32 // heap index while pending, next free slot otherwise
 }
 
 // NewLoop returns an empty loop positioned at time zero.
 func NewLoop() *Loop {
-	return &Loop{events: make(eventHeap, 0, 1024)}
+	return &Loop{heap: make([]heapEntry, 0, 1024), slots: make([]slot, 0, 1024), free: -1}
 }
 
 // Now returns the current virtual time.
@@ -30,59 +61,92 @@ func (l *Loop) Now() Time { return l.now }
 // useful for cost accounting in tests and benchmarks.
 func (l *Loop) Processed() uint64 { return l.nrun }
 
-// Pending returns the number of scheduled (possibly stopped) events.
-func (l *Loop) Pending() int { return len(l.events) }
+// Pending returns the number of scheduled events that will still run.
+func (l *Loop) Pending() int { return len(l.heap) }
 
 // AfterFunc schedules fn to run once d has elapsed in virtual time.
-func (l *Loop) AfterFunc(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	e := l.at(l.now.Add(d), fn)
-	return loopTimer{e: e, seq: e.seq}
+func (l *Loop) AfterFunc(d time.Duration, fn func()) Handle {
+	i, s := l.schedule(d)
+	s.fn = fn
+	return Handle{loop: l, seq: s.seq, slot: i}
+}
+
+// AfterFrame schedules h.HandleFrame(frame, arg) to run once d has
+// elapsed in virtual time.
+func (l *Loop) AfterFrame(d time.Duration, h FrameHandler, frame []byte, arg uint64) {
+	_, s := l.schedule(d)
+	s.handler, s.frame, s.arg = h, frame, arg
 }
 
 // Post schedules fn to run at the current instant, after events already
 // pending for it.
-func (l *Loop) Post(fn func()) { l.at(l.now, fn) }
+func (l *Loop) Post(fn func()) {
+	_, s := l.schedule(0)
+	s.fn = fn
+}
 
-func (l *Loop) at(t Time, fn func()) *event {
-	if t < l.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, l.now))
+// schedule draws the next sequence number and queues an empty event d
+// from now (negative d means now). The returned slot pointer is valid
+// until the next schedule.
+func (l *Loop) schedule(d time.Duration) (int32, *slot) {
+	if d < 0 {
+		d = 0
 	}
-	var e *event
-	if n := len(l.free); n > 0 {
-		e = l.free[n-1]
-		l.free = l.free[:n-1]
+	i := l.free
+	if i >= 0 {
+		l.free = l.slots[i].pos
 	} else {
-		e = new(event)
+		i = int32(len(l.slots))
+		l.slots = append(l.slots, slot{})
 	}
 	l.seq++
-	*e = event{at: t, seq: l.seq, fn: fn, loop: l, idx: -1}
-	heap.Push(&l.events, e)
-	return e
+	s := &l.slots[i]
+	s.seq = l.seq
+	l.heap = append(l.heap, heapEntry{at: l.now.Add(d), seq: l.seq, slot: i})
+	l.up(len(l.heap) - 1)
+	return i, s
+}
+
+// release returns slot i to the free list, dropping what it referenced.
+func (l *Loop) release(i int32) {
+	l.slots[i] = slot{pos: l.free}
+	l.free = i
+}
+
+// cancel removes the event Handle{seq, slot i} names, if it is still
+// pending.
+func (l *Loop) cancel(i int32, seq uint64) bool {
+	s := &l.slots[i]
+	if s.seq != seq {
+		return false
+	}
+	l.remove(int(s.pos))
+	l.release(i)
+	return true
 }
 
 // Step executes the next pending event, advancing virtual time to its
 // instant. It reports whether an event was executed.
 func (l *Loop) Step() bool {
-	for len(l.events) > 0 {
-		e := heap.Pop(&l.events).(*event)
-		fn, stopped := e.fn, e.stopped
-		e.fn = nil
-		e.loop = nil
-		l.free = append(l.free, e)
-		if stopped {
-			continue
-		}
-		if e.at > l.now {
-			l.now = e.at
-		}
-		l.nrun++
-		fn()
-		return true
+	if len(l.heap) == 0 {
+		return false
 	}
-	return false
+	e := l.heap[0]
+	l.remove(0)
+	s := l.slots[e.slot]
+	// Released before it runs, so the callback's own scheduling can
+	// reuse the slot and a Stop on its own handle reports false.
+	l.release(e.slot)
+	if e.at > l.now {
+		l.now = e.at
+	}
+	l.nrun++
+	if s.fn != nil {
+		s.fn()
+	} else {
+		s.handler.HandleFrame(s.frame, s.arg)
+	}
+	return true
 }
 
 // Run executes events until none remain.
@@ -91,25 +155,10 @@ func (l *Loop) Run() {
 	}
 }
 
-// pruneStopped discards cancelled events sitting at the top of the heap
-// so time-bounded runs never mistake them for runnable work.
-func (l *Loop) pruneStopped() {
-	for len(l.events) > 0 && l.events[0].stopped {
-		e := heap.Pop(&l.events).(*event)
-		e.fn = nil
-		e.loop = nil
-		l.free = append(l.free, e)
-	}
-}
-
 // RunUntil executes every event scheduled at or before t, then advances
 // the clock to t.
 func (l *Loop) RunUntil(t Time) {
-	for {
-		l.pruneStopped()
-		if len(l.events) == 0 || l.events[0].at > t {
-			break
-		}
+	for len(l.heap) > 0 && l.heap[0].at <= t {
 		l.Step()
 	}
 	if t > l.now {
@@ -121,64 +170,63 @@ func (l *Loop) RunUntil(t Time) {
 // advances the clock by exactly d.
 func (l *Loop) RunFor(d time.Duration) { l.RunUntil(l.now.Add(d)) }
 
-// event is a scheduled callback. Cancellation is lazy: Stop marks the
-// event and Step discards marked events when they surface. Event structs
-// are recycled, so Timer handles carry the sequence number they were
-// issued for; a stale handle (its event already ran and was reissued)
-// becomes a no-op instead of cancelling an unrelated event.
-type event struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	loop    *Loop
-	idx     int
-	stopped bool
+// The heap is 4-ary: the children of i are 4i+1..4i+4. Keys are unique
+// (seq is), so the pop order is the sorted order whatever the shape.
+
+// place stores e at heap index i and records the position in its slot.
+func (l *Loop) place(i int, e heapEntry) {
+	l.heap[i] = e
+	l.slots[e.slot].pos = int32(i)
 }
 
-type loopTimer struct {
-	e   *event
-	seq uint64
-}
-
-// Stop implements Timer.
-func (t loopTimer) Stop() bool {
-	e := t.e
-	if e.seq != t.seq || e.loop == nil || e.stopped || e.fn == nil {
-		return false
+func (l *Loop) up(i int) {
+	e := l.heap[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(l.heap[p]) {
+			break
+		}
+		l.place(i, l.heap[p])
+		i = p
 	}
-	e.stopped = true
-	return true
+	l.place(i, e)
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (l *Loop) down(i int) {
+	e := l.heap[i]
+	n := len(l.heap)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if l.heap[j].before(l.heap[m]) {
+				m = j
+			}
+		}
+		if !l.heap[m].before(e) {
+			break
+		}
+		l.place(i, l.heap[m])
+		i = m
 	}
-	return h[i].seq < h[j].seq
+	l.place(i, e)
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+// remove deletes the entry at heap index i.
+func (l *Loop) remove(i int) {
+	n := len(l.heap) - 1
+	last := l.heap[n]
+	l.heap = l.heap[:n]
+	if i == n {
+		return
+	}
+	l.heap[i] = last
+	if i > 0 && last.before(l.heap[(i-1)/4]) {
+		l.up(i)
+	} else {
+		l.down(i)
+	}
 }

@@ -31,11 +31,12 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // String formats the instant as a duration since the epoch.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// A Timer is a handle to a pending callback scheduled with AfterFunc.
-type Timer interface {
-	// Stop cancels the pending callback. It reports whether the callback
-	// was still pending: false means it already ran or was already stopped.
-	Stop() bool
+// A FrameHandler receives a per-frame event scheduled with AfterFrame.
+// The link, switch and CPU hops a frame crosses schedule through it
+// with their own pointer as the handler, so a hop builds no closure;
+// arg is the handler's to define.
+type FrameHandler interface {
+	HandleFrame(frame []byte, arg uint64)
 }
 
 // Clock is the time source and serialized executor every NetKernel
@@ -47,7 +48,11 @@ type Clock interface {
 	// AfterFunc schedules fn to run on the clock's executor once d has
 	// elapsed. Non-positive d schedules fn as soon as possible, after
 	// callbacks already pending for the current instant.
-	AfterFunc(d time.Duration, fn func()) Timer
+	AfterFunc(d time.Duration, fn func()) Handle
+
+	// AfterFrame schedules h.HandleFrame(frame, arg) the way AfterFunc
+	// schedules fn.
+	AfterFrame(d time.Duration, h FrameHandler, frame []byte, arg uint64)
 
 	// Post schedules fn to run on the clock's executor as soon as
 	// possible. It is safe to call from any goroutine.

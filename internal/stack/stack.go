@@ -374,8 +374,19 @@ func (s *Stack) DeliverFrame(frame []byte) {
 		s.processFrame(frame)
 		return
 	}
-	s.cfg.CPU.Dispatch(s.frameCore(frame), s.cfg.PerPacketCost, func() { s.processFrame(frame) })
+	s.cfg.CPU.DispatchFrame(s.frameCore(frame), s.cfg.PerPacketCost, (*rxDone)(s), frame, 0)
 }
+
+// rxDone and txDone are the Stack as the handler of a frame whose CPU
+// charge has completed, one per direction, so charging a frame builds no
+// closure.
+type (
+	rxDone Stack
+	txDone Stack
+)
+
+func (s *rxDone) HandleFrame(frame []byte, _ uint64) { (*Stack)(s).processFrame(frame) }
+func (s *txDone) HandleFrame(frame []byte, _ uint64) { s.iface.tx(frame) }
 
 // frameCore picks the CPU core charged for a frame: the flow's shard
 // in sharded mode (core i owns shard i), else legacy RSS steering.
@@ -503,7 +514,7 @@ func (s *Stack) sendEthernet(dst ethernet.MAC, typ ethernet.EtherType, payload [
 	copy(frame[ethernet.HeaderLen:], payload)
 	s.stats.framesOut.Inc()
 	if s.cfg.CPU != nil && s.cfg.PerPacketCost > 0 {
-		s.cfg.CPU.Dispatch(s.frameCore(frame), s.cfg.PerPacketCost, func() { s.iface.tx(frame) })
+		s.cfg.CPU.DispatchFrame(s.frameCore(frame), s.cfg.PerPacketCost, (*txDone)(s), frame, 0)
 		return
 	}
 	s.iface.tx(frame)
@@ -597,9 +608,7 @@ func (s *Stack) Kill() {
 	s.listeners = make(map[uint16]*listenEntry)
 	s.udpSocks = make(map[uint16]*UDPSocket)
 	for _, w := range s.pings {
-		if w.timer != nil {
-			w.timer.Stop()
-		}
+		w.timer.Stop()
 	}
 	s.pings = make(map[uint32]*pingWaiter)
 	s.arpCache.Reset()

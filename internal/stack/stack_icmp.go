@@ -11,7 +11,7 @@ import (
 
 type pingWaiter struct {
 	sentAt  sim.Time
-	timer   sim.Timer
+	timer   sim.Handle
 	cb      func(rtt time.Duration, err error)
 	replied bool
 }

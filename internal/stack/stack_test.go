@@ -355,3 +355,31 @@ func TestStackStatsPlausible(t *testing.T) {
 		t.Fatal("frame count below TCP segment count")
 	}
 }
+
+// Charging a frame to a CPU core builds no closure in either direction:
+// receive allocates nothing before the protocol layers see the frame,
+// transmit only the frame itself.
+func TestAllocsFrameCPUHops(t *testing.T) {
+	loop := sim.NewLoop()
+	s := New(Config{Clock: loop, RNG: sim.NewRNG(1), Name: "a",
+		CPU: netsim.NewCPU(loop, 2), PerPacketCost: 470 * time.Nanosecond})
+	sent := 0
+	s.AttachInterface(ethernet.MAC{2, 0, 0, 0, 0, 1}, ipA, 1500, 24, ipv4.Addr{}, func([]byte) { sent++ })
+	// Addressed to someone else: processFrame drops it after the parse.
+	frame := make([]byte, 64)
+	eh := ethernet.Header{Dst: ethernet.MAC{2, 0, 0, 0, 0, 9}, Src: ethernet.MAC{2, 0, 0, 0, 0, 2}, Type: ethernet.TypeIPv4}
+	eh.Marshal(frame)
+	payload := make([]byte, 40)
+	s.DeliverFrame(frame)
+	s.sendEthernet(eh.Dst, ethernet.TypeIPv4, payload)
+	loop.Run()
+	if n := testing.AllocsPerRun(100, func() { s.DeliverFrame(frame); loop.Run() }); n != 0 {
+		t.Errorf("DeliverFrame: %v allocs per frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.sendEthernet(eh.Dst, ethernet.TypeIPv4, payload); loop.Run() }); n != 1 {
+		t.Errorf("sendEthernet: %v allocs per frame, want 1 (the frame)", n)
+	}
+	if sent == 0 || s.Stats().FramesIn == 0 {
+		t.Fatalf("hops did not run: sent %d, frames in %d", sent, s.Stats().FramesIn)
+	}
+}

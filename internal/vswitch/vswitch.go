@@ -120,8 +120,7 @@ func (p *Port) Deliver(frame []byte) {
 		sw.stats.Dropped++
 		return
 	}
-	var dst, src netsim.MAC
-	copy(dst[:], frame[0:6])
+	var src netsim.MAC
 	copy(src[:], frame[6:12])
 
 	// Learn the source.
@@ -132,36 +131,47 @@ func (p *Port) Deliver(frame []byte) {
 		sw.fdb[src] = fdbEntry{port: p, expires: sw.clock.Now().Add(sw.cfg.AgingTime)}
 	}
 
-	forward := func() {
-		if e, ok := sw.fdb[dst]; ok && !dst.IsBroadcast() {
-			if sw.clock.Now() < e.expires {
-				if e.port != p {
-					sw.stats.Forwarded++
-					e.port.out.Deliver(frame)
-				} else {
-					sw.stats.Dropped++ // hairpin: destination is the ingress port
-				}
-				return
-			}
-			// Expired entry: evict it and fall through to flooding.
-			sw.stats.AgedOut++
-			delete(sw.fdb, dst)
-		}
-		// Unknown or broadcast: flood to every other port.
-		sw.stats.Flooded++
-		for _, q := range sw.ports {
-			if q == p {
-				continue
-			}
-			c := make([]byte, len(frame))
-			copy(c, frame)
-			q.out.Deliver(c)
-		}
-	}
-
 	if sw.cfg.Mode == Software {
-		sw.clock.AfterFunc(sw.cfg.PerFrameDelay, forward)
+		sw.clock.AfterFrame(sw.cfg.PerFrameDelay, (*delayDone)(p), frame, 0)
 	} else {
-		forward()
+		p.forward(frame)
+	}
+}
+
+// delayDone is a Port as the handler of a frame that entered through it
+// and has now sat out the software switch's per-frame delay.
+type delayDone Port
+
+func (p *delayDone) HandleFrame(frame []byte, _ uint64) { (*Port)(p).forward(frame) }
+
+// forward sends a frame that entered through p out of the port its
+// destination was learned on, or floods it.
+func (p *Port) forward(frame []byte) {
+	sw := p.sw
+	var dst netsim.MAC
+	copy(dst[:], frame[0:6])
+	if e, ok := sw.fdb[dst]; ok && !dst.IsBroadcast() {
+		if sw.clock.Now() < e.expires {
+			if e.port != p {
+				sw.stats.Forwarded++
+				e.port.out.Deliver(frame)
+			} else {
+				sw.stats.Dropped++ // hairpin: destination is the ingress port
+			}
+			return
+		}
+		// Expired entry: evict it and fall through to flooding.
+		sw.stats.AgedOut++
+		delete(sw.fdb, dst)
+	}
+	// Unknown or broadcast: flood to every other port.
+	sw.stats.Flooded++
+	for _, q := range sw.ports {
+		if q == p {
+			continue
+		}
+		c := make([]byte, len(frame))
+		copy(c, frame)
+		q.out.Deliver(c)
 	}
 }

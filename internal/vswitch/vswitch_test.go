@@ -205,3 +205,23 @@ func TestBroadcastNeverLearnedAsDestination(t *testing.T) {
 		t.Fatalf("broadcast handled as unicast: %+v", sw.Stats())
 	}
 }
+
+// A learned unicast through the software switch is one closure-free
+// delay event: no allocation per frame.
+func TestAllocsPerFrame(t *testing.T) {
+	loop := sim.NewLoop()
+	sw := New(loop, Config{Mode: Software})
+	got := 0
+	pa := sw.AddPort(netsim.PortFunc(func([]byte) {}))
+	pb := sw.AddPort(netsim.PortFunc(func([]byte) { got++ }))
+	ab, ba := frameFromTo(macA, macB), frameFromTo(macB, macA)
+	pb.Deliver(ba) // teach the switch where b lives
+	pa.Deliver(ab)
+	loop.Run()
+	if n := testing.AllocsPerRun(100, func() { pa.Deliver(ab); loop.Run() }); n != 0 {
+		t.Errorf("%v allocs per switched frame, want 0", n)
+	}
+	if got == 0 {
+		t.Fatal("no frame reached the learned port")
+	}
+}
