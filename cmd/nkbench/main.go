@@ -107,6 +107,8 @@ func micro() {
 	fmt.Printf("  %-8s %8.3f copies/B  (guest %d + service %d + tcp %d copied of %d payload B)\n",
 		"recv", res.RxCopiesPerByte,
 		res.Report.GuestRxCopied, res.Report.ServiceRxCopied, res.Report.TCPRxCopied, res.Report.PayloadRx)
+	fmt.Printf("  %-8s %8.3f copies/B  (below TCP: %d B copied into frames, retransmissions included; 0 on receive)\n",
+		"wire", float64(res.Report.FrameTxCopied)/float64(res.Report.PayloadTx), res.Report.FrameTxCopied)
 
 	// The same run's client-host registry, excerpted (nkctl stats
 	// renders the full set for the demo cloud).

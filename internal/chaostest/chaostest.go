@@ -34,6 +34,7 @@ import (
 	"testing"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/guestlib"
 	"netkernel/internal/hypervisor"
 	"netkernel/internal/netsim"
@@ -207,6 +208,10 @@ type harness struct {
 	migConns   int
 	migStall   time.Duration
 
+	// framesBoot is the frame pool's outstanding count when the harness
+	// was built; after quiesce it must be back there (checkPools).
+	framesBoot int64
+
 	// namesBoot is each host's full registry name set right after VM
 	// creation; untraced scenarios re-check it after quiesce so NSM
 	// restarts provably neither leak nor duplicate metric names.
@@ -255,6 +260,8 @@ func newHarness(seed uint64, prof Profile) *harness {
 		frng:    sim.NewRNG(seed ^ 0x9e3779b97f4a7c15),
 		wrng:    sim.NewRNG(seed ^ 0xbf58476d1ce4e5b9),
 		recvBuf: make([]byte, 64<<10),
+
+		framesBoot: framepool.Live(),
 	}
 }
 
@@ -655,10 +662,17 @@ func Check(t *testing.T, h *Result) {
 }
 
 // checkPools verifies the leak invariants that need live objects (the
-// Result only carries value snapshots): huge-page chunks, engine
-// mappings, and stack connection tables.
+// Result only carries value snapshots): huge-page chunks, frame
+// buffers, engine mappings, and stack connection tables.
 func (h *harness) checkPools(t *testing.T) {
 	t.Helper()
+	// Every frame drawn from the pool during the scenario has been
+	// released: with the loop empty no frame is in flight, so anything
+	// still out was dropped somewhere that is not a release point —
+	// delivered, lost, flooded, crashed into, or migrated past.
+	if n := framepool.Live() - h.framesBoot; n != 0 {
+		t.Errorf("[seed %d] %d frame buffers not released after quiesce", h.seed, n)
+	}
 	for _, vm := range []*hypervisor.VM{h.client, h.server} {
 		for i, pair := range vm.Guest.Pairs() {
 			if pair.Pages.FreeCount() != pair.Pages.Chunks() {

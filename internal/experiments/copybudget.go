@@ -122,6 +122,7 @@ func RunCopyBudget(cfg CopyBudgetConfig) CopyBudgetResult {
 	delta.ServiceRxCopied += srvDelta.ServiceRxCopied
 	delta.TCPTxCopied += srvDelta.TCPTxCopied
 	delta.TCPRxCopied += srvDelta.TCPRxCopied
+	delta.FrameTxCopied += srvDelta.FrameTxCopied
 
 	got := echoed() - echoBase
 	return CopyBudgetResult{

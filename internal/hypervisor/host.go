@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/guestlib"
 	"netkernel/internal/netsim"
 	"netkernel/internal/nkchan"
@@ -397,6 +398,8 @@ func (h *Host) makeAttachment(current func() *stack.Stack, ip ipv4.Addr, sriov b
 	deliver := func(f []byte) {
 		if s := current(); s != nil {
 			s.DeliverFrame(f)
+		} else {
+			framepool.Put(f) // nothing attached: the frame dies here
 		}
 	}
 	var tx func([]byte)
@@ -630,6 +633,13 @@ type CopyReport struct {
 	GuestTxCopied, ServiceTxCopied, TCPTxCopied uint64
 	// Receive-direction copied bytes.
 	GuestRxCopied, ServiceRxCopied, TCPRxCopied uint64
+	// FrameTxCopied is the ledger's last leg, below TCP: payload bytes
+	// the stack copied into frame buffers on their way to the wire,
+	// retransmissions included (stack.Stats.FrameCopiedTx). It is
+	// reported beside TxCopied rather than inside it, so the committed
+	// copies-per-byte trajectory keeps its meaning; the receive path
+	// below TCP copies nothing.
+	FrameTxCopied uint64
 }
 
 // TxCopied sums send-direction copies across layers.
@@ -666,6 +676,7 @@ func (r CopyReport) Sub(prev CopyReport) CopyReport {
 		GuestRxCopied:   r.GuestRxCopied - prev.GuestRxCopied,
 		ServiceRxCopied: r.ServiceRxCopied - prev.ServiceRxCopied,
 		TCPRxCopied:     r.TCPRxCopied - prev.TCPRxCopied,
+		FrameTxCopied:   r.FrameTxCopied - prev.FrameTxCopied,
 	}
 }
 
@@ -686,15 +697,16 @@ func (vm *VM) CopyReport() CopyReport {
 		r.ServiceTxCopied += ss.TxBytesCopied
 		r.ServiceRxCopied += ss.RxBytesCopied
 	}
-	for _, n := range vm.NSMs {
-		st := n.Stack.Stats()
+	addStack := func(st stack.Stats) {
 		r.TCPTxCopied += st.TCPCopiedTx
 		r.TCPRxCopied += st.TCPCopiedRx
+		r.FrameTxCopied += st.FrameCopiedTx
+	}
+	for _, n := range vm.NSMs {
+		addStack(n.Stack.Stats())
 	}
 	if vm.Legacy != nil {
-		st := vm.Legacy.Stats()
-		r.TCPTxCopied += st.TCPCopiedTx
-		r.TCPRxCopied += st.TCPCopiedRx
+		addStack(vm.Legacy.Stats())
 	}
 	return r
 }

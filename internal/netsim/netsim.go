@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/sim"
 )
 
@@ -44,7 +45,10 @@ func (b BitsPerSec) String() string {
 }
 
 // A Port is anything that accepts a frame from the fabric. Frames are
-// whole Ethernet frames; the receiver owns the slice.
+// whole Ethernet frames. Deliver consumes the slice: the receiver owns
+// it and may return it to the frame pool (DESIGN.md §15), so the caller
+// neither touches it again nor delivers it to a second port — a fan-out
+// hands every further receiver a copy of its own (framepool.Clone).
 type Port interface {
 	Deliver(frame []byte)
 }
@@ -126,6 +130,7 @@ type Link struct {
 	cfg   LinkConfig
 	dst   Port
 
+	queueCap  int // cfg.queueBytes(), worked out once
 	busyUntil sim.Time
 	queued    int // bytes committed to the transmitter, not yet sent
 	down      bool
@@ -151,7 +156,7 @@ func NewLink(clock sim.Clock, rng *sim.RNG, cfg LinkConfig, dst Port) *Link {
 		ge := *cfg.Faults.GE // each link owns its chain state
 		cfg.Faults.GE = &ge
 	}
-	return &Link{clock: clock, rng: rng, cfg: cfg, dst: dst}
+	return &Link{clock: clock, rng: rng, cfg: cfg, dst: dst, queueCap: cfg.queueBytes()}
 }
 
 // Stats returns a copy of the link counters.
@@ -164,12 +169,14 @@ func (l *Link) QueuedBytes() int { return l.queued }
 func (l *Link) Config() LinkConfig { return l.cfg }
 
 // Send enqueues a frame for transmission. The link takes ownership of
-// the slice. Must be called from the clock's executor.
+// the slice: a frame it drops goes back to the frame pool. Must be
+// called from the clock's executor.
 func (l *Link) Send(frame []byte) {
 	wire := len(frame) + l.cfg.FrameOverhead
 	l.stats.Offered++
-	if l.queued+wire > l.cfg.queueBytes() {
+	if l.queued+wire > l.queueCap {
 		l.stats.QueueDrops++
+		framepool.Put(frame)
 		return
 	}
 	if l.cfg.ECNThresholdBytes > 0 && l.queued > l.cfg.ECNThresholdBytes && l.cfg.Marker != nil {
@@ -210,10 +217,12 @@ func (s *serialized) HandleFrame(frame []byte, arg uint64) {
 	l.queued -= wire
 	if l.down {
 		l.stats.DownDrops++
+		framepool.Put(frame)
 		return
 	}
 	if fate.lost() {
 		l.stats.LossDrops++
+		framepool.Put(frame)
 		return
 	}
 	l.stats.TxFrames++
@@ -223,7 +232,7 @@ func (s *serialized) HandleFrame(frame []byte, arg uint64) {
 		// Copy before any corruption: the duplicate models a clean
 		// retransmission of the same frame.
 		l.stats.DupFrames++
-		dup = append([]byte(nil), frame...)
+		dup = framepool.Clone(frame)
 	}
 	if bit, ok := fate.corruptBit(); ok {
 		frame[bit/8] ^= 1 << (bit % 8)

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/sim"
 )
 
@@ -58,43 +59,47 @@ func (n *NIC) AttachWire(p Port) { n.wire = p }
 // SetHandler installs the physical-function receive handler.
 func (n *NIC) SetHandler(h func(frame []byte)) { n.handler = h }
 
-// Send transmits a frame from the physical function.
+// Send transmits a frame from the physical function. With no wire
+// attached the frame is dropped.
 func (n *NIC) Send(frame []byte) {
-	if n.wire != nil {
-		n.wire.Deliver(frame)
+	if n.wire == nil {
+		framepool.Put(frame)
+		return
 	}
+	n.wire.Deliver(frame)
 }
 
 // Deliver implements Port: inbound traffic from the wire. Broadcasts go
 // to the physical function and every VF (each gets its own copy); unicast
 // goes to the owning function only, falling back to the physical function
-// for unknown destinations (promiscuous vSwitch behaviour).
+// for unknown destinations (promiscuous vSwitch behaviour). A function
+// with no handler installed drops what it is sent.
 func (n *NIC) Deliver(frame []byte) {
 	dst := dstMAC(frame)
 	if dst.IsBroadcast() {
 		for _, vf := range n.vfs {
 			if vf.handler != nil {
-				c := make([]byte, len(frame))
-				copy(c, frame)
-				vf.handler(c)
+				vf.handler(framepool.Clone(frame))
 			}
 		}
-		if n.handler != nil {
-			n.handler(frame)
-		}
+		deliverOrDrop(n.handler, frame)
 		return
 	}
 	for _, vf := range n.vfs {
 		if vf.mac == dst {
-			if vf.handler != nil {
-				vf.handler(frame)
-			}
+			deliverOrDrop(vf.handler, frame)
 			return
 		}
 	}
-	if n.handler != nil {
-		n.handler(frame)
+	deliverOrDrop(n.handler, frame)
+}
+
+func deliverOrDrop(handler func(frame []byte), frame []byte) {
+	if handler == nil {
+		framepool.Put(frame)
+		return
 	}
+	handler(frame)
 }
 
 // AddVF carves a virtual function with its own MAC out of the NIC.

@@ -56,16 +56,30 @@ type Message struct {
 	Body []byte
 }
 
-// Marshal serializes the message, computing the checksum.
-func (m *Message) Marshal() []byte {
-	b := make([]byte, HeaderLen+len(m.Body))
+// Len returns the marshalled size of the message.
+func (m Message) Len() int { return HeaderLen + len(m.Body) }
+
+// Marshal serializes the message into a fresh buffer.
+func (m Message) Marshal() []byte {
+	b := make([]byte, m.Len())
+	m.MarshalInto(b)
+	return b
+}
+
+// MarshalInto serializes the message into b, which must be exactly
+// Len() bytes, computing the checksum. Body may alias a received packet:
+// it is copied out before MarshalInto returns.
+func (m Message) MarshalInto(b []byte) {
+	if len(b) != m.Len() {
+		panic(fmt.Sprintf("icmp: buffer %d for message %d", len(b), m.Len()))
+	}
 	b[0] = byte(m.Type)
 	b[1] = m.Code
+	b[2], b[3] = 0, 0 // checksum placeholder
 	binary.BigEndian.PutUint16(b[4:], m.ID)
 	binary.BigEndian.PutUint16(b[6:], m.Seq)
 	copy(b[HeaderLen:], m.Body)
 	binary.BigEndian.PutUint16(b[2:], inet.Checksum(b, 0))
-	return b
 }
 
 // Parse decodes and validates a message. Body aliases b.
@@ -85,36 +99,37 @@ func Parse(b []byte) (Message, error) {
 	}, nil
 }
 
+// The constructors below return the message unmarshalled, its Body
+// aliasing the argument, so the stack can marshal it straight into a
+// frame buffer.
+
 // EchoRequest builds an echo request carrying payload.
-func EchoRequest(id, seq uint16, payload []byte) []byte {
-	m := Message{Type: TypeEchoRequest, ID: id, Seq: seq, Body: payload}
-	return m.Marshal()
+func EchoRequest(id, seq uint16, payload []byte) Message {
+	return Message{Type: TypeEchoRequest, ID: id, Seq: seq, Body: payload}
 }
 
 // EchoReply builds the reply to a request message.
-func EchoReply(req Message) []byte {
-	m := Message{Type: TypeEchoReply, ID: req.ID, Seq: req.Seq, Body: req.Body}
-	return m.Marshal()
+func EchoReply(req Message) Message {
+	return Message{Type: TypeEchoReply, ID: req.ID, Seq: req.Seq, Body: req.Body}
+}
+
+// errorBody is how much of an offending datagram an error embeds: the
+// IP header + 8 bytes, per RFC 792.
+func errorBody(original []byte) []byte {
+	if len(original) > 28 {
+		return original[:28]
+	}
+	return original
 }
 
 // DestUnreachable builds a destination-unreachable error embedding the
-// start of the offending datagram (IP header + 8 bytes, per RFC 792).
-func DestUnreachable(code uint8, original []byte) []byte {
-	n := len(original)
-	if n > 28 {
-		n = 28
-	}
-	m := Message{Type: TypeDestUnreachable, Code: code, Body: original[:n]}
-	return m.Marshal()
+// start of the offending datagram.
+func DestUnreachable(code uint8, original []byte) Message {
+	return Message{Type: TypeDestUnreachable, Code: code, Body: errorBody(original)}
 }
 
 // TimeExceeded builds a TTL-expired error embedding the offending
 // datagram prefix.
-func TimeExceeded(original []byte) []byte {
-	n := len(original)
-	if n > 28 {
-		n = 28
-	}
-	m := Message{Type: TypeTimeExceeded, Body: original[:n]}
-	return m.Marshal()
+func TimeExceeded(original []byte) Message {
+	return Message{Type: TypeTimeExceeded, Body: errorBody(original)}
 }

@@ -8,7 +8,7 @@ import (
 
 func TestEchoRoundTrip(t *testing.T) {
 	payload := []byte("pingmesh probe 42")
-	req := EchoRequest(7, 3, payload)
+	req := EchoRequest(7, 3, payload).Marshal()
 	m, err := Parse(req)
 	if err != nil {
 		t.Fatal(err)
@@ -16,7 +16,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	if m.Type != TypeEchoRequest || m.ID != 7 || m.Seq != 3 || !bytes.Equal(m.Body, payload) {
 		t.Fatalf("parsed %+v", m)
 	}
-	rep := EchoReply(m)
+	rep := EchoReply(m).Marshal()
 	rm, err := Parse(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestEchoRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsCorruption(t *testing.T) {
-	req := EchoRequest(1, 1, []byte("x"))
+	req := EchoRequest(1, 1, []byte("x")).Marshal()
 	req[len(req)-1] ^= 0xff
 	if _, err := Parse(req); err == nil {
 		t.Fatal("corrupt message accepted")
@@ -39,7 +39,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 
 func TestQuickEchoRoundTrip(t *testing.T) {
 	err := quick.Check(func(id, seq uint16, body []byte) bool {
-		m, err := Parse(EchoRequest(id, seq, body))
+		m, err := Parse(EchoRequest(id, seq, body).Marshal())
 		return err == nil && m.ID == id && m.Seq == seq && bytes.Equal(m.Body, body)
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestErrorsEmbedOriginal(t *testing.T) {
 	for i := range original {
 		original[i] = byte(i)
 	}
-	du := DestUnreachable(CodePortUnreachable, original)
+	du := DestUnreachable(CodePortUnreachable, original).Marshal()
 	m, err := Parse(du)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestErrorsEmbedOriginal(t *testing.T) {
 	if len(m.Body) != 28 || !bytes.Equal(m.Body, original[:28]) {
 		t.Fatalf("embedded %d bytes", len(m.Body))
 	}
-	te, err := Parse(TimeExceeded(original[:10]))
+	te, err := Parse(TimeExceeded(original[:10]).Marshal())
 	if err != nil || te.Type != TypeTimeExceeded || len(te.Body) != 10 {
 		t.Fatalf("time-exceeded %+v, %v", te, err)
 	}

@@ -2,38 +2,63 @@
 // the RFC 1071 ones-complement checksum and the TCP/UDP pseudo-header.
 package inet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Checksum computes the RFC 1071 Internet checksum of data with the
 // given initial partial sum (pass 0 unless folding in a pseudo-header).
 //
-// The hot loop accumulates 64-bit big-endian words and folds the carries
-// afterwards — ones-complement addition is associative across word
-// splits, so summing wider lanes and folding is equivalent to summing
-// 16-bit words (RFC 1071 §2(B)), and roughly 4× faster.
+// The hot loop adds four 64-bit words per iteration through one carry
+// chain, loading them in little-endian order (a plain load on the
+// machines this runs on) instead of swapping every word to network
+// order: the ones-complement sum is the same whichever order the bytes
+// of each 16-bit word are taken in, as long as the result is swapped
+// back once (RFC 1071 §2(B), "byte order independence"), and a carry out
+// of bit 63 is worth exactly 1 (2^64 ≡ 1 mod 0xffff), so it is added
+// back in at the bottom.
 func Checksum(data []byte, initial uint32) uint16 {
-	sum := uint64(initial)
-	n := len(data)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		v := binary.BigEndian.Uint64(data[i:])
-		sum += v>>32 + v&0xffffffff
+	var sum, c uint64
+	for len(data) >= 32 {
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(data), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(data[8:]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(data[16:]), c)
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(data[24:]), c)
+		data = data[32:]
 	}
-	if i+4 <= n {
-		sum += uint64(binary.BigEndian.Uint32(data[i:]))
-		i += 4
+	for len(data) >= 8 {
+		sum, c = bits.Add64(sum, binary.LittleEndian.Uint64(data), c)
+		data = data[8:]
 	}
-	if i+2 <= n {
-		sum += uint64(binary.BigEndian.Uint16(data[i:]))
-		i += 2
+	// At most seven bytes remain. Which 16-bit lane of the accumulator a
+	// word lands in does not matter (2^16 ≡ 1 too); a trailing odd byte
+	// is the first byte of its word, which in this byte order is the low
+	// one.
+	if len(data) >= 4 {
+		sum, c = bits.Add64(sum, uint64(binary.LittleEndian.Uint32(data)), c)
+		data = data[4:]
 	}
-	if i < n {
-		sum += uint64(data[i]) << 8
+	if len(data) >= 2 {
+		sum, c = bits.Add64(sum, uint64(binary.LittleEndian.Uint16(data)), c)
+		data = data[2:]
 	}
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
+	if len(data) == 1 {
+		sum, c = bits.Add64(sum, uint64(data[0]), c)
 	}
-	return ^uint16(sum)
+	sum, c = bits.Add64(sum, 0, c)
+	sum += c
+
+	// Fold to 16 bits, swap into network order, then add the initial sum,
+	// which the caller computed in network order.
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
+	total := uint32(bits.ReverseBytes16(uint16(sum))) + initial>>16 + initial&0xffff
+	total = total>>16 + total&0xffff
+	total = total>>16 + total&0xffff
+	return ^uint16(total)
 }
 
 // PseudoHeaderSum returns the partial sum of the IPv4 pseudo-header used

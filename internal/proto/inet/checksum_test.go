@@ -1,7 +1,9 @@
 package inet
 
 import (
+	"bytes"
 	"encoding/binary"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -64,14 +66,14 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 // referenceChecksum is the textbook two-bytes-at-a-time RFC 1071 sum,
 // kept as the oracle for the optimized wide-word implementation.
 func referenceChecksum(data []byte, initial uint32) uint16 {
-	sum := initial
+	sum := uint64(initial)
 	n := len(data)
 	i := 0
 	for ; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+		sum += uint64(data[i])<<8 | uint64(data[i+1])
 	}
 	if i < n {
-		sum += uint32(data[i]) << 8
+		sum += uint64(data[i]) << 8
 	}
 	for sum > 0xffff {
 		sum = (sum >> 16) + (sum & 0xffff)
@@ -108,5 +110,48 @@ func TestPseudoHeaderSumOrderSensitivity(t *testing.T) {
 	c := PseudoHeaderSum([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 17, 100)
 	if a == c {
 		t.Fatal("protocol change did not alter the sum")
+	}
+}
+
+// FuzzChecksum holds the wide kernel to the textbook sum over arbitrary
+// bytes, every sub-slice alignment and tail length the fuzzer finds, and
+// non-zero initial sums (a full 32-bit one included: callers may pass an
+// unfolded pseudo-header sum).
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint32(0), uint8(0), uint8(0))
+	f.Add([]byte{0xab}, uint32(7), uint8(0), uint8(0))
+	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}, uint32(0xffff), uint8(1), uint8(2))
+	f.Add(bytes.Repeat([]byte{0xff}, 1480), uint32(0xffffffff), uint8(3), uint8(5))
+	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x80}, 67), uint32(0x1fffe), uint8(7), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, initial uint32, head, tail uint8) {
+		// Trim both ends so the kernel sees odd lengths and slices that
+		// start off any alignment boundary.
+		if h := int(head % 9); h <= len(data) {
+			data = data[h:]
+		}
+		if tl := int(tail % 9); tl <= len(data) {
+			data = data[:len(data)-tl]
+		}
+		if got, want := Checksum(data, initial), referenceChecksum(data, initial); got != want {
+			t.Fatalf("Checksum(%d bytes, %#x) = %#04x, reference %#04x", len(data), initial, got, want)
+		}
+	})
+}
+
+var checksumSink uint16
+
+func BenchmarkChecksum(b *testing.B) {
+	// An IPv4 header, a small ICMP/RPC packet, a full TCP segment.
+	for _, n := range []int{20, 84, 1480} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*37 + 11)
+		}
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				checksumSink = Checksum(data, 0x1234)
+			}
+		})
 	}
 }

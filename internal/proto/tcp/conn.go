@@ -46,6 +46,11 @@ func (a AddrPort) String() string { return fmt.Sprintf("%v:%d", a.Addr, a.Port) 
 // sequence numbers and options; the caller (the stack) wraps it in
 // IP + Ethernet and hands it to the NIC. ecnCapable asks for ECT(0)
 // marking on the IP header.
+//
+// h is the connection's scratch header and payload a view into its send
+// buffer: both are valid only until Output returns. An Output that
+// keeps the segment copies the header by value (a Header holds no
+// pointers, so the copy is deep) and the payload bytes.
 type OutputFunc func(h *Header, payload []byte, ecnCapable bool)
 
 // Config parameterizes a connection.
@@ -210,10 +215,13 @@ type Conn struct {
 	lastAckSeq uint32
 
 	// Rate sampling (for BBR).
-	delivered     uint64
-	deliveredAt   sim.Time // when the delivered counter last advanced
-	appLtdUntil   uint64
-	pendingSample tcpcc.AckSample
+	delivered   uint64
+	deliveredAt sim.Time // when the delivered counter last advanced
+	appLtdUntil uint64
+	// ackSample is the sample handed to the congestion control on each
+	// new ACK; it lives here because the call through the Algorithm
+	// interface would otherwise move a fresh one to the heap every time.
+	ackSample tcpcc.AckSample
 
 	// Receive sequence state.
 	irs      uint32
@@ -244,6 +252,10 @@ type Conn struct {
 	// timeWaitDeadline is when the TIME_WAIT timer fires; migration
 	// snapshots carry the remaining wait instead of restarting 2·MSL.
 	timeWaitDeadline sim.Time
+
+	// txHdr is the header of the segment being transmitted, reused for
+	// every segment: see OutputFunc for how long it stays valid.
+	txHdr Header
 
 	cc        tcpcc.Algorithm
 	ctrl      tcpcc.Control
@@ -370,16 +382,13 @@ func (c *Conn) applySynOptions(o *Options) {
 }
 
 func (c *Conn) sendSYN(synAck bool) {
-	h := &Header{
-		Flags:  FlagSYN,
-		Seq:    c.iss,
-		Window: uint16(min(c.rcvBuf.Free(), 0xffff)),
-		Opts: Options{
-			MSS:           uint16(c.cfg.MSS),
-			WScale:        c.ourWScale,
-			WScaleOK:      true,
-			SACKPermitted: true,
-		},
+	h := c.header(FlagSYN, c.iss)
+	h.Window = uint16(min(c.rcvBuf.Free(), 0xffff))
+	h.Opts = Options{
+		MSS:           uint16(c.cfg.MSS),
+		WScale:        c.ourWScale,
+		WScaleOK:      true,
+		SACKPermitted: true,
 	}
 	if synAck {
 		h.Flags |= FlagACK
@@ -486,7 +495,8 @@ func (c *Conn) Abort() {
 		return
 	}
 	if c.state != StateClosed && c.state != StateTimeWait {
-		h := &Header{Flags: FlagRST | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt}
+		h := c.header(FlagRST|FlagACK, c.sndNxt)
+		h.Ack = c.rcvNxt
 		c.transmit(h, nil, false)
 	}
 	c.teardown(fmt.Errorf("tcp: connection aborted"))
@@ -866,41 +876,63 @@ func (c *Conn) TimeWaitRemaining() time.Duration {
 // and new segments (RFC 6191-flavoured).
 func (c *Conn) FinalSeq() uint32 { return c.sndMax }
 
-// sackBlocks builds up to MaxSACKBlocks from the out-of-order queue.
-// Per RFC 2018 the first block is the one containing the most recently
-// received segment; the remaining slots rotate through the other runs
-// so that, over a stream of ACKs, the sender's scoreboard learns about
-// every hole — reporting only the lowest runs would leave everything
-// above the front invisible and stall SACK recovery.
-func (c *Conn) sackBlocks() []SACKBlock {
-	if !c.sackOK || len(c.ooo) == 0 {
-		return nil
-	}
-	// Coalesce the (sorted) queue into contiguous runs.
-	var runs []SACKBlock
-	newestRun := 0
+// oooRuns calls fn, in sequence order, for each maximal contiguous run
+// of the (sorted) out-of-order queue, k counting from 0.
+func (c *Conn) oooRuns(fn func(k int, run SACKBlock)) {
+	k := 0
+	run := SACKBlock{Start: c.ooo[0].seq, End: c.ooo[0].seq}
 	for _, s := range c.ooo {
-		start, end := s.seq, s.seq+uint32(len(s.data))
-		if n := len(runs); n > 0 && runs[n-1].End == start {
-			runs[n-1].End = end
-		} else {
-			runs = append(runs, SACKBlock{Start: start, End: end})
+		if s.seq != run.End {
+			fn(k, run)
+			k++
+			run.Start = s.seq
 		}
-		if seqLEQ(runs[len(runs)-1].Start, c.lastOOOSeq) && seqLT(c.lastOOOSeq, runs[len(runs)-1].End) {
-			newestRun = len(runs) - 1
-		}
+		run.End = s.seq + uint32(len(s.data))
 	}
-	blocks := make([]SACKBlock, 0, MaxSACKBlocks)
-	blocks = append(blocks, runs[newestRun])
-	for i := 1; i < len(runs) && len(blocks) < MaxSACKBlocks; i++ {
-		idx := (newestRun + int(c.sackRotate) + i) % len(runs)
+	fn(k, run)
+}
+
+// fillSACK writes up to MaxSACKBlocks from the out-of-order queue into
+// o. Per RFC 2018 the first block is the one containing the most
+// recently received segment; the remaining slots rotate through the
+// other runs so that, over a stream of ACKs, the sender's scoreboard
+// learns about every hole — reporting only the lowest runs would leave
+// everything above the front invisible and stall SACK recovery.
+//
+// The queue's runs are walked twice — once to count them and find the
+// newest, once to pick out the chosen ones — so no list of runs is ever
+// materialised.
+func (c *Conn) fillSACK(o *Options) {
+	if !c.sackOK || len(c.ooo) == 0 {
+		return
+	}
+	nruns, newestRun := 0, 0
+	c.oooRuns(func(k int, run SACKBlock) {
+		nruns = k + 1
+		if seqLEQ(run.Start, c.lastOOOSeq) && seqLT(c.lastOOOSeq, run.End) {
+			newestRun = k
+		}
+	})
+	// want[j] is the run reported in block j.
+	var want [MaxSACKBlocks]int
+	want[0] = newestRun
+	o.NumSACK = 1
+	for i := 1; i < nruns && o.NumSACK < MaxSACKBlocks; i++ {
+		idx := (newestRun + int(c.sackRotate) + i) % nruns
 		if idx == newestRun {
 			continue
 		}
-		blocks = append(blocks, runs[idx])
+		want[o.NumSACK] = idx
+		o.NumSACK++
 	}
 	c.sackRotate++
-	return blocks
+	c.oooRuns(func(k int, run SACKBlock) {
+		for j := 0; j < o.NumSACK; j++ {
+			if want[j] == k {
+				o.SACK[j] = run
+			}
+		}
+	})
 }
 
 func (c *Conn) advertisedWindow() uint16 {
@@ -914,13 +946,8 @@ func (c *Conn) advertisedWindow() uint16 {
 func (c *Conn) sendAck() {
 	c.delackTimer.Stop()
 	c.unackedSegs = 0
-	h := &Header{
-		Flags:  FlagACK,
-		Seq:    c.sndNxt,
-		Ack:    c.rcvNxt,
-		Window: c.advertisedWindow(),
-		Opts:   Options{SACKBlocks: c.sackBlocks()},
-	}
+	h := c.dataHeader(FlagACK, c.sndNxt)
+	c.fillSACK(&h.Opts)
 	if c.ecnEnabled && c.lastDataCE {
 		h.Flags |= FlagECE
 	}
@@ -950,10 +977,28 @@ func (c *Conn) maybeSendWindowUpdate() {
 	}
 }
 
-// transmit stamps shared fields and hands the segment to the stack.
+// header resets the connection's scratch header for a new segment.
+func (c *Conn) header(flags Flags, seq uint32) *Header {
+	c.txHdr = Header{
+		SrcPort: c.cfg.Local.Port,
+		DstPort: c.cfg.Remote.Port,
+		Flags:   flags,
+		Seq:     seq,
+	}
+	return &c.txHdr
+}
+
+// dataHeader is header for a segment of an established connection: it
+// acknowledges rcvNxt and advertises the current window.
+func (c *Conn) dataHeader(flags Flags, seq uint32) *Header {
+	h := c.header(flags, seq)
+	h.Ack = c.rcvNxt
+	h.Window = c.advertisedWindow()
+	return h
+}
+
+// transmit hands a segment built in the scratch header to the stack.
 func (c *Conn) transmit(h *Header, payload []byte, ecnCapable bool) {
-	h.SrcPort = c.cfg.Local.Port
-	h.DstPort = c.cfg.Remote.Port
 	c.stats.SegsSent++
 	c.stats.BytesSent += uint64(len(payload))
 	c.cfg.Output(h, payload, ecnCapable)

@@ -24,7 +24,7 @@ func FuzzTCPParse(f *testing.F) {
 	f.Add(data.Marshal(fuzzSrc, fuzzDst, []byte("hello from the fuzz corpus")))
 	sack := Header{
 		SrcPort: 1, DstPort: 2, Seq: 3, Ack: 4, Flags: FlagACK, Window: 5,
-		Opts: Options{SACKBlocks: []SACKBlock{{Start: 10, End: 20}, {Start: 30, End: 40}}},
+		Opts: Options{SACK: [maxSACKOption]SACKBlock{{Start: 10, End: 20}, {Start: 30, End: 40}}, NumSACK: 2},
 	}
 	f.Add(sack.Marshal(fuzzSrc, fuzzDst, nil))
 	f.Add([]byte{})

@@ -256,7 +256,7 @@ func FuzzSACKScoreboard(f *testing.F) {
 			nblocks, idle := int(data[2]%5), data[3]
 			data = data[4:]
 			for ; nblocks > 0 && len(data) >= 4; nblocks-- {
-				h.Opts.SACKBlocks = append(h.Opts.SACKBlocks, SACKBlock{
+				h.Opts.AddSACK(SACKBlock{
 					Start: c.sndUna + uint32(int32(int16(le.Uint16(data)))),
 					End:   c.sndUna + uint32(int32(int16(le.Uint16(data[2:])))),
 				})

@@ -25,7 +25,7 @@ func (c *Conn) processAck(h *Header) {
 		c.stats.ECNEchoes++
 	}
 
-	c.applySACK(h.Opts.SACKBlocks)
+	c.applySACK(h.Opts.SACKBlocks())
 
 	switch {
 	case seqGT(ack, c.sndUna):
@@ -36,7 +36,7 @@ func (c *Conn) processAck(h *Header) {
 		// data; a blockless duplicate is the echo of a spuriously
 		// retransmitted segment (RFC 2883 territory) and must not
 		// trigger recovery.
-		if c.sackOK && len(h.Opts.SACKBlocks) == 0 {
+		if c.sackOK && h.Opts.NumSACK == 0 {
 			break
 		}
 		c.dupAcks++
@@ -126,7 +126,8 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 	}
 
 	// Deliver the sample to congestion control.
-	s := tcpcc.AckSample{
+	s := &c.ackSample
+	*s = tcpcc.AckSample{
 		Underutilized: c.outstanding()+payloadAcked+c.cfg.MSS < c.ctrl.CWnd,
 		BytesAcked:    payloadAcked,
 		RTT:           rtt,
@@ -157,7 +158,7 @@ func (c *Conn) processNewAck(h *Header, ack uint32, ece bool) {
 			}
 		}
 	}
-	c.cc.OnAck(&c.ctrl, &s)
+	c.cc.OnAck(&c.ctrl, s)
 
 	if c.sndUna == c.sndNxt {
 		c.stopRTO()
@@ -282,8 +283,7 @@ func (c *Conn) retransmitSeg(s *segMeta) {
 	s.retransmitted = true
 	s.sentAt = c.cfg.Clock.Now()
 	if s.fin && s.length == 0 {
-		h := &Header{Flags: FlagFIN | FlagACK, Seq: s.seq, Ack: c.rcvNxt, Window: c.advertisedWindow()}
-		c.transmit(h, nil, false)
+		c.transmit(c.dataHeader(FlagFIN|FlagACK, s.seq), nil, false)
 		return
 	}
 	// Clip to the unacknowledged portion: a partially-accepted segment
@@ -310,13 +310,7 @@ func (c *Conn) retransmitSeg(s *segMeta) {
 	if len(payload) == 0 {
 		return
 	}
-	h := &Header{
-		Flags:  FlagACK,
-		Seq:    seq,
-		Ack:    c.rcvNxt,
-		Window: c.advertisedWindow(),
-	}
-	c.transmit(h, payload, c.ecnEnabled)
+	c.transmit(c.dataHeader(FlagACK, seq), payload, c.ecnEnabled)
 	// Deliberately no RTO rearm here: resetting the timer on every
 	// SACK-driven retransmission lets a steady dupack trickle postpone
 	// the RTO forever, wedging recovery when a retransmission is
@@ -435,12 +429,7 @@ func (c *Conn) trySend() {
 			return
 		}
 
-		h := &Header{
-			Flags:  FlagACK,
-			Seq:    c.sndNxt,
-			Ack:    c.rcvNxt,
-			Window: c.advertisedWindow(),
-		}
+		h := c.dataHeader(FlagACK, c.sndNxt)
 		if got == avail {
 			h.Flags |= FlagPSH
 		}
@@ -465,12 +454,7 @@ func (c *Conn) trySend() {
 func (c *Conn) emitFIN() {
 	c.finSent = true
 	c.finSeq = c.sndNxt
-	h := &Header{
-		Flags:  FlagFIN | FlagACK,
-		Seq:    c.sndNxt,
-		Ack:    c.rcvNxt,
-		Window: c.advertisedWindow(),
-	}
+	h := c.dataHeader(FlagFIN|FlagACK, c.sndNxt)
 	c.inflight.push(segMeta{
 		seq: c.sndNxt, length: 0, fin: true,
 		sentAt: c.cfg.Clock.Now(), deliveredAtSend: c.delivered,
@@ -599,6 +583,5 @@ func (c *Conn) sendWindowProbe() {
 	if c.sndBuf.Peek(b[:], sent) != 1 {
 		return
 	}
-	h := &Header{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Window: c.advertisedWindow()}
-	c.transmit(h, b[:], false)
+	c.transmit(c.dataHeader(FlagACK, c.sndNxt), b[:], false)
 }

@@ -70,8 +70,12 @@ type Options struct {
 	WScaleOK bool
 	// SACKPermitted advertises selective-acknowledgment support (SYN).
 	SACKPermitted bool
-	// SACKBlocks lists received out-of-order ranges (data segments).
-	SACKBlocks []SACKBlock
+	// SACK holds received out-of-order ranges (data segments), the
+	// first NumSACK of them valid. They ride in the header by value so
+	// that building or parsing one allocates nothing and a copied Header
+	// shares no memory with the original.
+	SACK    [maxSACKOption]SACKBlock
+	NumSACK int
 	// TSVal and TSEcr carry RFC 7323 timestamps when TSOK.
 	TSVal, TSEcr uint32
 	TSOK         bool
@@ -82,8 +86,25 @@ type SACKBlock struct {
 	Start, End uint32
 }
 
-// MaxSACKBlocks is the most blocks that fit alongside timestamps.
+// MaxSACKBlocks is the most blocks that fit alongside timestamps, and
+// the most a connection sends.
 const MaxSACKBlocks = 3
+
+// maxSACKOption is the most blocks a peer can fit into the 40 option
+// bytes, and so the most Parse keeps.
+const maxSACKOption = 4
+
+// SACKBlocks returns the valid blocks as a view into the header.
+func (o *Options) SACKBlocks() []SACKBlock { return o.SACK[:o.NumSACK] }
+
+// AddSACK appends a block; blocks beyond what an option area can carry
+// are dropped.
+func (o *Options) AddSACK(b SACKBlock) {
+	if o.NumSACK < len(o.SACK) {
+		o.SACK[o.NumSACK] = b
+		o.NumSACK++
+	}
+}
 
 // Header is a decoded TCP header.
 type Header struct {
@@ -111,8 +132,8 @@ func (h *Header) optLen() int {
 	if h.Opts.TSOK {
 		n += 10
 	}
-	if len(h.Opts.SACKBlocks) > 0 {
-		n += 2 + 8*len(h.Opts.SACKBlocks)
+	if h.Opts.NumSACK > 0 {
+		n += 2 + 8*h.Opts.NumSACK
 	}
 	return (n + 3) &^ 3 // pad to 32-bit boundary
 }
@@ -121,7 +142,8 @@ func (h *Header) optLen() int {
 func (h *Header) Len() int { return MinHeaderLen + h.optLen() }
 
 // Marshal serializes header + payload into a fresh segment, computing
-// the checksum over the IPv4 pseudo-header.
+// the checksum over the IPv4 pseudo-header. The stack builds segments in
+// place with MarshalInto; this allocating form serves tests and tools.
 func (h *Header) Marshal(src, dst ipv4.Addr, payload []byte) []byte {
 	hl := h.Len()
 	b := make([]byte, hl+len(payload))
@@ -167,10 +189,10 @@ func (h *Header) MarshalInto(src, dst ipv4.Addr, b, payload []byte) {
 		binary.BigEndian.PutUint32(o[i+6:], h.Opts.TSEcr)
 		i += 10
 	}
-	if n := len(h.Opts.SACKBlocks); n > 0 {
+	if n := h.Opts.NumSACK; n > 0 {
 		o[i], o[i+1] = 5, byte(2+8*n)
 		i += 2
-		for _, blk := range h.Opts.SACKBlocks {
+		for _, blk := range h.Opts.SACKBlocks() {
 			binary.BigEndian.PutUint32(o[i:], blk.Start)
 			binary.BigEndian.PutUint32(o[i+4:], blk.End)
 			i += 8
@@ -236,7 +258,7 @@ func Parse(src, dst ipv4.Addr, b []byte) (Header, []byte, error) {
 				h.Opts.SACKPermitted = true
 			case 5:
 				for j := 0; j+8 <= len(body); j += 8 {
-					h.Opts.SACKBlocks = append(h.Opts.SACKBlocks, SACKBlock{
+					h.Opts.AddSACK(SACKBlock{
 						Start: binary.BigEndian.Uint32(body[j:]),
 						End:   binary.BigEndian.Uint32(body[j+4:]),
 					})

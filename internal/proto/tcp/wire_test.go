@@ -60,8 +60,9 @@ func TestMarshalParseSACKBlocks(t *testing.T) {
 	h := Header{
 		SrcPort: 1, DstPort: 2, Seq: 1, Ack: 1000, Flags: FlagACK, Window: 100,
 		Opts: Options{
-			SACKBlocks: []SACKBlock{{Start: 2000, End: 3000}, {Start: 4000, End: 4500}},
-			TSVal:      9, TSEcr: 8, TSOK: true,
+			SACK:    [maxSACKOption]SACKBlock{{Start: 2000, End: 3000}, {Start: 4000, End: 4500}},
+			NumSACK: 2,
+			TSVal:   9, TSEcr: 8, TSOK: true,
 		},
 	}
 	seg := h.Marshal(srcAddr, dstAddr, nil)
@@ -69,8 +70,8 @@ func TestMarshalParseSACKBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Opts.SACKBlocks, h.Opts.SACKBlocks) {
-		t.Fatalf("SACK blocks = %+v", got.Opts.SACKBlocks)
+	if !reflect.DeepEqual(got.Opts.SACKBlocks(), h.Opts.SACKBlocks()) {
+		t.Fatalf("SACK blocks = %+v", got.Opts.SACKBlocks())
 	}
 	if !got.Opts.TSOK || got.Opts.TSVal != 9 || got.Opts.TSEcr != 8 {
 		t.Fatalf("timestamps lost alongside SACK: %+v", got.Opts)

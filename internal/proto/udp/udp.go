@@ -23,16 +23,27 @@ type Header struct {
 // the checksum over the IPv4 pseudo-header.
 func (h *Header) Marshal(src, dst ipv4.Addr, payload []byte) []byte {
 	b := make([]byte, HeaderLen+len(payload))
+	h.MarshalInto(src, dst, b, payload)
+	return b
+}
+
+// MarshalInto serializes into b, which must be exactly
+// HeaderLen+len(payload) bytes, so a caller can build the datagram
+// directly in a frame buffer.
+func (h *Header) MarshalInto(src, dst ipv4.Addr, b, payload []byte) {
+	if len(b) != HeaderLen+len(payload) {
+		panic(fmt.Sprintf("udp: buffer %d for datagram %d+%d", len(b), HeaderLen, len(payload)))
+	}
 	binary.BigEndian.PutUint16(b[0:], h.SrcPort)
 	binary.BigEndian.PutUint16(b[2:], h.DstPort)
 	binary.BigEndian.PutUint16(b[4:], uint16(len(b)))
+	b[6], b[7] = 0, 0 // checksum placeholder
 	copy(b[HeaderLen:], payload)
 	sum := inet.Checksum(b, inet.PseudoHeaderSum(src, dst, ipv4.ProtoUDP, len(b)))
 	if sum == 0 {
 		sum = 0xffff // RFC 768: transmitted zero means "no checksum"
 	}
 	binary.BigEndian.PutUint16(b[6:], sum)
-	return b
 }
 
 // Parse decodes and validates a datagram; payload aliases b.

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/netsim"
 	"netkernel/internal/proto/arp"
 	"netkernel/internal/proto/ethernet"
@@ -102,6 +103,14 @@ type Stats struct {
 	// segments (RTO and fast retransmit), cumulatively like the copy
 	// ledger.
 	TCPRetransmits uint64
+	// FrameCopiedTx counts transport payload bytes copied into a frame
+	// buffer — the one copy between the transport's send buffer and the
+	// wire (DESIGN.md §15). It extends the copy ledger below TCP; there is
+	// no receive-side twin because the receive path below TCP copies
+	// nothing. Read it here: it is deliberately not published in the
+	// telemetry registry, whose name set the benchmark's model digest
+	// hashes.
+	FrameCopiedTx uint64
 }
 
 // counters is the live, atomically updated form of Stats. The stack's
@@ -121,6 +130,7 @@ type counters struct {
 	arpRequests, arpReply    telemetry.Counter
 	tcpCopiedTx, tcpCopiedRx telemetry.Counter
 	tcpRetransmits           telemetry.Counter
+	frameCopiedTx            telemetry.Counter
 }
 
 func (c *counters) register(m *telemetry.Scope) {
@@ -155,6 +165,7 @@ func (c *counters) snapshot() Stats {
 		ARPRequests:      c.arpRequests.Load(), ARPReply: c.arpReply.Load(),
 		TCPCopiedTx: c.tcpCopiedTx.Load(), TCPCopiedRx: c.tcpCopiedRx.Load(),
 		TCPRetransmits: c.tcpRetransmits.Load(),
+		FrameCopiedTx:  c.frameCopiedTx.Load(),
 	}
 }
 
@@ -362,16 +373,29 @@ func (s *Stack) nextHop(dst ipv4.Addr) (ipv4.Addr, error) {
 	return s.gateway, nil
 }
 
+// l4Offset is where a transport builds its segment in a frame: behind
+// the room the IPv4 and Ethernet headers are written into afterwards.
+const l4Offset = ethernet.HeaderLen + ipv4.HeaderLen
+
 // DeliverFrame is the interface's receive entry point; wire it to the
 // NIC/VF handler. Processing is charged to the configured CPU.
+//
+// DeliverFrame consumes the frame: once the stack has processed it the
+// buffer goes back to the frame pool, so the caller must neither touch
+// the slice again nor deliver it anywhere else. Everything the protocol
+// layers keep (TCP receive and reorder buffers, IP fragments) is copied
+// out first, and a UDP handler that wants to keep its datagram copies it
+// (UDPSocket.OnDatagram).
 func (s *Stack) DeliverFrame(frame []byte) {
 	s.stats.framesIn.Inc()
 	if s.dead {
 		s.stats.droppedDead.Inc()
+		framepool.Put(frame)
 		return
 	}
 	if s.cfg.CPU == nil || s.cfg.PerPacketCost <= 0 {
 		s.processFrame(frame)
+		framepool.Put(frame)
 		return
 	}
 	s.cfg.CPU.DispatchFrame(s.frameCore(frame), s.cfg.PerPacketCost, (*rxDone)(s), frame, 0)
@@ -379,14 +403,29 @@ func (s *Stack) DeliverFrame(frame []byte) {
 
 // rxDone and txDone are the Stack as the handler of a frame whose CPU
 // charge has completed, one per direction, so charging a frame builds no
-// closure.
+// closure. Both re-check dead: Kill may have run while the frame sat in
+// the core's queue, and a crashed stack neither processes nor transmits.
 type (
 	rxDone Stack
 	txDone Stack
 )
 
-func (s *rxDone) HandleFrame(frame []byte, _ uint64) { (*Stack)(s).processFrame(frame) }
-func (s *txDone) HandleFrame(frame []byte, _ uint64) { s.iface.tx(frame) }
+func (s *rxDone) HandleFrame(frame []byte, _ uint64) {
+	if s.dead {
+		s.stats.droppedDead.Inc()
+	} else {
+		(*Stack)(s).processFrame(frame)
+	}
+	framepool.Put(frame)
+}
+
+func (s *txDone) HandleFrame(frame []byte, _ uint64) {
+	if s.dead {
+		framepool.Put(frame)
+		return
+	}
+	s.iface.tx(frame)
+}
 
 // frameCore picks the CPU core charged for a frame: the flow's shard
 // in sharded mode (core i owns shard i), else legacy RSS steering.
@@ -459,21 +498,20 @@ func (s *Stack) processARP(pkt []byte) {
 	s.arpCache.Learn(p.SenderIP, p.SenderMAC)
 	if p.Op == arp.OpRequest && p.TargetIP == s.iface.IP {
 		s.stats.arpReply.Inc()
-		reply := arp.Packet{
+		s.sendARP(p.SenderMAC, &arp.Packet{
 			Op:        arp.OpReply,
 			SenderMAC: s.iface.MAC,
 			SenderIP:  s.iface.IP,
 			TargetMAC: p.SenderMAC,
 			TargetIP:  p.SenderIP,
-		}
-		s.sendEthernet(p.SenderMAC, ethernet.TypeARP, marshalARP(&reply))
+		})
 	}
 }
 
-func marshalARP(p *arp.Packet) []byte {
-	b := make([]byte, arp.PacketLen)
-	p.Marshal(b)
-	return b
+func (s *Stack) sendARP(dst ethernet.MAC, p *arp.Packet) {
+	frame := framepool.Get(ethernet.HeaderLen + arp.PacketLen)
+	p.Marshal(frame[ethernet.HeaderLen:])
+	s.sendEthernet(dst, ethernet.TypeARP, frame)
 }
 
 func (s *Stack) processIPv4(pkt []byte) {
@@ -503,15 +541,16 @@ func (s *Stack) processIPv4(pkt []byte) {
 	}
 }
 
-// sendEthernet frames and transmits a payload to a resolved MAC.
-func (s *Stack) sendEthernet(dst ethernet.MAC, typ ethernet.EtherType, payload []byte) {
+// sendEthernet writes the Ethernet header into the first bytes of a
+// frame whose payload is already in place behind it, and transmits the
+// frame to a resolved MAC. It owns the frame from here on.
+func (s *Stack) sendEthernet(dst ethernet.MAC, typ ethernet.EtherType, frame []byte) {
 	if s.dead {
+		framepool.Put(frame)
 		return // a crashed stack transmits nothing
 	}
-	frame := make([]byte, ethernet.HeaderLen+len(payload))
 	eh := ethernet.Header{Dst: dst, Src: s.iface.MAC, Type: typ}
 	eh.Marshal(frame)
-	copy(frame[ethernet.HeaderLen:], payload)
 	s.stats.framesOut.Inc()
 	if s.cfg.CPU != nil && s.cfg.PerPacketCost > 0 {
 		s.cfg.CPU.DispatchFrame(s.frameCore(frame), s.cfg.PerPacketCost, (*txDone)(s), frame, 0)
@@ -520,12 +559,17 @@ func (s *Stack) sendEthernet(dst ethernet.MAC, typ ethernet.EtherType, payload [
 	s.iface.tx(frame)
 }
 
-// sendIPv4 routes, resolves, fragments if needed, and transmits one IP
-// datagram. Packets awaiting ARP resolution are sent when it completes.
-func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, payload []byte) error {
+// sendIPv4 routes, resolves and transmits one IP datagram. The caller
+// has built the datagram's payload at frame[l4Offset:] of a pool frame
+// (framepool.Get); sendIPv4 writes the IPv4 and Ethernet headers in front
+// of it and owns the frame from here on. A datagram that exceeds the MTU
+// is fragmented; packets awaiting ARP resolution are sent when it
+// completes.
+func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, frame []byte) error {
 	hop, err := s.nextHop(dst)
 	if err != nil {
 		s.stats.droppedNoRoute.Inc()
+		framepool.Put(frame)
 		return err
 	}
 	s.ipID++
@@ -537,36 +581,65 @@ func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, payload []byte) 
 		Src:   s.iface.IP,
 		Dst:   dst,
 	}
-	pkts, err := ipv4.Fragment(h, payload, s.iface.MTU)
+	if len(frame)-ethernet.HeaderLen > s.iface.MTU {
+		return s.sendFragments(hop, h, frame)
+	}
+	h.TotalLen = uint16(len(frame) - ethernet.HeaderLen)
+	h.Marshal(frame[ethernet.HeaderLen:])
+	s.stats.ipOut.Inc()
+	if mac, ok := s.arpCache.Lookup(hop); ok {
+		s.sendEthernet(mac, ethernet.TypeIPv4, frame)
+		return nil
+	}
+	s.sendFrames(hop, [][]byte{frame}) // the slice exists on an ARP miss only
+	return nil
+}
+
+// sendFragments is sendIPv4 for a datagram larger than the MTU: the
+// fragments ipv4.Fragment cuts are each copied behind an Ethernet header
+// of their own.
+func (s *Stack) sendFragments(hop ipv4.Addr, h ipv4.Header, frame []byte) error {
+	pkts, err := ipv4.Fragment(h, frame[l4Offset:], s.iface.MTU)
+	framepool.Put(frame)
 	if err != nil {
 		return fmt.Errorf("stack %s: %w", s.cfg.Name, err)
 	}
 	s.stats.ipOut.Add(uint64(len(pkts)))
+	frames := make([][]byte, len(pkts))
+	for i, p := range pkts {
+		frames[i] = framepool.Get(ethernet.HeaderLen + len(p))
+		copy(frames[i][ethernet.HeaderLen:], p)
+	}
+	s.sendFrames(hop, frames)
+	return nil
+}
 
+// sendFrames transmits built IPv4 frames to hop: at once if its MAC is
+// cached, else when ARP resolution completes, asking for it if nobody
+// has yet. Frames whose resolution is abandoned are left to the GC.
+func (s *Stack) sendFrames(hop ipv4.Addr, frames [][]byte) {
 	send := func(mac ethernet.MAC) {
-		for _, p := range pkts {
-			s.sendEthernet(mac, ethernet.TypeIPv4, p)
+		for _, f := range frames {
+			s.sendEthernet(mac, ethernet.TypeIPv4, f)
 		}
 	}
 	if mac, ok := s.arpCache.Lookup(hop); ok {
 		send(mac)
-		return nil
+		return
 	}
 	if first := s.arpCache.Await(hop, send); first {
 		s.sendARPRequest(hop)
 	}
-	return nil
 }
 
 func (s *Stack) sendARPRequest(target ipv4.Addr) {
 	s.stats.arpRequests.Inc()
-	req := arp.Packet{
+	s.sendARP(ethernet.Broadcast, &arp.Packet{
 		Op:        arp.OpRequest,
 		SenderMAC: s.iface.MAC,
 		SenderIP:  s.iface.IP,
 		TargetIP:  target,
-	}
-	s.sendEthernet(ethernet.Broadcast, ethernet.TypeARP, marshalARP(&req))
+	})
 }
 
 // Kill models the stack's host process crashing: every connection is

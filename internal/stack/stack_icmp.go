@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/proto/icmp"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/sim"
@@ -41,13 +42,20 @@ func (s *Stack) Ping(dst ipv4.Addr, payload []byte, timeout time.Duration, cb fu
 		}
 	})
 	s.pings[key] = w
-	msg := icmp.EchoRequest(id, seq, payload)
-	if err := s.sendIPv4(dst, ipv4.ProtoICMP, 0, msg); err != nil {
+	if err := s.sendICMP(dst, icmp.EchoRequest(id, seq, payload)); err != nil {
 		w.timer.Stop()
 		w.replied = true
 		delete(s.pings, key)
 		cb(0, err)
 	}
+}
+
+// sendICMP marshals a message into a pool frame and sends it. The
+// message's body may alias the frame being processed; it is copied here.
+func (s *Stack) sendICMP(dst ipv4.Addr, m icmp.Message) error {
+	frame := framepool.Get(l4Offset + m.Len())
+	m.MarshalInto(frame[l4Offset:])
+	return s.sendIPv4(dst, ipv4.ProtoICMP, 0, frame)
 }
 
 func (s *Stack) processICMP(src ipv4.Addr, pkt []byte) {
@@ -59,7 +67,7 @@ func (s *Stack) processICMP(src ipv4.Addr, pkt []byte) {
 	s.stats.icmpIn.Inc()
 	switch m.Type {
 	case icmp.TypeEchoRequest:
-		_ = s.sendIPv4(src, ipv4.ProtoICMP, 0, icmp.EchoReply(m))
+		_ = s.sendICMP(src, icmp.EchoReply(m))
 	case icmp.TypeEchoReply:
 		key := uint32(m.ID)<<16 | uint32(m.Seq)
 		if w, ok := s.pings[key]; ok && !w.replied {

@@ -3,6 +3,7 @@ package stack
 import (
 	"fmt"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
 	"netkernel/internal/tcpcc"
@@ -143,15 +144,24 @@ func (s *Stack) connConfig(local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, op
 
 func (s *Stack) tcpOutput(local, remote tcp.AddrPort) tcp.OutputFunc {
 	return func(h *tcp.Header, payload []byte, ecnCapable bool) {
-		seg := h.Marshal(local.Addr, remote.Addr, payload)
 		var tos uint8
 		if ecnCapable {
 			tos = ipv4.ECNECT0
 		}
-		// Routing errors surface as drops; TCP's own retransmission
-		// handles transient ones.
-		_ = s.sendIPv4(remote.Addr, ipv4.ProtoTCP, tos, seg)
+		s.sendTCP(local.Addr, remote.Addr, h, payload, tos)
 	}
+}
+
+// sendTCP builds one segment in a pool frame — header marshalled and
+// payload copied to where they will sit on the wire, the only copy below
+// the connection's send buffer — and sends it.
+func (s *Stack) sendTCP(src, dst ipv4.Addr, h *tcp.Header, payload []byte, tos uint8) {
+	frame := framepool.Get(l4Offset + h.Len() + len(payload))
+	h.MarshalInto(src, dst, frame[l4Offset:], payload)
+	s.stats.frameCopiedTx.Add(uint64(len(payload)))
+	// Routing errors surface as drops; TCP's own retransmission handles
+	// transient ones.
+	_ = s.sendIPv4(dst, ipv4.ProtoTCP, tos, frame)
 }
 
 func (s *Stack) processTCP(src ipv4.Addr, seg []byte, ce bool) {
@@ -236,8 +246,7 @@ func (s *Stack) sendRST(src ipv4.Addr, h *tcp.Header, payloadLen int) {
 		}
 		rst.Ack = ack
 	}
-	seg := rst.Marshal(s.iface.IP, src, nil)
-	_ = s.sendIPv4(src, ipv4.ProtoTCP, 0, seg)
+	s.sendTCP(s.iface.IP, src, &rst, nil, 0)
 }
 
 // recycleISSMargin is how far beyond a TIME_WAIT predecessor's final

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/netsim"
 	"netkernel/internal/proto/ethernet"
 	"netkernel/internal/proto/ipv4"
@@ -356,28 +357,28 @@ func TestStackStatsPlausible(t *testing.T) {
 	}
 }
 
-// Charging a frame to a CPU core builds no closure in either direction:
-// receive allocates nothing before the protocol layers see the frame,
-// transmit only the frame itself.
+// Charging a frame to a CPU core builds no closure in either direction,
+// and the frame itself cycles through the pool: neither receive nor
+// transmit allocates.
 func TestAllocsFrameCPUHops(t *testing.T) {
 	loop := sim.NewLoop()
 	s := New(Config{Clock: loop, RNG: sim.NewRNG(1), Name: "a",
 		CPU: netsim.NewCPU(loop, 2), PerPacketCost: 470 * time.Nanosecond})
 	sent := 0
-	s.AttachInterface(ethernet.MAC{2, 0, 0, 0, 0, 1}, ipA, 1500, 24, ipv4.Addr{}, func([]byte) { sent++ })
+	s.AttachInterface(ethernet.MAC{2, 0, 0, 0, 0, 1}, ipA, 1500, 24, ipv4.Addr{}, func(f []byte) { sent++; framepool.Put(f) })
 	// Addressed to someone else: processFrame drops it after the parse.
 	frame := make([]byte, 64)
 	eh := ethernet.Header{Dst: ethernet.MAC{2, 0, 0, 0, 0, 9}, Src: ethernet.MAC{2, 0, 0, 0, 0, 2}, Type: ethernet.TypeIPv4}
 	eh.Marshal(frame)
-	payload := make([]byte, 40)
+	send := func() { s.sendEthernet(eh.Dst, ethernet.TypeIPv4, framepool.Get(54)); loop.Run() }
 	s.DeliverFrame(frame)
-	s.sendEthernet(eh.Dst, ethernet.TypeIPv4, payload)
+	send()
 	loop.Run()
 	if n := testing.AllocsPerRun(100, func() { s.DeliverFrame(frame); loop.Run() }); n != 0 {
 		t.Errorf("DeliverFrame: %v allocs per frame, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.sendEthernet(eh.Dst, ethernet.TypeIPv4, payload); loop.Run() }); n != 1 {
-		t.Errorf("sendEthernet: %v allocs per frame, want 1 (the frame)", n)
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Errorf("sendEthernet: %v allocs per frame, want 0", n)
 	}
 	if sent == 0 || s.Stats().FramesIn == 0 {
 		t.Fatalf("hops did not run: sent %d, frames in %d", sent, s.Stats().FramesIn)

@@ -3,6 +3,7 @@ package stack
 import (
 	"fmt"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/proto/icmp"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/udp"
@@ -12,8 +13,9 @@ import (
 type UDPSocket struct {
 	stack *Stack
 	port  uint16
-	// OnDatagram receives inbound datagrams (data aliases the packet;
-	// copy to retain).
+	// OnDatagram receives inbound datagrams. data aliases the received
+	// frame, which returns to the frame pool as soon as the handler
+	// returns: a handler that keeps the datagram must copy it.
 	OnDatagram func(src ipv4.Addr, srcPort uint16, data []byte)
 	closed     bool
 }
@@ -55,9 +57,12 @@ func (u *UDPSocket) SendTo(dst ipv4.Addr, dstPort uint16, payload []byte) error 
 	if u.closed {
 		return fmt.Errorf("stack %s: send on closed UDP socket", u.stack.cfg.Name)
 	}
+	s := u.stack
 	h := udp.Header{SrcPort: u.port, DstPort: dstPort}
-	dg := h.Marshal(u.stack.iface.IP, dst, payload)
-	return u.stack.sendIPv4(dst, ipv4.ProtoUDP, 0, dg)
+	frame := framepool.Get(l4Offset + udp.HeaderLen + len(payload))
+	h.MarshalInto(s.iface.IP, dst, frame[l4Offset:], payload)
+	s.stats.frameCopiedTx.Add(uint64(len(payload)))
+	return s.sendIPv4(dst, ipv4.ProtoUDP, 0, frame)
 }
 
 // Close unbinds the socket.
@@ -79,8 +84,7 @@ func (s *Stack) processUDP(src ipv4.Addr, dg []byte) {
 	if !ok {
 		s.stats.droppedNoSocket.Inc()
 		// RFC 1122: signal port unreachable.
-		msg := icmp.DestUnreachable(icmp.CodePortUnreachable, dg)
-		_ = s.sendIPv4(src, ipv4.ProtoICMP, 0, msg)
+		_ = s.sendICMP(src, icmp.DestUnreachable(icmp.CodePortUnreachable, dg))
 		return
 	}
 	if sock.OnDatagram != nil {

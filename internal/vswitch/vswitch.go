@@ -11,6 +11,7 @@ package vswitch
 import (
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/netsim"
 	"netkernel/internal/sim"
 )
@@ -118,6 +119,7 @@ func (p *Port) Deliver(frame []byte) {
 	sw.stats.RxFrames++
 	if len(frame) < 12 {
 		sw.stats.Dropped++
+		framepool.Put(frame)
 		return
 	}
 	var src netsim.MAC
@@ -157,6 +159,7 @@ func (p *Port) forward(frame []byte) {
 				e.port.out.Deliver(frame)
 			} else {
 				sw.stats.Dropped++ // hairpin: destination is the ingress port
+				framepool.Put(frame)
 			}
 			return
 		}
@@ -164,14 +167,12 @@ func (p *Port) forward(frame []byte) {
 		sw.stats.AgedOut++
 		delete(sw.fdb, dst)
 	}
-	// Unknown or broadcast: flood to every other port.
+	// Unknown or broadcast: flood a copy to every other port.
 	sw.stats.Flooded++
 	for _, q := range sw.ports {
-		if q == p {
-			continue
+		if q != p {
+			q.out.Deliver(framepool.Clone(frame))
 		}
-		c := make([]byte, len(frame))
-		copy(c, frame)
-		q.out.Deliver(c)
 	}
+	framepool.Put(frame)
 }
