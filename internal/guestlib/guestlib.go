@@ -280,11 +280,11 @@ type GuestLib struct {
 	pairs     []*nkchan.Pair
 	nextPair  int // round-robin socket placement across replicas
 	nextShard int // round-robin shard placement within a pair
-	sockets  map[int32]*socket
-	nextFD   int32
-	seq      uint64
-	stats    counters
-	latency  opLatency
+	sockets   map[int32]*socket
+	nextFD    int32
+	seq       uint64
+	stats     counters
+	latency   opLatency
 	// pollers lists every live Poller so the pump can deliver the one
 	// amortized OnReady wakeup per batch.
 	pollers []*Poller
@@ -430,7 +430,7 @@ func (g *GuestLib) push(pair *nkchan.Pair, shard int, e *nqe.Element) bool {
 	// retried element still belongs to the same span (the span then
 	// measures queueing delay too).
 	if tr := g.cfg.Tracer; tr.Enabled() && e.Trace == 0 {
-		e.Trace = tr.Start("tx:" + e.Op.String())
+		e.Trace = tr.Start(e.Op.TxSpan())
 	}
 	if !job.Push(e) {
 		return false

@@ -129,12 +129,18 @@ type CoreEngine struct {
 	cfg   EngineConfig
 	pairs []*enginePair
 	stats EngineStats
+	// grace holds the mapping retirements of closed connections: every
+	// one waits cfg.MappingGrace, so they come due in closing order and
+	// share one event-loop entry.
+	grace sim.Lane
 }
 
 // NewCoreEngine builds the daemon.
 func NewCoreEngine(clock sim.Clock, cfg EngineConfig) *CoreEngine {
 	cfg.fillDefaults()
-	return &CoreEngine{clock: clock, cfg: cfg}
+	ce := &CoreEngine{clock: clock, cfg: cfg}
+	ce.grace.Init(clock)
+	return ce
 }
 
 // Stats returns a copy of the counters.
@@ -187,6 +193,18 @@ type pairShard struct {
 	// stalled holds elements that could not be pushed to a full queue.
 	stalledToNSM []nqe.Element
 	stalledToVM  []stalledOut
+}
+
+// graceDone is a pairShard as the handler of a closed connection's
+// mapping grace running out; arg carries the fd above the cID.
+type graceDone pairShard
+
+func (g *graceDone) HandleFrame(_ []byte, arg uint64) {
+	sh := (*pairShard)(g)
+	sh.mu.Lock()
+	delete(sh.fdToCID, int32(arg>>32))
+	delete(sh.cidToFD, uint32(arg))
+	sh.mu.Unlock()
 }
 
 type stalledOut struct {
@@ -559,13 +577,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		// The connection is gone: retire its mapping after a grace
 		// period (a straggling OpClose from the guest must still
 		// translate), so long-lived pairs do not accumulate entries.
-		cid := s.CID()
-		ce.clock.AfterFunc(ce.cfg.MappingGrace, func() {
-			sh.mu.Lock()
-			delete(sh.fdToCID, fd)
-			delete(sh.cidToFD, cid)
-			sh.mu.Unlock()
-		})
+		ce.grace.AfterFrame(ce.cfg.MappingGrace, (*graceDone)(sh), nil, uint64(uint32(fd))<<32|uint64(s.CID()))
 	case nqe.OpNewConn:
 		// A new accepted flow: mint a descriptor for the VM and map it
 		// to the NSM's new cID (carried in Arg1). The event rides the

@@ -24,6 +24,10 @@ type coreState struct {
 	busyUntil sim.Time
 	busyTotal time.Duration
 	jobs      uint64
+	// done is where the core's work completes: busyUntil only moves
+	// forward, so completions come due in dispatch order and however
+	// many jobs wait on the core, the event loop holds one entry for it.
+	done sim.Lane
 }
 
 // NewCPU builds a CPU with n cores.
@@ -31,7 +35,11 @@ func NewCPU(clock sim.Clock, n int) *CPU {
 	if n <= 0 {
 		n = 1
 	}
-	return &CPU{clock: clock, cores: make([]coreState, n)}
+	c := &CPU{clock: clock, cores: make([]coreState, n)}
+	for i := range c.cores {
+		c.cores[i].done.Init(clock)
+	}
+	return c
 }
 
 // Cores returns the core count.
@@ -42,20 +50,21 @@ func (c *CPU) Cores() int { return len(c.cores) }
 // directly (RSS-style steering). Zero-cost work still respects FIFO
 // order. Must be called from the clock's executor.
 func (c *CPU) Dispatch(core int, cost time.Duration, fn func()) {
-	if wait := c.charge(core, cost); fn != nil {
-		c.clock.AfterFunc(wait, fn)
+	if s, wait := c.charge(core, cost); fn != nil {
+		s.done.AfterFunc(wait, fn)
 	}
 }
 
 // DispatchFrame is Dispatch for per-frame work: when the work completes
 // it runs h.HandleFrame(frame, arg), with no closure built.
 func (c *CPU) DispatchFrame(core int, cost time.Duration, h sim.FrameHandler, frame []byte, arg uint64) {
-	c.clock.AfterFrame(c.charge(core, cost), h, frame, arg)
+	s, wait := c.charge(core, cost)
+	s.done.AfterFrame(wait, h, frame, arg)
 }
 
-// charge books cost on a core and returns how long from now until the
-// work completes.
-func (c *CPU) charge(core int, cost time.Duration) time.Duration {
+// charge books cost on a core and returns the core and how long from
+// now until the work completes.
+func (c *CPU) charge(core int, cost time.Duration) (*coreState, time.Duration) {
 	if cost < 0 {
 		cost = 0
 	}
@@ -69,7 +78,7 @@ func (c *CPU) charge(core int, cost time.Duration) time.Duration {
 	s.busyUntil = done
 	s.busyTotal += cost
 	s.jobs++
-	return done.Sub(now)
+	return s, done.Sub(now)
 }
 
 // BusyTime returns the cumulative busy time of one core.

@@ -63,6 +63,25 @@ func TestFramesLinkDropsRelease(t *testing.T) {
 		t.Fatalf("down drops %d, delivered %d; want 10 and 0", st.DownDrops, delivered)
 	}
 
+	// Every fault at once on a wire long enough to hold frames in flight:
+	// clean frames and duplicates queue on the wire's lane, jittered ones
+	// go round it through the loop, lost ones die at the transmitter —
+	// and the link goes down with frames on both sides of it.
+	delivered = 0
+	link = NewLink(loop, sim.NewRNG(5), LinkConfig{Rate: 1 * Gbps, Delay: 100 * time.Microsecond, QueueBytes: 1 << 20,
+		Faults: FaultConfig{LossProb: 0.2, DupProb: 0.2, ReorderProb: 0.3, ReorderSpread: 50 * time.Microsecond}}, recv)
+	for i := 0; i < 300; i++ {
+		link.Send(poolFrame(MAC{}, 200))
+	}
+	loop.RunFor(400 * time.Microsecond) // 1.6 µs a frame: ~250 sent, ~60 still in flight
+	link.SetDown(true)
+	loop.Run()
+	st := link.Stats()
+	if st.LossDrops == 0 || st.DupFrames == 0 || st.ReorderedFrames == 0 || st.DownDrops == 0 ||
+		st.Offered != st.TxFrames+st.LossDrops+st.DownDrops || delivered != int(st.TxFrames+st.DupFrames) {
+		t.Fatalf("faulty link: %+v, delivered %d", st, delivered)
+	}
+
 	if n := framepool.Live() - live; n != 0 {
 		t.Fatalf("%d frames neither delivered nor released", n)
 	}

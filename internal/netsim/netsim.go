@@ -135,6 +135,12 @@ type Link struct {
 	queued    int // bytes committed to the transmitter, not yet sent
 	down      bool
 	stats     LinkStats
+
+	// The transmitter and the wire are FIFO — busyUntil only moves
+	// forward and Delay is fixed — so the frames in the queue and the
+	// frames in flight each hold one event-loop entry between them.
+	txLane   sim.Lane
+	wireLane sim.Lane
 }
 
 // NewLink builds a link feeding dst. rng drives the loss process; pass a
@@ -156,7 +162,10 @@ func NewLink(clock sim.Clock, rng *sim.RNG, cfg LinkConfig, dst Port) *Link {
 		ge := *cfg.Faults.GE // each link owns its chain state
 		cfg.Faults.GE = &ge
 	}
-	return &Link{clock: clock, rng: rng, cfg: cfg, dst: dst, queueCap: cfg.queueBytes()}
+	l := &Link{clock: clock, rng: rng, cfg: cfg, dst: dst, queueCap: cfg.queueBytes()}
+	l.txLane.Init(clock)
+	l.wireLane.Init(clock)
+	return l
 }
 
 // Stats returns a copy of the link counters.
@@ -200,7 +209,7 @@ func (l *Link) Send(frame []byte) {
 	done := start.Add(tx)
 	l.busyUntil = done
 
-	l.clock.AfterFrame(done.Sub(now), (*serialized)(l), frame, uint64(l.drawFate(len(frame)*8)))
+	l.txLane.AfterFrame(done.Sub(now), (*serialized)(l), frame, uint64(l.drawFate(len(frame)*8)))
 }
 
 // serialized and arrived are the Link as the handler of a frame's two
@@ -252,10 +261,15 @@ func (a *arrived) HandleFrame(frame []byte, _ uint64) { a.dst.Deliver(frame) }
 // propagate delivers a frame after the propagation delay plus any
 // reordering jitter.
 func (l *Link) propagate(frame []byte, jitter time.Duration) {
-	delay := l.cfg.Delay + jitter
-	if delay > 0 {
-		l.clock.AfterFrame(delay, (*arrived)(l), frame, 0)
-	} else {
+	switch {
+	case jitter > 0:
+		// Not on the wire lane: a late frame there would become the
+		// lane's tail and push every frame behind it, due earlier, into
+		// the heap one by one.
+		l.clock.AfterFrame(l.cfg.Delay+jitter, (*arrived)(l), frame, 0)
+	case l.cfg.Delay > 0:
+		l.wireLane.AfterFrame(l.cfg.Delay, (*arrived)(l), frame, 0)
+	default:
 		l.dst.Deliver(frame)
 	}
 }

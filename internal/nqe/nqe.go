@@ -77,6 +77,24 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// txSpans and rxSpans are the names of the trace spans each op opens on
+// the send and the receive path ("tx:send", "rx:new-data"), built once:
+// the tracer is offered every element and samples one in N.
+var txSpans, rxSpans = spanNames("tx:"), spanNames("rx:")
+
+func spanNames(prefix string) (names [256]string) {
+	for o := range names {
+		names[o] = prefix + Op(o).String()
+	}
+	return names
+}
+
+// TxSpan names the span a VM-sourced element of this op opens.
+func (o Op) TxSpan() string { return txSpans[o] }
+
+// RxSpan names the span an NSM-sourced event of this op opens.
+func (o Op) RxSpan() string { return rxSpans[o] }
+
 // Valid reports whether the op is a defined operation.
 func (o Op) Valid() bool { return o > OpInvalid && int(o) < len(opNames) }
 

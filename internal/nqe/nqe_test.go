@@ -108,6 +108,13 @@ func TestOpStrings(t *testing.T) {
 	if Op(250).String() != "op(250)" {
 		t.Fatal("unknown op String broken")
 	}
+	// The span names are the strings the tracer's callers used to build
+	// per element, for every op a ring can carry.
+	for o := 0; o < 256; o++ {
+		if op := Op(o); op.TxSpan() != "tx:"+op.String() || op.RxSpan() != "rx:"+op.String() {
+			t.Fatalf("op %d: span names %q %q", o, op.TxSpan(), op.RxSpan())
+		}
+	}
 }
 
 func TestStatusErr(t *testing.T) {

@@ -73,6 +73,10 @@ type Config struct {
 	// (default 1 s, scaled down from the traditional 2 min for
 	// simulation practicality).
 	MSL time.Duration
+	// TimeWaitLane, when non-nil, is where the TIME_WAIT timer waits:
+	// the owning stack's lane, shared by all its connections because
+	// they share one MSL. Nil schedules it on Clock.
+	TimeWaitLane *sim.Lane
 	// DelayedAckTimeout bounds ack delay (default 40 ms).
 	DelayedAckTimeout time.Duration
 	// Nagle enables RFC 896 coalescing of small segments.
@@ -285,7 +289,11 @@ func newConn(cfg Config) *Conn {
 	c.delackTimer.Init(cfg.Clock, c.onDelack)
 	c.paceTimer.Init(cfg.Clock, c.onPace)
 	c.persistTimer.Init(cfg.Clock, c.onPersist)
-	c.timeWaitTimer.Init(cfg.Clock, c.onTimeWait)
+	if cfg.TimeWaitLane != nil {
+		c.timeWaitTimer.Init(cfg.TimeWaitLane, c.onTimeWait)
+	} else {
+		c.timeWaitTimer.Init(cfg.Clock, c.onTimeWait)
+	}
 	if c.rto < cfg.MinRTO {
 		c.rto = cfg.MinRTO
 	}

@@ -279,7 +279,7 @@ func (s *ServiceLib) emit(shard int, q nkchan.QueueKind, e *nqe.Element) {
 	// responses to send-path spans and are not separately traced.
 	if q == nkchan.Receive {
 		if tr := s.cfg.Tracer; tr.Enabled() && e.Trace == 0 {
-			e.Trace = tr.Start("rx:" + e.Op.String())
+			e.Trace = tr.Start(e.Op.RxSpan())
 		}
 		s.cfg.Tracer.Stamp(e.Trace, "servicelib.emit", int64(target.Len()))
 	}
@@ -345,7 +345,7 @@ func (s *ServiceLib) emitBatch(shard int, q nkchan.QueueKind, es []nqe.Element) 
 		es[i].Source = nqe.FromNSM
 		if q == nkchan.Receive {
 			if tr := s.cfg.Tracer; tr.Enabled() && es[i].Trace == 0 {
-				es[i].Trace = tr.Start("rx:" + es[i].Op.String())
+				es[i].Trace = tr.Start(es[i].Op.RxSpan())
 			}
 			s.cfg.Tracer.Stamp(es[i].Trace, "servicelib.emit", int64(target.Len()))
 		}

@@ -12,14 +12,19 @@ import "time"
 // (at, seq) key, so ordering never leaves the heap array; what an event
 // runs lives in a recycled slot the entry points at. Cancellation is
 // exact — Stop removes the entry at once — so the heap holds live
-// events only, and neither scheduling nor cancelling allocates.
+// events only, and neither scheduling nor cancelling allocates. A Lane
+// keeps the events of one FIFO source behind a single entry.
 type Loop struct {
 	now   Time
 	heap  []heapEntry
 	slots []slot
-	free  int32 // head of the free-slot list (linked through slot.pos), -1 when empty
-	seq   uint64
-	nrun  uint64
+	// lanes parallels slots: lanes[i] is the Lane whose head event slot i
+	// holds, nil for an event on no lane.
+	lanes   []*Lane
+	free    int32 // head of the free-slot list (linked through slot.pos), -1 when empty
+	seq     uint64
+	nrun    uint64
+	waiting int // events queued in lanes behind their lane's head
 }
 
 // heapEntry is one pending event's ordering key and its slot.
@@ -36,22 +41,38 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// slot is what a pending event runs: fn, or handler.HandleFrame(frame,
-// arg) when fn is nil. seq is the pending event's sequence number and
-// zero while the slot is free, which is how a Handle outliving its event
-// (run, stopped, or the slot reissued) is recognised as stale.
-type slot struct {
+// callback is what an event runs: fn, or handler.HandleFrame(frame, arg)
+// when fn is nil.
+type callback struct {
 	fn      func()
 	handler FrameHandler
 	frame   []byte
 	arg     uint64
-	seq     uint64
-	pos     int32 // heap index while pending, next free slot otherwise
 }
 
-// NewLoop returns an empty loop positioned at time zero.
+func (c *callback) run() {
+	if c.fn != nil {
+		c.fn()
+	} else {
+		c.handler.HandleFrame(c.frame, c.arg)
+	}
+}
+
+// slot holds a pending event's callback. seq is the pending event's
+// sequence number and zero while the slot is free, which is how a Handle
+// outliving its event (run, stopped, or the slot reissued) is recognised
+// as stale.
+type slot struct {
+	callback
+	seq uint64
+	pos int32 // heap index while pending, next free slot otherwise
+}
+
+// NewLoop returns an empty loop positioned at time zero. The heap holds
+// one entry per armed timer and per busy lane, not per frame in flight:
+// a busy two-host world keeps it near a hundred.
 func NewLoop() *Loop {
-	return &Loop{heap: make([]heapEntry, 0, 1024), slots: make([]slot, 0, 1024), free: -1}
+	return &Loop{heap: make([]heapEntry, 0, 128), slots: make([]slot, 0, 128), free: -1}
 }
 
 // Now returns the current virtual time.
@@ -62,7 +83,7 @@ func (l *Loop) Now() Time { return l.now }
 func (l *Loop) Processed() uint64 { return l.nrun }
 
 // Pending returns the number of scheduled events that will still run.
-func (l *Loop) Pending() int { return len(l.heap) }
+func (l *Loop) Pending() int { return len(l.heap) + l.waiting }
 
 // AfterFunc schedules fn to run once d has elapsed in virtual time.
 func (l *Loop) AfterFunc(d time.Duration, fn func()) Handle {
@@ -98,6 +119,7 @@ func (l *Loop) schedule(d time.Duration) (int32, *slot) {
 	} else {
 		i = int32(len(l.slots))
 		l.slots = append(l.slots, slot{})
+		l.lanes = append(l.lanes, nil)
 	}
 	l.seq++
 	s := &l.slots[i]
@@ -116,13 +138,24 @@ func (l *Loop) release(i int32) {
 // cancel removes the event Handle{seq, slot i} names, if it is still
 // pending.
 func (l *Loop) cancel(i int32, seq uint64) bool {
-	s := &l.slots[i]
-	if s.seq != seq {
-		return false
+	s, ln := &l.slots[i], l.lanes[i]
+	switch {
+	case s.seq != seq:
+		// Not what slot i holds — unless it waits behind it.
+		return ln != nil && ln.cancel(seq)
+	case ln != nil:
+		ln.advance(int(s.pos))
+	default:
+		l.remove(int(s.pos))
+		l.release(i)
 	}
-	l.remove(int(s.pos))
-	l.release(i)
 	return true
+}
+
+// pending reports whether the event Handle{seq, slot i} names has yet
+// to run.
+func (l *Loop) pending(i int32, seq uint64) bool {
+	return l.slots[i].seq == seq || l.lanes[i] != nil && l.lanes[i].find(seq) >= 0
 }
 
 // Step executes the next pending event, advancing virtual time to its
@@ -132,20 +165,21 @@ func (l *Loop) Step() bool {
 		return false
 	}
 	e := l.heap[0]
-	l.remove(0)
-	s := l.slots[e.slot]
-	// Released before it runs, so the callback's own scheduling can
-	// reuse the slot and a Stop on its own handle reports false.
-	l.release(e.slot)
+	s := l.slots[e.slot].callback
+	// The slot is released — or, at the head of a lane, refilled with the
+	// lane's next event — before the callback runs, so the callback's own
+	// scheduling can reuse it and a Stop on its own handle reports false.
+	if ln := l.lanes[e.slot]; ln != nil {
+		ln.advance(0)
+	} else {
+		l.remove(0)
+		l.release(e.slot)
+	}
 	if e.at > l.now {
 		l.now = e.at
 	}
 	l.nrun++
-	if s.fn != nil {
-		s.fn()
-	} else {
-		s.handler.HandleFrame(s.frame, s.arg)
-	}
+	s.run()
 	return true
 }
 

@@ -24,22 +24,105 @@ type diffLoop interface {
 	timerReset(k int, d time.Duration)
 	timerStop(k int) bool
 	timerPending(k int) bool
+	// The same two verbs on lane k. To the reference a lane is the loop.
+	laneAfter(k int, d time.Duration, fn func()) (stop func() bool)
+	laneFrame(k int, d time.Duration, id int, run func(int))
 }
 
-const diffTimers = 8
+const (
+	diffTimers = 8
+	diffLanes  = 4
+	// Timers from laneTimer0 up are bound to lane 0 rather than the loop.
+	laneTimer0 = 6
+)
 
 type newSide struct {
 	l      *Loop
 	timers [diffTimers]Timer
+	lanes  [diffLanes]Lane
 	run    func(int)
+	laneUse
+}
+
+// laneUse is what a program made the lanes do, so the test can tell a
+// program that exercises them from one that only falls through.
+type laneUse struct {
+	took, fellThrough, deepest       int
+	stopHead, stopMiddle, stopTail   int
+	stopStale, stopDisagreed, broken int
+}
+
+func newNewSide() *newSide {
+	s := &newSide{l: NewLoop()}
+	for k := range s.lanes {
+		s.lanes[k].Init(s.l)
+	}
+	return s
 }
 
 func (s *newSide) now() Time         { return s.l.Now() }
 func (s *newSide) processed() uint64 { return s.l.Processed() }
-func (s *newSide) live() int         { return s.l.Pending() }
-func (s *newSide) step() bool        { return s.l.Step() }
-func (s *newSide) runUntil(t Time)   { s.l.RunUntil(t) }
-func (s *newSide) post(fn func())    { s.l.Post(fn) }
+
+// held is how many pending events lane ln holds, head included, and
+// laneOffset where among them the event numbered seq is: 0 for the head,
+// -1 if it is not there.
+func (s *newSide) held(ln *Lane) int {
+	if ln.busy {
+		return 1 + ln.n
+	}
+	return 0
+}
+
+func (s *newSide) laneOffset(ln *Lane, seq uint64) int {
+	if ln.busy && s.l.slots[ln.slot].seq == seq {
+		return 0
+	}
+	if k := ln.find(seq); k >= 0 {
+		return 1 + k
+	}
+	return -1
+}
+
+// live is Pending, after checking it against the structure: one heap
+// entry per busy lane, holding the lane's head in a slot marked as the
+// lane's, the rest of each lane counted as waiting, and an idle lane
+// holding nothing.
+func (s *newSide) live() int {
+	waiting, marked := 0, 0
+	for k := range s.lanes {
+		ln := &s.lanes[k]
+		if n := s.held(ln); n > s.deepest {
+			s.deepest = n
+		}
+		waiting += ln.n
+		if !ln.busy {
+			if ln.n != 0 {
+				s.broken++
+			}
+			continue
+		}
+		head := s.l.slots[ln.slot]
+		e := s.l.heap[head.pos]
+		if e.slot != ln.slot || e.seq != head.seq || e.at > ln.tail || s.l.lanes[ln.slot] != ln {
+			s.broken++
+		}
+		if ln.n > 0 && !e.before(heapEntry{at: ln.q[ln.head].at, seq: ln.q[ln.head].seq}) {
+			s.broken++
+		}
+	}
+	for _, ln := range s.l.lanes {
+		if ln != nil {
+			marked++
+		}
+	}
+	if waiting != s.l.waiting || marked > diffLanes {
+		s.broken++
+	}
+	return s.l.Pending()
+}
+func (s *newSide) step() bool      { return s.l.Step() }
+func (s *newSide) runUntil(t Time) { s.l.RunUntil(t) }
+func (s *newSide) post(fn func())  { s.l.Post(fn) }
 func (s *newSide) after(d time.Duration, fn func()) func() bool {
 	return s.l.AfterFunc(d, fn).Stop
 }
@@ -47,8 +130,52 @@ func (s *newSide) frame(d time.Duration, id int, run func(int)) {
 	s.run = run
 	s.l.AfterFrame(d, s, nil, uint64(id))
 }
-func (s *newSide) HandleFrame(_ []byte, arg uint64)  { s.run(int(arg)) }
-func (s *newSide) timerInit(k int, fn func())        { s.timers[k].Init(s.l, fn) }
+func (s *newSide) HandleFrame(_ []byte, arg uint64) { s.run(int(arg)) }
+func (s *newSide) timerInit(k int, fn func()) {
+	if k >= laneTimer0 {
+		s.timers[k].Init(&s.lanes[0], fn)
+	} else {
+		s.timers[k].Init(s.l, fn)
+	}
+}
+func (s *newSide) laneAfter(k int, d time.Duration, fn func()) func() bool {
+	ln := &s.lanes[k]
+	before := s.held(ln)
+	h := ln.AfterFunc(d, fn)
+	if s.held(ln) == before {
+		s.fellThrough++
+		return h.Stop
+	}
+	s.took++
+	return func() bool {
+		at, n := s.laneOffset(ln, h.seq), s.held(ln)
+		stopped := h.Stop()
+		switch {
+		case stopped != (at >= 0) || stopped != (s.held(ln) == n-1):
+			s.stopDisagreed++
+		case at < 0:
+			s.stopStale++
+		case at == 0:
+			s.stopHead++
+		case at == n-1:
+			s.stopTail++
+		default:
+			s.stopMiddle++
+		}
+		return stopped
+	}
+}
+func (s *newSide) laneFrame(k int, d time.Duration, id int, run func(int)) {
+	s.run = run
+	ln := &s.lanes[k]
+	before := s.held(ln)
+	ln.AfterFrame(d, s, nil, uint64(id))
+	if s.held(ln) == before {
+		s.fellThrough++
+	} else {
+		s.took++
+	}
+}
 func (s *newSide) timerReset(k int, d time.Duration) { s.timers[k].Reset(d) }
 func (s *newSide) timerStop(k int) bool              { return s.timers[k].Stop() }
 func (s *newSide) timerPending(k int) bool           { return s.timers[k].Pending() }
@@ -73,7 +200,9 @@ func (s *refSide) after(d time.Duration, fn func()) func() bool {
 func (s *refSide) frame(d time.Duration, id int, run func(int)) {
 	s.l.AfterFunc(d, func() { run(id) })
 }
-func (s *refSide) timerInit(k int, fn func()) { s.fns[k] = fn }
+func (s *refSide) laneAfter(_ int, d time.Duration, fn func()) func() bool { return s.after(d, fn) }
+func (s *refSide) laneFrame(_ int, d time.Duration, id int, run func(int)) { s.frame(d, id, run) }
+func (s *refSide) timerInit(k int, fn func())                              { s.fns[k] = fn }
 func (s *refSide) timerReset(k int, d time.Duration) {
 	s.timerStop(k)
 	s.handles[k] = s.l.AfterFunc(d, s.fns[k])
@@ -97,6 +226,7 @@ type diffProgram struct {
 	stops  []func() bool
 	nextID int
 	budget int // events still allowed to be scheduled
+	nested int // depth of callbacks running
 }
 
 func (p *diffProgram) logf(format string, args ...any) {
@@ -118,16 +248,56 @@ func (p *diffProgram) delay() time.Duration {
 	}
 }
 
+// laneDelay is what a FIFO source asks for: lane k's own fixed delay,
+// chosen to collide with delay()'s shared instants (lane 0 is the
+// 10 ms timeout its timers also use, lane 3 comes due at once). One
+// time in eight it is a shorter delay, due before the lane's tail, which
+// must fall through to the heap; rarely a longer one, which becomes the
+// tail and sends what follows it through the heap until it has run.
+func (p *diffProgram) laneDelay(k int) time.Duration {
+	fixed := [diffLanes]time.Duration{10 * time.Millisecond, 3 * time.Microsecond, 10*time.Millisecond + time.Microsecond, 0}[k]
+	switch c := p.rng.Intn(64); {
+	case c == 0:
+		return p.delay()
+	case c < 8:
+		if d := p.delay(); d < fixed {
+			return d
+		}
+	}
+	return fixed
+}
+
 func (p *diffProgram) ran(id int) {
 	p.logf("run %d at %d", id, p.side.now())
 	// Nested scheduling: what a callback does depends only on the draws.
+	p.nested++
 	for n := p.rng.Intn(3); n > 0; n-- {
 		p.op()
 	}
+	p.nested--
 }
 
 func (p *diffProgram) op() {
-	switch c := p.rng.Intn(16); {
+	switch c := p.rng.Intn(22); {
+	case c >= 16 && p.budget > 0:
+		// One event on a lane, or now and then a burst deep enough to
+		// grow the lane's ring (not from a callback: events would breed
+		// faster than they run); every other one takes a handle.
+		k, n := p.rng.Intn(diffLanes), 1
+		if c == 21 && p.nested == 0 {
+			n = 8 + p.rng.Intn(40)
+		}
+		for ; n > 0 && p.budget > 0; n-- {
+			p.budget--
+			id := p.nextID
+			p.nextID++
+			if id%2 == 0 {
+				p.side.laneFrame(k, p.laneDelay(k), id, p.ran)
+			} else {
+				p.stops = append(p.stops, p.side.laneAfter(k, p.laneDelay(k), func() { p.ran(id) }))
+			}
+		}
+	case c >= 16:
 	case c < 5 && p.budget > 0:
 		p.budget--
 		id := p.nextID
@@ -164,7 +334,7 @@ func (p *diffProgram) op() {
 }
 
 func runDiffProgram(seed uint64, side diffLoop) *diffProgram {
-	p := &diffProgram{side: side, rng: NewRNG(seed), budget: 4000}
+	p := &diffProgram{side: side, rng: NewRNG(seed), budget: 6000}
 	for k := 0; k < diffTimers; k++ {
 		k := k
 		side.timerInit(k, func() { p.ran(-1 - k) })
@@ -192,10 +362,16 @@ func runDiffProgram(seed uint64, side diffLoop) *diffProgram {
 // stop, timer reset, nested scheduling from callbacks, same-instant
 // bursts, RunUntil across stopped deadlines, stale handles after slot
 // reuse — and requires identical (time, id) execution sequences, Stop
-// results, Processed counts, and Pending equal to the live count.
+// results, Processed counts, and Pending equal to the live count. A
+// third of what Loop is asked to schedule goes through four Lanes and
+// two lane-bound Timers, which the reference never hears of: FIFO
+// runs, bursts, ties with heap events at the lanes' instants, early
+// events falling through, callbacks scheduling onto the lane they ran
+// from, and Stops of a lane's head, middle, tail and of events long run.
 func TestDifferentialLoopVsReference(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		got := runDiffProgram(seed, &newSide{l: NewLoop()})
+		lanes := newNewSide()
+		got := runDiffProgram(seed, lanes)
 		want := runDiffProgram(seed, &refSide{l: newRefLoop()})
 		if len(got.log) != len(want.log) {
 			t.Errorf("seed %d: %d observations, reference made %d", seed, len(got.log), len(want.log))
@@ -217,6 +393,13 @@ func TestDifferentialLoopVsReference(t *testing.T) {
 		if runs < 500 || stopped < 100 {
 			t.Errorf("seed %d: %d events ran and %d were stopped; the program is not exercising the loop", seed, runs, stopped)
 		}
+		if lanes.broken > 0 || lanes.stopDisagreed > 0 {
+			t.Errorf("seed %d: lane structure broken at %d checks, %d Stops disagreed with the lane's contents", seed, lanes.broken, lanes.stopDisagreed)
+		}
+		if lanes.took < 300 || lanes.fellThrough < 30 || lanes.deepest < 40 ||
+			lanes.stopHead == 0 || lanes.stopMiddle == 0 || lanes.stopTail == 0 || lanes.stopStale == 0 {
+			t.Errorf("seed %d: the program is not exercising the lanes: %+v", seed, lanes.laneUse)
+		}
 	}
 }
 
@@ -225,19 +408,26 @@ type countFrames struct{ n int }
 func (c *countFrames) HandleFrame([]byte, uint64) { c.n++ }
 
 // TestAllocsEventCore gates the event core's allocation-free paths: a
-// timer's Reset and fire, a frame hop's schedule and run, and a Post of
-// a func the caller already holds.
+// timer's Reset and fire, a frame hop's schedule and run, a Post of a
+// func the caller already holds, and the same on a lane — schedule, run
+// and Stop, at the head and behind it.
 func TestAllocsEventCore(t *testing.T) {
 	l := NewLoop()
 	fired := 0
 	var tm Timer
 	tm.Init(l, func() { fired++ })
+	var lane Lane
+	lane.Init(l)
+	var laneTm Timer
+	laneTm.Init(&lane, func() { fired++ })
 	frames := new(countFrames)
 	frame := make([]byte, 64)
 	posted := func() { fired++ }
-	// Grow the heap and slot table first, as any running world has.
+	// Grow the heap, the slot table and the lane's ring first, as any
+	// running world has.
 	for i := 0; i < 64; i++ {
 		l.Post(posted)
+		lane.AfterFunc(0, posted)
 	}
 	l.Run()
 	for name, fn := range map[string]func(){
@@ -256,6 +446,24 @@ func TestAllocsEventCore(t *testing.T) {
 		},
 		"AfterFunc+Stop": func() {
 			l.AfterFunc(time.Millisecond, posted).Stop()
+		},
+		"Lane.AfterFrame+run": func() {
+			lane.AfterFrame(time.Microsecond, frames, frame, 7)
+			lane.AfterFrame(time.Microsecond, frames, frame, 8) // waits behind the head
+			l.Step()
+			l.Step()
+		},
+		"Lane.AfterFunc+Stop": func() {
+			head := lane.AfterFunc(time.Millisecond, posted)
+			lane.AfterFunc(time.Millisecond, posted)
+			lane.AfterFunc(time.Millisecond, posted).Stop()
+			head.Stop()
+			l.Run()
+		},
+		"Timer(lane).Reset+fire": func() {
+			laneTm.Reset(time.Millisecond)
+			laneTm.Reset(time.Millisecond)
+			l.Step()
 		},
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
@@ -286,6 +494,40 @@ func BenchmarkLoopTimerChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		timers[i/100%len(timers)].Reset(10 * time.Millisecond)
 		l.RunFor(time.Microsecond)
+	}
+}
+
+// BenchmarkLoopLaneHop is BenchmarkLoopFrameHop behind a standing
+// backlog, as a saturated core or a grace period has: each op queues one
+// frame event behind the backlog and runs the oldest. On a lane the
+// backlog waits in the lane's ring and the heap holds one entry; "heap"
+// is the same work scheduled on the loop itself, every waiting event a
+// heap entry.
+func BenchmarkLoopLaneHop(b *testing.B) {
+	for _, backlog := range []int{1_000, 100_000} {
+		for _, on := range []string{"lane", "heap"} {
+			b.Run(fmt.Sprintf("%s/%d", on, backlog), func(b *testing.B) {
+				l := NewLoop()
+				var lane Lane
+				lane.Init(l)
+				after := lane.AfterFrame
+				if on == "heap" {
+					after = l.AfterFrame
+				}
+				frames := new(countFrames)
+				frame := make([]byte, 1514)
+				for i := 0; i < backlog; i++ {
+					after(time.Millisecond, frames, frame, 0)
+					l.RunFor(time.Nanosecond)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					after(time.Millisecond, frames, frame, 0)
+					l.Step()
+				}
+			})
+		}
 	}
 }
 

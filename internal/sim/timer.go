@@ -28,11 +28,16 @@ func (h Handle) Stop() bool {
 func (h Handle) Pending() bool {
 	switch {
 	case h.loop != nil:
-		return h.loop.slots[h.slot].seq == h.seq
+		return h.loop.pending(h.slot, h.seq)
 	case h.real != nil:
 		return !h.real.done.Load()
 	}
 	return false
+}
+
+// An AfterFuncer schedules one-shot callbacks: a Clock, or a Lane.
+type AfterFuncer interface {
+	AfterFunc(d time.Duration, fn func()) Handle
 }
 
 // A Timer is a re-armable timer for a callback fixed at Init: a
@@ -44,18 +49,20 @@ func (h Handle) Pending() bool {
 // sequence number at the Reset call — so replacing a stored-handle
 // timer with a Timer leaves same-instant ordering untouched.
 type Timer struct {
-	clock Clock
-	fn    func()
-	h     Handle
+	on AfterFuncer
+	fn func()
+	h  Handle
 }
 
-// Init binds the timer to its clock and callback.
-func (t *Timer) Init(clock Clock, fn func()) { t.clock, t.fn = clock, fn }
+// Init binds the timer to its callback and to what schedules it: the
+// clock, or a Lane shared by timers that are always armed for the same
+// wait (TIME_WAIT), which then hold one heap entry between them.
+func (t *Timer) Init(on AfterFuncer, fn func()) { t.on, t.fn = on, fn }
 
 // Reset (re)arms the timer to fire d from now, replacing a pending arm.
 func (t *Timer) Reset(d time.Duration) {
 	t.h.Stop()
-	t.h = t.clock.AfterFunc(d, t.fn)
+	t.h = t.on.AfterFunc(d, t.fn)
 }
 
 // Stop disarms the timer, reporting whether it was armed.

@@ -184,10 +184,13 @@ func TestKillDropsFramesQueuedOnCPU(t *testing.T) {
 	s.arpCache.Learn(ipB, macB)
 	live := framepool.Live()
 
-	s.DeliverFrame(synTo(t, 81)) // queued for the core: rx
-	s.Ping(ipB, []byte("probe"), time.Second, func(time.Duration, error) {})
-	if st := s.Stats(); st.FramesIn != 1 || st.FramesOut != 1 || sent != 0 {
-		t.Fatalf("before the kill: frames in %d, out %d, on the wire %d; want 1, 1, 0 (both queued)", st.FramesIn, st.FramesOut, sent)
+	// Queued for the core, the first at its head, the rest behind it: rx...
+	for port := uint16(81); port < 84; port++ {
+		s.DeliverFrame(synTo(t, port))
+	}
+	s.Ping(ipB, []byte("probe"), time.Second, func(time.Duration, error) {}) // ...and tx
+	if st := s.Stats(); st.FramesIn != 3 || st.FramesOut != 1 || sent != 0 {
+		t.Fatalf("before the kill: frames in %d, out %d, on the wire %d; want 3, 1, 0 (all queued)", st.FramesIn, st.FramesOut, sent)
 	}
 	s.Kill()
 	loop.Run()
@@ -196,8 +199,8 @@ func TestKillDropsFramesQueuedOnCPU(t *testing.T) {
 	if sent != 0 {
 		t.Errorf("dead stack transmitted %d frames", sent)
 	}
-	if st.DroppedDead != 1 || st.DroppedNoSocket != 0 || st.TCPSegsIn != 0 {
-		t.Errorf("queued rx frame: dropped_dead %d, dropped_no_socket %d, tcp_segs_in %d; want 1, 0, 0", st.DroppedDead, st.DroppedNoSocket, st.TCPSegsIn)
+	if st.DroppedDead != 3 || st.DroppedNoSocket != 0 || st.TCPSegsIn != 0 {
+		t.Errorf("queued rx frames: dropped_dead %d, dropped_no_socket %d, tcp_segs_in %d; want 3, 0, 0", st.DroppedDead, st.DroppedNoSocket, st.TCPSegsIn)
 	}
 	if st.IPOut != 1 {
 		t.Errorf("ip_out %d, want 1 (the echo request alone, no RST from the grave)", st.IPOut)

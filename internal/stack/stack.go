@@ -198,6 +198,10 @@ type Stack struct {
 	// dead marks a killed stack (its host NSM crashed): arriving frames
 	// are dropped, nothing is ever transmitted again.
 	dead bool
+	// timeWait is where every connection's TIME_WAIT timer waits: all
+	// wait 2·cfg.MSL, so they expire in the order they were armed and
+	// share one event-loop entry.
+	timeWait sim.Lane
 }
 
 type listenEntry struct {
@@ -282,6 +286,7 @@ func New(cfg Config) *Stack {
 	for i := range s.connShards {
 		s.connShards[i].conns = make(map[fourTuple]*tcp.Conn)
 	}
+	s.timeWait.Init(cfg.Clock)
 	s.arpCache.Request = s.sendARPRequest
 	s.stats.register(cfg.Metrics)
 	if cfg.Metrics != nil && cfg.RxShards > 0 {

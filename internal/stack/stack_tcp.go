@@ -122,6 +122,7 @@ func (s *Stack) connConfig(local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, op
 		CC:                ccAlg,
 		MinRTO:            s.cfg.MinRTO,
 		MSL:               s.cfg.MSL,
+		TimeWaitLane:      &s.timeWait,
 		DelayedAckTimeout: s.cfg.DelayedAckTimeout,
 		Nagle:             opts.Nagle,
 		Output:            s.tcpOutput(local, remote),

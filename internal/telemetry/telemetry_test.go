@@ -248,6 +248,11 @@ func TestTracerSampling(t *testing.T) {
 	if got := len(tr.Completed()); got != 4 {
 		t.Fatalf("completed = %d, want 4", got)
 	}
+	// An operation the sampler passes over costs no span and no allocation.
+	tr.SetSampleEvery(1 << 30)
+	if n := testing.AllocsPerRun(100, func() { tr.Start("tx:send") }); n != 0 || tr.ActiveCount() != 0 {
+		t.Errorf("off-sample Start: %v allocs, %d spans in flight", n, tr.ActiveCount())
+	}
 	tr.SetSampleEvery(0)
 	if tr.Enabled() {
 		t.Error("tracer still enabled after SetSampleEvery(0)")

@@ -20,7 +20,8 @@ import (
 // the k-th operation is the same operation in every run, so traces are
 // byte-identical across identical runs (TestTraceDeterminism).
 // SampleEvery = 0 disables tracing entirely; the hot-path cost of the
-// disabled tracer is one nil check and one atomic load.
+// disabled tracer is one nil check and one atomic load, and of an
+// enabled one, for the N-1 operations it passes over, one atomic add.
 
 // A Hop is one stamped point in a span's life.
 type Hop struct {
@@ -78,12 +79,12 @@ type TraceConfig struct {
 // locked paths.
 type Tracer struct {
 	every atomic.Int64
+	seen  atomic.Uint64 // sampling-eligible operations offered to Start
 
 	mu     sync.Mutex
 	clock  sim.Clock
 	cap    int
 	scope  *Scope
-	seen   uint64
 	nextID uint32
 	active map[uint32]*Span
 	done   []Span
@@ -117,21 +118,19 @@ func (t *Tracer) SetSampleEvery(n int) {
 // Start considers one operation for sampling. It returns the new
 // span's id, or 0 when the operation was not sampled (disabled tracer,
 // off-sample op, or in-flight table full). The id travels in the nqe's
-// trace field; id 0 means untraced everywhere.
+// trace field; id 0 means untraced everywhere. Sampling is decided
+// first, without the lock: callers pass a name they did not have to
+// build (nqe.Op.TxSpan), so an off-sample operation costs one atomic add.
 func (t *Tracer) Start(kind string) uint32 {
 	if t == nil {
 		return 0
 	}
 	n := t.every.Load()
-	if n <= 0 {
+	if n <= 0 || t.seen.Add(1)%uint64(n) != 0 {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.seen++
-	if t.seen%uint64(n) != 0 {
-		return 0
-	}
 	if len(t.active) >= t.cap {
 		return 0
 	}

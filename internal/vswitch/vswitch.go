@@ -67,11 +67,20 @@ type Switch struct {
 	clock sim.Clock
 	cfg   Config
 	ports []*Port
-	fdb   map[netsim.MAC]fdbEntry
+	fdb   map[netsim.MAC]*fdbEntry
 	stats Stats
+	// delay is where frames sit out PerFrameDelay: the delay is fixed,
+	// so they leave in arrival order behind one event-loop entry.
+	delay sim.Lane
 }
 
+// fdbEntry is one learned address. The FDB holds entries by pointer so
+// that a port can keep the entries of the last source and destination
+// it saw and skip the map for the next frame of the same flow; port is
+// nil once the entry has been evicted, which is how such a kept pointer
+// is known to be stale.
 type fdbEntry struct {
+	mac     netsim.MAC
 	port    *Port
 	expires sim.Time
 }
@@ -84,7 +93,9 @@ func New(clock sim.Clock, cfg Config) *Switch {
 	if cfg.AgingTime <= 0 {
 		cfg.AgingTime = 60 * time.Second
 	}
-	return &Switch{clock: clock, cfg: cfg, fdb: make(map[netsim.MAC]fdbEntry)}
+	s := &Switch{clock: clock, cfg: cfg, fdb: make(map[netsim.MAC]*fdbEntry)}
+	s.delay.Init(clock)
+	return s
 }
 
 // Stats returns a copy of the counters.
@@ -99,6 +110,22 @@ type Port struct {
 	sw  *Switch
 	idx int
 	out netsim.Port
+	// lastSrc and lastDst are the FDB entries of the source and the
+	// destination of the last frame that entered here.
+	lastSrc, lastDst *fdbEntry
+}
+
+// lookup returns the live FDB entry for mac, trying *last first and
+// leaving what it found there; nil if the address is not in the FDB.
+func (s *Switch) lookup(mac netsim.MAC, last **fdbEntry) *fdbEntry {
+	if e := *last; e != nil && e.mac == mac && e.port != nil {
+		return e
+	}
+	e := s.fdb[mac]
+	if e != nil {
+		*last = e
+	}
+	return e
 }
 
 // AddPort attaches a device (NIC, VF handler, stack interface…) whose
@@ -127,14 +154,21 @@ func (p *Port) Deliver(frame []byte) {
 
 	// Learn the source.
 	if !src.IsBroadcast() {
-		if old, ok := sw.fdb[src]; !ok || old.port != p {
-			sw.stats.Learned++
+		e := sw.lookup(src, &p.lastSrc)
+		if e == nil {
+			e = &fdbEntry{mac: src}
+			sw.fdb[src] = e
+			p.lastSrc = e
 		}
-		sw.fdb[src] = fdbEntry{port: p, expires: sw.clock.Now().Add(sw.cfg.AgingTime)}
+		if e.port != p {
+			sw.stats.Learned++
+			e.port = p
+		}
+		e.expires = sw.clock.Now().Add(sw.cfg.AgingTime)
 	}
 
 	if sw.cfg.Mode == Software {
-		sw.clock.AfterFrame(sw.cfg.PerFrameDelay, (*delayDone)(p), frame, 0)
+		sw.delay.AfterFrame(sw.cfg.PerFrameDelay, (*delayDone)(p), frame, 0)
 	} else {
 		p.forward(frame)
 	}
@@ -152,7 +186,8 @@ func (p *Port) forward(frame []byte) {
 	sw := p.sw
 	var dst netsim.MAC
 	copy(dst[:], frame[0:6])
-	if e, ok := sw.fdb[dst]; ok && !dst.IsBroadcast() {
+	// The broadcast address is never learned, so it has no entry.
+	if e := sw.lookup(dst, &p.lastDst); e != nil {
 		if sw.clock.Now() < e.expires {
 			if e.port != p {
 				sw.stats.Forwarded++
@@ -166,6 +201,7 @@ func (p *Port) forward(frame []byte) {
 		// Expired entry: evict it and fall through to flooding.
 		sw.stats.AgedOut++
 		delete(sw.fdb, dst)
+		e.port = nil
 	}
 	// Unknown or broadcast: flood a copy to every other port.
 	sw.stats.Flooded++

@@ -225,3 +225,70 @@ func TestAllocsPerFrame(t *testing.T) {
 		t.Fatal("no frame reached the learned port")
 	}
 }
+
+// A port keeps the FDB entries of the last source and destination it
+// saw, so a steady flow skips the map. The kept pointers must never
+// outvote the FDB: an address that moves ports, an entry that expires
+// and is learned again, and a hairpin all count and forward exactly as
+// a map lookup per frame would.
+func TestFDBPortCaches(t *testing.T) {
+	loop := sim.NewLoop()
+	sw := New(loop, Config{Mode: Embedded, AgingTime: time.Second})
+	sinks := []*sink{{}, {}, {}}
+	var ports []*Port
+	for _, s := range sinks {
+		ports = append(ports, sw.AddPort(s))
+	}
+	got := func() [3]int { return [3]int{len(sinks[0].frames), len(sinks[1].frames), len(sinks[2].frames)} }
+
+	// A on port 0 and B on port 1 talk until both ports hold both entries.
+	ports[0].Deliver(frameFromTo(macA, macB)) // flood
+	ports[1].Deliver(frameFromTo(macB, macA))
+	ports[0].Deliver(frameFromTo(macA, macB))
+	if ports[0].lastSrc != sw.fdb[macA] || ports[0].lastDst != sw.fdb[macB] || ports[1].lastDst != sw.fdb[macA] {
+		t.Fatal("ports did not keep the entries of the flow they carry")
+	}
+	if st := sw.Stats(); st.Learned != 2 || st.Forwarded != 2 || got() != [3]int{1, 2, 1} {
+		t.Fatalf("steady flow: %+v, deliveries %v", st, got())
+	}
+
+	// A moves to port 2: port 1's kept destination follows the entry.
+	ports[2].Deliver(frameFromTo(macA, macB))
+	ports[1].Deliver(frameFromTo(macB, macA))
+	if st := sw.Stats(); st.Learned != 3 || got() != [3]int{1, 3, 2} {
+		t.Fatalf("after the move: %+v, deliveries %v", st, got())
+	}
+	// And back: port 0 still holds A's entry as its last source, now
+	// pointing at port 2, and must count the move.
+	ports[0].Deliver(frameFromTo(macA, macB))
+	ports[1].Deliver(frameFromTo(macB, macA))
+	if st := sw.Stats(); st.Learned != 4 || got() != [3]int{2, 4, 2} {
+		t.Fatalf("after the move back: %+v, deliveries %v", st, got())
+	}
+
+	// Hairpin through the kept destination: twice, the second a cache hit.
+	ports[0].Deliver(frameFromTo(macC, macA))
+	ports[0].Deliver(frameFromTo(macC, macA))
+	if st := sw.Stats(); st.Dropped != 2 || st.Learned != 5 || got() != [3]int{2, 4, 2} {
+		t.Fatalf("hairpin: %+v, deliveries %v", st, got())
+	}
+
+	// Everything expires. Port 1's kept entry for A must be evicted and
+	// flooded past, not trusted...
+	loop.RunFor(2 * time.Second)
+	stale := sw.fdb[macA]
+	ports[1].Deliver(frameFromTo(macB, macA))
+	if st := sw.Stats(); st.AgedOut != 1 || st.Flooded != 2 || got() != [3]int{3, 4, 3} || stale.port != nil || sw.fdb[macA] != nil {
+		t.Fatalf("expiry: %+v, deliveries %v, evicted entry %+v", st, got(), stale)
+	}
+	// ...and when A speaks again, port 0's kept source is that evicted
+	// entry: A is learned anew, and port 1 forwards by the new entry.
+	ports[0].Deliver(frameFromTo(macA, macB))
+	ports[1].Deliver(frameFromTo(macB, macA))
+	if st := sw.Stats(); st.Learned != 6 || st.AgedOut != 1 || sw.fdb[macA] == stale || got() != [3]int{4, 5, 3} {
+		t.Fatalf("relearn: %+v, deliveries %v", st, got())
+	}
+	if st := sw.Stats(); st.RxFrames != st.Forwarded+st.Flooded+st.Dropped {
+		t.Fatalf("conservation violated: %+v", st)
+	}
+}
