@@ -75,8 +75,8 @@ func BenchmarkNqeCopy(b *testing.B) {
 // BenchmarkMoveBatch is the batched counterpart of BenchmarkNqeCopy:
 // one op moves a 64-element batch end to end (PushBatch → MoveBatch →
 // PopBatch), so ns/elem = ns/op ÷ 64. The batch path amortizes the
-// atomic head/tail traffic and the doorbell over the whole span (§3.2
-// batched interrupts) and must beat the per-element path by ≥2×.
+// atomic head/tail traffic over the whole span (§3.2 batched
+// interrupts) and must beat the per-element path by ≥2×.
 func BenchmarkMoveBatch(b *testing.B) {
 	const batch = 64
 	src, _ := nkqueue.NewQueue(nkqueue.Config{Slots: 2 * batch})

@@ -32,22 +32,20 @@ func seeds(t *testing.T) []uint64 {
 }
 
 // lossyReorderLAN: a misbehaving 1 Gbit/s segment — random loss,
-// duplication, corruption, heavy reordering — plus doorbell faults,
-// sporadic queue stalls, and one mid-run link flap.
+// duplication, corruption, heavy reordering — plus sporadic queue
+// stalls and one mid-run link flap.
 func lossyReorderLAN() Profile {
 	return Profile{
-		Name:             "lossy-reorder-lan",
-		Link:             netsim.LossyReorderLAN(),
-		Flaps:            []Flap{{At: 300 * time.Millisecond, Outage: 40 * time.Millisecond}},
-		QueueStallProb:   0.01,
-		DoorbellDropProb: 0.05,
-		DoorbellDelayMax: 5 * time.Microsecond,
-		Conns:            8,
-		MaxBody:          128 << 10,
-		Spacing:          25 * time.Millisecond,
-		Watchdog:         5 * time.Second,
-		Run:              2 * time.Second,
-		Quiesce:          120 * time.Second,
+		Name:           "lossy-reorder-lan",
+		Link:           netsim.LossyReorderLAN(),
+		Flaps:          []Flap{{At: 300 * time.Millisecond, Outage: 40 * time.Millisecond}},
+		QueueStallProb: 0.01,
+		Conns:          8,
+		MaxBody:        128 << 10,
+		Spacing:        25 * time.Millisecond,
+		Watchdog:       5 * time.Second,
+		Run:            2 * time.Second,
+		Quiesce:        120 * time.Second,
 	}
 }
 
@@ -57,17 +55,16 @@ func lossyReorderLAN() Profile {
 // give-up horizon at MinRTO=400ms.
 func gilbertElliottWAN() Profile {
 	return Profile{
-		Name:             "gilbert-elliott-wan",
-		Link:             netsim.WANPathGE(0.005, 0.2, 0.5),
-		DoorbellDropProb: 0.02,
-		Conns:            4,
-		MaxBody:          16 << 10,
-		Spacing:          500 * time.Millisecond,
-		Watchdog:         60 * time.Second,
-		Run:              30 * time.Second,
-		Quiesce:          1600 * time.Second,
-		MinRTO:           400 * time.Millisecond,
-		MSL:              time.Second,
+		Name:     "gilbert-elliott-wan",
+		Link:     netsim.WANPathGE(0.005, 0.2, 0.5),
+		Conns:    4,
+		MaxBody:  16 << 10,
+		Spacing:  500 * time.Millisecond,
+		Watchdog: 60 * time.Second,
+		Run:      30 * time.Second,
+		Quiesce:  1600 * time.Second,
+		MinRTO:   400 * time.Millisecond,
+		MSL:      time.Second,
 	}
 }
 

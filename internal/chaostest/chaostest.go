@@ -3,7 +3,7 @@
 // ServiceLib → stack → fabric — in virtual time, with faults injected
 // at every layer: link loss (Bernoulli and bursty Gilbert–Elliott),
 // reordering, duplication, bit corruption, link flaps, stalled nqe
-// queues, dropped/delayed doorbells, and NSM crash+reboot.
+// queues, and NSM crash+reboot.
 //
 // After each run a set of invariants must hold regardless of the fault
 // schedule:
@@ -60,12 +60,6 @@ type Profile struct {
 	// (fault-injected "queue stall": the push behaves as if the ring
 	// were full).
 	QueueStallProb float64
-	// DoorbellDropProb swallows doorbell wakeups (level-triggered: the
-	// pending count survives, so a later ring re-fires).
-	DoorbellDropProb float64
-	// DoorbellDelayMax defers doorbell wakeups by a random
-	// 0..DoorbellDelayMax.
-	DoorbellDelayMax time.Duration
 	// CrashAt reboots the server-side NSM at these times (from
 	// workload start).
 	CrashAt []time.Duration
@@ -190,7 +184,7 @@ type harness struct {
 	client   *hypervisor.VM
 	server   *hypervisor.VM
 
-	frng *sim.RNG // fault draws (queue stalls, doorbells)
+	frng *sim.RNG // fault draws (queue stalls)
 	wrng *sim.RNG // workload shape (payload sizes and content)
 
 	trace    []string
@@ -285,10 +279,6 @@ func (h *harness) run() *Result {
 			Name: name, Clock: h.loop, RNG: sim.NewRNG(h.seed + uint64(id)),
 			HostID: id, Cores: 8, Shards: shards,
 			MinRTO: prof.MinRTO, MSL: prof.MSL,
-			// Queue stalls can swallow the push whose completion would
-			// have been the next wakeup; the recovery timer guarantees
-			// faults delay work instead of wedging it.
-			StallRecovery:    10 * time.Microsecond,
 			TraceSampleEvery: prof.TraceSampleEvery,
 		})
 	}
@@ -375,37 +365,45 @@ func (h *harness) run() *Result {
 	return res
 }
 
-// wireChannelFaults installs queue-stall and doorbell faults on every
-// ring of both VM↔NSM channels, drawing from the fault RNG.
+// wireChannelFaults installs the queue-stall fault on every ring of
+// both VM↔NSM channels, drawing from the fault RNG. An injected stall
+// can swallow the very push whose completion would have been the next
+// wakeup, which a kick-driven pipeline never recovers from on its own;
+// recovering is the injector's job, so each stall also schedules one
+// re-kick of all four ends of the stalled shard: faults delay work
+// instead of wedging it.
 func (h *harness) wireChannelFaults() {
-	p := h.prof
+	prob := h.prof.QueueStallProb
+	if prob <= 0 {
+		return
+	}
 	for _, vm := range []*hypervisor.VM{h.client, h.server} {
 		for _, pair := range vm.Guest.Pairs() {
-			pair.EnsureShards()
-			var queues []nkqueue.Q
 			for si := range pair.Shards {
-				r := &pair.Shards[si]
-				queues = append(queues,
-					r.VMJob, r.VMCompletion, r.VMReceive,
-					r.NSMJob, r.NSMCompletion, r.NSMReceive)
-			}
-			for _, q := range queues {
-				if p.QueueStallProb > 0 {
-					prob := p.QueueStallProb
-					q.SetPushStall(func() bool { return h.frng.Bernoulli(prob) })
+				rekickArmed := false
+				rekick := func() {
+					rekickArmed = false
+					pair.KickEngineVM(si)
+					pair.KickEngineNSM(si)
+					pair.KickNSM(si)
+					pair.KickVM(si)
 				}
-				if p.DoorbellDropProb > 0 || p.DoorbellDelayMax > 0 {
-					var drop func() bool
-					if p.DoorbellDropProb > 0 {
-						prob := p.DoorbellDropProb
-						drop = func() bool { return h.frng.Bernoulli(prob) }
+				stall := func() bool {
+					if !h.frng.Bernoulli(prob) {
+						return false
 					}
-					var delay func() time.Duration
-					if p.DoorbellDelayMax > 0 {
-						max := int(p.DoorbellDelayMax)
-						delay = func() time.Duration { return time.Duration(h.frng.Intn(max)) }
+					if !rekickArmed {
+						rekickArmed = true
+						h.loop.AfterFunc(10*time.Microsecond, rekick)
 					}
-					q.Doorbell().SetWakeupFaults(drop, delay, h.loop)
+					return true
+				}
+				r := &pair.Shards[si]
+				for _, q := range []nkqueue.Q{
+					r.VMJob, r.VMCompletion, r.VMReceive,
+					r.NSMJob, r.NSMCompletion, r.NSMReceive,
+				} {
+					q.SetPushStall(stall)
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 
 // The handoff scenario family: live NSM migration fired into the same
 // fault environments the rest of the suite runs — bursty loss,
-// reordering, doorbell faults, link flaps — with the standard
+// reordering, queue stalls, link flaps — with the standard
 // invariants (byte-exact echoes, terminal states, zero chunk/fd/cID
 // leaks, telemetry conservation across the old and new registry
 // scopes) applied unchanged. A migration must be invisible at the
@@ -127,24 +127,22 @@ func TestMigrateDeterminism(t *testing.T) {
 	}
 }
 
-// TestMigrateDuringDoorbellFaults aims the channel-fault artillery at
-// the cutover window itself: dropped and delayed doorbells around the
-// freeze/resume sequence must delay delivery, never lose it.
-func TestMigrateDuringDoorbellFaults(t *testing.T) {
+// TestMigrateDuringQueueStalls aims the channel-fault artillery at the
+// cutover window itself: pushes refused around the freeze/resume
+// sequence must delay delivery, never lose it.
+func TestMigrateDuringQueueStalls(t *testing.T) {
 	for _, seed := range seeds(t) {
 		seed := seed
 		prof := Profile{
-			Name:             "migrate-doorbell-faults",
-			Link:             netsim.Testbed40G(),
-			QueueStallProb:   0.02,
-			DoorbellDropProb: 0.10,
-			DoorbellDelayMax: 10 * time.Microsecond,
-			Conns:            12,
-			MaxBody:          256 << 10,
-			Spacing:          15 * time.Millisecond,
-			Watchdog:         5 * time.Second,
-			Run:              2 * time.Second,
-			Quiesce:          120 * time.Second,
+			Name:           "migrate-queue-stalls",
+			Link:           netsim.Testbed40G(),
+			QueueStallProb: 0.02,
+			Conns:          12,
+			MaxBody:        256 << 10,
+			Spacing:        15 * time.Millisecond,
+			Watchdog:       5 * time.Second,
+			Run:            2 * time.Second,
+			Quiesce:        120 * time.Second,
 			Migrations: []MigrationPoint{
 				{At: 90 * time.Millisecond, CC: "bbr"},
 				{At: 400 * time.Millisecond, CC: "cubic"},

@@ -300,7 +300,7 @@ type SyncRow struct {
 func RunSyncAblation() []SyncRow {
 	run := func(mode string, credit int) SyncRow {
 		// A lazier notification config (10 µs) makes the per-operation
-		// completion round trip visible; with sub-µs doorbells even
+		// completion round trip visible; with sub-µs kicks even
 		// fully synchronous operation keeps a 10G link busy.
 		w := ablationWorld(50, func(hc *hypervisor.HostConfig) {
 			hc.Engine.NotifyLatency = 10 * time.Microsecond

@@ -68,7 +68,7 @@ type CopyBudgetResult struct {
 	TxCopiesPerByte float64
 	RxCopiesPerByte float64
 	// Snapshot is the client host's unified telemetry registry at the
-	// end of the run (queue accounting, doorbells, stack counters, and
+	// end of the run (queue accounting, stack counters, and
 	// span-latency histograms when tracing is armed).
 	Snapshot telemetry.Snapshot
 	// Spans are the client host's completed pipeline spans, oldest

@@ -14,9 +14,9 @@ package guestlib
 
 import (
 	"fmt"
-	"time"
 
 	"netkernel/internal/nkchan"
+	"netkernel/internal/nkqueue"
 	"netkernel/internal/nqe"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/shm"
@@ -80,13 +80,6 @@ type Config struct {
 	// SendCredit bounds bytes in the huge pages awaiting the NSM per
 	// socket (default 1 MiB): the shm-level send window.
 	SendCredit int
-	// StallRecovery, when positive, arms a virtual-time retry timer
-	// whenever a push finds the job queue full or fault-stalled. The
-	// production pipeline is purely kick-driven and leaves this zero;
-	// fault-injection harnesses set it so an injected queue stall can
-	// delay work but never wedge it (a stall may swallow the very push
-	// whose completion would have been the next wakeup).
-	StallRecovery time.Duration
 	// Metrics, when set, publishes the GuestLib counters into the host
 	// telemetry registry (e.g. "vm1.guest.bytes_sent").
 	Metrics *telemetry.Scope
@@ -297,23 +290,15 @@ type GuestLib struct {
 	// pages, or job-queue space). Every pump revisits them so one
 	// greedy socket cannot starve its siblings of queue slots.
 	stalled []int32
-	// pendingOps holds control operations that found the job queue
-	// full; they are retried (in order, ahead of new work) on every
-	// pump so a data flood can delay but never lose a connect or
-	// close.
-	pendingOps []pendingOp
+	// backlog holds control operations and receive credits that found
+	// the job queue full; every pump retries them (in order, ahead of
+	// new work) so a data flood can delay but never lose a connect, a
+	// close or a credit.
+	backlog nkqueue.Backlog
 	// drain is the reusable completion/receive batch buffer: one pump
 	// pops whole ring spans at a time instead of element by element
 	// (§3.2 "batched interrupts").
 	drain []nqe.Element
-	// retryArmed guards the Config.StallRecovery retry timer.
-	retryArmed bool
-}
-
-type pendingOp struct {
-	pair  *nkchan.Pair
-	shard int
-	e     nqe.Element
 }
 
 // New builds a GuestLib and wires it to its pairs' VM-side kicks.
@@ -334,6 +319,7 @@ func New(cfg Config) *GuestLib {
 	}
 	g.stats.register(cfg.Metrics)
 	g.latency.register(cfg.Metrics)
+	g.backlog.Wake = g.kickEngine
 	for _, p := range pairs {
 		p := p
 		p.EnsureShards()
@@ -375,72 +361,65 @@ func (g *GuestLib) Replicas() int { return len(g.pairs) }
 // the chaos suite).
 func (g *GuestLib) Pairs() []*nkchan.Pair { return g.pairs }
 
-// noteBackpressure arms the retry timer after a failed push. A no-op
-// unless Config.StallRecovery is set: the kick-driven pipeline recovers
-// full queues through completion traffic on its own, and only injected
-// faults can strand work with no inbound kick due. One timer serves the
-// whole GuestLib; it re-arms itself while backlog remains.
-func (g *GuestLib) noteBackpressure() {
-	if g.cfg.StallRecovery <= 0 || g.retryArmed {
-		return
-	}
-	g.retryArmed = true
-	g.cfg.Clock.AfterFunc(g.cfg.StallRecovery, func() {
-		g.retryArmed = false
-		g.retryBacklog()
-	})
-}
-
-// retryBacklog replays queued control operations and write-stalled
-// sockets without waiting for an inbound kick.
-func (g *GuestLib) retryBacklog() {
-	for len(g.pendingOps) > 0 {
-		op := g.pendingOps[0]
-		if !g.push(op.pair, op.shard, &op.e) {
-			break
-		}
-		g.pendingOps = g.pendingOps[1:]
-	}
-	g.wakeStalled()
-	g.deliverWakeups()
-	for _, p := range g.pairs {
-		for i := range p.Shards {
-			p.Shards[i].VMJob.Flush()
-		}
-	}
-	if len(g.pendingOps) > 0 {
-		g.noteBackpressure()
-	}
-}
-
 // Stats returns a copy of the counters, read atomically.
 func (g *GuestLib) Stats() Stats { return g.stats.snapshot() }
 
-func (g *GuestLib) push(pair *nkchan.Pair, shard int, e *nqe.Element) bool {
+// prepare stamps e as this guest's next job and returns the job ring
+// (and its clamped shard index) the element rides.
+func (g *GuestLib) prepare(pair *nkchan.Pair, shard int, e *nqe.Element) (nkqueue.Q, int) {
 	e.VMID = g.cfg.VMID
 	e.Source = nqe.FromVM
 	g.seq++
 	e.Seq = g.seq
-	if shard < 0 || shard >= len(pair.Shards) {
-		shard = 0
-	}
-	job := pair.Shards[shard].VMJob
 	// The send-path span opens here: the sampled element carries its
-	// span id in the wire record, and a failed push keeps the id so the
-	// retried element still belongs to the same span (the span then
-	// measures queueing delay too).
+	// span id in the wire record, and a parked element keeps the id, so
+	// the span then measures queueing delay too.
 	if tr := g.cfg.Tracer; tr.Enabled() && e.Trace == 0 {
 		e.Trace = tr.Start(e.Op.TxSpan())
 	}
+	shard = pair.ShardIndex(shard)
+	return pair.Shards[shard].VMJob, shard
+}
+
+// issued accounts for a job accepted on shard's ring; pushed says it is
+// in the ring already, so the engine pump that consumes it is kicked.
+func (g *GuestLib) issued(pair *nkchan.Pair, shard int, job nkqueue.Q, e *nqe.Element, pushed bool) {
+	g.stats.opsIssued.Inc()
+	g.cfg.Tracer.Stamp(e.Trace, "guestlib.enqueue", int64(job.Len()))
+	if pushed && pair.KickEngineVM != nil {
+		pair.KickEngineVM(shard)
+	}
+}
+
+// push enqueues a descriptor-carrying job. Such an element cannot wait
+// in the backlog — its chunk is the caller's to free or resend — so a
+// full queue is reported instead.
+func (g *GuestLib) push(pair *nkchan.Pair, shard int, e *nqe.Element) bool {
+	job, shard := g.prepare(pair, shard, e)
 	if !job.Push(e) {
 		return false
 	}
-	g.stats.opsIssued.Inc()
-	g.cfg.Tracer.Stamp(e.Trace, "guestlib.enqueue", int64(job.Len()))
-	if pair.KickEngineVM != nil {
-		pair.KickEngineVM(shard)
-	}
+	g.issued(pair, shard, job, e, true)
 	return true
+}
+
+// post enqueues a control operation or a receive credit, which must
+// never be lost: refused by a full job queue it parks in the backlog.
+func (g *GuestLib) post(pair *nkchan.Pair, shard int, e *nqe.Element) {
+	job, shard := g.prepare(pair, shard, e)
+	g.issued(pair, shard, job, e, g.backlog.Push(job, e))
+}
+
+// kickEngine is the backlog's wake: it kicks the engine pump that
+// consumes job ring q.
+func (g *GuestLib) kickEngine(q nkqueue.Q) {
+	for _, p := range g.pairs {
+		for i := range p.Shards {
+			if p.Shards[i].VMJob == q && p.KickEngineVM != nil {
+				p.KickEngineVM(i)
+			}
+		}
+	}
 }
 
 // placeSocket picks the pair and shard a new socket lives on: pairs
@@ -467,11 +446,7 @@ func (g *GuestLib) Socket(cbs Callbacks) int32 {
 	s.fd, s.kind, s.cbs, s.credit, s.pair, s.shard = fd, kindStream, cbs, g.cfg.SendCredit, pair, shard
 	s.sockStart = g.cfg.Clock.Now()
 	g.sockets[fd] = s
-	e := nqe.Element{Op: nqe.OpSocket, FD: fd}
-	if len(g.pendingOps) > 0 || !g.push(pair, shard, &e) {
-		g.pendingOps = append(g.pendingOps, pendingOp{pair: pair, shard: shard, e: e})
-		g.noteBackpressure()
-	}
+	g.post(pair, shard, &nqe.Element{Op: nqe.OpSocket, FD: fd})
 	return fd
 }
 
@@ -485,11 +460,7 @@ func (g *GuestLib) SocketDatagram(cbs Callbacks) int32 {
 	s.fd, s.kind, s.cbs, s.credit, s.pair, s.shard = fd, kindDatagram, cbs, g.cfg.SendCredit, pair, shard
 	s.sockStart = g.cfg.Clock.Now()
 	g.sockets[fd] = s
-	e := nqe.Element{Op: nqe.OpSocket, FD: fd, Arg0: 1 /* datagram */}
-	if len(g.pendingOps) > 0 || !g.push(pair, shard, &e) {
-		g.pendingOps = append(g.pendingOps, pendingOp{pair: pair, shard: shard, e: e})
-		g.noteBackpressure()
-	}
+	g.post(pair, shard, &nqe.Element{Op: nqe.OpSocket, FD: fd, Arg0: 1 /* datagram */})
 	return fd
 }
 
@@ -586,17 +557,13 @@ func (g *GuestLib) Connect(fd int32, addr ipv4.Addr, port uint16) error {
 }
 
 // pushWhenReady defers control operations until the CoreEngine has the
-// socket's mapping installed, and queues them for retry when the job
-// queue is full.
+// socket's mapping installed.
 func (g *GuestLib) pushWhenReady(s *socket, e *nqe.Element) {
 	if !s.ready {
 		s.deferred = append(s.deferred, *e)
 		return
 	}
-	if len(g.pendingOps) > 0 || !g.push(s.pair, s.shard, e) {
-		g.pendingOps = append(g.pendingOps, pendingOp{pair: s.pair, shard: s.shard, e: *e})
-		g.noteBackpressure()
-	}
+	g.post(s.pair, s.shard, e)
 }
 
 // Listen converts the socket into a listener on port.
@@ -701,9 +668,6 @@ func (g *GuestLib) Send(fd int32, p []byte) int {
 		if !g.push(s.pair, s.shard, e) {
 			s.pair.Pages.Free(chunk)
 			g.markStalled(s)
-			// A fault-stalled job queue may never kick us back; under
-			// injected faults a timer retries (no-op otherwise).
-			g.noteBackpressure()
 			break
 		}
 		s.credit -= n
@@ -737,7 +701,7 @@ func (g *GuestLib) Recv(fd int32, buf []byte) (n int, eof bool) {
 		g.stats.bytesReceived.Add(uint64(n))
 		// Return receive credit so the NSM keeps reading (§3.2 recv()
 		// "simply checks and copies new data in the VM receive queue").
-		g.push(s.pair, s.shard, &nqe.Element{Op: nqe.OpRecv, FD: fd, Arg0: uint64(n)})
+		g.post(s.pair, s.shard, &nqe.Element{Op: nqe.OpRecv, FD: fd, Arg0: uint64(n)})
 	}
 	return n, s.eof && len(s.recvQ) == 0
 }
@@ -826,9 +790,7 @@ func (g *GuestLib) stream(fd int32) (*socket, error) {
 // (whole ring spans per pop, §3.2 "batched interrupts"). It runs on the
 // clock executor when the CoreEngine kicks the VM side.
 func (g *GuestLib) pump(pair *nkchan.Pair, shard int) {
-	if shard < 0 || shard >= len(pair.Shards) {
-		shard = 0
-	}
+	shard = pair.ShardIndex(shard)
 	rings := &pair.Shards[shard]
 	for {
 		n := rings.VMCompletion.PopBatch(g.drain)
@@ -850,28 +812,12 @@ func (g *GuestLib) pump(pair *nkchan.Pair, shard int) {
 			g.handleEvent(pair, shard, &g.drain[i])
 		}
 	}
-	for len(g.pendingOps) > 0 {
-		op := g.pendingOps[0]
-		if !g.push(op.pair, op.shard, &op.e) {
-			break
-		}
-		g.pendingOps = g.pendingOps[1:]
-	}
-	if len(g.pendingOps) > 0 {
-		g.noteBackpressure()
-	}
+	g.backlog.Drain()
 	g.wakeStalled()
 	// One amortized OnReady per poller covers every socket that became
 	// ready in this batch — the wakeup coalescing the rpc experiment
 	// measures.
 	g.deliverWakeups()
-	// The pump produced jobs (credits, retried ops); deliver any
-	// partial doorbell batch before going idle. Credits ride the
-	// receiving socket's own shard, which may differ from the pumped
-	// one, so every shard's job ring flushes.
-	for i := range pair.Shards {
-		pair.Shards[i].VMJob.Flush()
-	}
 }
 
 // wakeStalled revisits write-stalled sockets in stall order once per
@@ -1103,15 +1049,10 @@ func (g *GuestLib) handleCompletion(pair *nkchan.Pair, e *nqe.Element) {
 		}
 		g.latency.socketRTT.Observe(uint64(g.cfg.Clock.Now().Sub(s.sockStart)))
 		// The CoreEngine installed the fd↔cID mapping: deferred control
-		// operations may flow. A full job queue reroutes them through
-		// the retry backlog rather than dropping them.
+		// operations may flow.
 		s.ready = true
 		for i := range s.deferred {
-			op := s.deferred[i]
-			if len(g.pendingOps) > 0 || !g.push(s.pair, s.shard, &op) {
-				g.pendingOps = append(g.pendingOps, pendingOp{pair: s.pair, shard: s.shard, e: op})
-				g.noteBackpressure()
-			}
+			g.post(s.pair, s.shard, &s.deferred[i])
 		}
 		s.deferred = nil
 	case nqe.OpPollCtl:

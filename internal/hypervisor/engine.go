@@ -17,19 +17,15 @@ import (
 // EngineConfig shapes the CoreEngine's cost model.
 type EngineConfig struct {
 	// NotifyLatency is the engine's own wakeup latency per batched
-	// interrupt (added to the NSM form's doorbell latency). Default
+	// interrupt (added to the NSM form's notify latency). Default
 	// 1 µs.
 	NotifyLatency time.Duration
 	// NqeCopyCost is the per-element queue-to-queue copy cost; §4.2
 	// measures ~12 ns on the prototype (and bench_test.go reproduces
 	// it on real memory). Default 12 ns.
 	NqeCopyCost time.Duration
-	// MappingGrace is how long a closed connection's fd↔cID entry
-	// survives after its conn-closed event, so a straggling OpClose
-	// from the guest still translates. Default 2 s.
-	MappingGrace time.Duration
 	// Batch caps how many nqes one pump drains per ring span. Larger
-	// batches amortize doorbells and atomic publication over more
+	// batches amortize kicks and atomic publication over more
 	// elements (§3.2 "batched interrupts"); the queue itself bounds
 	// worst-case latency. Default 64.
 	Batch int
@@ -38,15 +34,17 @@ type EngineConfig struct {
 	Tracer *telemetry.Tracer
 }
 
+// mappingGrace is how long a closed connection's fd↔cID entry survives
+// after its conn-closed event, so a straggling OpClose from the guest
+// still translates.
+const mappingGrace = 2 * time.Second
+
 func (c *EngineConfig) fillDefaults() {
 	if c.NotifyLatency <= 0 {
 		c.NotifyLatency = time.Microsecond
 	}
 	if c.NqeCopyCost <= 0 {
 		c.NqeCopyCost = 12 * time.Nanosecond
-	}
-	if c.MappingGrace <= 0 {
-		c.MappingGrace = 2 * time.Second
 	}
 	if c.Batch <= 0 {
 		c.Batch = 64
@@ -119,7 +117,7 @@ func (ce *CoreEngine) CheckFlowAffinity() error {
 //
 // With a sharded channel the engine runs one logical pump per shard
 // (the journal version's multi-queue NSM): each shard owns a slice of
-// the mapping table and its own stall buffers, and a flow's elements
+// the mapping table and its own backlogs, and a flow's elements
 // only ever ride the shard its RSS hash pinned it to. All pumps
 // execute on the simulation loop; same-instant pumps run in kick
 // order, which producers issue in ascending shard order, keeping runs
@@ -130,7 +128,7 @@ type CoreEngine struct {
 	pairs []*enginePair
 	stats EngineStats
 	// grace holds the mapping retirements of closed connections: every
-	// one waits cfg.MappingGrace, so they come due in closing order and
+	// one waits mappingGrace, so they come due in closing order and
 	// share one event-loop entry.
 	grace sim.Lane
 }
@@ -172,7 +170,7 @@ type enginePair struct {
 }
 
 // pairShard is one shard's pump state: its rings, its slice of the
-// fd↔cID mapping table, and its stall buffers. The mutex guards the
+// fd↔cID mapping table, and its backlogs. The mutex guards the
 // maps for management-plane readers (Mappings, CheckFlowAffinity);
 // all mutation happens on the loop goroutine.
 type pairShard struct {
@@ -190,9 +188,13 @@ type pairShard struct {
 	// vmPump and nsmPump run pumpVM and pumpNSM one notify latency
 	// after a kick; a kick while one is pending coalesces into it.
 	vmPump, nsmPump sim.Timer
-	// stalled holds elements that could not be pushed to a full queue.
-	stalledToNSM []nqe.Element
-	stalledToVM  []stalledOut
+	// toNSM and toVM park translated elements whose ring was full; the
+	// next pump in that direction retries them ahead of new work.
+	toNSM, toVM nkqueue.Backlog
+	// rejected counts the bad jobs the current pumpVM answered itself:
+	// their error completions sit in the VM's completion ring, so the
+	// pump's follow-up owes the VM a kick as well.
+	rejected uint64
 }
 
 // graceDone is a pairShard as the handler of a closed connection's
@@ -207,13 +209,48 @@ func (g *graceDone) HandleFrame(_ []byte, arg uint64) {
 	sh.mu.Unlock()
 }
 
-type stalledOut struct {
-	e          nqe.Element
-	completion bool
+// vmPumped and nsmPumped are a pairShard as the handler of a pump's
+// follow-up, one notify latency plus the copy cost after the pump: the
+// consumer of the rings the pump filled is kicked, and a pump that left
+// elements parked runs again once that consumer has drained. Two
+// follow-ups of one pump may be outstanding, so they are plain loop
+// events, not a timer.
+type vmPumped pairShard
+
+func (p *vmPumped) HandleFrame(_ []byte, rejected uint64) {
+	sh := (*pairShard)(p)
+	ch := sh.ep.ch
+	if ch.KickNSM != nil {
+		ch.KickNSM(sh.idx)
+	}
+	if rejected > 0 && ch.KickVM != nil {
+		ch.KickVM(sh.idx)
+	}
+	if sh.toNSM.Len() > 0 {
+		sh.kickVM()
+	}
+}
+
+type nsmPumped pairShard
+
+func (p *nsmPumped) HandleFrame([]byte, uint64) {
+	sh := (*pairShard)(p)
+	ch := sh.ep.ch
+	if ch.KickVM != nil {
+		ch.KickVM(sh.idx)
+	}
+	// Draining the NSM-side rings may have unblocked parked ServiceLib
+	// emissions; give it a chance to refill.
+	if ch.KickNSM != nil {
+		ch.KickNSM(sh.idx)
+	}
+	if sh.toVM.Len() > 0 {
+		sh.kickNSM()
+	}
 }
 
 // Attach registers a channel with the engine. notifyExtra is the NSM
-// form's doorbell latency; readyAt gates service until the NSM boots.
+// form's notification latency; readyAt gates service until the NSM boots.
 // fdBase seeds the accepted-connection descriptor range; a VM attached
 // to several NSM replicas gives each a disjoint base.
 func (ce *CoreEngine) Attach(ch *nkchan.Pair, vmID, nsmID uint32, notifyExtra time.Duration, readyAt sim.Time, fdBase int32) {
@@ -238,18 +275,9 @@ func (ce *CoreEngine) Attach(ch *nkchan.Pair, vmID, nsmID uint32, notifyExtra ti
 		sh.nsmPump.Init(ce.clock, sh.pumpNSM)
 		ep.shards = append(ep.shards, sh)
 	}
-	ch.KickEngineVM = func(shard int) { ep.shard(shard).kickVM() }
-	ch.KickEngineNSM = func(shard int) { ep.shard(shard).kickNSM() }
+	ch.KickEngineVM = func(shard int) { ep.shards[ch.ShardIndex(shard)].kickVM() }
+	ch.KickEngineNSM = func(shard int) { ep.shards[ch.ShardIndex(shard)].kickNSM() }
 	ce.pairs = append(ce.pairs, ep)
-}
-
-// shard clamps an index to the attached shard set (bad indices fold to
-// shard 0 rather than panicking the loop).
-func (ep *enginePair) shard(i int) *pairShard {
-	if i < 0 || i >= len(ep.shards) {
-		i = 0
-	}
-	return ep.shards[i]
 }
 
 // delay returns how long until the pair may pump: the notify latency,
@@ -294,26 +322,18 @@ func (sh *pairShard) gated(rekick func()) bool {
 // slice of the mapping table. Each span pops with one atomic add,
 // translates in place (per element — the mapping table must be
 // consulted — but touching only the header fields translation needs,
-// not a full decode/encode), transfers contiguous runs with PushSpan,
-// and rings the NSM doorbell once.
+// not a full decode/encode) and transfers contiguous runs with
+// PushSpan; the follow-up kicks the NSM once.
 func (sh *pairShard) pumpVM() {
 	if sh.gated(sh.kickVM) {
 		return
 	}
 	ep := sh.ep
 	ce := ep.engine
-	count := 0
 
-	// Retry previously stalled elements first to preserve order.
-	for len(sh.stalledToNSM) > 0 {
-		e := sh.stalledToNSM[0]
-		if !sh.rings.NSMJob.Push(&e) {
-			break
-		}
-		sh.stalledToNSM = sh.stalledToNSM[1:]
-		count++
-	}
-	for len(sh.stalledToNSM) == 0 {
+	// Parked elements go first, to preserve order.
+	count := sh.toNSM.Drain()
+	for sh.toNSM.Len() == 0 {
 		span, n := sh.rings.VMJob.FrontSpan(ce.cfg.Batch)
 		if n == 0 {
 			break
@@ -321,36 +341,41 @@ func (sh *pairShard) pumpVM() {
 		handled, moved := sh.translateSpanToNSM(span, n)
 		count += moved
 		sh.rings.VMJob.ReleaseSpan(handled)
-		if len(sh.stalledToNSM) > 0 || handled < n {
-			break // destination full: the rest waits for the next pump
-		}
 	}
 
-	if count > 0 || len(sh.stalledToNSM) > 0 {
+	if count > 0 || sh.toNSM.Len() > 0 || sh.rejected > 0 {
 		ce.stats.NqesVMToNSM += uint64(count)
 		cost := time.Duration(count) * ce.cfg.NqeCopyCost
-		ce.clock.AfterFunc(ep.notify+cost, func() {
-			if ep.ch.KickNSM != nil {
-				ep.ch.KickNSM(sh.idx)
-			}
-			// Stalled elements need another pump once the NSM drains.
-			if len(sh.stalledToNSM) > 0 {
-				sh.kickVM()
-			}
-		})
+		ce.clock.AfterFrame(ep.notify+cost, (*vmPumped)(sh), nil, sh.rejected)
+		sh.rejected = 0
 	}
+}
+
+// parkSpan sends the translated slots span[from:to) that a full ring
+// refused through the backlog, and returns how many reached the ring
+// after all (an injected stall refuses a span with room to spare).
+func parkSpan(b *nkqueue.Backlog, dst nkqueue.Q, span []byte, from, to int) int {
+	moved := 0
+	for j := from; j < to; j++ {
+		var e nqe.Element
+		e.Decode(span[j*nqe.Size:])
+		if b.Push(dst, &e) {
+			moved++
+		}
+	}
+	return moved
 }
 
 // translateSpanToNSM validates and translates one popped span in place,
 // pushing contiguous runs of surviving slots into the NSM job queue.
 // It returns how many slots of the span were fully handled (pushed,
-// dropped, or stalled) and how many were pushed. When the NSM job queue
-// fills mid-run, the already-translated remainder of the run is decoded
-// into stalledToNSM so nothing is lost or reordered.
+// dropped, or parked) and how many were pushed. When the NSM job queue
+// fills mid-run, the already-translated remainder of the run parks in
+// toNSM so nothing is lost or reordered.
 func (sh *pairShard) translateSpanToNSM(span []byte, n int) (handled, moved int) {
 	ce := sh.ep.engine
 	i := 0
-	for i < n {
+	for i < n && sh.toNSM.Len() == 0 {
 		// Grow a contiguous run of translatable slots.
 		runStart := i
 		for i < n {
@@ -365,18 +390,8 @@ func (sh *pairShard) translateSpanToNSM(span []byte, n int) (handled, moved int)
 			i++
 		}
 		if i > runStart {
-			run := span[runStart*nqe.Size : i*nqe.Size]
-			got := sh.rings.NSMJob.PushSpan(run)
-			moved += got
-			if got < i-runStart {
-				// NSM job queue full: stall the translated remainder.
-				for j := runStart + got; j < i; j++ {
-					var e nqe.Element
-					e.Decode(span[j*nqe.Size:])
-					sh.stalledToNSM = append(sh.stalledToNSM, e)
-				}
-				return i, moved
-			}
+			got := sh.rings.NSMJob.PushSpan(span[runStart*nqe.Size : i*nqe.Size])
+			moved += got + parkSpan(&sh.toNSM, sh.rings.NSMJob, span, runStart+got, i)
 		}
 		if i < n {
 			i++ // skip the dropped slot
@@ -411,11 +426,15 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 			// transfer. Any real chunk behind a bogus send stays charged
 			// to the misbehaving guest's own credit.
 			ce.stats.BadElements++
-			sh.pushToVM(nqe.Element{
+			if sh.toVM.Push(sh.rings.VMCompletion, &nqe.Element{
 				Op: s.Op(), FD: s.FD(), Seq: s.Seq(), VMID: ep.vmID,
 				Source: nqe.FromCore, Status: nqe.StatusInvalid,
 				Flags: nqe.FlagCompletion,
-			}, true)
+			}) {
+				sh.rejected++
+			} else {
+				sh.kickNSM() // parked: pumpNSM delivers it and wakes the VM
+			}
 			return false
 		}
 		s.SetCID(cid)
@@ -436,53 +455,32 @@ func (sh *pairShard) pumpNSM() {
 	}
 	ep := sh.ep
 	ce := ep.engine
-	count := 0
 
-	for len(sh.stalledToVM) > 0 {
-		s := sh.stalledToVM[0]
-		if !sh.pushToVM(s.e, s.completion) {
-			break
-		}
-		sh.stalledToVM = sh.stalledToVM[1:]
-		count++
-	}
+	count := sh.toVM.Drain()
+	count += sh.drainNSMQueue(sh.rings.NSMCompletion, sh.rings.VMCompletion)
+	count += sh.drainNSMQueue(sh.rings.NSMReceive, sh.rings.VMReceive)
 
-	count += sh.drainNSMQueue(sh.rings.NSMCompletion, sh.rings.VMCompletion, true)
-	count += sh.drainNSMQueue(sh.rings.NSMReceive, sh.rings.VMReceive, false)
-
-	if count > 0 || len(sh.stalledToVM) > 0 {
+	if count > 0 || sh.toVM.Len() > 0 {
 		ce.stats.NqesNSMToVM += uint64(count)
 		cost := time.Duration(count) * ce.cfg.NqeCopyCost
-		ce.clock.AfterFunc(ep.notify+cost, func() {
-			if ep.ch.KickVM != nil {
-				ep.ch.KickVM(sh.idx)
-			}
-			// Draining the NSM-side rings may have unblocked stalled
-			// ServiceLib emissions; give it a chance to refill.
-			if ep.ch.KickNSM != nil {
-				ep.ch.KickNSM(sh.idx)
-			}
-			if len(sh.stalledToVM) > 0 {
-				sh.kickNSM()
-			}
-		})
+		ce.clock.AfterFrame(ep.notify+cost, (*nsmPumped)(sh), nil, 0)
 	}
 }
 
 // drainNSMQueue moves batches from one NSM-side output queue to its
 // VM-side peer, translating in place, and returns how many elements
-// moved. It stops (leaving work queued or stalled) when the VM-side
+// moved. It stops (leaving work queued or parked) when the VM-side
 // queue fills.
-func (sh *pairShard) drainNSMQueue(src, dst nkqueue.Q, completion bool) int {
+func (sh *pairShard) drainNSMQueue(src, dst nkqueue.Q) int {
 	ce := sh.ep.engine
 	moved := 0
-	for len(sh.stalledToVM) == 0 {
+	for sh.toVM.Len() == 0 {
 		span, n := src.FrontSpan(ce.cfg.Batch)
 		if n == 0 {
 			break
 		}
 		handled := 0
-		for handled < n && len(sh.stalledToVM) == 0 {
+		for handled < n && sh.toVM.Len() == 0 {
 			// Grow a contiguous run of translatable slots.
 			runStart := handled
 			for handled < n {
@@ -493,26 +491,13 @@ func (sh *pairShard) drainNSMQueue(src, dst nkqueue.Q, completion bool) int {
 				handled++
 			}
 			if handled > runStart {
-				run := span[runStart*nqe.Size : handled*nqe.Size]
-				got := dst.PushSpan(run)
-				moved += got
-				if got < handled-runStart {
-					// VM-side queue full: stall the translated remainder.
-					for j := runStart + got; j < handled; j++ {
-						var e nqe.Element
-						e.Decode(span[j*nqe.Size:])
-						sh.stalledToVM = append(sh.stalledToVM, stalledOut{e, completion})
-					}
-					break
-				}
+				got := dst.PushSpan(span[runStart*nqe.Size : handled*nqe.Size])
+				moved += got + parkSpan(&sh.toVM, dst, span, runStart+got, handled)
 			} else if handled < n {
 				handled++ // skip the dropped slot
 			}
 		}
 		src.ReleaseSpan(handled)
-		if handled < n || len(sh.stalledToVM) > 0 {
-			break
-		}
 	}
 	return moved
 }
@@ -577,7 +562,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		// The connection is gone: retire its mapping after a grace
 		// period (a straggling OpClose from the guest must still
 		// translate), so long-lived pairs do not accumulate entries.
-		ce.grace.AfterFrame(ce.cfg.MappingGrace, (*graceDone)(sh), nil, uint64(uint32(fd))<<32|uint64(s.CID()))
+		ce.grace.AfterFrame(mappingGrace, (*graceDone)(sh), nil, uint64(uint32(fd))<<32|uint64(s.CID()))
 	case nqe.OpNewConn:
 		// A new accepted flow: mint a descriptor for the VM and map it
 		// to the NSM's new cID (carried in Arg1). The event rides the
@@ -669,8 +654,8 @@ func (sh *pairShard) translateReady(s nqe.Slot) bool {
 // FreezeNSM gates pumping on every channel served by nsmID until
 // `until`: kicks issued from now on stretch to the gate, and pumps
 // already scheduled re-queue themselves when they fire inside the
-// window. Unlike ResetNSM nothing is discarded — ring contents, stall
-// buffers, mapping tables, and pending socket jobs all survive. This
+// window. Unlike ResetNSM nothing is discarded — ring contents,
+// backlogs, mapping tables, and pending socket jobs all survive. This
 // is the quiesce step of a live migration: the guest keeps producing
 // into its rings and observes only a bounded stall. Returns the number
 // of channels frozen.
@@ -687,7 +672,7 @@ func (ce *CoreEngine) FreezeNSM(nsmID uint32, until sim.Time) int {
 
 // RebindNSM retargets every channel served by oldID onto newID and
 // resumes pumping at resumeAt. The fd↔cID tables, the descriptor
-// allocator, stall buffers, and queued elements survive verbatim: the
+// allocator, backlogs, and queued elements survive verbatim: the
 // mapping relation is an invariant of the guest-visible sockets, not
 // of the serving module, and the migration protocol reconstructs the
 // same cIDs on the successor. This is the commit point of a migration
@@ -741,6 +726,8 @@ func (ep *enginePair) reset(readyAt sim.Time) {
 	for _, sh := range ep.shards {
 		sh.reset()
 	}
+	// Wake the guest to process the notifications now — the boot gate
+	// only holds back queue pumping, not crash reporting.
 	ce.clock.AfterFunc(ep.notify, func() {
 		if ep.ch.KickVM != nil {
 			for _, sh := range ep.shards {
@@ -761,16 +748,8 @@ func (sh *pairShard) reset() {
 	sh.discardQueue(sh.rings.NSMCompletion)
 	sh.discardQueue(sh.rings.NSMReceive)
 	sh.discardQueue(sh.rings.NSMJob)
-	for i := range sh.stalledToNSM {
-		sh.freeChunk(&sh.stalledToNSM[i])
-	}
-	ce.stats.DiscardedElements += uint64(len(sh.stalledToNSM))
-	sh.stalledToNSM = nil
-	for i := range sh.stalledToVM {
-		sh.freeChunk(&sh.stalledToVM[i].e)
-	}
-	ce.stats.DiscardedElements += uint64(len(sh.stalledToVM))
-	sh.stalledToVM = nil
+	sh.toNSM.Discard(sh.discard)
+	sh.toVM.Discard(sh.discard)
 
 	// Socket jobs already forwarded will never complete: answer them
 	// with error completions so the guest's deferred operations fail
@@ -798,31 +777,21 @@ func (sh *pairShard) reset() {
 	sh.mu.Unlock()
 
 	for _, seq := range seqs {
-		sh.deliverOrStall(nqe.Element{
-			Op: nqe.OpSocket, FD: pending[seq], Seq: seq,
+		sh.toVM.Push(sh.rings.VMCompletion, &nqe.Element{
+			Op: nqe.OpSocket, FD: pending[seq], Seq: seq, VMID: ep.vmID,
 			Source: nqe.FromCore, Status: nqe.StatusConnReset,
 			Flags: nqe.FlagCompletion,
-		}, true)
+		})
 	}
 	for _, fd := range fds {
-		sh.deliverOrStall(nqe.Element{
-			Op: nqe.OpConnClosed, FD: fd,
+		sh.toVM.Push(sh.rings.VMReceive, &nqe.Element{
+			Op: nqe.OpConnClosed, FD: fd, VMID: ep.vmID,
 			Source: nqe.FromCore, Status: nqe.StatusConnReset,
-		}, false)
+		})
 	}
 	ce.stats.ResetConns += uint64(len(fds))
-
-	// Wake the guest to process the notifications now — the boot gate
-	// only holds back queue pumping, not crash reporting.
-	sh.rings.VMCompletion.Flush()
-	sh.rings.VMReceive.Flush()
-}
-
-// deliverOrStall pushes a reset notification to the VM, parking it in
-// the stalled buffer when the queue is full (pumpNSM retries it).
-func (sh *pairShard) deliverOrStall(e nqe.Element, completion bool) {
-	if len(sh.stalledToVM) > 0 || !sh.pushToVM(e, completion) {
-		sh.stalledToVM = append(sh.stalledToVM, stalledOut{e, completion})
+	// Notifications the rings had no room for wait for pumpNSM.
+	if sh.toVM.Len() > 0 {
 		sh.kickNSM()
 	}
 }
@@ -832,18 +801,19 @@ func (sh *pairShard) deliverOrStall(e nqe.Element, completion bool) {
 func (sh *pairShard) discardQueue(q nkqueue.Q) {
 	var e nqe.Element
 	for q.Pop(&e) {
-		sh.freeChunk(&e)
-		sh.ep.engine.stats.DiscardedElements++
+		sh.discard(&e)
 	}
 }
 
-// freeChunk returns an element's data chunk to the pair's pool. Chunk
-// ownership travels with the data direction: a VM-sourced OpSend job
-// owns its chunk until the NSM consumes it, and an NSM-sourced
-// OpNewData event owns its chunk until the guest copies it out. An
-// OpSend *completion* (NSM-sourced) echoes DataLen but its chunk was
-// already freed when the module consumed the data.
-func (sh *pairShard) freeChunk(e *nqe.Element) {
+// discard drops an in-flight element of a crashed module, returning its
+// data chunk to the pair's pool. Chunk ownership travels with the data
+// direction: a VM-sourced OpSend job owns its chunk until the NSM
+// consumes it, and an NSM-sourced OpNewData event owns its chunk until
+// the guest copies it out. An OpSend *completion* (NSM-sourced) echoes
+// DataLen but its chunk was already freed when the module consumed the
+// data.
+func (sh *pairShard) discard(e *nqe.Element) {
+	sh.ep.engine.stats.DiscardedElements++
 	owns := (e.Op == nqe.OpSend && e.Source == nqe.FromVM) ||
 		(e.Op == nqe.OpNewData && e.Source == nqe.FromNSM) ||
 		(e.Op == nqe.OpReady && e.Source == nqe.FromNSM)
@@ -852,12 +822,4 @@ func (sh *pairShard) freeChunk(e *nqe.Element) {
 	}
 	// A discarded element's span will never complete; abandon it.
 	sh.ep.engine.cfg.Tracer.Drop(e.Trace)
-}
-
-func (sh *pairShard) pushToVM(e nqe.Element, completion bool) bool {
-	e.VMID = sh.ep.vmID
-	if completion {
-		return sh.rings.VMCompletion.Push(&e)
-	}
-	return sh.rings.VMReceive.Push(&e)
 }

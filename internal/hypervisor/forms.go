@@ -40,7 +40,7 @@ func (f NSMForm) String() string {
 type FormProfile struct {
 	// BootTime is how long after CreateVM the NSM serves its queues.
 	BootTime time.Duration
-	// NotifyLatency is the one-way doorbell latency between the
+	// NotifyLatency is the one-way notification latency between the
 	// guest/NSM and the CoreEngine.
 	NotifyLatency time.Duration
 	// MemoryMB is the module's resident footprint.

@@ -64,11 +64,6 @@ type HostConfig struct {
 	// MaskBits is the on-link prefix length (default 8: one flat
 	// 10/8 fabric, everything on-link).
 	MaskBits int
-	// StallRecovery, when positive, arms retry timers in GuestLib and
-	// ServiceLib so fault-injected queue stalls can delay work but
-	// never wedge it. Zero (the default) keeps the pipeline purely
-	// kick-driven; only fault-injection harnesses set it.
-	StallRecovery time.Duration
 	// Metrics, when set, is the registry every component on this host
 	// publishes into (useful to aggregate several hosts); nil builds a
 	// private one, so Host.Metrics is never nil.
@@ -181,8 +176,8 @@ func (h *Host) registerHostMetrics() {
 }
 
 // registerPairMetrics publishes one VM↔NSM channel's ring occupancy,
-// push/pop accounting, doorbell activity, and huge-page pool state
-// under "vm<id>.r<replica>.".
+// push/pop accounting, and huge-page pool state under
+// "vm<id>.r<replica>.".
 func (h *Host) registerPairMetrics(vmID uint32, replica int, pair *nkchan.Pair) {
 	scope := h.Metrics.Scope(fmt.Sprintf("vm%d.r%d.", vmID, replica))
 	pair.EnsureShards()
@@ -208,9 +203,6 @@ func (h *Host) registerPairMetrics(vmID uint32, replica int, pair *nkchan.Pair) 
 			qs.GaugeFunc("depth", func() int64 { return int64(q.Len()) })
 			qs.GaugeFunc("pushed", func() int64 { return int64(q.Pushed()) })
 			qs.GaugeFunc("popped", func() int64 { return int64(q.Popped()) })
-			db := q.Doorbell()
-			qs.GaugeFunc("doorbell_rings", func() int64 { return int64(db.Stats().Rings) })
-			qs.GaugeFunc("doorbell_wakeups", func() int64 { return int64(db.Stats().Wakeups) })
 		}
 	}
 	pages := pair.Pages
@@ -559,16 +551,15 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 				shaper = sched.NewTokenBucket(h.clock, cfg.NSM.RateLimitBps/8, 0)
 			}
 			svc := servicelib.New(servicelib.Config{
-				Clock:         h.clock,
-				NSMID:         nsm.ID,
-				Pair:          pair,
-				Stack:         nsm.Stack,
-				CC:            nsm.CC,
-				Shaper:        shaper,
-				RecvWindow:    h.cfg.ShmWindow,
-				StallRecovery: h.cfg.StallRecovery,
-				Metrics:       h.Metrics.Scope(fmt.Sprintf("vm%d.r%d.svc.", vm.ID, r)),
-				Tracer:        h.Tracer,
+				Clock:      h.clock,
+				NSMID:      nsm.ID,
+				Pair:       pair,
+				Stack:      nsm.Stack,
+				CC:         nsm.CC,
+				Shaper:     shaper,
+				RecvWindow: h.cfg.ShmWindow,
+				Metrics:    h.Metrics.Scope(fmt.Sprintf("vm%d.r%d.svc.", vm.ID, r)),
+				Tracer:     h.Tracer,
 			})
 			h.registerPairMetrics(vm.ID, r, pair)
 			nsm.Services = append(nsm.Services, svc)
@@ -581,13 +572,12 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 			pairs = append(pairs, pair)
 		}
 		vm.Guest = guestlib.New(guestlib.Config{
-			Clock:         h.clock,
-			VMID:          vm.ID,
-			Pairs:         pairs,
-			SendCredit:    credit,
-			StallRecovery: h.cfg.StallRecovery,
-			Metrics:       h.Metrics.Scope(fmt.Sprintf("vm%d.guest.", vm.ID)),
-			Tracer:        h.Tracer,
+			Clock:      h.clock,
+			VMID:       vm.ID,
+			Pairs:      pairs,
+			SendCredit: credit,
+			Metrics:    h.Metrics.Scope(fmt.Sprintf("vm%d.guest.", vm.ID)),
+			Tracer:     h.Tracer,
 		})
 
 	default:

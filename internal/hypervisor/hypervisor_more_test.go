@@ -60,8 +60,8 @@ func bulkThrough(c *cluster, vma, vmb *VM, port uint16, size int, deadline time.
 	return got.Len()
 }
 
-// Tiny rings force the CoreEngine's stall/retry machinery (stalledToNSM
-// and stalledToVM) onto the hot path; the transfer must still complete
+// Tiny rings force the CoreEngine's stall/retry machinery (the toNSM
+// and toVM backlogs) onto the hot path; the transfer must still complete
 // losslessly.
 func TestEngineBackpressureWithTinyRings(t *testing.T) {
 	c := newCluster(t, func(cfg *HostConfig) {

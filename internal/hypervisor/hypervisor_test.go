@@ -361,7 +361,6 @@ func TestSRIOVBypass(t *testing.T) {
 func TestEngineRejectsUnknownFD(t *testing.T) {
 	c := newCluster(t, nil)
 	vma, _ := c.h1.CreateVM(VMConfig{Name: "a", IP: ipVMA, Mode: ModeNetKernel, NSM: moduleNSM("cubic")})
-	_ = vma
 	c.loop.RunFor(50 * time.Millisecond)
 
 	// A buggy or malicious guest writes a job for a descriptor the
@@ -375,6 +374,11 @@ func TestEngineRejectsUnknownFD(t *testing.T) {
 	c.loop.RunFor(50 * time.Millisecond)
 	if c.h1.Engine.Stats().BadElements == 0 {
 		t.Fatal("engine accepted an unmapped fd")
+	}
+	// The engine put that completion into the VM's ring itself, so the
+	// wake is the engine's to deliver too.
+	if got := vma.Guest.Stats().Completions; got != 1 {
+		t.Fatalf("guest drained %d completions, want the one error completion", got)
 	}
 }
 

@@ -29,14 +29,12 @@ type Config struct {
 	// queue channel of the conference paper). The huge-page region is
 	// shared across shards; ring sets are not.
 	Shards int
-	// SmallPages is the page count of the short-flow size class carved
-	// above the bulk region (DESIGN.md §11). Default 1; negative
-	// disables the class. Bulk chunk offsets are unaffected either way.
-	SmallPages int
-	// SmallChunkSize is the short-flow chunk granularity (default
-	// shm.DefaultSmallChunkSize).
-	SmallChunkSize int
 }
+
+// smallPages is the page count of the short-flow size class carved
+// above the bulk region (DESIGN.md §11); its chunks are
+// shm.DefaultSmallChunkSize bytes. Bulk chunk offsets are unaffected.
+const smallPages = 1
 
 func (c *Config) fillDefaults() {
 	if c.HugePages <= 0 {
@@ -47,15 +45,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.SmallPages == 0 {
-		c.SmallPages = 1
-	}
-	if c.SmallPages < 0 {
-		c.SmallPages = 0
-	}
-	if c.SmallChunkSize <= 0 {
-		c.SmallChunkSize = shm.DefaultSmallChunkSize
 	}
 }
 
@@ -94,11 +83,11 @@ type Pair struct {
 	// already sharded, and AllocOn gives each flow shard affinity.
 	Pages *shm.HugePages
 
-	// Kicks are notification hooks wired by the owners, one doorbell
-	// per shard. Each models a batched interrupt in the paper's design
-	// (§3.2): a producer pushes a whole batch to one shard's ring,
-	// then kicks that shard once, and the consumer drains the ring in
-	// spans rather than taking one interrupt per nqe.
+	// Kicks are the notification hooks wired by the owners, the
+	// channel's only wake path. Each models a batched interrupt in the
+	// paper's design (§3.2): a producer pushes a whole batch to one
+	// shard's ring, then kicks that shard once, and the consumer drains
+	// the ring in spans rather than taking one interrupt per nqe.
 	KickEngineVM  func(shard int) // GuestLib → CoreEngine: VM job queue has work
 	KickEngineNSM func(shard int) // ServiceLib → CoreEngine: NSM completion/receive queues have work
 	KickNSM       func(shard int) // CoreEngine → ServiceLib: NSM job queue has work
@@ -108,7 +97,7 @@ type Pair struct {
 // NewPair allocates the queues and data region.
 func NewPair(cfg Config) (*Pair, error) {
 	cfg.fillDefaults()
-	pages, err := shm.NewHugePagesSized(cfg.HugePages, cfg.ChunkSize, cfg.SmallPages, cfg.SmallChunkSize)
+	pages, err := shm.NewHugePagesSized(cfg.HugePages, cfg.ChunkSize, smallPages, shm.DefaultSmallChunkSize)
 	if err != nil {
 		return nil, err
 	}
@@ -152,26 +141,19 @@ func (p *Pair) NumShards() int {
 	return len(p.Shards)
 }
 
+// ShardIndex folds an out-of-range shard index to shard 0, so a bad
+// index degrades to the single-queue channel instead of panicking the
+// loop. Call it after EnsureShards.
+func (p *Pair) ShardIndex(i int) int {
+	if i < 0 || i >= len(p.Shards) {
+		return 0
+	}
+	return i
+}
+
 // ChunkSize returns the bulk data-chunk granularity.
 func (p *Pair) ChunkSize() int { return p.Pages.ChunkSize() }
 
 // SmallChunkSize returns the short-flow chunk granularity, 0 when the
 // pair's region has no small class.
 func (p *Pair) SmallChunkSize() int { return p.Pages.SmallChunkSize() }
-
-// FlushDoorbells delivers any coalesced doorbell wakeups still pending
-// on every shard's rings. Producers call it when a burst ends with a
-// partial batch, so BatchedInterrupt mode never strands the tail of a
-// transfer waiting for a batch that will not fill.
-func (p *Pair) FlushDoorbells() {
-	p.EnsureShards()
-	for i := range p.Shards {
-		r := &p.Shards[i]
-		for _, q := range []nkqueue.Q{
-			r.VMJob, r.VMCompletion, r.VMReceive,
-			r.NSMJob, r.NSMCompletion, r.NSMReceive,
-		} {
-			q.Flush()
-		}
-	}
-}

@@ -27,8 +27,7 @@ type Q interface {
 	// Push enqueues an element, reporting false when the queue is full.
 	Push(e *nqe.Element) bool
 	// PushBatch enqueues a prefix of es, stopping at the first element
-	// that does not fit, and returns how many were enqueued. The
-	// doorbell rings at most once for the whole batch.
+	// that does not fit, and returns how many were enqueued.
 	PushBatch(es []nqe.Element) int
 	// Pop dequeues into e, reporting false when the queue is empty.
 	Pop(e *nqe.Element) bool
@@ -46,7 +45,7 @@ type Q interface {
 	ReleaseSpan(n int)
 	// PushSpan enqueues raw already-encoded slots (len(span) must be a
 	// multiple of nqe.Size), stopping when full, and returns how many
-	// slots were enqueued. The doorbell rings at most once.
+	// slots were enqueued.
 	PushSpan(span []byte) int
 	// Len returns the number of queued elements.
 	Len() int
@@ -58,10 +57,6 @@ type Q interface {
 	Pushed() uint64
 	// Popped returns the total elements ever dequeued.
 	Popped() uint64
-	// Flush delivers any coalesced doorbell wakeups.
-	Flush()
-	// Doorbell returns the queue's consumer-wakeup doorbell.
-	Doorbell() *shm.Doorbell
 	// SetPushStall installs a fault hook consulted once at the top of
 	// every Push/PushBatch/PushSpan call: when it returns true the call
 	// fails as if the queue were full, exercising the producers'
@@ -73,10 +68,6 @@ type Q interface {
 type Config struct {
 	// Slots per ring; 0 means DefaultSlots. Must be a power of two.
 	Slots int
-	// Mode selects polling or batched-interrupt notification.
-	Mode shm.NotifyMode
-	// Batch is the interrupt coalescing factor in BatchedInterrupt mode.
-	Batch int
 	// Priority splits each queue into connection-event and data-event
 	// rings (§3.2 head-of-line-blocking avoidance).
 	Priority bool
@@ -92,7 +83,6 @@ func (c Config) slots() int {
 // Queue is a plain single-ring queue of nqes.
 type Queue struct {
 	ring   *shm.Ring
-	db     *shm.Doorbell
 	stall  func() bool
 	pushed atomic.Uint64
 	popped atomic.Uint64
@@ -109,7 +99,7 @@ func NewQueue(cfg Config) (*Queue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nkqueue: %w", err)
 	}
-	return &Queue{ring: ring, db: shm.NewDoorbell(cfg.Mode, cfg.Batch)}, nil
+	return &Queue{ring: ring}, nil
 }
 
 // Push implements Q, encoding e directly into the ring slot (no
@@ -126,7 +116,6 @@ func (q *Queue) Push(e *nqe.Element) bool {
 	e.Encode(slot)
 	q.ring.Commit()
 	q.pushed.Add(1)
-	q.db.Ring()
 	return true
 }
 
@@ -144,7 +133,7 @@ func (q *Queue) Pop(e *nqe.Element) bool {
 
 // PushBatch implements Q: each span of contiguous free slots is
 // reserved once, filled by direct encoding, and published with one
-// atomic add; the doorbell rings once for the whole batch.
+// atomic add.
 func (q *Queue) PushBatch(es []nqe.Element) int {
 	if q.stalled() {
 		return 0
@@ -163,7 +152,6 @@ func (q *Queue) PushBatch(es []nqe.Element) int {
 	}
 	if pushed > 0 {
 		q.pushed.Add(uint64(pushed))
-		q.db.RingN(pushed)
 	}
 	return pushed
 }
@@ -201,7 +189,7 @@ func (q *Queue) ReleaseSpan(n int) {
 }
 
 // PushSpan implements Q: whole spans of raw slots transfer with a
-// single copy per contiguous run and one doorbell ring.
+// single copy per contiguous run.
 func (q *Queue) PushSpan(span []byte) int {
 	if q.stalled() {
 		return 0
@@ -219,7 +207,6 @@ func (q *Queue) PushSpan(span []byte) int {
 	}
 	if pushed > 0 {
 		q.pushed.Add(uint64(pushed))
-		q.db.RingN(pushed)
 	}
 	return pushed
 }
@@ -233,12 +220,6 @@ func (q *Queue) Pushed() uint64 { return q.pushed.Load() }
 // Popped implements Q.
 func (q *Queue) Popped() uint64 { return q.popped.Load() }
 
-// Flush implements Q.
-func (q *Queue) Flush() { q.db.Flush() }
-
-// Doorbell implements Q.
-func (q *Queue) Doorbell() *shm.Doorbell { return q.db }
-
 // Move transfers one raw element from src to dst without decoding: the
 // CoreEngine's 64-byte slot-to-slot copy (§4.2 measures it at ~12 ns per
 // event). It reports false when src is empty or dst is full.
@@ -247,10 +228,9 @@ func Move(dst, src *Queue) bool { return MoveBatch(dst, src, 1) == 1 }
 // MoveBatch transfers up to max raw elements from src to dst without
 // decoding: the batched CoreEngine fast path. Each contiguous span
 // (split only at ring wraparound) moves with a single copy, one
-// publishing atomic add, and one releasing atomic add, and the
-// destination doorbell rings at most once for the whole batch — per-
-// batch rather than per-event operation, which is what lets a shared
-// stack serve many tenants at line rate. Returns the number moved.
+// publishing atomic add, and one releasing atomic add — per-batch
+// rather than per-event operation, which is what lets a shared stack
+// serve many tenants at line rate. Returns the number moved.
 func MoveBatch(dst, src *Queue, max int) int {
 	moved := 0
 	for moved < max {
@@ -270,181 +250,123 @@ func MoveBatch(dst, src *Queue, max int) int {
 	if moved > 0 {
 		dst.pushed.Add(uint64(moved))
 		src.popped.Add(uint64(moved))
-		dst.db.RingN(moved)
 	}
 	return moved
 }
 
-// PriorityQueue pairs a high-priority ring (connection events: socket,
-// connect, accept, close, established, …) with a low-priority ring (data
+// PriorityQueue pairs a high-priority queue (connection events: socket,
+// connect, accept, close, established, …) with a low-priority queue (data
 // events: send, recv, new-data, credits). Pop drains high before low, so
 // a burst of bulk data cannot delay connection setup.
 type PriorityQueue struct {
 	hi, lo *Queue
-	db     *shm.Doorbell
 	stall  func() bool
-	// spanFrom remembers which ring the last FrontSpan came from, so
+	// spanFrom remembers which queue the last FrontSpan came from, so
 	// ReleaseSpan frees the right slots. Consumer-side state only.
 	spanFrom *Queue
 }
 
 // SetPushStall implements Q. The hook gates pushes through the priority
-// queue itself; the internal rings are not separately stalled.
+// queue itself; the internal queues are not separately stalled.
 func (p *PriorityQueue) SetPushStall(stall func() bool) { p.stall = stall }
 
 func (p *PriorityQueue) stalled() bool { return p.stall != nil && p.stall() }
 
-// NewPriorityQueue builds the pair; each ring gets cfg.Slots slots.
+// NewPriorityQueue builds the pair; each queue gets cfg.Slots slots.
 func NewPriorityQueue(cfg Config) (*PriorityQueue, error) {
-	db := shm.NewDoorbell(cfg.Mode, cfg.Batch)
-	mk := func() (*Queue, error) {
-		ring, err := shm.NewRing(cfg.slots(), nqe.Size)
-		if err != nil {
-			return nil, fmt.Errorf("nkqueue: %w", err)
-		}
-		return &Queue{ring: ring, db: db}, nil
-	}
-	hi, err := mk()
+	hi, err := NewQueue(cfg)
 	if err != nil {
 		return nil, err
 	}
-	lo, err := mk()
+	lo, err := NewQueue(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &PriorityQueue{hi: hi, lo: lo, db: db}, nil
+	return &PriorityQueue{hi: hi, lo: lo}, nil
 }
 
-// Push routes by event class.
+// class routes by event class.
+func (p *PriorityQueue) class(op nqe.Op) *Queue {
+	if op.IsConnEvent() {
+		return p.hi
+	}
+	return p.lo
+}
+
+// Push implements Q.
 func (p *PriorityQueue) Push(e *nqe.Element) bool {
-	if p.stalled() {
-		return false
-	}
-	if e.Op.IsConnEvent() {
-		return p.hi.Push(e)
-	}
-	return p.lo.Push(e)
+	return !p.stalled() && p.class(e.Op).Push(e)
 }
 
 // PushBatch implements Q, routing each element by event class. It stops
-// at the first element that does not fit so arrival order within a ring
-// is never reordered; the shared doorbell rings once for the batch.
+// at the first element that does not fit so arrival order within a
+// class is never reordered.
 func (p *PriorityQueue) PushBatch(es []nqe.Element) int {
 	if p.stalled() {
 		return 0
 	}
-	pushed := 0
-	var toHi, toLo uint64
-	for ; pushed < len(es); pushed++ {
-		e := &es[pushed]
-		target := p.lo
-		if e.Op.IsConnEvent() {
-			target = p.hi
-		}
-		slot, ok := target.ring.Reserve()
-		if !ok {
-			break
-		}
-		e.Encode(slot)
-		target.ring.Commit()
-		if target == p.hi {
-			toHi++
-		} else {
-			toLo++
+	for i := range es {
+		if !p.class(es[i].Op).Push(&es[i]) {
+			return i
 		}
 	}
-	if pushed > 0 {
-		p.hi.pushed.Add(toHi)
-		p.lo.pushed.Add(toLo)
-		p.db.RingN(pushed)
-	}
-	return pushed
+	return len(es)
 }
 
 // Pop drains connection events before data events.
 func (p *PriorityQueue) Pop(e *nqe.Element) bool {
-	if p.hi.Pop(e) {
-		return true
-	}
-	return p.lo.Pop(e)
+	return p.hi.Pop(e) || p.lo.Pop(e)
 }
 
 // PopBatch implements Q, draining connection events before data events.
 func (p *PriorityQueue) PopBatch(dst []nqe.Element) int {
 	n := p.hi.PopBatch(dst)
-	n += p.lo.PopBatch(dst[n:])
-	return n
+	return n + p.lo.PopBatch(dst[n:])
 }
 
-// FrontSpan implements Q: the span comes from the high-priority ring
-// while it has work, then from the low-priority ring.
+// FrontSpan implements Q: the span comes from the high-priority queue
+// while it has work, then from the low-priority queue.
 func (p *PriorityQueue) FrontSpan(max int) ([]byte, int) {
-	if span, n := p.hi.ring.FrontN(max); n > 0 {
+	if span, n := p.hi.FrontSpan(max); n > 0 {
 		p.spanFrom = p.hi
 		return span, n
 	}
 	p.spanFrom = p.lo
-	return p.lo.ring.FrontN(max)
+	return p.lo.FrontSpan(max)
 }
 
 // ReleaseSpan implements Q.
 func (p *PriorityQueue) ReleaseSpan(n int) {
 	if p.spanFrom != nil {
-		p.spanFrom.ring.ReleaseN(n)
-		p.spanFrom.popped.Add(uint64(n))
+		p.spanFrom.ReleaseSpan(n)
 	}
 }
 
 // PushSpan implements Q. Raw slots still route per element (the class
 // lives in the op byte), but without any decode/encode: each 64-byte
-// record copies straight into its ring, and the doorbell rings once.
+// record copies straight into its queue.
 func (p *PriorityQueue) PushSpan(span []byte) int {
 	if p.stalled() {
 		return 0
 	}
 	total := len(span) / nqe.Size
-	pushed := 0
-	var toHi, toLo uint64
-	for ; pushed < total; pushed++ {
-		rec := span[pushed*nqe.Size : (pushed+1)*nqe.Size]
-		target := p.lo
-		if nqe.Slot(rec).Op().IsConnEvent() {
-			target = p.hi
-		}
-		slot, ok := target.ring.Reserve()
-		if !ok {
-			break
-		}
-		copy(slot, rec)
-		target.ring.Commit()
-		if target == p.hi {
-			toHi++
-		} else {
-			toLo++
+	for i := 0; i < total; i++ {
+		rec := span[i*nqe.Size : (i+1)*nqe.Size]
+		if p.class(nqe.Slot(rec).Op()).PushSpan(rec) == 0 {
+			return i
 		}
 	}
-	if pushed > 0 {
-		p.hi.pushed.Add(toHi)
-		p.lo.pushed.Add(toLo)
-		p.db.RingN(pushed)
-	}
-	return pushed
+	return total
 }
 
 // Len implements Q.
 func (p *PriorityQueue) Len() int { return p.hi.Len() + p.lo.Len() }
 
-// Pushed implements Q (sum over both rings).
+// Pushed implements Q (sum over both queues).
 func (p *PriorityQueue) Pushed() uint64 { return p.hi.Pushed() + p.lo.Pushed() }
 
-// Popped implements Q (sum over both rings).
+// Popped implements Q (sum over both queues).
 func (p *PriorityQueue) Popped() uint64 { return p.hi.Popped() + p.lo.Popped() }
-
-// Flush implements Q.
-func (p *PriorityQueue) Flush() { p.db.Flush() }
-
-// Doorbell implements Q.
-func (p *PriorityQueue) Doorbell() *shm.Doorbell { return p.db }
 
 // A Set is one side's three queues (§3.2, Figure 3).
 type Set struct {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"netkernel/internal/nqe"
-	"netkernel/internal/shm"
 )
 
 func TestQueuePushPop(t *testing.T) {
@@ -171,25 +170,6 @@ func TestNewQueueRejectsBadSlots(t *testing.T) {
 	}
 }
 
-func TestQueueDoorbellIntegration(t *testing.T) {
-	q, _ := NewQueue(Config{Slots: 8, Mode: shm.BatchedInterrupt, Batch: 2})
-	e := nqe.Element{Op: nqe.OpSend, Source: nqe.FromVM}
-	q.Push(&e)
-	if q.Doorbell().Wait(5 * time.Millisecond) {
-		t.Fatal("doorbell fired before the batch filled")
-	}
-	q.Push(&e) // second push completes the batch of 2
-	if !q.Doorbell().Wait(time.Second) {
-		t.Fatal("doorbell did not fire after batch")
-	}
-	// Flush on a partial batch also wakes the consumer.
-	q.Push(&e)
-	q.Flush()
-	if !q.Doorbell().Wait(time.Second) {
-		t.Fatal("Flush did not fire the doorbell")
-	}
-}
-
 func TestMoveBatchVerbatimAndOrdered(t *testing.T) {
 	src, _ := NewQueue(Config{Slots: 16})
 	dst, _ := NewQueue(Config{Slots: 16})
@@ -249,24 +229,6 @@ func TestMoveBatchStopsAtFullDst(t *testing.T) {
 	}
 	if src.Len() != 6 {
 		t.Fatalf("src kept %d, want 6 (no elements lost)", src.Len())
-	}
-}
-
-func TestMoveBatchRingsDoorbellOnce(t *testing.T) {
-	src, _ := NewQueue(Config{Slots: 64})
-	dst, _ := NewQueue(Config{Slots: 64, Mode: shm.BatchedInterrupt, Batch: 4})
-	e := nqe.Element{Op: nqe.OpSend, Source: nqe.FromVM}
-	for i := 0; i < 32; i++ {
-		src.Push(&e)
-	}
-	if n := MoveBatch(dst, src, 32); n != 32 {
-		t.Fatalf("moved %d, want 32", n)
-	}
-	if !dst.Doorbell().Wait(time.Second) {
-		t.Fatal("no wakeup for a full batch")
-	}
-	if dst.Doorbell().Wait(5 * time.Millisecond) {
-		t.Fatal("batch of 32 delivered more than one wakeup")
 	}
 }
 

@@ -151,10 +151,6 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 		s.deliverData(cid, false)
 	}
 	s.flushAllReady()
-	for i := range s.cfg.Pair.Shards {
-		s.cfg.Pair.Shards[i].NSMCompletion.Flush()
-		s.cfg.Pair.Shards[i].NSMReceive.Flush()
-	}
 	return restored, nil
 }
 

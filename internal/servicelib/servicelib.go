@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"netkernel/internal/nkchan"
+	"netkernel/internal/nkqueue"
 	"netkernel/internal/nqe"
 	"netkernel/internal/proto/tcp"
 	"netkernel/internal/sched"
@@ -44,26 +45,6 @@ type Config struct {
 	// §2.1/§5 QoS knob ("providing QoS guarantees" when an NSM serves
 	// multiple VMs). Nil means unlimited.
 	Shaper sched.Shaper
-	// CoalesceDelay batches receive-side data into full huge-page
-	// chunks: when less than one chunk is buffered, delivery waits up
-	// to this long for more. This is the nqe-level analogue of the
-	// batched interrupts in §3.2 and keeps the per-event overhead off
-	// the bulk datapath. Default 5 µs; negative disables coalescing.
-	CoalesceDelay time.Duration
-	// ReadyDelay batches readiness transitions of polled sockets
-	// (DESIGN.md §11): when a socket registered via OpPollCtl becomes
-	// readable/acceptable/closed, its entry is queued and the shard
-	// waits up to this long for siblings before emitting one coalesced
-	// OpReady. Default 2 µs; negative flushes every transition
-	// immediately (one OpReady per event — the degenerate mode the
-	// rpc experiment compares against).
-	ReadyDelay time.Duration
-	// StallRecovery, when positive, arms a virtual-time retry timer
-	// whenever an emission finds its output ring full or fault-stalled.
-	// The production pipeline is purely kick-driven and leaves this
-	// zero; fault-injection harnesses set it so an injected stall can
-	// delay emissions but never wedge the module.
-	StallRecovery time.Duration
 	// Metrics, when set, publishes the ServiceLib counters into the
 	// host telemetry registry (e.g. "vm1.r0.svc.data_in").
 	Metrics *telemetry.Scope
@@ -71,6 +52,21 @@ type Config struct {
 	// emitted events and stamps/ends send-path spans arriving in jobs.
 	Tracer *telemetry.Tracer
 }
+
+const (
+	// coalesceDelay batches receive-side data into full huge-page
+	// chunks: when less than one chunk is buffered, delivery waits up
+	// to this long for more. This is the nqe-level analogue of the
+	// batched interrupts in §3.2 and keeps the per-event overhead off
+	// the bulk datapath.
+	coalesceDelay = 5 * time.Microsecond
+	// readyDelay batches readiness transitions of polled sockets
+	// (DESIGN.md §11): when a socket registered via OpPollCtl becomes
+	// readable/acceptable/closed, its entry is queued and the shard
+	// waits this long for siblings before emitting one coalesced
+	// OpReady.
+	readyDelay = 2 * time.Microsecond
+)
 
 // Stats is a point-in-time copy of the ServiceLib counters.
 type Stats struct {
@@ -176,7 +172,7 @@ type listenerState struct {
 type readyShard struct {
 	order []uint32
 	mask  map[uint32]uint32
-	armed bool // a ReadyDelay flush timer is pending
+	armed bool // a readyDelay flush timer is pending
 }
 
 // ServiceLib is one NSM's queue pump and stack driver.
@@ -186,10 +182,10 @@ type ServiceLib struct {
 	listeners map[uint32]*listenerState
 	nextCID   uint32
 	stats     counters
-	// overflow holds emissions that found their ring full, one queue
-	// per shard; they are flushed in order on the next pump, so a data
-	// flood can delay but never lose a completion or connection event.
-	overflow [][]stalledEmit
+	// backlog holds emissions that found their ring full, one per
+	// shard; every pump retries them in order, so a data flood can
+	// delay but never lose a completion or connection event.
+	backlog []nkqueue.Backlog
 	// ready holds per-shard pending readiness of polled sockets,
 	// flushed as coalesced OpReady elements (DESIGN.md §11).
 	ready []readyShard
@@ -203,13 +199,6 @@ type ServiceLib struct {
 	// dead marks a crashed module: pumps and emissions are no-ops until
 	// Rebind attaches a replacement stack.
 	dead bool
-	// retryArmed guards the Config.StallRecovery retry timer.
-	retryArmed bool
-}
-
-type stalledEmit struct {
-	kind nkchan.QueueKind
-	e    nqe.Element
 }
 
 // New builds a ServiceLib and wires it to the pair's NSM-side kick.
@@ -220,22 +209,19 @@ func New(cfg Config) *ServiceLib {
 	if cfg.RecvWindow <= 0 {
 		cfg.RecvWindow = 1 << 20
 	}
-	if cfg.CoalesceDelay == 0 {
-		cfg.CoalesceDelay = 5 * time.Microsecond
-	}
-	if cfg.ReadyDelay == 0 {
-		cfg.ReadyDelay = 2 * time.Microsecond
-	}
 	cfg.Pair.EnsureShards()
 	s := &ServiceLib{
 		cfg:       cfg,
 		conns:     make(map[uint32]*connState),
 		listeners: make(map[uint32]*listenerState),
-		overflow:  make([][]stalledEmit, len(cfg.Pair.Shards)),
+		backlog:   make([]nkqueue.Backlog, len(cfg.Pair.Shards)),
 		ready:     make([]readyShard, len(cfg.Pair.Shards)),
 		drain:     make([]nqe.Element, 64),
 	}
 	s.stats.register(cfg.Metrics)
+	for i := range s.backlog {
+		s.backlog[i].Wake = func(nkqueue.Q) { s.kickEngine(i) }
+	}
 	cfg.Pair.KickNSM = s.pump
 	return s
 }
@@ -260,109 +246,62 @@ func (s *ServiceLib) Stats() Stats { return s.stats.snapshot() }
 // CC returns the module's congestion-control name.
 func (s *ServiceLib) CC() string { return s.cfg.CC }
 
+// kickEngine wakes the engine pump that consumes shard's output rings.
+func (s *ServiceLib) kickEngine(shard int) {
+	if kick := s.cfg.Pair.KickEngineNSM; kick != nil {
+		kick(shard)
+	}
+}
+
+// outbound stamps e as this module's emission and returns the ring of
+// kind q it rides on shard.
+func (s *ServiceLib) outbound(shard int, q nkchan.QueueKind, e *nqe.Element) nkqueue.Q {
+	e.NSMID = s.cfg.NSMID
+	e.Source = nqe.FromNSM
+	rings := &s.cfg.Pair.Shards[shard]
+	if q == nkchan.Completion {
+		// Completions are responses to send-path spans and are not
+		// separately traced.
+		return rings.NSMCompletion
+	}
+	// The receive-path span opens here, the mirror of GuestLib.prepare:
+	// sampled events carry their span id toward the VM.
+	if tr := s.cfg.Tracer; tr.Enabled() && e.Trace == 0 {
+		e.Trace = tr.Start(e.Op.RxSpan())
+	}
+	s.cfg.Tracer.Stamp(e.Trace, "servicelib.emit", int64(rings.NSMReceive.Len()))
+	return rings.NSMReceive
+}
+
 func (s *ServiceLib) emit(shard int, q nkchan.QueueKind, e *nqe.Element) {
 	if s.dead {
 		return
 	}
-	if shard < 0 || shard >= s.nshards() {
-		shard = 0
-	}
-	e.NSMID = s.cfg.NSMID
-	e.Source = nqe.FromNSM
-	rings := &s.cfg.Pair.Shards[shard]
-	target := rings.NSMReceive
-	if q == nkchan.Completion {
-		target = rings.NSMCompletion
-	}
-	// The receive-path span opens here, the mirror of GuestLib.push:
-	// sampled events carry their span id toward the VM. Completions are
-	// responses to send-path spans and are not separately traced.
-	if q == nkchan.Receive {
-		if tr := s.cfg.Tracer; tr.Enabled() && e.Trace == 0 {
-			e.Trace = tr.Start(e.Op.RxSpan())
-		}
-		s.cfg.Tracer.Stamp(e.Trace, "servicelib.emit", int64(target.Len()))
-	}
-	if len(s.overflow[shard]) > 0 || !target.Push(e) {
-		s.overflow[shard] = append(s.overflow[shard], stalledEmit{kind: q, e: *e})
-		s.noteOverflow()
-	}
-	if s.cfg.Pair.KickEngineNSM != nil {
-		s.cfg.Pair.KickEngineNSM(shard)
-	}
-}
-
-// noteOverflow arms the overflow retry timer. A no-op unless
-// Config.StallRecovery is set: the engine's drain pump re-kicks the
-// module when it frees ring space, but an injected fault can fail a
-// push with space available and nothing inbound due — the timer keeps
-// the module making progress regardless.
-func (s *ServiceLib) noteOverflow() {
-	if s.cfg.StallRecovery <= 0 || s.retryArmed {
-		return
-	}
-	s.retryArmed = true
-	s.cfg.Clock.AfterFunc(s.cfg.StallRecovery, func() {
-		s.retryArmed = false
-		if s.dead {
-			return
-		}
-		pending := false
-		for shard := range s.overflow {
-			s.flushOverflow(shard)
-			s.cfg.Pair.Shards[shard].NSMCompletion.Flush()
-			s.cfg.Pair.Shards[shard].NSMReceive.Flush()
-			if len(s.overflow[shard]) > 0 {
-				pending = true
-			}
-			if s.cfg.Pair.KickEngineNSM != nil {
-				s.cfg.Pair.KickEngineNSM(shard)
-			}
-		}
-		if pending {
-			s.noteOverflow()
-		}
-	})
+	shard = s.cfg.Pair.ShardIndex(shard)
+	s.backlog[shard].Push(s.outbound(shard, q, e), e)
+	s.kickEngine(shard)
 }
 
 // emitBatch pushes a run of same-shard elements as one ring span with a
 // single kick — the accept path's connection-setup batching. Elements
-// that do not fit join the overflow queue like single emissions.
+// that do not fit join the backlog like single emissions.
 func (s *ServiceLib) emitBatch(shard int, q nkchan.QueueKind, es []nqe.Element) {
 	if s.dead || len(es) == 0 {
 		return
 	}
-	if shard < 0 || shard >= s.nshards() {
-		shard = 0
-	}
-	rings := &s.cfg.Pair.Shards[shard]
-	target := rings.NSMReceive
-	if q == nkchan.Completion {
-		target = rings.NSMCompletion
-	}
+	shard = s.cfg.Pair.ShardIndex(shard)
+	var target nkqueue.Q
 	for i := range es {
-		es[i].NSMID = s.cfg.NSMID
-		es[i].Source = nqe.FromNSM
-		if q == nkchan.Receive {
-			if tr := s.cfg.Tracer; tr.Enabled() && es[i].Trace == 0 {
-				es[i].Trace = tr.Start(es[i].Op.RxSpan())
-			}
-			s.cfg.Tracer.Stamp(es[i].Trace, "servicelib.emit", int64(target.Len()))
-		}
+		target = s.outbound(shard, q, &es[i])
 	}
 	n := 0
-	if len(s.overflow[shard]) == 0 {
+	if s.backlog[shard].Len() == 0 {
 		n = target.PushBatch(es)
 	}
-	for _, e := range es[n:] {
-		s.overflow[shard] = append(s.overflow[shard], stalledEmit{kind: q, e: e})
+	for i := n; i < len(es); i++ {
+		s.backlog[shard].Push(target, &es[i])
 	}
-	if n < len(es) {
-		s.noteOverflow()
-	}
-	if s.cfg.Pair.KickEngineNSM != nil {
-		s.cfg.Pair.KickEngineNSM(shard)
-	}
+	s.kickEngine(shard)
 }
 
 // queueReady records a polled socket's readiness transition on its
@@ -372,9 +311,7 @@ func (s *ServiceLib) queueReady(shard int, cid uint32, mask uint32) {
 	if s.dead {
 		return
 	}
-	if shard < 0 || shard >= s.nshards() {
-		shard = 0
-	}
+	shard = s.cfg.Pair.ShardIndex(shard)
 	rs := &s.ready[shard]
 	if rs.mask == nil {
 		rs.mask = make(map[uint32]uint32)
@@ -385,23 +322,16 @@ func (s *ServiceLib) queueReady(shard int, cid uint32, mask uint32) {
 		rs.mask[cid] = mask
 		rs.order = append(rs.order, cid)
 	}
-	if s.cfg.ReadyDelay < 0 {
-		// Degenerate per-event mode: one OpReady per transition.
-		s.flushReady(shard)
-		s.cfg.Pair.Shards[shard].NSMReceive.Flush()
-		return
-	}
 	if rs.armed {
 		return
 	}
 	rs.armed = true
-	s.cfg.Clock.AfterFunc(s.cfg.ReadyDelay, func() {
+	s.cfg.Clock.AfterFunc(readyDelay, func() {
 		s.ready[shard].armed = false
 		if s.dead {
 			return
 		}
 		s.flushReady(shard)
-		s.cfg.Pair.Shards[shard].NSMReceive.Flush()
 	})
 }
 
@@ -499,22 +429,6 @@ func (s *ServiceLib) freeConnState(cs *connState) {
 	s.connPool = append(s.connPool, cs)
 }
 
-// flushOverflow retries one shard's stalled emissions in order.
-func (s *ServiceLib) flushOverflow(shard int) {
-	for len(s.overflow[shard]) > 0 {
-		se := s.overflow[shard][0]
-		rings := &s.cfg.Pair.Shards[shard]
-		target := rings.NSMReceive
-		if se.kind == nkchan.Completion {
-			target = rings.NSMCompletion
-		}
-		if !target.Push(&se.e) {
-			return
-		}
-		s.overflow[shard] = s.overflow[shard][1:]
-	}
-}
-
 // pump drains the NSM job queue; the CoreEngine kicks it. The
 // prototype "continuously polls the queues to execute the operations
 // from GuestLib via NetKernel CoreEngine" (§4.1) — under the event
@@ -523,11 +437,8 @@ func (s *ServiceLib) pump(shard int) {
 	if s.dead {
 		return
 	}
-	if shard < 0 || shard >= s.nshards() {
-		shard = 0
-	}
+	shard = s.cfg.Pair.ShardIndex(shard)
 	rings := &s.cfg.Pair.Shards[shard]
-	s.flushOverflow(shard)
 	for {
 		n := rings.NSMJob.PopBatch(s.drain)
 		if n == 0 {
@@ -538,24 +449,12 @@ func (s *ServiceLib) pump(shard int) {
 			s.handleJob(shard, &s.drain[i])
 		}
 	}
-	s.flushOverflow(shard)
-	if len(s.overflow[shard]) > 0 {
-		s.noteOverflow()
-		if s.cfg.Pair.KickEngineNSM != nil {
-			s.cfg.Pair.KickEngineNSM(shard)
-		}
-	}
 	// Readiness gathered while handling this batch rides out with it:
 	// one OpReady per shard per pump, however many sockets transitioned.
 	s.flushAllReady()
-	// The pump produced completions and events; deliver any partial
-	// doorbell batch before going idle. A handler may have emitted on
-	// a sibling shard (an accept pinning its flow elsewhere), so every
-	// shard's output rings flush.
-	for i := range s.cfg.Pair.Shards {
-		s.cfg.Pair.Shards[i].NSMCompletion.Flush()
-		s.cfg.Pair.Shards[i].NSMReceive.Flush()
-	}
+	// The engine kicks this pump after draining the output rings, so
+	// this is where parked emissions find room again.
+	s.backlog[shard].Drain()
 }
 
 func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
@@ -793,7 +692,7 @@ func (s *ServiceLib) handleBind(shard int, e *nqe.Element) {
 // The whole pending backlog drains in one sweep and the resulting
 // OpNewConn events leave as one spanned batch per shard with a single
 // kick (connection-setup batching, DESIGN.md §11) — a synchronized
-// accept burst costs one doorbell, not one per connection.
+// accept burst costs one kick, not one per connection.
 func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
 	var batch [][]nqe.Element // per shard, lazily sized
 	var cids []uint32
@@ -890,7 +789,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 		s.emitRxChunk(cs)
 		// Coalesce sub-chunk dribbles: wait briefly for a full chunk so
 		// bulk transfers move one nqe per chunk, not one per segment.
-		if avail < chunkSize && !flush && s.cfg.CoalesceDelay > 0 {
+		if avail < chunkSize && !flush {
 			s.armRxFlush(cs)
 			return
 		}
@@ -992,19 +891,15 @@ func (s *ServiceLib) emitRxChunk(cs *connState) {
 }
 
 // armRxFlush schedules delivery of a partially-filled receive chunk,
-// waiting up to CoalesceDelay for more payload to top it off (the same
+// waiting up to coalesceDelay for more payload to top it off (the same
 // batching the buffered path applies).
 func (s *ServiceLib) armRxFlush(cs *connState) {
-	if s.cfg.CoalesceDelay <= 0 {
-		s.emitRxChunk(cs)
-		return
-	}
 	if cs.flushPending {
 		return
 	}
 	cs.flushPending = true
 	cid := cs.cid
-	s.cfg.Clock.AfterFunc(s.cfg.CoalesceDelay, func() {
+	s.cfg.Clock.AfterFunc(coalesceDelay, func() {
 		cs.flushPending = false
 		s.deliverData(cid, true)
 	})
@@ -1118,7 +1013,7 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 }
 
 // Crash models the module process dying: all per-connection state
-// vanishes, queued send chunks and overflowed data events return to the
+// vanishes, queued send chunks and backlogged data events return to the
 // huge-page pool (the pages belong to the hypervisor, not the module),
 // and every subsequent pump, emission, or stray stack callback is a
 // no-op until Rebind. The caller is responsible for killing the
@@ -1148,14 +1043,13 @@ func (s *ServiceLib) Crash() {
 		cs.conn = nil
 		cs.udp = nil
 	}
-	for shard := range s.overflow {
-		for _, se := range s.overflow[shard] {
-			if (se.e.Op == nqe.OpNewData || se.e.Op == nqe.OpReady) && se.e.DataLen > 0 {
-				s.cfg.Pair.Pages.Free(shm.Chunk{Offset: se.e.DataOff})
+	for shard := range s.backlog {
+		s.backlog[shard].Discard(func(e *nqe.Element) {
+			if (e.Op == nqe.OpNewData || e.Op == nqe.OpReady) && e.DataLen > 0 {
+				s.cfg.Pair.Pages.Free(shm.Chunk{Offset: e.DataOff})
 			}
-			s.cfg.Tracer.Drop(se.e.Trace)
-		}
-		s.overflow[shard] = nil
+			s.cfg.Tracer.Drop(e.Trace)
+		})
 	}
 	// Pending readiness holds no chunks (they are allocated at flush
 	// time) — just drop the entries; a timer firing later finds the

@@ -11,8 +11,9 @@
 //     2 MB huge pages GuestLib and ServiceLib copy data through.
 //   - Ring: a single-producer single-consumer ring buffer of fixed-size
 //     slots, standing in for the queue devices.
-//   - Doorbell: the notification primitive between the two sides,
-//     supporting the paper's polling mode and batched-interrupt mode.
+//
+// Notification between the two sides is not a shared-memory object: the
+// owners of a channel wake each other through nkchan.Pair's Kick hooks.
 //
 // The datapath cost the paper measures (Table 1 memory-copy latency, the
 // ~12 ns nqe copy) is memory-copy cost, which this package incurs for
