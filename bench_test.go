@@ -134,7 +134,7 @@ func BenchmarkShmChannel8KB(b *testing.B) { benchShmChannel(b, 8<<10) }
 func benchEnginePump(b *testing.B, batch int) {
 	const burst = 64
 	loop := sim.NewLoop()
-	mk := func() nkqueue.Q {
+	mk := func() *nkqueue.Queue {
 		q, err := nkqueue.NewQueue(nkqueue.Config{Slots: 4 * burst})
 		if err != nil {
 			b.Fatal(err)

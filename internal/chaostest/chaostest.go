@@ -399,7 +399,7 @@ func (h *harness) wireChannelFaults() {
 					return true
 				}
 				r := &pair.Shards[si]
-				for _, q := range []nkqueue.Q{
+				for _, q := range []*nkqueue.Queue{
 					r.VMJob, r.VMCompletion, r.VMReceive,
 					r.NSMJob, r.NSMCompletion, r.NSMReceive,
 				} {
@@ -735,7 +735,7 @@ func (h *harness) checkTelemetry(t *testing.T) {
 			pair.EnsureShards()
 			for si := range pair.Shards {
 				r := &pair.Shards[si]
-				queues := map[string]nkqueue.Q{
+				queues := map[string]*nkqueue.Queue{
 					"vm_job": r.VMJob, "vm_completion": r.VMCompletion, "vm_receive": r.VMReceive,
 					"nsm_job": r.NSMJob, "nsm_completion": r.NSMCompletion, "nsm_receive": r.NSMReceive,
 				}

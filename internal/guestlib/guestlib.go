@@ -15,6 +15,7 @@ package guestlib
 import (
 	"fmt"
 
+	"netkernel/internal/fifo"
 	"netkernel/internal/nkchan"
 	"netkernel/internal/nkqueue"
 	"netkernel/internal/nqe"
@@ -221,7 +222,7 @@ type socket struct {
 	// order. Recv copies straight from the chunk into the caller's
 	// buffer and frees each chunk as it is fully consumed — the old
 	// intermediate copy into a per-event []byte is gone.
-	recvQ    []recvSeg
+	recvQ    fifo.Ring[recvSeg]
 	recvOff  int
 	eof      bool
 	closeErr error
@@ -288,8 +289,9 @@ type GuestLib struct {
 	sockPool []*socket
 	// stalled lists sockets whose Send came up short (credit, huge
 	// pages, or job-queue space). Every pump revisits them so one
-	// greedy socket cannot starve its siblings of queue slots.
-	stalled []int32
+	// greedy socket cannot starve its siblings of queue slots; the
+	// visit swaps stalled with spare, so neither is ever reallocated.
+	stalled, spare []int32
 	// backlog holds control operations and receive credits that found
 	// the job queue full; every pump retries them (in order, ahead of
 	// new work) so a data flood can delay but never lose a connect, a
@@ -343,15 +345,24 @@ func (g *GuestLib) newSocket() *socket {
 
 // releaseSocket retires a fully-closed socket: any receive chunks still
 // held go back to the huge-page pool, the descriptor unmaps, and the
-// struct recycles. Stale references by fd (the stall queue, a poller's
-// ready list) resolve through the map and find nothing.
+// struct recycles with its receive ring's storage. Stale references by
+// fd (the stall queue, a poller's ready list) resolve through the map
+// and find nothing.
 func (g *GuestLib) releaseSocket(s *socket) {
-	for _, seg := range s.recvQ {
-		s.pair.Pages.Free(seg.chunk)
-	}
+	s.freeRecvQ()
 	delete(g.sockets, s.fd)
-	*s = socket{}
+	*s = socket{recvQ: s.recvQ}
 	g.sockPool = append(g.sockPool, s)
+}
+
+// freeRecvQ returns every receive chunk the socket still holds to the
+// pool and empties its receive queue.
+func (s *socket) freeRecvQ() {
+	for i := 0; i < s.recvQ.Len(); i++ {
+		s.pair.Pages.Free(s.recvQ.At(i).chunk)
+	}
+	s.recvQ.Clear()
+	s.recvOff = 0
 }
 
 // Replicas returns how many NSM channels the guest spreads over.
@@ -366,7 +377,7 @@ func (g *GuestLib) Stats() Stats { return g.stats.snapshot() }
 
 // prepare stamps e as this guest's next job and returns the job ring
 // (and its clamped shard index) the element rides.
-func (g *GuestLib) prepare(pair *nkchan.Pair, shard int, e *nqe.Element) (nkqueue.Q, int) {
+func (g *GuestLib) prepare(pair *nkchan.Pair, shard int, e *nqe.Element) (*nkqueue.Queue, int) {
 	e.VMID = g.cfg.VMID
 	e.Source = nqe.FromVM
 	g.seq++
@@ -383,7 +394,7 @@ func (g *GuestLib) prepare(pair *nkchan.Pair, shard int, e *nqe.Element) (nkqueu
 
 // issued accounts for a job accepted on shard's ring; pushed says it is
 // in the ring already, so the engine pump that consumes it is kicked.
-func (g *GuestLib) issued(pair *nkchan.Pair, shard int, job nkqueue.Q, e *nqe.Element, pushed bool) {
+func (g *GuestLib) issued(pair *nkchan.Pair, shard int, job *nkqueue.Queue, e *nqe.Element, pushed bool) {
 	g.stats.opsIssued.Inc()
 	g.cfg.Tracer.Stamp(e.Trace, "guestlib.enqueue", int64(job.Len()))
 	if pushed && pair.KickEngineVM != nil {
@@ -412,7 +423,7 @@ func (g *GuestLib) post(pair *nkchan.Pair, shard int, e *nqe.Element) {
 
 // kickEngine is the backlog's wake: it kicks the engine pump that
 // consumes job ring q.
-func (g *GuestLib) kickEngine(q nkqueue.Q) {
+func (g *GuestLib) kickEngine(q *nkqueue.Queue) {
 	for _, p := range g.pairs {
 		for i := range p.Shards {
 			if p.Shards[i].VMJob == q && p.KickEngineVM != nil {
@@ -684,15 +695,15 @@ func (g *GuestLib) Recv(fd int32, buf []byte) (n int, eof bool) {
 	if s == nil {
 		return 0, true
 	}
-	for n < len(buf) && len(s.recvQ) > 0 {
-		head := s.recvQ[0]
+	for n < len(buf) && s.recvQ.Len() > 0 {
+		head := *s.recvQ.Front()
 		src := s.pair.Pages.Bytes(head.chunk)[s.recvOff:head.size]
 		m := copy(buf[n:], src)
 		n += m
 		s.recvOff += m
 		if s.recvOff == head.size {
 			s.pair.Pages.Free(head.chunk)
-			s.recvQ = s.recvQ[1:]
+			s.recvQ.Pop()
 			s.recvOff = 0
 		}
 	}
@@ -703,7 +714,7 @@ func (g *GuestLib) Recv(fd int32, buf []byte) (n int, eof bool) {
 		// "simply checks and copies new data in the VM receive queue").
 		g.post(s.pair, s.shard, &nqe.Element{Op: nqe.OpRecv, FD: fd, Arg0: uint64(n)})
 	}
-	return n, s.eof && len(s.recvQ) == 0
+	return n, s.eof && s.recvQ.Len() == 0
 }
 
 // ReadAvailable returns buffered receive bytes.
@@ -713,8 +724,8 @@ func (g *GuestLib) ReadAvailable(fd int32) int {
 		return 0
 	}
 	total := -s.recvOff
-	for _, c := range s.recvQ {
-		total += c.size
+	for i := 0; i < s.recvQ.Len(); i++ {
+		total += s.recvQ.At(i).size
 	}
 	return total
 }
@@ -741,11 +752,7 @@ func (g *GuestLib) Close(fd int32) {
 	s.closeStart = g.cfg.Clock.Now()
 	// The application is done reading: return any unconsumed receive
 	// chunks to the pool (and discard late arrivals in handleEvent).
-	for _, seg := range s.recvQ {
-		s.pair.Pages.Free(seg.chunk)
-	}
-	s.recvQ = nil
-	s.recvOff = 0
+	s.freeRecvQ()
 	// A closing listener orphans accepted-but-undrained connections;
 	// close them too so their NSM state unwinds instead of idling
 	// forever behind a descriptor nobody holds.
@@ -829,8 +836,10 @@ func (g *GuestLib) wakeStalled() {
 	if len(g.stalled) == 0 {
 		return
 	}
+	// Marks made during the visit land in the spare buffer. A nested
+	// visit would find no spare and allocate instead of sharing one.
 	pending := g.stalled
-	g.stalled = nil
+	g.stalled, g.spare = g.spare[:0], nil
 	for _, fd := range pending {
 		s := g.sockets[fd]
 		if s == nil {
@@ -855,6 +864,7 @@ func (g *GuestLib) wakeStalled() {
 			s.cbs.OnWritable()
 		}
 	}
+	g.spare = pending[:0]
 }
 
 func (g *GuestLib) markStalled(s *socket) {
@@ -880,7 +890,7 @@ type Poller struct {
 	// rings are drained).
 	OnReady func()
 
-	ready       []int32 // fds with a non-zero pollMask, transition order
+	ready       fifo.Ring[int32] // fds with a non-zero pollMask, transition order
 	wakePending bool
 }
 
@@ -915,7 +925,7 @@ func (p *Poller) Add(fd int32) error {
 	s.poller = p
 	g.pushWhenReady(s, &nqe.Element{Op: nqe.OpPollCtl, FD: fd, Arg0: 1})
 	var mask uint32
-	if len(s.recvQ) > 0 || len(s.dgrams) > 0 || s.eof {
+	if s.recvQ.Len() > 0 || len(s.dgrams) > 0 || s.eof {
 		mask |= nqe.ReadyReadable
 	}
 	if len(s.accepts) > 0 {
@@ -949,10 +959,10 @@ func (p *Poller) Remove(fd int32) error {
 // many it wrote. Sockets keep accumulating masks between drains; a
 // socket reported once does not reappear until a new transition.
 func (p *Poller) Wait(events []PollEvent) int {
-	n, i := 0, 0
-	for i < len(p.ready) && n < len(events) {
-		fd := p.ready[i]
-		i++
+	n := 0
+	for p.ready.Len() > 0 && n < len(events) {
+		fd := *p.ready.Front()
+		p.ready.Pop()
 		s := p.g.sockets[fd]
 		if s == nil || s.poller != p || s.pollMask == 0 {
 			continue // released, removed, or already drained
@@ -961,7 +971,6 @@ func (p *Poller) Wait(events []PollEvent) int {
 		s.pollMask = 0
 		n++
 	}
-	p.ready = p.ready[i:]
 	return n
 }
 
@@ -980,7 +989,7 @@ func (p *Poller) Close() {
 			break
 		}
 	}
-	p.ready = nil
+	p.ready.Clear()
 	p.wakePending = false
 }
 
@@ -995,7 +1004,7 @@ func (g *GuestLib) pollerNotify(s *socket, mask uint32) {
 	}
 	g.stats.pollerEvents.Inc()
 	if s.pollMask == 0 {
-		p.ready = append(p.ready, s.fd)
+		p.ready.Push(s.fd)
 	}
 	s.pollMask |= mask
 	p.wakePending = true
@@ -1010,7 +1019,7 @@ func (g *GuestLib) deliverWakeups() {
 			continue
 		}
 		p.wakePending = false
-		if len(p.ready) == 0 || p.OnReady == nil {
+		if p.ready.Len() == 0 || p.OnReady == nil {
 			continue
 		}
 		g.stats.pollerWakeups.Inc()
@@ -1091,18 +1100,22 @@ func (g *GuestLib) handleEvent(pair *nkchan.Pair, shard int, e *nqe.Element) {
 		// CoreEngine already assigned the new connection's fd (§3.2:
 		// "CoreEngine generates a new socket fd on behalf of the VM for
 		// the new flow"); it arrives in Arg1.
-		if s == nil || s.kind != kindListener {
-			return
-		}
 		newFD := int32(e.Arg1)
 		// The accepted socket inherits the shard its OpNewConn rode in
 		// on — the flow's hash shard, where the engine installed its
 		// mapping. Every element it ever sends stays there.
 		as := g.newSocket()
 		as.fd, as.kind, as.state = newFD, kindStream, stEstablished
-		as.credit, as.ready, as.pair, as.shard = g.cfg.SendCredit, true, s.pair, shard
+		as.credit, as.ready, as.pair, as.shard = g.cfg.SendCredit, true, pair, shard
 		as.acceptedAt = g.cfg.Clock.Now()
 		g.sockets[newFD] = as
+		if s == nil || s.kind != kindListener || s.closeSent {
+			// The listener closed while this accept was in flight: its
+			// Close swept the orphans already, and nobody will ever
+			// Accept this one. Close it, or the NSM holds it forever.
+			g.Close(newFD)
+			return
+		}
 		s.accepts = append(s.accepts, newFD)
 		if s.poller != nil {
 			// A polled listener coalesces: one acceptable bit, however
@@ -1130,7 +1143,7 @@ func (g *GuestLib) handleEvent(pair *nkchan.Pair, shard int, e *nqe.Element) {
 		} else {
 			// Streams keep the chunk: Recv copies straight from it into
 			// the application buffer, eliding the intermediate copy.
-			s.recvQ = append(s.recvQ, recvSeg{chunk: shmChunk(e.DataOff), size: int(e.DataLen)})
+			s.recvQ.Push(recvSeg{chunk: shmChunk(e.DataOff), size: int(e.DataLen)})
 		}
 		if s.poller != nil {
 			g.pollerNotify(s, nqe.ReadyReadable)
@@ -1144,11 +1157,7 @@ func (g *GuestLib) handleEvent(pair *nkchan.Pair, shard int, e *nqe.Element) {
 		if e.Status != nqe.StatusOK {
 			// Abortive close (reset, timeout, module crash): undelivered
 			// receive data is discarded, BSD-style — return the chunks.
-			for _, seg := range s.recvQ {
-				pair.Pages.Free(seg.chunk)
-			}
-			s.recvQ = nil
-			s.recvOff = 0
+			s.freeRecvQ()
 		}
 		s.eof = true
 		s.closedSeen = true
@@ -1198,11 +1207,4 @@ func (g *GuestLib) handleEvent(pair *nkchan.Pair, shard int, e *nqe.Element) {
 		}
 		pair.Pages.Free(shmChunk(e.DataOff))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

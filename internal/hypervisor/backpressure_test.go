@@ -167,3 +167,57 @@ func TestRecvCreditSurvivesFullJobRing(t *testing.T) {
 		t.Fatalf("server holds %d unread bytes, want the full %d-byte shm window: receive credits were lost", got, window)
 	}
 }
+
+// TestListenerCloseRacesAccept closes a listener while its accepts are
+// in flight: the NSM has accepted every connection and emitted the
+// OpNewConn events, but none has reached the guest when the application
+// closes the listener. Close sweeps only what the listener already
+// holds, so each late arrival must be closed on delivery — or its NSM
+// connection, its peer and its engine mapping live forever.
+func TestListenerCloseRacesAccept(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		dialers int
+		mutate  func(*HostConfig)
+	}{
+		{"one shard", 1, nil},
+		{"four shards, 4-slot server rings", 12, func(cfg *HostConfig) {
+			cfg.Shards = 4
+			tinyServerRings(cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, tc.mutate)
+			vma, vmb := c.nkPair(t, "cubic", "cubic")
+			srv, cli := vmb.Guest, vma.Guest
+			lfd := srv.Socket(guestlib.Callbacks{})
+			if err := srv.Listen(lfd, 80, 64); err != nil {
+				t.Fatal(err)
+			}
+			c.loop.RunFor(time.Millisecond)
+			for i := 0; i < tc.dialers; i++ {
+				var fd int32
+				fd = cli.Socket(guestlib.Callbacks{OnClose: func(error) { cli.Close(fd) }})
+				if err := cli.Connect(fd, ipVMB, 80); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for vmb.Service.Stats().Accepts < uint64(tc.dialers) {
+				if !c.loop.Step() {
+					t.Fatal("loop ran dry before the NSM accepted every connection")
+				}
+			}
+			srv.Close(lfd)
+			c.loop.RunFor(3 * time.Second)
+			if n := vmb.NSM.Stack.ConnCount(); n != 0 {
+				t.Errorf("server NSM holds %d connections", n)
+			}
+			if n := vma.NSM.Stack.ConnCount(); n != 0 {
+				t.Errorf("client NSM holds %d connections", n)
+			}
+			if n := c.h2.Engine.Mappings(); n != 0 {
+				t.Errorf("server engine holds %d fd↔cID mappings", n)
+			}
+		})
+	}
+}

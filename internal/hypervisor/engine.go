@@ -354,7 +354,7 @@ func (sh *pairShard) pumpVM() {
 // parkSpan sends the translated slots span[from:to) that a full ring
 // refused through the backlog, and returns how many reached the ring
 // after all (an injected stall refuses a span with room to spare).
-func parkSpan(b *nkqueue.Backlog, dst nkqueue.Q, span []byte, from, to int) int {
+func parkSpan(b *nkqueue.Backlog, dst *nkqueue.Queue, span []byte, from, to int) int {
 	moved := 0
 	for j := from; j < to; j++ {
 		var e nqe.Element
@@ -471,7 +471,7 @@ func (sh *pairShard) pumpNSM() {
 // VM-side peer, translating in place, and returns how many elements
 // moved. It stops (leaving work queued or parked) when the VM-side
 // queue fills.
-func (sh *pairShard) drainNSMQueue(src, dst nkqueue.Q) int {
+func (sh *pairShard) drainNSMQueue(src, dst *nkqueue.Queue) int {
 	ce := sh.ep.engine
 	moved := 0
 	for sh.toVM.Len() == 0 {
@@ -798,7 +798,7 @@ func (sh *pairShard) reset() {
 
 // discardQueue drains a queue the crashed module owned, returning any
 // huge-page data chunks carried by the discarded elements.
-func (sh *pairShard) discardQueue(q nkqueue.Q) {
+func (sh *pairShard) discardQueue(q *nkqueue.Queue) {
 	var e nqe.Element
 	for q.Pop(&e) {
 		sh.discard(&e)

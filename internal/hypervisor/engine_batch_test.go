@@ -18,7 +18,7 @@ import (
 // size, so a batch popped from one side can only half-fit in the other.
 func asymPair(t *testing.T, vmSlots, nsmSlots int) *nkchan.Pair {
 	t.Helper()
-	mk := func(slots int) nkqueue.Q {
+	mk := func(slots int) *nkqueue.Queue {
 		q, err := nkqueue.NewQueue(nkqueue.Config{Slots: slots})
 		if err != nil {
 			t.Fatal(err)

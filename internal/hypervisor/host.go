@@ -192,7 +192,7 @@ func (h *Host) registerPairMetrics(vmID uint32, replica int, pair *nkchan.Pair) 
 		}
 		queues := []struct {
 			name string
-			q    nkqueue.Q
+			q    *nkqueue.Queue
 		}{
 			{"vm_job", rings.VMJob}, {"vm_completion", rings.VMCompletion}, {"vm_receive", rings.VMReceive},
 			{"nsm_job", rings.NSMJob}, {"nsm_completion", rings.NSMCompletion}, {"nsm_receive", rings.NSMReceive},

@@ -63,10 +63,10 @@ const (
 type Rings struct {
 	// VM-side queues: the VM produces jobs and consumes completions
 	// and receive events.
-	VMJob, VMCompletion, VMReceive nkqueue.Q
+	VMJob, VMCompletion, VMReceive *nkqueue.Queue
 	// NSM-side queues: the NSM consumes jobs and produces completions
 	// and receive events.
-	NSMJob, NSMCompletion, NSMReceive nkqueue.Q
+	NSMJob, NSMCompletion, NSMReceive *nkqueue.Queue
 }
 
 // Pair is the full VM↔NSM channel.
@@ -74,8 +74,8 @@ type Pair struct {
 	// Shard 0's queues, inlined for single-shard callers (tests and
 	// benchmarks build bare Pairs with just these; EnsureShards wraps
 	// them into Shards[0]).
-	VMJob, VMCompletion, VMReceive    nkqueue.Q
-	NSMJob, NSMCompletion, NSMReceive nkqueue.Q
+	VMJob, VMCompletion, VMReceive    *nkqueue.Queue
+	NSMJob, NSMCompletion, NSMReceive *nkqueue.Queue
 	// Shards holds every ring set; Shards[0] aliases the fields above.
 	Shards []Rings
 	// Pages is the shared data region, unique per pair (§3.1

@@ -26,7 +26,7 @@ func TestNewPairDefaults(t *testing.T) {
 	}
 	// All six queues usable.
 	e := nqe.Element{Op: nqe.OpSend, Source: nqe.FromVM}
-	for i, q := range []nkqueue.Q{p.VMJob, p.VMCompletion, p.VMReceive, p.NSMJob, p.NSMCompletion, p.NSMReceive} {
+	for i, q := range []*nkqueue.Queue{p.VMJob, p.VMCompletion, p.VMReceive, p.NSMJob, p.NSMCompletion, p.NSMReceive} {
 		if !q.Push(&e) {
 			t.Fatalf("queue %d push failed", i)
 		}

@@ -11,7 +11,7 @@ func seqElem(seq uint64) *nqe.Element {
 }
 
 // popSeqs drains q and returns the Seq of every element, in order.
-func popSeqs(q Q) []uint64 {
+func popSeqs(q *Queue) []uint64 {
 	var out []uint64
 	var e nqe.Element
 	for q.Pop(&e) {
@@ -67,11 +67,11 @@ func TestBacklogPushThroughOnlyWhenEmpty(t *testing.T) {
 func TestBacklogOrderAcrossTwoRings(t *testing.T) {
 	a, _ := NewQueue(Config{Slots: 2})
 	c, _ := NewQueue(Config{Slots: 8})
-	var woken []Q
-	b := Backlog{Wake: func(dst Q) { woken = append(woken, dst) }}
+	var woken []*Queue
+	b := Backlog{Wake: func(dst *Queue) { woken = append(woken, dst) }}
 	b.Push(a, seqElem(1))
 	b.Push(a, seqElem(2))
-	for seq, dst := range []Q{a, c, c, a, c} { // 3→a 4→c 5→c 6→a 7→c
+	for seq, dst := range []*Queue{a, c, c, a, c} { // 3→a 4→c 5→c 6→a 7→c
 		if b.Push(dst, seqElem(uint64(seq+3))) {
 			t.Fatalf("element %d did not park", seq+3)
 		}
@@ -92,7 +92,7 @@ func TestBacklogOrderAcrossTwoRings(t *testing.T) {
 	if n := b.Drain(); n != 3 || b.Len() != 2 {
 		t.Fatalf("drained %d, %d left; want 3 and 2", n, b.Len())
 	}
-	if len(woken) != 3 || woken[0] != Q(a) || woken[1] != Q(c) || woken[2] != Q(c) {
+	if len(woken) != 3 || woken[0] != a || woken[1] != c || woken[2] != c {
 		t.Fatalf("woke %v, want ring a, then ring c twice", woken)
 	}
 	wantSeqs(t, "ring a", popSeqs(a), 2, 3)
@@ -102,7 +102,7 @@ func TestBacklogOrderAcrossTwoRings(t *testing.T) {
 	if n := b.Drain(); n != 2 || b.Len() != 0 {
 		t.Fatalf("drained %d, %d left", n, b.Len())
 	}
-	if len(woken) != 2 || woken[0] != Q(a) || woken[1] != Q(c) {
+	if len(woken) != 2 || woken[0] != a || woken[1] != c {
 		t.Fatalf("woke %v, want ring a then ring c", woken)
 	}
 	wantSeqs(t, "ring a", popSeqs(a), 6)
@@ -110,9 +110,9 @@ func TestBacklogOrderAcrossTwoRings(t *testing.T) {
 }
 
 func TestBacklogHonoursPushStall(t *testing.T) {
-	for name, mk := range map[string]func() Q{
-		"plain":    func() Q { q, _ := NewQueue(Config{Slots: 8}); return q },
-		"priority": func() Q { q, _ := NewPriorityQueue(Config{Slots: 8}); return q },
+	for name, mk := range map[string]func() *Queue{
+		"plain":    func() *Queue { q, _ := NewQueue(Config{Slots: 8}); return q },
+		"priority": func() *Queue { q, _ := NewQueue(Config{Slots: 8, Priority: true}); return q },
 	} {
 		q := mk()
 		stalled := true
@@ -175,5 +175,40 @@ func TestBacklogSteadyStateAllocs(t *testing.T) {
 	cycle() // sizes the buffer
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("%.1f allocations per park/drain cycle, want 0", avg)
+	}
+}
+
+// TestAllocsBacklogPushLiteral is the escape gate of the conveyor's
+// producers: an element literal pushed through a Backlog into a plain
+// or a priority Queue stays on the caller's stack. (Behind an interface
+// it escaped: one heap object per nqe.)
+func TestAllocsBacklogPushLiteral(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"plain":    {Slots: 4},
+		"priority": {Slots: 4, Priority: true},
+	} {
+		q, _ := NewQueue(cfg)
+		var b Backlog
+		var out nqe.Element
+		seq := uint64(0)
+		cycle := func() {
+			for i := 0; i < 12; i++ { // some go through, the rest park
+				seq++
+				op := nqe.OpSend
+				if i%3 == 0 {
+					op = nqe.OpConnect
+				}
+				b.Push(q, &nqe.Element{Op: op, Source: nqe.FromVM, Seq: seq})
+			}
+			for b.Len() > 0 || q.Len() > 0 {
+				for q.Pop(&out) {
+				}
+				b.Drain()
+			}
+		}
+		cycle() // sizes the backlog
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("%s: %.1f allocations per 12 element literals pushed, want 0", name, avg)
+		}
 	}
 }

@@ -6,9 +6,12 @@
 // number), and a receive queue (asynchronous events such as new data and
 // new connections). The paper further suggests implementing them "as
 // priority queues to handle connection events and data events separately
-// to avoid the head of line blocking"; PriorityQueue realizes that with a
-// high-priority ring for connection events and a low-priority ring for
-// data events.
+// to avoid the head of line blocking"; a Queue built with
+// Config.Priority realizes that with a second ring for connection
+// events, drained before the data-event ring.
+//
+// Queue is one concrete type, so a producer's element literal stays on
+// its stack: nothing the conveyor pushes escapes through an interface.
 package nkqueue
 
 import (
@@ -21,48 +24,6 @@ import (
 
 // DefaultSlots is the per-ring slot count used when a Config leaves it 0.
 const DefaultSlots = 1024
-
-// Q is the queue interface shared by plain and priority queues.
-type Q interface {
-	// Push enqueues an element, reporting false when the queue is full.
-	Push(e *nqe.Element) bool
-	// PushBatch enqueues a prefix of es, stopping at the first element
-	// that does not fit, and returns how many were enqueued.
-	PushBatch(es []nqe.Element) int
-	// Pop dequeues into e, reporting false when the queue is empty.
-	Pop(e *nqe.Element) bool
-	// PopBatch drains up to len(dst) elements, returning the count.
-	PopBatch(dst []nqe.Element) int
-	// FrontSpan returns up to max oldest queued elements as one raw
-	// contiguous byte span (n encoded slots of nqe.Size bytes each) for
-	// in-place reading or field patching; the slots stay queued until
-	// ReleaseSpan. n is 0 when empty. Only the consumer may call it,
-	// and each FrontSpan must be resolved by ReleaseSpan before the
-	// next (a priority queue remembers which internal ring the span
-	// came from).
-	FrontSpan(max int) (span []byte, n int)
-	// ReleaseSpan frees the first n slots of the last FrontSpan.
-	ReleaseSpan(n int)
-	// PushSpan enqueues raw already-encoded slots (len(span) must be a
-	// multiple of nqe.Size), stopping when full, and returns how many
-	// slots were enqueued.
-	PushSpan(span []byte) int
-	// Len returns the number of queued elements.
-	Len() int
-	// Pushed returns the total elements ever enqueued. The counter is
-	// maintained at this API layer, independently of the ring's
-	// head/tail cursors, so the telemetry conservation invariant
-	// Pushed() == Popped() + Len() cross-checks the queue accounting
-	// against the ring state instead of restating it.
-	Pushed() uint64
-	// Popped returns the total elements ever dequeued.
-	Popped() uint64
-	// SetPushStall installs a fault hook consulted once at the top of
-	// every Push/PushBatch/PushSpan call: when it returns true the call
-	// fails as if the queue were full, exercising the producers'
-	// backpressure paths. nil clears the hook.
-	SetPushStall(stall func() bool)
-}
 
 // Config shapes a queue set.
 type Config struct {
@@ -80,59 +41,102 @@ func (c Config) slots() int {
 	return c.Slots
 }
 
-// Queue is a plain single-ring queue of nqes.
+// Queue is a queue of nqes: one ring, or two when built with
+// Config.Priority. A priority queue routes connection events (socket,
+// connect, accept, close, established, …) to its high-priority ring and
+// data events (send, recv, new-data, credits) to the other, and every
+// pop drains high before low, so a burst of bulk data cannot delay
+// connection setup. Within a class arrival order is kept.
 type Queue struct {
-	ring   *shm.Ring
+	ring *shm.Ring // data events; a plain queue's only ring
+	hi   *shm.Ring // connection events; nil for a plain queue
+	// spanHi remembers that the last FrontSpan came from hi, so
+	// ReleaseSpan frees the right slots. Consumer-side state only.
+	spanHi bool
 	stall  func() bool
+	// pushed and popped are maintained at this API layer, independently
+	// of the rings' head/tail cursors, so the telemetry conservation
+	// invariant Pushed() == Popped() + Len() cross-checks the queue
+	// accounting against the ring state instead of restating it.
 	pushed atomic.Uint64
 	popped atomic.Uint64
 }
 
-// SetPushStall implements Q.
-func (q *Queue) SetPushStall(stall func() bool) { q.stall = stall }
-
-func (q *Queue) stalled() bool { return q.stall != nil && q.stall() }
-
-// NewQueue builds a plain queue.
+// NewQueue builds a queue: a plain one, or a priority one when
+// cfg.Priority is set (each ring gets cfg.Slots slots).
 func NewQueue(cfg Config) (*Queue, error) {
 	ring, err := shm.NewRing(cfg.slots(), nqe.Size)
 	if err != nil {
 		return nil, fmt.Errorf("nkqueue: %w", err)
 	}
-	return &Queue{ring: ring}, nil
+	q := &Queue{ring: ring}
+	if cfg.Priority {
+		q.hi, _ = shm.NewRing(cfg.slots(), nqe.Size) // same shape as ring
+	}
+	return q, nil
 }
 
-// Push implements Q, encoding e directly into the ring slot (no
+// SetPushStall installs a fault hook consulted once at the top of every
+// Push/PushBatch/PushSpan call: when it returns true the call fails as
+// if the queue were full, exercising the producers' backpressure paths.
+// nil clears the hook.
+func (q *Queue) SetPushStall(stall func() bool) { q.stall = stall }
+
+func (q *Queue) stalled() bool { return q.stall != nil && q.stall() }
+
+// route returns the ring an element of class op rides.
+func (q *Queue) route(op nqe.Op) *shm.Ring {
+	if q.hi != nil && op.IsConnEvent() {
+		return q.hi
+	}
+	return q.ring
+}
+
+// Push enqueues an element, encoding it directly into the ring slot (no
 // intermediate buffer: the element is marshalled once, into shared
-// memory).
+// memory). It reports false when the element's ring is full.
 func (q *Queue) Push(e *nqe.Element) bool {
 	if q.stalled() {
 		return false
 	}
-	slot, ok := q.ring.Reserve()
+	r := q.route(e.Op)
+	slot, ok := r.Reserve()
 	if !ok {
 		return false
 	}
 	e.Encode(slot)
-	q.ring.Commit()
+	r.Commit()
 	q.pushed.Add(1)
 	return true
 }
 
-// Pop implements Q.
+// Pop dequeues into e, connection events first, reporting false when
+// the queue is empty.
 func (q *Queue) Pop(e *nqe.Element) bool {
-	slot, ok := q.ring.Front()
-	if !ok {
+	if !popOne(q.hi, e) && !popOne(q.ring, e) {
 		return false
 	}
-	e.Decode(slot)
-	q.ring.Release()
 	q.popped.Add(1)
 	return true
 }
 
-// PushBatch implements Q: each span of contiguous free slots is
-// reserved once, filled by direct encoding, and published with one
+func popOne(r *shm.Ring, e *nqe.Element) bool {
+	if r == nil {
+		return false
+	}
+	slot, ok := r.Front()
+	if !ok {
+		return false
+	}
+	e.Decode(slot)
+	r.Release()
+	return true
+}
+
+// PushBatch enqueues a prefix of es, stopping at the first element that
+// does not fit, and returns how many were enqueued. Each run of
+// elements bound for one ring reserves each contiguous span of free
+// slots once, fills it by direct encoding, and publishes it with one
 // atomic add.
 func (q *Queue) PushBatch(es []nqe.Element) int {
 	if q.stalled() {
@@ -140,56 +144,96 @@ func (q *Queue) PushBatch(es []nqe.Element) int {
 	}
 	pushed := 0
 	for pushed < len(es) {
-		span, n := q.ring.ReserveN(len(es) - pushed)
+		r, end := q.ring, len(es)
+		if q.hi != nil {
+			r = q.route(es[pushed].Op)
+			for end = pushed + 1; end < len(es) && q.route(es[end].Op) == r; end++ {
+			}
+		}
+		span, n := r.ReserveN(end - pushed)
 		if n == 0 {
 			break
 		}
 		for i := 0; i < n; i++ {
 			es[pushed+i].Encode(span[i*nqe.Size:])
 		}
-		q.ring.CommitN(n)
+		r.CommitN(n)
 		pushed += n
 	}
-	if pushed > 0 {
-		q.pushed.Add(uint64(pushed))
-	}
+	count(&q.pushed, pushed)
 	return pushed
 }
 
-// PopBatch drains up to len(dst) elements, returning the count. Batched
-// draining is how GuestLib, ServiceLib, and CoreEngine amortize wakeups
-// (§3.2 "batched interrupts"): each contiguous span is decoded in place
-// and released with one atomic add.
+// count adds n to a push or pop counter, skipping the atomic add when
+// nothing moved (pumps poll their rings until one comes back empty).
+func count(c *atomic.Uint64, n int) {
+	if n > 0 {
+		c.Add(uint64(n))
+	}
+}
+
+// PopBatch drains up to len(dst) elements, connection events first,
+// returning the count. Batched draining is how GuestLib, ServiceLib,
+// and CoreEngine amortize wakeups (§3.2 "batched interrupts"): each
+// contiguous span is decoded in place and released with one atomic add.
 func (q *Queue) PopBatch(dst []nqe.Element) int {
 	n := 0
+	if q.hi != nil {
+		n = popBatch(q.hi, dst)
+	}
+	n += popBatch(q.ring, dst[n:])
+	count(&q.popped, n)
+	return n
+}
+
+func popBatch(r *shm.Ring, dst []nqe.Element) int {
+	n := 0
 	for n < len(dst) {
-		span, got := q.ring.FrontN(len(dst) - n)
+		span, got := r.FrontN(len(dst) - n)
 		if got == 0 {
 			break
 		}
 		for i := 0; i < got; i++ {
 			dst[n+i].Decode(span[i*nqe.Size:])
 		}
-		q.ring.ReleaseN(got)
+		r.ReleaseN(got)
 		n += got
-	}
-	if n > 0 {
-		q.popped.Add(uint64(n))
 	}
 	return n
 }
 
-// FrontSpan implements Q.
-func (q *Queue) FrontSpan(max int) ([]byte, int) { return q.ring.FrontN(max) }
-
-// ReleaseSpan implements Q.
-func (q *Queue) ReleaseSpan(n int) {
-	q.ring.ReleaseN(n)
-	q.popped.Add(uint64(n))
+// FrontSpan returns up to max oldest queued elements as one raw
+// contiguous byte span (n encoded slots of nqe.Size bytes each) for
+// in-place reading or field patching; the slots stay queued until
+// ReleaseSpan. The span comes from the connection-event ring while it
+// has work. n is 0 when empty. Only the consumer may call it, and each
+// FrontSpan must be resolved by ReleaseSpan before the next.
+func (q *Queue) FrontSpan(max int) ([]byte, int) {
+	if q.hi != nil {
+		if span, n := q.hi.FrontN(max); n > 0 {
+			q.spanHi = true
+			return span, n
+		}
+	}
+	q.spanHi = false
+	return q.ring.FrontN(max)
 }
 
-// PushSpan implements Q: whole spans of raw slots transfer with a
-// single copy per contiguous run.
+// ReleaseSpan frees the first n slots of the last FrontSpan.
+func (q *Queue) ReleaseSpan(n int) {
+	r := q.ring
+	if q.spanHi {
+		r = q.hi
+	}
+	r.ReleaseN(n)
+	count(&q.popped, n)
+}
+
+// PushSpan enqueues raw already-encoded slots (len(span) must be a
+// multiple of nqe.Size), stopping when full, and returns how many slots
+// were enqueued. Whole runs transfer with a single copy per contiguous
+// span of free slots; a priority queue routes by the op byte of each
+// record, without any decode/encode.
 func (q *Queue) PushSpan(span []byte) int {
 	if q.stalled() {
 		return 0
@@ -197,27 +241,36 @@ func (q *Queue) PushSpan(span []byte) int {
 	total := len(span) / nqe.Size
 	pushed := 0
 	for pushed < total {
-		d, n := q.ring.ReserveN(total - pushed)
+		r, end := q.ring, total
+		if q.hi != nil {
+			r = q.route(nqe.Slot(span[pushed*nqe.Size:]).Op())
+			for end = pushed + 1; end < total && q.route(nqe.Slot(span[end*nqe.Size:]).Op()) == r; end++ {
+			}
+		}
+		d, n := r.ReserveN(end - pushed)
 		if n == 0 {
 			break
 		}
 		copy(d, span[pushed*nqe.Size:(pushed+n)*nqe.Size])
-		q.ring.CommitN(n)
+		r.CommitN(n)
 		pushed += n
 	}
-	if pushed > 0 {
-		q.pushed.Add(uint64(pushed))
-	}
+	count(&q.pushed, pushed)
 	return pushed
 }
 
-// Len implements Q.
-func (q *Queue) Len() int { return q.ring.Len() }
+// Len returns the number of queued elements.
+func (q *Queue) Len() int {
+	if q.hi != nil {
+		return q.hi.Len() + q.ring.Len()
+	}
+	return q.ring.Len()
+}
 
-// Pushed implements Q.
+// Pushed returns the total elements ever enqueued.
 func (q *Queue) Pushed() uint64 { return q.pushed.Load() }
 
-// Popped implements Q.
+// Popped returns the total elements ever dequeued.
 func (q *Queue) Popped() uint64 { return q.popped.Load() }
 
 // Move transfers one raw element from src to dst without decoding: the
@@ -234,187 +287,38 @@ func Move(dst, src *Queue) bool { return MoveBatch(dst, src, 1) == 1 }
 func MoveBatch(dst, src *Queue, max int) int {
 	moved := 0
 	for moved < max {
-		s, ns := src.ring.FrontN(max - moved)
+		s, ns := src.FrontSpan(max - moved)
 		if ns == 0 {
 			break
 		}
-		d, nd := dst.ring.ReserveN(ns)
+		nd := dst.PushSpan(s[:ns*nqe.Size])
 		if nd == 0 {
 			break
 		}
-		copy(d, s[:nd*nqe.Size])
-		dst.ring.CommitN(nd)
-		src.ring.ReleaseN(nd)
+		src.ReleaseSpan(nd)
 		moved += nd
-	}
-	if moved > 0 {
-		dst.pushed.Add(uint64(moved))
-		src.popped.Add(uint64(moved))
 	}
 	return moved
 }
 
-// PriorityQueue pairs a high-priority queue (connection events: socket,
-// connect, accept, close, established, …) with a low-priority queue (data
-// events: send, recv, new-data, credits). Pop drains high before low, so
-// a burst of bulk data cannot delay connection setup.
-type PriorityQueue struct {
-	hi, lo *Queue
-	stall  func() bool
-	// spanFrom remembers which queue the last FrontSpan came from, so
-	// ReleaseSpan frees the right slots. Consumer-side state only.
-	spanFrom *Queue
-}
-
-// SetPushStall implements Q. The hook gates pushes through the priority
-// queue itself; the internal queues are not separately stalled.
-func (p *PriorityQueue) SetPushStall(stall func() bool) { p.stall = stall }
-
-func (p *PriorityQueue) stalled() bool { return p.stall != nil && p.stall() }
-
-// NewPriorityQueue builds the pair; each queue gets cfg.Slots slots.
-func NewPriorityQueue(cfg Config) (*PriorityQueue, error) {
-	hi, err := NewQueue(cfg)
-	if err != nil {
-		return nil, err
-	}
-	lo, err := NewQueue(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &PriorityQueue{hi: hi, lo: lo}, nil
-}
-
-// class routes by event class.
-func (p *PriorityQueue) class(op nqe.Op) *Queue {
-	if op.IsConnEvent() {
-		return p.hi
-	}
-	return p.lo
-}
-
-// Push implements Q.
-func (p *PriorityQueue) Push(e *nqe.Element) bool {
-	return !p.stalled() && p.class(e.Op).Push(e)
-}
-
-// PushBatch implements Q, routing each element by event class. It stops
-// at the first element that does not fit so arrival order within a
-// class is never reordered.
-func (p *PriorityQueue) PushBatch(es []nqe.Element) int {
-	if p.stalled() {
-		return 0
-	}
-	for i := range es {
-		if !p.class(es[i].Op).Push(&es[i]) {
-			return i
-		}
-	}
-	return len(es)
-}
-
-// Pop drains connection events before data events.
-func (p *PriorityQueue) Pop(e *nqe.Element) bool {
-	return p.hi.Pop(e) || p.lo.Pop(e)
-}
-
-// PopBatch implements Q, draining connection events before data events.
-func (p *PriorityQueue) PopBatch(dst []nqe.Element) int {
-	n := p.hi.PopBatch(dst)
-	return n + p.lo.PopBatch(dst[n:])
-}
-
-// FrontSpan implements Q: the span comes from the high-priority queue
-// while it has work, then from the low-priority queue.
-func (p *PriorityQueue) FrontSpan(max int) ([]byte, int) {
-	if span, n := p.hi.FrontSpan(max); n > 0 {
-		p.spanFrom = p.hi
-		return span, n
-	}
-	p.spanFrom = p.lo
-	return p.lo.FrontSpan(max)
-}
-
-// ReleaseSpan implements Q.
-func (p *PriorityQueue) ReleaseSpan(n int) {
-	if p.spanFrom != nil {
-		p.spanFrom.ReleaseSpan(n)
-	}
-}
-
-// PushSpan implements Q. Raw slots still route per element (the class
-// lives in the op byte), but without any decode/encode: each 64-byte
-// record copies straight into its queue.
-func (p *PriorityQueue) PushSpan(span []byte) int {
-	if p.stalled() {
-		return 0
-	}
-	total := len(span) / nqe.Size
-	for i := 0; i < total; i++ {
-		rec := span[i*nqe.Size : (i+1)*nqe.Size]
-		if p.class(nqe.Slot(rec).Op()).PushSpan(rec) == 0 {
-			return i
-		}
-	}
-	return total
-}
-
-// Len implements Q.
-func (p *PriorityQueue) Len() int { return p.hi.Len() + p.lo.Len() }
-
-// Pushed implements Q (sum over both queues).
-func (p *PriorityQueue) Pushed() uint64 { return p.hi.Pushed() + p.lo.Pushed() }
-
-// Popped implements Q (sum over both queues).
-func (p *PriorityQueue) Popped() uint64 { return p.hi.Popped() + p.lo.Popped() }
-
 // A Set is one side's three queues (§3.2, Figure 3).
 type Set struct {
 	// Job carries requests from this side to its peer.
-	Job Q
+	Job *Queue
 	// Completion carries responses to jobs, correlated by Seq.
-	Completion Q
+	Completion *Queue
 	// Receive carries asynchronous events (new data, new connections).
-	Receive Q
+	Receive *Queue
 }
 
 // NewSet builds a queue set per cfg.
 func NewSet(cfg Config) (*Set, error) {
-	mk := func() (Q, error) {
-		if cfg.Priority {
-			return NewPriorityQueue(cfg)
-		}
-		return NewQueue(cfg)
-	}
-	job, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	comp, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	recv, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	return &Set{Job: job, Completion: comp, Receive: recv}, nil
-}
-
-// NewSets builds n independent queue sets per cfg — one per datapath
-// shard. Each shard of a multi-queue channel owns a full set, so flows
-// pinned to different shards never contend on a ring.
-func NewSets(cfg Config, n int) ([]*Set, error) {
-	if n < 1 {
-		n = 1
-	}
-	sets := make([]*Set, n)
-	for i := range sets {
-		s, err := NewSet(cfg)
-		if err != nil {
+	var s Set
+	for _, q := range []**Queue{&s.Job, &s.Completion, &s.Receive} {
+		var err error
+		if *q, err = NewQueue(cfg); err != nil {
 			return nil, err
 		}
-		sets[i] = s
 	}
-	return sets, nil
+	return &s, nil
 }

@@ -101,7 +101,7 @@ func TestMoveEdgeCases(t *testing.T) {
 }
 
 func TestPriorityQueueOrdering(t *testing.T) {
-	p, err := NewPriorityQueue(Config{Slots: 8})
+	p, err := NewQueue(Config{Slots: 8, Priority: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPriorityQueueOrdering(t *testing.T) {
 }
 
 func TestPriorityQueueDataFloodDoesNotBlockConn(t *testing.T) {
-	p, _ := NewPriorityQueue(Config{Slots: 4})
+	p, _ := NewQueue(Config{Slots: 4, Priority: true})
 	data := nqe.Element{Op: nqe.OpSend, Source: nqe.FromVM}
 	for p.Push(&data) {
 	}
@@ -145,7 +145,7 @@ func TestNewSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, q := range map[string]Q{"job": s.Job, "completion": s.Completion, "receive": s.Receive} {
+		for name, q := range map[string]*Queue{"job": s.Job, "completion": s.Completion, "receive": s.Receive} {
 			e := nqe.Element{Op: nqe.OpSocket, Source: nqe.FromVM, Seq: 7}
 			if !q.Push(&e) {
 				t.Fatalf("%s (priority=%v): push failed", name, priority)
@@ -162,7 +162,7 @@ func TestNewQueueRejectsBadSlots(t *testing.T) {
 	if _, err := NewQueue(Config{Slots: 3}); err == nil {
 		t.Fatal("non-power-of-two slot count accepted")
 	}
-	if _, err := NewPriorityQueue(Config{Slots: 3}); err == nil {
+	if _, err := NewQueue(Config{Slots: 3, Priority: true}); err == nil {
 		t.Fatal("non-power-of-two slot count accepted by priority queue")
 	}
 	if _, err := NewSet(Config{Slots: 3}); err == nil {
@@ -279,7 +279,7 @@ func TestPushBatchStopsWhenFull(t *testing.T) {
 }
 
 func TestPriorityQueueBatchOps(t *testing.T) {
-	p, _ := NewPriorityQueue(Config{Slots: 8})
+	p, _ := NewQueue(Config{Slots: 8, Priority: true})
 	es := []nqe.Element{
 		{Op: nqe.OpNewData, Source: nqe.FromNSM, Seq: 1},
 		{Op: nqe.OpNewConn, Source: nqe.FromNSM, Seq: 2},
@@ -303,7 +303,7 @@ func TestPriorityQueueBatchOps(t *testing.T) {
 }
 
 func TestPriorityQueueSpanOps(t *testing.T) {
-	p, _ := NewPriorityQueue(Config{Slots: 8})
+	p, _ := NewQueue(Config{Slots: 8, Priority: true})
 	es := []nqe.Element{
 		{Op: nqe.OpNewData, Source: nqe.FromNSM, Seq: 1},
 		{Op: nqe.OpNewConn, Source: nqe.FromNSM, Seq: 2},

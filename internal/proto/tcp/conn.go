@@ -431,17 +431,18 @@ func (c *Conn) Write(p []byte) int {
 
 // WriteOwned appends a caller-owned span to the send buffer without
 // copying. Acceptance is all-or-nothing: on true the connection owns
-// the span and will call release exactly once — when the last covering
-// byte is cumulatively ACKed, or on teardown; on false ownership stays
-// with the caller (release does not fire) and OnWritable will signal
-// when buffer space frees. Segments, including retransmissions, read
-// the span in place, so release genuinely marks the end of its
-// retransmission lifetime (DESIGN.md §8).
-func (c *Conn) WriteOwned(data []byte, release func()) bool {
+// the span and will call rel.Release(token) exactly once — when the
+// last covering byte is cumulatively ACKed, or on teardown; on false
+// ownership stays with the caller (rel is not called) and OnWritable
+// will signal when buffer space frees. Segments, including
+// retransmissions, read the span in place, so the release genuinely
+// marks the end of its retransmission lifetime (DESIGN.md §8). rel may
+// be nil.
+func (c *Conn) WriteOwned(data []byte, rel Releaser, token uint64) bool {
 	if c.closed || c.finQueued || c.state == StateClosed {
 		return false
 	}
-	if !c.sndBuf.WriteOwned(data, release) {
+	if !c.sndBuf.WriteOwned(data, rel, token) {
 		c.wantWrite = true
 		return false
 	}
@@ -526,8 +527,8 @@ func (c *Conn) teardown(err error) {
 	c.closed = true
 	c.state = StateClosed
 	c.stopTimers()
-	// Any spans still unacknowledged die with the connection: fire their
-	// release hooks so borrowed huge-page chunks return to the pool.
+	// Any spans still unacknowledged die with the connection: release
+	// them so borrowed huge-page chunks return to the pool.
 	c.sndBuf.ReleaseAll()
 	if !c.onEstablishedFired && c.cfg.OnEstablished != nil {
 		c.onEstablishedFired = true
@@ -1010,20 +1011,6 @@ func (c *Conn) transmit(h *Header, payload []byte, ecnCapable bool) {
 	c.stats.SegsSent++
 	c.stats.BytesSent += uint64(len(payload))
 	c.cfg.Output(h, payload, ecnCapable)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Debug accessors used by experiment diagnostics and tests.

@@ -295,7 +295,7 @@ func BenchmarkProcessAckWindow(b *testing.B) {
 	c.ctrl.SSThresh = window * mss // hold the window: reno past ssthresh grows ~1 MSS per RTT
 	chunk := make([]byte, mss)
 	for c.inflight.len() < window {
-		if !c.WriteOwned(chunk, nil) {
+		if !c.WriteOwned(chunk, nil, 0) {
 			b.Fatalf("window stuck at %d segments", c.inflight.len())
 		}
 	}
@@ -305,7 +305,7 @@ func BenchmarkProcessAckWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Ack = c.sndUna + mss
 		c.Input(&h, nil, false)
-		c.WriteOwned(chunk, nil)
+		c.WriteOwned(chunk, nil, 0)
 	}
 	b.StopTimer()
 	if c.inflight.len() < window/2 {

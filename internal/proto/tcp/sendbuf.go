@@ -1,14 +1,32 @@
 package tcp
 
+import "netkernel/internal/fifo"
+
+// A Releaser takes back memory it lent to a connection with WriteOwned.
+// The span carries the Releaser and the token the caller handed over
+// with it (for a huge-page chunk, the chunk's offset): the hand-off is
+// data, not a closure, so lending a chunk allocates nothing.
+type Releaser interface {
+	Release(token uint64)
+}
+
 // span is one region of the send buffer. Owned spans hold bytes copied
 // in by Write and may be extended in place; borrowed spans alias memory
 // the caller handed over via WriteOwned (a huge-page chunk, in
-// NetKernel's case) and carry a release hook that fires when the last
+// NetKernel's case) and are handed back to their Releaser when the last
 // covering byte leaves the buffer.
 type span struct {
-	data    []byte
-	release func()
-	owned   bool
+	data  []byte
+	rel   Releaser
+	token uint64
+	owned bool
+}
+
+// release hands a borrowed span back to its lender.
+func (sp *span) release() {
+	if sp.rel != nil {
+		sp.rel.Release(sp.token)
+	}
 }
 
 // sendBuffer is a scatter-gather replacement for the send-side byteRing:
@@ -21,8 +39,10 @@ type span struct {
 type sendBuffer struct {
 	capacity int
 	n        int // total buffered bytes
-	spans    []span
-	// Scan cache: spans[cacheIdx] starts at buffer offset cacheStart.
+	// spans is a ring, so the cumulative ACK pops spans in O(1) and a
+	// buffer that drains and refills keeps its storage.
+	spans fifo.Ring[span]
+	// Scan cache: span cacheIdx starts at buffer offset cacheStart.
 	// Transmits walk the buffer sequentially, so seek resumes from the
 	// last hit instead of scanning from the front — with a deep buffer
 	// full of chunk-sized borrowed spans a cold scan is O(spans) per
@@ -57,33 +77,34 @@ func (b *sendBuffer) Write(p []byte) int {
 	if n == 0 {
 		return 0
 	}
-	if k := len(b.spans); k > 0 && b.spans[k-1].owned {
-		b.spans[k-1].data = append(b.spans[k-1].data, p[:n]...)
+	if b.spans.Len() > 0 && b.spans.Back().owned {
+		tail := b.spans.Back()
+		tail.data = append(tail.data, p[:n]...)
 	} else {
 		d := make([]byte, n)
 		copy(d, p)
-		b.spans = append(b.spans, span{data: d, owned: true})
+		b.spans.Push(span{data: d, owned: true})
 	}
 	b.n += n
 	return n
 }
 
 // WriteOwned appends a borrowed span without copying. It is
-// all-or-nothing: on false the caller keeps ownership (and release does
-// not fire); on true the buffer owns the span and will invoke release
-// exactly once, when the last covering byte is discarded (cumulatively
-// ACKed) or the buffer is torn down.
-func (b *sendBuffer) WriteOwned(data []byte, release func()) bool {
+// all-or-nothing: on false the caller keeps ownership (and rel is not
+// called); on true the buffer owns the span and will call
+// rel.Release(token) exactly once, when the last covering byte is
+// discarded (cumulatively ACKed) or the buffer is torn down. rel may be
+// nil for memory nobody takes back.
+func (b *sendBuffer) WriteOwned(data []byte, rel Releaser, token uint64) bool {
+	sp := span{data: data, rel: rel, token: token}
 	if len(data) == 0 {
-		if release != nil {
-			release()
-		}
+		sp.release()
 		return true
 	}
 	if len(data) > b.Free() {
 		return false
 	}
-	b.spans = append(b.spans, span{data: data, release: release})
+	b.spans.Push(sp)
 	b.n += len(data)
 	return true
 }
@@ -93,18 +114,19 @@ func (b *sendBuffer) WriteOwned(data []byte, release func()) bool {
 // backward jump (retransmission) restarts the scan from the front.
 func (b *sendBuffer) seek(off int) (int, int) {
 	i, base := 0, 0
-	if b.cacheIdx < len(b.spans) && off >= b.cacheStart {
+	if b.cacheIdx < b.spans.Len() && off >= b.cacheStart {
 		i, base = b.cacheIdx, b.cacheStart
 	}
 	rel := off - base
-	for ; i < len(b.spans); i++ {
-		if rel < len(b.spans[i].data) {
+	for ; i < b.spans.Len(); i++ {
+		n := len(b.spans.At(i).data)
+		if rel < n {
 			b.cacheIdx, b.cacheStart = i, off-rel
 			return i, rel
 		}
-		rel -= len(b.spans[i].data)
+		rel -= n
 	}
-	return len(b.spans), 0
+	return b.spans.Len(), 0
 }
 
 // Contig returns a view of the longest contiguous run starting at
@@ -119,11 +141,11 @@ func (b *sendBuffer) Contig(off, n int) []byte {
 		n = b.n - off
 	}
 	i, rel := b.seek(off)
-	if i == len(b.spans) {
+	if i == b.spans.Len() {
 		return nil
 	}
-	end := min(rel+n, len(b.spans[i].data))
-	return b.spans[i].data[rel:end]
+	data := b.spans.At(i).data
+	return data[rel:min(rel+n, len(data))]
 }
 
 // Peek copies up to len(p) bytes starting at offset off into p,
@@ -136,8 +158,8 @@ func (b *sendBuffer) Peek(p []byte, off int) int {
 	want := min(len(p), b.n-off)
 	i, rel := b.seek(off)
 	got := 0
-	for got < want && i < len(b.spans) {
-		got += copy(p[got:want], b.spans[i].data[rel:])
+	for got < want && i < b.spans.Len() {
+		got += copy(p[got:want], b.spans.At(i).data[rel:])
 		rel = 0
 		i++
 	}
@@ -145,8 +167,8 @@ func (b *sendBuffer) Peek(p []byte, off int) int {
 }
 
 // Discard drops n bytes from the front (the cumulative-ACK edge),
-// firing the release hook of every borrowed span whose last byte is
-// passed. Returns the bytes actually discarded.
+// releasing every borrowed span whose last byte is passed. Returns the
+// bytes actually discarded.
 func (b *sendBuffer) Discard(n int) int {
 	if n > b.n {
 		n = b.n
@@ -156,7 +178,7 @@ func (b *sendBuffer) Discard(n int) int {
 	}
 	left, popped := n, 0
 	for left > 0 {
-		sp := &b.spans[0]
+		sp := b.spans.Front()
 		if left < len(sp.data) {
 			// Reslice the consumed prefix away instead of tracking a
 			// head offset: for the owned tail span this is what bounds
@@ -169,15 +191,9 @@ func (b *sendBuffer) Discard(n int) int {
 			break
 		}
 		left -= len(sp.data)
-		if sp.release != nil {
-			sp.release()
-		}
-		*sp = span{}
-		b.spans = b.spans[1:]
+		sp.release()
+		b.spans.Pop()
 		popped++
-	}
-	if len(b.spans) == 0 {
-		b.spans = nil
 	}
 	// Shift the scan cache down with the front edge.
 	if popped > b.cacheIdx {
@@ -192,17 +208,14 @@ func (b *sendBuffer) Discard(n int) int {
 	return n
 }
 
-// ReleaseAll fires every outstanding release hook and empties the
-// buffer. Called on connection teardown so borrowed chunks return to
-// their pool even when the connection dies with unacknowledged data.
+// ReleaseAll releases every borrowed span and empties the buffer.
+// Called on connection teardown so borrowed chunks return to their pool
+// even when the connection dies with unacknowledged data.
 func (b *sendBuffer) ReleaseAll() {
-	for i := range b.spans {
-		if b.spans[i].release != nil {
-			b.spans[i].release()
-		}
-		b.spans[i] = span{}
+	for i := 0; i < b.spans.Len(); i++ {
+		b.spans.At(i).release()
 	}
-	b.spans = nil
+	b.spans.Clear()
 	b.n = 0
 	b.cacheIdx, b.cacheStart = 0, 0
 }

@@ -30,7 +30,7 @@ func ownedTransfer(t *testing.T, n *testNet, pool *shm.HugePages, chunks []shm.C
 	pump := func() {
 		for next < len(chunks) {
 			c := chunks[next]
-			if !n.a.WriteOwned(pool.Bytes(c), func() { pool.Free(c) }) {
+			if !n.a.WriteOwned(pool.Bytes(c), pool, c.Offset) {
 				return
 			}
 			next++
@@ -118,7 +118,7 @@ func TestWriteOwnedHeldWhileUnacked(t *testing.T) {
 	n.drop = func(dir string, h *Header, payload []byte) bool {
 		return dir == "a→b" && len(payload) > 0
 	}
-	if !n.a.WriteOwned(pool.Bytes(chunk), func() { pool.Free(chunk) }) {
+	if !n.a.WriteOwned(pool.Bytes(chunk), pool, chunk.Offset) {
 		t.Fatal("WriteOwned rejected a chunk that fits")
 	}
 	n.loop.RunFor(3 * time.Second)

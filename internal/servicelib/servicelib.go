@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"netkernel/internal/fifo"
 	"netkernel/internal/nkchan"
 	"netkernel/internal/nkqueue"
 	"netkernel/internal/nqe"
@@ -144,12 +145,12 @@ type connState struct {
 	isDgram      bool
 	conn         *tcp.Conn
 	udp          *stack.UDPSocket // datagram sockets, set at bind
-	sendQ        []sendChunk
+	sendQ        fifo.Ring[sendChunk]
 	closePending bool // the guest closed with sendQ unsent: close once it drains
 	recvDebt     int  // bytes at the VM awaiting an OpRecv credit
 	eofSent      bool
-	shaperWait   bool // a shaper retry timer is pending
-	flushPending bool // a coalescing flush timer is pending
+	shaperWait   bool // a shaper retry is pending
+	flushPending bool // a coalescing flush is pending
 	// Open receive chunk: the conn's receive sink fills it directly
 	// with reassembled payload (the rcvBuf bypass). Its bytes precede
 	// anything later buffered in the conn's rcvBuf, so delivery paths
@@ -169,10 +170,50 @@ type listenerState struct {
 // readyShard is one shard's pending coalesced-readiness state: cIDs in
 // first-transition order plus their accumulated masks. The map is for
 // dedup only; emission order is the slice's, so runs stay seed-pure.
+// A flush clears both and keeps their storage.
 type readyShard struct {
 	order []uint32
 	mask  map[uint32]uint32
-	armed bool // a readyDelay flush timer is pending
+	armed bool // a readyDelay flush is pending
+}
+
+// The coalescing windows are closure-free loop events: each handler is
+// the ServiceLib itself under a named type, and arg says which
+// connection (cID) or shard the window belongs to. A window is never
+// stopped; one that fires for a connection already gone finds no cID.
+
+// rxFlush ends a connection's receive coalescing window (armRxFlush).
+type rxFlush ServiceLib
+
+func (h *rxFlush) HandleFrame(_ []byte, cid uint64) {
+	s := (*ServiceLib)(h)
+	if cs := s.conns[uint32(cid)]; cs != nil {
+		cs.flushPending = false
+	}
+	s.deliverData(uint32(cid), true)
+}
+
+// readyFlush ends a shard's readiness coalescing window (queueReady).
+type readyFlush ServiceLib
+
+func (h *readyFlush) HandleFrame(_ []byte, shard uint64) {
+	s := (*ServiceLib)(h)
+	s.ready[shard].armed = false
+	if !s.dead {
+		s.flushReady(int(shard))
+	}
+}
+
+// shaperRetry resumes a connection's send drain once the shaper has
+// tokens again (pumpSend).
+type shaperRetry ServiceLib
+
+func (h *shaperRetry) HandleFrame(_ []byte, cid uint64) {
+	s := (*ServiceLib)(h)
+	if cs := s.conns[uint32(cid)]; cs != nil {
+		cs.shaperWait = false
+		s.pumpSend(cs)
+	}
 }
 
 // ServiceLib is one NSM's queue pump and stack driver.
@@ -220,7 +261,7 @@ func New(cfg Config) *ServiceLib {
 	}
 	s.stats.register(cfg.Metrics)
 	for i := range s.backlog {
-		s.backlog[i].Wake = func(nkqueue.Q) { s.kickEngine(i) }
+		s.backlog[i].Wake = func(*nkqueue.Queue) { s.kickEngine(i) }
 	}
 	cfg.Pair.KickNSM = s.pump
 	return s
@@ -255,7 +296,7 @@ func (s *ServiceLib) kickEngine(shard int) {
 
 // outbound stamps e as this module's emission and returns the ring of
 // kind q it rides on shard.
-func (s *ServiceLib) outbound(shard int, q nkchan.QueueKind, e *nqe.Element) nkqueue.Q {
+func (s *ServiceLib) outbound(shard int, q nkchan.QueueKind, e *nqe.Element) *nkqueue.Queue {
 	e.NSMID = s.cfg.NSMID
 	e.Source = nqe.FromNSM
 	rings := &s.cfg.Pair.Shards[shard]
@@ -290,7 +331,7 @@ func (s *ServiceLib) emitBatch(shard int, q nkchan.QueueKind, es []nqe.Element) 
 		return
 	}
 	shard = s.cfg.Pair.ShardIndex(shard)
-	var target nkqueue.Q
+	var target *nkqueue.Queue
 	for i := range es {
 		target = s.outbound(shard, q, &es[i])
 	}
@@ -326,13 +367,7 @@ func (s *ServiceLib) queueReady(shard int, cid uint32, mask uint32) {
 		return
 	}
 	rs.armed = true
-	s.cfg.Clock.AfterFunc(readyDelay, func() {
-		s.ready[shard].armed = false
-		if s.dead {
-			return
-		}
-		s.flushReady(shard)
-	})
+	s.cfg.Clock.AfterFrame(readyDelay, (*readyFlush)(s), nil, uint64(shard))
 }
 
 // flushReady drains one shard's pending readiness into coalesced
@@ -347,8 +382,15 @@ func (s *ServiceLib) flushReady(shard int) {
 	if len(rs.order) == 0 {
 		return
 	}
-	order, masks := rs.order, rs.mask
-	rs.order, rs.mask = nil, nil
+	s.emitReady(shard, rs.order, rs.mask)
+	rs.order = rs.order[:0]
+	clear(rs.mask)
+}
+
+// emitReady emits one shard's pending readiness, order and masks as
+// queueReady gathered them. Emission only pushes into rings and kicks
+// the engine, so nothing queues further readiness meanwhile.
+func (s *ServiceLib) emitReady(shard int, order []uint32, masks map[uint32]uint32) {
 	if len(order) == 1 {
 		cid := order[0]
 		s.stats.readyEvents.Inc()
@@ -417,15 +459,13 @@ func (s *ServiceLib) newConnState() *connState {
 	return &connState{}
 }
 
-// freeConnState returns a retired connState to the pool. States with a
-// timer still pending (shaper retry, coalescing flush) are left to the
-// garbage collector — the closure holds the pointer and must not find a
-// reincarnated connection behind it.
+// freeConnState returns a retired connState to the pool, keeping its
+// send queue's storage. A coalescing window or shaper retry still
+// pending is keyed by cID, not by pointer, so it can never find the
+// reincarnated connection behind a recycled struct.
 func (s *ServiceLib) freeConnState(cs *connState) {
-	if cs.shaperWait || cs.flushPending {
-		return
-	}
-	*cs = connState{}
+	cs.sendQ.Clear()
+	*cs = connState{sendQ: cs.sendQ}
 	s.connPool = append(s.connPool, cs)
 }
 
@@ -515,7 +555,7 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSend, CID: cs.cid, DataLen: e.DataLen, Status: nqe.StatusOK})
 			return
 		}
-		cs.sendQ = append(cs.sendQ, sendChunk{chunk: shm.Chunk{Offset: e.DataOff}, size: int(e.DataLen), trace: e.Trace})
+		cs.sendQ.Push(sendChunk{chunk: shm.Chunk{Offset: e.DataOff}, size: int(e.DataLen), trace: e.Trace})
 		s.pumpSend(cs)
 
 	case nqe.OpRecv:
@@ -561,7 +601,7 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 		} else if cs != nil && cs.conn != nil {
 			// Closing now would have connClosed free sends the guest was
 			// told are queued; the FIN goes out behind them instead.
-			if len(cs.sendQ) > 0 {
+			if cs.sendQ.Len() > 0 {
 				cs.closePending = true
 			} else {
 				cs.conn.Close()
@@ -898,11 +938,7 @@ func (s *ServiceLib) armRxFlush(cs *connState) {
 		return
 	}
 	cs.flushPending = true
-	cid := cs.cid
-	s.cfg.Clock.AfterFunc(coalesceDelay, func() {
-		cs.flushPending = false
-		s.deliverData(cid, true)
-	})
+	s.cfg.Clock.AfterFrame(coalesceDelay, (*rxFlush)(s), nil, uint64(cs.cid))
 }
 
 // pumpSend drains a connection's queued chunks into the stack socket,
@@ -917,17 +953,14 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 		return
 	}
 	pages := s.cfg.Pair.Pages
-	for len(cs.sendQ) > 0 {
-		head := &cs.sendQ[0]
+	for cs.sendQ.Len() > 0 {
+		head := cs.sendQ.Front()
 		data := pages.Bytes(head.chunk)[head.off:head.size]
 		if s.cfg.Shaper != nil {
 			ok, retry := s.cfg.Shaper.Take(len(data))
 			if !ok {
 				cs.shaperWait = true
-				s.cfg.Clock.AfterFunc(retry, func() {
-					cs.shaperWait = false
-					s.pumpSend(cs)
-				})
+				s.cfg.Clock.AfterFrame(retry, (*shaperRetry)(s), nil, uint64(cs.cid))
 				return
 			}
 		}
@@ -937,7 +970,7 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 			// cannot pull the chunk out from under in-flight segments.
 			chunk := head.chunk
 			pages.Retain(chunk)
-			if !cs.conn.WriteOwned(data, func() { pages.Free(chunk) }) {
+			if !cs.conn.WriteOwned(data, pages, chunk.Offset) {
 				pages.Free(chunk) // hand-off refused: drop the span's reference
 				if s.cfg.Shaper != nil {
 					s.cfg.Shaper.Refund(len(data))
@@ -950,7 +983,7 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 			s.emit(cs.shard, nkchan.Completion, &nqe.Element{
 				Op: nqe.OpSend, CID: cs.cid, DataLen: uint32(head.size), Status: nqe.StatusOK,
 			})
-			cs.sendQ = cs.sendQ[1:]
+			cs.sendQ.Pop()
 			continue
 		}
 		// Copy fallback: a chunk larger than the conn's whole send buffer
@@ -970,7 +1003,7 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 		s.emit(cs.shard, nkchan.Completion, &nqe.Element{
 			Op: nqe.OpSend, CID: cs.cid, DataLen: uint32(head.size), Status: nqe.StatusOK,
 		})
-		cs.sendQ = cs.sendQ[1:]
+		cs.sendQ.Pop()
 	}
 	if cs.closePending {
 		cs.closePending = false
@@ -997,11 +1030,7 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 	}
 	// Release still-queued send chunks. (Chunks already handed to the
 	// conn as spans are released by the conn's own teardown.)
-	for _, c := range cs.sendQ {
-		s.cfg.Pair.Pages.Free(c.chunk)
-		s.cfg.Tracer.Drop(c.trace)
-	}
-	cs.sendQ = nil
+	s.dropSendQ(cs)
 	// deliverData flushed the open receive chunk if it held bytes; an
 	// empty one allocated but never filled would leak without this.
 	if cs.rxHave {
@@ -1010,6 +1039,17 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 	}
 	delete(s.conns, cid)
 	s.freeConnState(cs)
+}
+
+// dropSendQ returns a connection's still-queued send chunks to the pool
+// and abandons their trace spans.
+func (s *ServiceLib) dropSendQ(cs *connState) {
+	for i := 0; i < cs.sendQ.Len(); i++ {
+		c := cs.sendQ.At(i)
+		s.cfg.Pair.Pages.Free(c.chunk)
+		s.cfg.Tracer.Drop(c.trace)
+	}
+	cs.sendQ.Clear()
 }
 
 // Crash models the module process dying: all per-connection state
@@ -1027,11 +1067,7 @@ func (s *ServiceLib) Crash() {
 	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
 	for _, cid := range cids {
 		cs := s.conns[cid]
-		for _, c := range cs.sendQ {
-			s.cfg.Pair.Pages.Free(c.chunk)
-			s.cfg.Tracer.Drop(c.trace)
-		}
-		cs.sendQ = nil
+		s.dropSendQ(cs)
 		if cs.rxHave {
 			s.cfg.Pair.Pages.Free(cs.rxChunk)
 			cs.rxHave, cs.rxFill = false, 0

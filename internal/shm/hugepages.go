@@ -303,6 +303,12 @@ func (h *HugePages) Free(c Chunk) {
 	h.classOf(idx).release(idx)
 }
 
+// Release is Free of the chunk at offset token. It makes HugePages the
+// Releaser a TCP send buffer hands a borrowed chunk back to: the span
+// holds (pages, offset) as data, where a closure would cost an
+// allocation per hand-off.
+func (h *HugePages) Release(token uint64) { h.Free(Chunk{Offset: token}) }
+
 // classOf returns the size class owning a global chunk index.
 func (h *HugePages) classOf(idx int32) *chunkClass {
 	if idx >= h.big.count {

@@ -260,7 +260,7 @@ func TestAllocsSegmentAndAckEndToEnd(t *testing.T) {
 		framepool.Put(f)
 	}
 	live := framepool.Live()
-	if !client.WriteOwned(make([]byte, 1<<20), nil) {
+	if !client.WriteOwned(make([]byte, 1<<20), nil, 0) {
 		t.Fatal("send buffer refused the stream")
 	}
 	slice := func() { loop.RunFor(2 * time.Microsecond) }
