@@ -226,7 +226,7 @@ type socket struct {
 	recvOff  int
 	eof      bool
 	closeErr error
-	accepts  []int32
+	accepts  fifo.Ring[int32]
 	// Datagram receive queue (datagram sockets only).
 	dgrams []datagram
 	bound  bool
@@ -345,13 +345,13 @@ func (g *GuestLib) newSocket() *socket {
 
 // releaseSocket retires a fully-closed socket: any receive chunks still
 // held go back to the huge-page pool, the descriptor unmaps, and the
-// struct recycles with its receive ring's storage. Stale references by
-// fd (the stall queue, a poller's ready list) resolve through the map
-// and find nothing.
+// struct recycles with its receive ring's and deferred list's storage.
+// Stale references by fd (the stall queue, a poller's ready list)
+// resolve through the map and find nothing.
 func (g *GuestLib) releaseSocket(s *socket) {
 	s.freeRecvQ()
 	delete(g.sockets, s.fd)
-	*s = socket{recvQ: s.recvQ}
+	*s = socket{recvQ: s.recvQ, deferred: s.deferred[:0]}
 	g.sockPool = append(g.sockPool, s)
 }
 
@@ -596,11 +596,11 @@ func (g *GuestLib) Listen(fd int32, port uint16, backlog int) error {
 // returning its descriptor. ok is false when none is pending.
 func (g *GuestLib) Accept(lfd int32) (fd int32, ok bool) {
 	s := g.sockets[lfd]
-	if s == nil || s.kind != kindListener || len(s.accepts) == 0 {
+	if s == nil || s.kind != kindListener || s.accepts.Len() == 0 {
 		return 0, false
 	}
-	fd = s.accepts[0]
-	s.accepts = s.accepts[1:]
+	fd = *s.accepts.Front()
+	s.accepts.Pop()
 	if as := g.sockets[fd]; as != nil {
 		g.latency.acceptWait.Observe(uint64(g.cfg.Clock.Now().Sub(as.acceptedAt)))
 	}
@@ -614,11 +614,14 @@ func (g *GuestLib) Accept(lfd int32) (fd int32, ok bool) {
 // occupies a slot; the caller sees its OnClose like any other.
 func (g *GuestLib) AcceptBatch(lfd int32, fds []int32) int {
 	s := g.sockets[lfd]
-	if s == nil || s.kind != kindListener || len(s.accepts) == 0 {
+	if s == nil || s.kind != kindListener || s.accepts.Len() == 0 {
 		return 0
 	}
-	n := copy(fds, s.accepts)
-	s.accepts = s.accepts[n:]
+	n := 0
+	for ; n < len(fds) && s.accepts.Len() > 0; n++ {
+		fds[n] = *s.accepts.Front()
+		s.accepts.Pop()
+	}
 	now := g.cfg.Clock.Now()
 	for _, fd := range fds[:n] {
 		if as := g.sockets[fd]; as != nil {
@@ -757,9 +760,9 @@ func (g *GuestLib) Close(fd int32) {
 	// close them too so their NSM state unwinds instead of idling
 	// forever behind a descriptor nobody holds.
 	if s.kind == kindListener {
-		orphans := s.accepts
-		s.accepts = nil
-		for _, afd := range orphans {
+		for s.accepts.Len() > 0 {
+			afd := *s.accepts.Front()
+			s.accepts.Pop()
 			g.Close(afd)
 		}
 	}
@@ -770,15 +773,21 @@ func (g *GuestLib) Close(fd int32) {
 	// the struct must survive until the replay.) The release defers to
 	// the executor: Close is often called from inside the OpConnClosed
 	// delivery that announced the peer's close, and that handler still
-	// has callbacks (OnClose) to run against this socket. The fd-map
-	// re-check makes the posted release a no-op if the event handler
-	// already retired the descriptor itself.
+	// has callbacks (OnClose) to run against this socket.
 	if s.closedSeen && s.ready {
-		g.cfg.Clock.Post(func() {
-			if g.sockets[fd] == s && s.closeSent {
-				g.releaseSocket(s)
-			}
-		})
+		g.cfg.Clock.AfterFrame(0, (*releaseClosed)(g), nil, uint64(uint32(fd)))
+	}
+}
+
+// releaseClosed is the GuestLib as the handler of Close's deferred
+// release, arg being the descriptor. Descriptors are never reused, so
+// one the event handler already retired finds no socket.
+type releaseClosed GuestLib
+
+func (h *releaseClosed) HandleFrame(_ []byte, fd uint64) {
+	g := (*GuestLib)(h)
+	if s := g.sockets[int32(uint32(fd))]; s != nil && s.closeSent {
+		g.releaseSocket(s)
 	}
 }
 
@@ -928,7 +937,7 @@ func (p *Poller) Add(fd int32) error {
 	if s.recvQ.Len() > 0 || len(s.dgrams) > 0 || s.eof {
 		mask |= nqe.ReadyReadable
 	}
-	if len(s.accepts) > 0 {
+	if s.accepts.Len() > 0 {
 		mask |= nqe.ReadyAcceptable
 	}
 	if s.state == stClosed {
@@ -1042,7 +1051,7 @@ func (g *GuestLib) handleCompletion(pair *nkchan.Pair, e *nqe.Element) {
 			// crashed or rejected the socket): dead on arrival. Deferred
 			// operations are dropped; the application learns through the
 			// usual terminal callbacks.
-			s.deferred = nil
+			s.deferred = s.deferred[:0]
 			wasConnecting := s.state == stConnecting
 			wasClosed := s.state == stClosed
 			s.state = stClosed
@@ -1063,7 +1072,7 @@ func (g *GuestLib) handleCompletion(pair *nkchan.Pair, e *nqe.Element) {
 		for i := range s.deferred {
 			g.post(s.pair, s.shard, &s.deferred[i])
 		}
-		s.deferred = nil
+		s.deferred = s.deferred[:0]
 	case nqe.OpPollCtl:
 		// Registration acknowledged; nothing to do. (A StatusInvalid —
 		// the socket died NSM-side before the ctl landed — is not a
@@ -1116,12 +1125,12 @@ func (g *GuestLib) handleEvent(pair *nkchan.Pair, shard int, e *nqe.Element) {
 			g.Close(newFD)
 			return
 		}
-		s.accepts = append(s.accepts, newFD)
+		s.accepts.Push(newFD)
 		if s.poller != nil {
 			// A polled listener coalesces: one acceptable bit, however
 			// many connections landed, drained via AcceptBatch.
 			g.pollerNotify(s, nqe.ReadyAcceptable)
-		} else if len(s.accepts) == 1 && s.cbs.OnAcceptable != nil {
+		} else if s.accepts.Len() == 1 && s.cbs.OnAcceptable != nil {
 			s.cbs.OnAcceptable()
 		}
 	case nqe.OpNewData:

@@ -179,3 +179,100 @@ func TestAllocsConveyorPolledRoundTrip(t *testing.T) {
 		t.Errorf("%v allocations per 64 B polled round trip, want 0", n)
 	}
 }
+
+// Connection churn allocates nothing on the NSM side either (DESIGN.md
+// §16): once the free lists are warm, a whole short flow — socket,
+// connect, 64 B echo, close, on both hosts — reuses the TCP connection,
+// its callbacks and every per-connection queue. The client's callbacks
+// are built once, so nothing the test itself does allocates per flow.
+func TestAllocsShortFlowChurn(t *testing.T) {
+	const msg = 64
+	c := newCluster(t, nil)
+	vma, vmb := c.nkPair(t, "cubic", "cubic")
+	srv, cli := vmb.Guest, vma.Guest
+
+	// Server: a poller echo loop that closes on the client's EOF.
+	sbuf := make([]byte, 4<<10)
+	events := make([]guestlib.PollEvent, 16)
+	accepted := make([]int32, 16)
+	var p *guestlib.Poller
+	var lfd int32
+	p = srv.NewPoller(func() {
+		for {
+			n := p.Wait(events)
+			if n == 0 {
+				return
+			}
+			for _, ev := range events[:n] {
+				if ev.FD == lfd {
+					for _, fd := range accepted[:srv.AcceptBatch(lfd, accepted)] {
+						p.Add(fd)
+					}
+					continue
+				}
+				for {
+					m, eof := srv.Recv(ev.FD, sbuf)
+					if m == 0 {
+						if eof {
+							srv.Close(ev.FD)
+						}
+						break
+					}
+					srv.Send(ev.FD, sbuf[:m])
+				}
+			}
+		}
+	})
+	lfd = srv.Socket(guestlib.Callbacks{})
+	if err := srv.Listen(lfd, 80, 64); err != nil {
+		t.Fatal(err)
+	}
+	p.Add(lfd)
+
+	// Client: dial, send 64 B, read the echo, close; the flow ends when
+	// the guest sees the connection closed.
+	out, in := make([]byte, msg), make([]byte, 4<<10)
+	var fd int32
+	got, ended := 0, false
+	cbs := guestlib.Callbacks{
+		OnEstablished: func(err error) {
+			if err != nil {
+				t.Fatalf("connect: %v", err)
+			}
+			if cli.Send(fd, out) != msg {
+				t.Fatal("short send")
+			}
+		},
+		OnReadable: func() {
+			for got < msg {
+				n, _ := cli.Recv(fd, in)
+				if n == 0 {
+					return
+				}
+				if got += n; got >= msg {
+					cli.Close(fd)
+				}
+			}
+		},
+		OnClose: func(error) { ended = true },
+	}
+	flowEnded := func() bool { return ended }
+	op := func() {
+		got, ended = 0, false
+		fd = cli.Socket(cbs)
+		if err := cli.Connect(fd, ipVMB, 80); err != nil {
+			t.Fatal(err)
+		}
+		stepUntil(t, c, flowEnded)
+		if got != msg {
+			t.Fatalf("flow echoed %d of %d bytes", got, msg)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		op() // free lists, rings, maps and loop slots reach their working size
+	}
+	// AllocsPerRun truncates its average: 0 reads as under one per flow.
+	if n := testing.AllocsPerRun(200, op); n != 0 {
+		t.Errorf("%v allocations per short flow, want 0", n)
+	}
+}

@@ -23,11 +23,16 @@ type byteRing struct {
 // any bytes at all.
 const ringMinAlloc = 1 << 10
 
-func newByteRing(capacity int) *byteRing {
+// reset empties the ring and sets its capacity, keeping the storage an
+// earlier connection grew unless it exceeds the new capacity.
+func (r *byteRing) reset(capacity int) {
 	if capacity <= 0 {
 		panic("tcp: non-positive buffer capacity")
 	}
-	return &byteRing{cap: capacity}
+	if len(r.buf) > capacity {
+		r.buf = nil
+	}
+	r.cap, r.start, r.n = capacity, 0, 0
 }
 
 func (r *byteRing) Cap() int    { return r.cap }

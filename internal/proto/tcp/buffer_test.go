@@ -9,6 +9,12 @@ import (
 // construction and governs Free/Write admission, while the physical
 // array only materializes as bytes are buffered.
 
+func newByteRing(capacity int) *byteRing {
+	r := new(byteRing)
+	r.reset(capacity)
+	return r
+}
+
 func TestByteRingLazyAllocation(t *testing.T) {
 	r := newByteRing(1 << 20)
 	if len(r.buf) != 0 {

@@ -1,9 +1,11 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/sim"
 	"netkernel/internal/tcpcc"
@@ -176,15 +178,71 @@ type segMeta struct {
 	fin                 bool
 }
 
+// oooSeg is one buffered out-of-order segment. data is a pool frame
+// (framepool) the connection releases when the segment is merged,
+// dropped as a duplicate, or torn down.
 type oooSeg struct {
 	seq  uint32
 	data []byte
 	fin  bool
 }
 
+// Errors a connection ends with, reported to OnEstablished and OnClose.
+// A connection that gives up retransmitting ends with an error whose
+// Timeout method reports true.
+var (
+	ErrReset                   = errors.New("tcp: connection reset by peer")
+	ErrRefused                 = errors.New("tcp: connection refused")
+	ErrAborted                 = errors.New("tcp: connection aborted")
+	ErrClosedBeforeEstablished = errors.New("tcp: closed before establishment")
+)
+
+// An Owner hosts connections: the stack whose demux table routes their
+// segments.
+type Owner interface {
+	// ConnClosed runs once when c ends (teardown or Detach), before the
+	// application's OnClose.
+	ConnClosed(c *Conn)
+}
+
 // Conn is one TCP connection. All methods must be invoked on the
 // configured Clock's executor; callbacks are delivered there too.
+//
+// A Conn that has ended (State reports StateClosed) may be rebuilt in
+// place with Dial, Passive or Restore once nothing else will touch it.
+// Everything one connection sets lives in the embedded incarnation,
+// which a rebuild zeroes; what Conn holds besides — buffer, scoreboard
+// and reorder-queue storage, the timers' callback bindings — outlives
+// it, so an owner that recycles connections allocates none of it again
+// (DESIGN.md §16).
 type Conn struct {
+	incarnation
+
+	sndBuf   sendBuffer // bytes in [sndUna+…, ) not yet acknowledged
+	rcvBuf   byteRing
+	inflight scoreboard
+	ooo      []oooSeg // sorted by seq
+
+	rtoTimer, delackTimer, paceTimer, persistTimer, timeWaitTimer sim.Timer
+	// timersOn and timeWaitOn are what the timers are bound to: a
+	// rebuild on the same clock and TIME_WAIT lane keeps the bindings.
+	timersOn   sim.Clock
+	timeWaitOn sim.AfterFuncer
+	// gen counts rebuilds, so an event scheduled for one incarnation can
+	// tell when it runs on a later one.
+	gen uint64
+
+	// txHdr is the header of the segment being transmitted, reused for
+	// every segment: see OutputFunc for how long it stays valid.
+	txHdr Header
+	// ackSample is the sample handed to the congestion control on each
+	// new ACK; it lives here because the call through the Algorithm
+	// interface would otherwise move a fresh one to the heap every time.
+	ackSample tcpcc.AckSample
+}
+
+// incarnation is the state of one connection's life.
+type incarnation struct {
 	cfg   Config
 	state State
 
@@ -195,7 +253,6 @@ type Conn struct {
 	sndMax uint32 // highest sequence ever sent (survives RTO rewind)
 	sndWnd int    // peer's advertised window, scaled to bytes
 
-	sndBuf    *sendBuffer // bytes in [sndUna+…, ) not yet acknowledged
 	finQueued bool
 	finSent   bool
 	finSeq    uint32
@@ -205,12 +262,10 @@ type Conn struct {
 	sackOK     bool
 
 	// Retransmission machinery.
-	rto      time.Duration
-	srtt     time.Duration
-	rttvar   time.Duration
-	rtoTimer sim.Timer
-	inflight scoreboard
-	backoff  int
+	rto     time.Duration
+	srtt    time.Duration
+	rttvar  time.Duration
+	backoff int
 
 	// Recovery (NewReno + SACK-lite).
 	dupAcks    int
@@ -222,22 +277,15 @@ type Conn struct {
 	delivered   uint64
 	deliveredAt sim.Time // when the delivered counter last advanced
 	appLtdUntil uint64
-	// ackSample is the sample handed to the congestion control on each
-	// new ACK; it lives here because the call through the Algorithm
-	// interface would otherwise move a fresh one to the heap every time.
-	ackSample tcpcc.AckSample
 
 	// Receive sequence state.
 	irs      uint32
 	rcvNxt   uint32
-	rcvBuf   *byteRing
 	sink     func(p []byte) int
-	ooo      []oooSeg
 	oooBytes int
 	finRcvd  bool
 
 	// Acking.
-	delackTimer  sim.Timer
 	lastOOOSeq   uint32 // seq of the most recent out-of-order arrival
 	sackRotate   uint32 // rotates secondary SACK blocks across runs
 	unackedSegs  int
@@ -248,51 +296,52 @@ type Conn struct {
 
 	// Pacing.
 	paceNext   sim.Time
-	paceTimer  sim.Timer
 	pacePinned bool
 
-	persistTimer  sim.Timer
-	timeWaitTimer sim.Timer
 	// timeWaitDeadline is when the TIME_WAIT timer fires; migration
 	// snapshots carry the remaining wait instead of restarting 2·MSL.
 	timeWaitDeadline sim.Time
-
-	// txHdr is the header of the segment being transmitted, reused for
-	// every segment: see OutputFunc for how long it stays valid.
-	txHdr Header
 
 	cc        tcpcc.Algorithm
 	ctrl      tcpcc.Control
 	wantWrite bool
 	closed    bool
 	stats     Stats
-	ownerHook func()
+	owner     Owner
 
 	// onEstablishedFired guards the one-shot handshake callback.
 	onEstablishedFired bool
 }
 
-// newConn builds the shared parts of active and passive connections.
-func newConn(cfg Config) *Conn {
+// rebuild readies c — new, or ended — for a connection under cfg: the
+// shared part of Dial, Passive and Restore.
+func (c *Conn) rebuild(cfg Config) {
 	cfg.fillDefaults()
 	if cfg.Clock == nil || cfg.Output == nil || cfg.CC == nil {
 		panic("tcp: Config requires Clock, Output, and CC")
 	}
-	c := &Conn{
-		cfg:    cfg,
-		sndBuf: newSendBuffer(cfg.SendBufSize),
-		rcvBuf: newByteRing(cfg.RecvBufSize),
-		cc:     cfg.CC,
-		rto:    time.Second,
+	if c.cfg.Clock != nil && !c.closed {
+		panic("tcp: rebuilding a connection that has not ended")
 	}
-	c.rtoTimer.Init(cfg.Clock, c.onRTO)
-	c.delackTimer.Init(cfg.Clock, c.onDelack)
-	c.paceTimer.Init(cfg.Clock, c.onPace)
-	c.persistTimer.Init(cfg.Clock, c.onPersist)
+	c.incarnation = incarnation{cfg: cfg, cc: cfg.CC, rto: time.Second}
+	c.gen++
+	c.sndBuf.reset(cfg.SendBufSize)
+	c.rcvBuf.reset(cfg.RecvBufSize)
+	c.inflight.reset()
+	if c.timersOn != cfg.Clock {
+		c.timersOn = cfg.Clock
+		c.rtoTimer.Init(cfg.Clock, c.onRTO)
+		c.delackTimer.Init(cfg.Clock, c.onDelack)
+		c.paceTimer.Init(cfg.Clock, c.onPace)
+		c.persistTimer.Init(cfg.Clock, c.onPersist)
+	}
+	var tw sim.AfterFuncer = cfg.Clock
 	if cfg.TimeWaitLane != nil {
-		c.timeWaitTimer.Init(cfg.TimeWaitLane, c.onTimeWait)
-	} else {
-		c.timeWaitTimer.Init(cfg.Clock, c.onTimeWait)
+		tw = cfg.TimeWaitLane
+	}
+	if c.timeWaitOn != tw {
+		c.timeWaitOn = tw
+		c.timeWaitTimer.Init(tw, c.onTimeWait)
 	}
 	if c.rto < cfg.MinRTO {
 		c.rto = cfg.MinRTO
@@ -316,25 +365,33 @@ func newConn(cfg Config) *Conn {
 	default:
 		c.iss = uint32(cfg.Clock.Now())
 	}
-	return c
 }
 
 // Dial opens an active connection: it transmits a SYN immediately.
 func Dial(cfg Config) *Conn {
-	c := newConn(cfg)
+	c := new(Conn)
+	c.Dial(cfg)
+	return c
+}
+
+// Dial rebuilds c, new or ended, as an active connection under cfg and
+// transmits its SYN.
+func (c *Conn) Dial(cfg Config) {
+	c.rebuild(cfg)
 	c.state = StateSynSent
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
 	c.sndMax = c.sndNxt
 	c.sendSYN(false)
 	c.armRTO()
-	return c
 }
 
-// newPassive builds a connection for a listener that just received the
-// given SYN.
-func newPassive(cfg Config, syn *Header, ecnRequested bool) *Conn {
-	c := newConn(cfg)
+// Passive rebuilds c, new or ended, as a passive connection answering
+// syn under cfg and transmits its SYN-ACK. ecnRequested reports whether
+// the SYN asked for ECN (RFC 3168 ECE+CWR); it is honored only when the
+// connection's congestion control wants ECN.
+func (c *Conn) Passive(cfg Config, syn *Header, ecnRequested bool) {
+	c.rebuild(cfg)
 	c.state = StateSynRcvd
 	c.irs = syn.Seq
 	c.rcvNxt = syn.Seq + 1
@@ -346,7 +403,6 @@ func newPassive(cfg Config, syn *Header, ecnRequested bool) *Conn {
 	c.ecnEnabled = ecnRequested && c.cc.NeedsECN()
 	c.sendSYN(true)
 	c.armRTO()
-	return c
 }
 
 // State returns the connection state.
@@ -508,7 +564,7 @@ func (c *Conn) Abort() {
 		h.Ack = c.rcvNxt
 		c.transmit(h, nil, false)
 	}
-	c.teardown(fmt.Errorf("tcp: connection aborted"))
+	c.teardown(ErrAborted)
 }
 
 // Kill tears the connection down immediately and silently: no RST, no
@@ -524,32 +580,44 @@ func (c *Conn) teardown(err error) {
 	if c.closed {
 		return
 	}
-	c.closed = true
-	c.state = StateClosed
-	c.stopTimers()
-	// Any spans still unacknowledged die with the connection: release
-	// them so borrowed huge-page chunks return to the pool.
-	c.sndBuf.ReleaseAll()
+	c.stop()
 	if !c.onEstablishedFired && c.cfg.OnEstablished != nil {
 		c.onEstablishedFired = true
 		e := err
 		if e == nil {
-			e = fmt.Errorf("tcp: closed before establishment")
+			e = ErrClosedBeforeEstablished
 		}
 		c.cfg.OnEstablished(e)
 	}
-	if c.ownerHook != nil {
-		c.ownerHook()
+	if c.owner != nil {
+		c.owner.ConnClosed(c)
 	}
 	if c.cfg.OnClose != nil {
 		c.cfg.OnClose(err)
 	}
 }
 
-func (c *Conn) stopTimers() {
-	for _, t := range [...]*sim.Timer{&c.rtoTimer, &c.delackTimer, &c.paceTimer, &c.persistTimer, &c.timeWaitTimer} {
+// stop ends the connection's hold on time and memory: it marks the
+// connection closed, stops every timer, and hands back what the buffers
+// borrowed — the send spans' huge-page chunks to their lender, the
+// reorder queue's frames to the pool.
+func (c *Conn) stop() {
+	c.closed = true
+	c.state = StateClosed
+	for _, t := range c.timers() {
 		t.Stop()
 	}
+	c.sndBuf.ReleaseAll()
+	for i := range c.ooo {
+		framepool.Put(c.ooo[i].data)
+	}
+	clear(c.ooo)
+	c.ooo = c.ooo[:0]
+	c.oooBytes = 0
+}
+
+func (c *Conn) timers() [5]*sim.Timer {
+	return [...]*sim.Timer{&c.rtoTimer, &c.delackTimer, &c.paceTimer, &c.persistTimer, &c.timeWaitTimer}
 }
 
 // SetNagle toggles RFC 896 coalescing at runtime (setsockopt
@@ -559,11 +627,14 @@ func (c *Conn) SetNagle(on bool) { c.cfg.Nagle = on }
 // NagleEnabled reports whether RFC 896 coalescing is active.
 func (c *Conn) NagleEnabled() bool { return c.cfg.Nagle }
 
-// SetOwnerHook registers an owner (stack) hook invoked once on final
-// teardown, before the application's OnClose. The owning stack uses it
-// to deregister the connection from its demux table; SetCallbacks does
-// not disturb it.
-func (c *Conn) SetOwnerHook(fn func()) { c.ownerHook = fn }
+// SetOwner registers the connection's owner, whose ConnClosed runs once
+// on final teardown, before the application's OnClose. The owning stack
+// uses it to deregister the connection from its demux table;
+// SetCallbacks does not disturb it.
+func (c *Conn) SetOwner(o Owner) { c.owner = o }
+
+// Owner returns what SetOwner registered.
+func (c *Conn) Owner() Owner { return c.owner }
 
 func (c *Conn) establish() {
 	c.state = StateEstablished
@@ -578,9 +649,9 @@ func (c *Conn) establish() {
 
 // reset handles an inbound RST.
 func (c *Conn) reset() {
-	err := fmt.Errorf("tcp: connection reset by peer")
+	err := ErrReset
 	if c.state == StateSynSent {
-		err = fmt.Errorf("tcp: connection refused")
+		err = ErrRefused
 	}
 	c.teardown(err)
 }
@@ -710,8 +781,7 @@ func (c *Conn) processPayload(h *Header, payload []byte, ceMarked bool) {
 		// artificial holes for the sender to recover one RTT at a
 		// time), and send an immediate duplicate ACK with SACK info.
 		if len(payload) > 0 && c.oooBytes+len(payload) <= c.rcvBuf.Free() {
-			data := make([]byte, len(payload))
-			copy(data, payload)
+			data := framepool.Clone(payload)
 			c.countCopyRx(len(payload))
 			c.insertOOO(oooSeg{seq: seq, data: data, fin: fin})
 			c.lastOOOSeq = seq
@@ -744,7 +814,18 @@ func (c *Conn) acceptInOrder(payload []byte, fin bool) {
 		c.handleFIN()
 		return
 	}
-	// Merge out-of-order runs.
+	if len(c.ooo) > 0 {
+		c.mergeOOO()
+	}
+}
+
+// mergeOOO delivers the out-of-order runs rcvNxt has reached, releasing
+// each merged segment's frame. The queue slides forward while delivery
+// callbacks can see it, then shifts down to the start of its storage,
+// which the next insertion reuses instead of regrowing.
+func (c *Conn) mergeOOO() {
+	store := c.ooo
+	fin := false
 	for len(c.ooo) > 0 {
 		s := c.ooo[0]
 		if seqGT(s.seq, c.rcvNxt) {
@@ -754,16 +835,24 @@ func (c *Conn) acceptInOrder(payload []byte, fin bool) {
 		c.oooBytes -= len(s.data)
 		skip := seqDiff(c.rcvNxt, s.seq)
 		if skip < 0 || skip > len(s.data) {
+			framepool.Put(s.data)
 			continue
 		}
 		m := c.deliverInOrder(s.data[skip:])
-		if m < len(s.data[skip:]) {
+		framepool.Put(s.data)
+		if m < len(s.data)-skip {
 			break
 		}
 		if s.fin {
-			c.handleFIN()
-			return
+			fin = true
+			break
 		}
+	}
+	n := copy(store, c.ooo)
+	clear(store[n:])
+	c.ooo = store[:n]
+	if fin {
+		c.handleFIN()
 	}
 }
 
@@ -844,7 +933,8 @@ func (c *Conn) insertOOO(s oooSeg) {
 			break
 		}
 		if s.seq == c.ooo[i].seq {
-			return // duplicate
+			framepool.Put(s.data) // duplicate
+			return
 		}
 	}
 	c.ooo = append(c.ooo, oooSeg{})

@@ -1,11 +1,13 @@
 package tcp
 
+import "netkernel/internal/fifo"
+
 // NewPassive builds a passive-open connection answering the given SYN:
-// it transmits the SYN-ACK immediately. ecnRequested reports whether
-// the SYN asked for ECN (RFC 3168 ECE+CWR); it is honored only when the
-// connection's congestion control wants ECN.
+// it transmits the SYN-ACK immediately. See Conn.Passive.
 func NewPassive(cfg Config, syn *Header, ecnRequested bool) *Conn {
-	return newPassive(cfg, syn, ecnRequested)
+	c := new(Conn)
+	c.Passive(cfg, syn, ecnRequested)
+	return c
 }
 
 // A Listener is the accept queue for one listening port. The owning
@@ -14,7 +16,7 @@ func NewPassive(cfg Config, syn *Header, ecnRequested bool) *Conn {
 type Listener struct {
 	local      AddrPort
 	maxBacklog int
-	backlog    []*Conn
+	backlog    fifo.Ring[*Conn]
 
 	// OnAcceptable fires when Accept transitions from empty to ready.
 	OnAcceptable func()
@@ -33,15 +35,15 @@ func (l *Listener) Addr() AddrPort { return l.local }
 
 // Full reports whether the backlog is at capacity (new SYNs should be
 // dropped, the classic listen-queue overflow).
-func (l *Listener) Full() bool { return len(l.backlog) >= l.maxBacklog }
+func (l *Listener) Full() bool { return l.backlog.Len() >= l.maxBacklog }
 
 // MaxBacklog returns the backlog capacity.
 func (l *Listener) MaxBacklog() int { return l.maxBacklog }
 
 // Deposit queues an established connection for Accept.
 func (l *Listener) Deposit(c *Conn) {
-	wasEmpty := len(l.backlog) == 0
-	l.backlog = append(l.backlog, c)
+	wasEmpty := l.backlog.Len() == 0
+	l.backlog.Push(c)
 	if wasEmpty && l.OnAcceptable != nil {
 		l.OnAcceptable()
 	}
@@ -50,13 +52,13 @@ func (l *Listener) Deposit(c *Conn) {
 // Accept pops the oldest established connection, reporting false when
 // none is ready.
 func (l *Listener) Accept() (*Conn, bool) {
-	if len(l.backlog) == 0 {
+	if l.backlog.Len() == 0 {
 		return nil, false
 	}
-	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	c := *l.backlog.Front()
+	l.backlog.Pop()
 	return c, true
 }
 
 // Pending returns the number of connections awaiting Accept.
-func (l *Listener) Pending() int { return len(l.backlog) }
+func (l *Listener) Pending() int { return l.backlog.Len() }

@@ -16,6 +16,9 @@ type scoreboard struct {
 
 func (b *scoreboard) len() int { return b.n }
 
+// reset empties the scoreboard, keeping its storage.
+func (b *scoreboard) reset() { b.head, b.n, b.sacked = 0, 0, 0 }
+
 // at returns the i-th oldest entry. The pointer is good until the next
 // push.
 func (b *scoreboard) at(i int) *segMeta {

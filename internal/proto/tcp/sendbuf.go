@@ -51,11 +51,14 @@ type sendBuffer struct {
 	cacheStart int
 }
 
-func newSendBuffer(capacity int) *sendBuffer {
+// reset readies an empty buffer (new, or emptied by ReleaseAll) for a
+// connection, keeping the span ring's storage.
+func (b *sendBuffer) reset(capacity int) {
 	if capacity <= 0 {
 		panic("tcp: sendBuffer capacity must be positive")
 	}
-	return &sendBuffer{capacity: capacity}
+	b.capacity, b.n = capacity, 0
+	b.cacheIdx, b.cacheStart = 0, 0
 }
 
 // Cap returns the configured capacity in bytes.

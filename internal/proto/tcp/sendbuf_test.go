@@ -13,6 +13,12 @@ import (
 // storage. These tests drive it across the ring's wrap point, where an
 // index slip would hand TCP the wrong bytes or release a chunk early.
 
+func newSendBuffer(capacity int) *sendBuffer {
+	b := new(sendBuffer)
+	b.reset(capacity)
+	return b
+}
+
 // countingReleaser records every Release by token.
 type countingReleaser map[uint64]int
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"netkernel/internal/framepool"
 	"netkernel/internal/sim"
 	"netkernel/internal/tcpcc"
 )
@@ -209,12 +210,9 @@ func (c *Conn) Detach() {
 	if c.closed {
 		return
 	}
-	c.closed = true
-	c.state = StateClosed
-	c.stopTimers()
-	c.sndBuf.ReleaseAll()
-	if c.ownerHook != nil {
-		c.ownerHook()
+	c.stop()
+	if c.owner != nil {
+		c.owner.ConnClosed(c)
 	}
 }
 
@@ -231,14 +229,31 @@ func (c *Conn) Detach() {
 // delayed ACK, zero-window persist) are re-armed; pacing resumes on
 // the next send opportunity.
 func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
+	c := new(Conn)
+	if err := c.Restore(cfg, s); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Restore rebuilds c, new or ended, from a snapshot, as the package's
+// Restore does. On error c is left as it was.
+func (c *Conn) Restore(cfg Config, s *ConnSnapshot) error {
 	if s == nil {
-		return nil, fmt.Errorf("tcp: nil snapshot")
+		return fmt.Errorf("tcp: nil snapshot")
 	}
 	if s.Version != ConnSnapshotVersion {
-		return nil, fmt.Errorf("tcp: snapshot version %d, want %d", s.Version, ConnSnapshotVersion)
+		return fmt.Errorf("tcp: snapshot version %d, want %d", s.Version, ConnSnapshotVersion)
 	}
 	if s.State == StateClosed {
-		return nil, fmt.Errorf("tcp: cannot restore a closed connection")
+		return fmt.Errorf("tcp: cannot restore a closed connection")
+	}
+	cfg.fillDefaults()
+	if cfg.SendBufSize < len(s.SendBuf) {
+		return fmt.Errorf("tcp: send buffer %d too small for %d snapshot bytes", cfg.SendBufSize, len(s.SendBuf))
+	}
+	if cfg.RecvBufSize < len(s.RecvBuf) {
+		return fmt.Errorf("tcp: recv buffer %d too small for %d snapshot bytes", cfg.RecvBufSize, len(s.RecvBuf))
 	}
 	cfg.Local, cfg.Remote = s.Local, s.Remote
 	cfg.MSS = s.MSS
@@ -246,13 +261,7 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 	cfg.RNG = nil // the ISS below overrides; keep the RNG stream untouched
 	iss := s.ISS
 	cfg.ISS = &iss
-	c := newConn(cfg)
-	if c.sndBuf.Cap() < len(s.SendBuf) {
-		return nil, fmt.Errorf("tcp: send buffer %d too small for %d snapshot bytes", c.sndBuf.Cap(), len(s.SendBuf))
-	}
-	if c.rcvBuf.Cap() < len(s.RecvBuf) {
-		return nil, fmt.Errorf("tcp: recv buffer %d too small for %d snapshot bytes", c.rcvBuf.Cap(), len(s.RecvBuf))
-	}
+	c.rebuild(cfg)
 
 	c.state = s.State
 	c.peerWScale = s.PeerWScale
@@ -278,10 +287,8 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 	c.finRcvd = s.FinRcvd
 	c.rcvBuf.Write(s.RecvBuf)
 	for _, o := range s.OOO {
-		data := make([]byte, len(o.Data))
-		copy(data, o.Data)
-		c.ooo = append(c.ooo, oooSeg{seq: o.Seq, data: data, fin: o.Fin})
-		c.oooBytes += len(data)
+		c.ooo = append(c.ooo, oooSeg{seq: o.Seq, data: framepool.Clone(o.Data), fin: o.Fin})
+		c.oooBytes += len(o.Data)
 	}
 
 	c.lastOOOSeq = s.LastOOOSeq
@@ -306,7 +313,7 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 		})
 	}
 
-	// Congestion control: newConn already ran cfg.CC.Init. A matching
+	// Congestion control: rebuild already ran cfg.CC.Init. A matching
 	// algorithm gets its learned model and control block back; a
 	// hot-swapped one keeps the fresh Init window and relearns, with
 	// only the recovery flag carried over (the connection-level
@@ -348,11 +355,14 @@ func Restore(cfg Config, s *ConnSnapshot) (*Conn, error) {
 	// A restored sender may hold transmittable work no future event
 	// would otherwise push — paced bytes never sent, a queued FIN behind
 	// an open window. Kick the send path once the restore event
-	// completes; trySend itself respects state, window, and pacing.
+	// completes; trySend itself respects state, window, and pacing — and
+	// the kick is void once this incarnation has ended, even if the Conn
+	// has been rebuilt by then.
+	gen := c.gen
 	cfg.Clock.AfterFunc(0, func() {
-		if !c.closed {
+		if c.gen == gen && !c.closed {
 			c.trySend()
 		}
 	})
-	return c, nil
+	return nil
 }

@@ -126,12 +126,18 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 		if opts.FailRestoreAfter > 0 && restored >= opts.FailRestoreAfter {
 			return restored, fmt.Errorf("servicelib: injected restore fault after %d conns", restored)
 		}
-		conn, err := st.RestoreConn(snap, s.restoreOptions(cid, cs.shard, cc))
+		// The snapshot's connection gets the callbacks handleConnect or
+		// the accept path bound; OnEstablished matters only for one
+		// migrated mid-handshake (SYN-SENT), whose dial completes
+		// against the successor stack.
+		opts := cs.opts
+		opts.CC = cc
+		conn, err := st.RestoreConn(snap, opts)
 		if err != nil {
 			return restored, fmt.Errorf("servicelib: restore cid %d: %w", cid, err)
 		}
 		cs.conn = conn
-		conn.SetReceiveSink(s.makeSink(cs))
+		conn.SetReceiveSink(cs.sink)
 		restored++
 		resumed = append(resumed, cid)
 	}
@@ -152,31 +158,6 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 	}
 	s.flushAllReady()
 	return restored, nil
-}
-
-// restoreOptions rebuilds the socket callbacks handleConnect and the
-// accept path would have installed, bound to the surviving cID. The
-// OnEstablished callback matters only for a connection migrated
-// mid-handshake (SYN-SENT): its original dial's completion fires
-// against the successor stack.
-func (s *ServiceLib) restoreOptions(cid uint32, shard int, cc string) stack.SocketOptions {
-	return stack.SocketOptions{
-		CC: cc,
-		OnEstablished: func(err error) {
-			st := nqe.StatusOK
-			if err != nil {
-				st = statusFromErr(err)
-			}
-			s.emit(shard, nkchan.Receive, &nqe.Element{Op: nqe.OpEstablished, CID: cid, Status: st})
-		},
-		OnReadable: func() { s.NewDataCallback(cid) },
-		OnWritable: func() {
-			if c := s.conns[cid]; c != nil {
-				s.pumpSend(c)
-			}
-		},
-		OnClose: func(err error) { s.connClosed(cid, err) },
-	}
 }
 
 // udpRecv builds the datagram receive path for socket cid on the given

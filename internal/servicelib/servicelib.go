@@ -12,8 +12,8 @@
 package servicelib
 
 import (
+	"errors"
 	"sort"
-	"strings"
 	"time"
 
 	"netkernel/internal/fifo"
@@ -132,6 +132,7 @@ type sendChunk struct {
 }
 
 type connState struct {
+	svc *ServiceLib
 	cid uint32
 	// polled marks a socket registered for coalesced readiness via
 	// OpPollCtl; its transitions feed the shard's ready queue instead
@@ -158,7 +159,33 @@ type connState struct {
 	rxChunk shm.Chunk
 	rxHave  bool
 	rxFill  int
+
+	// opts and sink are the callbacks cs hands its TCP connection:
+	// method values bound once, when the struct is built, and kept while
+	// it recycles through connPool. Each call reads cs as it is now, which
+	// is safe because a connection calls back nothing after its OnClose,
+	// and connClosed — what that OnClose runs — is what frees cs.
+	opts stack.SocketOptions
+	sink func([]byte) int
 }
+
+// The callbacks bound into a connState.
+
+func (cs *connState) established(err error) {
+	st := nqe.StatusOK
+	if err != nil {
+		st = statusFromErr(err)
+	}
+	cs.svc.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpEstablished, CID: cs.cid, Status: st})
+}
+
+func (cs *connState) readable() { cs.svc.NewDataCallback(cs.cid) }
+
+func (cs *connState) writable() { cs.svc.pumpSend(cs) }
+
+func (cs *connState) closed(err error) { cs.svc.connClosed(cs.cid, err) }
+
+func (cs *connState) receive(p []byte) int { return cs.svc.sinkData(cs, p) }
 
 type listenerState struct {
 	cid    uint32
@@ -237,6 +264,10 @@ type ServiceLib struct {
 	// spans at a time instead of element by element (§3.2 "batched
 	// interrupts").
 	drain []nqe.Element
+	// acceptBatch (per shard) and acceptCIDs are NewAcceptCallback's
+	// scratch, kept between calls.
+	acceptBatch [][]nqe.Element
+	acceptCIDs  []uint32
 	// dead marks a crashed module: pumps and emissions are no-ops until
 	// Rebind attaches a replacement stack.
 	dead bool
@@ -456,16 +487,24 @@ func (s *ServiceLib) newConnState() *connState {
 		s.connPool = s.connPool[:n-1]
 		return cs
 	}
-	return &connState{}
+	cs := &connState{svc: s}
+	cs.opts = stack.SocketOptions{
+		OnEstablished: cs.established,
+		OnReadable:    cs.readable,
+		OnWritable:    cs.writable,
+		OnClose:       cs.closed,
+	}
+	cs.sink = cs.receive
+	return cs
 }
 
 // freeConnState returns a retired connState to the pool, keeping its
-// send queue's storage. A coalescing window or shaper retry still
-// pending is keyed by cID, not by pointer, so it can never find the
-// reincarnated connection behind a recycled struct.
+// send queue's storage and its callbacks. A coalescing window or shaper
+// retry still pending is keyed by cID, not by pointer, so it can never
+// find the reincarnated connection behind a recycled struct.
 func (s *ServiceLib) freeConnState(cs *connState) {
 	cs.sendQ.Clear()
-	*cs = connState{sendQ: cs.sendQ}
+	*cs = connState{svc: cs.svc, sendQ: cs.sendQ, opts: cs.opts, sink: cs.sink}
 	s.connPool = append(s.connPool, cs)
 }
 
@@ -653,35 +692,21 @@ func (s *ServiceLib) handlePollCtl(shard int, e *nqe.Element) {
 
 func (s *ServiceLib) handleConnect(e *nqe.Element) {
 	cs := s.conns[e.CID]
-	if cs == nil {
+	// A second connect on a connected socket is ignored: the first
+	// connection's callbacks are bound to cs.
+	if cs == nil || cs.conn != nil {
 		return
 	}
 	ip, port := nqe.UnpackAddr(e.Arg0)
-	cid := cs.cid
-	shard := cs.shard
-	conn, err := s.cfg.Stack.Dial(tcp.AddrPort{Addr: ip, Port: port}, stack.SocketOptions{
-		CC: s.cfg.CC,
-		OnEstablished: func(err error) {
-			st := nqe.StatusOK
-			if err != nil {
-				st = statusFromErr(err)
-			}
-			s.emit(shard, nkchan.Receive, &nqe.Element{Op: nqe.OpEstablished, CID: cid, Status: st})
-		},
-		OnReadable: func() { s.NewDataCallback(cid) },
-		OnWritable: func() {
-			if c := s.conns[cid]; c != nil {
-				s.pumpSend(c)
-			}
-		},
-		OnClose: func(err error) { s.connClosed(cid, err) },
-	})
+	opts := cs.opts
+	opts.CC = s.cfg.CC
+	conn, err := s.cfg.Stack.Dial(tcp.AddrPort{Addr: ip, Port: port}, opts)
 	if err != nil {
-		s.emit(shard, nkchan.Receive, &nqe.Element{Op: nqe.OpEstablished, CID: cid, Status: nqe.StatusInvalid})
+		s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpEstablished, CID: cs.cid, Status: nqe.StatusInvalid})
 		return
 	}
 	cs.conn = conn
-	conn.SetReceiveSink(s.makeSink(cs))
+	conn.SetReceiveSink(cs.sink)
 	s.stats.conns.Inc()
 }
 
@@ -734,8 +759,12 @@ func (s *ServiceLib) handleBind(shard int, e *nqe.Element) {
 // kick (connection-setup batching, DESIGN.md §11) — a synchronized
 // accept burst costs one kick, not one per connection.
 func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
-	var batch [][]nqe.Element // per shard, lazily sized
-	var cids []uint32
+	// The scratch leaves s while in use, so a nested call builds its own.
+	batch, cids := s.acceptBatch, s.acceptCIDs[:0]
+	s.acceptBatch, s.acceptCIDs = nil, nil
+	for i := range batch {
+		batch[i] = batch[i][:0]
+	}
 	for {
 		conn, ok := ls.lst.Accept()
 		if !ok {
@@ -750,16 +779,8 @@ func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
 		cs := s.newConnState()
 		cs.cid, cs.shard, cs.conn = cid, s.shardForConn(conn), conn
 		s.conns[cid] = cs
-		conn.SetCallbacks(
-			func() { s.NewDataCallback(cid) },
-			func() {
-				if c := s.conns[cid]; c != nil {
-					s.pumpSend(c)
-				}
-			},
-			func(err error) { s.connClosed(cid, err) },
-		)
-		conn.SetReceiveSink(s.makeSink(cs))
+		conn.SetCallbacks(cs.opts.OnReadable, cs.opts.OnWritable, cs.opts.OnClose)
+		conn.SetReceiveSink(cs.sink)
 		s.stats.accepts.Inc()
 		remote := conn.RemoteAddr()
 		if batch == nil {
@@ -772,21 +793,21 @@ func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
 		})
 		cids = append(cids, cid)
 	}
-	if len(cids) == 0 {
-		return
+	if len(cids) > 0 {
+		for shard, es := range batch {
+			s.emitBatch(shard, nkchan.Receive, es)
+		}
+		if ls.polled {
+			s.queueReady(ls.shard, ls.cid, nqe.ReadyAcceptable)
+		}
+		// Deliver anything that arrived before the accepts; the OpNewConn
+		// batch is already in the rings (and rides the priority lane), so
+		// each connection's data events order behind its announcement.
+		for _, cid := range cids {
+			s.NewDataCallback(cid)
+		}
 	}
-	for shard, es := range batch {
-		s.emitBatch(shard, nkchan.Receive, es)
-	}
-	if ls.polled {
-		s.queueReady(ls.shard, ls.cid, nqe.ReadyAcceptable)
-	}
-	// Deliver anything that arrived before the accepts; the OpNewConn
-	// batch is already in the rings (and rides the priority lane), so
-	// each connection's data events order behind its announcement.
-	for _, cid := range cids {
-		s.NewDataCallback(cid)
-	}
+	s.acceptBatch, s.acceptCIDs = batch, cids
 }
 
 // NewDataCallback is the prototype's nk_new_data_callback: "when data
@@ -863,26 +884,12 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 	}
 }
 
-// makeSink builds the conn's receive sink (the rcvBuf bypass): in-order
+// sinkData is the conn's receive sink (the rcvBuf bypass): in-order
 // reassembled payload moves straight into the open huge-page chunk, one
 // copy, instead of transiting the conn's receive buffer and being copied
 // back out. Refusing bytes (shm window exhausted, pool empty, dead
 // module) pushes them into the conn's rcvBuf, whose fill closes the TCP
 // window — ordinary flow control remains the backstop.
-func (s *ServiceLib) makeSink(cs *connState) func([]byte) int {
-	// Captured by cid, not pointer: connStates recycle through the slab
-	// pool, and a stale sink invocation after teardown must find
-	// nothing — not another connection reincarnated in the same object.
-	cid := cs.cid
-	return func(p []byte) int {
-		c := s.conns[cid]
-		if c == nil {
-			return 0
-		}
-		return s.sinkData(c, p)
-	}
-}
-
 func (s *ServiceLib) sinkData(cs *connState, p []byte) int {
 	if s.dead || cs.recvDebt >= s.cfg.RecvWindow {
 		return 0
@@ -1038,6 +1045,11 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 		cs.rxHave, cs.rxFill = false, 0
 	}
 	delete(s.conns, cid)
+	// The connection has ended and, with cs.conn cleared, nothing here
+	// will touch it again: the stack may rebuild it for the next one.
+	conn := cs.conn
+	cs.conn = nil
+	s.cfg.Stack.ReleaseConn(conn)
 	s.freeConnState(cs)
 }
 
@@ -1111,18 +1123,17 @@ func (s *ServiceLib) Rebind(st *stack.Stack) {
 // statusFromErr maps stack errors onto the nqe status space carried
 // over the wire-format queues.
 func statusFromErr(err error) nqe.Status {
-	if err == nil {
-		return nqe.StatusOK
-	}
-	msg := err.Error()
+	var timeout interface{ Timeout() bool }
 	switch {
-	case strings.Contains(msg, "refused"):
+	case err == nil:
+		return nqe.StatusOK
+	case errors.Is(err, tcp.ErrRefused):
 		return nqe.StatusConnRefused
-	case strings.Contains(msg, "reset"), strings.Contains(msg, "aborted"):
+	case errors.Is(err, tcp.ErrReset), errors.Is(err, tcp.ErrAborted):
 		return nqe.StatusConnReset
-	case strings.Contains(msg, "timed out"):
+	case errors.As(err, &timeout) && timeout.Timeout():
 		return nqe.StatusTimeout
-	case strings.Contains(msg, "no route"):
+	case errors.Is(err, stack.ErrNoRoute):
 		return nqe.StatusUnreachable
 	default:
 		return nqe.StatusInvalid

@@ -242,9 +242,9 @@ func cpuPair(tb testing.TB) (loop *sim.Loop, a, b *Stack, client *tcp.Conn) {
 	return loop, a, b, client
 }
 
-// Steady state, end to end: a data segment from tcp.Conn through
-// tcpOutput, the sender's CPU charge, the peer's DeliverFrame, its CPU
-// charge and TCP input, and the pure ACK all the way back, allocate
+// Steady state, end to end: a data segment from tcp.Conn through the
+// connection's Output, the sender's CPU charge, the peer's DeliverFrame,
+// its CPU charge and TCP input, and the pure ACK all the way back, allocate
 // nothing — the frames cycle through the pool, the header and the ACK
 // sample are the connection's own. The stream is one borrowed span
 // written up front, so the send buffer's span list stays out of it.

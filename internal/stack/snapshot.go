@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"netkernel/internal/proto/tcp"
-	"netkernel/internal/tcpcc"
 )
 
 // This file is the stack half of live NSM migration (DESIGN.md §12):
@@ -80,21 +79,21 @@ func (s *Stack) RestoreConn(snap *tcp.ConnSnapshot, opts SocketOptions) (*tcp.Co
 	if ccName == "" {
 		ccName = snap.CC
 	}
-	cc, err := tcpcc.New(ccName)
+	k, cc, err := s.takeSock(ccName)
 	if err != nil {
 		return nil, err
 	}
 	key := fourTuple{snap.Local.Addr, snap.Local.Port, snap.Remote.Addr, snap.Remote.Port}
 	if _, exists := s.getConn(key); exists {
+		s.recycle(k)
 		return nil, fmt.Errorf("stack %s: connection %v->%v already present",
 			s.cfg.Name, snap.Local, snap.Remote)
 	}
-	cfg := s.connConfig(snap.Local, snap.Remote, cc, opts)
-	conn, err := tcp.Restore(cfg, snap)
-	if err != nil {
+	cfg := s.connConfig(k, snap.Local, snap.Remote, cc, opts)
+	if err := k.conn.Restore(cfg, snap); err != nil {
+		s.recycle(k)
 		return nil, err
 	}
-	conn.SetOwnerHook(func() { s.delConn(key) })
-	s.putConn(key, conn)
-	return conn, nil
+	s.install(k)
+	return &k.conn, nil
 }

@@ -11,6 +11,7 @@
 package stack
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,7 +24,6 @@ import (
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
 	"netkernel/internal/sim"
-	"netkernel/internal/tcpcc"
 	"netkernel/internal/telemetry"
 	"netkernel/internal/vswitch"
 )
@@ -202,6 +202,11 @@ type Stack struct {
 	// wait 2·cfg.MSL, so they expire in the order they were armed and
 	// share one event-loop entry.
 	timeWait sim.Lane
+	// free holds the connection objects handed back with ReleaseConn,
+	// rebuilt last in, first out.
+	free []*tcpSock
+	// inInput is the connection whose Input is running, if any.
+	inInput *tcp.Conn
 }
 
 type listenEntry struct {
@@ -366,6 +371,10 @@ func sameSubnet(a, b ipv4.Addr, bits int) bool {
 	return au&mask == bu&mask
 }
 
+// ErrNoRoute reports a destination neither on-link nor reachable through
+// a gateway.
+var ErrNoRoute = errors.New("no route")
+
 // nextHop picks the neighbor to ARP for: the destination itself when
 // on-link, else the default gateway.
 func (s *Stack) nextHop(dst ipv4.Addr) (ipv4.Addr, error) {
@@ -373,7 +382,7 @@ func (s *Stack) nextHop(dst ipv4.Addr) (ipv4.Addr, error) {
 		return dst, nil
 	}
 	if s.gateway.IsZero() {
-		return ipv4.Addr{}, fmt.Errorf("stack %s: no route to %v", s.cfg.Name, dst)
+		return ipv4.Addr{}, fmt.Errorf("stack %s: %w to %v", s.cfg.Name, ErrNoRoute, dst)
 	}
 	return s.gateway, nil
 }
@@ -720,11 +729,11 @@ func ipLess(a, b ipv4.Addr) bool {
 	return false
 }
 
-// ccByName builds a congestion-control instance, falling back to the
-// stack default.
-func (s *Stack) ccByName(name string) (tcpcc.Algorithm, error) {
+// ccName resolves a socket's congestion-control name, falling back to
+// the stack default.
+func (s *Stack) ccName(name string) string {
 	if name == "" {
-		name = s.cfg.DefaultCC
+		return s.cfg.DefaultCC
 	}
-	return tcpcc.New(name)
+	return name
 }

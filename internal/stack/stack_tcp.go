@@ -30,22 +30,21 @@ func (s *Stack) Dial(remote tcp.AddrPort, opts SocketOptions) (*tcp.Conn, error)
 	if s.iface == nil {
 		return nil, fmt.Errorf("stack %s: no interface attached", s.cfg.Name)
 	}
-	cc, err := s.ccByName(opts.CC)
+	k, cc, err := s.takeSock(s.ccName(opts.CC))
 	if err != nil {
 		return nil, err
 	}
 	port, iss, err := s.allocPort(remote)
 	if err != nil {
+		s.recycle(k)
 		return nil, err
 	}
 	local := tcp.AddrPort{Addr: s.iface.IP, Port: port}
-	key := fourTuple{local.Addr, local.Port, remote.Addr, remote.Port}
-	cfg := s.connConfig(local, remote, cc, opts)
+	cfg := s.connConfig(k, local, remote, cc, opts)
 	cfg.ISS = iss
-	conn := tcp.Dial(cfg)
-	conn.SetOwnerHook(func() { s.delConn(key) })
-	s.putConn(key, conn)
-	return conn, nil
+	k.conn.Dial(cfg)
+	s.install(k)
+	return &k.conn, nil
 }
 
 // Listen opens a TCP listener on port. Accepted connections inherit
@@ -110,7 +109,7 @@ func (s *Stack) Conns(fn func(c *tcp.Conn)) {
 	}
 }
 
-func (s *Stack) connConfig(local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, opts SocketOptions) tcp.Config {
+func (s *Stack) connConfig(k *tcpSock, local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, opts SocketOptions) tcp.Config {
 	cfg := tcp.Config{
 		Clock:             s.cfg.Clock,
 		RNG:               s.cfg.RNG,
@@ -125,7 +124,7 @@ func (s *Stack) connConfig(local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, op
 		TimeWaitLane:      &s.timeWait,
 		DelayedAckTimeout: s.cfg.DelayedAckTimeout,
 		Nagle:             opts.Nagle,
-		Output:            s.tcpOutput(local, remote),
+		Output:            k.output,
 		OnEstablished:     opts.OnEstablished,
 		OnReadable:        opts.OnReadable,
 		OnWritable:        opts.OnWritable,
@@ -143,13 +142,120 @@ func (s *Stack) connConfig(local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, op
 	return cfg
 }
 
-func (s *Stack) tcpOutput(local, remote tcp.AddrPort) tcp.OutputFunc {
-	return func(h *tcp.Header, payload []byte, ecnCapable bool) {
-		var tos uint8
-		if ecnCapable {
-			tos = ipv4.ECNECT0
+// tcpSock is the stack's side of one connection object: the Conn and
+// the callbacks the stack binds into it. The callbacks are method values
+// made once, when the object is; each call reads the incarnation the
+// Conn holds now, so an object recycled through the free list
+// (ReleaseConn) never builds them again. That is safe because a Conn
+// calls back nothing after it ends.
+type tcpSock struct {
+	conn tcp.Conn
+	s    *Stack
+	// le is the listener a passive connection still in its handshake
+	// deposits into once established.
+	le *listenEntry
+	// free marks an object on the stack's free list.
+	free bool
+
+	output        tcp.OutputFunc // transmit
+	onEstablished func(error)    // handshakeDone
+}
+
+// takeSock returns an object for a new connection running congestion
+// control ccName: the most recently released one, else a new one. A
+// reused object's congestion-control instance serves again when the
+// algorithm matches (the connection re-Inits it).
+func (s *Stack) takeSock(ccName string) (*tcpSock, tcpcc.Algorithm, error) {
+	var k *tcpSock
+	top := len(s.free) - 1
+	i := top
+	// A connection released from inside its own Input — from the OnClose
+	// of the segment that ended it — waits until that Input returns.
+	if i >= 0 && &s.free[i].conn == s.inInput {
+		i--
+	}
+	if i >= 0 {
+		k = s.free[i]
+		s.free[i] = s.free[top]
+		s.free[top] = nil
+		s.free = s.free[:top]
+		k.free = false
+		if cc := k.conn.CongestionControl(); cc != nil && cc.Name() == ccName {
+			return k, cc, nil
 		}
-		s.sendTCP(local.Addr, remote.Addr, h, payload, tos)
+	} else {
+		k = &tcpSock{s: s}
+		k.output = k.transmit
+		k.onEstablished = k.handshakeDone
+	}
+	cc, err := tcpcc.New(ccName)
+	if err != nil {
+		s.recycle(k)
+		return nil, nil, err
+	}
+	return k, cc, nil
+}
+
+// recycle puts an object on the free list.
+func (s *Stack) recycle(k *tcpSock) {
+	k.free = true
+	s.free = append(s.free, k)
+}
+
+// install makes a freshly built connection the stack's: it joins the
+// demux table, and its owner hook will take it out again.
+func (s *Stack) install(k *tcpSock) {
+	k.conn.SetOwner(k)
+	s.putConn(keyOf(&k.conn), &k.conn)
+}
+
+// ReleaseConn hands back a connection this stack created once its owner
+// is done with it: the connection has ended — its OnClose has run, or it
+// was detached — and nothing will touch it again. The stack rebuilds the
+// object for a later Dial, accept or RestoreConn, so connection churn
+// allocates nothing once warm. Releasing is optional, as framepool.Put
+// is: a connection never handed back is collected by the GC. A
+// connection another stack created is ignored.
+func (s *Stack) ReleaseConn(c *tcp.Conn) {
+	k, ok := c.Owner().(*tcpSock)
+	if !ok || k.s != s {
+		return
+	}
+	if c.State() != tcp.StateClosed || k.free {
+		panic("stack: ReleaseConn of a connection that is live or already released")
+	}
+	s.recycle(k)
+}
+
+func keyOf(c *tcp.Conn) fourTuple {
+	l, r := c.LocalAddr(), c.RemoteAddr()
+	return fourTuple{l.Addr, l.Port, r.Addr, r.Port}
+}
+
+func (k *tcpSock) transmit(h *tcp.Header, payload []byte, ecnCapable bool) {
+	var tos uint8
+	if ecnCapable {
+		tos = ipv4.ECNECT0
+	}
+	k.s.sendTCP(k.conn.LocalAddr().Addr, k.conn.RemoteAddr().Addr, h, payload, tos)
+}
+
+// ConnClosed implements tcp.Owner: an ended connection leaves the demux
+// table.
+func (k *tcpSock) ConnClosed(c *tcp.Conn) { k.s.delConn(keyOf(c)) }
+
+// handshakeDone is a passive connection's OnEstablished: it frees the
+// backlog slot the handshake held and, on success, queues the
+// connection for Accept.
+func (k *tcpSock) handshakeDone(err error) {
+	le := k.le
+	k.le = nil
+	le.handshaking--
+	if err == nil {
+		le.listener.Deposit(&k.conn)
+	}
+	if le.opts.OnEstablished != nil {
+		le.opts.OnEstablished(err)
 	}
 }
 
@@ -174,7 +280,9 @@ func (s *Stack) processTCP(src ipv4.Addr, seg []byte, ce bool) {
 	s.stats.tcpSegsIn.Inc()
 	key := fourTuple{s.iface.IP, h.DstPort, src, h.SrcPort}
 	if conn, ok := s.getConn(key); ok {
+		s.inInput = conn
 		conn.Input(&h, payload, ce)
+		s.inInput = nil
 		// TIME_WAIT assassination by a valid new SYN (the peer recycled
 		// its port): Input tore the lingering connection down and freed
 		// the table slot. Fall through to the listener so the attempt
@@ -202,29 +310,19 @@ func (s *Stack) processTCP(src ipv4.Addr, seg []byte, ce bool) {
 }
 
 func (s *Stack) acceptSYN(le *listenEntry, key fourTuple, syn *tcp.Header) {
-	cc, err := s.ccByName(le.opts.CC)
+	k, cc, err := s.takeSock(s.ccName(le.opts.CC))
 	if err != nil {
 		return
 	}
 	local := tcp.AddrPort{Addr: key.localIP, Port: key.localPort}
 	remote := tcp.AddrPort{Addr: key.remoteIP, Port: key.remotePort}
-	cfg := s.connConfig(local, remote, cc, le.opts)
-	lst := le.listener
+	cfg := s.connConfig(k, local, remote, cc, le.opts)
 	le.handshaking++
-	var conn *tcp.Conn
-	cfg.OnEstablished = func(err error) {
-		le.handshaking--
-		if err == nil && conn != nil {
-			lst.Deposit(conn)
-		}
-		if le.opts.OnEstablished != nil {
-			le.opts.OnEstablished(err)
-		}
-	}
+	k.le = le
+	cfg.OnEstablished = k.onEstablished
 	ecnReq := syn.Flags&tcp.FlagECE != 0 && syn.Flags&tcp.FlagCWR != 0
-	conn = tcp.NewPassive(cfg, syn, ecnReq)
-	conn.SetOwnerHook(func() { s.delConn(key) })
-	s.putConn(key, conn)
+	k.conn.Passive(cfg, syn, ecnReq)
+	s.install(k)
 }
 
 // sendRST answers a stray segment per RFC 793 §3.4.

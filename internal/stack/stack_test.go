@@ -19,10 +19,11 @@ var (
 )
 
 type pair struct {
-	loop   *sim.Loop
-	a, b   *Stack
-	linkAB *netsim.Link
-	linkBA *netsim.Link
+	loop       *sim.Loop
+	a, b       *Stack
+	linkAB     *netsim.Link
+	linkBA     *netsim.Link
+	nicA, nicB *netsim.NIC
 }
 
 // newPair wires two single-homed stacks through a duplex link.
@@ -51,7 +52,7 @@ func newPair(t *testing.T, link netsim.LinkConfig, mutate func(cfg *Config, side
 	b.AttachInterface(macB, ipB, 1500, 24, ipv4.Addr{}, nicB.Send)
 	nicA.SetHandler(a.DeliverFrame)
 	nicB.SetHandler(b.DeliverFrame)
-	return &pair{loop: loop, a: a, b: b, linkAB: ab, linkBA: ba}
+	return &pair{loop: loop, a: a, b: b, linkAB: ab, linkBA: ba, nicA: nicA, nicB: nicB}
 }
 
 func fastLink() netsim.LinkConfig {

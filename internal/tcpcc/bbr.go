@@ -82,8 +82,13 @@ func (*BBR) Name() string { return "bbr" }
 // NeedsECN implements Algorithm.
 func (*BBR) NeedsECN() bool { return false }
 
-// Init implements Algorithm.
+// Init implements Algorithm. It returns the instance to the state NewBBR
+// built, keeping only the bandwidth filter's storage, so one instance
+// can serve a recycled connection.
 func (b *BBR) Init(c *Control, now time.Duration) {
+	samples := b.btlBw.samples[:0]
+	*b = *NewBBR()
+	b.btlBw.samples = samples
 	c.CWnd = InitialWindowSegments * c.MSS
 	c.SSThresh = 1 << 30
 	b.minRTTStamp = now

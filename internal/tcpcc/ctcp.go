@@ -41,8 +41,10 @@ func (*CTCP) Name() string { return "ctcp" }
 // NeedsECN implements Algorithm.
 func (*CTCP) NeedsECN() bool { return false }
 
-// Init implements Algorithm.
+// Init implements Algorithm. It returns the instance to the state
+// NewCTCP built, so one instance can serve a recycled connection.
 func (ct *CTCP) Init(c *Control, _ time.Duration) {
+	*ct = *NewCTCP()
 	ct.lossWnd = InitialWindowSegments * c.MSS
 	ct.dwnd = 0
 	ct.baseRTT = -1

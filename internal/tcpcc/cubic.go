@@ -31,8 +31,10 @@ func (*Cubic) Name() string { return "cubic" }
 // NeedsECN implements Algorithm.
 func (*Cubic) NeedsECN() bool { return false }
 
-// Init implements Algorithm.
+// Init implements Algorithm. It returns the instance to the state
+// NewCubic built, so one instance can serve a recycled connection.
 func (cu *Cubic) Init(c *Control, now time.Duration) {
+	*cu = *NewCubic()
 	c.CWnd = InitialWindowSegments * c.MSS
 	c.SSThresh = 1 << 30
 	cu.epochStart = -1

@@ -33,8 +33,10 @@ func (*DCTCP) Name() string { return "dctcp" }
 // NeedsECN implements Algorithm: DCTCP is ECN-based by construction.
 func (*DCTCP) NeedsECN() bool { return true }
 
-// Init implements Algorithm.
+// Init implements Algorithm. It returns the instance to the state
+// NewDCTCP built, so one instance can serve a recycled connection.
 func (d *DCTCP) Init(c *Control, _ time.Duration) {
+	*d = *NewDCTCP()
 	c.CWnd = InitialWindowSegments * c.MSS
 	c.SSThresh = 1 << 30
 }

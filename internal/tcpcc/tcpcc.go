@@ -100,7 +100,9 @@ func (k LossKind) String() string {
 type Algorithm interface {
 	// Name returns the registry name ("cubic", "bbr", …).
 	Name() string
-	// Init sets the initial window; c.MSS is already populated.
+	// Init sets the initial window; c.MSS is already populated. It also
+	// returns the instance to the state its constructor built, so an
+	// instance a connection used can serve the next one.
 	Init(c *Control, now time.Duration)
 	// OnAck processes one ACK's measurements.
 	OnAck(c *Control, s *AckSample)
@@ -111,7 +113,7 @@ type Algorithm interface {
 	NeedsECN() bool
 }
 
-// Factory builds a fresh Algorithm instance per connection.
+// Factory builds a fresh Algorithm instance.
 type Factory func() Algorithm
 
 var registry = map[string]Factory{}
