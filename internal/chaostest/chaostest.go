@@ -684,6 +684,12 @@ func (h *harness) checkPools(t *testing.T) {
 				t.Errorf("[seed %d] %s pair %d has %d live chunk refs after quiesce",
 					h.seed, vm.Name, i, n)
 			}
+			// Pages are backed on first touch and never released, so the
+			// count after quiesce is the most the scenario ever held.
+			if n := pair.Pages.Resident(); n > pair.Pages.Pages() {
+				t.Errorf("[seed %d] %s pair %d backs %d huge pages, beyond its %d",
+					h.seed, vm.Name, i, n, pair.Pages.Pages())
+			}
 		}
 	}
 	for name, host := range map[string]*hypervisor.Host{"h1": h.h1, "h2": h.h2} {

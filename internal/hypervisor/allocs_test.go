@@ -20,17 +20,20 @@ func stepUntil(t *testing.T, c *cluster, done func() bool) {
 	}
 }
 
-func TestAllocsConveyorBulkEcho(t *testing.T) {
+// warmBulkEcho builds a two-host echo and returns the two VMs and an echo
+// that sends n bytes and waits for all of them to come back, after 300
+// echoes of 16 KiB (slow start, ring and pool growth, loop slots).
+func warmBulkEcho(t *testing.T) (vma, vmb *VM, echo func(n int)) {
 	const chunk = 16 << 10
 	c := newCluster(t, nil)
-	vma, vmb := c.nkPair(t, "cubic", "cubic")
+	vma, vmb = c.nkPair(t, "cubic", "cubic")
 	srv, cli := vmb.Guest, vma.Guest
 
 	// Server: write every received byte back.
 	sbuf := make([]byte, chunk)
 	var pend []byte
 	var sfd int32
-	echo := func() {
+	serve := func() {
 		for {
 			for len(pend) > 0 {
 				n := srv.Send(sfd, pend)
@@ -49,20 +52,20 @@ func TestAllocsConveyorBulkEcho(t *testing.T) {
 	lfd := srv.Socket(guestlib.Callbacks{})
 	srv.SetCallbacks(lfd, guestlib.Callbacks{OnAcceptable: func() {
 		sfd, _ = srv.Accept(lfd)
-		srv.SetCallbacks(sfd, guestlib.Callbacks{OnReadable: echo, OnWritable: echo})
+		srv.SetCallbacks(sfd, guestlib.Callbacks{OnReadable: serve, OnWritable: serve})
 	}})
 	if err := srv.Listen(lfd, 80, 4); err != nil {
 		t.Fatal(err)
 	}
 
-	// Client: one 16 KiB chunk out per op, counted back in.
+	// Client: n bytes out, 16 KiB at a time, counted back in.
 	out, in := make([]byte, chunk), make([]byte, chunk)
 	var cfd int32
 	var toSend, echoed int
 	established := false
 	send := func() {
 		for toSend > 0 {
-			n := cli.Send(cfd, out[:toSend])
+			n := cli.Send(cfd, out[:min(toSend, chunk)])
 			if n == 0 {
 				return
 			}
@@ -88,17 +91,59 @@ func TestAllocsConveyorBulkEcho(t *testing.T) {
 	stepUntil(t, c, func() bool { return established })
 
 	target := 0
-	op := func() {
-		target += chunk
-		toSend = chunk
+	echo = func(n int) {
+		target += n
+		toSend = n
 		send()
 		stepUntil(t, c, func() bool { return echoed >= target })
 	}
 	for i := 0; i < 300; i++ {
-		op() // slow start, ring and pool growth, loop slots
+		echo(chunk)
 	}
+	return vma, vmb, echo
+}
+
+func TestAllocsConveyorBulkEcho(t *testing.T) {
+	_, _, echo := warmBulkEcho(t)
+	op := func() { echo(16 << 10) }
 	if n := testing.AllocsPerRun(100, op); n != 0 {
 		t.Errorf("%v allocations per 16 KiB echoed, want 0", n)
+	}
+}
+
+// ServiceLib takes a chunk's span reference only when the TCP send
+// buffer has room for the whole chunk (DESIGN.md §16). A chunk that
+// cannot fit is offered with no reference, which arms OnWritable and
+// touches no refcount, so an echo that keeps the send buffers full
+// retains exactly once per chunk handed off: one Retain per OpSend
+// completion the guests receive, not one per ACK that frees less than a
+// chunk of buffer.
+func TestRefusedHandOffTakesNoReference(t *testing.T) {
+	const stream = 4 << 20
+	vma, vmb, echo := warmBulkEcho(t)
+	echo(stream) // a full pipe: cwnd growth, send queues at depth
+	count := func() (retains, handedOff uint64) {
+		for _, vm := range []*VM{vma, vmb} {
+			retains += vm.Guest.Pairs()[0].Pages.Retains()
+			// A warm echo's only completions are OpSend's, one per
+			// chunk the NSM handed to TCP.
+			handedOff += vm.Guest.Stats().Completions
+		}
+		return retains, handedOff
+	}
+	// Both counts are read with the echo drained, so every chunk handed
+	// off in between has had its completion delivered.
+	r0, h0 := count()
+	echo(stream)
+	r1, h1 := count()
+	retains, handedOff := r1-r0, h1-h0
+	if handedOff == 0 {
+		t.Fatal("no chunk was handed off")
+	}
+	t.Logf("%d Retain calls, %d chunks handed off", retains, handedOff)
+	if retains != handedOff {
+		t.Errorf("%d Retain calls for %d chunks handed off (%.2f per chunk), want 1 per chunk",
+			retains, handedOff, float64(retains)/float64(handedOff))
 	}
 }
 

@@ -20,7 +20,8 @@ type Config struct {
 	// Queue configures the six rings (per shard).
 	Queue nkqueue.Config
 	// HugePages is the page count of the data region (default 40, the
-	// prototype's allocation).
+	// prototype's allocation). It is capacity, not cost: a page is
+	// backed only when a chunk on it is first touched (DESIGN.md §17).
 	HugePages int
 	// ChunkSize is the data-chunk granularity (default 8 KB, the chunk
 	// size of Figure 4's caption).

@@ -975,10 +975,18 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 			// Zero-copy hand-off. The span takes its own reference so
 			// that a module crash (which frees the queue's reference)
 			// cannot pull the chunk out from under in-flight segments.
+			// A chunk that cannot fit is still offered, with no
+			// Releaser and no reference: the refusal arms OnWritable.
 			chunk := head.chunk
-			pages.Retain(chunk)
-			if !cs.conn.WriteOwned(data, pages, chunk.Offset) {
-				pages.Free(chunk) // hand-off refused: drop the span's reference
+			var rel tcp.Releaser
+			if head.size <= cs.conn.WriteBufferFree() {
+				pages.Retain(chunk)
+				rel = pages
+			}
+			if !cs.conn.WriteOwned(data, rel, chunk.Offset) {
+				if rel != nil {
+					pages.Free(chunk) // hand-off refused: drop the span's reference
+				}
 				if s.cfg.Shaper != nil {
 					s.cfg.Shaper.Refund(len(data))
 				}

@@ -117,9 +117,10 @@ func (cc *chunkClass) freeCount() int {
 type HugePages struct {
 	region *Region
 
-	big   chunkClass
-	small chunkClass // count 0 when the region has no small class
-	refs  []atomic.Int32
+	big     chunkClass
+	small   chunkClass // count 0 when the region has no small class
+	refs    []atomic.Int32
+	retains atomic.Uint64 // Retain calls, for Retains
 }
 
 // NewHugePages builds an allocator of pages×PageSize bytes divided into
@@ -131,7 +132,9 @@ func NewHugePages(pages, chunkSize int) (*HugePages, error) {
 // NewHugePagesSized builds an allocator with pages×PageSize bytes of
 // chunkSize bulk chunks plus smallPages×PageSize bytes of smallSize
 // chunks (the short-flow size class). smallPages 0 disables the small
-// class; smallSize 0 selects DefaultSmallChunkSize.
+// class; smallSize 0 selects DefaultSmallChunkSize. The pages are
+// reserved, not backed: each is backed when a chunk on it is first
+// touched.
 func NewHugePagesSized(pages, chunkSize, smallPages, smallSize int) (*HugePages, error) {
 	if pages <= 0 {
 		return nil, fmt.Errorf("shm: non-positive page count %d", pages)
@@ -192,6 +195,15 @@ func (h *HugePages) SmallChunkSize() int {
 
 // Chunks returns the total number of chunks across both classes.
 func (h *HugePages) Chunks() int { return len(h.refs) }
+
+// Pages returns the region's page count across both classes: the most
+// Resident can ever read.
+func (h *HugePages) Pages() int { return h.region.Size() / PageSize }
+
+// Resident returns the number of pages backed so far. A page is backed
+// by the first Bytes, Write or Read of a chunk on it and never released,
+// so the count only grows (DESIGN.md §17).
+func (h *HugePages) Resident() int { return h.region.Resident() }
 
 // SmallChunks returns the small-class chunk count (0 when disabled).
 func (h *HugePages) SmallChunks() int { return int(h.small.count) }
@@ -278,12 +290,17 @@ func (h *HugePages) allocClass(cc *chunkClass, start int) (Chunk, bool) {
 // is currently free: taking a reference on unowned memory is the same
 // descriptor-corruption class of bug as a double free.
 func (h *HugePages) Retain(c Chunk) {
+	h.retains.Add(1)
 	idx := h.index(c)
 	if n := h.refs[idx].Add(1); n <= 1 {
 		h.refs[idx].Add(-1)
 		panic(fmt.Sprintf("shm: retain of free chunk at offset %d", c.Offset))
 	}
 }
+
+// Retains returns the number of Retain calls so far, which tests read to
+// count hand-offs.
+func (h *HugePages) Retains() uint64 { return h.retains.Load() }
 
 // Free drops one reference; the chunk returns to its home shard's free
 // list when the last reference is dropped. Releasing an already-free
@@ -340,11 +357,9 @@ func (h *HugePages) index(c Chunk) int32 {
 // Bytes returns the chunk's full window (its class's chunk size). The
 // slice aliases shared memory.
 func (h *HugePages) Bytes(c Chunk) []byte {
-	b, err := h.region.Slice(int(c.Offset), h.classOf(h.index(c)).chunkSize)
-	if err != nil {
-		panic("shm: " + err.Error())
-	}
-	return b
+	// index has checked the offset; a chunk never spans two pages
+	// because both classes start on a page and their sizes divide it.
+	return h.region.window(int(c.Offset), h.classOf(h.index(c)).chunkSize)
 }
 
 // Write copies data into the chunk and returns the number of bytes

@@ -164,12 +164,27 @@ func TestHugePagesIsolation(t *testing.T) {
 }
 
 func TestRegionSliceBounds(t *testing.T) {
-	r := NewRegion(100)
-	if _, err := r.Slice(90, 20); err == nil {
-		t.Error("out-of-bounds slice accepted")
+	r := NewRegion(2 * PageSize)
+	for _, s := range []struct{ off, n int }{
+		{-1, 5},               // negative offset
+		{0, -1},               // negative length
+		{2*PageSize - 10, 20}, // past the end
+		{PageSize - 10, 20},   // across the page boundary
+		{0, PageSize + 1},     // longer than a page
+	} {
+		if _, err := r.Slice(s.off, s.n); err == nil {
+			t.Errorf("Slice(%d, %d) accepted", s.off, s.n)
+		}
 	}
-	if _, err := r.Slice(-1, 5); err == nil {
-		t.Error("negative offset accepted")
+	if b, err := r.Slice(2*PageSize, 0); err != nil || len(b) != 0 {
+		t.Errorf("empty Slice at the end = %d bytes, err %v", len(b), err)
+	}
+	if n := r.Resident(); n != 0 {
+		t.Fatalf("rejected and empty slices backed %d pages", n)
+	}
+	// A window that ends exactly on the boundary is within one page.
+	if _, err := r.Slice(PageSize-10, 10); err != nil {
+		t.Fatalf("Slice ending on the page boundary: %v", err)
 	}
 	b, err := r.Slice(10, 20)
 	if err != nil || len(b) != 20 {
