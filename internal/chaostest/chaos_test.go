@@ -88,11 +88,55 @@ func nsmCrashRestart() Profile {
 	}
 }
 
-func runScenario(t *testing.T, prof Profile) {
+// legacySingleQueue keeps the conference paper's single-queue channel
+// (Shards = -1 → no sharding anywhere) covered now that the harness
+// default runs the multi-queue datapath.
+func legacySingleQueue() Profile {
+	prof := lossyReorderLAN()
+	prof.Name = "lossy-reorder-lan-legacy"
+	prof.Shards = -1
+	return prof
+}
+
+// A scenario is one seeded profile plus the checks its outcome must pass
+// beyond the standard invariants.
+type scenario struct {
+	prof  Profile
+	check func(r Reporter, seed uint64, res *Result) // nil: none
+}
+
+// crashRestart expects one NSM restart per scheduled crash.
+func crashRestart() scenario {
+	prof := nsmCrashRestart()
+	return scenario{prof: prof, check: func(r Reporter, seed uint64, res *Result) {
+		if res.Restarts != len(prof.CrashAt) {
+			r.Errorf("[seed %d] expected %d NSM restarts, got %d", seed, len(prof.CrashAt), res.Restarts)
+		}
+	}}
+}
+
+// seededScenarios is every scenario the seeded tests run, in test order;
+// TestChaosSweep runs them all.
+func seededScenarios() []scenario {
+	return []scenario{
+		{prof: lossyReorderLAN()},
+		{prof: gilbertElliottWAN()},
+		crashRestart(),
+		{prof: legacySingleQueue()},
+		migrateLossyLANScenario(),
+		migrateGEWANScenario(),
+		migrateQueueStallsScenario(),
+	}
+}
+
+func runScenario(t *testing.T, sc scenario) {
 	for _, seed := range seeds(t) {
 		seed := seed
-		t.Run(prof.Name, func(t *testing.T) {
-			res := RunAndCheck(t, seed, prof)
+		t.Run(sc.prof.Name, func(t *testing.T) {
+			res := RunAndCheck(t, seed, sc.prof)
+			if sc.check != nil {
+				sc.check(t, seed, res)
+			}
 			if t.Failed() {
 				t.Logf("seed %d: %d conns, restarts=%d", seed, len(res.Conns), res.Restarts)
 			}
@@ -100,32 +144,13 @@ func runScenario(t *testing.T, prof Profile) {
 	}
 }
 
-func TestChaosLossyReorderLAN(t *testing.T) { runScenario(t, lossyReorderLAN()) }
+func TestChaosLossyReorderLAN(t *testing.T) { runScenario(t, scenario{prof: lossyReorderLAN()}) }
 
-func TestChaosGilbertElliottWAN(t *testing.T) { runScenario(t, gilbertElliottWAN()) }
+func TestChaosGilbertElliottWAN(t *testing.T) { runScenario(t, scenario{prof: gilbertElliottWAN()}) }
 
-func TestChaosNSMCrashRestart(t *testing.T) {
-	for _, seed := range seeds(t) {
-		seed := seed
-		prof := nsmCrashRestart()
-		t.Run(prof.Name, func(t *testing.T) {
-			res := RunAndCheck(t, seed, prof)
-			if res.Restarts != len(prof.CrashAt) {
-				t.Errorf("[seed %d] expected %d NSM restarts, got %d", seed, len(prof.CrashAt), res.Restarts)
-			}
-		})
-	}
-}
+func TestChaosNSMCrashRestart(t *testing.T) { runScenario(t, crashRestart()) }
 
-// TestChaosLegacySingleQueue keeps the conference paper's single-queue
-// channel (Shards = -1 → no sharding anywhere) covered now that the
-// harness default runs the multi-queue datapath.
-func TestChaosLegacySingleQueue(t *testing.T) {
-	prof := lossyReorderLAN()
-	prof.Name = "lossy-reorder-lan-legacy"
-	prof.Shards = -1
-	runScenario(t, prof)
-}
+func TestChaosLegacySingleQueue(t *testing.T) { runScenario(t, scenario{prof: legacySingleQueue()}) }
 
 // TestShardDeterminism is the scale-out replay contract: with an
 // explicit 4-shard datapath — four ring sets per channel, RSS flow

@@ -610,8 +610,15 @@ func (h *harness) closeStragglers() {
 	h.server.Guest.Close(h.lfd)
 }
 
+// A Reporter receives invariant violations: a *testing.T, or a seed
+// sweep that buckets them instead of failing.
+type Reporter interface {
+	Helper()
+	Errorf(format string, args ...interface{})
+}
+
 // Check applies the post-run invariants that live in the Result.
-func Check(t *testing.T, h *Result) {
+func Check(t Reporter, h *Result) {
 	t.Helper()
 	fail := func(format string, args ...interface{}) {
 		t.Helper()
@@ -662,7 +669,7 @@ func Check(t *testing.T, h *Result) {
 // checkPools verifies the leak invariants that need live objects (the
 // Result only carries value snapshots): huge-page chunks, frame
 // buffers, engine mappings, and stack connection tables.
-func (h *harness) checkPools(t *testing.T) {
+func (h *harness) checkPools(t Reporter) {
 	t.Helper()
 	// Every frame drawn from the pool during the scenario has been
 	// released: with the loop empty no frame is in flight, so anything
@@ -734,7 +741,7 @@ func (h *harness) checkPools(t *testing.T) {
 //     re-registration survived any NSM restart).
 //   - Snapshot-internal conservation: the per-queue pushed/popped/depth
 //     gauges inside one snapshot must balance.
-func (h *harness) checkTelemetry(t *testing.T) {
+func (h *harness) checkTelemetry(t Reporter) {
 	t.Helper()
 	for _, vm := range []*hypervisor.VM{h.client, h.server} {
 		for i, pair := range vm.Guest.Pairs() {
@@ -904,15 +911,23 @@ func (h *harness) checkTelemetry(t *testing.T) {
 	}
 }
 
+// RunAndReport executes the scenario and reports every invariant
+// violation to r.
+func RunAndReport(r Reporter, seed uint64, prof Profile) *Result {
+	r.Helper()
+	h := newHarness(seed, prof)
+	res := h.run()
+	Check(r, res)
+	h.checkPools(r)
+	h.checkTelemetry(r)
+	return res
+}
+
 // RunAndCheck executes the scenario and applies every invariant,
 // logging the trace on failure.
 func RunAndCheck(t *testing.T, seed uint64, prof Profile) *Result {
 	t.Helper()
-	h := newHarness(seed, prof)
-	res := h.run()
-	Check(t, res)
-	h.checkPools(t)
-	h.checkTelemetry(t)
+	res := RunAndReport(t, seed, prof)
 	if t.Failed() {
 		for _, line := range res.Trace {
 			t.Log(line)

@@ -39,38 +39,37 @@ func migrateGEWAN() Profile {
 	return p
 }
 
-func TestChaosMigrateLossyLAN(t *testing.T) {
-	for _, seed := range seeds(t) {
-		seed := seed
-		prof := migrateLossyLAN()
-		t.Run(prof.Name, func(t *testing.T) {
-			res := RunAndCheck(t, seed, prof)
-			if res.Migrated != len(prof.Migrations) || res.MigAborted != 0 {
-				t.Errorf("[seed %d] migrated=%d aborted=%d, want %d/0",
-					seed, res.Migrated, res.MigAborted, len(prof.Migrations))
-			}
-			if res.Restarts != 0 {
-				t.Errorf("[seed %d] live migration caused %d crash restarts", seed, res.Restarts)
-			}
-		})
-	}
+// migrateLossyLANScenario expects both handoffs to complete without a
+// crash restart.
+func migrateLossyLANScenario() scenario {
+	prof := migrateLossyLAN()
+	return scenario{prof: prof, check: func(r Reporter, seed uint64, res *Result) {
+		if res.Migrated != len(prof.Migrations) || res.MigAborted != 0 {
+			r.Errorf("[seed %d] migrated=%d aborted=%d, want %d/0",
+				seed, res.Migrated, res.MigAborted, len(prof.Migrations))
+		}
+		if res.Restarts != 0 {
+			r.Errorf("[seed %d] live migration caused %d crash restarts", seed, res.Restarts)
+		}
+	}}
 }
 
-func TestChaosMigrateGilbertElliottWAN(t *testing.T) {
-	for _, seed := range seeds(t) {
-		seed := seed
-		prof := migrateGEWAN()
-		t.Run(prof.Name, func(t *testing.T) {
-			res := RunAndCheck(t, seed, prof)
-			if res.Migrated != 1 || res.MigAborted != 0 {
-				t.Errorf("[seed %d] migrated=%d aborted=%d, want 1/0", seed, res.Migrated, res.MigAborted)
-			}
-			if res.MigConns == 0 {
-				t.Errorf("[seed %d] cutover found the WAN server idle: no in-flight state was serialized", seed)
-			}
-		})
-	}
+// migrateGEWANScenario expects the cutover to complete and to catch
+// live connection state.
+func migrateGEWANScenario() scenario {
+	return scenario{prof: migrateGEWAN(), check: func(r Reporter, seed uint64, res *Result) {
+		if res.Migrated != 1 || res.MigAborted != 0 {
+			r.Errorf("[seed %d] migrated=%d aborted=%d, want 1/0", seed, res.Migrated, res.MigAborted)
+		}
+		if res.MigConns == 0 {
+			r.Errorf("[seed %d] cutover found the WAN server idle: no in-flight state was serialized", seed)
+		}
+	}}
 }
+
+func TestChaosMigrateLossyLAN(t *testing.T) { runScenario(t, migrateLossyLANScenario()) }
+
+func TestChaosMigrateGilbertElliottWAN(t *testing.T) { runScenario(t, migrateGEWANScenario()) }
 
 // TestChaosMigrateAbortFallsBack injects a restore fault mid-handoff:
 // the migration must abort into PR 2 crash semantics — donor reboots
@@ -127,32 +126,30 @@ func TestMigrateDeterminism(t *testing.T) {
 	}
 }
 
-// TestMigrateDuringQueueStalls aims the channel-fault artillery at the
+// migrateQueueStallsScenario aims the channel-fault artillery at the
 // cutover window itself: pushes refused around the freeze/resume
 // sequence must delay delivery, never lose it.
-func TestMigrateDuringQueueStalls(t *testing.T) {
-	for _, seed := range seeds(t) {
-		seed := seed
-		prof := Profile{
-			Name:           "migrate-queue-stalls",
-			Link:           netsim.Testbed40G(),
-			QueueStallProb: 0.02,
-			Conns:          12,
-			MaxBody:        256 << 10,
-			Spacing:        15 * time.Millisecond,
-			Watchdog:       5 * time.Second,
-			Run:            2 * time.Second,
-			Quiesce:        120 * time.Second,
-			Migrations: []MigrationPoint{
-				{At: 90 * time.Millisecond, CC: "bbr"},
-				{At: 400 * time.Millisecond, CC: "cubic"},
-			},
-		}
-		t.Run(prof.Name, func(t *testing.T) {
-			res := RunAndCheck(t, seed, prof)
-			if res.Migrated != 2 || res.MigAborted != 0 {
-				t.Errorf("[seed %d] migrated=%d aborted=%d, want 2/0", seed, res.Migrated, res.MigAborted)
-			}
-		})
+func migrateQueueStallsScenario() scenario {
+	prof := Profile{
+		Name:           "migrate-queue-stalls",
+		Link:           netsim.Testbed40G(),
+		QueueStallProb: 0.02,
+		Conns:          12,
+		MaxBody:        256 << 10,
+		Spacing:        15 * time.Millisecond,
+		Watchdog:       5 * time.Second,
+		Run:            2 * time.Second,
+		Quiesce:        120 * time.Second,
+		Migrations: []MigrationPoint{
+			{At: 90 * time.Millisecond, CC: "bbr"},
+			{At: 400 * time.Millisecond, CC: "cubic"},
+		},
 	}
+	return scenario{prof: prof, check: func(r Reporter, seed uint64, res *Result) {
+		if res.Migrated != 2 || res.MigAborted != 0 {
+			r.Errorf("[seed %d] migrated=%d aborted=%d, want 2/0", seed, res.Migrated, res.MigAborted)
+		}
+	}}
 }
+
+func TestMigrateDuringQueueStalls(t *testing.T) { runScenario(t, migrateQueueStallsScenario()) }

@@ -506,7 +506,7 @@ func (g *GuestLib) SendTo(fd int32, addr ipv4.Addr, port uint16, payload []byte)
 			return err
 		}
 	}
-	chunk, ok := s.pair.Pages.AllocSized(len(payload), s.shard)
+	chunk, ok := s.pair.Pages.AllocSized(len(payload))
 	if !ok {
 		return fmt.Errorf("guestlib: huge pages exhausted")
 	}
@@ -664,7 +664,7 @@ func (g *GuestLib) Send(fd int32, p []byte) int {
 		n := min(min(chunkSize, len(p)), s.credit)
 		// Short-flow slab path: a tiny message takes a small-class chunk
 		// instead of cycling a bulk chunk through the free lists.
-		chunk, ok := s.pair.Pages.AllocSized(n, s.shard)
+		chunk, ok := s.pair.Pages.AllocSized(n)
 		if !ok {
 			g.markStalled(s)
 			g.stats.creditStalls.Inc()

@@ -105,3 +105,82 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 			float64(ms.HeapAlloc)/(1<<20), pairs, capacity*shm.PageSize>>20)
 	}
 }
+
+// A 4-shard pair whose connections sit on all four shards backs the
+// pages its peak outstanding chunks need: one bulk page for the receive
+// chunks and one small-class page for the 64 B sends, on both sides —
+// not a page per flow shard.
+func TestFourShardPairBacksTwoPages(t *testing.T) {
+	const (
+		conns  = 8
+		rounds = 50
+		msg    = 64
+	)
+	c := newCluster(t, func(cfg *HostConfig) { cfg.Shards = 4 })
+	vma, vmb := c.nkPair(t, "cubic", "cubic")
+	startEcho(t, vmb.Guest, 9000)
+
+	g := vma.Guest
+	done := 0
+	for i := 0; i < conns; i++ {
+		out, in := make([]byte, msg), make([]byte, 4<<10)
+		var fd int32
+		round, got := 0, 0
+		fd = g.Socket(guestlib.Callbacks{
+			OnEstablished: func(err error) {
+				if err != nil {
+					t.Errorf("conn %d: connect: %v", i, err)
+					return
+				}
+				g.Send(fd, out)
+			},
+			OnReadable: func() {
+				for {
+					n, _ := g.Recv(fd, in)
+					if n == 0 {
+						return
+					}
+					if got += n; got < msg {
+						continue
+					}
+					got = 0
+					if round++; round == rounds {
+						done++
+						return
+					}
+					g.Send(fd, out)
+				}
+			},
+		})
+		if err := g.Connect(fd, ipVMB, 9000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stepUntil(t, c, func() bool { return done == conns })
+
+	// The engine's mapping table places every open connection on its flow
+	// shard: each of the four must hold one on both hosts.
+	for name, ce := range map[string]*CoreEngine{"client": c.h1.Engine, "server": c.h2.Engine} {
+		if len(ce.pairs) != 1 {
+			t.Fatalf("%s engine serves %d channels, want 1", name, len(ce.pairs))
+		}
+		var perShard []int
+		for _, sh := range ce.pairs[0].shards {
+			sh.mu.Lock()
+			perShard = append(perShard, len(sh.fdToCID))
+			sh.mu.Unlock()
+		}
+		for i, n := range perShard {
+			if n == 0 {
+				t.Fatalf("%s engine maps %v connections per shard: shard %d is unused", name, perShard, i)
+			}
+		}
+	}
+	for name, vm := range map[string]*VM{"client": vma, "server": vmb} {
+		for _, pair := range vm.Guest.Pairs() {
+			if n := pair.Pages.Resident(); n != 2 {
+				t.Errorf("%s pair backs %d huge pages after %d-byte round trips on four shards, want 2", name, n, msg)
+			}
+		}
+	}
+}

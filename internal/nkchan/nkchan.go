@@ -80,8 +80,9 @@ type Pair struct {
 	// Shards holds every ring set; Shards[0] aliases the fields above.
 	Shards []Rings
 	// Pages is the shared data region, unique per pair (§3.1
-	// isolation) and shared by all shards — its own free lists are
-	// already sharded, and AllocOn gives each flow shard affinity.
+	// isolation) and shared by all shards through one free list per
+	// chunk class, so the pair backs only the pages its peak
+	// outstanding chunks need.
 	Pages *shm.HugePages
 
 	// Kicks are the notification hooks wired by the owners, the

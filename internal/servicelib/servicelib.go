@@ -440,7 +440,7 @@ func (s *ServiceLib) emitReady(shard int, order []uint32, masks map[uint32]uint3
 		if n > perChunk {
 			n = perChunk
 		}
-		chunk, ok := s.cfg.Pair.Pages.AllocSized(n*nqe.ReadyEntrySize, shard)
+		chunk, ok := s.cfg.Pair.Pages.AllocSized(n * nqe.ReadyEntrySize)
 		if !ok {
 			// Pool exhausted: fall back to descriptorless singles rather
 			// than dropping wakeups.
@@ -578,6 +578,14 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			// A datagram: one chunk, sent immediately to the address in
 			// Arg0, chunk returned to the pool.
 			chunk := shm.Chunk{Offset: e.DataOff}
+			if int(e.DataLen) > s.cfg.Pair.Pages.SizeOf(chunk) {
+				// The length is guest-chosen: check it against the chunk
+				// before it sizes an allocation.
+				s.cfg.Pair.Pages.Free(chunk)
+				s.cfg.Tracer.Drop(e.Trace)
+				s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSend, CID: cs.cid, Status: nqe.StatusInvalid})
+				return
+			}
 			payload := make([]byte, e.DataLen)
 			s.cfg.Pair.Pages.Read(chunk, payload, int(e.DataLen))
 			s.stats.txBytesCopied.Add(uint64(e.DataLen))
@@ -854,7 +862,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 			s.armRxFlush(cs)
 			return
 		}
-		chunk, ok := s.cfg.Pair.Pages.AllocOn(cs.shard)
+		chunk, ok := s.cfg.Pair.Pages.Alloc()
 		if !ok {
 			return // huge pages exhausted; credits will retrigger
 		}
@@ -898,7 +906,7 @@ func (s *ServiceLib) sinkData(cs *connState, p []byte) int {
 	consumed := 0
 	for len(p) > 0 && cs.recvDebt < s.cfg.RecvWindow {
 		if !cs.rxHave {
-			chunk, ok := s.cfg.Pair.Pages.AllocOn(cs.shard)
+			chunk, ok := s.cfg.Pair.Pages.Alloc()
 			if !ok {
 				break // pool exhausted; remainder buffers in the conn
 			}

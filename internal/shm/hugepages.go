@@ -16,79 +16,60 @@ type Chunk struct {
 	Offset uint64
 }
 
-// hugePageShards bounds the number of free-list shards. Small pools get
-// one shard per chunk; anything realistic gets the full set.
-const hugePageShards = 8
-
 // DefaultSmallChunkSize is the small size class granularity (DESIGN.md
 // §11): big enough for an RPC header + tiny payload, small enough that
 // a 64 B message does not monopolize an 8 KB bulk chunk.
 const DefaultSmallChunkSize = 256
 
-type hpShard struct {
-	mu   sync.Mutex
-	free []int32
-}
-
 // chunkClass is one size class's allocation state: a contiguous index
-// range of equally-sized chunks with sharded LIFO free lists.
+// range of equally-sized chunks, handed out from one LIFO of freed
+// chunks and, when that is empty, from a bump cursor over the chunks
+// never handed out. The chunks ever handed out are therefore exactly
+// the lowest peak-outstanding indexes, and the pages backed are the
+// pages that peak needs (DESIGN.md §17).
 type chunkClass struct {
 	chunkSize int
 	baseOff   uint64 // byte offset of the class's first chunk
 	baseIdx   int32  // global chunk index of the class's first chunk
 	count     int32
-	shardSize int // chunk indexes per shard (class-local)
-	shards    []hpShard
-	cursor    atomic.Uint32 // rotating preferred shard
+
+	mu   sync.Mutex
+	free []int32 // freed chunks' global indexes, most recent last
+	next int32   // class-local index of the first chunk never handed out
 }
 
-// init lays out the class's free lists so the lowest chunk pops first
-// (cache warmth, and the historical allocation order within a shard).
-func (cc *chunkClass) init() {
-	nshards := hugePageShards
-	if int(cc.count) < nshards {
-		nshards = int(cc.count)
-	}
-	cc.shardSize = (int(cc.count) + nshards - 1) / nshards
-	cc.shards = make([]hpShard, nshards)
-	for i := cc.count - 1; i >= 0; i-- {
-		s := &cc.shards[int(i)/cc.shardSize]
-		s.free = append(s.free, cc.baseIdx+i)
-	}
+// init sizes the free list for every chunk at once, so Free never grows
+// it.
+func (cc *chunkClass) init(chunkSize int, baseOff uint64, baseIdx int32, count int) {
+	cc.chunkSize, cc.baseOff, cc.baseIdx, cc.count = chunkSize, baseOff, baseIdx, int32(count)
+	cc.free = make([]int32, 0, count)
 }
 
-func (cc *chunkClass) allocFrom(start int) (int32, bool) {
-	for i := 0; i < len(cc.shards); i++ {
-		s := &cc.shards[(start+i)%len(cc.shards)]
-		s.mu.Lock()
-		n := len(s.free)
-		if n == 0 {
-			s.mu.Unlock()
-			continue
-		}
-		idx := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.mu.Unlock()
+func (cc *chunkClass) alloc() (int32, bool) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if n := len(cc.free); n > 0 {
+		idx := cc.free[n-1]
+		cc.free = cc.free[:n-1]
 		return idx, true
 	}
-	return -1, false
+	if cc.next == cc.count {
+		return -1, false
+	}
+	cc.next++
+	return cc.baseIdx + cc.next - 1, true
 }
 
 func (cc *chunkClass) release(idx int32) {
-	s := &cc.shards[int(idx-cc.baseIdx)/cc.shardSize]
-	s.mu.Lock()
-	s.free = append(s.free, idx)
-	s.mu.Unlock()
+	cc.mu.Lock()
+	cc.free = append(cc.free, idx)
+	cc.mu.Unlock()
 }
 
 func (cc *chunkClass) freeCount() int {
-	n := 0
-	for i := range cc.shards {
-		cc.shards[i].mu.Lock()
-		n += len(cc.shards[i].free)
-		cc.shards[i].mu.Unlock()
-	}
-	return n
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.free) + int(cc.count-cc.next)
 }
 
 // HugePages is a refcounted chunk allocator over a shared Region,
@@ -101,19 +82,18 @@ func (cc *chunkClass) freeCount() int {
 // §11). A chunk's class is implied by its offset, so descriptors on the
 // nqe wire need no class field and Free/Retain/Bytes work unchanged.
 //
-// The free lists are sharded: each chunk has a home shard (a contiguous
-// index range), Free returns a chunk to its home shard, and Alloc starts
-// from a rotating preferred shard and steals from the others on a miss.
-// In the wall-clock domain the guest side allocates while the NSM side
-// frees (and vice versa for receive); sharding keeps those two from
-// serializing on a single mutex while each shard's LIFO order preserves
-// cache warmth.
+// Each class has one free list under one mutex. Alloc reuses the most
+// recently freed chunk and takes a never-used one only when none is
+// free, so a pair backs the pages its peak outstanding chunks span and
+// no more. Production callers allocate from one goroutine (the event
+// loop, or a RealClock callback under its lock), so the mutex is never
+// contended there; it keeps the allocator safe for any concurrent caller.
 //
 // Chunks carry a reference count: Alloc hands out a chunk with one
 // reference, Retain adds one (e.g. while a TCP send buffer holds a span
 // into the chunk and the NSM still tracks it), and Free drops one. The
-// chunk returns to its home free list only when the last reference is
-// dropped. Releasing a chunk that is already free panics, as before.
+// chunk returns to its class's free list only when the last reference
+// is dropped. Releasing a chunk that is already free panics.
 type HugePages struct {
 	region *Region
 
@@ -163,20 +143,11 @@ func NewHugePagesSized(pages, chunkSize, smallPages, smallSize int) (*HugePages,
 	}
 	h := &HugePages{
 		region: NewRegion((pages + smallPages) * PageSize),
-		big: chunkClass{
-			chunkSize: chunkSize, baseOff: 0, baseIdx: 0, count: int32(nBig),
-		},
-		refs: make([]atomic.Int32, nBig+nSmall),
+		refs:   make([]atomic.Int32, nBig+nSmall),
 	}
-	h.big.init()
+	h.big.init(chunkSize, 0, 0, nBig)
 	if nSmall > 0 {
-		h.small = chunkClass{
-			chunkSize: smallSize,
-			baseOff:   uint64(pages) * PageSize,
-			baseIdx:   int32(nBig),
-			count:     int32(nSmall),
-		}
-		h.small.init()
+		h.small.init(smallSize, uint64(pages)*PageSize, int32(nBig), nSmall)
 	}
 	return h, nil
 }
@@ -210,13 +181,7 @@ func (h *HugePages) SmallChunks() int { return int(h.small.count) }
 
 // FreeCount returns the number of chunks currently available (both
 // classes).
-func (h *HugePages) FreeCount() int {
-	n := h.big.freeCount()
-	if h.small.count > 0 {
-		n += h.small.freeCount()
-	}
-	return n
-}
+func (h *HugePages) FreeCount() int { return h.big.freeCount() + h.small.freeCount() }
 
 // LiveRefs sums the reference counts of all in-use chunks. At quiescence
 // (no chunk handed out) it must be zero; the chaos harness asserts this
@@ -239,46 +204,29 @@ func (h *HugePages) SizeOf(c Chunk) int { return h.classOf(h.index(c)).chunkSize
 // reports false when the class is exhausted, which callers treat as
 // backpressure (§3.2: the sender stalls until the receiver consumes and
 // frees).
+func (h *HugePages) Alloc() (Chunk, bool) { return h.allocClass(&h.big) }
+
+// AllocSized reserves the cheapest chunk that holds size bytes: the
+// small class when the payload fits and the class exists (falling back
+// to a bulk chunk when the small class is exhausted), the bulk class
+// otherwise. This is the short-flow allocation entry point — tiny RPCs
+// recycle 256 B slots instead of cycling 8 KB bulk chunks through the
+// free lists.
 //
-// The search starts at a rotating preferred shard and work-steals from
-// the remaining shards on a miss, so concurrent allocators spread across
-// the free lists instead of queueing on one lock.
-func (h *HugePages) Alloc() (Chunk, bool) {
-	return h.allocClass(&h.big, int(h.big.cursor.Add(1)-1))
-}
-
-// AllocOn reserves one bulk chunk preferring the given shard's free
-// list, falling back to work-stealing like Alloc. Sharded datapath
-// layers pass their flow shard here so a connection's chunks cluster on
-// one free list (cache affinity), without perturbing the rotating cursor
-// that unsharded callers share.
-func (h *HugePages) AllocOn(pref int) (Chunk, bool) {
-	if pref < 0 {
-		pref = -pref
-	}
-	return h.allocClass(&h.big, pref)
-}
-
-// AllocSized reserves the cheapest chunk that holds size bytes on the
-// preferred shard: the small class when the payload fits and the class
-// exists (falling back to a bulk chunk when the small class is
-// exhausted), the bulk class otherwise. This is the short-flow
-// allocation entry point — tiny RPCs recycle 256 B slots instead of
-// cycling 8 KB bulk chunks through the free lists.
-func (h *HugePages) AllocSized(size, pref int) (Chunk, bool) {
-	if pref < 0 {
-		pref = -pref
-	}
+// Arguments after size are ignored. They were a free-list shard
+// preference, which one list per class has no use for; they are still
+// accepted so callers written against that signature compile.
+func (h *HugePages) AllocSized(size int, _ ...int) (Chunk, bool) {
 	if h.small.count > 0 && size <= h.small.chunkSize {
-		if c, ok := h.allocClass(&h.small, pref); ok {
+		if c, ok := h.allocClass(&h.small); ok {
 			return c, true
 		}
 	}
-	return h.allocClass(&h.big, pref)
+	return h.allocClass(&h.big)
 }
 
-func (h *HugePages) allocClass(cc *chunkClass, start int) (Chunk, bool) {
-	idx, ok := cc.allocFrom(start % len(cc.shards))
+func (h *HugePages) allocClass(cc *chunkClass) (Chunk, bool) {
+	idx, ok := cc.alloc()
 	if !ok {
 		return Chunk{}, false
 	}
@@ -302,8 +250,8 @@ func (h *HugePages) Retain(c Chunk) {
 // count hand-offs.
 func (h *HugePages) Retains() uint64 { return h.retains.Load() }
 
-// Free drops one reference; the chunk returns to its home shard's free
-// list when the last reference is dropped. Releasing an already-free
+// Free drops one reference; the chunk returns to its class's free list
+// when the last reference is dropped. Releasing an already-free
 // chunk or a misaligned offset panics: both indicate descriptor
 // corruption, which in a real deployment would be a guest escaping its
 // huge-page window.

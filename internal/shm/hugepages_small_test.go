@@ -40,7 +40,7 @@ func TestNewHugePagesSizedValidation(t *testing.T) {
 	if h2.SmallChunks() != 0 || h2.SmallChunkSize() != 0 {
 		t.Fatalf("classless region reports %d small chunks size %d", h2.SmallChunks(), h2.SmallChunkSize())
 	}
-	if c, ok := h2.AllocSized(64, 0); !ok || h2.SizeOf(c) != 8192 {
+	if c, ok := h2.AllocSized(64); !ok || h2.SizeOf(c) != 8192 {
 		t.Fatal("AllocSized without a small class must hand out a bulk chunk")
 	}
 }
@@ -49,14 +49,14 @@ func TestAllocSizedDispatch(t *testing.T) {
 	h, _ := NewHugePagesSized(1, 8192, 1, 256)
 	smallBase := uint64(PageSize)
 
-	small, ok := h.AllocSized(64, 0)
+	small, ok := h.AllocSized(64)
 	if !ok || small.Offset < smallBase {
 		t.Fatalf("64B alloc landed at %d, want small class ≥ %d", small.Offset, smallBase)
 	}
 	if h.SizeOf(small) != 256 {
 		t.Fatalf("SizeOf(small) = %d", h.SizeOf(small))
 	}
-	big, ok := h.AllocSized(257, 0)
+	big, ok := h.AllocSized(257)
 	if !ok || big.Offset >= smallBase {
 		t.Fatalf("257B alloc landed at %d, want bulk class < %d", big.Offset, smallBase)
 	}
@@ -83,7 +83,7 @@ func TestSmallClassExhaustionFallsBack(t *testing.T) {
 	}
 	var small []Chunk
 	for i := 0; i < 4; i++ {
-		c, ok := h.AllocSized(8, 0)
+		c, ok := h.AllocSized(8)
 		if !ok || h.SizeOf(c) != PageSize/4 {
 			t.Fatalf("small alloc %d: ok=%v size=%d", i, ok, h.SizeOf(c))
 		}
@@ -91,7 +91,7 @@ func TestSmallClassExhaustionFallsBack(t *testing.T) {
 	}
 	// Small class dry: a short payload must fall back to a bulk chunk
 	// rather than fail.
-	c, ok := h.AllocSized(8, 0)
+	c, ok := h.AllocSized(8)
 	if !ok {
 		t.Fatal("AllocSized failed with bulk chunks free")
 	}
@@ -108,7 +108,7 @@ func TestSmallClassExhaustionFallsBack(t *testing.T) {
 
 func TestSmallChunkWriteReadBounds(t *testing.T) {
 	h, _ := NewHugePagesSized(1, 8192, 1, 256)
-	c, _ := h.AllocSized(64, 0)
+	c, _ := h.AllocSized(64)
 	msg := bytes.Repeat([]byte("x"), 300)
 	if n := h.Write(c, msg); n != 256 {
 		t.Fatalf("Write into a small chunk = %d, want clamped 256", n)
@@ -124,7 +124,7 @@ func TestSmallChunkWriteReadBounds(t *testing.T) {
 
 func TestSmallChunkRefcounts(t *testing.T) {
 	h, _ := NewHugePagesSized(1, 8192, 1, 256)
-	c, _ := h.AllocSized(8, 0)
+	c, _ := h.AllocSized(8)
 	h.Retain(c)
 	if n := h.RefCount(c); n != 2 {
 		t.Fatalf("RefCount = %d after retain", n)
@@ -146,7 +146,7 @@ func TestSmallChunkRefcounts(t *testing.T) {
 }
 
 // TestSmallClassConcurrentAllocFree hammers the small class from many
-// goroutines (the -race tier's view of the sharded free lists).
+// goroutines (the -race tier's view of the class's one free list).
 func TestSmallClassConcurrentAllocFree(t *testing.T) {
 	h, _ := NewHugePagesSized(2, 8192, 2, 256)
 	var wg sync.WaitGroup
@@ -155,7 +155,7 @@ func TestSmallClassConcurrentAllocFree(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				c, ok := h.AllocSized(16, g)
+				c, ok := h.AllocSized(16)
 				if !ok {
 					continue
 				}

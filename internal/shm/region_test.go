@@ -30,12 +30,16 @@ func TestNewRegionHasNoResidentPages(t *testing.T) {
 
 func TestFirstTouchBacksThatChunksPage(t *testing.T) {
 	h, _ := NewHugePages(4, 8192)
-	// Eight shards of half a page each: shard 6's LIFO starts on the
-	// region's last page.
-	c, _ := h.AllocOn(6)
+	// Hand out the first two pages' chunks and one more, untouched: the
+	// last chunk is the first on page 2, and allocation backs nothing.
+	perPage := PageSize / h.ChunkSize()
+	var c Chunk
+	for i := 0; i <= 2*perPage; i++ {
+		c, _ = h.Alloc()
+	}
 	page := int(c.Offset / PageSize)
-	if page != 3 {
-		t.Fatalf("shard 6's first chunk is on page %d, want 3", page)
+	if page != 2 {
+		t.Fatalf("chunk %d is on page %d, want 2", 2*perPage, page)
 	}
 	h.Write(c, []byte("first touch"))
 	if n := h.Resident(); n != 1 {
@@ -54,8 +58,8 @@ func TestFirstTouchBacksThatChunksPage(t *testing.T) {
 
 func TestChunksOnOnePageShareItsBacking(t *testing.T) {
 	h, _ := NewHugePages(2, 8192)
-	a, _ := h.AllocOn(0)
-	b, _ := h.AllocOn(0)
+	a, _ := h.Alloc()
+	b, _ := h.Alloc()
 	if a.Offset/PageSize != b.Offset/PageSize {
 		t.Fatalf("chunks at %d and %d are on different pages", a.Offset, b.Offset)
 	}
