@@ -141,7 +141,7 @@ func (h *Host) cutover(old, next *NSM, opts MigrateOptions, m *Migration, done f
 		// non-expiring states must NOT revive — an orphaned ESTABLISHED
 		// conn would wedge in CLOSE_WAIT forever.
 		for _, snap := range old.Stack.DrainSnapshots() {
-			if snap.State != tcp.StateTimeWait {
+			if snap.State() != tcp.StateTimeWait {
 				continue
 			}
 			if _, rerr := next.Stack.RestoreConn(snap, stack.SocketOptions{}); rerr == nil {

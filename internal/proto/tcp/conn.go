@@ -241,9 +241,30 @@ type Conn struct {
 	ackSample tcpcc.AckSample
 }
 
-// incarnation is the state of one connection's life.
+// incarnation is the state of one connection's life: the tcb, which a
+// migration snapshot carries whole, and the environment the connection
+// runs in, which whoever builds or restores it supplies afresh
+// (TestIncarnationFieldsAreStateOrEnvironment gives each field's reason).
 type incarnation struct {
-	cfg   Config
+	tcb
+
+	cfg       Config
+	cc        tcpcc.Algorithm
+	owner     Owner
+	sink      func(p []byte) int
+	oooBytes  int // payload held in the reorder queue
+	wantWrite bool
+	closed    bool
+
+	// onEstablishedFired guards the one-shot handshake callback.
+	onEstablishedFired bool
+}
+
+// tcb is the connection's state block (RFC 793's transmission control
+// block): plain data holding everything the connection has negotiated
+// and learned, so that a snapshot is one copy of it. Buffers, the
+// scoreboard and the reorder queue live beside it in Conn.
+type tcb struct {
 	state State
 
 	// Send sequence state (RFC 793 names).
@@ -271,19 +292,15 @@ type incarnation struct {
 	dupAcks    int
 	inRecovery bool
 	recover    uint32
-	lastAckSeq uint32
 
 	// Rate sampling (for BBR).
 	delivered   uint64
 	deliveredAt sim.Time // when the delivered counter last advanced
-	appLtdUntil uint64
 
 	// Receive sequence state.
-	irs      uint32
-	rcvNxt   uint32
-	sink     func(p []byte) int
-	oooBytes int
-	finRcvd  bool
+	irs     uint32
+	rcvNxt  uint32
+	finRcvd bool
 
 	// Acking.
 	lastOOOSeq   uint32 // seq of the most recent out-of-order arrival
@@ -294,23 +311,51 @@ type incarnation struct {
 	ecnEnabled   bool
 	ecnReactedAt sim.Time
 
-	// Pacing.
-	paceNext   sim.Time
-	pacePinned bool
+	// Pacing and coalescing.
+	paceNext sim.Time
+	nagle    bool // RFC 896; starts as Config.Nagle
 
-	// timeWaitDeadline is when the TIME_WAIT timer fires; migration
-	// snapshots carry the remaining wait instead of restarting 2·MSL.
+	// timeWaitDeadline is when the TIME_WAIT timer fires; a migrated
+	// connection keeps it instead of restarting 2·MSL.
 	timeWaitDeadline sim.Time
 
-	cc        tcpcc.Algorithm
-	ctrl      tcpcc.Control
-	wantWrite bool
-	closed    bool
-	stats     Stats
-	owner     Owner
+	// ctrl.MSS is the negotiated MSS (Config.MSS, kept in step).
+	ctrl  tcpcc.Control
+	stats Stats
+}
 
-	// onEstablishedFired guards the one-shot handshake callback.
-	onEstablishedFired bool
+// check reports the first way the block, with the scoreboard entries
+// inflight, breaks what every live connection satisfies. Restore refuses
+// a snapshot that fails it and the tests assert it after every segment;
+// Input does not run it, since it would cost host time per segment.
+func (b *tcb) check(inflight []segMeta) error {
+	ourFIN := b.state == StateFinWait1 || b.state == StateFinWait2 || b.state >= StateClosing
+	peerFIN := b.state >= StateCloseWait
+	switch {
+	case b.state <= StateClosed || b.state > StateTimeWait:
+		return fmt.Errorf("state %d is not a live connection's", int(b.state))
+	case seqGT(b.sndUna, b.sndNxt) || seqGT(b.sndNxt, b.sndMax):
+		return fmt.Errorf("send sequence out of order: una %d, nxt %d, max %d", b.sndUna, b.sndNxt, b.sndMax)
+	case b.peerWScale > 14 || b.ourWScale > 14:
+		return fmt.Errorf("window scale %d/%d above 14", b.peerWScale, b.ourWScale)
+	case b.rto <= 0 || b.rto > maxRTO:
+		return fmt.Errorf("RTO %v outside (0, %v]", b.rto, maxRTO)
+	case b.finSent != ourFIN || b.finSent && !b.finQueued || b.finRcvd != peerFIN:
+		return fmt.Errorf("FIN queued=%v sent=%v received=%v in %v", b.finQueued, b.finSent, b.finRcvd, b.state)
+	}
+	// A cumulative ACK can split the oldest entry, so an entry need only
+	// end inside (sndUna, sndMax].
+	for _, m := range inflight {
+		span := m.length
+		if m.fin {
+			span++
+		}
+		end := m.seq + uint32(span)
+		if m.length < 0 || seqDiff(end, m.seq) != span || !seqLT(b.sndUna, end) || seqGT(end, b.sndMax) {
+			return fmt.Errorf("scoreboard entry [%d, %d) does not end in (una %d, max %d]", m.seq, end, b.sndUna, b.sndMax)
+		}
+	}
+	return nil
 }
 
 // rebuild readies c — new, or ended — for a connection under cfg: the
@@ -323,7 +368,7 @@ func (c *Conn) rebuild(cfg Config) {
 	if c.cfg.Clock != nil && !c.closed {
 		panic("tcp: rebuilding a connection that has not ended")
 	}
-	c.incarnation = incarnation{cfg: cfg, cc: cfg.CC, rto: time.Second}
+	c.incarnation = incarnation{tcb: tcb{rto: time.Second, nagle: cfg.Nagle}, cfg: cfg, cc: cfg.CC}
 	c.gen++
 	c.sndBuf.reset(cfg.SendBufSize)
 	c.rcvBuf.reset(cfg.RecvBufSize)
@@ -438,7 +483,7 @@ func (c *Conn) applySynOptions(o *Options) {
 		c.ctrl.MSS = c.cfg.MSS
 	}
 	if o.WScaleOK {
-		c.peerWScale = o.WScale
+		c.peerWScale = min(o.WScale, 14) // RFC 7323 §2.3
 	} else {
 		c.ourWScale = 0 // both sides must support scaling
 	}
@@ -622,10 +667,10 @@ func (c *Conn) timers() [5]*sim.Timer {
 
 // SetNagle toggles RFC 896 coalescing at runtime (setsockopt
 // TCP_NODELAY, inverted).
-func (c *Conn) SetNagle(on bool) { c.cfg.Nagle = on }
+func (c *Conn) SetNagle(on bool) { c.nagle = on }
 
 // NagleEnabled reports whether RFC 896 coalescing is active.
-func (c *Conn) NagleEnabled() bool { return c.cfg.Nagle }
+func (c *Conn) NagleEnabled() bool { return c.nagle }
 
 // SetOwner registers the connection's owner, whose ConnClosed runs once
 // on final teardown, before the application's OnClose. The owning stack
@@ -681,15 +726,16 @@ func (c *Conn) Input(h *Header, payload []byte, ceMarked bool) {
 			c.sendSYN(true)
 			return
 		}
-		if h.Flags&FlagACK != 0 && h.Ack == c.sndNxt {
-			c.sndUna = h.Ack
-			c.inflight.ackUpTo(h.Ack)
-			c.sndWnd = int(h.Window) << c.peerWScale
-			c.establish()
-			// Fall through to normal processing for any payload.
-		} else if h.Flags&FlagACK != 0 {
-			return // stale ack
+		// A segment without ACK is dropped (RFC 9293 §3.10.7.4): a FIN
+		// taken here would establish with the peer's FIN already counted.
+		if h.Flags&FlagACK == 0 || h.Ack != c.sndNxt {
+			return // no ack, or a stale one
 		}
+		c.sndUna = h.Ack
+		c.inflight.ackUpTo(h.Ack)
+		c.sndWnd = int(h.Window) << c.peerWScale
+		c.establish()
+		// Fall through to normal processing for any payload.
 	case StateTimeWait:
 		// Sequence validation on port reuse (RFC 6191 flavour): a fresh
 		// SYN whose ISN lies beyond everything this incarnation saw is a
@@ -956,19 +1002,6 @@ func (c *Conn) armTimeWait(d time.Duration) {
 
 func (c *Conn) onTimeWait() { c.teardown(nil) }
 
-// TimeWaitRemaining returns how long a TIME_WAIT connection will linger
-// (0 for other states). The port recycler and migration snapshots read
-// it.
-func (c *Conn) TimeWaitRemaining() time.Duration {
-	if c.state != StateTimeWait || c.closed {
-		return 0
-	}
-	if d := c.timeWaitDeadline.Sub(c.cfg.Clock.Now()); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // FinalSeq returns the connection's highest used send sequence number
 // (sndMax). A successor connection recycling this port pair must start
 // its ISS beyond it so the peer's lingering state cannot confuse old
@@ -1102,26 +1135,3 @@ func (c *Conn) transmit(h *Header, payload []byte, ecnCapable bool) {
 	c.stats.BytesSent += uint64(len(payload))
 	c.cfg.Output(h, payload, ecnCapable)
 }
-
-// Debug accessors used by experiment diagnostics and tests.
-
-// DebugOutstanding returns bytes in flight.
-func (c *Conn) DebugOutstanding() int { return c.outstanding() }
-
-// DebugSndWnd returns the peer-advertised send window in bytes.
-func (c *Conn) DebugSndWnd() int { return c.sndWnd }
-
-// DebugInflightLen returns tracked in-flight segment count.
-func (c *Conn) DebugInflightLen() int { return c.inflight.len() }
-
-// DebugRcvBufLen returns buffered in-order bytes.
-func (c *Conn) DebugRcvBufLen() int { return c.rcvBuf.Len() }
-
-// DebugOOOBytes returns buffered out-of-order bytes.
-func (c *Conn) DebugOOOBytes() int { return c.oooBytes }
-
-// DebugOOOCount returns the out-of-order segment count.
-func (c *Conn) DebugOOOCount() int { return len(c.ooo) }
-
-// DebugAdvWnd returns the window the conn would advertise now.
-func (c *Conn) DebugAdvWnd() int { return int(c.advertisedWindow()) << c.ourWScale }

@@ -175,6 +175,21 @@ func TestWindowScaleFallback(t *testing.T) {
 	}
 }
 
+// A shift count above 14 is used as 14 (RFC 7323 §2.3), so a peer
+// cannot scale windows past 2³⁰ nor leave a connection Restore would
+// refuse.
+func TestWindowScaleClampedTo14(t *testing.T) {
+	syn := Header{
+		SrcPort: 9999, DstPort: 80, Seq: 1, Flags: FlagSYN, Window: 4096,
+		Opts: Options{WScale: 40, WScaleOK: true},
+	}
+	c := NewPassive(quietConfig(t, sim.NewLoop(), "reno"), &syn, false)
+	if c.peerWScale != 14 {
+		t.Fatalf("peer window scale %d, want 14", c.peerWScale)
+	}
+	checkLive(t, c)
+}
+
 func TestMSSNegotiationTakesMinimum(t *testing.T) {
 	syn := Header{
 		SrcPort: 9999, DstPort: 80, Seq: 1, Flags: FlagSYN, Window: 4096,

@@ -15,7 +15,7 @@ import (
 // Every segment round-trips through Marshal/Parse, so these tests cover
 // the wire format under the state machine too.
 type testNet struct {
-	t     *testing.T
+	t     testing.TB
 	loop  *sim.Loop
 	delay time.Duration
 
@@ -30,7 +30,7 @@ type testNet struct {
 	segsAB, segsBA int
 }
 
-func newTestNet(t *testing.T) *testNet {
+func newTestNet(t testing.TB) *testNet {
 	return &testNet{
 		t:     t,
 		loop:  sim.NewLoop(),
@@ -174,6 +174,30 @@ func TestHandshakeEstablishes(t *testing.T) {
 	// MSS negotiated to the default on both sides.
 	if n.a.cfg.MSS != 1460 || n.b.cfg.MSS != 1460 {
 		t.Fatalf("MSS a=%d b=%d", n.a.cfg.MSS, n.b.cfg.MSS)
+	}
+}
+
+// In SYN-RCVD a segment without ACK is dropped (RFC 9293 §3.10.7.4). A
+// FIN without ACK taken there would leave the connection, once the
+// handshake ACK lands, ESTABLISHED with the peer's FIN counted: stuck
+// short of CLOSE-WAIT, and refused by Restore if it were migrated.
+// n.input's checkLive asserts the second half after every segment.
+func TestSynRcvdDropsSegmentWithoutACK(t *testing.T) {
+	n := newTestNet(t)
+	n.drop = func(dir string, _ *Header, _ []byte) bool { return dir == "a→b" } // a's handshake ACK too
+	n.dialPair("reno", "reno", nil)
+	n.loop.RunFor(3 * n.delay)
+	if n.b == nil || n.b.State() != StateSynRcvd {
+		t.Fatal("b did not reach SYN-RCVD")
+	}
+	rcvNxt := n.b.rcvNxt
+	n.input(n.b, &Header{Seq: rcvNxt, Flags: FlagFIN, Window: 0xffff}, nil, false)
+	if n.b.State() != StateSynRcvd || n.b.finRcvd || n.b.rcvNxt != rcvNxt {
+		t.Fatalf("FIN without ACK taken in SYN-RCVD: state %v, finRcvd %v, rcvNxt moved by %d", n.b.State(), n.b.finRcvd, n.b.rcvNxt-rcvNxt)
+	}
+	n.input(n.b, &Header{Seq: rcvNxt, Ack: n.b.sndNxt, Flags: FlagACK, Window: 0xffff}, nil, false)
+	if n.b.State() != StateEstablished {
+		t.Fatalf("handshake ACK left b in %v", n.b.State())
 	}
 }
 

@@ -98,12 +98,12 @@ func checkEnded(t *testing.T, c *Conn) {
 func checkSame(t *testing.T, what string, got, want *Conn) {
 	t.Helper()
 	accessors := func(c *Conn) string {
-		return fmt.Sprintf("%v %+v %v %v cwnd=%d wfree=%d wcap=%d ravail=%d nagle=%v tw=%v final=%d "+
+		return fmt.Sprintf("%v %+v %v %v cwnd=%d wfree=%d wcap=%d ravail=%d nagle=%v final=%d "+
 			"out=%d sndwnd=%d inflight=%d rcvbuf=%d ooo=%d/%d advwnd=%d cc=%s %+v",
 			c.State(), c.Stats(), c.LocalAddr(), c.RemoteAddr(), c.CWnd(), c.WriteBufferFree(),
-			c.WriteBufferCap(), c.ReadAvailable(), c.NagleEnabled(), c.TimeWaitRemaining(), c.FinalSeq(),
-			c.DebugOutstanding(), c.DebugSndWnd(), c.DebugInflightLen(), c.DebugRcvBufLen(),
-			c.DebugOOOBytes(), c.DebugOOOCount(), c.DebugAdvWnd(),
+			c.WriteBufferCap(), c.ReadAvailable(), c.NagleEnabled(), c.FinalSeq(),
+			c.outstanding(), c.sndWnd, c.inflight.len(), c.rcvBuf.Len(),
+			c.oooBytes, len(c.ooo), int(c.advertisedWindow())<<c.ourWScale,
 			c.CongestionControl().Name(), c.CongestionControl())
 	}
 	if g, w := accessors(got), accessors(want); g != w {

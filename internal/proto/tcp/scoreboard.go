@@ -25,14 +25,19 @@ func (b *scoreboard) at(i int) *segMeta {
 	return &b.buf[(b.head+i)&(len(b.buf)-1)]
 }
 
+// appendTo appends the entries to dst, oldest first.
+func (b *scoreboard) appendTo(dst []segMeta) []segMeta {
+	for i := 0; i < b.n; i++ {
+		dst = append(dst, *b.at(i))
+	}
+	return dst
+}
+
 // push tracks a newly transmitted segment.
 func (b *scoreboard) push(m segMeta) {
 	if b.n == len(b.buf) {
-		grown := make([]segMeta, max(8, 2*len(b.buf)))
-		for i := 0; i < b.n; i++ {
-			grown[i] = *b.at(i)
-		}
-		b.buf, b.head = grown, 0
+		grown := b.appendTo(make([]segMeta, 0, max(8, 2*len(b.buf))))
+		b.buf, b.head = grown[:cap(grown)], 0
 	}
 	b.n++
 	*b.at(b.n - 1) = m

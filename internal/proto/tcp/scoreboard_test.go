@@ -58,13 +58,27 @@ func checkScoreboard(t testing.TB, c *Conn) {
 	}
 }
 
+// checkLive asserts that a connection that has not ended passes the
+// check Restore puts a snapshot to.
+func checkLive(t testing.TB, c *Conn) {
+	t.Helper()
+	if c.closed {
+		return
+	}
+	if err := c.check(c.inflight.appendTo(nil)); err != nil {
+		t.Fatalf("live connection fails the snapshot check: %v", err)
+	}
+}
+
 // input delivers a segment and cross-checks the receiving connection's
-// scoreboard, so every test built on testNet — random loss, single drop,
-// black hole and abort, reordering — holds the incremental count to the
-// scan after every Input.
+// scoreboard and state block, so every test built on testNet — random
+// loss, single drop, black hole and abort, reordering — holds the
+// incremental count to the scan, and the connection to what Restore
+// accepts, after every Input.
 func (n *testNet) input(c *Conn, h *Header, payload []byte, ce bool) {
 	c.Input(h, payload, ce)
 	checkScoreboard(n.t, c)
+	checkLive(n.t, c)
 }
 
 // A window larger than the ring's first allocation makes it grow while
@@ -153,19 +167,19 @@ func TestScoreboardAcrossSnapshotRestore(t *testing.T) {
 		snap := n.a.Snapshot()
 		sackedInSnap := 0
 		for _, m := range snap.Inflight {
-			if m.Sacked {
-				sackedInSnap += m.Length
+			if m.sacked {
+				sackedInSnap += m.length
 			}
 		}
 		if sackedInSnap == 0 {
 			t.Fatal("mid-recovery snapshot carries no sacked segment")
 		}
 		n.a.Detach()
-		successor, err := Restore(Config{
+		successor := new(Conn)
+		if err := successor.Restore(Config{
 			Clock: n.loop, CC: mustCC(t, "cubic"),
 			Output: n.outputTo("a→b", n.aAddr, n.bAddr, func() *Conn { return n.b }),
-		}, snap)
-		if err != nil {
+		}, snap); err != nil {
 			t.Fatal(err)
 		}
 		n.a = successor
@@ -264,9 +278,11 @@ func FuzzSACKScoreboard(f *testing.F) {
 			}
 			c.Input(&h, nil, false)
 			checkScoreboard(t, c)
+			checkLive(t, c)
 			// Let time pass: up to 255 ms, enough for RTOs to fire.
 			loop.RunFor(time.Duration(idle) * time.Millisecond)
 			checkScoreboard(t, c)
+			checkLive(t, c)
 		}
 	})
 }

@@ -401,7 +401,7 @@ func (c *Conn) trySend() {
 			return // congestion-window limited; acks will reopen
 		}
 		// Nagle (RFC 896): hold small segments while data is in flight.
-		if c.cfg.Nagle && n < c.cfg.MSS && c.outstanding() > 0 && !c.finQueued {
+		if c.nagle && n < c.cfg.MSS && c.outstanding() > 0 && !c.finQueued {
 			return
 		}
 		// Pacing gate.
@@ -540,15 +540,12 @@ func (errTimeout) Error() string { return "tcp: connection timed out" }
 func (errTimeout) Timeout() bool { return true }
 
 func (c *Conn) armPacing(d time.Duration) {
-	if c.pacePinned {
-		return
+	if !c.paceTimer.Pending() {
+		c.paceTimer.Reset(d)
 	}
-	c.pacePinned = true
-	c.paceTimer.Reset(d)
 }
 
 func (c *Conn) onPace() {
-	c.pacePinned = false
 	if !c.closed {
 		c.trySend()
 	}

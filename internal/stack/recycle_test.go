@@ -78,7 +78,7 @@ func TestEphemeralPortRecycleAcrossTimeWait(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no snapshot for recycled dial")
 	}
-	if delta := snap.ISS - oldFinal; delta < recycleISSMargin {
+	if delta := snap.ISS() - oldFinal; delta < recycleISSMargin {
 		t.Fatalf("recycled ISS only %d beyond predecessor's final seq, want ≥ %d", delta, recycleISSMargin)
 	}
 

@@ -267,7 +267,7 @@ func TestReleasedConnCallsNothingAfterOnClose(t *testing.T) {
 	p.nicB.SetHandler(b2.DeliverFrame)
 	var moved *tcp.Conn
 	for _, snap := range snaps {
-		if snap.State != tcp.StateEstablished {
+		if snap.State() != tcp.StateEstablished {
 			continue
 		}
 		lf := tr.newLife("restored")
