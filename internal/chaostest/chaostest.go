@@ -920,6 +920,15 @@ func RunAndReport(r Reporter, seed uint64, prof Profile) *Result {
 	Check(r, res)
 	h.checkPools(r)
 	h.checkTelemetry(r)
+	// Without a crash or a migration nothing resets the engine's tables,
+	// so an element it rejects found its mapping retired too early (or
+	// never installed). checkPools' mapping count catches the opposite: a
+	// mapping that never retires.
+	if len(prof.CrashAt) == 0 && len(prof.Migrations) == 0 {
+		if n := res.Eng1.BadElements + res.Eng2.BadElements; n != 0 {
+			r.Errorf("[seed %d] engines rejected %d elements", seed, n)
+		}
+	}
 	return res
 }
 

@@ -477,9 +477,9 @@ func (g *GuestLib) SocketDatagram(cbs Callbacks) int32 {
 
 // BindUDP binds a datagram socket to a local port (0 = ephemeral).
 func (g *GuestLib) BindUDP(fd int32, port uint16) error {
-	s := g.sockets[fd]
-	if s == nil || s.kind != kindDatagram {
-		return fmt.Errorf("guestlib: fd %d is not a datagram socket", fd)
+	s, err := g.datagram(fd)
+	if err != nil {
+		return err
 	}
 	if s.bound {
 		return fmt.Errorf("guestlib: fd %d already bound", fd)
@@ -492,9 +492,9 @@ func (g *GuestLib) BindUDP(fd int32, port uint16) error {
 // SendTo transmits one datagram. Datagrams are bounded by the shm
 // chunk size (one descriptor each); oversize payloads are refused.
 func (g *GuestLib) SendTo(fd int32, addr ipv4.Addr, port uint16, payload []byte) error {
-	s := g.sockets[fd]
-	if s == nil || s.kind != kindDatagram {
-		return fmt.Errorf("guestlib: fd %d is not a datagram socket", fd)
+	s, err := g.datagram(fd)
+	if err != nil {
+		return err
 	}
 	if len(payload) > s.pair.ChunkSize() {
 		return fmt.Errorf("guestlib: datagram of %d bytes exceeds the %d-byte chunk", len(payload), s.pair.ChunkSize())
@@ -736,9 +736,9 @@ func (g *GuestLib) ReadAvailable(fd int32) int {
 // SetSockOpt sets a socket option (§4.1 lists setsockopt among the
 // intercepted calls). Options are the nqe.SockOpt* constants.
 func (g *GuestLib) SetSockOpt(fd int32, opt, value uint64) error {
-	s := g.sockets[fd]
-	if s == nil {
-		return fmt.Errorf("guestlib: bad fd %d", fd)
+	s, err := g.open(fd)
+	if err != nil {
+		return err
 	}
 	g.pushWhenReady(s, &nqe.Element{Op: nqe.OpSetSockOpt, FD: fd, Arg0: opt, Arg1: value})
 	return nil
@@ -791,13 +791,39 @@ func (h *releaseClosed) HandleFrame(_ []byte, fd uint64) {
 	}
 }
 
-func (g *GuestLib) stream(fd int32) (*socket, error) {
+// open returns fd's socket if the application has not closed it. OpClose
+// is the last job GuestLib posts for a descriptor (the CoreEngine retires
+// the mapping on that promise), so every call that would post one checks
+// here first.
+func (g *GuestLib) open(fd int32) (*socket, error) {
 	s := g.sockets[fd]
 	if s == nil {
 		return nil, fmt.Errorf("guestlib: bad fd %d", fd)
 	}
+	if s.closeSent {
+		return nil, fmt.Errorf("guestlib: fd %d is closed", fd)
+	}
+	return s, nil
+}
+
+func (g *GuestLib) stream(fd int32) (*socket, error) {
+	s, err := g.open(fd)
+	if err != nil {
+		return nil, err
+	}
 	if s.kind != kindStream {
 		return nil, fmt.Errorf("guestlib: fd %d is not a stream socket", fd)
+	}
+	return s, nil
+}
+
+func (g *GuestLib) datagram(fd int32) (*socket, error) {
+	s, err := g.open(fd)
+	if err != nil {
+		return nil, err
+	}
+	if s.kind != kindDatagram {
+		return nil, fmt.Errorf("guestlib: fd %d is not a datagram socket", fd)
 	}
 	return s, nil
 }
@@ -924,9 +950,9 @@ func (g *GuestLib) NewPoller(onReady func()) *Poller {
 // through it.
 func (p *Poller) Add(fd int32) error {
 	g := p.g
-	s := g.sockets[fd]
-	if s == nil {
-		return fmt.Errorf("guestlib: bad fd %d", fd)
+	s, err := g.open(fd)
+	if err != nil {
+		return err
 	}
 	if s.poller != nil && s.poller != p {
 		return fmt.Errorf("guestlib: fd %d already belongs to another poller", fd)
@@ -954,8 +980,11 @@ func (p *Poller) Add(fd int32) error {
 // Remove deregisters a socket; per-event callbacks resume.
 func (p *Poller) Remove(fd int32) error {
 	g := p.g
-	s := g.sockets[fd]
-	if s == nil || s.poller != p {
+	s, err := g.open(fd)
+	if err != nil {
+		return err
+	}
+	if s.poller != p {
 		return fmt.Errorf("guestlib: fd %d is not on this poller", fd)
 	}
 	s.poller = nil

@@ -410,3 +410,60 @@ func TestSendToFullQueueFreesChunk(t *testing.T) {
 		t.Errorf("pool after retry: %d free, want %d", free, want)
 	}
 }
+
+// TestNothingPostedAfterClose: OpClose is the last job GuestLib posts for
+// a descriptor, the promise the CoreEngine retires the fd↔cID mapping on.
+// Every call that would post a job fails on a closed socket, ready or
+// still waiting for its OpSocket completion, and the job queue sees
+// nothing.
+func TestNothingPostedAfterClose(t *testing.T) {
+	h := newHarness(t)
+	g := h.g
+	p := g.NewPoller(nil)
+	ready := func(fd int32) int32 {
+		h.completeSocket(fd, h.jobs[len(h.jobs)-1].Seq)
+		return fd
+	}
+	stream := ready(g.Socket(Callbacks{}))
+	polled := ready(g.Socket(Callbacks{}))
+	if err := p.Add(polled); err != nil {
+		t.Fatal(err)
+	}
+	dgram := ready(g.SocketDatagram(Callbacks{}))
+	early := g.Socket(Callbacks{}) // closed before its OpSocket completes
+	for _, fd := range []int32{stream, polled, dgram, early} {
+		g.Close(fd)
+	}
+
+	pushed := h.pair.VMJob.Pushed()
+	peer := ipv4.Addr{10, 0, 0, 2}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Connect", func() error { return g.Connect(stream, peer, 80) }},
+		{"Listen", func() error { return g.Listen(stream, 80, 4) }},
+		{"SetSockOpt", func() error { return g.SetSockOpt(stream, nqe.SockOptNagle, 0) }},
+		{"Poller.Add", func() error { return p.Add(stream) }},
+		{"Poller.Remove", func() error { return p.Remove(polled) }},
+		{"BindUDP", func() error { return g.BindUDP(dgram, 53) }},
+		{"SendTo", func() error { return g.SendTo(dgram, peer, 53, []byte("late")) }},
+		{"Connect before ready", func() error { return g.Connect(early, peer, 80) }},
+		{"SetSockOpt before ready", func() error { return g.SetSockOpt(early, nqe.SockOptNagle, 0) }},
+	} {
+		if err := c.call(); err == nil {
+			t.Errorf("%s on a closed socket succeeded", c.name)
+		}
+	}
+	if n := g.Send(stream, []byte("late")); n != 0 {
+		t.Errorf("Send on a closed socket took %d bytes", n)
+	}
+	if n := h.pair.VMJob.Pushed(); n != pushed {
+		t.Errorf("job queue took %d jobs after the closes", n-pushed)
+	}
+	// The early socket's deferred jobs end with its OpClose.
+	h.completeSocket(early, h.jobs[len(h.jobs)-1].Seq)
+	if last := h.jobs[len(h.jobs)-1]; last.Op != nqe.OpClose || last.FD != early {
+		t.Errorf("last job after the early socket's completion is %v on fd %d, want its close", last.Op, last.FD)
+	}
+}

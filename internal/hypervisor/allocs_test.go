@@ -230,13 +230,11 @@ func TestAllocsConveyorPolledRoundTrip(t *testing.T) {
 // connect, 64 B echo, close, on both hosts — reuses the TCP connection,
 // its callbacks and every per-connection queue. The client's callbacks
 // are built once, so nothing the test itself does allocates per flow.
-func TestAllocsShortFlowChurn(t *testing.T) {
-	const msg = 64
-	c := newCluster(t, nil)
-	vma, vmb := c.nkPair(t, "cubic", "cubic")
-	srv, cli := vmb.Guest, vma.Guest
-
-	// Server: a poller echo loop that closes on the client's EOF.
+// pollEchoServer listens on port with the short-flow server shape: a
+// poller echo loop that accepts in batches and closes on the client's
+// EOF.
+func pollEchoServer(t *testing.T, srv *guestlib.GuestLib, port uint16) {
+	t.Helper()
 	sbuf := make([]byte, 4<<10)
 	events := make([]guestlib.PollEvent, 16)
 	accepted := make([]int32, 16)
@@ -269,10 +267,20 @@ func TestAllocsShortFlowChurn(t *testing.T) {
 		}
 	})
 	lfd = srv.Socket(guestlib.Callbacks{})
-	if err := srv.Listen(lfd, 80, 64); err != nil {
+	if err := srv.Listen(lfd, port, 64); err != nil {
 		t.Fatal(err)
 	}
-	p.Add(lfd)
+	if err := p.Add(lfd); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAllocsShortFlowChurn(t *testing.T) {
+	const msg = 64
+	c := newCluster(t, nil)
+	vma, vmb := c.nkPair(t, "cubic", "cubic")
+	cli := vma.Guest
+	pollEchoServer(t, vmb.Guest, 80)
 
 	// Client: dial, send 64 B, read the echo, close; the flow ends when
 	// the guest sees the connection closed.

@@ -12,8 +12,8 @@ import (
 // TestConnectionChurn opens and closes many short connections through
 // the NetKernel path and verifies nothing leaks: every connection
 // establishes, every byte arrives, huge-page chunks return to the
-// pool, the engine's mapping table drains after the grace period, and
-// the NSM stacks' connection tables empty.
+// pool, the engine's mapping table drains as the connections close,
+// and the NSM stacks' connection tables empty.
 func TestConnectionChurn(t *testing.T) {
 	c := newCluster(t, nil)
 	vma, vmb := c.nkPair(t, "cubic", "cubic")
@@ -85,8 +85,8 @@ func TestConnectionChurn(t *testing.T) {
 	if n := vmb.NSM.Stack.ConnCount(); n != 0 {
 		t.Errorf("server NSM leaked %d connections", n)
 	}
-	// The engine's mapping table drained after the grace period
-	// (listener entries remain: one per listening socket).
+	// The engine's mapping table drained with the connections (listener
+	// entries remain: one per listening socket).
 	if m := c.h1.Engine.Mappings(); m > 2 {
 		t.Errorf("client engine holds %d mappings after churn", m)
 	}
@@ -287,7 +287,7 @@ func TestManyVMChurnStress(t *testing.T) {
 	}
 
 	// Quiesce: every slot has finished its generations; let TIME_WAIT
-	// (2×MSL = 100 ms) and the engine's unmap grace drain.
+	// (2×MSL = 100 ms) drain.
 	c.loop.RunFor(3 * time.Second)
 
 	for name, nsm := range map[string]*NSM{"client": clients[0].NSM, "server": servers[0].NSM} {

@@ -34,9 +34,11 @@ type EngineConfig struct {
 	Tracer *telemetry.Tracer
 }
 
-// mappingGrace is how long a closed connection's fd↔cID entry survives
-// after its conn-closed event, so a straggling OpClose from the guest
-// still translates.
+// mappingGrace is how long a closed listener's fd↔cID entry survives its
+// conn-closed event: an OpNewConn for the listener rides the accepted
+// flow's shard, not the listener's, and may be translated after the
+// close (lookupListener). Every other mapping retires as soon as both
+// sides are done with it (settle).
 const mappingGrace = 2 * time.Second
 
 func (c *EngineConfig) fillDefaults() {
@@ -71,7 +73,7 @@ func (ce *CoreEngine) Mappings() int {
 	for _, ep := range ce.pairs {
 		for _, sh := range ep.shards {
 			sh.mu.Lock()
-			n += len(sh.fdToCID)
+			n += len(sh.byFD)
 			sh.mu.Unlock()
 		}
 	}
@@ -89,7 +91,7 @@ func (ce *CoreEngine) CheckFlowAffinity() error {
 		cidShard := make(map[uint32]int)
 		for _, sh := range ep.shards {
 			sh.mu.Lock()
-			for fd := range sh.fdToCID {
+			for fd := range sh.byFD {
 				if prev, dup := fdShard[fd]; dup {
 					sh.mu.Unlock()
 					return fmt.Errorf("vm%d/nsm%d: fd %d mapped on shards %d and %d",
@@ -97,7 +99,7 @@ func (ce *CoreEngine) CheckFlowAffinity() error {
 				}
 				fdShard[fd] = sh.idx
 			}
-			for cid := range sh.cidToFD {
+			for cid := range sh.byCID {
 				if prev, dup := cidShard[cid]; dup {
 					sh.mu.Unlock()
 					return fmt.Errorf("vm%d/nsm%d: cID %d mapped on shards %d and %d",
@@ -127,9 +129,9 @@ type CoreEngine struct {
 	cfg   EngineConfig
 	pairs []*enginePair
 	stats EngineStats
-	// grace holds the mapping retirements of closed connections: every
-	// one waits mappingGrace, so they come due in closing order and
-	// share one event-loop entry.
+	// grace holds the mapping retirements of closed listeners: every one
+	// waits mappingGrace, so they come due in closing order and share one
+	// event-loop entry.
 	grace sim.Lane
 }
 
@@ -172,15 +174,23 @@ type enginePair struct {
 // pairShard is one shard's pump state: its rings, its slice of the
 // fd↔cID mapping table, and its backlogs. The mutex guards the
 // maps for management-plane readers (Mappings, CheckFlowAffinity);
-// all mutation happens on the loop goroutine.
+// all mutation happens on the loop goroutine, and only the loop
+// goroutine reads the records.
 type pairShard struct {
 	ep    *enginePair
 	idx   int
 	rings *nkchan.Rings
 
-	mu      sync.Mutex
-	fdToCID map[int32]uint32
-	cidToFD map[uint32]int32
+	mu sync.Mutex
+	// byFD and byCID index this shard's mapping records from either
+	// side, so the lookup that translates an element also finds its
+	// record. A retired record's slot waits in free for the next
+	// mapping, so connection churn reuses records instead of growing
+	// recs.
+	byFD  map[int32]int32
+	byCID map[uint32]int32
+	recs  []mapping
+	free  []int32
 	// pendingFD correlates OpSocket completions back to the guest fd
 	// (by Seq) so the mapping can be installed.
 	pendingFD map[uint64]int32
@@ -197,16 +207,87 @@ type pairShard struct {
 	rejected uint64
 }
 
-// graceDone is a pairShard as the handler of a closed connection's
-// mapping grace running out; arg carries the fd above the cID.
+// mapping is the record of one <VM ID, fd> ↔ <NSM ID, cID> entry. Its
+// flags and count say when nothing can translate through it any more:
+// the guest's OpClose is the last job GuestLib issues for an fd, the
+// NSM's OpConnClosed is the last event ServiceLib emits for a cID (but
+// for the readiness entry a FlagReadyFollows close announces), and a
+// job ServiceLib answers is answered exactly once (DESIGN.md §10,
+// "mapping lifecycle").
+type mapping struct {
+	fd  int32
+	cid uint32
+	// owed counts forwarded jobs whose completion has not been
+	// translated yet: OpSend, OpSetSockOpt, OpPollCtl, OpBind and
+	// OpListen, the jobs ServiceLib always answers.
+	owed uint32
+	// guestClosed and nsmClosed record the translated OpClose and
+	// OpConnClosed. readyDue says the OpConnClosed carried
+	// FlagReadyFollows and the readiness entry reporting the close has
+	// not been translated yet. listener marks a socket the guest asked to
+	// listen, whose retirement waits mappingGrace instead.
+	guestClosed, nsmClosed, readyDue, listener bool
+}
+
+// install maps fd to cid on this shard, in a recycled record when one is
+// free.
+func (sh *pairShard) install(fd int32, cid uint32) {
+	var i int32
+	if n := len(sh.free); n > 0 {
+		i = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+	} else {
+		i = int32(len(sh.recs))
+		sh.recs = append(sh.recs, mapping{})
+	}
+	sh.recs[i] = mapping{fd: fd, cid: cid}
+	sh.mu.Lock()
+	sh.byFD[fd] = i
+	sh.byCID[cid] = i
+	sh.mu.Unlock()
+}
+
+// settle retires record i once both sides have closed and every job
+// ServiceLib answers has been answered, and the close's readiness entry,
+// if one follows, has passed. A listener's record stays: its retirement
+// waits mappingGrace from the OpConnClosed.
+func (sh *pairShard) settle(i int32) {
+	m := &sh.recs[i]
+	if m.guestClosed && m.nsmClosed && m.owed == 0 && !m.readyDue && !m.listener {
+		sh.retire(i)
+	}
+}
+
+// retire deletes record i's two table entries and frees its slot. An
+// entry a forged duplicate fd or cID has since taken over is left alone.
+func (sh *pairShard) retire(i int32) {
+	m := &sh.recs[i]
+	sh.mu.Lock()
+	if j, ok := sh.byFD[m.fd]; ok && j == i {
+		delete(sh.byFD, m.fd)
+	}
+	if j, ok := sh.byCID[m.cid]; ok && j == i {
+		delete(sh.byCID, m.cid)
+	}
+	sh.mu.Unlock()
+	*m = mapping{}
+	sh.free = append(sh.free, i)
+}
+
+// graceDone is a pairShard as the handler of a closed listener's
+// mapping grace running out; arg carries the fd above the cID. A reset
+// may have cleared the tables since, so the record must still be the
+// listener's.
 type graceDone pairShard
 
 func (g *graceDone) HandleFrame(_ []byte, arg uint64) {
 	sh := (*pairShard)(g)
 	sh.mu.Lock()
-	delete(sh.fdToCID, int32(arg>>32))
-	delete(sh.cidToFD, uint32(arg))
+	i, ok := sh.byCID[uint32(arg)]
 	sh.mu.Unlock()
+	if ok && sh.recs[i].fd == int32(arg>>32) {
+		sh.retire(i)
+	}
 }
 
 // vmPumped and nsmPumped are a pairShard as the handler of a pump's
@@ -267,8 +348,8 @@ func (ce *CoreEngine) Attach(ch *nkchan.Pair, vmID, nsmID uint32, notifyExtra ti
 	for i := range ch.Shards {
 		sh := &pairShard{
 			ep: ep, idx: i, rings: &ch.Shards[i],
-			fdToCID:   make(map[int32]uint32),
-			cidToFD:   make(map[uint32]int32),
+			byFD:      make(map[int32]int32),
+			byCID:     make(map[uint32]int32),
 			pendingFD: make(map[uint64]int32),
 		}
 		sh.vmPump.Init(ce.clock, sh.pumpVM)
@@ -416,7 +497,7 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 		sh.mu.Unlock()
 	default:
 		sh.mu.Lock()
-		cid, ok := sh.fdToCID[s.FD()]
+		i, ok := sh.byFD[s.FD()]
 		sh.mu.Unlock()
 		if !ok {
 			// Unknown descriptor: answer the VM with an error. The data
@@ -437,7 +518,18 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 			}
 			return false
 		}
-		s.SetCID(cid)
+		m := &sh.recs[i]
+		s.SetCID(m.cid)
+		switch s.Op() {
+		case nqe.OpListen:
+			m.listener = true
+			m.owed++
+		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpPollCtl, nqe.OpBind:
+			m.owed++
+		case nqe.OpClose:
+			m.guestClosed = true
+			sh.settle(i)
+		}
 	}
 	ce.stats.Translated++
 	if t := s.Trace(); t != 0 {
@@ -502,30 +594,33 @@ func (sh *pairShard) drainNSMQueue(src, dst *nkqueue.Queue) int {
 	return moved
 }
 
-// lookupListenerFD resolves a listener's cID to its guest fd, checking
-// this shard first and then its siblings in ascending order. Accepted
-// connections hash to their own shard, which is rarely the listener's:
-// the OpNewConn control element is the one place a pump may read
-// another shard's table slice (one lock at a time, never nested).
-func (sh *pairShard) lookupListenerFD(cid uint32) (int32, bool) {
-	sh.mu.Lock()
-	fd, ok := sh.cidToFD[cid]
-	sh.mu.Unlock()
-	if ok {
-		return fd, true
+// lookupListener resolves a listener's cID to the shard and index of its
+// mapping record, checking this shard first and then its siblings in
+// ascending order. Accepted connections hash to their own shard, which
+// is rarely the listener's: the OpNewConn control element is the one
+// place a pump may read another shard's table slice (one lock at a time,
+// never nested).
+func (sh *pairShard) lookupListener(cid uint32) (*pairShard, int32, bool) {
+	if i, ok := sh.lookupCID(cid); ok {
+		return sh, i, true
 	}
 	for _, other := range sh.ep.shards {
 		if other == sh {
 			continue
 		}
-		other.mu.Lock()
-		fd, ok = other.cidToFD[cid]
-		other.mu.Unlock()
-		if ok {
-			return fd, true
+		if i, ok := other.lookupCID(cid); ok {
+			return other, i, true
 		}
 	}
-	return 0, false
+	return nil, 0, false
+}
+
+// lookupCID returns the index of cid's mapping record on this shard.
+func (sh *pairShard) lookupCID(cid uint32) (int32, bool) {
+	sh.mu.Lock()
+	i, ok := sh.byCID[cid]
+	sh.mu.Unlock()
+	return i, ok
 }
 
 // translateSlotToVM patches one NSM-side element in place for the VM,
@@ -546,23 +641,30 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 			return false
 		}
 		delete(sh.pendingFD, s.Seq())
-		sh.fdToCID[fd] = s.CID()
-		sh.cidToFD[s.CID()] = fd
 		sh.mu.Unlock()
+		sh.install(fd, s.CID())
 		s.SetFD(fd)
 	case nqe.OpConnClosed:
-		sh.mu.Lock()
-		fd, ok := sh.cidToFD[s.CID()]
-		sh.mu.Unlock()
+		i, ok := sh.lookupCID(s.CID())
 		if !ok {
 			ce.stats.BadElements++
 			return false
 		}
-		s.SetFD(fd)
-		// The connection is gone: retire its mapping after a grace
-		// period (a straggling OpClose from the guest must still
-		// translate), so long-lived pairs do not accumulate entries.
-		ce.grace.AfterFrame(mappingGrace, (*graceDone)(sh), nil, uint64(uint32(fd))<<32|uint64(s.CID()))
+		m := &sh.recs[i]
+		s.SetFD(m.fd)
+		switch {
+		case m.nsmClosed:
+			// A repeat changes nothing.
+		case m.listener:
+			// An OpNewConn for the listener may still be in flight on a
+			// sibling shard; it must find the listener for a while yet.
+			m.nsmClosed = true
+			ce.grace.AfterFrame(mappingGrace, (*graceDone)(sh), nil, uint64(uint32(m.fd))<<32|uint64(m.cid))
+		default:
+			m.nsmClosed = true
+			m.readyDue = s.Flags()&nqe.FlagReadyFollows != 0
+			sh.settle(i)
+		}
 	case nqe.OpNewConn:
 		// A new accepted flow: mint a descriptor for the VM and map it
 		// to the NSM's new cID (carried in Arg1). The event rides the
@@ -570,7 +672,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		// the lookup may cross shards — the mapping installs here, on
 		// the flow's home shard, where every later element will look
 		// it up.
-		lfd, ok := sh.lookupListenerFD(s.CID())
+		owner, li, ok := sh.lookupListener(s.CID())
 		if !ok {
 			ce.stats.BadElements++
 			return false
@@ -578,23 +680,27 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		newCID := uint32(s.Arg1())
 		newFD := ep.nextFD
 		ep.nextFD++
-		sh.mu.Lock()
-		sh.fdToCID[newFD] = newCID
-		sh.cidToFD[newCID] = newFD
-		sh.mu.Unlock()
-		s.SetFD(lfd)
+		s.SetFD(owner.recs[li].fd)
+		sh.install(newFD, newCID)
 		s.SetArg1(uint64(uint32(newFD)))
 	case nqe.OpReady:
 		return sh.translateReady(s)
 	default:
-		sh.mu.Lock()
-		fd, ok := sh.cidToFD[s.CID()]
-		sh.mu.Unlock()
+		i, ok := sh.lookupCID(s.CID())
 		if !ok {
 			ce.stats.BadElements++
 			return false
 		}
-		s.SetFD(fd)
+		m := &sh.recs[i]
+		s.SetFD(m.fd)
+		switch s.Op() {
+		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpPollCtl, nqe.OpBind, nqe.OpListen:
+			// A completion: the job it answers is no longer owed.
+			if m.owed > 0 {
+				m.owed--
+			}
+			sh.settle(i)
+		}
 	}
 	ce.stats.Translated++
 	if t := s.Trace(); t != 0 {
@@ -605,7 +711,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 
 // translateReady rewrites a coalesced readiness event in place: every
 // packed cID becomes the guest's fd. A socket whose mapping is already
-// retired (closed past the grace period) is compacted out rather than
+// retired (both sides closed, nothing owed) is compacted out rather than
 // failing the whole batch — readiness is a hint, and a straggler entry
 // for a dead socket must not suppress wakeups for live ones. An event
 // left with no live entries is dropped and its chunk freed here (the
@@ -616,13 +722,14 @@ func (sh *pairShard) translateReady(s nqe.Slot) bool {
 	ce := ep.engine
 	if s.DataLen() == 0 {
 		// Descriptorless single-socket form: the id rides the CID field.
-		// lookupListenerFD's sibling fallback covers entries whose
+		// lookupListener's sibling fallback covers entries whose
 		// mapping lives on another shard.
-		fd, ok := sh.lookupListenerFD(s.CID())
+		owner, i, ok := sh.lookupListener(s.CID())
 		if !ok {
 			return false
 		}
-		s.SetFD(fd)
+		s.SetFD(owner.recs[i].fd)
+		owner.readyPassed(i, uint32(s.Arg1()))
 		ce.stats.Translated++
 		return true
 	}
@@ -634,12 +741,13 @@ func (sh *pairShard) translateReady(s nqe.Slot) bool {
 	kept := 0
 	for i := 0; i < n; i++ {
 		cid, mask := nqe.ReadyEntryAt(buf, i)
-		fd, ok := sh.lookupListenerFD(cid)
+		owner, j, ok := sh.lookupListener(cid)
 		if !ok {
 			continue
 		}
-		nqe.PutReadyEntry(buf[kept*nqe.ReadyEntrySize:], uint32(fd), mask)
+		nqe.PutReadyEntry(buf[kept*nqe.ReadyEntrySize:], uint32(owner.recs[j].fd), mask)
 		kept++
+		owner.readyPassed(j, mask)
 	}
 	if kept == 0 {
 		ep.ch.Pages.Free(shm.Chunk{Offset: s.DataOff()})
@@ -649,6 +757,16 @@ func (sh *pairShard) translateReady(s nqe.Slot) bool {
 	s.SetDataLen(uint32(kept * nqe.ReadyEntrySize))
 	ce.stats.Translated++
 	return true
+}
+
+// readyPassed notes a translated readiness entry for record i: the one
+// that reports the close is the last element a FlagReadyFollows close
+// promised, after which the mapping may retire.
+func (sh *pairShard) readyPassed(i int32, mask uint32) {
+	if m := &sh.recs[i]; m.readyDue && mask&nqe.ReadyClosed != 0 {
+		m.readyDue = false
+		sh.settle(i)
+	}
 }
 
 // FreezeNSM gates pumping on every channel served by nsmID until
@@ -767,14 +885,15 @@ func (sh *pairShard) reset() {
 	sh.pendingFD = make(map[uint64]int32)
 	// Every mapped connection died with the module: collect the fds to
 	// tell each guest socket it was reset.
-	fds := make([]int32, 0, len(sh.fdToCID))
-	for fd := range sh.fdToCID {
+	fds := make([]int32, 0, len(sh.byFD))
+	for fd := range sh.byFD {
 		fds = append(fds, fd)
 	}
 	sort.Slice(fds, func(i, j int) bool { return fds[i] < fds[j] })
-	sh.fdToCID = make(map[int32]uint32)
-	sh.cidToFD = make(map[uint32]int32)
+	sh.byFD = make(map[int32]int32)
+	sh.byCID = make(map[uint32]int32)
 	sh.mu.Unlock()
+	sh.recs, sh.free = sh.recs[:0], sh.free[:0]
 
 	for _, seq := range seqs {
 		sh.toVM.Push(sh.rings.VMCompletion, &nqe.Element{

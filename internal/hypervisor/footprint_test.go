@@ -167,7 +167,7 @@ func TestFourShardPairBacksTwoPages(t *testing.T) {
 		var perShard []int
 		for _, sh := range ce.pairs[0].shards {
 			sh.mu.Lock()
-			perShard = append(perShard, len(sh.fdToCID))
+			perShard = append(perShard, len(sh.byFD))
 			sh.mu.Unlock()
 		}
 		for i, n := range perShard {

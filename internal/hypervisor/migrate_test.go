@@ -173,7 +173,7 @@ func TestNSMMigrateLive(t *testing.T) {
 
 	cliG.Close(cfd)
 	vmb.Guest.Close(srv.lfd)
-	c.loop.RunFor(3 * time.Second) // close handshakes + mapping-retire grace
+	c.loop.RunFor(3 * time.Second) // close handshakes + the listener's mapping grace
 	for _, err := range srv.closeErrs {
 		if err != nil {
 			t.Fatalf("server conn died: %v", err)
@@ -349,7 +349,7 @@ func TestNSMMigrateAbortFallsBackToCrash(t *testing.T) {
 	}
 	cliG.Close(cfd)
 	vmb.Guest.Close(srv2.lfd)
-	c.loop.RunFor(3 * time.Second) // close handshakes + mapping-retire grace
+	c.loop.RunFor(3 * time.Second) // close handshakes + the listener's mapping grace
 
 	if n := c.h2.Engine.Mappings(); n != 0 {
 		t.Fatalf("engine holds %d mappings after quiesce", n)

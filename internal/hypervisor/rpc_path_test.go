@@ -130,8 +130,7 @@ func TestAcceptAfterCloseChurn(t *testing.T) {
 	if drained != dialers {
 		t.Fatalf("server drained %d of %d accepted connections", drained, dialers)
 	}
-	// Quiesce TIME_WAIT (2×MSL = 100 ms) and the unmap grace; nothing
-	// may leak.
+	// Quiesce TIME_WAIT (2×MSL = 100 ms); nothing may leak.
 	c.loop.RunFor(3 * time.Second)
 	if n := vma.NSM.Stack.ConnCount(); n != 0 {
 		t.Errorf("client NSM leaked %d connections", n)

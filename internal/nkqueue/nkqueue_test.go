@@ -289,12 +289,13 @@ func TestPriorityQueueBatchOps(t *testing.T) {
 	if n := p.PushBatch(es); n != 4 {
 		t.Fatalf("PushBatch = %d, want 4", n)
 	}
-	// PopBatch drains the high-priority ring (conn events) first.
+	// PopBatch drains the high-priority ring (conn events) first; the
+	// close stays behind the stream's data.
 	out := make([]nqe.Element, 8)
 	if n := p.PopBatch(out); n != 4 {
 		t.Fatalf("PopBatch = %d, want 4", n)
 	}
-	wantSeq := []uint64{2, 4, 1, 3}
+	wantSeq := []uint64{2, 1, 3, 4}
 	for i, w := range wantSeq {
 		if out[i].Seq != w {
 			t.Fatalf("PopBatch[%d].Seq = %d, want %d", i, out[i].Seq, w)

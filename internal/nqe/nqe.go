@@ -114,11 +114,14 @@ func (o Op) IsEvent() bool {
 // connection events and data events separately to avoid the head of line
 // blocking"; connection events go to the high-priority ring. OpReady is
 // deliberately NOT a connection event: it announces data events already
-// in the ring and must not overtake them.
+// in the ring and must not overtake them. For the same reason neither are
+// OpClose and OpConnClosed: each ends a stream whose OpSend or OpNewData
+// elements precede it in the data ring, and overtaking them would close
+// the stream before its last bytes.
 func (o Op) IsConnEvent() bool {
 	switch o {
-	case OpSocket, OpBind, OpListen, OpConnect, OpAccept, OpClose,
-		OpNewConn, OpConnClosed, OpEstablished:
+	case OpSocket, OpBind, OpListen, OpConnect, OpAccept,
+		OpNewConn, OpEstablished:
 		return true
 	}
 	return false
@@ -147,6 +150,11 @@ const (
 	FlagMoreData
 	// FlagPush asks the stack to push the data immediately (TCP PSH).
 	FlagPush
+	// FlagReadyFollows marks an OpConnClosed for a polled socket: the
+	// coalesced readiness entry that reports the close follows it on the
+	// same ring, and that entry, not the OpConnClosed, is the last
+	// element the NSM emits for the cID.
+	FlagReadyFollows
 )
 
 // Status is the errno-like result carried by completions and events.

@@ -89,12 +89,13 @@ func TestOpClassification(t *testing.T) {
 	}
 	// §3.2: connection events and data events are separated to avoid
 	// head-of-line blocking.
-	for _, op := range []Op{OpSocket, OpConnect, OpAccept, OpClose, OpNewConn, OpConnClosed, OpEstablished} {
+	for _, op := range []Op{OpSocket, OpConnect, OpAccept, OpNewConn, OpEstablished} {
 		if !op.IsConnEvent() {
 			t.Errorf("%v should be a connection event", op)
 		}
 	}
-	for _, op := range []Op{OpSend, OpRecv, OpNewData, OpSendCredit} {
+	// A close ends a stream and must stay behind the stream's data.
+	for _, op := range []Op{OpSend, OpRecv, OpNewData, OpSendCredit, OpReady, OpClose, OpConnClosed} {
 		if op.IsConnEvent() {
 			t.Errorf("%v should be a data event", op)
 		}

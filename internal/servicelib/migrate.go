@@ -117,9 +117,11 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 		cs.conn = nil
 		if snap == nil {
 			// Closed under us before the teardown callback ran: report it
-			// the way the teardown would have.
+			// the way the teardown would have, once.
 			delete(s.conns, cid)
-			s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: nqe.StatusOK})
+			if !cs.eofSent {
+				s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: nqe.StatusOK})
+			}
 			s.freeConnState(cs)
 			continue
 		}

@@ -376,6 +376,21 @@ func (s *ServiceLib) emitBatch(shard int, q nkchan.QueueKind, es []nqe.Element) 
 	s.kickEngine(shard)
 }
 
+// emitClosed emits a socket's OpConnClosed. For a polled socket it also
+// queues the readiness entry that reports the close, which then leaves
+// behind the OpConnClosed as the cID's last element; FlagReadyFollows
+// tells the engine to keep the mapping until that entry has passed.
+func (s *ServiceLib) emitClosed(shard int, cid uint32, st nqe.Status, polled bool) {
+	e := nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: st}
+	if polled {
+		e.Flags = nqe.FlagReadyFollows
+	}
+	s.emit(shard, nkchan.Receive, &e)
+	if polled {
+		s.queueReady(shard, cid, nqe.ReadyClosed)
+	}
+}
+
 // queueReady records a polled socket's readiness transition on its
 // shard's pending queue (deduped: a second transition before the flush
 // ORs into the same entry) and schedules the coalescing flush.
@@ -499,11 +514,12 @@ func (s *ServiceLib) newConnState() *connState {
 }
 
 // freeConnState returns a retired connState to the pool, keeping its
-// send queue's storage and its callbacks. A coalescing window or shaper
-// retry still pending is keyed by cID, not by pointer, so it can never
-// find the reincarnated connection behind a recycled struct.
+// send queue's storage and its callbacks; sends still queued are
+// answered with an error first. A coalescing window or shaper retry
+// still pending is keyed by cID, not by pointer, so it can never find
+// the reincarnated connection behind a recycled struct.
 func (s *ServiceLib) freeConnState(cs *connState) {
-	cs.sendQ.Clear()
+	s.dropSendQ(cs)
 	*cs = connState{svc: cs.svc, sendQ: cs.sendQ, opts: cs.opts, sink: cs.sink}
 	s.connPool = append(s.connPool, cs)
 }
@@ -565,13 +581,14 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 		s.handleConnect(e)
 
 	case nqe.OpListen:
-		s.handleListen(e)
+		s.handleListen(shard, e)
 
 	case nqe.OpSend:
 		cs := s.conns[e.CID]
 		if cs == nil {
 			s.cfg.Pair.Pages.Free(shm.Chunk{Offset: e.DataOff})
 			s.cfg.Tracer.Drop(e.Trace)
+			s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSend, CID: e.CID, DataLen: e.DataLen, Status: nqe.StatusClosed})
 			return
 		}
 		if cs.isDgram {
@@ -638,12 +655,10 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 		if cs := s.conns[e.CID]; cs != nil && cs.udp != nil {
 			cs.udp.Close()
 			delete(s.conns, e.CID)
-			// UDP has no close handshake: confirm immediately so the
-			// engine retires the fd↔cID mapping instead of leaking it.
-			s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: e.CID, Status: nqe.StatusOK})
-			if cs.polled {
-				s.queueReady(cs.shard, e.CID, nqe.ReadyClosed)
-			}
+			// UDP has no close handshake: confirm immediately, the last
+			// event for this cID, which lets the engine retire the fd↔cID
+			// mapping.
+			s.emitClosed(cs.shard, e.CID, nqe.StatusOK, cs.polled)
 			s.freeConnState(cs)
 		} else if cs != nil && cs.conn != nil {
 			// Closing now would have connClosed free sends the guest was
@@ -657,14 +672,13 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			s.cfg.Stack.CloseListener(ls.lst.Addr().Port)
 			delete(s.listeners, e.CID)
 			// Same for listeners: no TCP teardown will ever report this
-			// cID closed, so the mapping must be retired here.
-			s.emit(ls.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: e.CID, Status: nqe.StatusOK})
-			if ls.polled {
-				s.queueReady(ls.shard, e.CID, nqe.ReadyClosed)
-			}
+			// cID closed, so the close is confirmed here. (The engine keeps
+			// a listener's mapping a grace period longer, for accepts
+			// still in flight on other shards.)
+			s.emitClosed(ls.shard, e.CID, nqe.StatusOK, ls.polled)
 		} else if cs != nil {
-			// A socket that never connected or bound: retire it and its
-			// mapping like the UDP path.
+			// A socket that never connected or bound: retire it and
+			// confirm the close like the UDP path.
 			delete(s.conns, e.CID)
 			s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: e.CID, Status: nqe.StatusOK})
 			s.freeConnState(cs)
@@ -718,9 +732,10 @@ func (s *ServiceLib) handleConnect(e *nqe.Element) {
 	s.stats.conns.Inc()
 }
 
-func (s *ServiceLib) handleListen(e *nqe.Element) {
+func (s *ServiceLib) handleListen(shard int, e *nqe.Element) {
 	cs := s.conns[e.CID]
 	if cs == nil {
+		s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpListen, CID: e.CID, Seq: e.Seq, Status: nqe.StatusInvalid})
 		return
 	}
 	port := uint16(e.Arg0)
@@ -844,10 +859,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 				s.emitRxChunk(cs)
 				if !cs.eofSent {
 					cs.eofSent = true
-					s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: nqe.StatusOK})
-					if cs.polled {
-						s.queueReady(cs.shard, cid, nqe.ReadyClosed)
-					}
+					s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled)
 				}
 			}
 			return
@@ -872,10 +884,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 			s.cfg.Pair.Pages.Free(chunk)
 			if eof && !cs.eofSent {
 				cs.eofSent = true
-				s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: nqe.StatusOK})
-				if cs.polled {
-					s.queueReady(cs.shard, cid, nqe.ReadyClosed)
-				}
+				s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled)
 			}
 			return
 		}
@@ -1044,16 +1053,10 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 	s.deliverData(cid, true)
 	if !cs.eofSent {
 		cs.eofSent = true
-		s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: statusFromErr(err)})
-		if cs.polled {
-			// The pending entry outlives the connState: the ready queue
-			// carries (cid, mask) pairs, not pointers.
-			s.queueReady(cs.shard, cid, nqe.ReadyClosed)
-		}
+		// A pending readiness entry outlives the connState: the ready
+		// queue carries (cid, mask) pairs, not pointers.
+		s.emitClosed(cs.shard, cid, statusFromErr(err), cs.polled)
 	}
-	// Release still-queued send chunks. (Chunks already handed to the
-	// conn as spans are released by the conn's own teardown.)
-	s.dropSendQ(cs)
 	// deliverData flushed the open receive chunk if it held bytes; an
 	// empty one allocated but never filled would leak without this.
 	if cs.rxHave {
@@ -1066,16 +1069,25 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 	conn := cs.conn
 	cs.conn = nil
 	s.cfg.Stack.ReleaseConn(conn)
+	// Still-queued send chunks are released and answered here. (Chunks
+	// already handed to the conn as spans are released by the conn's own
+	// teardown.)
 	s.freeConnState(cs)
 }
 
-// dropSendQ returns a connection's still-queued send chunks to the pool
-// and abandons their trace spans.
+// dropSendQ returns a connection's still-queued send chunks to the pool,
+// abandons their trace spans and answers each job with an error
+// completion: every OpSend gets exactly one completion, the count the
+// engine's mapping retirement relies on. (A crashed module emits
+// nothing; the engine's reset clears its mappings instead.)
 func (s *ServiceLib) dropSendQ(cs *connState) {
 	for i := 0; i < cs.sendQ.Len(); i++ {
 		c := cs.sendQ.At(i)
 		s.cfg.Pair.Pages.Free(c.chunk)
 		s.cfg.Tracer.Drop(c.trace)
+		s.emit(cs.shard, nkchan.Completion, &nqe.Element{
+			Op: nqe.OpSend, CID: cs.cid, DataLen: uint32(c.size), Status: nqe.StatusClosed,
+		})
 	}
 	cs.sendQ.Clear()
 }

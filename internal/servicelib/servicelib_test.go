@@ -380,3 +380,82 @@ func TestOverlongDatagramRejectedWithoutAllocating(t *testing.T) {
 		t.Fatalf("%d bytes copied out of a rejected datagram", n)
 	}
 }
+
+// Every OpSend, OpSetSockOpt, OpPollCtl, OpBind and OpListen is answered
+// exactly once, whatever happens to its socket: the CoreEngine counts
+// the completions it is owed and retires a closed socket's fd↔cID mapping
+// only when none is left.
+func TestEveryAnsweredJobAnsweredOnce(t *testing.T) {
+	// answers counts the completions of op for cid.
+	answers := func(h *harness, op nqe.Op, cid uint32) (ok, failed int) {
+		for _, c := range h.completions {
+			if c.Op == op && c.CID == cid {
+				if c.Status == nqe.StatusOK {
+					ok++
+				} else {
+					failed++
+				}
+			}
+		}
+		return ok, failed
+	}
+	send := func(h *harness, cid uint32, n int) {
+		chunk, ok := h.pair.Pages.Alloc()
+		if !ok {
+			t.Fatal("huge pages exhausted")
+		}
+		h.job(nqe.Element{Op: nqe.OpSend, CID: cid, DataOff: chunk.Offset, DataLen: uint32(n)})
+	}
+
+	t.Run("unknown cID", func(t *testing.T) {
+		h := newHarness(t, "cubic")
+		send(h, 777, 100)
+		h.job(nqe.Element{Op: nqe.OpListen, CID: 778, Arg0: 80, Arg1: 4})
+		if _, failed := answers(h, nqe.OpSend, 777); failed != 1 {
+			t.Errorf("OpSend on an unknown cID answered %d times, want 1 error", failed)
+		}
+		if _, failed := answers(h, nqe.OpListen, 778); failed != 1 {
+			t.Errorf("OpListen on an unknown cID answered %d times, want 1 error", failed)
+		}
+	})
+
+	t.Run("never connected", func(t *testing.T) {
+		h := newHarness(t, "cubic")
+		cid := h.newSocket(t)
+		send(h, cid, 100)
+		send(h, cid, 200)
+		h.job(nqe.Element{Op: nqe.OpClose, CID: cid})
+		if _, failed := answers(h, nqe.OpSend, cid); failed != 2 {
+			t.Errorf("queued sends of a closed, never-connected socket answered %d times, want 2 errors", failed)
+		}
+		if h.pair.Pages.FreeCount() != h.pair.Pages.Chunks() {
+			t.Error("queued send chunks leaked")
+		}
+	})
+
+	t.Run("reset with sends queued", func(t *testing.T) {
+		h := newHarness(t, "cubic")
+		cid, peerConn := h.establish(t)
+		// The peer never reads: its 1 MiB window closes, the 1 MiB send
+		// buffer fills and the rest of the 3 MiB waits in the
+		// connection's send queue.
+		jobs := 3 << 20 / h.pair.ChunkSize()
+		for i := 0; i < jobs; i++ {
+			send(h, cid, h.pair.ChunkSize())
+		}
+		h.loop.RunFor(50 * time.Millisecond)
+		sent, _ := answers(h, nqe.OpSend, cid)
+		if sent == jobs {
+			t.Fatal("every send completed: nothing was left queued to drop")
+		}
+		peerConn.Abort()
+		h.loop.RunFor(50 * time.Millisecond)
+		ok, failed := answers(h, nqe.OpSend, cid)
+		if ok != sent || ok+failed != jobs {
+			t.Errorf("%d OpSend jobs answered %d OK + %d failed, want %d + %d", jobs, ok, failed, sent, jobs-sent)
+		}
+		if n := h.pair.Pages.LiveRefs(); n != 0 {
+			t.Errorf("%d chunk references left after the reset", n)
+		}
+	})
+}
