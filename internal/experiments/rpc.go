@@ -36,8 +36,7 @@ import (
 type RPCConfig struct {
 	// Conns is the echo phase's closed-loop connection count (default 32).
 	Conns int
-	// MsgBytes is the echo message size (default 64, well inside the
-	// small-chunk class).
+	// MsgBytes is the echo message size (default 64).
 	MsgBytes int
 	// Warmup precedes the echo window (default 20 ms after boot).
 	Warmup time.Duration

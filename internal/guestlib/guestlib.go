@@ -506,7 +506,7 @@ func (g *GuestLib) SendTo(fd int32, addr ipv4.Addr, port uint16, payload []byte)
 			return err
 		}
 	}
-	chunk, ok := s.pair.Pages.AllocSized(len(payload))
+	chunk, ok := s.pair.Pages.Alloc()
 	if !ok {
 		return fmt.Errorf("guestlib: huge pages exhausted")
 	}
@@ -662,9 +662,7 @@ func (g *GuestLib) Send(fd int32, p []byte) int {
 			break
 		}
 		n := min(min(chunkSize, len(p)), s.credit)
-		// Short-flow slab path: a tiny message takes a small-class chunk
-		// instead of cycling a bulk chunk through the free lists.
-		chunk, ok := s.pair.Pages.AllocSized(n)
+		chunk, ok := s.pair.Pages.Alloc()
 		if !ok {
 			g.markStalled(s)
 			g.stats.creditStalls.Inc()

@@ -14,8 +14,9 @@ import (
 // A VM↔NSM channel's huge pages are backed on first touch (DESIGN.md
 // §17), so a many-tenant world costs the simulator the pages its traffic
 // used, not every tenant's full region up front. Eight tenants per host
-// on one shared 4-shard NSM each run a few 64 B round trips; the live
-// heap then holds well under a quarter of the sixteen regions' capacity.
+// on one shared 4-shard NSM each run a few 64 B round trips; each
+// channel then backs one page, and the live heap holds well under a
+// quarter of the sixteen regions' capacity.
 func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	const (
 		tenants = 8
@@ -88,6 +89,9 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 			pairs++
 			capacity += pair.Pages.Pages()
 			resident += pair.Pages.Resident()
+			if n := pair.Pages.Resident(); n != 1 {
+				t.Errorf("%s's channel backs %d huge pages after %d-byte round trips, want 1", vm.Name, n, msg)
+			}
 		}
 	}
 	runtime.GC()
@@ -107,10 +111,10 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 }
 
 // A 4-shard pair whose connections sit on all four shards backs the
-// pages its peak outstanding chunks need: one bulk page for the receive
-// chunks and one small-class page for the 64 B sends, on both sides —
-// not a page per flow shard.
-func TestFourShardPairBacksTwoPages(t *testing.T) {
+// pages its peak outstanding chunks need: one page, holding both the
+// receive chunks and the 64 B sends, on both sides — not a page per
+// flow shard, nor a second page for small messages.
+func TestFourShardPairBacksOnePage(t *testing.T) {
 	const (
 		conns  = 8
 		rounds = 50
@@ -178,8 +182,8 @@ func TestFourShardPairBacksTwoPages(t *testing.T) {
 	}
 	for name, vm := range map[string]*VM{"client": vma, "server": vmb} {
 		for _, pair := range vm.Guest.Pairs() {
-			if n := pair.Pages.Resident(); n != 2 {
-				t.Errorf("%s pair backs %d huge pages after %d-byte round trips on four shards, want 2", name, n, msg)
+			if n := pair.Pages.Resident(); n != 1 {
+				t.Errorf("%s pair backs %d huge pages after %d-byte round trips on four shards, want 1", name, n, msg)
 			}
 		}
 	}

@@ -601,13 +601,6 @@ func (h *Host) EachNSM(fn func(*NSM)) {
 	}
 }
 
-// EachVM visits every VM.
-func (h *Host) EachVM(fn func(*VM)) {
-	for _, v := range h.vms {
-		fn(v)
-	}
-}
-
 // CopyReport aggregates the data-path memcpy counters across one VM's
 // layers: the socket-API boundary (GuestLib), the NSM-side pump
 // (ServiceLib), and the TCP stack itself. Payload counters give the

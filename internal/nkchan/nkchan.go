@@ -32,11 +32,6 @@ type Config struct {
 	Shards int
 }
 
-// smallPages is the page count of the short-flow size class carved
-// above the bulk region (DESIGN.md §11); its chunks are
-// shm.DefaultSmallChunkSize bytes. Bulk chunk offsets are unaffected.
-const smallPages = 1
-
 func (c *Config) fillDefaults() {
 	if c.HugePages <= 0 {
 		c.HugePages = shm.DefaultPageCount
@@ -80,9 +75,8 @@ type Pair struct {
 	// Shards holds every ring set; Shards[0] aliases the fields above.
 	Shards []Rings
 	// Pages is the shared data region, unique per pair (§3.1
-	// isolation) and shared by all shards through one free list per
-	// chunk class, so the pair backs only the pages its peak
-	// outstanding chunks need.
+	// isolation) and shared by all shards through one free list, so
+	// the pair backs only the pages its peak outstanding chunks need.
 	Pages *shm.HugePages
 
 	// Kicks are the notification hooks wired by the owners, the
@@ -99,7 +93,7 @@ type Pair struct {
 // NewPair allocates the queues and data region.
 func NewPair(cfg Config) (*Pair, error) {
 	cfg.fillDefaults()
-	pages, err := shm.NewHugePagesSized(cfg.HugePages, cfg.ChunkSize, smallPages, shm.DefaultSmallChunkSize)
+	pages, err := shm.NewHugePages(cfg.HugePages, cfg.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
@@ -153,9 +147,5 @@ func (p *Pair) ShardIndex(i int) int {
 	return i
 }
 
-// ChunkSize returns the bulk data-chunk granularity.
+// ChunkSize returns the data-chunk granularity.
 func (p *Pair) ChunkSize() int { return p.Pages.ChunkSize() }
-
-// SmallChunkSize returns the short-flow chunk granularity, 0 when the
-// pair's region has no small class.
-func (p *Pair) SmallChunkSize() int { return p.Pages.SmallChunkSize() }

@@ -16,13 +16,12 @@ func TestNewPairDefaults(t *testing.T) {
 	if p.ChunkSize() != 8<<10 {
 		t.Fatalf("ChunkSize = %d, want 8KB default", p.ChunkSize())
 	}
-	wantBulk := shm.DefaultPageCount * shm.PageSize / (8 << 10)
-	wantSmall := shm.PageSize / shm.DefaultSmallChunkSize
-	if p.Pages.Chunks() != wantBulk+wantSmall {
-		t.Fatalf("Chunks = %d, want %d bulk + %d small", p.Pages.Chunks(), wantBulk, wantSmall)
+	// The paper's 40 huge pages of 256 chunks each, and nothing else.
+	if p.Pages.Pages() != shm.DefaultPageCount || p.Pages.Chunks() != 10240 {
+		t.Fatalf("%d pages of %d chunks, want 40 pages of 10 240", p.Pages.Pages(), p.Pages.Chunks())
 	}
-	if p.SmallChunkSize() != shm.DefaultSmallChunkSize {
-		t.Fatalf("SmallChunkSize = %d", p.SmallChunkSize())
+	if p.Pages.FreeCount() != 10240 || p.Pages.Resident() != 0 {
+		t.Fatalf("a new pair has %d free chunks and %d resident pages, want 10 240 and 0", p.Pages.FreeCount(), p.Pages.Resident())
 	}
 	// All six queues usable.
 	e := nqe.Element{Op: nqe.OpSend, Source: nqe.FromVM}

@@ -171,7 +171,7 @@ func (s *ServiceLib) udpRecv(cid uint32, shard int) func(src ipv4.Addr, srcPort 
 		if len(data) > s.cfg.Pair.ChunkSize() {
 			return // cannot represent; drop (UDP semantics)
 		}
-		chunk, ok := s.cfg.Pair.Pages.AllocSized(len(data))
+		chunk, ok := s.cfg.Pair.Pages.Alloc()
 		if !ok {
 			return // pool exhausted; drop (UDP semantics)
 		}

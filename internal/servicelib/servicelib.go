@@ -67,6 +67,10 @@ const (
 	// waits this long for siblings before emitting one coalesced
 	// OpReady.
 	readyDelay = 2 * time.Microsecond
+	// readyPerChunk caps the (cID, mask) entries one OpReady packs into
+	// its chunk: 32 × ReadyEntrySize = 256 B, however large the chunk.
+	// A flush of more ready sockets emits one OpReady per 32.
+	readyPerChunk = 32
 )
 
 // Stats is a point-in-time copy of the ServiceLib counters.
@@ -417,8 +421,8 @@ func (s *ServiceLib) queueReady(shard int, cid uint32, mask uint32) {
 }
 
 // flushReady drains one shard's pending readiness into coalesced
-// OpReady elements: up to SmallChunkSize/ReadyEntrySize entries packed
-// per small huge-page chunk, with a descriptorless single-entry form
+// OpReady elements: up to readyPerChunk entries packed per huge-page
+// chunk, with a descriptorless single-entry form
 // when only one socket is ready (no chunk round trip for the sparse
 // case of exactly one). Emitted on the receive ring *after* the data
 // events it announces — OpReady is deliberately not a priority op, so
@@ -446,16 +450,10 @@ func (s *ServiceLib) emitReady(shard int, order []uint32, masks map[uint32]uint3
 		})
 		return
 	}
-	perChunk := s.cfg.Pair.Pages.SmallChunkSize() / nqe.ReadyEntrySize
-	if perChunk <= 0 {
-		perChunk = s.cfg.Pair.ChunkSize() / nqe.ReadyEntrySize
-	}
+	perChunk := min(readyPerChunk, s.cfg.Pair.ChunkSize()/nqe.ReadyEntrySize)
 	for len(order) > 0 {
-		n := len(order)
-		if n > perChunk {
-			n = perChunk
-		}
-		chunk, ok := s.cfg.Pair.Pages.AllocSized(n * nqe.ReadyEntrySize)
+		n := min(len(order), perChunk)
+		chunk, ok := s.cfg.Pair.Pages.Alloc()
 		if !ok {
 			// Pool exhausted: fall back to descriptorless singles rather
 			// than dropping wakeups.
@@ -467,9 +465,6 @@ func (s *ServiceLib) emitReady(shard int, order []uint32, masks map[uint32]uint3
 				})
 			}
 			return
-		}
-		if fit := s.cfg.Pair.Pages.SizeOf(chunk) / nqe.ReadyEntrySize; n > fit {
-			n = fit
 		}
 		buf := s.cfg.Pair.Pages.Bytes(chunk)
 		for i, cid := range order[:n] {
@@ -595,7 +590,7 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			// A datagram: one chunk, sent immediately to the address in
 			// Arg0, chunk returned to the pool.
 			chunk := shm.Chunk{Offset: e.DataOff}
-			if int(e.DataLen) > s.cfg.Pair.Pages.SizeOf(chunk) {
+			if int(e.DataLen) > s.cfg.Pair.ChunkSize() {
 				// The length is guest-chosen: check it against the chunk
 				// before it sizes an allocation.
 				s.cfg.Pair.Pages.Free(chunk)

@@ -88,84 +88,58 @@ func TestHugePagesExhaustsEveryChunk(t *testing.T) {
 }
 
 // TestHugePagesPeakOracle drives seeded random Alloc/AllocSized/Retain/Free
-// sequences over both size classes against a model of the allocator.
-// After every step the pages backed must be exactly the pages each
-// class's peak outstanding chunks span — ⌈peak × chunk size / PageSize⌉
-// per class, every handed-out chunk being touched — and FreeCount,
-// LiveRefs, the class each chunk came from and the uniqueness of live
-// offsets must all agree with the model.
+// sequences against a model of the allocator. After every step the pages
+// backed must be exactly the pages the peak outstanding chunks span —
+// ⌈peak × chunk size / PageSize⌉, every handed-out chunk being touched —
+// and FreeCount, LiveRefs and the uniqueness of live offsets must all
+// agree with the model.
 func TestHugePagesPeakOracle(t *testing.T) {
 	const (
-		bulkSize  = PageSize / 8  // 8 bulk chunks per page
-		smallSize = PageSize / 16 // 16 small chunks per page
+		chunkSize = PageSize / 8 // 8 chunks per page
 		steps     = 3000
 	)
 	for seed := uint64(1); seed <= 16; seed++ {
-		h, err := NewHugePagesSized(3, bulkSize, 1, smallSize)
+		h, err := NewHugePages(3, chunkSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nBulk, nSmall := h.Chunks()-h.SmallChunks(), h.SmallChunks()
 		rng := rand.New(rand.NewPCG(seed, 0x5eed))
 		refs := map[uint64]int{} // live chunk offset → model refcount
 		var live []Chunk         // the keys of refs, for random picks
-		var out, peak [2]int     // outstanding and peak chunks: bulk, small
-		class := func(c Chunk) int {
-			if c.Offset >= 3*PageSize {
-				return 1
-			}
-			return 0
-		}
-		pages := func(n, size int) int { return (n*size + PageSize - 1) / PageSize }
-		take := func(c Chunk, ok bool, want int) {
-			t.Helper()
-			if want < 0 {
-				if ok {
-					t.Fatalf("seed %d: alloc succeeded at offset %d with its classes exhausted", seed, c.Offset)
-				}
-				return
-			}
-			if !ok {
-				t.Fatalf("seed %d: alloc failed with %d/%d bulk and %d/%d small outstanding", seed, out[0], nBulk, out[1], nSmall)
-			}
-			if got := class(c); got != want {
-				t.Fatalf("seed %d: chunk at %d from class %d, want %d", seed, c.Offset, got, want)
-			}
-			if _, dup := refs[c.Offset]; dup {
-				t.Fatalf("seed %d: offset %d handed out twice", seed, c.Offset)
-			}
-			h.Write(c, []byte{byte(seed)})
-			refs[c.Offset] = 1
-			live = append(live, c)
-			out[want]++
-			peak[want] = max(peak[want], out[want])
-		}
+		out, peak := 0, 0        // outstanding and peak chunks
 		for step := 0; step < steps; step++ {
 			// Alternate allocation-heavy and free-heavy phases so runs
-			// both exhaust the classes and drain them.
+			// both exhaust the region and drain it.
 			allocBias := 0.3
 			if step/200%2 == 0 {
 				allocBias = 0.7
 			}
 			switch r := rng.Float64(); {
-			case r < allocBias/2:
-				c, ok := h.Alloc()
-				want := 0
-				if out[0] == nBulk {
-					want = -1
-				}
-				take(c, ok, want)
 			case r < allocBias:
-				size := 1 + rng.IntN(bulkSize)
-				c, ok := h.AllocSized(size)
-				want := 0
-				switch {
-				case size <= smallSize && out[1] < nSmall:
-					want = 1
-				case out[0] == nBulk:
-					want = -1
+				var c Chunk
+				var ok bool
+				if r < allocBias/2 {
+					c, ok = h.Alloc()
+				} else {
+					c, ok = h.AllocSized(1 + rng.IntN(chunkSize))
 				}
-				take(c, ok, want)
+				if out == h.Chunks() {
+					if ok {
+						t.Fatalf("seed %d: alloc succeeded at offset %d with every chunk out", seed, c.Offset)
+					}
+					break
+				}
+				if !ok {
+					t.Fatalf("seed %d: alloc failed with %d/%d chunks out", seed, out, h.Chunks())
+				}
+				if _, dup := refs[c.Offset]; dup {
+					t.Fatalf("seed %d: offset %d handed out twice", seed, c.Offset)
+				}
+				h.Write(c, []byte{byte(seed)})
+				refs[c.Offset] = 1
+				live = append(live, c)
+				out++
+				peak = max(peak, out)
 			case len(live) > 0 && r < allocBias+0.1:
 				c := live[rng.IntN(len(live))]
 				h.Retain(c)
@@ -178,15 +152,13 @@ func TestHugePagesPeakOracle(t *testing.T) {
 					delete(refs, c.Offset)
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
-					out[class(c)]--
+					out--
 				}
 			}
-			want := pages(peak[0], bulkSize) + pages(peak[1], smallSize)
-			if got := h.Resident(); got != want {
-				t.Fatalf("seed %d step %d: Resident = %d, want %d for peaks of %d bulk and %d small chunks",
-					seed, step, got, want, peak[0], peak[1])
+			if got, want := h.Resident(), (peak*chunkSize+PageSize-1)/PageSize; got != want {
+				t.Fatalf("seed %d step %d: Resident = %d, want %d for a peak of %d chunks", seed, step, got, want, peak)
 			}
-			if got, want := h.FreeCount(), h.Chunks()-out[0]-out[1]; got != want {
+			if got, want := h.FreeCount(), h.Chunks()-out; got != want {
 				t.Fatalf("seed %d step %d: FreeCount = %d, want %d", seed, step, got, want)
 			}
 			sum := 0
@@ -197,8 +169,8 @@ func TestHugePagesPeakOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: LiveRefs = %d, want %d", seed, step, got, sum)
 			}
 		}
-		if peak[0] < nBulk || peak[1] < nSmall {
-			t.Fatalf("seed %d: peaks %d/%d bulk and %d/%d small: the sequence never exhausted both classes", seed, peak[0], nBulk, peak[1], nSmall)
+		if peak < h.Chunks() {
+			t.Fatalf("seed %d: peak of %d/%d chunks: the sequence never exhausted the region", seed, peak, h.Chunks())
 		}
 	}
 }

@@ -163,36 +163,64 @@ func TestHugePagesIsolation(t *testing.T) {
 	}
 }
 
-func TestRegionSliceBounds(t *testing.T) {
-	r := NewRegion(2 * PageSize)
-	for _, s := range []struct{ off, n int }{
-		{-1, 5},               // negative offset
-		{0, -1},               // negative length
-		{2*PageSize - 10, 20}, // past the end
-		{PageSize - 10, 20},   // across the page boundary
-		{0, PageSize + 1},     // longer than a page
-	} {
-		if _, err := r.Slice(s.off, s.n); err == nil {
-			t.Errorf("Slice(%d, %d) accepted", s.off, s.n)
+// AllocSized is Alloc whatever the size: one free list hands out every
+// chunk, so a 64 B message recycles the chunk bulk traffic just freed.
+func TestAllocSizedDispatch(t *testing.T) {
+	h, _ := NewHugePages(1, 8192)
+	a, _ := h.AllocSized(64)
+	b, _ := h.AllocSized(8192)
+	c, _ := h.Alloc()
+	for i, ch := range []Chunk{a, b, c} {
+		if want := uint64(i * 8192); ch.Offset != want {
+			t.Fatalf("allocation %d at offset %d, want %d", i, ch.Offset, want)
 		}
 	}
-	if b, err := r.Slice(2*PageSize, 0); err != nil || len(b) != 0 {
-		t.Errorf("empty Slice at the end = %d bytes, err %v", len(b), err)
+	h.Free(b)
+	if got, _ := h.AllocSized(1); got != b {
+		t.Fatalf("AllocSized after freeing %d returned %d", b.Offset, got.Offset)
 	}
-	if n := r.Resident(); n != 0 {
-		t.Fatalf("rejected and empty slices backed %d pages", n)
+	for _, ch := range []Chunk{a, b, c} {
+		h.Free(ch)
 	}
-	// A window that ends exactly on the boundary is within one page.
-	if _, err := r.Slice(PageSize-10, 10); err != nil {
-		t.Fatalf("Slice ending on the page boundary: %v", err)
+	if h.FreeCount() != h.Chunks() {
+		t.Fatalf("FreeCount = %d after freeing all, want %d", h.FreeCount(), h.Chunks())
 	}
-	b, err := r.Slice(10, 20)
-	if err != nil || len(b) != 20 {
-		t.Fatalf("Slice = %d bytes, err %v", len(b), err)
+}
+
+// Bytes checks a descriptor's offset before it reaches a page: an offset
+// that is misaligned, would cross a page boundary or lies past the region
+// panics and backs nothing. A valid chunk's window ends at its chunk, the
+// last chunk of a page exactly on the boundary, and aliases region memory.
+func TestHugePagesBytesBounds(t *testing.T) {
+	h, _ := NewHugePages(2, PageSize/4) // 8 chunks, 4 per page
+	for _, off := range []uint64{
+		1,             // misaligned
+		PageSize - 10, // misaligned, across the page boundary
+		2 * PageSize,  // one chunk past the end
+		1 << 63,       // far past the end
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Bytes at offset %d did not panic", off)
+				}
+			}()
+			h.Bytes(Chunk{Offset: off})
+		}()
+	}
+	if n := h.Resident(); n != 0 {
+		t.Fatalf("rejected offsets backed %d pages", n)
+	}
+	last := Chunk{Offset: PageSize - uint64(h.ChunkSize())}
+	b := h.Bytes(last)
+	if len(b) != h.ChunkSize() || cap(b) != h.ChunkSize() {
+		t.Fatalf("window of %d bytes, capacity %d, want both %d", len(b), cap(b), h.ChunkSize())
+	}
+	if h.Resident() != 1 || h.region.pages[1].Load() != nil {
+		t.Fatalf("the last chunk of page 0 backed %d pages, want page 0 alone", h.Resident())
 	}
 	b[0] = 7
-	b2, _ := r.Slice(10, 1)
-	if b2[0] != 7 {
-		t.Fatal("slices do not alias region memory")
+	if h.Bytes(last)[0] != 7 {
+		t.Fatal("windows do not alias region memory")
 	}
 }

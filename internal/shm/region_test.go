@@ -10,12 +10,12 @@ import (
 // pages its chunks have used, one whole page at a time, and nothing else.
 
 func TestNewRegionHasNoResidentPages(t *testing.T) {
-	h, err := NewHugePagesSized(DefaultPageCount, 8192, 1, 256)
+	h, err := NewHugePages(DefaultPageCount, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Pages() != DefaultPageCount+1 {
-		t.Fatalf("Pages = %d, want %d", h.Pages(), DefaultPageCount+1)
+	if h.Pages() != DefaultPageCount {
+		t.Fatalf("Pages = %d, want %d", h.Pages(), DefaultPageCount)
 	}
 	if n := h.Resident(); n != 0 {
 		t.Fatalf("a new region has %d resident pages, want 0", n)
@@ -69,10 +69,7 @@ func TestChunksOnOnePageShareItsBacking(t *testing.T) {
 		t.Fatalf("Resident = %d with two chunks on one page, want 1", n)
 	}
 	// Both writes landed in the one backing page.
-	page, err := h.region.Slice(int(a.Offset/PageSize)*PageSize, PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	page := h.region.window(int(a.Offset/PageSize)*PageSize, PageSize)
 	for _, c := range []struct {
 		off  uint64
 		want string
@@ -85,19 +82,18 @@ func TestChunksOnOnePageShareItsBacking(t *testing.T) {
 }
 
 func TestLastPartialPageSizedToRegion(t *testing.T) {
-	r := NewRegion(PageSize + 100)
+	r := newRegion(PageSize + 100)
 	if len(r.pages) != 2 {
 		t.Fatalf("%d pages for a region of one page + 100 bytes, want 2", len(r.pages))
 	}
-	b, err := r.Slice(PageSize+40, 60)
-	if err != nil || len(b) != 60 {
-		t.Fatalf("Slice at the region's end = %d bytes, err %v", len(b), err)
+	if b := r.window(PageSize+40, 60); len(b) != 60 {
+		t.Fatalf("window at the region's end = %d bytes, want 60", len(b))
 	}
 	if n := len(*r.pages[1].Load()); n != 100 {
 		t.Fatalf("last page backs %d bytes, want 100", n)
 	}
-	if r.Resident() != 1 {
-		t.Fatalf("Resident = %d, want 1", r.Resident())
+	if r.resident() != 1 {
+		t.Fatalf("resident = %d, want 1", r.resident())
 	}
 }
 

@@ -6,10 +6,10 @@
 // actual application data, with a unique region per VM↔NSM pair for
 // isolation. This package reproduces both on plain process memory:
 //
-//   - Region: a contiguous byte area standing in for an IVSHMEM device,
-//     backed one huge page at a time on first touch.
-//   - HugePages: a chunk allocator over a Region, standing in for the
-//     2 MB huge pages GuestLib and ServiceLib copy data through.
+//   - HugePages: a chunk allocator over a contiguous byte region,
+//     standing in for the 2 MB huge pages GuestLib and ServiceLib copy
+//     data through; the region backs one huge page at a time on first
+//     touch.
 //   - Ring: a single-producer single-consumer ring buffer of fixed-size
 //     slots, standing in for the queue devices.
 //
@@ -21,10 +21,7 @@
 // real; the benchmarks in bench_test.go measure it with testing.B.
 package shm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // PageSize is the huge-page size used by the prototype (QEMU IVSHMEM,
 // §4.1): 2 MB.
@@ -33,31 +30,28 @@ const PageSize = 2 << 20
 // DefaultPageCount matches the prototype's 40 huge pages per VM↔NSM pair.
 const DefaultPageCount = 40
 
-// A Region is a contiguous shared-memory area. It stands in for an
+// A region is a contiguous shared-memory area. It stands in for an
 // IVSHMEM device mapped into both a tenant VM and its NSM.
 //
 // Like a mapped hugetlbfs file, a region costs nothing until it is used:
 // each PageSize page is backed on the first access into it and stays
 // backed for the region's life (DESIGN.md §17). The size is capacity,
 // not cost.
-type Region struct {
+type region struct {
 	size  int
 	pages []atomic.Pointer[[]byte] // nil until first touched
 }
 
-// NewRegion reserves a region of the given size; no page is backed yet.
-func NewRegion(size int) *Region {
+// newRegion reserves a region of the given size; no page is backed yet.
+func newRegion(size int) *region {
 	if size <= 0 {
 		panic("shm: non-positive region size")
 	}
-	return &Region{size: size, pages: make([]atomic.Pointer[[]byte], (size+PageSize-1)/PageSize)}
+	return &region{size: size, pages: make([]atomic.Pointer[[]byte], (size+PageSize-1)/PageSize)}
 }
 
-// Size returns the region size in bytes.
-func (r *Region) Size() int { return r.size }
-
-// Resident returns the number of pages backed so far.
-func (r *Region) Resident() int {
+// resident returns the number of pages backed so far.
+func (r *region) resident() int {
 	n := 0
 	for i := range r.pages {
 		if r.pages[i].Load() != nil {
@@ -67,26 +61,11 @@ func (r *Region) Resident() int {
 	return n
 }
 
-// Slice returns the [off, off+n) window of the region, backing its page
-// on first touch. The returned slice aliases region memory: writes
-// through it are visible to both sides. A window may not cross a page
-// boundary.
-func (r *Region) Slice(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > r.size {
-		return nil, fmt.Errorf("shm: slice [%d, %d+%d) out of region of %d bytes", off, off, n, r.size)
-	}
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if off%PageSize+n > PageSize {
-		return nil, fmt.Errorf("shm: slice [%d, %d+%d) crosses a %d-byte page boundary", off, off, n, PageSize)
-	}
-	return r.window(off, n), nil
-}
-
-// window is Slice for a caller that has already checked the window lies
-// within one page of the region; a window that does not panics.
-func (r *Region) window(off, n int) []byte {
+// window returns the [off, off+n) window of the region, backing its page
+// on first touch. The slice aliases region memory: writes through it are
+// visible to both sides. The caller has already checked that the window
+// lies within one page of the region; a window that does not panics.
+func (r *region) window(off, n int) []byte {
 	u := uint(off) // off ≥ 0: unsigned, the page divisions are a shift and a mask
 	in := int(u % PageSize)
 	var page []byte
@@ -101,7 +80,7 @@ func (r *Region) window(off, n int) []byte {
 // back backs page i on its first touch. Racing first touches each build
 // a page, but only one CompareAndSwap wins and every caller returns the
 // winner, so no write lands in a discarded page.
-func (r *Region) back(i int) []byte {
+func (r *region) back(i int) []byte {
 	p := &r.pages[i]
 	b := make([]byte, min(PageSize, r.size-i*PageSize))
 	if p.CompareAndSwap(nil, &b) {
