@@ -103,6 +103,9 @@ func legacySingleQueue() Profile {
 type scenario struct {
 	prof  Profile
 	check func(r Reporter, seed uint64, res *Result) // nil: none
+	// regress are seeds this scenario once failed on, run on top of the
+	// fixed set (but not under -chaos.seed) so a fixed bug stays fixed.
+	regress []uint64
 }
 
 // crashRestart expects one NSM restart per scheduled crash.
@@ -130,7 +133,11 @@ func seededScenarios() []scenario {
 }
 
 func runScenario(t *testing.T, sc scenario) {
-	for _, seed := range seeds(t) {
+	run := seeds(t)
+	if *chaosSeed == 0 {
+		run = append(append([]uint64{}, run...), sc.regress...)
+	}
+	for _, seed := range run {
 		seed := seed
 		t.Run(sc.prof.Name, func(t *testing.T) {
 			res := RunAndCheck(t, seed, sc.prof)

@@ -40,10 +40,11 @@ func migrateGEWAN() Profile {
 }
 
 // migrateLossyLANScenario expects both handoffs to complete without a
-// crash restart.
+// crash restart. Seed 9000001 leaked the frames of a SYN retransmitted
+// to a hop whose ARP resolution was then abandoned.
 func migrateLossyLANScenario() scenario {
 	prof := migrateLossyLAN()
-	return scenario{prof: prof, check: func(r Reporter, seed uint64, res *Result) {
+	return scenario{prof: prof, regress: []uint64{9000001}, check: func(r Reporter, seed uint64, res *Result) {
 		if res.Migrated != len(prof.Migrations) || res.MigAborted != 0 {
 			r.Errorf("[seed %d] migrated=%d aborted=%d, want %d/0",
 				seed, res.Migrated, res.MigAborted, len(prof.Migrations))

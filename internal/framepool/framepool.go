@@ -19,10 +19,14 @@ import (
 )
 
 const (
-	// Cap is the capacity of every pooled buffer: room for a 1514-byte
-	// Ethernet frame, rounded to the allocator's 2 KiB size class.
-	Cap = 2048
-	// maxFree bounds the free list (4 MiB of idle buffers at most). It
+	// Cap is the capacity of every pooled buffer: room for the largest
+	// frame the system builds, 14 B Ethernet + a 1 500 B MTU = 1 514 B
+	// (a full-MSS data segment; data segments carry no TCP options).
+	// 1 536 is itself a Go allocator size class, so a buffer costs Cap
+	// bytes of heap and no more. One class serves every frame: a second,
+	// small one for ACKs was measured and saved nothing (DESIGN.md §15).
+	Cap = 1536
+	// maxFree bounds the free list (3 MiB of idle buffers at most). It
 	// is a constant, not a knob: the list only needs to cover the frames
 	// simultaneously in flight on the simulated fabric, and overflowing
 	// it merely lets the surplus fall to the GC.

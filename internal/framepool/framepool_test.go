@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"netkernel/internal/proto/ethernet"
 )
 
 // drain empties the free list so a test starts from a known pool.
@@ -11,6 +13,14 @@ func drain() {
 	pool.mu.Lock()
 	pool.free = nil
 	pool.mu.Unlock()
+}
+
+// Every frame the stack builds fits one pool buffer: the largest is a
+// full-MTU IPv4 packet behind an Ethernet header.
+func TestCapHoldsLargestFrame(t *testing.T) {
+	if Cap < ethernet.HeaderLen+ethernet.MTU {
+		t.Fatalf("Cap %d is smaller than a %d-byte frame", Cap, ethernet.HeaderLen+ethernet.MTU)
+	}
 }
 
 func TestGetPutRecyclesPoolFrames(t *testing.T) {

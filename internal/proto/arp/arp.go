@@ -84,8 +84,13 @@ type cacheEntry struct {
 	expires sim.Time
 }
 
+// A Waiter is told how a resolution ended: ok with the resolved MAC, or
+// !ok when the cache abandoned it (retries exhausted, or Reset), so a
+// waiter holding resources for the resolution can release them.
+type Waiter func(mac ethernet.MAC, ok bool)
+
 type pendingResolution struct {
-	waiters  []func(ethernet.MAC)
+	waiters  []Waiter
 	attempts int
 	timer    sim.Handle
 }
@@ -132,23 +137,29 @@ func (c *Cache) Learn(ip ipv4.Addr, mac ethernet.MAC) {
 	if p := c.pending[ip]; p != nil {
 		delete(c.pending, ip)
 		p.timer.Stop()
-		for _, fn := range p.waiters {
-			fn(mac)
-		}
+		p.notify(mac, true)
 	}
 }
 
-// Await registers fn to run once ip resolves. It reports whether the
+// notify runs every waiter once with the resolution's outcome.
+func (p *pendingResolution) notify(mac ethernet.MAC, ok bool) {
+	for _, fn := range p.waiters {
+		fn(mac, ok)
+	}
+}
+
+// Await registers fn to run exactly once: with ok when ip resolves, or
+// with !ok when the resolution is abandoned. It reports whether the
 // caller should transmit an ARP request now (true for the first
 // waiter); retransmissions are driven internally through the Request
 // hook.
-func (c *Cache) Await(ip ipv4.Addr, fn func(ethernet.MAC)) bool {
+func (c *Cache) Await(ip ipv4.Addr, fn Waiter) bool {
 	p := c.pending[ip]
 	if p != nil {
 		p.waiters = append(p.waiters, fn)
 		return false
 	}
-	p = &pendingResolution{waiters: []func(ethernet.MAC){fn}, attempts: 1}
+	p = &pendingResolution{waiters: []Waiter{fn}, attempts: 1}
 	c.pending[ip] = p
 	c.armRetry(ip, p)
 	return true
@@ -160,9 +171,10 @@ func (c *Cache) armRetry(ip ipv4.Addr, p *pendingResolution) {
 			return // resolved meanwhile
 		}
 		if p.attempts >= MaxRequests {
-			// Give up: drop the waiters; upper layers' own timers
+			// Give up: tell the waiters; upper layers' own timers
 			// (TCP RTO, ping timeout) surface the failure.
 			delete(c.pending, ip)
+			p.notify(ethernet.MAC{}, false)
 			return
 		}
 		p.attempts++
@@ -174,14 +186,16 @@ func (c *Cache) armRetry(ip ipv4.Addr, p *pendingResolution) {
 }
 
 // Reset drops all entries and abandons in-flight resolutions, stopping
-// their retry timers and discarding their waiters. The owning stack
-// calls it on teardown so no resolution timer outlives the stack.
+// their retry timers and telling their waiters. The owning stack calls
+// it on teardown so no resolution timer outlives the stack.
 func (c *Cache) Reset() {
-	for _, p := range c.pending {
-		p.timer.Stop()
-	}
+	pending := c.pending
 	c.pending = make(map[ipv4.Addr]*pendingResolution)
 	c.entries = make(map[ipv4.Addr]cacheEntry)
+	for _, p := range pending {
+		p.timer.Stop()
+		p.notify(ethernet.MAC{}, false)
+	}
 }
 
 // Pending returns the number of in-progress resolutions.

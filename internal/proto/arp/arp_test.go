@@ -88,8 +88,8 @@ func TestCacheAwaitReleasesWaiters(t *testing.T) {
 	c := NewCache(loop, time.Minute)
 	ip := ipv4.Addr{10, 0, 0, 7}
 	var got []ethernet.MAC
-	first := c.Await(ip, func(m ethernet.MAC) { got = append(got, m) })
-	second := c.Await(ip, func(m ethernet.MAC) { got = append(got, m) })
+	first := c.Await(ip, func(m ethernet.MAC, _ bool) { got = append(got, m) })
+	second := c.Await(ip, func(m ethernet.MAC, _ bool) { got = append(got, m) })
 	if !first {
 		t.Fatal("first waiter should be told to send a request")
 	}
@@ -107,7 +107,7 @@ func TestCacheAwaitReleasesWaiters(t *testing.T) {
 		t.Fatal("waiters ran twice")
 	}
 	// After resolution, a new Await is "first" again.
-	if !c.Await(ipv4.Addr{10, 0, 0, 8}, func(ethernet.MAC) {}) {
+	if !c.Await(ipv4.Addr{10, 0, 0, 8}, func(ethernet.MAC, bool) {}) {
 		t.Fatal("fresh address should request")
 	}
 }
@@ -127,7 +127,7 @@ func TestCacheRetriesLostRequests(t *testing.T) {
 		c.Learn(ip, ethernet.MAC{2, 0, 0, 0, 0, 9})
 	}
 	resolved := false
-	if !c.Await(ip, func(ethernet.MAC) { resolved = true }) {
+	if !c.Await(ip, func(_ ethernet.MAC, ok bool) { resolved = ok }) {
 		t.Fatal("first waiter should send the initial request")
 	}
 	// The caller's initial request was "lost" (we never Learn from it).
@@ -151,19 +151,71 @@ func TestCacheGivesUpAfterMaxRequests(t *testing.T) {
 	requests := 1 // the caller's initial transmission
 	c.Request = func(ipv4.Addr) { requests++ }
 	called := false
-	c.Await(ipv4.Addr{10, 0, 0, 99}, func(ethernet.MAC) { called = true })
+	c.Await(ipv4.Addr{10, 0, 0, 99}, func(ethernet.MAC, bool) { called = true })
 	loop.RunFor(time.Duration(MaxRequests+2) * RequestTimeout)
 	if requests != MaxRequests {
 		t.Fatalf("sent %d requests, want %d", requests, MaxRequests)
 	}
-	if called {
-		t.Fatal("waiter ran without resolution")
+	if !called {
+		t.Fatal("waiter never heard its resolution was abandoned")
 	}
 	if c.Pending() != 0 {
 		t.Fatal("abandoned resolution still pending")
 	}
 	// The address can be retried fresh afterwards.
-	if !c.Await(ipv4.Addr{10, 0, 0, 99}, func(ethernet.MAC) {}) {
+	if !c.Await(ipv4.Addr{10, 0, 0, 99}, func(ethernet.MAC, bool) {}) {
 		t.Fatal("fresh Await after give-up should request again")
+	}
+}
+
+// Every waiter hears how its resolution ended, exactly once: ok with the
+// MAC when the address resolves, !ok when the cache gives up after
+// MaxRequests or is Reset with the resolution pending. A waiter holding
+// frames for the resolution releases them on !ok.
+func TestCacheWaitersHearAbandonment(t *testing.T) {
+	type heard struct {
+		mac ethernet.MAC
+		ok  bool
+	}
+	loop := sim.NewLoop()
+	c := NewCache(loop, time.Minute)
+	record := func(into *[]heard) Waiter {
+		return func(m ethernet.MAC, ok bool) { *into = append(*into, heard{m, ok}) }
+	}
+	abandoned := heard{}
+
+	var resolved []heard
+	ip := ipv4.Addr{10, 0, 0, 2}
+	mac := ethernet.MAC{2, 0, 0, 0, 0, 2}
+	c.Await(ip, record(&resolved))
+	c.Learn(ip, mac)
+	c.Learn(ip, mac)
+	loop.RunFor(time.Duration(MaxRequests+2) * RequestTimeout)
+	c.Reset()
+	if len(resolved) != 1 || resolved[0] != (heard{mac, true}) {
+		t.Fatalf("resolved waiter heard %v, want exactly one {%v true}", resolved, mac)
+	}
+
+	var gaveUp []heard
+	c.Await(ipv4.Addr{10, 0, 0, 99}, record(&gaveUp))
+	c.Await(ipv4.Addr{10, 0, 0, 99}, record(&gaveUp))
+	loop.RunFor(time.Duration(MaxRequests) * RequestTimeout)
+	if len(gaveUp) != 2 || gaveUp[0] != abandoned || gaveUp[1] != abandoned {
+		t.Fatalf("waiters of a resolution given up heard %v, want two !ok", gaveUp)
+	}
+
+	var reset []heard
+	c.Await(ipv4.Addr{10, 0, 0, 98}, record(&reset))
+	c.Await(ipv4.Addr{10, 0, 0, 97}, record(&reset))
+	c.Reset()
+	if len(reset) != 2 || reset[0] != abandoned || reset[1] != abandoned {
+		t.Fatalf("waiters pending at Reset heard %v, want two !ok", reset)
+	}
+	if c.Pending() != 0 {
+		t.Fatalf("%d resolutions pending after Reset", c.Pending())
+	}
+	loop.RunFor(time.Duration(MaxRequests+2) * RequestTimeout)
+	if len(gaveUp) != 2 || len(reset) != 2 {
+		t.Fatal("a waiter heard twice")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"netkernel/internal/framepool"
 	"netkernel/internal/netsim"
+	"netkernel/internal/proto/arp"
 	"netkernel/internal/proto/ethernet"
 	"netkernel/internal/proto/icmp"
 	"netkernel/internal/proto/ipv4"
@@ -355,5 +356,131 @@ func BenchmarkFramePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Seq += uint32(len(payload))
 		s.sendTCP(ipA, ipB, &h, payload, 0)
+	}
+}
+
+// frameKind names what a frame carries, for the frames
+// TestEveryStackFrameIsPooled looks for ("" for any other).
+func frameKind(t *testing.T, f []byte) string {
+	t.Helper()
+	eh, pkt, err := ethernet.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eh.Type == ethernet.TypeARP {
+		p, err := arp.Parse(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[arp.Op]string{arp.OpRequest: "ARP request", arp.OpReply: "ARP reply"}[p.Op]
+	}
+	ih, seg, err := ipv4.Parse(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := int(ih.TotalLen) == ethernet.MTU
+	switch ih.Proto {
+	case ipv4.ProtoTCP:
+		h, payload, err := tcp.Parse(ih.Src, ih.Dst, seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := h.Opts.MSS != 0 && h.Opts.WScaleOK && h.Opts.SACKPermitted
+		switch {
+		case h.Flags&tcp.FlagRST != 0:
+			return "RST"
+		case h.Flags&tcp.FlagSYN != 0 && h.Flags&tcp.FlagACK != 0 && all:
+			return "SYN-ACK with every option"
+		case h.Flags&tcp.FlagSYN != 0 && all:
+			return "SYN with every option"
+		case full && len(payload) == ethernet.MTU-ipv4.HeaderLen-tcp.MinHeaderLen:
+			return "full-MSS data segment"
+		case len(payload) == 0 && h.Opts.NumSACK == 3:
+			return "pure ACK with 3 SACK blocks"
+		}
+	case ipv4.ProtoICMP:
+		if m, err := icmp.Parse(seg); err == nil && full && m.Type == icmp.TypeEchoRequest {
+			return "MTU-sized ICMP echo"
+		}
+	case ipv4.ProtoUDP:
+		if full {
+			return "MTU-sized UDP datagram"
+		}
+	}
+	return ""
+}
+
+// Every kind of frame the stack builds — the largest of each included —
+// is one pool buffer, and goes back to the pool once delivered.
+func TestEveryStackFrameIsPooled(t *testing.T) {
+	p := newPair(t, fastLink(), nil)
+	want := []string{
+		"ARP request", "ARP reply", "SYN with every option", "SYN-ACK with every option",
+		"full-MSS data segment", "pure ACK with 3 SACK blocks", "RST",
+		"MTU-sized ICMP echo", "MTU-sized UDP datagram",
+	}
+	seen := map[string]int{}
+	dataSegs := 0
+	tap := func(s *Stack, send func([]byte)) {
+		s.iface.tx = func(f []byte) {
+			kind := frameKind(t, f)
+			if cap(f) != framepool.Cap {
+				t.Errorf("%s frame %q of %d bytes has capacity %d, want the pool's %d", s.Name(), kind, len(f), cap(f), framepool.Cap)
+			}
+			seen[kind]++
+			if kind == "full-MSS data segment" {
+				// Lose the 2nd, 4th and 6th so the receiver holds three
+				// out-of-order runs and SACKs all of them.
+				if dataSegs++; dataSegs == 2 || dataSegs == 4 || dataSegs == 6 {
+					framepool.Put(f)
+					return
+				}
+			}
+			send(f)
+		}
+	}
+	tap(p.a, p.nicA.Send)
+	tap(p.b, p.nicB.Send)
+	live := framepool.Live()
+
+	client, server := establishTCP(t, p, 80, SocketOptions{}, SocketOptions{})
+	payload := make([]byte, 16<<10)
+	client.Write(payload)
+	p.loop.RunFor(time.Second)
+	for buf := make([]byte, len(payload)); len(payload) > 0; {
+		n, _ := server.Read(buf)
+		if n == 0 {
+			t.Fatalf("%d bytes never arrived", len(payload))
+		}
+		payload = payload[n:]
+	}
+	if _, err := p.a.Dial(tcp.AddrPort{Addr: ipB, Port: 81}, SocketOptions{}); err != nil {
+		t.Fatal(err) // nobody listens on 81: b answers RST
+	}
+	mtuPayload := make([]byte, ethernet.MTU-ipv4.HeaderLen-icmp.HeaderLen)
+	p.a.Ping(ipB, mtuPayload, time.Second, func(time.Duration, error) {})
+	got := 0
+	if _, err := p.b.OpenUDP(53, func(ipv4.Addr, uint16, []byte) { got++ }); err != nil {
+		t.Fatal(err)
+	}
+	sock, err := p.a.OpenUDP(5353, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sock.SendTo(ipB, 53, make([]byte, ethernet.MTU-ipv4.HeaderLen-udp.HeaderLen)); err != nil {
+		t.Fatal(err)
+	}
+	p.loop.RunFor(time.Second)
+
+	for _, kind := range want {
+		if seen[kind] == 0 {
+			t.Errorf("no %s was sent", kind)
+		}
+	}
+	if got != 1 {
+		t.Errorf("%d UDP datagrams delivered, want 1", got)
+	}
+	if n := framepool.Live() - live; n != 0 {
+		t.Errorf("%d frames not released after delivery", n)
 	}
 }

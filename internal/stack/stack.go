@@ -193,8 +193,10 @@ type Stack struct {
 	maskBits int
 	stats    counters
 
-	flowCore map[uint32]int // RoundRobinCores assignment table
-	nextCore int
+	// flowCore is the RoundRobinCores assignment table: every flow hash
+	// ever seen keeps the core it first drew. int32 halves a map slot.
+	flowCore map[uint32]int32
+	nextCore int32
 	// dead marks a killed stack (its host NSM crashed): arriving frames
 	// are dropped, nothing is ever transmitted again.
 	dead bool
@@ -286,7 +288,7 @@ func New(cfg Config) *Stack {
 		udpSocks:   make(map[uint16]*UDPSocket),
 		pings:      make(map[uint32]*pingWaiter),
 		nextPort:   49152,
-		flowCore:   make(map[uint32]int),
+		flowCore:   make(map[uint32]int32),
 	}
 	for i := range s.connShards {
 		s.connShards[i].conns = make(map[fourTuple]*tcp.Conn)
@@ -457,15 +459,15 @@ func (s *Stack) coreFor(hash uint32) int {
 		return int(hash)
 	}
 	if core, ok := s.flowCore[hash]; ok {
-		return core
+		return int(core)
 	}
 	core := s.nextCore
 	s.nextCore++
-	if s.cfg.CPU != nil && s.nextCore >= s.cfg.CPU.Cores() {
+	if s.cfg.CPU != nil && int(s.nextCore) >= s.cfg.CPU.Cores() {
 		s.nextCore = 0
 	}
 	s.flowCore[hash] = core
-	return core
+	return int(core)
 }
 
 // rssHash steers a frame to a core by hashing its flow fields, like NIC
@@ -630,15 +632,20 @@ func (s *Stack) sendFragments(hop ipv4.Addr, h ipv4.Header, frame []byte) error 
 
 // sendFrames transmits built IPv4 frames to hop: at once if its MAC is
 // cached, else when ARP resolution completes, asking for it if nobody
-// has yet. Frames whose resolution is abandoned are left to the GC.
+// has yet. Frames whose resolution is abandoned — the retries ran out,
+// or the stack was killed — go back to the pool.
 func (s *Stack) sendFrames(hop ipv4.Addr, frames [][]byte) {
-	send := func(mac ethernet.MAC) {
+	send := func(mac ethernet.MAC, ok bool) {
 		for _, f := range frames {
-			s.sendEthernet(mac, ethernet.TypeIPv4, f)
+			if ok {
+				s.sendEthernet(mac, ethernet.TypeIPv4, f)
+			} else {
+				framepool.Put(f)
+			}
 		}
 	}
 	if mac, ok := s.arpCache.Lookup(hop); ok {
-		send(mac)
+		send(mac, true)
 		return
 	}
 	if first := s.arpCache.Await(hop, send); first {
