@@ -40,6 +40,7 @@ import (
 	"netkernel/internal/netsim"
 	"netkernel/internal/nkqueue"
 	"netkernel/internal/proto/ipv4"
+	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
 	"netkernel/internal/vswitch"
@@ -691,12 +692,27 @@ func (h *harness) checkPools(t Reporter) {
 				t.Errorf("[seed %d] %s pair %d has %d live chunk refs after quiesce",
 					h.seed, vm.Name, i, n)
 			}
-			// Pages are backed on first touch and never released, so the
+			// Units are backed on first touch and never released, so the
 			// count after quiesce is the most the scenario ever held.
-			if n := pair.Pages.Resident(); n > pair.Pages.Pages() {
-				t.Errorf("[seed %d] %s pair %d backs %d huge pages, beyond its %d",
-					h.seed, vm.Name, i, n, pair.Pages.Pages())
+			if n := pair.Pages.Resident(); n > pair.Pages.Units() {
+				t.Errorf("[seed %d] %s pair %d backs %d units, beyond its %d",
+					h.seed, vm.Name, i, n, pair.Pages.Units())
 			}
+		}
+	}
+	// A host's pool carves its pairs' units from whole pages, one page
+	// at a time, and never takes a unit back. A pair lives as long as its
+	// host — MigrateNSM and RestartNSM keep the VM's pair — so each host's
+	// pages are exactly those its one VM's resident units fill, with no
+	// slack page, even after a migration or restart.
+	for host, vm := range map[*hypervisor.Host]*hypervisor.VM{h.h1: h.client, h.h2: h.server} {
+		resident := 0 // bytes
+		for _, pair := range vm.Guest.Pairs() {
+			resident += pair.Pages.Resident() * pair.Pages.UnitSize()
+		}
+		if got, want := host.HugePages.Pages(), (resident+shm.PageSize-1)/shm.PageSize; got != want {
+			t.Errorf("[seed %d] %s's host backs %d huge pages for %d KiB of resident units, want %d",
+				h.seed, vm.Name, got, resident>>10, want)
 		}
 	}
 	for name, host := range map[string]*hypervisor.Host{"h1": h.h1, "h2": h.h2} {

@@ -22,7 +22,7 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	pair, err := nkchan.NewPair(nkchan.Config{})
+	pair, err := nkchan.NewPair(nkchan.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSendChunksAndCredit(t *testing.T) {
 }
 
 func TestSendCreditExhaustionAndWritable(t *testing.T) {
-	pair, _ := nkchan.NewPair(nkchan.Config{})
+	pair, _ := nkchan.NewPair(nkchan.Config{}, nil)
 	loop := sim.NewLoop()
 	var jobs []nqe.Element
 	pair.KickEngineVM = func(int) {
@@ -360,7 +360,7 @@ func TestStatsAccounting(t *testing.T) {
 // nobody else will ever free it.
 func TestSendToFullQueueFreesChunk(t *testing.T) {
 	// A tiny job ring and no engine draining it, so sends back up.
-	pair, err := nkchan.NewPair(nkchan.Config{Queue: nkqueue.Config{Slots: 4}})
+	pair, err := nkchan.NewPair(nkchan.Config{Queue: nkqueue.Config{Slots: 4}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

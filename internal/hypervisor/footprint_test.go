@@ -14,13 +14,14 @@ import (
 	"netkernel/internal/shm"
 )
 
-// A VM↔NSM channel's huge pages are backed on first touch and its four
-// shards split one channel's queue depth (DESIGN.md §17), so a
-// many-tenant world costs the simulator the pages its traffic used and
-// one ring set's bytes per channel, not every tenant's full region and
-// a ring set per shard up front. Eight tenants per host on one shared
-// 4-shard NSM each run a few 64 B round trips; each channel then backs
-// one page and 384 KiB of rings.
+// A VM↔NSM channel's data region backs 64 KiB units on first touch,
+// carved from its host's huge-page pool, and its four shards split one
+// channel's queue depth (DESIGN.md §17), so a many-tenant world costs
+// the simulator the units its traffic used and one ring set's bytes per
+// channel, not every tenant's full region, a page per tenant, or a ring
+// set per shard up front. Eight tenants per host on one shared 4-shard
+// NSM each run a few 64 B round trips; each channel then backs one unit
+// and 384 KiB of rings, and each host one page for its eight channels.
 func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	const (
 		tenants = 8
@@ -55,18 +56,25 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	}
 	stepUntil(t, c, func() bool { return done == tenants })
 
-	pairs, capacity, resident, ringBytes := 0, 0, 0, 0
+	pairs, capacity, units, ringBytes := 0, 0, 0, 0
 	for _, vm := range append(clients, servers...) {
 		for _, pair := range vm.Guest.Pairs() {
 			pairs++
 			capacity += pair.Pages.Pages()
-			resident += pair.Pages.Resident()
+			units += pair.Pages.Resident()
 			for _, q := range pairQueues(pair) {
 				ringBytes += q.Cap() * nqe.Size
 			}
 			if n := pair.Pages.Resident(); n != 1 {
-				t.Errorf("%s's channel backs %d huge pages after %d-byte round trips, want 1", vm.Name, n, msg)
+				t.Errorf("%s's channel backs %d units after %d-byte round trips, want 1", vm.Name, n, msg)
 			}
+		}
+	}
+	pages := 0
+	for name, h := range map[string]*Host{"client": c.h1, "server": c.h2} {
+		pages += h.HugePages.Pages()
+		if n := h.HugePages.Pages(); n != 1 {
+			t.Errorf("%s host backs %d huge pages for its %d channels, want 1", name, n, tenants)
 		}
 	}
 	runtime.GC()
@@ -79,12 +87,12 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	if ringBytes != pairs*384<<10 {
 		t.Errorf("%d channels hold %d KiB of rings, want 384 KiB each", pairs, ringBytes>>10)
 	}
-	// The 16 resident pages and 16 ring sets measure 40.2 MiB of live heap
-	// on linux/amd64; the limit is that plus 25 %, which four 1 024-slot
-	// ring sets per channel (58.2 MiB) exceed.
-	const limit = 50 << 20
-	t.Logf("%d channels: %d of %d huge pages resident (%d MiB of capacity), %d KiB of rings per channel, live heap %.1f MiB (limit %.1f MiB)",
-		pairs, resident, capacity, capacity*shm.PageSize>>20, ringBytes/pairs>>10, float64(ms.HeapAlloc)/(1<<20), float64(limit)/(1<<20))
+	// The 2 resident pages and 16 ring sets measure 12.4 MiB of live heap
+	// on linux/amd64; the limit is that plus 25 %, which a page per
+	// channel (40.2 MiB) exceeds.
+	const limit = 15.5 * (1 << 20)
+	t.Logf("%d channels: %d resident units on %d huge pages (%d MiB of capacity), %d KiB of rings per channel, live heap %.1f MiB (limit %.1f MiB)",
+		pairs, units, pages, capacity*shm.PageSize>>20, ringBytes/pairs>>10, float64(ms.HeapAlloc)/(1<<20), float64(limit)/(1<<20))
 	if ms.HeapAlloc >= limit {
 		t.Errorf("live heap %.1f MiB with %d channels, want below %.1f MiB",
 			float64(ms.HeapAlloc)/(1<<20), pairs, float64(limit)/(1<<20))
@@ -92,10 +100,11 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 }
 
 // A 4-shard pair whose connections sit on all four shards backs the
-// pages its peak outstanding chunks need: one page, holding both the
-// receive chunks and the 64 B sends, on both sides — not a page per
-// flow shard, nor a second page for small messages. Its rings split the
-// channel's 1 024-slot depth: 256 slots each.
+// units its peak outstanding chunks need: one 64 KiB unit, holding both
+// the receive chunks and the 64 B sends, on both sides — not a unit per
+// flow shard, nor a second unit for small messages — and each host backs
+// the one page that unit is carved from. Its rings split the channel's
+// 1 024-slot depth: 256 slots each.
 func TestFourShardPairBacksOnePage(t *testing.T) {
 	const (
 		conns  = 8
@@ -130,10 +139,15 @@ func TestFourShardPairBacksOnePage(t *testing.T) {
 			}
 		}
 	}
+	for name, h := range map[string]*Host{"client": c.h1, "server": c.h2} {
+		if n := h.HugePages.Pages(); n != 1 {
+			t.Errorf("%s host backs %d huge pages, want 1", name, n)
+		}
+	}
 	for name, vm := range map[string]*VM{"client": vma, "server": vmb} {
 		for _, pair := range vm.Guest.Pairs() {
 			if n := pair.Pages.Resident(); n != 1 {
-				t.Errorf("%s pair backs %d huge pages after %d-byte round trips on four shards, want 1", name, n, msg)
+				t.Errorf("%s pair backs %d units after %d-byte round trips on four shards, want 1", name, n, msg)
 			}
 			for i, q := range pairQueues(pair) {
 				if q.Cap() != 256 {

@@ -13,6 +13,7 @@ import (
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/sched"
 	"netkernel/internal/servicelib"
+	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
 	"netkernel/internal/telemetry"
@@ -87,6 +88,9 @@ type Host struct {
 	NIC    *netsim.NIC
 	Switch *vswitch.Switch
 	Engine *CoreEngine
+	// HugePages is the host's huge-page pool: every VM↔NSM pair's data
+	// region carves its units from these pages (DESIGN.md §17).
+	HugePages *shm.Pool
 
 	// Metrics is the host's unified telemetry registry; every layer
 	// registers its counters here under "<instance>.<subsystem>."
@@ -122,12 +126,13 @@ func NewHost(cfg HostConfig) *Host {
 		cfg.Chan.Shards = cfg.Shards
 	}
 	h := &Host{
-		cfg:   cfg,
-		clock: cfg.Clock,
-		rng:   cfg.RNG,
-		CPU:   netsim.NewCPU(cfg.Clock, cfg.Cores),
-		vms:   make(map[uint32]*VM),
-		nsms:  make(map[uint32]*NSM),
+		cfg:       cfg,
+		clock:     cfg.Clock,
+		rng:       cfg.RNG,
+		CPU:       netsim.NewCPU(cfg.Clock, cfg.Cores),
+		vms:       make(map[uint32]*VM),
+		nsms:      make(map[uint32]*NSM),
+		HugePages: shm.NewPool(),
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
@@ -554,7 +559,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 			}
 			vm.NSMs = append(vm.NSMs, nsm)
 
-			pair, err := nkchan.NewPair(chanCfg)
+			pair, err := nkchan.NewPair(chanCfg, h.HugePages)
 			if err != nil {
 				return nil, fmt.Errorf("hypervisor: %w", err)
 			}

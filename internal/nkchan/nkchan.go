@@ -23,8 +23,9 @@ type Config struct {
 	// channel's shards split one queue depth between them.
 	Queue nkqueue.Config
 	// HugePages is the page count of the data region (default 40, the
-	// prototype's allocation). It is capacity, not cost: a page is
-	// backed only when a chunk on it is first touched (DESIGN.md §17).
+	// prototype's allocation). It is capacity, not cost: the region backs
+	// a 64 KiB unit, carved from its host's page pool, only when a chunk
+	// on it is first touched (DESIGN.md §17).
 	HugePages int
 	// ChunkSize is the data-chunk granularity (default 8 KB, the chunk
 	// size of Figure 4's caption).
@@ -80,7 +81,7 @@ type Pair struct {
 	Shards []Rings
 	// Pages is the shared data region, unique per pair (§3.1
 	// isolation) and shared by all shards through one free list, so
-	// the pair backs only the pages its peak outstanding chunks need.
+	// the pair backs only the units its peak outstanding chunks need.
 	Pages *shm.HugePages
 
 	// Kicks are the notification hooks wired by the owners, the
@@ -94,10 +95,11 @@ type Pair struct {
 	KickVM        func(shard int) // CoreEngine → GuestLib: VM completion/receive queues have work
 }
 
-// NewPair allocates the queues and data region.
-func NewPair(cfg Config) (*Pair, error) {
+// NewPair allocates the queues and reserves the data region, whose
+// units are carved from pool's pages; a nil pool means a private one.
+func NewPair(cfg Config, pool *shm.Pool) (*Pair, error) {
 	cfg.fillDefaults()
-	pages, err := shm.NewHugePages(cfg.HugePages, cfg.ChunkSize)
+	pages, err := shm.NewHugePagesIn(pool, cfg.HugePages, cfg.ChunkSize)
 	if err != nil {
 		return nil, err
 	}

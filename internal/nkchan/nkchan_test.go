@@ -9,7 +9,7 @@ import (
 )
 
 func TestNewPairDefaults(t *testing.T) {
-	p, err := NewPair(Config{})
+	p, err := NewPair(Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,8 +20,12 @@ func TestNewPairDefaults(t *testing.T) {
 	if p.Pages.Pages() != shm.DefaultPageCount || p.Pages.Chunks() != 10240 {
 		t.Fatalf("%d pages of %d chunks, want 40 pages of 10 240", p.Pages.Pages(), p.Pages.Chunks())
 	}
+	// Backed in 64 KiB units of 8 chunks, none of them yet.
+	if p.Pages.Units() != 1280 || p.Pages.UnitSize() != shm.UnitSize {
+		t.Fatalf("%d units of %d bytes, want 1 280 of %d", p.Pages.Units(), p.Pages.UnitSize(), shm.UnitSize)
+	}
 	if p.Pages.FreeCount() != 10240 || p.Pages.Resident() != 0 {
-		t.Fatalf("a new pair has %d free chunks and %d resident pages, want 10 240 and 0", p.Pages.FreeCount(), p.Pages.Resident())
+		t.Fatalf("a new pair has %d free chunks and %d resident units, want 10 240 and 0", p.Pages.FreeCount(), p.Pages.Resident())
 	}
 	// All six queues usable.
 	e := nqe.Element{Op: nqe.OpSend, Source: nqe.FromVM}
@@ -38,7 +42,7 @@ func TestNewPairDefaults(t *testing.T) {
 	// Slots is per ring on every shard: an explicit depth, or DefaultSlots
 	// when left at 0.
 	for slots, want := range map[int]int{4: 4, 0: nkqueue.DefaultSlots} {
-		p, err := NewPair(Config{Shards: 4, Queue: nkqueue.Config{Slots: slots}})
+		p, err := NewPair(Config{Shards: 4, Queue: nkqueue.Config{Slots: slots}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +90,7 @@ func TestRingSlots(t *testing.T) {
 }
 
 func TestNewPairPriorityQueues(t *testing.T) {
-	p, err := NewPair(Config{Queue: nkqueue.Config{Priority: true, Slots: 8}})
+	p, err := NewPair(Config{Queue: nkqueue.Config{Priority: true, Slots: 8}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +106,31 @@ func TestNewPairPriorityQueues(t *testing.T) {
 }
 
 func TestNewPairBadConfig(t *testing.T) {
-	if _, err := NewPair(Config{Queue: nkqueue.Config{Slots: 3}}); err == nil {
+	if _, err := NewPair(Config{Queue: nkqueue.Config{Slots: 3}}, nil); err == nil {
 		t.Fatal("bad slot count accepted")
 	}
-	if _, err := NewPair(Config{ChunkSize: 3000}); err == nil {
+	if _, err := NewPair(Config{ChunkSize: 3000}, nil); err == nil {
 		t.Fatal("chunk size not dividing the page accepted")
 	}
 }
 
+// Pairs never see each other's data, whether each has a private pool or
+// both carve their units from one host's page.
 func TestPairIsolation(t *testing.T) {
-	a, _ := NewPair(Config{})
-	b, _ := NewPair(Config{})
-	ca, _ := a.Pages.Alloc()
-	a.Pages.Write(ca, []byte("tenant-a"))
-	cb, _ := b.Pages.Alloc()
-	buf := make([]byte, 8)
-	b.Pages.Read(cb, buf, 8)
-	if string(buf) == "tenant-a" {
-		t.Fatal("pairs share huge pages")
+	shared := shm.NewPool()
+	for _, pools := range [][2]*shm.Pool{{nil, nil}, {shared, shared}} {
+		a, _ := NewPair(Config{}, pools[0])
+		b, _ := NewPair(Config{}, pools[1])
+		ca, _ := a.Pages.Alloc()
+		a.Pages.Write(ca, []byte("tenant-a"))
+		cb, _ := b.Pages.Alloc()
+		buf := make([]byte, 8)
+		b.Pages.Read(cb, buf, 8)
+		if string(buf) == "tenant-a" {
+			t.Fatalf("pairs share huge pages (shared pool %v)", pools[0] != nil)
+		}
+	}
+	if n := shared.Pages(); n != 1 {
+		t.Fatalf("two pairs with one unit each took %d pages of their pool, want 1", n)
 	}
 }

@@ -37,7 +37,7 @@ func newHarness(t *testing.T, cc string) *harness {
 	t.Helper()
 	loop := sim.NewLoop()
 	rng := sim.NewRNG(11)
-	pair, err := nkchan.NewPair(nkchan.Config{})
+	pair, err := nkchan.NewPair(nkchan.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

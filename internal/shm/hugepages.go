@@ -19,12 +19,12 @@ type Chunk struct {
 // HugePages is a refcounted chunk allocator over a shared region,
 // standing in for the per-VM↔NSM huge-page area. Every chunk has the
 // same size, whatever it carries: a 64 B message recycles a chunk on the
-// page the pair's bulk traffic already backs (DESIGN.md §11, §17).
+// unit the pair's bulk traffic already backs (DESIGN.md §11, §17).
 //
 // Chunks are handed out from one LIFO of freed chunks under one mutex
 // and, when that is empty, from a bump cursor over the chunks never
 // handed out. The chunks ever handed out are therefore exactly the
-// lowest peak-outstanding indexes, and a pair backs the pages that peak
+// lowest peak-outstanding indexes, and a pair backs the units that peak
 // spans and no more. Production callers allocate from one goroutine
 // (the event loop, or a RealClock callback under its lock), so the
 // mutex is never contended there; it keeps the allocator safe for any
@@ -48,19 +48,29 @@ type HugePages struct {
 }
 
 // NewHugePages builds an allocator of pages×PageSize bytes divided into
-// chunkSize chunks. chunkSize must divide PageSize. The pages are
-// reserved, not backed: each is backed when a chunk on it is first
-// touched.
+// chunkSize chunks, over a pool of its own. chunkSize must divide
+// PageSize. The region is reserved, not backed: each unit is backed when
+// a chunk on it is first touched.
 func NewHugePages(pages, chunkSize int) (*HugePages, error) {
+	return NewHugePagesIn(nil, pages, chunkSize)
+}
+
+// NewHugePagesIn is NewHugePages over pool, whose pages the region's
+// units are carved from; a nil pool means a private one. A region's unit
+// is UnitSize, or one chunk if the chunk is larger.
+func NewHugePagesIn(pool *Pool, pages, chunkSize int) (*HugePages, error) {
 	if pages <= 0 {
 		return nil, fmt.Errorf("shm: non-positive page count %d", pages)
 	}
 	if chunkSize <= 0 || PageSize%chunkSize != 0 {
 		return nil, fmt.Errorf("shm: chunk size %d must be positive and divide the %d-byte page", chunkSize, PageSize)
 	}
+	if pool == nil {
+		pool = NewPool()
+	}
 	n := pages * (PageSize / chunkSize)
 	return &HugePages{
-		region:    newRegion(pages * PageSize),
+		region:    newRegion(pool, pages*PageSize, max(UnitSize, chunkSize)),
 		chunkSize: chunkSize,
 		// Sized for every chunk at once, so Free never grows it.
 		free: make([]int32, 0, n),
@@ -74,11 +84,17 @@ func (h *HugePages) ChunkSize() int { return h.chunkSize }
 // Chunks returns the total number of chunks.
 func (h *HugePages) Chunks() int { return len(h.refs) }
 
-// Pages returns the region's page count: the most Resident can ever
-// read.
-func (h *HugePages) Pages() int { return len(h.region.pages) }
+// Pages returns the region's capacity in pages.
+func (h *HugePages) Pages() int { return h.region.size / PageSize }
 
-// Resident returns the number of pages backed so far. A page is backed
+// Units returns the region's unit count: the most Resident can ever
+// read.
+func (h *HugePages) Units() int { return len(h.region.units) }
+
+// UnitSize returns the size of the units the region backs, in bytes.
+func (h *HugePages) UnitSize() int { return 1 << h.region.shift }
+
+// Resident returns the number of units backed so far. A unit is backed
 // by the first Bytes, Write or Read of a chunk on it and never released,
 // so the count only grows (DESIGN.md §17).
 func (h *HugePages) Resident() int { return h.region.resident() }
@@ -194,8 +210,8 @@ func (h *HugePages) index(c Chunk) int32 {
 // Bytes returns the chunk's full window. The slice aliases shared
 // memory.
 func (h *HugePages) Bytes(c Chunk) []byte {
-	// index checks the offset; a chunk never spans two pages because the
-	// chunk size divides the page.
+	// index checks the offset; a chunk never spans two units because the
+	// chunk size divides the unit.
 	h.index(c)
 	return h.region.window(int(c.Offset), h.chunkSize)
 }

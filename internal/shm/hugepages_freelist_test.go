@@ -88,89 +88,123 @@ func TestHugePagesExhaustsEveryChunk(t *testing.T) {
 }
 
 // TestHugePagesPeakOracle drives seeded random Alloc/AllocSized/Retain/Free
-// sequences against a model of the allocator. After every step the pages
-// backed must be exactly the pages the peak outstanding chunks span —
-// ⌈peak × chunk size / PageSize⌉, every handed-out chunk being touched —
-// and FreeCount, LiveRefs and the uniqueness of live offsets must all
-// agree with the model.
+// sequences against a model of the allocator, over three regions sharing
+// one pool. After every step each region's resident units must be
+// exactly the units its peak outstanding chunks span —
+// ⌈peak × chunk size / unit size⌉, every handed-out chunk being touched —
+// the pool's pages exactly those the regions' units fill, with no slack
+// page, and FreeCount, LiveRefs and the uniqueness of live offsets must
+// all agree with the model. It runs once with chunks of their own unit
+// and once with two chunks to a UnitSize unit.
 func TestHugePagesPeakOracle(t *testing.T) {
 	const (
-		chunkSize = PageSize / 8 // 8 chunks per page
-		steps     = 3000
+		regions = 3
+		steps   = 6000
 	)
-	for seed := uint64(1); seed <= 16; seed++ {
-		h, err := NewHugePages(3, chunkSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewPCG(seed, 0x5eed))
-		refs := map[uint64]int{} // live chunk offset → model refcount
-		var live []Chunk         // the keys of refs, for random picks
-		out, peak := 0, 0        // outstanding and peak chunks
-		for step := 0; step < steps; step++ {
-			// Alternate allocation-heavy and free-heavy phases so runs
-			// both exhaust the region and drain it.
-			allocBias := 0.3
-			if step/200%2 == 0 {
-				allocBias = 0.7
-			}
-			switch r := rng.Float64(); {
-			case r < allocBias:
-				var c Chunk
-				var ok bool
-				if r < allocBias/2 {
-					c, ok = h.Alloc()
-				} else {
-					c, ok = h.AllocSized(1 + rng.IntN(chunkSize))
+	type model struct {
+		h         *HugePages
+		refs      map[uint64]int // live chunk offset → model refcount
+		live      []Chunk        // the keys of refs, for random picks
+		out, peak int            // outstanding and peak chunks
+		resident  int            // resident units after the last step
+	}
+	for _, shape := range []struct{ pages, chunkSize int }{
+		{3, PageSize / 8}, // 24 chunks, each its own unit
+		{1, UnitSize / 2}, // 64 chunks, two to a unit
+	} {
+		chunkSize := shape.chunkSize
+		for seed := uint64(1); seed <= 16; seed++ {
+			pool := NewPool()
+			ms := make([]*model, regions)
+			for i := range ms {
+				h, err := NewHugePagesIn(pool, shape.pages, chunkSize)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if out == h.Chunks() {
-					if ok {
-						t.Fatalf("seed %d: alloc succeeded at offset %d with every chunk out", seed, c.Offset)
+				ms[i] = &model{h: h, refs: map[uint64]int{}}
+			}
+			unit := ms[0].h.UnitSize()
+			if unit != max(chunkSize, UnitSize) {
+				t.Fatalf("chunk %d: unit of %d bytes, want %d", chunkSize, unit, max(chunkSize, UnitSize))
+			}
+			rng := rand.New(rand.NewPCG(seed, 0x5eed))
+			for step := 0; step < steps; step++ {
+				m := ms[rng.IntN(regions)]
+				h := m.h
+				// Alternate allocation-heavy and free-heavy phases so runs
+				// both exhaust the regions and drain them.
+				allocBias := 0.3
+				if step/450%2 == 0 {
+					allocBias = 0.7
+				}
+				switch r := rng.Float64(); {
+				case r < allocBias:
+					var c Chunk
+					var ok bool
+					if r < allocBias/2 {
+						c, ok = h.Alloc()
+					} else {
+						c, ok = h.AllocSized(1 + rng.IntN(chunkSize))
 					}
-					break
+					if m.out == h.Chunks() {
+						if ok {
+							t.Fatalf("seed %d: alloc succeeded at offset %d with every chunk out", seed, c.Offset)
+						}
+						break
+					}
+					if !ok {
+						t.Fatalf("seed %d: alloc failed with %d/%d chunks out", seed, m.out, h.Chunks())
+					}
+					if _, dup := m.refs[c.Offset]; dup {
+						t.Fatalf("seed %d: offset %d handed out twice", seed, c.Offset)
+					}
+					h.Write(c, []byte{byte(seed)})
+					m.refs[c.Offset] = 1
+					m.live = append(m.live, c)
+					m.out++
+					m.peak = max(m.peak, m.out)
+				case len(m.live) > 0 && r < allocBias+0.1:
+					c := m.live[rng.IntN(len(m.live))]
+					h.Retain(c)
+					m.refs[c.Offset]++
+				case len(m.live) > 0:
+					i := rng.IntN(len(m.live))
+					c := m.live[i]
+					h.Free(c)
+					if m.refs[c.Offset]--; m.refs[c.Offset] == 0 {
+						delete(m.refs, c.Offset)
+						m.live[i] = m.live[len(m.live)-1]
+						m.live = m.live[:len(m.live)-1]
+						m.out--
+					}
 				}
-				if !ok {
-					t.Fatalf("seed %d: alloc failed with %d/%d chunks out", seed, out, h.Chunks())
+				m.resident = h.Resident()
+				if got, want := m.resident, (m.peak*chunkSize+unit-1)/unit; got != want {
+					t.Fatalf("chunk %d seed %d step %d: Resident = %d, want %d for a peak of %d chunks", chunkSize, seed, step, got, want, m.peak)
 				}
-				if _, dup := refs[c.Offset]; dup {
-					t.Fatalf("seed %d: offset %d handed out twice", seed, c.Offset)
+				if got, want := h.FreeCount(), h.Chunks()-m.out; got != want {
+					t.Fatalf("seed %d step %d: FreeCount = %d, want %d", seed, step, got, want)
 				}
-				h.Write(c, []byte{byte(seed)})
-				refs[c.Offset] = 1
-				live = append(live, c)
-				out++
-				peak = max(peak, out)
-			case len(live) > 0 && r < allocBias+0.1:
-				c := live[rng.IntN(len(live))]
-				h.Retain(c)
-				refs[c.Offset]++
-			case len(live) > 0:
-				i := rng.IntN(len(live))
-				c := live[i]
-				h.Free(c)
-				if refs[c.Offset]--; refs[c.Offset] == 0 {
-					delete(refs, c.Offset)
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-					out--
+				sum := 0
+				for _, n := range m.refs {
+					sum += n
+				}
+				if got := h.LiveRefs(); got != sum {
+					t.Fatalf("seed %d step %d: LiveRefs = %d, want %d", seed, step, got, sum)
+				}
+				units := 0
+				for _, m := range ms {
+					units += m.resident
+				}
+				if got, want := pool.Pages(), (units*unit+PageSize-1)/PageSize; got != want {
+					t.Fatalf("chunk %d seed %d step %d: the pool holds %d pages for %d units, want %d", chunkSize, seed, step, got, units, want)
 				}
 			}
-			if got, want := h.Resident(), (peak*chunkSize+PageSize-1)/PageSize; got != want {
-				t.Fatalf("seed %d step %d: Resident = %d, want %d for a peak of %d chunks", seed, step, got, want, peak)
+			for i, m := range ms {
+				if m.peak < m.h.Chunks() {
+					t.Fatalf("chunk %d seed %d: region %d peaked at %d/%d chunks: the sequence never exhausted it", chunkSize, seed, i, m.peak, m.h.Chunks())
+				}
 			}
-			if got, want := h.FreeCount(), h.Chunks()-out; got != want {
-				t.Fatalf("seed %d step %d: FreeCount = %d, want %d", seed, step, got, want)
-			}
-			sum := 0
-			for _, n := range refs {
-				sum += n
-			}
-			if got := h.LiveRefs(); got != sum {
-				t.Fatalf("seed %d step %d: LiveRefs = %d, want %d", seed, step, got, sum)
-			}
-		}
-		if peak < h.Chunks() {
-			t.Fatalf("seed %d: peak of %d/%d chunks: the sequence never exhausted the region", seed, peak, h.Chunks())
 		}
 	}
 }

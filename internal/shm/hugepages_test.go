@@ -221,7 +221,7 @@ func TestAllocSizedDispatch(t *testing.T) {
 	}
 }
 
-// Bytes checks a descriptor's offset before it reaches a page: an offset
+// Bytes checks a descriptor's offset before it reaches a unit: an offset
 // that is misaligned, would cross a page boundary or lies past the region
 // panics and backs nothing. A valid chunk's window ends at its chunk, the
 // last chunk of a page exactly on the boundary, and aliases region memory.
@@ -243,15 +243,17 @@ func TestHugePagesBytesBounds(t *testing.T) {
 		}()
 	}
 	if n := h.Resident(); n != 0 {
-		t.Fatalf("rejected offsets backed %d pages", n)
+		t.Fatalf("rejected offsets backed %d units", n)
 	}
 	last := Chunk{Offset: PageSize - uint64(h.ChunkSize())}
 	b := h.Bytes(last)
 	if len(b) != h.ChunkSize() || cap(b) != h.ChunkSize() {
 		t.Fatalf("window of %d bytes, capacity %d, want both %d", len(b), cap(b), h.ChunkSize())
 	}
-	if h.Resident() != 1 || h.region.pages[1].Load() != nil {
-		t.Fatalf("the last chunk of page 0 backed %d pages, want page 0 alone", h.Resident())
+	// A chunk larger than UnitSize is its own unit: the last chunk of
+	// page 0 backs unit 3 alone, not its neighbours on the page.
+	if h.UnitSize() != h.ChunkSize() || h.Resident() != 1 || h.region.units[3].Load() == nil {
+		t.Fatalf("the last chunk of page 0 backed %d units of %d bytes, want its own unit of %d alone", h.Resident(), h.UnitSize(), h.ChunkSize())
 	}
 	b[0] = 7
 	if h.Bytes(last)[0] != 7 {
