@@ -207,6 +207,12 @@ type harness struct {
 	// was built; after quiesce it must be back there (checkPools).
 	framesBoot int64
 
+	// tableErr is the first inconsistency checkTables found in an
+	// engine's mapping table while the workload ran, and tableLive the
+	// mappings those checks saw (checkPools reports both).
+	tableErr  string
+	tableLive int
+
 	// namesBoot is each host's full registry name set right after VM
 	// creation; untraced scenarios re-check it after quiesce so NSM
 	// restarts provably neither leak nor duplicate metric names.
@@ -329,6 +335,7 @@ func (h *harness) run() *Result {
 	}
 
 	h.loop.RunFor(prof.Run)
+	h.checkTables(-1)
 	h.shutdown = true
 	h.closeStragglers()
 	h.loop.RunFor(prof.Quiesce)
@@ -530,6 +537,7 @@ func (h *harness) migrateServer(mp MigrationPoint) {
 // startConn opens workload connection i: send a framed payload, expect
 // it echoed verbatim, close cleanly.
 func (h *harness) startConn(i int) {
+	h.checkTables(i)
 	g := h.client.Guest
 	body := make([]byte, 1+h.wrng.Intn(h.prof.MaxBody))
 	for j := 0; j+8 <= len(body); j += 8 {
@@ -598,6 +606,22 @@ func (h *harness) startConn(i int) {
 			g.Close(c.fd)
 		}
 	})
+}
+
+// checkTables checks both engines' mapping tables while the workload's
+// mappings are live — as connection i starts, or at the end of the
+// workload when i < 0 — since after quiesce they are empty.
+func (h *harness) checkTables(i int) {
+	for _, host := range []*hypervisor.Host{h.h1, h.h2} {
+		h.tableLive += host.Engine.Mappings()
+		if err := host.Engine.CheckFlowAffinity(); err != nil && h.tableErr == "" {
+			when := "at the end of the workload"
+			if i >= 0 {
+				when = fmt.Sprintf("as conn %d started", i)
+			}
+			h.tableErr = fmt.Sprintf("engine %s %s: %v", host.Name(), when, err)
+		}
+	}
 }
 
 // closeStragglers force-closes anything the workload left open so the
@@ -719,12 +743,17 @@ func (h *harness) checkPools(t Reporter) {
 		if n := host.Engine.Mappings(); n != 0 {
 			t.Errorf("[seed %d] engine %s holds %d fd↔cID mappings after quiesce", h.seed, name, n)
 		}
-		// Flow affinity: no fd or connection ID may ever have appeared
-		// on two shards of the same channel — once a flow is steered,
-		// every nqe it produces rides the same ring set for life.
 		if err := host.Engine.CheckFlowAffinity(); err != nil {
 			t.Errorf("[seed %d] engine %s: %v", h.seed, name, err)
 		}
+	}
+	// The table checks made while the workload ran: every fd and cID
+	// maps to one record, on a shard of its channel.
+	if h.tableErr != "" {
+		t.Errorf("[seed %d] %s", h.seed, h.tableErr)
+	}
+	if h.tableLive == 0 {
+		t.Errorf("[seed %d] the table checks during the workload saw no live mapping", h.seed)
 	}
 	for _, nsm := range []*hypervisor.NSM{h.client.NSM, h.server.NSM} {
 		if n := nsm.Stack.ConnCount(); n != 0 {

@@ -1080,8 +1080,14 @@ func (g *GuestLib) handleCompletion(pair *nkchan.Pair, e *nqe.Element) {
 		if e.Status != nqe.StatusOK {
 			// The CoreEngine could not install the mapping (the NSM
 			// crashed or rejected the socket): dead on arrival. Deferred
-			// operations are dropped; the application learns through the
+			// operations are dropped, and the chunk of each deferred
+			// datagram with them; the application learns through the
 			// usual terminal callbacks.
+			for i := range s.deferred {
+				if d := &s.deferred[i]; d.Op == nqe.OpSend {
+					s.pair.Pages.Free(shmChunk(d.DataOff))
+				}
+			}
 			s.deferred = s.deferred[:0]
 			wasConnecting := s.state == stConnecting
 			wasClosed := s.state == stClosed

@@ -225,21 +225,15 @@ func TestAllocsConveyorPolledRoundTrip(t *testing.T) {
 	}
 }
 
-// Connection churn allocates nothing on the NSM side either (DESIGN.md
-// §16): once the free lists are warm, a whole short flow — socket,
-// connect, 64 B echo, close, on both hosts — reuses the TCP connection,
-// its callbacks and every per-connection queue. The client's callbacks
-// are built once, so nothing the test itself does allocates per flow.
 // pollEchoServer listens on port with the short-flow server shape: a
 // poller echo loop that accepts in batches and closes on the client's
-// EOF.
-func pollEchoServer(t *testing.T, srv *guestlib.GuestLib, port uint16) {
+// EOF. It returns the listener's descriptor.
+func pollEchoServer(t *testing.T, srv *guestlib.GuestLib, port uint16) (lfd int32) {
 	t.Helper()
 	sbuf := make([]byte, 4<<10)
 	events := make([]guestlib.PollEvent, 16)
 	accepted := make([]int32, 16)
 	var p *guestlib.Poller
-	var lfd int32
 	p = srv.NewPoller(func() {
 		for {
 			n := p.Wait(events)
@@ -273,8 +267,14 @@ func pollEchoServer(t *testing.T, srv *guestlib.GuestLib, port uint16) {
 	if err := p.Add(lfd); err != nil {
 		t.Fatal(err)
 	}
+	return lfd
 }
 
+// Connection churn allocates nothing on the NSM side either (DESIGN.md
+// §16): once the free lists are warm, a whole short flow — socket,
+// connect, 64 B echo, close, on both hosts — reuses the TCP connection,
+// its callbacks and every per-connection queue. The client's callbacks
+// are built once, so nothing the test itself does allocates per flow.
 func TestAllocsShortFlowChurn(t *testing.T) {
 	const msg = 64
 	c := newCluster(t, nil)

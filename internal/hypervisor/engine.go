@@ -34,13 +34,6 @@ type EngineConfig struct {
 	Tracer *telemetry.Tracer
 }
 
-// mappingGrace is how long a closed listener's fd↔cID entry survives its
-// conn-closed event: an OpNewConn for the listener rides the accepted
-// flow's shard, not the listener's, and may be translated after the
-// close (lookupListener). Every other mapping retires as soon as both
-// sides are done with it (settle).
-const mappingGrace = 2 * time.Second
-
 func (c *EngineConfig) fillDefaults() {
 	if c.NotifyLatency <= 0 {
 		c.NotifyLatency = time.Microsecond
@@ -65,50 +58,49 @@ type EngineStats struct {
 	DiscardedElements uint64 // in-flight nqes dropped by a reset
 }
 
-// Mappings returns the total live fd↔cID entries across pairs and
-// shards (monitoring; a steadily growing value would indicate a
-// leak). Safe to call from any goroutine.
+// Mappings returns the total live fd↔cID entries across pairs
+// (monitoring; a steadily growing value would indicate a leak). Safe to
+// call from any goroutine.
 func (ce *CoreEngine) Mappings() int {
 	n := 0
 	for _, ep := range ce.pairs {
-		for _, sh := range ep.shards {
-			sh.mu.Lock()
-			n += len(sh.byFD)
-			sh.mu.Unlock()
-		}
+		ep.mu.Lock()
+		n += len(ep.byFD)
+		ep.mu.Unlock()
 	}
 	return n
 }
 
-// CheckFlowAffinity verifies the shard-for-life invariant on the
-// mapping table: a descriptor (and its cID) may live on exactly one
-// shard of its pair. A violation means an nqe for a live flow crossed
-// shards — the bug class sharding must exclude. Safe to call from any
-// goroutine.
+// CheckFlowAffinity verifies each pair's mapping table: every fd names a
+// record that maps back to it, the record's cID names the same record,
+// no cID is left without an fd, and the record's home shard — the only
+// shard whose flow elements may translate through it — is one of the
+// pair's. Safe to call from any goroutine.
 func (ce *CoreEngine) CheckFlowAffinity() error {
 	for _, ep := range ce.pairs {
-		fdShard := make(map[int32]int)
-		cidShard := make(map[uint32]int)
-		for _, sh := range ep.shards {
-			sh.mu.Lock()
-			for fd := range sh.byFD {
-				if prev, dup := fdShard[fd]; dup {
-					sh.mu.Unlock()
-					return fmt.Errorf("vm%d/nsm%d: fd %d mapped on shards %d and %d",
-						ep.vmID, ep.nsmID, fd, prev, sh.idx)
-				}
-				fdShard[fd] = sh.idx
-			}
-			for cid := range sh.byCID {
-				if prev, dup := cidShard[cid]; dup {
-					sh.mu.Unlock()
-					return fmt.Errorf("vm%d/nsm%d: cID %d mapped on shards %d and %d",
-						ep.vmID, ep.nsmID, cid, prev, sh.idx)
-				}
-				cidShard[cid] = sh.idx
-			}
-			sh.mu.Unlock()
+		if err := ep.checkTable(); err != nil {
+			return fmt.Errorf("vm%d/nsm%d: %v", ep.vmID, ep.nsmID, err)
 		}
+	}
+	return nil
+}
+
+func (ep *enginePair) checkTable() error {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for fd, i := range ep.byFD {
+		m := &ep.recs[i] // only its identity: the rest is the loop's
+		switch {
+		case m.fd != fd:
+			return fmt.Errorf("fd %d names the record of fd %d", fd, m.fd)
+		case ep.byCID[m.cid] != i:
+			return fmt.Errorf("fd %d maps to cID %d, which names another record", fd, m.cid)
+		case int(m.shard) >= len(ep.shards):
+			return fmt.Errorf("fd %d lives on shard %d of %d", fd, m.shard, len(ep.shards))
+		}
+	}
+	if len(ep.byCID) != len(ep.byFD) {
+		return fmt.Errorf("%d cIDs mapped for %d fds", len(ep.byCID), len(ep.byFD))
 	}
 	return nil
 }
@@ -118,29 +110,23 @@ func (ce *CoreEngine) CheckFlowAffinity() error {
 // mapping table, and assigns descriptors for accepted connections.
 //
 // With a sharded channel the engine runs one logical pump per shard
-// (the journal version's multi-queue NSM): each shard owns a slice of
-// the mapping table and its own backlogs, and a flow's elements
-// only ever ride the shard its RSS hash pinned it to. All pumps
-// execute on the simulation loop; same-instant pumps run in kick
-// order, which producers issue in ascending shard order, keeping runs
-// pure functions of the seed.
+// (the journal version's multi-queue NSM), each with its own backlogs,
+// over one mapping table per channel. A flow's elements only ever ride
+// the shard its RSS hash pinned it to, and its record remembers that
+// shard. All pumps execute on the simulation loop; same-instant pumps
+// run in kick order, which producers issue in ascending shard order,
+// keeping runs pure functions of the seed.
 type CoreEngine struct {
 	clock sim.Clock
 	cfg   EngineConfig
 	pairs []*enginePair
 	stats EngineStats
-	// grace holds the mapping retirements of closed listeners: every one
-	// waits mappingGrace, so they come due in closing order and share one
-	// event-loop entry.
-	grace sim.Lane
 }
 
 // NewCoreEngine builds the daemon.
 func NewCoreEngine(clock sim.Clock, cfg EngineConfig) *CoreEngine {
 	cfg.fillDefaults()
-	ce := &CoreEngine{clock: clock, cfg: cfg}
-	ce.grace.Init(clock)
-	return ce
+	return &CoreEngine{clock: clock, cfg: cfg}
 }
 
 // Stats returns a copy of the counters.
@@ -149,10 +135,9 @@ func (ce *CoreEngine) Stats() EngineStats { return ce.stats }
 // Pairs returns the number of attached VM↔NSM channels.
 func (ce *CoreEngine) Pairs() int { return len(ce.pairs) }
 
-// enginePair is one VM↔NSM channel's state inside the engine. The
-// translation state lives in its shards; the pair holds what is
-// shard-invariant: identity, latency, the boot gate, and the
-// accepted-connection descriptor allocator.
+// enginePair is one VM↔NSM channel's state inside the engine: identity,
+// latency, the boot gate, the accepted-connection descriptor allocator
+// and the fd↔cID mapping table. Its shards hold the pumps.
 type enginePair struct {
 	engine *CoreEngine
 	ch     *nkchan.Pair
@@ -169,31 +154,31 @@ type enginePair struct {
 
 	readyAt sim.Time // NSM boot gate
 	shards  []*pairShard
-}
 
-// pairShard is one shard's pump state: its rings, its slice of the
-// fd↔cID mapping table, and its backlogs. The mutex guards the
-// maps for management-plane readers (Mappings, CheckFlowAffinity);
-// all mutation happens on the loop goroutine, and only the loop
-// goroutine reads the records.
-type pairShard struct {
-	ep    *enginePair
-	idx   int
-	rings *nkchan.Rings
-
+	// mu guards the table for management-plane readers (Mappings,
+	// CheckFlowAffinity): the maps, and a record's identity (fd, cID,
+	// shard). All mutation happens on the loop goroutine, and only the
+	// loop goroutine reads the rest of a record.
 	mu sync.Mutex
-	// byFD and byCID index this shard's mapping records from either
-	// side, so the lookup that translates an element also finds its
-	// record. A retired record's slot waits in free for the next
-	// mapping, so connection churn reuses records instead of growing
-	// recs.
+	// byFD and byCID index the mapping records from either side, so the
+	// lookup that translates an element also finds its record. A
+	// retired record's slot waits in free for the next mapping, so
+	// connection churn reuses records instead of growing recs.
 	byFD  map[int32]int32
 	byCID map[uint32]int32
 	recs  []mapping
 	free  []int32
-	// pendingFD correlates OpSocket completions back to the guest fd
-	// (by Seq) so the mapping can be installed.
-	pendingFD map[uint64]int32
+	// pendingFD holds, by Seq, the record of each forwarded OpSocket
+	// — its fd and the shard it rode — until the completion brings the
+	// cID and installs it.
+	pendingFD map[uint64]mapping
+}
+
+// pairShard is one shard's pump state: its rings and its backlogs.
+type pairShard struct {
+	ep    *enginePair
+	idx   int
+	rings *nkchan.Rings
 
 	// vmPump and nsmPump run pumpVM and pumpNSM one notify latency
 	// after a kick; a kick while one is pending coalesces into it.
@@ -208,86 +193,101 @@ type pairShard struct {
 }
 
 // mapping is the record of one <VM ID, fd> ↔ <NSM ID, cID> entry. Its
-// flags and count say when nothing can translate through it any more:
+// flags and counts say when nothing can translate through it any more:
 // the guest's OpClose is the last job GuestLib issues for an fd, the
 // NSM's OpConnClosed is the last event ServiceLib emits for a cID (but
-// for the readiness entry a FlagReadyFollows close announces), and a
-// job ServiceLib answers is answered exactly once (DESIGN.md §10,
-// "mapping lifecycle").
+// for the readiness entry a FlagReadyFollows close announces, and the
+// OpNewConns a listener's close counts), and a job ServiceLib answers is
+// answered exactly once (DESIGN.md §10, "mapping lifecycle").
 type mapping struct {
 	fd  int32
 	cid uint32
+	// shard is the flow's home shard: its jobs, completions and
+	// OpConnClosed translate only there.
+	shard int32
 	// owed counts forwarded jobs whose completion has not been
 	// translated yet: OpSend, OpSetSockOpt, OpPollCtl, OpBind and
 	// OpListen, the jobs ServiceLib always answers.
 	owed uint32
+	// acceptsDue is a listener's balance of OpNewConns: the listener's
+	// OpConnClosed adds how many ServiceLib announced (its Arg1), each
+	// one translated, riding the accepted flow's shard, takes one off.
+	acceptsDue int32
 	// guestClosed and nsmClosed record the translated OpClose and
 	// OpConnClosed. readyDue says the OpConnClosed carried
 	// FlagReadyFollows and the readiness entry reporting the close has
-	// not been translated yet. listener marks a socket the guest asked to
-	// listen, whose retirement waits mappingGrace instead.
-	guestClosed, nsmClosed, readyDue, listener bool
+	// not been translated yet.
+	guestClosed, nsmClosed, readyDue bool
 }
 
-// install maps fd to cid on this shard, in a recycled record when one is
-// free.
-func (sh *pairShard) install(fd int32, cid uint32) {
-	var i int32
-	if n := len(sh.free); n > 0 {
-		i = sh.free[n-1]
-		sh.free = sh.free[:n-1]
+// install maps m's fd to its cID, in a recycled record when one is free.
+func (ep *enginePair) install(m mapping) {
+	ep.mu.Lock()
+	i := int32(len(ep.recs))
+	if n := len(ep.free); n > 0 {
+		i, ep.free = ep.free[n-1], ep.free[:n-1]
+		ep.recs[i] = m
 	} else {
-		i = int32(len(sh.recs))
-		sh.recs = append(sh.recs, mapping{})
+		ep.recs = append(ep.recs, m)
 	}
-	sh.recs[i] = mapping{fd: fd, cid: cid}
-	sh.mu.Lock()
-	sh.byFD[fd] = i
-	sh.byCID[cid] = i
-	sh.mu.Unlock()
+	ep.byFD[m.fd] = i
+	ep.byCID[m.cid] = i
+	ep.mu.Unlock()
 }
 
-// settle retires record i once both sides have closed and every job
-// ServiceLib answers has been answered, and the close's readiness entry,
-// if one follows, has passed. A listener's record stays: its retirement
-// waits mappingGrace from the OpConnClosed.
-func (sh *pairShard) settle(i int32) {
-	m := &sh.recs[i]
-	if m.guestClosed && m.nsmClosed && m.owed == 0 && !m.readyDue && !m.listener {
-		sh.retire(i)
+// settle retires record i once both sides have closed, every job
+// ServiceLib answers has been answered, every OpNewConn announced has
+// been translated, and the close's readiness entry, if one follows, has
+// passed.
+func (ep *enginePair) settle(i int32) {
+	m := &ep.recs[i]
+	if m.guestClosed && m.nsmClosed && m.owed == 0 && m.acceptsDue == 0 && !m.readyDue {
+		ep.retire(i)
 	}
 }
 
 // retire deletes record i's two table entries and frees its slot. An
 // entry a forged duplicate fd or cID has since taken over is left alone.
-func (sh *pairShard) retire(i int32) {
-	m := &sh.recs[i]
-	sh.mu.Lock()
-	if j, ok := sh.byFD[m.fd]; ok && j == i {
-		delete(sh.byFD, m.fd)
+func (ep *enginePair) retire(i int32) {
+	m := &ep.recs[i]
+	ep.mu.Lock()
+	if j, ok := ep.byFD[m.fd]; ok && j == i {
+		delete(ep.byFD, m.fd)
 	}
-	if j, ok := sh.byCID[m.cid]; ok && j == i {
-		delete(sh.byCID, m.cid)
+	if j, ok := ep.byCID[m.cid]; ok && j == i {
+		delete(ep.byCID, m.cid)
 	}
-	sh.mu.Unlock()
 	*m = mapping{}
-	sh.free = append(sh.free, i)
+	ep.mu.Unlock()
+	ep.free = append(ep.free, i)
 }
 
-// graceDone is a pairShard as the handler of a closed listener's
-// mapping grace running out; arg carries the fd above the cID. A reset
-// may have cleared the tables since, so the record must still be the
-// listener's.
-type graceDone pairShard
+// lookupFD returns the index of fd's record if the flow's home is this
+// shard: an element of a flow must ride the shard its record was
+// installed on.
+func (sh *pairShard) lookupFD(fd int32) (int32, bool) {
+	ep := sh.ep
+	ep.mu.Lock()
+	i, ok := ep.byFD[fd]
+	ep.mu.Unlock()
+	return i, ok && ep.recs[i].shard == int32(sh.idx)
+}
 
-func (g *graceDone) HandleFrame(_ []byte, arg uint64) {
-	sh := (*pairShard)(g)
-	sh.mu.Lock()
-	i, ok := sh.byCID[uint32(arg)]
-	sh.mu.Unlock()
-	if ok && sh.recs[i].fd == int32(arg>>32) {
-		sh.retire(i)
-	}
+// lookupCID is lookupFD by the NSM's cID.
+func (sh *pairShard) lookupCID(cid uint32) (int32, bool) {
+	i, ok := sh.ep.lookupAnyShard(cid)
+	return i, ok && sh.ep.recs[i].shard == int32(sh.idx)
+}
+
+// lookupAnyShard returns the index of cid's record, whatever its home
+// shard: the one exception to the affinity lookupFD and lookupCID hold,
+// for a listener's OpNewConn, which rides the accepted flow's shard, and
+// a readiness entry, which rides the shard its event was flushed on.
+func (ep *enginePair) lookupAnyShard(cid uint32) (int32, bool) {
+	ep.mu.Lock()
+	i, ok := ep.byCID[cid]
+	ep.mu.Unlock()
+	return i, ok
 }
 
 // vmPumped and nsmPumped are a pairShard as the handler of a pump's
@@ -345,13 +345,11 @@ func (ce *CoreEngine) Attach(ch *nkchan.Pair, vmID, nsmID uint32, notifyExtra ti
 		nextFD:  fdBase,
 		readyAt: readyAt,
 	}
+	ep.byFD = make(map[int32]int32)
+	ep.byCID = make(map[uint32]int32)
+	ep.pendingFD = make(map[uint64]mapping)
 	for i := range ch.Shards {
-		sh := &pairShard{
-			ep: ep, idx: i, rings: &ch.Shards[i],
-			byFD:      make(map[int32]int32),
-			byCID:     make(map[uint32]int32),
-			pendingFD: make(map[uint64]int32),
-		}
+		sh := &pairShard{ep: ep, idx: i, rings: &ch.Shards[i]}
 		sh.vmPump.Init(ce.clock, sh.pumpVM)
 		sh.nsmPump.Init(ce.clock, sh.pumpNSM)
 		ep.shards = append(ep.shards, sh)
@@ -386,7 +384,7 @@ func (sh *pairShard) kickNSM() {
 }
 
 // gated defers a pump that fires inside a freeze window (a kick
-// scheduled before FreezeNSM/RebindNSM moved readyAt forward): the
+// scheduled before RebindNSM or a reset moved readyAt forward): the
 // pump re-queues itself for the gate's end instead of running. This is
 // what makes the migration stall a hard bound — no element crosses the
 // engine while the pair is quiesced.
@@ -399,8 +397,8 @@ func (sh *pairShard) gated(rekick func()) bool {
 }
 
 // pumpVM drains the shard's VM job queue into its NSM job queue in
-// batches, translating <VM ID, fd> to <NSM ID, cID> via the shard's
-// slice of the mapping table. Each span pops with one atomic add,
+// batches, translating <VM ID, fd> to <NSM ID, cID> via the pair's
+// mapping table. Each span pops with one atomic add,
 // translates in place (per element — the mapping table must be
 // consulted — but touching only the header fields translation needs,
 // not a full decode/encode) and transfers contiguous runs with
@@ -414,15 +412,7 @@ func (sh *pairShard) pumpVM() {
 
 	// Parked elements go first, to preserve order.
 	count := sh.toNSM.Drain()
-	for sh.toNSM.Len() == 0 {
-		span, n := sh.rings.VMJob.FrontSpan(ce.cfg.Batch)
-		if n == 0 {
-			break
-		}
-		handled, moved := sh.translateSpanToNSM(span, n)
-		count += moved
-		sh.rings.VMJob.ReleaseSpan(handled)
-	}
+	count += sh.drain(sh.rings.VMJob, sh.rings.NSMJob, &sh.toNSM, sh.translateSlotToNSM)
 
 	if count > 0 || sh.toNSM.Len() > 0 || sh.rejected > 0 {
 		ce.stats.NqesVMToNSM += uint64(count)
@@ -447,73 +437,71 @@ func parkSpan(b *nkqueue.Backlog, dst *nkqueue.Queue, span []byte, from, to int)
 	return moved
 }
 
-// translateSpanToNSM validates and translates one popped span in place,
-// pushing contiguous runs of surviving slots into the NSM job queue.
-// It returns how many slots of the span were fully handled (pushed,
-// dropped, or parked) and how many were pushed. When the NSM job queue
-// fills mid-run, the already-translated remainder of the run parks in
-// toNSM so nothing is lost or reordered.
-func (sh *pairShard) translateSpanToNSM(span []byte, n int) (handled, moved int) {
-	ce := sh.ep.engine
-	i := 0
-	for i < n && sh.toNSM.Len() == 0 {
-		// Grow a contiguous run of translatable slots.
-		runStart := i
-		for i < n {
-			s := nqe.Slot(span[i*nqe.Size : (i+1)*nqe.Size])
-			if s.Validate() != nil || s.VMID() != sh.ep.vmID {
-				ce.stats.BadElements++
-				break
+// drain moves batches from src to dst, translating each slot in place
+// with translate, and returns how many elements moved. Each popped span
+// goes over in contiguous runs of translated slots, one PushSpan each; a
+// slot translate drops is skipped, translated once. When dst fills
+// mid-run, the already-translated rest of the run parks in b so nothing
+// is lost or reordered, and drain stops, leaving the rest queued.
+func (sh *pairShard) drain(src, dst *nkqueue.Queue, b *nkqueue.Backlog, translate func(nqe.Slot) bool) int {
+	moved := 0
+	for b.Len() == 0 {
+		span, n := src.FrontSpan(sh.ep.engine.cfg.Batch)
+		if n == 0 {
+			break
+		}
+		i := 0
+		for i < n && b.Len() == 0 {
+			runStart := i
+			for i < n && translate(nqe.Slot(span[i*nqe.Size:(i+1)*nqe.Size])) {
+				i++
 			}
-			if !sh.translateSlotToNSM(s) {
-				break
+			if i > runStart {
+				got := dst.PushSpan(span[runStart*nqe.Size : i*nqe.Size])
+				moved += got + parkSpan(b, dst, span, runStart+got, i)
 			}
-			i++
+			if i < n {
+				i++ // skip the dropped slot
+			}
 		}
-		if i > runStart {
-			got := sh.rings.NSMJob.PushSpan(span[runStart*nqe.Size : i*nqe.Size])
-			moved += got + parkSpan(&sh.toNSM, sh.rings.NSMJob, span, runStart+got, i)
-		}
-		if i < n {
-			i++ // skip the dropped slot
-		}
+		src.ReleaseSpan(i)
 	}
-	return i, moved
+	return moved
 }
 
-// translateSlotToNSM patches one job element in place for the NSM side.
-// It reports false when the element must be dropped (the VM has already
-// been answered with an error completion where appropriate).
+// translateSlotToNSM validates a job element and patches it in place for
+// the NSM side. It reports false when the element must be dropped (the
+// VM has already been answered with an error completion where
+// appropriate).
 func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 	ep := sh.ep
 	ce := ep.engine
+	if s.Validate() != nil || s.VMID() != ep.vmID {
+		ce.stats.BadElements++
+		return false
+	}
 	s.SetNSMID(ep.nsmID)
 	switch s.Op() {
 	case nqe.OpSocket:
 		// The cID does not exist yet; remember the fd for the
 		// completion.
-		sh.mu.Lock()
-		sh.pendingFD[s.Seq()] = s.FD()
-		sh.mu.Unlock()
+		ep.mu.Lock()
+		ep.pendingFD[s.Seq()] = mapping{fd: s.FD(), shard: int32(sh.idx)}
+		ep.mu.Unlock()
 	default:
-		sh.mu.Lock()
-		i, ok := sh.byFD[s.FD()]
-		sh.mu.Unlock()
+		i, ok := sh.lookupFD(s.FD())
 		if !ok || s.Op() == nqe.OpSend && !ep.sendDescriptorOK(s) {
 			sh.reject(s)
 			return false
 		}
-		m := &sh.recs[i]
+		m := &ep.recs[i]
 		s.SetCID(m.cid)
 		switch s.Op() {
-		case nqe.OpListen:
-			m.listener = true
-			m.owed++
-		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpPollCtl, nqe.OpBind:
+		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpPollCtl, nqe.OpBind, nqe.OpListen:
 			m.owed++
 		case nqe.OpClose:
 			m.guestClosed = true
-			sh.settle(i)
+			ep.settle(i)
 		}
 	}
 	ce.stats.Translated++
@@ -563,8 +551,8 @@ func (sh *pairShard) pumpNSM() {
 	ce := ep.engine
 
 	count := sh.toVM.Drain()
-	count += sh.drainNSMQueue(sh.rings.NSMCompletion, sh.rings.VMCompletion)
-	count += sh.drainNSMQueue(sh.rings.NSMReceive, sh.rings.VMReceive)
+	count += sh.drain(sh.rings.NSMCompletion, sh.rings.VMCompletion, &sh.toVM, sh.translateSlotToVM)
+	count += sh.drain(sh.rings.NSMReceive, sh.rings.VMReceive, &sh.toVM, sh.translateSlotToVM)
 
 	if count > 0 || sh.toVM.Len() > 0 {
 		ce.stats.NqesNSMToVM += uint64(count)
@@ -573,73 +561,9 @@ func (sh *pairShard) pumpNSM() {
 	}
 }
 
-// drainNSMQueue moves batches from one NSM-side output queue to its
-// VM-side peer, translating in place, and returns how many elements
-// moved. It stops (leaving work queued or parked) when the VM-side
-// queue fills.
-func (sh *pairShard) drainNSMQueue(src, dst *nkqueue.Queue) int {
-	ce := sh.ep.engine
-	moved := 0
-	for sh.toVM.Len() == 0 {
-		span, n := src.FrontSpan(ce.cfg.Batch)
-		if n == 0 {
-			break
-		}
-		handled := 0
-		for handled < n && sh.toVM.Len() == 0 {
-			// Grow a contiguous run of translatable slots.
-			runStart := handled
-			for handled < n {
-				s := nqe.Slot(span[handled*nqe.Size : (handled+1)*nqe.Size])
-				if !sh.translateSlotToVM(s) {
-					break
-				}
-				handled++
-			}
-			if handled > runStart {
-				got := dst.PushSpan(span[runStart*nqe.Size : handled*nqe.Size])
-				moved += got + parkSpan(&sh.toVM, dst, span, runStart+got, handled)
-			} else if handled < n {
-				handled++ // skip the dropped slot
-			}
-		}
-		src.ReleaseSpan(handled)
-	}
-	return moved
-}
-
-// lookupListener resolves a listener's cID to the shard and index of its
-// mapping record, checking this shard first and then its siblings in
-// ascending order. Accepted connections hash to their own shard, which
-// is rarely the listener's: the OpNewConn control element is the one
-// place a pump may read another shard's table slice (one lock at a time,
-// never nested).
-func (sh *pairShard) lookupListener(cid uint32) (*pairShard, int32, bool) {
-	if i, ok := sh.lookupCID(cid); ok {
-		return sh, i, true
-	}
-	for _, other := range sh.ep.shards {
-		if other == sh {
-			continue
-		}
-		if i, ok := other.lookupCID(cid); ok {
-			return other, i, true
-		}
-	}
-	return nil, 0, false
-}
-
-// lookupCID returns the index of cid's mapping record on this shard.
-func (sh *pairShard) lookupCID(cid uint32) (int32, bool) {
-	sh.mu.Lock()
-	i, ok := sh.byCID[cid]
-	sh.mu.Unlock()
-	return i, ok
-}
-
 // translateSlotToVM patches one NSM-side element in place for the VM,
-// maintaining the shard's fd↔cID mapping exactly as the per-element
-// path did. It reports false when the element must be dropped.
+// maintaining the pair's fd↔cID mapping. It reports false when the
+// element must be dropped.
 func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 	ep := sh.ep
 	ce := ep.engine
@@ -647,73 +571,67 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 	switch s.Op() {
 	case nqe.OpSocket:
 		// Completion of a socket creation: install the mapping.
-		sh.mu.Lock()
-		fd, ok := sh.pendingFD[s.Seq()]
-		if !ok {
-			sh.mu.Unlock()
-			ce.stats.BadElements++
-			return false
+		ep.mu.Lock()
+		m, ok := ep.pendingFD[s.Seq()]
+		ok = ok && m.shard == int32(sh.idx)
+		if ok {
+			delete(ep.pendingFD, s.Seq())
 		}
-		delete(sh.pendingFD, s.Seq())
-		sh.mu.Unlock()
-		sh.install(fd, s.CID())
-		s.SetFD(fd)
-	case nqe.OpConnClosed:
-		i, ok := sh.lookupCID(s.CID())
+		ep.mu.Unlock()
 		if !ok {
 			ce.stats.BadElements++
 			return false
 		}
-		m := &sh.recs[i]
+		m.cid = s.CID()
+		ep.install(m)
 		s.SetFD(m.fd)
-		switch {
-		case m.nsmClosed:
-			// A repeat changes nothing.
-		case m.listener:
-			// An OpNewConn for the listener may still be in flight on a
-			// sibling shard; it must find the listener for a while yet.
-			m.nsmClosed = true
-			ce.grace.AfterFrame(mappingGrace, (*graceDone)(sh), nil, uint64(uint32(m.fd))<<32|uint64(m.cid))
-		default:
-			m.nsmClosed = true
-			m.readyDue = s.Flags()&nqe.FlagReadyFollows != 0
-			sh.settle(i)
-		}
 	case nqe.OpNewConn:
 		// A new accepted flow: mint a descriptor for the VM and map it
 		// to the NSM's new cID (carried in Arg1). The event rides the
-		// NEW flow's shard; the listener usually lives on another, so
-		// the lookup may cross shards — the mapping installs here, on
-		// the flow's home shard, where every later element will look
-		// it up.
-		owner, li, ok := sh.lookupListener(s.CID())
+		// NEW flow's shard, which is rarely the listener's; the mapping
+		// installs with this shard as its home, where every later
+		// element of the flow rides. The listener settles first: the
+		// new mapping may take its slot.
+		li, ok := ep.lookupAnyShard(s.CID())
 		if !ok {
 			ce.stats.BadElements++
 			return false
 		}
-		newCID := uint32(s.Arg1())
-		newFD := ep.nextFD
+		s.SetFD(ep.recs[li].fd)
+		ep.recs[li].acceptsDue--
+		ep.settle(li)
+		ep.install(mapping{fd: ep.nextFD, cid: uint32(s.Arg1()), shard: int32(sh.idx)})
+		s.SetArg1(uint64(uint32(ep.nextFD)))
 		ep.nextFD++
-		s.SetFD(owner.recs[li].fd)
-		sh.install(newFD, newCID)
-		s.SetArg1(uint64(uint32(newFD)))
 	case nqe.OpReady:
 		return sh.translateReady(s)
 	default:
 		i, ok := sh.lookupCID(s.CID())
 		if !ok {
 			ce.stats.BadElements++
+			// A dropped data event's chunk has no other owner to free it.
+			pages, c := ep.ch.Pages, shm.Chunk{Offset: s.DataOff()}
+			if s.Op() == nqe.OpNewData && pages != nil && pages.Held(c) {
+				pages.Free(c)
+			}
 			return false
 		}
-		m := &sh.recs[i]
+		m := &ep.recs[i]
 		s.SetFD(m.fd)
 		switch s.Op() {
+		case nqe.OpConnClosed:
+			if !m.nsmClosed { // a repeat changes nothing
+				m.nsmClosed = true
+				m.acceptsDue += int32(s.Arg1())
+				m.readyDue = s.Flags()&nqe.FlagReadyFollows != 0
+				ep.settle(i)
+			}
 		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpPollCtl, nqe.OpBind, nqe.OpListen:
 			// A completion: the job it answers is no longer owed.
 			if m.owed > 0 {
 				m.owed--
 			}
-			sh.settle(i)
+			ep.settle(i)
 		}
 	}
 	ce.stats.Translated++
@@ -736,14 +654,12 @@ func (sh *pairShard) translateReady(s nqe.Slot) bool {
 	ce := ep.engine
 	if s.DataLen() == 0 {
 		// Descriptorless single-socket form: the id rides the CID field.
-		// lookupListener's sibling fallback covers entries whose
-		// mapping lives on another shard.
-		owner, i, ok := sh.lookupListener(s.CID())
+		i, ok := ep.lookupAnyShard(s.CID())
 		if !ok {
 			return false
 		}
-		s.SetFD(owner.recs[i].fd)
-		owner.readyPassed(i, uint32(s.Arg1()))
+		s.SetFD(ep.recs[i].fd)
+		ep.readyPassed(i, uint32(s.Arg1()))
 		ce.stats.Translated++
 		return true
 	}
@@ -755,13 +671,13 @@ func (sh *pairShard) translateReady(s nqe.Slot) bool {
 	kept := 0
 	for i := 0; i < n; i++ {
 		cid, mask := nqe.ReadyEntryAt(buf, i)
-		owner, j, ok := sh.lookupListener(cid)
+		j, ok := ep.lookupAnyShard(cid)
 		if !ok {
 			continue
 		}
-		nqe.PutReadyEntry(buf[kept*nqe.ReadyEntrySize:], uint32(owner.recs[j].fd), mask)
+		nqe.PutReadyEntry(buf[kept*nqe.ReadyEntrySize:], uint32(ep.recs[j].fd), mask)
 		kept++
-		owner.readyPassed(j, mask)
+		ep.readyPassed(j, mask)
 	}
 	if kept == 0 {
 		ep.ch.Pages.Free(shm.Chunk{Offset: s.DataOff()})
@@ -776,30 +692,11 @@ func (sh *pairShard) translateReady(s nqe.Slot) bool {
 // readyPassed notes a translated readiness entry for record i: the one
 // that reports the close is the last element a FlagReadyFollows close
 // promised, after which the mapping may retire.
-func (sh *pairShard) readyPassed(i int32, mask uint32) {
-	if m := &sh.recs[i]; m.readyDue && mask&nqe.ReadyClosed != 0 {
+func (ep *enginePair) readyPassed(i int32, mask uint32) {
+	if m := &ep.recs[i]; m.readyDue && mask&nqe.ReadyClosed != 0 {
 		m.readyDue = false
-		sh.settle(i)
+		ep.settle(i)
 	}
-}
-
-// FreezeNSM gates pumping on every channel served by nsmID until
-// `until`: kicks issued from now on stretch to the gate, and pumps
-// already scheduled re-queue themselves when they fire inside the
-// window. Unlike ResetNSM nothing is discarded — ring contents,
-// backlogs, mapping tables, and pending socket jobs all survive. This
-// is the quiesce step of a live migration: the guest keeps producing
-// into its rings and observes only a bounded stall. Returns the number
-// of channels frozen.
-func (ce *CoreEngine) FreezeNSM(nsmID uint32, until sim.Time) int {
-	n := 0
-	for _, ep := range ce.pairs {
-		if ep.nsmID == nsmID {
-			ep.readyAt = until
-			n++
-		}
-	}
-	return n
 }
 
 // RebindNSM retargets every channel served by oldID onto newID and
@@ -853,10 +750,40 @@ func (ep *enginePair) reset(readyAt sim.Time) {
 	ce := ep.engine
 	ce.stats.NSMResets++
 	ep.readyAt = readyAt
-	// Shards reset in ascending order so crash notifications replay
-	// deterministically.
+	// Socket jobs already forwarded will never complete, and every mapped
+	// connection died with the module. The table empties; each shard
+	// answers its own pending OpSockets with error completions (so the
+	// guest's deferred operations fail fast instead of wedging) and tells
+	// each guest socket living there it was reset.
+	socks := make([][]nqe.Element, len(ep.shards))
+	conns := make([][]nqe.Element, len(ep.shards))
+	ep.mu.Lock()
+	for seq, p := range ep.pendingFD {
+		socks[p.shard] = append(socks[p.shard], nqe.Element{
+			Op: nqe.OpSocket, FD: p.fd, Seq: seq, VMID: ep.vmID,
+			Source: nqe.FromCore, Status: nqe.StatusConnReset,
+			Flags: nqe.FlagCompletion,
+		})
+	}
+	for fd, i := range ep.byFD {
+		home := ep.recs[i].shard
+		conns[home] = append(conns[home], nqe.Element{
+			Op: nqe.OpConnClosed, FD: fd, VMID: ep.vmID,
+			Source: nqe.FromCore, Status: nqe.StatusConnReset,
+		})
+		ce.stats.ResetConns++
+	}
+	clear(ep.pendingFD)
+	clear(ep.byFD)
+	clear(ep.byCID)
+	ep.recs, ep.free = ep.recs[:0], ep.free[:0]
+	ep.mu.Unlock()
+	// Shards reset in ascending order, each notice list sorted, so crash
+	// notifications replay deterministically.
 	for _, sh := range ep.shards {
-		sh.reset()
+		sort.Slice(socks[sh.idx], func(i, j int) bool { return socks[sh.idx][i].Seq < socks[sh.idx][j].Seq })
+		sort.Slice(conns[sh.idx], func(i, j int) bool { return conns[sh.idx][i].FD < conns[sh.idx][j].FD })
+		sh.reset(socks[sh.idx], conns[sh.idx])
 	}
 	// Wake the guest to process the notifications now — the boot gate
 	// only holds back queue pumping, not crash reporting.
@@ -869,10 +796,10 @@ func (ep *enginePair) reset(readyAt sim.Time) {
 	})
 }
 
-func (sh *pairShard) reset() {
-	ep := sh.ep
-	ce := ep.engine
-
+// reset discards the shard's in-flight elements, then queues its crash
+// notices: socks toward the VM's completion ring, conns toward its
+// receive ring.
+func (sh *pairShard) reset(socks, conns []nqe.Element) {
 	// The module's queues die with it. NSM-side output queues hold
 	// events the module produced before crashing; the NSM job queue
 	// holds work it never got to. Both are gone — only the data chunks
@@ -883,46 +810,12 @@ func (sh *pairShard) reset() {
 	sh.toNSM.Discard(sh.discard)
 	sh.toVM.Discard(sh.discard)
 
-	// Socket jobs already forwarded will never complete: answer them
-	// with error completions so the guest's deferred operations fail
-	// fast instead of wedging. Sorted for deterministic replay.
-	sh.mu.Lock()
-	seqs := make([]uint64, 0, len(sh.pendingFD))
-	for seq := range sh.pendingFD {
-		seqs = append(seqs, seq)
+	for i := range socks {
+		sh.toVM.Push(sh.rings.VMCompletion, &socks[i])
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	pending := make(map[uint64]int32, len(sh.pendingFD))
-	for seq, fd := range sh.pendingFD {
-		pending[seq] = fd
+	for i := range conns {
+		sh.toVM.Push(sh.rings.VMReceive, &conns[i])
 	}
-	sh.pendingFD = make(map[uint64]int32)
-	// Every mapped connection died with the module: collect the fds to
-	// tell each guest socket it was reset.
-	fds := make([]int32, 0, len(sh.byFD))
-	for fd := range sh.byFD {
-		fds = append(fds, fd)
-	}
-	sort.Slice(fds, func(i, j int) bool { return fds[i] < fds[j] })
-	sh.byFD = make(map[int32]int32)
-	sh.byCID = make(map[uint32]int32)
-	sh.mu.Unlock()
-	sh.recs, sh.free = sh.recs[:0], sh.free[:0]
-
-	for _, seq := range seqs {
-		sh.toVM.Push(sh.rings.VMCompletion, &nqe.Element{
-			Op: nqe.OpSocket, FD: pending[seq], Seq: seq, VMID: ep.vmID,
-			Source: nqe.FromCore, Status: nqe.StatusConnReset,
-			Flags: nqe.FlagCompletion,
-		})
-	}
-	for _, fd := range fds {
-		sh.toVM.Push(sh.rings.VMReceive, &nqe.Element{
-			Op: nqe.OpConnClosed, FD: fd, VMID: ep.vmID,
-			Source: nqe.FromCore, Status: nqe.StatusConnReset,
-		})
-	}
-	ce.stats.ResetConns += uint64(len(fds))
 	// Notifications the rings had no room for wait for pumpNSM.
 	if sh.toVM.Len() > 0 {
 		sh.kickNSM()

@@ -127,11 +127,10 @@ func TestFourShardPairBacksOnePage(t *testing.T) {
 		if len(ce.pairs) != 1 {
 			t.Fatalf("%s engine serves %d channels, want 1", name, len(ce.pairs))
 		}
-		var perShard []int
-		for _, sh := range ce.pairs[0].shards {
-			sh.mu.Lock()
-			perShard = append(perShard, len(sh.byFD))
-			sh.mu.Unlock()
+		ep := ce.pairs[0]
+		perShard := make([]int, len(ep.shards))
+		for _, i := range ep.byFD {
+			perShard[ep.recs[i].shard]++
 		}
 		for i, n := range perShard {
 			if n == 0 {

@@ -23,6 +23,7 @@ var (
 type cluster struct {
 	loop   *sim.Loop
 	h1, h2 *Host
+	l12    *netsim.Link // host1's frames toward host2
 }
 
 func newCluster(t *testing.T, mutate func(cfg *HostConfig)) *cluster {
@@ -46,7 +47,7 @@ func newCluster(t *testing.T, mutate func(cfg *HostConfig)) *cluster {
 	l12, l21 := netsim.Duplex(loop, rng, link, h1.NIC, h2.NIC)
 	h1.NIC.AttachWire(l12)
 	h2.NIC.AttachWire(l21)
-	return &cluster{loop: loop, h1: h1, h2: h2}
+	return &cluster{loop: loop, h1: h1, h2: h2, l12: l12}
 }
 
 func moduleNSM(cc string) NSMSpec { return NSMSpec{Form: FormModule, CC: cc} }

@@ -14,13 +14,13 @@ import (
 // fd↔cID entry when the guest's OpClose, the NSM's OpConnClosed (and the
 // readiness entry a polled socket's close announces) and the completion
 // of every job it forwarded have all been translated — not on a timer.
-// Only a listener's entry waits mappingGrace.
+// A listener's entry also waits for the OpNewConns its close counts.
 
 // TestMappingRetiresWithTheFlow runs 2 000 short flows, sixteen at a
 // time, against a polled echo server. Right after the last flow's close
-// handshake, well inside mappingGrace, each engine holds only what is
-// live: the server's listener and nothing else. The loop holds no event
-// per closed flow either.
+// handshake, each engine holds only what is live: the server's listener
+// and nothing else. The loop holds no event per closed flow either. The
+// listener's entry then retires with its close, not a timer later.
 func TestMappingRetiresWithTheFlow(t *testing.T) {
 	const (
 		flows = 2000
@@ -30,7 +30,7 @@ func TestMappingRetiresWithTheFlow(t *testing.T) {
 	c := newCluster(t, nil)
 	vma, vmb := c.nkPair(t, "cubic", "cubic")
 	cli := vma.Guest
-	pollEchoServer(t, vmb.Guest, 80)
+	lfd := pollEchoServer(t, vmb.Guest, 80)
 
 	out := make([]byte, msg)
 	started, ended, pendingHalf := 0, 0, 0
@@ -77,14 +77,10 @@ func TestMappingRetiresWithTheFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	start := c.loop.Now()
 	for i := 0; i < conc; i++ {
 		dial()
 	}
 	stepUntil(t, c, func() bool { return ended == flows })
-	if took := c.loop.Now().Sub(start); took >= mappingGrace {
-		t.Fatalf("the flows took %v, not inside mappingGrace (%v)", took, mappingGrace)
-	}
 
 	if m := c.h1.Engine.Mappings(); m != 0 {
 		t.Errorf("client engine holds %d mappings after %d closed flows, want 0", m, flows)
@@ -95,6 +91,14 @@ func TestMappingRetiresWithTheFlow(t *testing.T) {
 	if p := c.loop.Pending(); p > pendingHalf+conc {
 		t.Errorf("loop holds %d events after %d closed flows, %d after %d: pending grows with flows closed",
 			p, flows, pendingHalf, flows/2)
+	}
+	// The listener's close travels guest → engine → ServiceLib → engine
+	// in microseconds; a timer on its mapping would hold it far longer.
+	start := c.loop.Now()
+	vmb.Guest.Close(lfd)
+	stepUntil(t, c, func() bool { return c.h2.Engine.Mappings() == 0 })
+	if took := c.loop.Now().Sub(start); took >= time.Millisecond {
+		t.Errorf("the listener's mapping retired %v after its close, want < 1ms", took)
 	}
 	for name, h := range map[string]*Host{"client": c.h1, "server": c.h2} {
 		if n := h.Engine.Stats().BadElements; n != 0 {
@@ -278,13 +282,13 @@ func TestMappingRetiresOnLastElement(t *testing.T) {
 	// newEngine builds an engine with fd mapped to cid and returns a
 	// feeder that pushes one step, lets the engine pump it and discards
 	// what came out.
-	newEngine := func(t *testing.T) (*sim.Loop, *CoreEngine, func(step)) {
+	newEngine := func(t *testing.T) (*CoreEngine, func(step)) {
 		loop := sim.NewLoop()
 		ch := asymPair(t, 64, 64)
 		ce := NewCoreEngine(loop, EngineConfig{})
 		ce.Attach(ch, 1, 2, 0, 0, 0)
 		installMapping(t, loop, ch, 1, fd, cid)
-		return loop, ce, func(st step) {
+		return ce, func(st step) {
 			e := st.e
 			switch {
 			case st.toNSM:
@@ -321,9 +325,14 @@ func TestMappingRetiresOnLastElement(t *testing.T) {
 		{"readiness entry after a polled socket's close", []step{
 			closedPolled, job(nqe.OpClose), ready,
 		}, 2},
+		// A listener whose close announced no accepts (Arg1 0) retires
+		// like any socket; TestListenerRetiresByAcceptCount has the rest.
+		{"listener", []step{
+			job(nqe.OpListen), job(nqe.OpClose), closed, fromNSM(nqe.OpListen, nqe.FlagCompletion),
+		}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ce, feed := newEngine(t)
+			ce, feed := newEngine(t)
 			before := ce.Stats().Translated
 			for i, st := range tc.steps {
 				feed(st)
@@ -343,21 +352,76 @@ func TestMappingRetiresOnLastElement(t *testing.T) {
 			}
 		})
 	}
+}
 
-	// A listener's mapping outlives its close by mappingGrace, whatever
-	// is translated last: an OpNewConn for it may still ride another
-	// shard.
-	t.Run("listener", func(t *testing.T) {
-		loop, ce, feed := newEngine(t)
-		for _, st := range []step{job(nqe.OpListen), job(nqe.OpClose), closed, fromNSM(nqe.OpListen, nqe.FlagCompletion)} {
-			feed(st)
-		}
-		if n := ce.Mappings(); n != 1 {
-			t.Fatalf("closed listener: %d mappings inside the grace, want 1", n)
-		}
-		loop.RunFor(mappingGrace)
-		if n := ce.Mappings(); n != 0 {
-			t.Fatalf("closed listener: %d mappings after the grace, want 0", n)
-		}
+// TestHandshakeCompletesAfterListenerClose: the guest closes a listener
+// while a handshake toward it is half done — the server NSM has sent its
+// SYN-ACK, and the client's final ACK, with the client's first data
+// behind it, is lost. The retransmission completes the handshake into
+// the closed listener after the listener's OpConnClosed has retired its
+// mapping. ServiceLib resets that connection itself: an OpNewConn naming
+// the listener now would be a bad element, and the connection would
+// stay open in the NSM with no descriptor to close it.
+func TestHandshakeCompletesAfterListenerClose(t *testing.T) {
+	c := newCluster(t, nil)
+	vma, vmb := c.nkPair(t, "cubic", "cubic")
+	srv, cli := vmb.Guest, vma.Guest
+	lfd := srv.Socket(guestlib.Callbacks{})
+	if err := srv.Listen(lfd, 80, 64); err != nil {
+		t.Fatal(err)
+	}
+	c.loop.RunFor(time.Millisecond)
+
+	var fd int32
+	var closeErr error = errSentinel
+	fd = cli.Socket(guestlib.Callbacks{
+		OnEstablished: func(err error) {
+			if err == nil {
+				cli.Send(fd, []byte("hello"))
+			}
+		},
+		OnClose: func(err error) {
+			closeErr = err
+			cli.Close(fd)
+		},
 	})
+	if err := cli.Connect(fd, ipVMB, 80); err != nil {
+		t.Fatal(err)
+	}
+	// The SYN has reached the server NSM; cut the client→server link
+	// before the final ACK can cross it.
+	stepUntil(t, c, func() bool { return vmb.NSM.Stack.ConnCount() == 1 })
+	c.l12.SetDown(true)
+	srv.Close(lfd)
+	c.loop.RunFor(10 * time.Millisecond)
+	if n := vmb.Service.Stats().Accepts; n != 0 {
+		t.Fatalf("the NSM accepted %d connections before the listener closed", n)
+	}
+	if n := c.h2.Engine.Mappings(); n != 0 {
+		t.Fatalf("the server engine holds %d mappings after the listener's close, want 0", n)
+	}
+	c.l12.SetDown(false)
+	c.loop.RunFor(3 * time.Second)
+
+	if closeErr == errSentinel || closeErr == nil {
+		t.Errorf("client OnClose = %v, want a reset", closeErr)
+	}
+	for _, h := range []*Host{c.h1, c.h2} {
+		if n := h.Engine.Mappings(); n != 0 {
+			t.Errorf("%s engine holds %d mappings, want 0", h.cfg.Name, n)
+		}
+		if n := h.Engine.Stats().BadElements; n != 0 {
+			t.Errorf("%s engine counted %d bad elements, want 0", h.cfg.Name, n)
+		}
+	}
+	for _, vm := range []*VM{vma, vmb} {
+		if n := vm.NSM.Stack.ConnCount(); n != 0 {
+			t.Errorf("%s NSM holds %d connections, want 0", vm.Name, n)
+		}
+		for _, pair := range vm.Guest.Pairs() {
+			if n := pair.Pages.LiveRefs(); n != 0 {
+				t.Errorf("%s: %d live chunk refs, want 0", vm.Name, n)
+			}
+		}
+	}
 }

@@ -46,7 +46,7 @@ const (
 	// Events, NSM → VM (receive queue).
 	OpNewData     // data arrived; descriptor points at payload
 	OpNewConn     // a SYN completed on a listener; Arg0 is the peer address
-	OpConnClosed  // peer closed or connection reset
+	OpConnClosed  // peer closed or connection reset; a listener's Arg1 counts the OpNewConns announced for it
 	OpSendCredit  // send buffer drained below the low-water mark
 	OpEstablished // a pending connect finished (success or Status error)
 

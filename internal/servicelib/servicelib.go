@@ -201,6 +201,10 @@ type listenerState struct {
 	shard  int // the listener socket's own shard (its control traffic)
 	lst    *tcp.Listener
 	polled bool
+	// announced counts the OpNewConns emitted for this listener; its
+	// OpConnClosed carries the count, so the engine keeps the mapping
+	// until every one of them, riding other shards, has been translated.
+	announced uint32
 }
 
 // readyShard is one shard's pending coalesced-readiness state: cIDs in
@@ -385,12 +389,14 @@ func (s *ServiceLib) emitBatch(shard int, q nkchan.QueueKind, es []nqe.Element) 
 	s.kickEngine(shard)
 }
 
-// emitClosed emits a socket's OpConnClosed. For a polled socket it also
-// queues the readiness entry that reports the close, which then leaves
-// behind the OpConnClosed as the cID's last element; FlagReadyFollows
-// tells the engine to keep the mapping until that entry has passed.
-func (s *ServiceLib) emitClosed(shard int, cid uint32, st nqe.Status, polled bool) {
-	e := nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: st}
+// emitClosed emits a socket's OpConnClosed, carrying in Arg1 the
+// OpNewConns announced for a listener (0 for any other socket). For a
+// polled socket it also queues the readiness entry that reports the
+// close, which then leaves behind the OpConnClosed as the cID's last
+// element; FlagReadyFollows tells the engine to keep the mapping until
+// that entry has passed.
+func (s *ServiceLib) emitClosed(shard int, cid uint32, st nqe.Status, polled bool, announced uint32) {
+	e := nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: st, Arg1: uint64(announced)}
 	if polled {
 		e.Flags = nqe.FlagReadyFollows
 	}
@@ -665,7 +671,7 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			// UDP has no close handshake: confirm immediately, the last
 			// event for this cID, which lets the engine retire the fd↔cID
 			// mapping.
-			s.emitClosed(cs.shard, e.CID, nqe.StatusOK, cs.polled)
+			s.emitClosed(cs.shard, e.CID, nqe.StatusOK, cs.polled, 0)
 			s.freeConnState(cs)
 		} else if cs != nil && cs.conn != nil {
 			// Closing now would have connClosed free sends the guest was
@@ -678,11 +684,15 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 		} else if ls := s.listeners[e.CID]; ls != nil {
 			s.cfg.Stack.CloseListener(ls.lst.Addr().Port)
 			delete(s.listeners, e.CID)
+			// A handshake still in flight completes into the closed
+			// listener; reset it here instead of announcing it, so no
+			// element names this cID after its OpConnClosed.
+			ls.lst.OnAcceptable = func() { resetBacklog(ls.lst) }
 			// Same for listeners: no TCP teardown will ever report this
-			// cID closed, so the close is confirmed here. (The engine keeps
-			// a listener's mapping a grace period longer, for accepts
-			// still in flight on other shards.)
-			s.emitClosed(ls.shard, e.CID, nqe.StatusOK, ls.polled)
+			// cID closed, so the close is confirmed here, with the count
+			// of accepts announced: the engine keeps the mapping until the
+			// last of them, on its own shard, has been translated.
+			s.emitClosed(ls.shard, e.CID, nqe.StatusOK, ls.polled, ls.announced)
 		} else if cs != nil {
 			// A socket that never connected or bound: retire it and
 			// confirm the close like the UDP path.
@@ -780,6 +790,14 @@ func (s *ServiceLib) handleBind(shard int, e *nqe.Element) {
 	s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpBind, CID: e.CID, Seq: e.Seq, Status: nqe.StatusOK, Arg0: uint64(sock.Port())})
 }
 
+// resetBacklog resets every connection waiting in a closed listener's
+// backlog, as a kernel does when a listening socket closes.
+func resetBacklog(l *tcp.Listener) {
+	for conn, ok := l.Accept(); ok; conn, ok = l.Accept() {
+		conn.Abort()
+	}
+}
+
 // NewAcceptCallback is the prototype's nk_new_accept_callback: it
 // harvests accepted connections from a listener, registers them under
 // fresh connection IDs, and emits new-connection events toward the VM.
@@ -812,6 +830,7 @@ func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
 		conn.SetCallbacks(cs.opts.OnReadable, cs.opts.OnWritable, cs.opts.OnClose)
 		conn.SetReceiveSink(cs.sink)
 		s.stats.accepts.Inc()
+		ls.announced++
 		remote := conn.RemoteAddr()
 		if batch == nil {
 			batch = make([][]nqe.Element, s.nshards())
@@ -866,7 +885,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 				s.emitRxChunk(cs)
 				if !cs.eofSent {
 					cs.eofSent = true
-					s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled)
+					s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled, 0)
 				}
 			}
 			return
@@ -891,7 +910,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 			s.cfg.Pair.Pages.Free(chunk)
 			if eof && !cs.eofSent {
 				cs.eofSent = true
-				s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled)
+				s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled, 0)
 			}
 			return
 		}
@@ -1062,7 +1081,7 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 		cs.eofSent = true
 		// A pending readiness entry outlives the connState: the ready
 		// queue carries (cid, mask) pairs, not pointers.
-		s.emitClosed(cs.shard, cid, statusFromErr(err), cs.polled)
+		s.emitClosed(cs.shard, cid, statusFromErr(err), cs.polled, 0)
 	}
 	// deliverData flushed the open receive chunk if it held bytes; an
 	// empty one allocated but never filled would leak without this.

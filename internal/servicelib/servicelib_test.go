@@ -294,6 +294,14 @@ func TestListenAcceptEmitsNewConn(t *testing.T) {
 	if h.svc.Stats().Accepts != 1 {
 		t.Fatalf("Accepts = %d", h.svc.Stats().Accepts)
 	}
+
+	// The listener's close counts the OpNewConns it announced: the engine
+	// keeps its mapping until it has translated that many.
+	h.job(nqe.Element{Op: nqe.OpClose, CID: lcid})
+	last := h.events[len(h.events)-1]
+	if last.Op != nqe.OpConnClosed || last.CID != lcid || last.Arg1 != 1 {
+		t.Fatalf("listener close emitted %+v, want OpConnClosed with Arg1 1", last)
+	}
 }
 
 func TestListenPortConflictStatus(t *testing.T) {
