@@ -44,7 +44,7 @@ type Config struct {
 	// assigned core instead of hashing, guaranteeing up to NumCores
 	// concurrent flows never share a core (manual pinning, as the
 	// paper's testbed does). Hash steering (the default) is what
-	// commodity RSS gives.
+	// commodity RSS gives. It steers to at most 256 cores.
 	RoundRobinCores bool
 	// RxShards, when > 0, runs the stack in sharded (multi-queue NSM)
 	// mode: the TCP connection table is split into RxShards shards
@@ -194,8 +194,9 @@ type Stack struct {
 	stats    counters
 
 	// flowCore is the RoundRobinCores assignment table: every flow hash
-	// ever seen keeps the core it first drew. int32 halves a map slot.
-	flowCore map[uint32]int32
+	// ever seen keeps the core it first drew, a byte in a compact table
+	// (New refuses a CPU of more than 256 cores).
+	flowCore coreTable
 	nextCore int32
 	// dead marks a killed stack (its host NSM crashed): arriving frames
 	// are dropped, nothing is ever transmitted again.
@@ -275,6 +276,9 @@ func New(cfg Config) *Stack {
 	if cfg.RNG == nil {
 		cfg.RNG = sim.NewRNG(0x5eed)
 	}
+	if cfg.RoundRobinCores && cfg.CPU != nil && cfg.CPU.Cores() > maxSteeredCores {
+		panic(fmt.Sprintf("stack: RoundRobinCores steers to at most %d cores, CPU has %d", maxSteeredCores, cfg.CPU.Cores()))
+	}
 	nshards := cfg.RxShards
 	if nshards < 1 {
 		nshards = 1
@@ -288,7 +292,6 @@ func New(cfg Config) *Stack {
 		udpSocks:   make(map[uint16]*UDPSocket),
 		pings:      make(map[uint32]*pingWaiter),
 		nextPort:   49152,
-		flowCore:   make(map[uint32]int32),
 	}
 	for i := range s.connShards {
 		s.connShards[i].conns = make(map[fourTuple]*tcp.Conn)
@@ -453,20 +456,21 @@ func (s *Stack) frameCore(frame []byte) int {
 }
 
 // coreFor maps a flow hash to a core: directly (RSS) or via a
-// round-robin assignment table (manual pinning).
+// round-robin assignment table (manual pinning). It runs only for a
+// frame charged to cfg.CPU.
 func (s *Stack) coreFor(hash uint32) int {
 	if !s.cfg.RoundRobinCores {
 		return int(hash)
 	}
-	if core, ok := s.flowCore[hash]; ok {
+	if core, ok := s.flowCore.get(hash); ok {
 		return int(core)
 	}
 	core := s.nextCore
 	s.nextCore++
-	if s.cfg.CPU != nil && int(s.nextCore) >= s.cfg.CPU.Cores() {
+	if int(s.nextCore) >= s.cfg.CPU.Cores() {
 		s.nextCore = 0
 	}
-	s.flowCore[hash] = core
+	s.flowCore.put(hash, uint8(core))
 	return int(core)
 }
 

@@ -44,7 +44,7 @@ func TestRoundRobinCoresSteering(t *testing.T) {
 	drawn := map[string]int{}
 	charged := func(dir string, f []byte, hash uint32) {
 		t.Helper()
-		core, ok := a.flowCore[hash]
+		core, ok := a.flowCore.get(hash)
 		if !ok {
 			t.Fatalf("%s frame charged to no core", dir)
 		}
@@ -105,7 +105,7 @@ func TestRoundRobinCoresSteering(t *testing.T) {
 
 	// The first flow closes on both sides and outlives its TIME_WAIT;
 	// its 4-tuple is then dialled again.
-	first, table := clients[0], len(a.flowCore)
+	first, table := clients[0], a.flowCore.size()
 	clients[0].Close()
 	servers[0].Close()
 	loop.RunFor(50 * time.Millisecond)
@@ -120,8 +120,8 @@ func TestRoundRobinCoresSteering(t *testing.T) {
 	}
 	again.Write(make([]byte, 16<<10))
 	loop.RunFor(10 * time.Millisecond)
-	if len(a.flowCore) != table {
-		t.Errorf("the reused 4-tuple grew the table from %d to %d hashes", table, len(a.flowCore))
+	if a.flowCore.size() != table {
+		t.Errorf("the reused 4-tuple grew the table from %d to %d hashes", table, a.flowCore.size())
 	}
 
 	if strings.Join(draws, "\n") != strings.Join(steeringGolden, "\n") {
