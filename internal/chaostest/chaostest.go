@@ -724,6 +724,27 @@ func (h *harness) checkPools(t Reporter) {
 			}
 		}
 	}
+	// A pair's rings hold slots only while elements occupy them: after
+	// quiesce every ring is empty, and every segment of the pair's slot
+	// reserve is either held by a ring or on its free list, none lost
+	// and none in both.
+	for _, vm := range []*hypervisor.VM{h.client, h.server} {
+		for i, pair := range vm.Guest.Pairs() {
+			for si, r := range pair.Shards {
+				for qi, q := range []*nkqueue.Queue{r.VMJob, r.VMCompletion, r.VMReceive, r.NSMJob, r.NSMCompletion, r.NSMReceive} {
+					if n := q.Len(); n != 0 {
+						t.Errorf("[seed %d] %s pair %d shard %d queue %d holds %d elements after quiesce",
+							h.seed, vm.Name, i, si, qi, n)
+					}
+				}
+			}
+			res := pair.Reserve
+			if held, free, slabs := res.Held(), res.Free(), res.Slabs(); held+free != slabs*res.SlabSegments() {
+				t.Errorf("[seed %d] %s pair %d's slot reserve: %d segments held + %d free, want its %d slabs × %d",
+					h.seed, vm.Name, i, held, free, slabs, res.SlabSegments())
+			}
+		}
+	}
 	// A host's pool carves its pairs' units from whole pages, one page
 	// at a time, and never takes a unit back. A pair lives as long as its
 	// host — MigrateNSM and RestartNSM keep the VM's pair — so each host's

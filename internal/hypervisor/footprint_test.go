@@ -15,13 +15,14 @@ import (
 )
 
 // A VM↔NSM channel's data region backs 64 KiB units on first touch,
-// carved from its host's huge-page pool, and its four shards split one
-// channel's queue depth (DESIGN.md §17), so a many-tenant world costs
-// the simulator the units its traffic used and one ring set's bytes per
-// channel, not every tenant's full region, a page per tenant, or a ring
-// set per shard up front. Eight tenants per host on one shared 4-shard
-// NSM each run a few 64 B round trips; each channel then backs one unit
-// and 384 KiB of rings, and each host one page for its eight channels.
+// carved from its host's huge-page pool, and its rings draw 1 KiB
+// segments from one 64 KiB slot reserve (DESIGN.md §17), so a
+// many-tenant world costs the simulator the units and segments its
+// traffic used, not every tenant's full region, a page per tenant, or
+// every ring's depth up front. Eight tenants per host on one shared
+// 4-shard NSM each run a few 64 B round trips; each channel then backs
+// one unit and one slab of ring slots, and each host one page for its
+// eight channels.
 func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	const (
 		tenants = 8
@@ -62,9 +63,7 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 			pairs++
 			capacity += pair.Pages.Pages()
 			units += pair.Pages.Resident()
-			for _, q := range pairQueues(pair) {
-				ringBytes += q.Cap() * nqe.Size
-			}
+			ringBytes += pair.Reserve.Bytes()
 			if n := pair.Pages.Resident(); n != 1 {
 				t.Errorf("%s's channel backs %d units after %d-byte round trips, want 1", vm.Name, n, msg)
 			}
@@ -84,13 +83,14 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	if pairs != 2*tenants {
 		t.Fatalf("%d channels, want %d", pairs, 2*tenants)
 	}
-	if ringBytes != pairs*384<<10 {
-		t.Errorf("%d channels hold %d KiB of rings, want 384 KiB each", pairs, ringBytes>>10)
+	if want := pairs * nkqueue.DefaultSlots * nqe.Size; ringBytes != want {
+		t.Errorf("%d channels' reserves hold %d KiB of ring slots, want %d KiB each", pairs, ringBytes>>10, want/pairs>>10)
 	}
-	// The 2 resident pages and 16 ring sets measure 12.4 MiB of live heap
-	// on linux/amd64; the limit is that plus 25 %, which a page per
-	// channel (40.2 MiB) exceeds.
-	const limit = 15.5 * (1 << 20)
+	// The 2 resident pages and 16 slot reserves measure 7.5 MiB of live
+	// heap on linux/amd64 run alone, 9.8 MiB after the package's other
+	// tests; the limit is the larger plus 25 %, which rings backed to
+	// their full depth (12.4 MiB alone) exceed.
+	const limit = 12.25 * (1 << 20)
 	t.Logf("%d channels: %d resident units on %d huge pages (%d MiB of capacity), %d KiB of rings per channel, live heap %.1f MiB (limit %.1f MiB)",
 		pairs, units, pages, capacity*shm.PageSize>>20, ringBytes/pairs>>10, float64(ms.HeapAlloc)/(1<<20), float64(limit)/(1<<20))
 	if ms.HeapAlloc >= limit {
@@ -103,8 +103,8 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 // units its peak outstanding chunks need: one 64 KiB unit, holding both
 // the receive chunks and the 64 B sends, on both sides — not a unit per
 // flow shard, nor a second unit for small messages — and each host backs
-// the one page that unit is carved from. Its rings split the channel's
-// 1 024-slot depth: 256 slots each.
+// the one page that unit is carved from. Its 24 rings draw their slots
+// from the one slab its reserve starts with.
 func TestFourShardPairBacksOnePage(t *testing.T) {
 	const (
 		conns  = 8
@@ -148,10 +148,8 @@ func TestFourShardPairBacksOnePage(t *testing.T) {
 			if n := pair.Pages.Resident(); n != 1 {
 				t.Errorf("%s pair backs %d units after %d-byte round trips on four shards, want 1", name, n, msg)
 			}
-			for i, q := range pairQueues(pair) {
-				if q.Cap() != 256 {
-					t.Errorf("%s pair's queue %d holds %d slots, want 256", name, i, q.Cap())
-				}
+			if n := pair.Reserve.Slabs(); n != 1 {
+				t.Errorf("%s pair's rings drew %d slabs of slots, want 1", name, n)
 			}
 		}
 	}
@@ -205,12 +203,15 @@ func startPingPong(t *testing.T, g *guestlib.GuestLib, ip ipv4.Addr, port uint16
 	}
 }
 
-// A sharded channel's rings split the pair's queue depth but each holds
-// more than one socket's 1 MiB shm window of 8 KiB chunks: 256 slots on
-// 4, 8 and 16 shards. One pair per host carries eight 64 B RPC
-// connections and four bulk flows, each of which puts up to 128 chunks
-// on its shard's rings at once; no push to any ring of either pair is
-// refused.
+// A sharded channel's rings are each a full queue deep but draw their
+// slots from the pair's one reserve: one pair per host on 4, 8 and 16
+// shards carries eight 64 B RPC connections and four bulk flows, each of
+// which puts up to 128 chunks on its shard's rings at once, and no push
+// to any ring of either pair is refused. A reserve grows only when every
+// segment is held, and every ring keeps the segment it last drained: on
+// 4 shards those 24 leave the bursts room in the reserve's first slab,
+// so each pair stays at one slab while they are in flight; the 48 and 96
+// rings of 8 and 16 shards may spill into a second.
 func TestShardedRingsHoldTheirTraffic(t *testing.T) {
 	const (
 		conns  = 8
@@ -232,20 +233,45 @@ func TestShardedRingsHoldTheirTraffic(t *testing.T) {
 		for i := 0; i < flows; i++ {
 			startBulk(t, vma.Guest, ipVMB, 9100, bulk)
 		}
-		stepUntil(t, c, func() bool { return done == conns && *received == flows*bulk })
+		vms := map[string]*VM{"client": vma, "server": vmb}
+		peak := map[string]int{} // most segments a pair's rings held at once
+		stepUntil(t, c, func() bool {
+			for name, vm := range vms {
+				for _, pair := range vm.Guest.Pairs() {
+					peak[name] = max(peak[name], pair.Reserve.Held())
+				}
+			}
+			return done == conns && *received == flows*bulk
+		})
 
-		for name, vm := range map[string]*VM{"client": vma, "server": vmb} {
+		for name, vm := range vms {
 			for _, pair := range vm.Guest.Pairs() {
 				if len(pair.Shards) != shards {
 					t.Fatalf("%d shards: %s pair has %d", shards, name, len(pair.Shards))
 				}
+				per := pair.Reserve.SlabSegments()
+				want := (peak[name] + per - 1) / per
+				if shards == 4 {
+					want = 1
+				}
+				if n := pair.Reserve.Slabs(); n != want {
+					t.Errorf("%d shards: %s pair's rings held at most %d segments and drew %d slabs of %d, want %d",
+						shards, name, peak[name], n, per, want)
+				}
 				for i, q := range pairQueues(pair) {
-					if q.Cap() != 256 || q.Refused() != 0 {
-						t.Errorf("%d shards: %s shard %d queue %d: %d slots, %d refused pushes; want 256 and 0",
-							shards, name, i/6, i%6, q.Cap(), q.Refused())
+					if q.Refused() != 0 {
+						t.Errorf("%d shards: %s shard %d queue %d refused %d pushes, want 0",
+							shards, name, i/6, i%6, q.Refused())
 					}
 				}
 			}
+			t.Logf("%d shards: %s pair's rings held at most %d segments", shards, name, peak[name])
+		}
+		// A 128-chunk burst on one ring spans at least 8 segments: the
+		// one slab held the bursts, it was not spared them.
+		if peak["client"] < 128/shm.SegmentSlots {
+			t.Errorf("%d shards: the client pair's rings held at most %d segments, want a burst's %d",
+				shards, peak["client"], 128/shm.SegmentSlots)
 		}
 	}
 }

@@ -38,8 +38,7 @@ type HostConfig struct {
 	SwitchMode vswitch.Mode
 	// Engine configures the CoreEngine cost model.
 	Engine EngineConfig
-	// Chan configures VM↔NSM channels. A zero Chan.Queue.Slots is filled
-	// per VM from Chan.RingSlots and the VM's larger shm window.
+	// Chan configures VM↔NSM channels.
 	Chan nkchan.Config
 	// Shards turns on the multi-queue datapath (the journal version's
 	// multi-core NSM): every VM↔NSM channel gets this many ring-set
@@ -535,17 +534,6 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 		if credit <= 0 {
 			credit = h.cfg.ShmWindow
 		}
-		chanCfg := h.cfg.Chan
-		if chanCfg.Queue.Slots == 0 {
-			send, recv := credit, h.cfg.ShmWindow
-			if send <= 0 {
-				send = guestlib.DefaultSendCredit
-			}
-			if recv <= 0 {
-				recv = servicelib.DefaultRecvWindow
-			}
-			chanCfg.Queue.Slots = chanCfg.RingSlots(max(send, recv))
-		}
 		var pairs []*nkchan.Pair
 		for r := 0; r < replicas; r++ {
 			nsm := cfg.NSM.ShareWith
@@ -559,7 +547,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 			}
 			vm.NSMs = append(vm.NSMs, nsm)
 
-			pair, err := nkchan.NewPair(chanCfg, h.HugePages)
+			pair, err := nkchan.NewPair(h.cfg.Chan, h.HugePages)
 			if err != nil {
 				return nil, fmt.Errorf("hypervisor: %w", err)
 			}

@@ -5,22 +5,23 @@
 // CoreEngine shuttles nqes between them.
 //
 // A channel may be sharded (the journal version's multi-queue NSM):
-// each shard owns a six-ring set (RingSlots gives it a share of the
-// channel's queue depth), flows are pinned to shards by the vswitch RSS
-// hash, and an element's shard is implied by the rings it rides — the
-// wire format carries no shard field.
+// each shard owns a six-ring set, flows are pinned to shards by the
+// vswitch RSS hash, and an element's shard is implied by the rings it
+// rides — the wire format carries no shard field. Every ring of every
+// shard draws its slots from the pair's one slot reserve, so a shard
+// costs the segments its traffic occupies, not its rings' depth.
 package nkchan
 
 import (
 	"netkernel/internal/nkqueue"
+	"netkernel/internal/nqe"
 	"netkernel/internal/shm"
 )
 
 // Config shapes a channel.
 type Config struct {
 	// Queue configures the six queues of each shard; its Slots is per
-	// ring. A host fills a zero Slots from RingSlots, so that a sharded
-	// channel's shards split one queue depth between them.
+	// ring.
 	Queue nkqueue.Config
 	// HugePages is the page count of the data region (default 40, the
 	// prototype's allocation). It is capacity, not cost: the region backs
@@ -31,9 +32,8 @@ type Config struct {
 	// size of Figure 4's caption).
 	ChunkSize int
 	// Shards is the number of ring-set shards (default 1, the single-
-	// queue channel of the conference paper). The huge-page region is
-	// shared across shards; ring sets are not, and RingSlots sizes them
-	// so that the shards split one queue depth between them.
+	// queue channel of the conference paper). The huge-page region and
+	// the slot reserve are shared across shards; ring sets are not.
 	Shards int
 }
 
@@ -83,6 +83,10 @@ type Pair struct {
 	// isolation) and shared by all shards through one free list, so
 	// the pair backs only the units its peak outstanding chunks need.
 	Pages *shm.HugePages
+	// Reserve backs every ring of every shard: one queue depth of
+	// segments at set-up, grown by another only when all are in use.
+	// Nil on a hand-built pair, whose queues have private reserves.
+	Reserve *shm.SlotReserve
 
 	// Kicks are the notification hooks wired by the owners, the
 	// channel's only wake path. Each models a batched interrupt in the
@@ -95,21 +99,26 @@ type Pair struct {
 	KickVM        func(shard int) // CoreEngine → GuestLib: VM completion/receive queues have work
 }
 
-// NewPair allocates the queues and reserves the data region, whose
-// units are carved from pool's pages; a nil pool means a private one.
+// NewPair builds the queues over one slot reserve of a queue depth and
+// reserves the data region, whose units are carved from pool's pages; a
+// nil pool means a private one.
 func NewPair(cfg Config, pool *shm.Pool) (*Pair, error) {
 	cfg.fillDefaults()
 	pages, err := shm.NewHugePagesIn(pool, cfg.HugePages, cfg.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pair{Pages: pages, Shards: make([]Rings, cfg.Shards)}
+	res, err := shm.NewSlotReserve(nkqueue.DefaultSlots, nqe.Size)
+	if err != nil {
+		return nil, err
+	}
+	p := &Pair{Pages: pages, Reserve: res, Shards: make([]Rings, cfg.Shards)}
 	for i := range p.Shards {
-		vm, err := nkqueue.NewSet(cfg.Queue)
+		vm, err := nkqueue.NewSet(cfg.Queue, res)
 		if err != nil {
 			return nil, err
 		}
-		nsm, err := nkqueue.NewSet(cfg.Queue)
+		nsm, err := nkqueue.NewSet(cfg.Queue, res)
 		if err != nil {
 			return nil, err
 		}
@@ -121,25 +130,6 @@ func NewPair(cfg Config, pool *shm.Pool) (*Pair, error) {
 	p.VMJob, p.VMCompletion, p.VMReceive = p.Shards[0].VMJob, p.Shards[0].VMCompletion, p.Shards[0].VMReceive
 	p.NSMJob, p.NSMCompletion, p.NSMReceive = p.Shards[0].NSMJob, p.Shards[0].NSMCompletion, p.Shards[0].NSMReceive
 	return p, nil
-}
-
-// RingSlots is the depth of each ring of a channel shaped by c whose
-// sockets may each have up to window bytes of data in flight one way
-// (the shm send credit or receive window): the smallest power of two
-// that gives the channel nkqueue.DefaultSlots per queue across its
-// shards and holds more than a window's worth of full chunks, but never
-// more than DefaultSlots. GuestLib spreads a pair's sockets round-robin
-// over its shards, so a shard's rings carry about a shard's share of the
-// traffic; a bulk flow still puts its whole window of chunks on one ring
-// in a single burst, whatever the shard count.
-func (c Config) RingSlots(window int) int {
-	c.fillDefaults()
-	burst := window / c.ChunkSize
-	per := 1
-	for per < nkqueue.DefaultSlots && (per*c.Shards < nkqueue.DefaultSlots || per <= burst) {
-		per *= 2
-	}
-	return per
 }
 
 // EnsureShards makes Shards usable on hand-built pairs that only

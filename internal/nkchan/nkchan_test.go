@@ -27,6 +27,12 @@ func TestNewPairDefaults(t *testing.T) {
 	if p.Pages.FreeCount() != 10240 || p.Pages.Resident() != 0 {
 		t.Fatalf("a new pair has %d free chunks and %d resident units, want 10 240 and 0", p.Pages.FreeCount(), p.Pages.Resident())
 	}
+	// One queue depth of ring slots, in 1 KiB segments none of which a
+	// ring holds yet.
+	if p.Reserve.Bytes() != nkqueue.DefaultSlots*nqe.Size || p.Reserve.Held() != 0 {
+		t.Fatalf("a new pair's reserve has %d bytes with %d segments held, want %d and 0",
+			p.Reserve.Bytes(), p.Reserve.Held(), nkqueue.DefaultSlots*nqe.Size)
+	}
 	// All six queues usable.
 	e := nqe.Element{Op: nqe.OpSend, Source: nqe.FromVM}
 	for i, q := range []*nkqueue.Queue{p.VMJob, p.VMCompletion, p.VMReceive, p.NSMJob, p.NSMCompletion, p.NSMReceive} {
@@ -37,6 +43,10 @@ func TestNewPairDefaults(t *testing.T) {
 		if !q.Pop(&out) || out.Op != nqe.OpSend {
 			t.Fatalf("queue %d pop failed", i)
 		}
+	}
+	// Each ring keeps the one segment it has drained, for its next push.
+	if n := p.Reserve.Held(); n != 6 {
+		t.Fatalf("six drained queues hold %d segments, want 6", n)
 	}
 
 	// Slots is per ring on every shard: an explicit depth, or DefaultSlots
@@ -55,36 +65,6 @@ func TestNewPairDefaults(t *testing.T) {
 					t.Errorf("Slots %d: shard %d queue %d holds %d slots, want %d", slots, si, qi, q.Cap(), want)
 				}
 			}
-		}
-	}
-}
-
-// RingSlots splits the default queue depth across a channel's shards
-// but keeps each ring deep enough for one socket's shm window of full
-// chunks, and never deeper than a single-queue ring.
-func TestRingSlots(t *testing.T) {
-	for _, tc := range []struct {
-		shards, window, chunk, want int
-	}{
-		{1, 1 << 20, 0, 1024},
-		{2, 1 << 20, 0, 512},
-		{3, 1 << 20, 0, 512},
-		{4, 1 << 20, 0, 256}, // a 1 MiB window's 128 chunks fit in 256 slots
-		{8, 1 << 20, 0, 256}, // a 128-slot share would not hold 128 chunks and more
-		{16, 1 << 20, 0, 256},
-		{8, 0, 0, 128}, // no window: the share alone
-		{16, 0, 0, 64},
-		{4, 4 << 20, 0, 1024},
-		{1, 16 << 20, 0, 1024}, // capped at a single-queue ring
-		{16, 1 << 20, 64 << 10, 64},
-	} {
-		c := Config{Shards: tc.shards, ChunkSize: tc.chunk}
-		got := c.RingSlots(tc.window)
-		if got != tc.want {
-			t.Errorf("%d shards, %d B window, %d B chunks: %d slots per ring, want %d", tc.shards, tc.window, tc.chunk, got, tc.want)
-		}
-		if got*tc.shards < nkqueue.DefaultSlots {
-			t.Errorf("%d shards of %d slots hold fewer than %d per queue", tc.shards, got, nkqueue.DefaultSlots)
 		}
 	}
 }

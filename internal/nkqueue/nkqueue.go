@@ -10,6 +10,11 @@
 // Config.Priority realizes that with a second ring for connection
 // events, drained before the data-event ring.
 //
+// A queue's depth is capacity, not cost: its rings hold 1 KiB segments
+// of a slot reserve only while their occupancy needs them, and every
+// queue of a VM↔NSM pair, on every shard, draws from the pair's one
+// reserve (nkchan.NewPair).
+//
 // Queue is one concrete type, so a producer's element literal stays on
 // its stack: nothing the conveyor pushes escapes through an interface.
 package nkqueue
@@ -27,9 +32,7 @@ const DefaultSlots = 1024
 
 // Config shapes a queue set.
 type Config struct {
-	// Slots per ring; 0 means DefaultSlots. Must be a power of two. A
-	// host sizes its channels' rings with nkchan.Config.RingSlots, which
-	// splits DefaultSlots across a sharded channel's shards.
+	// Slots per ring; 0 means DefaultSlots. Must be a power of two.
 	Slots int
 	// Priority splits each queue into connection-event and data-event
 	// rings (§3.2 head-of-line-blocking avoidance).
@@ -69,15 +72,20 @@ type Queue struct {
 }
 
 // NewQueue builds a queue: a plain one, or a priority one when
-// cfg.Priority is set (each ring gets cfg.Slots slots).
-func NewQueue(cfg Config) (*Queue, error) {
-	ring, err := shm.NewRing(cfg.slots(), nqe.Size)
+// cfg.Priority is set (each ring gets cfg.Slots slots, over a reserve of
+// its own).
+func NewQueue(cfg Config) (*Queue, error) { return newQueue(cfg, nil) }
+
+// newQueue is NewQueue with rings drawing their slots from res; nil
+// means a private reserve per ring.
+func newQueue(cfg Config, res *shm.SlotReserve) (*Queue, error) {
+	ring, err := shm.NewRingIn(res, cfg.slots(), nqe.Size)
 	if err != nil {
 		return nil, fmt.Errorf("nkqueue: %w", err)
 	}
 	q := &Queue{ring: ring}
 	if cfg.Priority {
-		q.hi, _ = shm.NewRing(cfg.slots(), nqe.Size) // same shape as ring
+		q.hi, _ = shm.NewRingIn(res, cfg.slots(), nqe.Size) // same shape as ring
 	}
 	return q, nil
 }
@@ -303,7 +311,7 @@ func Move(dst, src *Queue) bool { return MoveBatch(dst, src, 1) == 1 }
 
 // MoveBatch transfers up to max raw elements from src to dst without
 // decoding: the batched CoreEngine fast path. Each contiguous span
-// (split only at ring wraparound) moves with a single copy, one
+// (split only at a ring segment's end) moves with a single copy, one
 // publishing atomic add, and one releasing atomic add — per-batch
 // rather than per-event operation, which is what lets a shared stack
 // serve many tenants at line rate. Returns the number moved.
@@ -334,12 +342,14 @@ type Set struct {
 	Receive *Queue
 }
 
-// NewSet builds a queue set per cfg.
-func NewSet(cfg Config) (*Set, error) {
+// NewSet builds a queue set per cfg whose rings draw their slots from
+// res, a reserve of nqe.Size slots; nil means a private reserve per
+// ring.
+func NewSet(cfg Config, res *shm.SlotReserve) (*Set, error) {
 	var s Set
 	for _, q := range []**Queue{&s.Job, &s.Completion, &s.Receive} {
 		var err error
-		if *q, err = NewQueue(cfg); err != nil {
+		if *q, err = newQueue(cfg, res); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"netkernel/internal/nqe"
+	"netkernel/internal/shm"
 )
 
 func TestQueuePushPop(t *testing.T) {
@@ -175,8 +176,9 @@ func TestPriorityQueueDataFloodDoesNotBlockConn(t *testing.T) {
 }
 
 func TestNewSet(t *testing.T) {
+	res, _ := shm.NewSlotReserve(DefaultSlots, nqe.Size)
 	for _, priority := range []bool{false, true} {
-		s, err := NewSet(Config{Slots: 8, Priority: priority})
+		s, err := NewSet(Config{Slots: 8, Priority: priority}, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,6 +193,11 @@ func TestNewSet(t *testing.T) {
 			}
 		}
 	}
+	// Both sets drew from res: one segment for each ring pushed to (a
+	// priority queue's connection-event ring), none for the rest.
+	if n := res.Held(); n != 6 {
+		t.Fatalf("two sets hold %d segments of their reserve, want 6", n)
+	}
 }
 
 func TestNewQueueRejectsBadSlots(t *testing.T) {
@@ -200,7 +207,7 @@ func TestNewQueueRejectsBadSlots(t *testing.T) {
 	if _, err := NewQueue(Config{Slots: 3, Priority: true}); err == nil {
 		t.Fatal("non-power-of-two slot count accepted by priority queue")
 	}
-	if _, err := NewSet(Config{Slots: 3}); err == nil {
+	if _, err := NewSet(Config{Slots: 3}, nil); err == nil {
 		t.Fatal("non-power-of-two slot count accepted by set")
 	}
 }
@@ -427,3 +434,56 @@ func TestQueueBatchConcurrent(t *testing.T) {
 type errBatchOrder struct{ want, got uint64 }
 
 func (e errBatchOrder) Error() string { return "batched elements out of order" }
+
+// Four rings of one fresh pair — six-queue sets on four shards over one
+// queue depth of reserve, as nkchan.NewPair builds them — each take a
+// 129-slot burst, as lossy_bulk's receive rings do mid-period: every
+// segment comes from the slab allocated at set-up, and the bursts
+// allocate nothing.
+func TestAllocsRingBurstsFromOneSlab(t *testing.T) {
+	const burst = 129
+	type pair struct {
+		res *shm.SlotReserve
+		qs  []*Queue
+	}
+	fresh := func() pair {
+		res, err := shm.NewSlotReserve(DefaultSlots, nqe.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pair{res: res}
+		for shard := 0; shard < 4; shard++ {
+			vm, err := NewSet(Config{}, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewSet(Config{}, res); err != nil {
+				t.Fatal(err)
+			}
+			p.qs = append(p.qs, vm.Receive)
+		}
+		return p
+	}
+	pairs := []pair{fresh(), fresh()} // AllocsPerRun's warm-up run, then the measured one
+	es := make([]nqe.Element, burst)
+	for i := range es {
+		es[i] = nqe.Element{Op: nqe.OpNewData, Source: nqe.FromNSM, Seq: uint64(i)}
+	}
+	run := 0
+	avg := testing.AllocsPerRun(1, func() {
+		for _, q := range pairs[run].qs {
+			if n := q.PushBatch(es); n != burst {
+				t.Fatalf("burst placed %d of %d", n, burst)
+			}
+		}
+		run++
+	})
+	if avg != 0 {
+		t.Fatalf("%.1f allocations for four %d-slot bursts, want 0", avg, burst)
+	}
+	for _, p := range pairs {
+		if n, segs := p.res.Slabs(), p.res.Held(); n != 1 || segs != 4*((burst+shm.SegmentSlots-1)/shm.SegmentSlots) {
+			t.Fatalf("four bursts hold %d segments of %d slabs, want %d of 1", segs, n, 4*((burst+shm.SegmentSlots-1)/shm.SegmentSlots))
+		}
+	}
+}

@@ -154,7 +154,8 @@ func (h *HugePages) Alloc() (Chunk, bool) {
 }
 
 // AllocSized is Alloc; its arguments are ignored. It remains for
-// callers written against the earlier two-class allocator.
+// callers written against the earlier two-class allocator: the
+// benchmark's shm.pages_ns_per_chunk rung still calls it.
 func (h *HugePages) AllocSized(int, ...int) (Chunk, bool) { return h.Alloc() }
 
 // Retain adds a reference to an allocated chunk. It panics if the chunk

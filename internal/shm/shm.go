@@ -13,7 +13,10 @@
 //     64 KiB unit of its host's Pool, which carves units from 2 MB pages
 //     shared by every region on the host.
 //   - Ring: a single-producer single-consumer ring buffer of fixed-size
-//     slots, standing in for the queue devices.
+//     slots, standing in for the queue devices. Its depth is capacity,
+//     not cost: its slots are 16-slot segments (1 KiB of nqes) drawn
+//     from a SlotReserve as it fills and given back as it drains, and
+//     all the rings of a VM↔NSM pair share one reserve.
 //
 // Notification between the two sides is not a shared-memory object: the
 // owners of a channel wake each other through nkchan.Pair's Kick hooks.
