@@ -281,10 +281,12 @@ func (h *harness) run() *Result {
 	if shards < 0 {
 		shards = 0
 	}
+	// The two hosts share one huge-page pool, as a World's do.
+	pages := shm.NewPool()
 	mk := func(name string, id uint8) *hypervisor.Host {
 		return hypervisor.NewHost(hypervisor.HostConfig{
 			Name: name, Clock: h.loop, RNG: sim.NewRNG(h.seed + uint64(id)),
-			HostID: id, Cores: 8, Shards: shards,
+			HostID: id, Cores: 8, Shards: shards, HugePages: pages,
 			MinRTO: prof.MinRTO, MSL: prof.MSL,
 			TraceSampleEvery: prof.TraceSampleEvery,
 		})
@@ -745,19 +747,21 @@ func (h *harness) checkPools(t Reporter) {
 			}
 		}
 	}
-	// A host's pool carves its pairs' units from whole pages, one page
-	// at a time, and never takes a unit back. A pair lives as long as its
-	// host — MigrateNSM and RestartNSM keep the VM's pair — so each host's
-	// pages are exactly those its one VM's resident units fill, with no
-	// slack page, even after a migration or restart.
+	// A pool carves its pairs' units from whole pages, one page at a
+	// time, and never takes a unit back. A pair lives as long as its
+	// host — MigrateNSM and RestartNSM keep the VM's pair — so each pool's
+	// pages are exactly those the resident units of every pair on it
+	// fill, with no slack page, even after a migration or restart.
+	resident := map[*shm.Pool]int{h.h1.HugePages: 0, h.h2.HugePages: 0} // bytes
 	for host, vm := range map[*hypervisor.Host]*hypervisor.VM{h.h1: h.client, h.h2: h.server} {
-		resident := 0 // bytes
 		for _, pair := range vm.Guest.Pairs() {
-			resident += pair.Pages.Resident() * pair.Pages.UnitSize()
+			resident[host.HugePages] += pair.Pages.Resident() * pair.Pages.UnitSize()
 		}
-		if got, want := host.HugePages.Pages(), (resident+shm.PageSize-1)/shm.PageSize; got != want {
-			t.Errorf("[seed %d] %s's host backs %d huge pages for %d KiB of resident units, want %d",
-				h.seed, vm.Name, got, resident>>10, want)
+	}
+	for pool, bytes := range resident {
+		if got, want := pool.Pages(), (bytes+shm.PageSize-1)/shm.PageSize; got != want {
+			t.Errorf("[seed %d] a huge-page pool backs %d pages for %d KiB of resident units, want %d",
+				h.seed, got, bytes>>10, want)
 		}
 	}
 	for name, host := range map[string]*hypervisor.Host{"h1": h.h1, "h2": h.h2} {

@@ -18,12 +18,14 @@ import (
 	"netkernel/internal/netsim"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
+	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
 )
 
 // World is a two-host testbed: the paper's pair of Xeon servers joined
-// back to back (§4.1), with a configurable wire.
+// back to back (§4.1), with a configurable wire. Its hosts share one
+// huge-page pool.
 type World struct {
 	Loop   *sim.Loop
 	H1, H2 *hypervisor.Host
@@ -53,6 +55,7 @@ func NewWorld(cfg WorldConfig) *World {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	pages := shm.NewPool() // shared by both hosts (DESIGN.md §17)
 	mk := func(name string, id uint8) *hypervisor.Host {
 		hc := hypervisor.HostConfig{
 			Name:            name,
@@ -64,6 +67,7 @@ func NewWorld(cfg WorldConfig) *World {
 			RoundRobinCores: true,
 			MinRTO:          cfg.MinRTO,
 			MSL:             100 * time.Millisecond,
+			HugePages:       pages,
 		}
 		if cfg.Mutate != nil {
 			cfg.Mutate(&hc)

@@ -15,14 +15,14 @@ import (
 )
 
 // A VM↔NSM channel's data region backs 64 KiB units on first touch,
-// carved from its host's huge-page pool, and its rings draw 1 KiB
+// carved from the testbed's huge-page pool, and its rings draw 1 KiB
 // segments from one 64 KiB slot reserve (DESIGN.md §17), so a
 // many-tenant world costs the simulator the units and segments its
-// traffic used, not every tenant's full region, a page per tenant, or
-// every ring's depth up front. Eight tenants per host on one shared
-// 4-shard NSM each run a few 64 B round trips; each channel then backs
-// one unit and one slab of ring slots, and each host one page for its
-// eight channels.
+// traffic used, not every tenant's full region, a page per tenant or
+// per host, or every ring's depth up front. Eight tenants per host on
+// one shared 4-shard NSM each run a few 64 B round trips; each channel
+// then backs one unit and one slab of ring slots, and the two hosts one
+// page for their sixteen channels.
 func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	const (
 		tenants = 8
@@ -69,12 +69,12 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 			}
 		}
 	}
-	pages := 0
-	for name, h := range map[string]*Host{"client": c.h1, "server": c.h2} {
-		pages += h.HugePages.Pages()
-		if n := h.HugePages.Pages(); n != 1 {
-			t.Errorf("%s host backs %d huge pages for its %d channels, want 1", name, n, tenants)
-		}
+	if c.h1.HugePages != c.h2.HugePages {
+		t.Fatal("the two hosts have pools of their own")
+	}
+	pages := c.h1.HugePages.Pages()
+	if pages != 1 {
+		t.Errorf("the hosts back %d huge pages for their %d channels, want 1", pages, 2*tenants)
 	}
 	runtime.GC()
 	var ms runtime.MemStats
@@ -86,11 +86,12 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 	if want := pairs * nkqueue.DefaultSlots * nqe.Size; ringBytes != want {
 		t.Errorf("%d channels' reserves hold %d KiB of ring slots, want %d KiB each", pairs, ringBytes>>10, want/pairs>>10)
 	}
-	// The 2 resident pages and 16 slot reserves measure 7.5 MiB of live
-	// heap on linux/amd64 run alone, 9.8 MiB after the package's other
-	// tests; the limit is the larger plus 25 %, which rings backed to
-	// their full depth (12.4 MiB alone) exceed.
-	const limit = 12.25 * (1 << 20)
+	// The one resident page, 16 slot reserves and 16 count blocks
+	// measure 4.2 MiB of live heap on linux/amd64 run alone, 6.6 MiB
+	// after the package's other tests; the limit is the larger plus 25 %,
+	// which a page per host with counts for every chunk (9.8 MiB after
+	// the other tests) exceeds.
+	const limit = 8.25 * (1 << 20)
 	t.Logf("%d channels: %d resident units on %d huge pages (%d MiB of capacity), %d KiB of rings per channel, live heap %.1f MiB (limit %.1f MiB)",
 		pairs, units, pages, capacity*shm.PageSize>>20, ringBytes/pairs>>10, float64(ms.HeapAlloc)/(1<<20), float64(limit)/(1<<20))
 	if ms.HeapAlloc >= limit {
@@ -102,9 +103,9 @@ func TestTenantFootprintIsThePagesTrafficTouches(t *testing.T) {
 // A 4-shard pair whose connections sit on all four shards backs the
 // units its peak outstanding chunks need: one 64 KiB unit, holding both
 // the receive chunks and the 64 B sends, on both sides — not a unit per
-// flow shard, nor a second unit for small messages — and each host backs
-// the one page that unit is carved from. Its 24 rings draw their slots
-// from the one slab its reserve starts with.
+// flow shard, nor a second unit for small messages — and the hosts'
+// shared pool backs the one page both units are carved from. Its 24
+// rings draw their slots from the one slab its reserve starts with.
 func TestFourShardPairBacksOnePage(t *testing.T) {
 	const (
 		conns  = 8
@@ -138,10 +139,11 @@ func TestFourShardPairBacksOnePage(t *testing.T) {
 			}
 		}
 	}
-	for name, h := range map[string]*Host{"client": c.h1, "server": c.h2} {
-		if n := h.HugePages.Pages(); n != 1 {
-			t.Errorf("%s host backs %d huge pages, want 1", name, n)
-		}
+	if c.h1.HugePages != c.h2.HugePages {
+		t.Fatal("the two hosts have pools of their own")
+	}
+	if n := c.h1.HugePages.Pages(); n != 1 {
+		t.Errorf("the hosts' pool backs %d huge pages for two pairs' units, want 1", n)
 	}
 	for name, vm := range map[string]*VM{"client": vma, "server": vmb} {
 		for _, pair := range vm.Guest.Pairs() {

@@ -69,6 +69,11 @@ type HostConfig struct {
 	// publishes into (useful to aggregate several hosts); nil builds a
 	// private one, so Host.Metrics is never nil.
 	Metrics *telemetry.Registry
+	// HugePages, when set, is the huge-page pool every VM↔NSM pair on
+	// this host carves its units from (a testbed's hosts share one, so
+	// their pairs share pages); nil builds a private one, so
+	// Host.HugePages is never nil.
+	HugePages *shm.Pool
 	// TraceSampleEvery enables per-nqe span tracing: every Nth
 	// operation entering the pipeline is stamped at each hop (GuestLib
 	// enqueue → engine pump → ServiceLib dispatch → stack TX, and the
@@ -87,8 +92,9 @@ type Host struct {
 	NIC    *netsim.NIC
 	Switch *vswitch.Switch
 	Engine *CoreEngine
-	// HugePages is the host's huge-page pool: every VM↔NSM pair's data
-	// region carves its units from these pages (DESIGN.md §17).
+	// HugePages is the host's huge-page pool, perhaps shared with other
+	// hosts: every VM↔NSM pair's data region carves its units from these
+	// pages (DESIGN.md §17).
 	HugePages *shm.Pool
 
 	// Metrics is the host's unified telemetry registry; every layer
@@ -124,6 +130,9 @@ func NewHost(cfg HostConfig) *Host {
 	if cfg.Chan.Shards <= 0 && cfg.Shards > 1 {
 		cfg.Chan.Shards = cfg.Shards
 	}
+	if cfg.HugePages == nil {
+		cfg.HugePages = shm.NewPool()
+	}
 	h := &Host{
 		cfg:       cfg,
 		clock:     cfg.Clock,
@@ -131,7 +140,7 @@ func NewHost(cfg HostConfig) *Host {
 		CPU:       netsim.NewCPU(cfg.Clock, cfg.Cores),
 		vms:       make(map[uint32]*VM),
 		nsms:      make(map[uint32]*NSM),
-		HugePages: shm.NewPool(),
+		HugePages: cfg.HugePages,
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()

@@ -10,6 +10,7 @@ import (
 	"netkernel/internal/nqe"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
+	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
 )
@@ -30,10 +31,11 @@ func newCluster(t *testing.T, mutate func(cfg *HostConfig)) *cluster {
 	t.Helper()
 	loop := sim.NewLoop()
 	rng := sim.NewRNG(99)
+	pages := shm.NewPool() // the two hosts share their huge pages, as a World's do
 	mk := func(name string, id uint8) *Host {
 		cfg := HostConfig{
 			Name: name, Clock: loop, RNG: sim.NewRNG(uint64(id)),
-			HostID: id, Cores: 8,
+			HostID: id, Cores: 8, HugePages: pages,
 			MinRTO: 20 * time.Millisecond, MSL: 50 * time.Millisecond,
 		}
 		if mutate != nil {

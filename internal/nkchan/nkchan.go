@@ -25,8 +25,9 @@ type Config struct {
 	Queue nkqueue.Config
 	// HugePages is the page count of the data region (default 40, the
 	// prototype's allocation). It is capacity, not cost: the region backs
-	// a 64 KiB unit, carved from its host's page pool, only when a chunk
-	// on it is first touched (DESIGN.md §17).
+	// a 64 KiB unit, carved from its host's page pool (the testbed's,
+	// when its hosts share one), only when a chunk on it is first
+	// touched (DESIGN.md §17).
 	HugePages int
 	// ChunkSize is the data-chunk granularity (default 8 KB, the chunk
 	// size of Figure 4's caption).

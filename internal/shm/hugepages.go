@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -35,15 +36,28 @@ type Chunk struct {
 // into the chunk and the NSM still tracks it), and Free drops one. The
 // chunk returns to the free list only when the last reference is
 // dropped. Releasing a chunk that is already free panics.
+//
+// The counts cost what the cursor has reached, not the region's
+// capacity: they live in one block per region page, made when the
+// cursor first enters that page's chunks. The freed list is threaded
+// through them: a freed chunk's count holds -(index of the chunk freed
+// before it + 2), so every free chunk reads -1 or less and a held one
+// 1 or more (DESIGN.md §8).
 type HugePages struct {
 	region    *region
 	chunkSize int
+	chunks    int32 // capacity in chunks
+	pageShift uint  // log2 of the chunks on one region page
 
-	mu   sync.Mutex
-	free []int32 // freed chunks' indexes, most recent last
-	next int32   // index of the first chunk never handed out
+	mu     sync.Mutex
+	freed  int32        // the most recently freed chunk's index, -1 if none
+	nfreed int32        // chunks on the freed list
+	next   atomic.Int32 // index of the first chunk never handed out
 
-	refs    []atomic.Int32
+	// blocks[p] holds the counts of page p's chunks, nil until the cursor
+	// enters the page. Alloc makes a block under the mutex before its
+	// cursor store, so a chunk below a loaded cursor has its block.
+	blocks  [][]atomic.Int32
 	retains atomic.Uint64 // Retain calls, for Retains
 }
 
@@ -57,7 +71,8 @@ func NewHugePages(pages, chunkSize int) (*HugePages, error) {
 
 // NewHugePagesIn is NewHugePages over pool, whose pages the region's
 // units are carved from; a nil pool means a private one. A region's unit
-// is UnitSize, or one chunk if the chunk is larger.
+// is UnitSize, or one chunk if the chunk is larger, and every region on
+// one pool must have the same unit: one of another size is an error.
 func NewHugePagesIn(pool *Pool, pages, chunkSize int) (*HugePages, error) {
 	if pages <= 0 {
 		return nil, fmt.Errorf("shm: non-positive page count %d", pages)
@@ -68,13 +83,18 @@ func NewHugePagesIn(pool *Pool, pages, chunkSize int) (*HugePages, error) {
 	if pool == nil {
 		pool = NewPool()
 	}
-	n := pages * (PageSize / chunkSize)
+	unit := max(UnitSize, chunkSize)
+	if err := pool.carve(unit); err != nil {
+		return nil, err
+	}
+	perPage := PageSize / chunkSize // a power of two, as chunkSize divides PageSize
 	return &HugePages{
-		region:    newRegion(pool, pages*PageSize, max(UnitSize, chunkSize)),
+		region:    newRegion(pool, pages*PageSize, unit),
 		chunkSize: chunkSize,
-		// Sized for every chunk at once, so Free never grows it.
-		free: make([]int32, 0, n),
-		refs: make([]atomic.Int32, n),
+		chunks:    int32(pages * perPage),
+		pageShift: uint(bits.TrailingZeros(uint(perPage))),
+		freed:     -1,
+		blocks:    make([][]atomic.Int32, pages),
 	}, nil
 }
 
@@ -82,7 +102,7 @@ func NewHugePagesIn(pool *Pool, pages, chunkSize int) (*HugePages, error) {
 func (h *HugePages) ChunkSize() int { return h.chunkSize }
 
 // Chunks returns the total number of chunks.
-func (h *HugePages) Chunks() int { return len(h.refs) }
+func (h *HugePages) Chunks() int { return int(h.chunks) }
 
 // Pages returns the region's capacity in pages.
 func (h *HugePages) Pages() int { return h.region.size / PageSize }
@@ -103,7 +123,7 @@ func (h *HugePages) Resident() int { return h.region.resident() }
 func (h *HugePages) FreeCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.free) + len(h.refs) - int(h.next)
+	return int(h.nfreed + h.chunks - h.next.Load())
 }
 
 // LiveRefs sums the reference counts of all in-use chunks. At quiescence
@@ -111,14 +131,21 @@ func (h *HugePages) FreeCount() int {
 // together with FreeCount()==Chunks().
 func (h *HugePages) LiveRefs() int {
 	n := 0
-	for i := range h.refs {
-		n += int(h.refs[i].Load())
+	for _, b := range h.blocks[:h.made()] {
+		for i := range b {
+			n += max(int(b[i].Load()), 0)
+		}
 	}
 	return n
 }
 
 // RefCount reports the chunk's current reference count (0 = free).
-func (h *HugePages) RefCount(c Chunk) int { return int(h.refs[h.index(c)].Load()) }
+func (h *HugePages) RefCount(c Chunk) int {
+	if r := h.count(h.index(c)); r != nil {
+		return max(int(r.Load()), 0)
+	}
+	return 0
+}
 
 // Held reports whether c names a chunk of the region that is handed out:
 // its offset chunk-aligned and inside the region, its reference count
@@ -128,7 +155,9 @@ func (h *HugePages) RefCount(c Chunk) int { return int(h.refs[h.index(c)].Load()
 func (h *HugePages) Held(c Chunk) bool {
 	size := uint64(h.chunkSize)
 	idx := c.Offset / size
-	return c.Offset%size == 0 && idx < uint64(len(h.refs)) && h.refs[idx].Load() > 0
+	// The cursor never passes the region's last chunk, so a chunk below
+	// it lies inside the region.
+	return c.Offset%size == 0 && idx < uint64(h.next.Load()) && h.at(int32(idx)).Load() > 0
 }
 
 // Alloc reserves one chunk with a reference count of one. It reports
@@ -138,18 +167,22 @@ func (h *HugePages) Held(c Chunk) bool {
 func (h *HugePages) Alloc() (Chunk, bool) {
 	h.mu.Lock()
 	var idx int32
-	if n := len(h.free); n > 0 {
-		idx = h.free[n-1]
-		h.free = h.free[:n-1]
-	} else if int(h.next) < len(h.refs) {
-		idx = h.next
-		h.next++
+	if idx = h.freed; idx >= 0 {
+		r := h.at(idx)
+		h.freed = -r.Load() - 2
+		h.nfreed--
+		r.Store(1)
+	} else if idx = h.next.Load(); idx < h.chunks {
+		if p := idx >> h.pageShift; h.blocks[p] == nil {
+			h.blocks[p] = make([]atomic.Int32, 1<<h.pageShift)
+		}
+		h.at(idx).Store(1)
+		h.next.Store(idx + 1)
 	} else {
 		h.mu.Unlock()
 		return Chunk{}, false
 	}
 	h.mu.Unlock()
-	h.refs[idx].Store(1)
 	return Chunk{Offset: uint64(idx) * uint64(h.chunkSize)}, true
 }
 
@@ -159,15 +192,19 @@ func (h *HugePages) Alloc() (Chunk, bool) {
 func (h *HugePages) AllocSized(int, ...int) (Chunk, bool) { return h.Alloc() }
 
 // Retain adds a reference to an allocated chunk. It panics if the chunk
-// is currently free: taking a reference on unowned memory is the same
-// descriptor-corruption class of bug as a double free.
+// is currently free, leaving its count as it was: taking a reference on
+// unowned memory is the same descriptor-corruption class of bug as a
+// double free.
 func (h *HugePages) Retain(c Chunk) {
 	h.retains.Add(1)
-	idx := h.index(c)
-	if n := h.refs[idx].Add(1); n <= 1 {
-		h.refs[idx].Add(-1)
-		panic(fmt.Sprintf("shm: retain of free chunk at offset %d", c.Offset))
+	if r := h.count(h.index(c)); r != nil {
+		for n := r.Load(); n > 0; n = r.Load() {
+			if r.CompareAndSwap(n, n+1) {
+				return
+			}
+		}
 	}
+	panic(fmt.Sprintf("shm: retain of free chunk at offset %d", c.Offset))
 }
 
 // Retains returns the number of Retain calls so far, which tests read to
@@ -176,21 +213,32 @@ func (h *HugePages) Retains() uint64 { return h.retains.Load() }
 
 // Free drops one reference; the chunk returns to the free list when the
 // last reference is dropped. Releasing an already-free chunk or a
-// misaligned offset panics: both indicate descriptor corruption, which
-// in a real deployment would be a guest escaping its huge-page window.
+// misaligned offset panics and changes no count: both indicate
+// descriptor corruption, which in a real deployment would be a guest
+// escaping its huge-page window.
 func (h *HugePages) Free(c Chunk) {
 	idx := h.index(c)
-	n := h.refs[idx].Add(-1)
-	if n < 0 {
-		h.refs[idx].Add(1)
-		panic(fmt.Sprintf("shm: double free of chunk at offset %d", c.Offset))
+	if r := h.count(idx); r != nil {
+		for n := r.Load(); n > 0; n = r.Load() {
+			if n > 1 {
+				if r.CompareAndSwap(n, n-1) {
+					return // other holders remain
+				}
+				continue
+			}
+			// The last reference: the count becomes the freed list's link
+			// under the mutex, so no Alloc reads it half-made.
+			h.mu.Lock()
+			if r.CompareAndSwap(1, -h.freed-2) {
+				h.freed = idx
+				h.nfreed++
+				h.mu.Unlock()
+				return
+			}
+			h.mu.Unlock()
+		}
 	}
-	if n > 0 {
-		return // other holders remain
-	}
-	h.mu.Lock()
-	h.free = append(h.free, idx)
-	h.mu.Unlock()
+	panic(fmt.Sprintf("shm: double free of chunk at offset %d", c.Offset))
 }
 
 // Release is Free of the chunk at offset token. It makes HugePages the
@@ -206,6 +254,27 @@ func (h *HugePages) index(c Chunk) int32 {
 		panic(fmt.Sprintf("shm: chunk offset %d invalid for chunk size %d, region %d", c.Offset, h.chunkSize, h.region.size))
 	}
 	return int32(c.Offset / uint64(h.chunkSize))
+}
+
+// made returns the number of count blocks made so far: one per region
+// page the cursor has entered.
+func (h *HugePages) made() int {
+	perPage := int32(1) << h.pageShift
+	return int((h.next.Load() + perPage - 1) >> h.pageShift)
+}
+
+// count returns chunk idx's count, or nil if the cursor has not reached
+// the chunk: a chunk never handed out, whose block may not exist.
+func (h *HugePages) count(idx int32) *atomic.Int32 {
+	if idx >= h.next.Load() {
+		return nil
+	}
+	return h.at(idx)
+}
+
+// at returns chunk idx's count, whose block must exist.
+func (h *HugePages) at(idx int32) *atomic.Int32 {
+	return &h.blocks[idx>>h.pageShift][idx&(1<<h.pageShift-1)]
 }
 
 // Bytes returns the chunk's full window. The slice aliases shared

@@ -89,13 +89,15 @@ func TestHugePagesExhaustsEveryChunk(t *testing.T) {
 
 // TestHugePagesPeakOracle drives seeded random Alloc/AllocSized/Retain/Free
 // sequences against a model of the allocator, over three regions sharing
-// one pool. After every step each region's resident units must be
-// exactly the units its peak outstanding chunks span —
-// ⌈peak × chunk size / unit size⌉, every handed-out chunk being touched —
-// the pool's pages exactly those the regions' units fill, with no slack
-// page, and FreeCount, LiveRefs and the uniqueness of live offsets must
-// all agree with the model. It runs once with chunks of their own unit
-// and once with two chunks to a UnitSize unit.
+// one pool. Every Alloc must hand out the chunk the model's LIFO of freed
+// chunks names, or the lowest never handed out. After every step each
+// region's resident units must be exactly the units its peak outstanding
+// chunks span — ⌈peak × chunk size / unit size⌉, every handed-out chunk
+// being touched — its count blocks exactly one per page those chunks
+// reach, the pool's pages exactly those the regions' units fill, with no
+// slack page, and every chunk's RefCount and Held, FreeCount and LiveRefs
+// must all agree with the model. It runs once with chunks of their own
+// unit and once with two chunks to a UnitSize unit.
 func TestHugePagesPeakOracle(t *testing.T) {
 	const (
 		regions = 3
@@ -105,7 +107,8 @@ func TestHugePagesPeakOracle(t *testing.T) {
 		h         *HugePages
 		refs      map[uint64]int // live chunk offset → model refcount
 		live      []Chunk        // the keys of refs, for random picks
-		out, peak int            // outstanding and peak chunks
+		freed     []uint64       // freed chunks' offsets, most recent last
+		out, peak int            // outstanding and peak chunks: the peak is the chunks ever handed out
 		resident  int            // resident units after the last step
 	}
 	for _, shape := range []struct{ pages, chunkSize int }{
@@ -155,8 +158,12 @@ func TestHugePagesPeakOracle(t *testing.T) {
 					if !ok {
 						t.Fatalf("seed %d: alloc failed with %d/%d chunks out", seed, m.out, h.Chunks())
 					}
-					if _, dup := m.refs[c.Offset]; dup {
-						t.Fatalf("seed %d: offset %d handed out twice", seed, c.Offset)
+					want := uint64(m.peak * chunkSize) // the lowest chunk never handed out
+					if n := len(m.freed); n > 0 {
+						want, m.freed = m.freed[n-1], m.freed[:n-1]
+					}
+					if c.Offset != want {
+						t.Fatalf("chunk %d seed %d step %d: alloc at offset %d, want %d", chunkSize, seed, step, c.Offset, want)
 					}
 					h.Write(c, []byte{byte(seed)})
 					m.refs[c.Offset] = 1
@@ -173,6 +180,7 @@ func TestHugePagesPeakOracle(t *testing.T) {
 					h.Free(c)
 					if m.refs[c.Offset]--; m.refs[c.Offset] == 0 {
 						delete(m.refs, c.Offset)
+						m.freed = append(m.freed, c.Offset)
 						m.live[i] = m.live[len(m.live)-1]
 						m.live = m.live[:len(m.live)-1]
 						m.out--
@@ -184,6 +192,24 @@ func TestHugePagesPeakOracle(t *testing.T) {
 				}
 				if got, want := h.FreeCount(), h.Chunks()-m.out; got != want {
 					t.Fatalf("seed %d step %d: FreeCount = %d, want %d", seed, step, got, want)
+				}
+				made, perPage := 0, PageSize/chunkSize
+				for _, b := range h.blocks {
+					if b != nil {
+						made++
+					}
+				}
+				if want := (m.peak + perPage - 1) / perPage; made != want {
+					t.Fatalf("chunk %d seed %d step %d: %d count blocks for %d chunks ever handed out, want %d", chunkSize, seed, step, made, m.peak, want)
+				}
+				for off := uint64(0); off < uint64(h.Chunks()*chunkSize); off += uint64(chunkSize) {
+					c, want := Chunk{Offset: off}, m.refs[off]
+					if got := h.RefCount(c); got != want {
+						t.Fatalf("chunk %d seed %d step %d: RefCount at %d = %d, want %d", chunkSize, seed, step, off, got, want)
+					}
+					if got := h.Held(c); got != (want > 0) {
+						t.Fatalf("chunk %d seed %d step %d: Held at %d = %v with %d references", chunkSize, seed, step, off, got, want)
+					}
 				}
 				sum := 0
 				for _, n := range m.refs {
@@ -211,14 +237,46 @@ func TestHugePagesPeakOracle(t *testing.T) {
 
 // TestHugePagesConcurrentAllocFree is the wall-clock contention scenario:
 // guest-side goroutines allocating while NSM-side goroutines free, with
-// occasional Retain/Free pairs riding along. Run under -race; the
-// assertions check conservation, not timing.
+// occasional Retain/Free pairs riding along, and a checker reading Held,
+// RefCount and LiveRefs of every chunk meanwhile, as the cursor makes the
+// second page's count block: a free chunk's freed-list link must never
+// show through as a count. Run under -race; the assertions check
+// conservation, not timing.
 func TestHugePagesConcurrentAllocFree(t *testing.T) {
-	h, _ := NewHugePages(2, 8192) // 512 chunks
+	h, _ := NewHugePages(2, 8192) // 512 chunks, 256 a page
 	const (
 		workers = 8
 		rounds  = 2000
 	)
+	// Hold most of page 0, so the workers' allocations make page 1's
+	// block while the checker reads.
+	pinned := make([]Chunk, 250)
+	for i := range pinned {
+		pinned[i], _ = h.Alloc()
+	}
+	stop, checked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(checked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for off := uint64(0); off < 2*PageSize; off += 8192 {
+				c := Chunk{Offset: off}
+				h.Held(c)
+				if n := h.RefCount(c); n < 0 {
+					t.Errorf("RefCount at %d = %d", off, n)
+					return
+				}
+			}
+			if n := h.LiveRefs(); n < 0 {
+				t.Errorf("LiveRefs = %d", n)
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -249,10 +307,113 @@ func TestHugePagesConcurrentAllocFree(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-checked
+	if n := h.made(); n != 2 {
+		t.Fatalf("%d count blocks after the workers' allocations, want 2", n)
+	}
+	for _, c := range pinned {
+		h.Free(c)
+	}
 	if h.FreeCount() != h.Chunks() {
 		t.Fatalf("FreeCount = %d after quiescence, want %d", h.FreeCount(), h.Chunks())
 	}
 	if h.LiveRefs() != 0 {
 		t.Fatalf("LiveRefs = %d after quiescence, want 0", h.LiveRefs())
+	}
+}
+
+// Retain and Free of a chunk nobody holds panic and change nothing:
+// neither a chunk on a page whose count block was never made, nor one
+// past the cursor on a page whose block was, nor a freed chunk, whose
+// count is a link of the freed list. Afterwards the allocator hands out
+// the chunks the untouched state names: the freed chunk (LIFO), then the
+// cursor's next.
+func TestHugePagesFreeOfUnreachedChunkPanics(t *testing.T) {
+	h, _ := NewHugePages(3, 8192) // 256 chunks a page
+	a, _ := h.Alloc()
+	b, _ := h.Alloc()
+	c, _ := h.Alloc()
+	h.Free(b)
+	h.Free(a) // the freed list is a, then b
+	type state struct {
+		made, free, live int
+		link             int32 // a's count: the freed list's link to b
+	}
+	snap := func() state {
+		return state{h.made(), h.FreeCount(), h.LiveRefs(), h.blocks[0][0].Load()}
+	}
+	before := snap()
+	if before.made != 1 || before.free != h.Chunks()-1 || before.live != 1 || before.link != -int32(b.Offset/8192)-2 {
+		t.Fatalf("after three allocs and two frees: %+v", before)
+	}
+	for _, tc := range []struct {
+		name string
+		c    Chunk
+	}{
+		{"on a page never reached", Chunk{Offset: 2*PageSize + 5*8192}},
+		{"past the cursor on a reached page", Chunk{Offset: 9 * 8192}},
+		{"freed", a},
+		{"freed, deeper in the list", b},
+	} {
+		for op, f := range map[string]func(Chunk){"Free": h.Free, "Retain": h.Retain} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s of a chunk %s did not panic", op, tc.name)
+					}
+				}()
+				f(tc.c)
+			}()
+			if after := snap(); after != before {
+				t.Errorf("%s of a chunk %s changed the state from %+v to %+v", op, tc.name, before, after)
+			}
+			if h.RefCount(tc.c) != 0 || h.Held(tc.c) {
+				t.Errorf("%s of a chunk %s left it with %d references, held %v", op, tc.name, h.RefCount(tc.c), h.Held(tc.c))
+			}
+		}
+	}
+	for i, want := range []Chunk{a, b, {Offset: c.Offset + 8192}} {
+		if got, _ := h.Alloc(); got != want {
+			t.Fatalf("alloc %d after the refused calls at offset %d, want %d", i, got.Offset, want.Offset)
+		}
+	}
+}
+
+// A warm allocator's Alloc/Retain/Free cycle allocates nothing: the
+// freed list lives in the counts. The only allocation is the count block
+// made when the cursor first enters a page's chunks.
+func TestAllocsHugePagesCycle(t *testing.T) {
+	const perPage = 4
+	h, _ := NewHugePages(16, PageSize/perPage)
+	var held [perPage]Chunk
+	cycle := func() {
+		for i := range held {
+			held[i], _ = h.Alloc()
+			h.Retain(held[i])
+		}
+		for _, c := range held {
+			h.Free(c)
+			h.Free(c)
+		}
+	}
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Fatalf("%.1f allocations per warm cycle of %d chunks, want 0", avg, perPage)
+	}
+	// The warm-up run takes back the four freed chunks of page 0; every
+	// run after it takes one page's chunks from the cursor, whose first
+	// Alloc makes the page's block.
+	fill := func() {
+		for range perPage {
+			if _, ok := h.Alloc(); !ok {
+				t.Fatal("alloc failed")
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(5, fill); avg != 1 {
+		t.Fatalf("%.1f allocations per page's chunks handed out, want the 1 block", avg)
+	}
+	if made := h.made(); made != 6 {
+		t.Fatalf("%d count blocks after six pages' chunks, want 6", made)
 	}
 }

@@ -261,3 +261,34 @@ func TestSharedPoolIsolation(t *testing.T) {
 		}
 	}
 }
+
+// Every region on a pool carves units of one size, so each page holds
+// whole units and no tail is left over. The first region fixes the
+// size; a region of another is refused and takes nothing from the pool,
+// while one whose smaller chunks share the UnitSize unit is accepted.
+func TestPoolRefusesASecondUnitSize(t *testing.T) {
+	for _, tc := range []struct{ first, other, same int }{
+		{8192, 2 * UnitSize, UnitSize},     // UnitSize units refuse 128 KiB ones
+		{PageSize / 4, 8192, PageSize / 4}, // 512 KiB units refuse UnitSize ones
+	} {
+		pool := NewPool()
+		first, err := NewHugePagesIn(pool, 2, tc.first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewHugePagesIn(pool, 2, tc.other); err == nil {
+			t.Errorf("a pool carving %d-byte units accepted a region of %d-byte units", first.UnitSize(), max(tc.other, UnitSize))
+		}
+		same, err := NewHugePagesIn(pool, 2, tc.same)
+		if err != nil {
+			t.Fatalf("a pool carving %d-byte units refused a region of chunk %d: %v", first.UnitSize(), tc.same, err)
+		}
+		for _, h := range []*HugePages{first, same} {
+			c, _ := h.Alloc()
+			h.Write(c, []byte{1})
+		}
+		if n := pool.Pages(); n != 1 {
+			t.Errorf("two units of %d bytes took %d pages, want 1", first.UnitSize(), n)
+		}
+	}
+}

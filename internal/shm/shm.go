@@ -10,8 +10,11 @@
 //     for the huge pages GuestLib and ServiceLib copy data through. A
 //     region keeps its own address space, offsets and bounds checks, but
 //     backs no memory of its own: on a chunk's first touch it takes one
-//     64 KiB unit of its host's Pool, which carves units from 2 MB pages
-//     shared by every region on the host.
+//     64 KiB unit of a Pool, which carves units from 2 MB pages shared
+//     by every region of the testbed's hosts. Its chunk metadata grows
+//     the same way: reference counts come in one block per region page
+//     its allocation cursor has reached, and the freed list is threaded
+//     through them.
 //   - Ring: a single-producer single-consumer ring buffer of fixed-size
 //     slots, standing in for the queue devices. Its depth is capacity,
 //     not cost: its slots are 16-slot segments (1 KiB of nqes) drawn
@@ -27,6 +30,7 @@
 package shm
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -44,13 +48,16 @@ const DefaultPageCount = 40
 // unit.
 const UnitSize = PageSize / 32
 
-// A Pool is one host's huge pages, shared by every region on the host.
-// A region backs a unit on its first touch by taking the next UnitSize
-// windows of the pool's current page; the pool allocates a page only
-// when the current one is used up, and never takes a unit back
-// (DESIGN.md §17). Regions on one pool share pages, never units.
+// A Pool is the huge pages of one simulation, shared by every region on
+// it: a testbed's hosts share one (DESIGN.md §17). A region backs a unit
+// on its first touch by taking the next unit-sized windows of the pool's
+// current page; the pool allocates a page only when the current one is
+// used up, and never takes a unit back. Regions on one pool share pages,
+// never units, and all carve units of one size, so no page's tail is
+// ever left over.
 type Pool struct {
 	mu    sync.Mutex
+	unit  int // the unit size every region on the pool carves; 0 until the first
 	page  []byte
 	heads [][]byte // the current page's UnitSize windows, made with it
 	next  int      // the first window of heads not yet handed out
@@ -67,6 +74,21 @@ func (p *Pool) Pages() int {
 	return p.pages
 }
 
+// carve registers a region that backs units of unit bytes. The first
+// region fixes the pool's unit size; a region of another would leave a
+// page tail no unit fits, so carve refuses it.
+func (p *Pool) carve(unit int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.unit == 0 {
+		p.unit = unit
+	}
+	if unit != p.unit {
+		return fmt.Errorf("shm: a region of %d-byte units on a pool carving %d-byte units", unit, p.unit)
+	}
+	return nil
+}
+
 // back installs a size-byte unit in slot unless a racing first touch
 // already has, and returns the slot's unit. Under the mutex no two
 // callers take units for one slot, so every write lands in the unit
@@ -79,8 +101,7 @@ func (p *Pool) back(slot *atomic.Pointer[[]byte], size int) []byte {
 	}
 	n := size / UnitSize
 	if p.next+n > len(p.heads) {
-		// A unit never straddles two pages. Regions on one pool share a
-		// chunk size in practice, so no page's tail is left over.
+		// The unit size divides the page, so the current page is used up.
 		p.grow()
 	}
 	var b *[]byte

@@ -43,6 +43,7 @@ import (
 	"netkernel/internal/proto/ethernet"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
+	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
 	"netkernel/internal/tcpcc"
@@ -155,10 +156,11 @@ type ClusterConfig struct {
 }
 
 // Cluster is a deterministic simulated deployment: hosts, wires, and a
-// virtual clock.
+// virtual clock. Its hosts share one huge-page pool.
 type Cluster struct {
 	cfg    ClusterConfig
 	loop   *sim.Loop
+	pages  *shm.Pool
 	hosts  []*Host
 	nextID uint8
 }
@@ -168,7 +170,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	return &Cluster{cfg: cfg, loop: sim.NewLoop()}
+	return &Cluster{cfg: cfg, loop: sim.NewLoop(), pages: shm.NewPool()}
 }
 
 // AddHost provisions a host.
@@ -183,6 +185,7 @@ func (c *Cluster) AddHost(name string) *Host {
 		PerPacketCost:   c.cfg.PerPacketCost,
 		RoundRobinCores: true,
 		SwitchMode:      vswitch.Software,
+		HugePages:       c.pages,
 	}
 	if c.cfg.Host != nil {
 		c.cfg.Host(&hc)

@@ -2,8 +2,11 @@ package netkernel
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
+
+	"netkernel/internal/shm"
 )
 
 // TestPublicAPIQuickstart exercises the documented public surface end
@@ -145,5 +148,91 @@ func TestLegacyModeThroughPublicAPI(t *testing.T) {
 	}
 	if vm1.Legacy == nil || vm1.Legacy.DefaultCC() != "reno" {
 		t.Fatal("FreeBSD legacy stack should default to reno")
+	}
+}
+
+// A cluster's hosts share one huge-page pool: three NetKernel tenants on
+// each of two hosts echo a message, each pair backing the units it
+// touched, and the two hosts together back ⌈Σ units / 32⌉ pages — one
+// page here, not one per host.
+func TestClusterHostsShareHugePages(t *testing.T) {
+	const tenants = 3
+	c := NewCluster(ClusterConfig{})
+	h1 := c.AddHost("h1")
+	h2 := c.AddHost("h2")
+	c.ConnectHosts(h1, h2, Testbed40G())
+	if h1.HugePages != h2.HugePages {
+		t.Fatal("the cluster's hosts have pools of their own")
+	}
+	var vms []*VM
+	echoed := 0
+	for i := 0; i < tenants; i++ {
+		nsm := NSMSpec{Form: FormModule, CC: "cubic"}
+		srv, err := h2.CreateVM(VMConfig{Name: fmt.Sprintf("srv%d", i), IP: IP(fmt.Sprintf("10.0.2.%d", i+1)), Mode: ModeNetKernel, NSM: nsm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := h1.CreateVM(VMConfig{Name: fmt.Sprintf("cli%d", i), IP: IP(fmt.Sprintf("10.0.1.%d", i+1)), Mode: ModeNetKernel, NSM: nsm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, srv, cli)
+	}
+	c.Run(50 * time.Millisecond) // module boot
+	for i := 0; i < tenants; i++ {
+		srv, cli := vms[2*i].Guest, vms[2*i+1].Guest
+		buf := make([]byte, 4096)
+		lfd := srv.Socket(Callbacks{})
+		srv.SetCallbacks(lfd, Callbacks{OnAcceptable: func() {
+			fd, ok := srv.Accept(lfd)
+			if !ok {
+				return
+			}
+			srv.SetCallbacks(fd, Callbacks{OnReadable: func() {
+				if n, _ := srv.Recv(fd, buf); n > 0 {
+					srv.Send(fd, buf[:n])
+				}
+			}})
+		}})
+		if err := srv.Listen(lfd, 7, 8); err != nil {
+			t.Fatal(err)
+		}
+		fd := cli.Socket(Callbacks{})
+		cli.SetCallbacks(fd, Callbacks{
+			OnEstablished: func(err error) {
+				if err == nil {
+					cli.Send(fd, []byte("ping"))
+				}
+			},
+			OnReadable: func() {
+				if n, _ := cli.Recv(fd, make([]byte, 64)); n > 0 {
+					echoed++
+				}
+			},
+		})
+		if err := cli.Connect(fd, vms[2*i].IP, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(500 * time.Millisecond)
+	if echoed != tenants {
+		t.Fatalf("%d of %d tenants' echoes came back", echoed, tenants)
+	}
+
+	units := 0
+	for _, vm := range vms {
+		for _, pair := range vm.Guest.Pairs() {
+			if pair.Pages.UnitSize() != shm.UnitSize {
+				t.Fatalf("%s's pair backs %d-byte units, want %d", vm.Name, pair.Pages.UnitSize(), shm.UnitSize)
+			}
+			if pair.Pages.Resident() == 0 {
+				t.Errorf("%s's pair backs no unit after an echo", vm.Name)
+			}
+			units += pair.Pages.Resident()
+		}
+	}
+	perPage := shm.PageSize / shm.UnitSize
+	if got, want := h1.HugePages.Pages(), (units+perPage-1)/perPage; got != want {
+		t.Fatalf("the hosts back %d huge pages for %d units, want %d", got, units, want)
 	}
 }
