@@ -324,7 +324,7 @@ func TestScaleoutGate(t *testing.T) {
 // so intentional simulation retuning fails loudly instead of silently
 // rewriting the message-rate story. The amortization bound is the
 // tentpole claim: one coalesced OnReady must replace at least 2
-// per-event callback wakeups under sparse activity (measured: ~7.8).
+// per-event callback wakeups under sparse activity (measured: 8.0).
 // CI's rpc-smoke job runs exactly this test. (The suite simulates
 // ~10k TCP connections yet runs in ~1s of wall time: lazy byte-ring
 // allocation means idle connections never materialize their 1 MiB
@@ -350,11 +350,12 @@ func TestRPCGate(t *testing.T) {
 		t.Errorf("poller amortization %.2fx below the %.0fx bound (poller %d vs callback %d wakeups)",
 			res.AmortizationRatio, minAmortization, res.PollerWakeups, res.CallbackWakeups)
 	}
-	// Coalescing must not buy wakeups with latency: the poller's sparse
-	// wakeup delay stays within 2 µs (one ReadyDelay) of the per-event
-	// baseline and under an absolute ceiling.
-	if res.PollerLatency > res.CallbackLatency+2*time.Microsecond {
-		t.Errorf("poller latency %v exceeds callback latency %v by more than the coalescing delay",
+	// Coalescing must not buy wakeups with latency: the poller reports a
+	// socket ready from the same event that fires the per-event callback,
+	// so its sparse wakeup delay is no worse than the callback path's, and
+	// under an absolute ceiling.
+	if res.PollerLatency > res.CallbackLatency {
+		t.Errorf("poller latency %v exceeds callback latency %v",
 			res.PollerLatency, res.CallbackLatency)
 	}
 	if res.PollerLatency > maxSparseLatency {

@@ -156,9 +156,9 @@ func mkRPCVM(h *hypervisor.Host, ip [4]byte) *hypervisor.VM {
 }
 
 // pollServer wires a poller-driven echo/drain server: AcceptBatch on
-// the listener, onData per readable connection, Close on EOF. Add runs
-// after Listen so the OpPollCtl lands on the listener, not the
-// pre-listen socket.
+// the listener, onData per readable connection, Close on EOF. Accepted
+// connections join the poller inside the wakeup that reports them; Add
+// replays any data that arrived ahead of it.
 func pollServer(rg *guestlib.GuestLib, port uint16, onData func(fd int32, p []byte)) *guestlib.Poller {
 	buf := make([]byte, 64<<10)
 	batch := make([]int32, 64)

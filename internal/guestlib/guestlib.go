@@ -914,11 +914,13 @@ func (g *GuestLib) markStalled(s *socket) {
 }
 
 // A Poller is the guest's epoll-style readiness surface (DESIGN.md
-// §11): sockets Add to it, the pipeline coalesces their transitions
-// into OpReady batches, and the application drains them with Wait.
-// Where the per-event callback path costs one OnReadable per data
-// event, a poller costs one OnReady per delivery batch — 10k sparse
-// connections wake the application once, not 10k times.
+// §11): sockets Add to it, GuestLib derives their readiness from the
+// events the receive rings already carry (OpNewData, OpNewConn,
+// OpConnClosed) and from returning send credit, and the application
+// drains it with Wait. The NSM knows nothing of pollers. Where the
+// per-event callback path costs one OnReadable per data event, a poller
+// costs one OnReady per delivery batch — 10k sparse connections wake the
+// application once, not 10k times.
 type Poller struct {
 	g *GuestLib
 	// OnReady fires at most once per delivery batch when at least one
@@ -944,12 +946,12 @@ func (g *GuestLib) NewPoller(onReady func()) *Poller {
 	return p
 }
 
-// Add registers a socket for coalesced readiness. Per-event
-// OnReadable/OnAcceptable/OnWritable callbacks stop firing for it;
-// OnEstablished and OnClose still do (lifecycle, not readiness). State
-// the socket already holds — buffered data, pending accepts, a seen
-// EOF — replays immediately so a late-attached poller never sleeps
-// through it.
+// Add registers a socket for coalesced readiness. It posts no job: the
+// attachment is GuestLib's alone. Per-event OnReadable/OnAcceptable/
+// OnWritable callbacks stop firing for it; OnEstablished and OnClose
+// still do (lifecycle, not readiness). State the socket already holds —
+// buffered data, pending accepts, a seen EOF — replays immediately so a
+// late-attached poller never sleeps through it.
 func (p *Poller) Add(fd int32) error {
 	g := p.g
 	s, err := g.open(fd)
@@ -960,7 +962,6 @@ func (p *Poller) Add(fd int32) error {
 		return fmt.Errorf("guestlib: fd %d already belongs to another poller", fd)
 	}
 	s.poller = p
-	g.pushWhenReady(s, &nqe.Element{Op: nqe.OpPollCtl, FD: fd, Arg0: 1})
 	var mask uint32
 	if s.recvQ.Len() > 0 || len(s.dgrams) > 0 || s.eof {
 		mask |= nqe.ReadyReadable
@@ -979,7 +980,8 @@ func (p *Poller) Add(fd int32) error {
 	return nil
 }
 
-// Remove deregisters a socket; per-event callbacks resume.
+// Remove deregisters a socket, posting no job; per-event callbacks
+// resume.
 func (p *Poller) Remove(fd int32) error {
 	g := p.g
 	s, err := g.open(fd)
@@ -991,7 +993,6 @@ func (p *Poller) Remove(fd int32) error {
 	}
 	s.poller = nil
 	s.pollMask = 0 // a stale ready-list entry now skips in Wait
-	g.pushWhenReady(s, &nqe.Element{Op: nqe.OpPollCtl, FD: fd, Arg0: 0})
 	return nil
 }
 
@@ -1110,10 +1111,6 @@ func (g *GuestLib) handleCompletion(pair *nkchan.Pair, e *nqe.Element) {
 			g.post(s.pair, s.shard, &s.deferred[i])
 		}
 		s.deferred = s.deferred[:0]
-	case nqe.OpPollCtl:
-		// Registration acknowledged; nothing to do. (A StatusInvalid —
-		// the socket died NSM-side before the ctl landed — is not a
-		// connection error: the OpConnClosed event carries that.)
 	case nqe.OpListen, nqe.OpRecv, nqe.OpClose, nqe.OpSetSockOpt:
 		// Status-only completions.
 		if e.Status != nqe.StatusOK && s.cbs.OnClose != nil && s.state != stClosed {
@@ -1226,31 +1223,5 @@ func (g *GuestLib) handleEvent(pair *nkchan.Pair, shard int, e *nqe.Element) {
 			g.latency.closeRTT.Observe(uint64(g.cfg.Clock.Now().Sub(s.closeStart)))
 			g.releaseSocket(s)
 		}
-
-	case nqe.OpReady:
-		// Coalesced readiness. The chunk form packs Arg0 (id, mask)
-		// entries — ids are fds after engine translation; the
-		// descriptorless form carries one socket in FD with its mask in
-		// Arg1. Entries for recycled fds are skipped: readiness is a
-		// hint, the authoritative state arrived with the data events
-		// ahead of this element.
-		if e.DataLen == 0 {
-			if s != nil {
-				g.pollerNotify(s, uint32(e.Arg1))
-			}
-			return
-		}
-		buf := pair.Pages.Bytes(shmChunk(e.DataOff))
-		n := int(e.Arg0)
-		if fit := int(e.DataLen) / nqe.ReadyEntrySize; n > fit {
-			n = fit
-		}
-		for i := 0; i < n; i++ {
-			id, mask := nqe.ReadyEntryAt(buf, i)
-			if rs := g.sockets[int32(id)]; rs != nil {
-				g.pollerNotify(rs, mask)
-			}
-		}
-		pair.Pages.Free(shmChunk(e.DataOff))
 	}
 }

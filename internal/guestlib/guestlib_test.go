@@ -3,6 +3,7 @@ package guestlib
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"netkernel/internal/nkchan"
 	"netkernel/internal/nkqueue"
@@ -465,5 +466,63 @@ func TestNothingPostedAfterClose(t *testing.T) {
 	h.completeSocket(early, h.jobs[len(h.jobs)-1].Seq)
 	if last := h.jobs[len(h.jobs)-1]; last.Op != nqe.OpClose || last.FD != early {
 		t.Errorf("last job after the early socket's completion is %v on fd %d, want its close", last.Op, last.FD)
+	}
+}
+
+// TestPollerAddReplaysLocally: a socket added to a Poller after its
+// events arrived reports them from the state GuestLib already holds —
+// buffered data, pending accepts, a seen close — in one OnReady, and the
+// attachment posts no job: the NSM knows nothing of pollers.
+func TestPollerAddReplaysLocally(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// prime brings a fresh socket to the state under test and returns
+		// the descriptor to add.
+		prime func(t *testing.T, h *harness) int32
+		want  uint32
+	}{
+		{"buffered data", func(t *testing.T, h *harness) int32 {
+			fd := establishedSocket(t, h, Callbacks{})
+			chunk, _ := h.pair.Pages.Alloc()
+			h.deliverEvent(nqe.Element{Op: nqe.OpNewData, FD: fd, DataOff: chunk.Offset, DataLen: 1, Source: nqe.FromNSM})
+			return fd
+		}, nqe.ReadyReadable},
+		{"pending accepts", func(t *testing.T, h *harness) int32 {
+			lfd := h.g.Socket(Callbacks{})
+			h.completeSocket(lfd, h.jobs[len(h.jobs)-1].Seq)
+			if err := h.g.Listen(lfd, 80, 8); err != nil {
+				t.Fatal(err)
+			}
+			h.deliverEvent(nqe.Element{Op: nqe.OpNewConn, FD: lfd, Arg1: 1 << 20, Source: nqe.FromNSM})
+			h.deliverEvent(nqe.Element{Op: nqe.OpNewConn, FD: lfd, Arg1: 1<<20 + 1, Source: nqe.FromNSM})
+			return lfd
+		}, nqe.ReadyAcceptable},
+		{"closed", func(t *testing.T, h *harness) int32 {
+			fd := establishedSocket(t, h, Callbacks{})
+			h.deliverEvent(nqe.Element{Op: nqe.OpConnClosed, FD: fd, Source: nqe.FromNSM})
+			return fd
+		}, nqe.ReadyReadable | nqe.ReadyClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t)
+			fd := tc.prime(t, h)
+			var p *Poller
+			var got [][]PollEvent
+			p = h.g.NewPoller(func() {
+				evs := make([]PollEvent, 4)
+				got = append(got, evs[:p.Wait(evs)])
+			})
+			pushed := h.pair.VMJob.Pushed()
+			if err := p.Add(fd); err != nil {
+				t.Fatal(err)
+			}
+			h.loop.RunFor(time.Millisecond)
+			if n := h.pair.VMJob.Pushed() - pushed; n != 0 {
+				t.Errorf("Add posted %d jobs, want none", n)
+			}
+			if len(got) != 1 || len(got[0]) != 1 || got[0][0] != (PollEvent{FD: fd, Events: tc.want}) {
+				t.Errorf("wakeups %+v, want one reporting fd %d with mask %#x", got, fd, tc.want)
+			}
+		})
 	}
 }

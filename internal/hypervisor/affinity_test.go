@@ -7,7 +7,6 @@ import (
 	"netkernel/internal/nkchan"
 	"netkernel/internal/nkqueue"
 	"netkernel/internal/nqe"
-	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 )
 
@@ -91,9 +90,9 @@ func (se *shardedEngine) bad() uint64 { return se.ce.Stats().BadElements }
 // the flow was installed on. A job, a completion, an OpConnClosed or an
 // OpSocket completion riding another shard of a 4-shard pair is a bad
 // element — the job is answered StatusInvalid, the rest are dropped —
-// and leaves the record as it was. An OpNewConn or a readiness entry
-// naming a socket that lives on another shard still translates: those
-// ride the accepted flow's shard and the flush's shard by design.
+// and leaves the record as it was. An OpNewConn naming a listener that
+// lives on another shard still translates: it rides the accepted flow's
+// shard by design.
 func TestShardAffinityAtLookup(t *testing.T) {
 	const fd, cid = 5, 77
 	se := newShardedEngine(t, 4)
@@ -169,27 +168,6 @@ func TestShardAffinityAtLookup(t *testing.T) {
 		}
 		if out, _ := se.feed(0, nqe.Element{Op: nqe.OpRecv, Source: nqe.FromVM, FD: newFD}); out.Status != nqe.StatusInvalid {
 			t.Errorf("accepted flow's job on the listener's shard came back as %+v, want StatusInvalid", out)
-		}
-	})
-	t.Run("readiness", func(t *testing.T) {
-		before := se.bad()
-		mask := uint32(nqe.ReadyReadable)
-		out, ok := se.feed(3, nqe.Element{Op: nqe.OpReady, CID: cid, Arg1: uint64(mask)})
-		if !ok || out.FD != fd {
-			t.Fatalf("descriptorless readiness on shard 3 came back as %+v (%v), want fd %d", out, ok, fd)
-		}
-		chunk, _ := se.ch.Pages.Alloc()
-		nqe.PutReadyEntry(se.ch.Pages.Bytes(chunk), cid, mask)
-		out, ok = se.feed(3, nqe.Element{Op: nqe.OpReady, DataOff: chunk.Offset, DataLen: nqe.ReadyEntrySize, Arg0: 1})
-		if !ok || out.Arg0 != 1 {
-			t.Fatalf("packed readiness on shard 3 came back as %+v (%v)", out, ok)
-		}
-		if got, m := nqe.ReadyEntryAt(se.ch.Pages.Bytes(shm.Chunk{Offset: out.DataOff}), 0); got != fd || m != mask {
-			t.Errorf("packed entry translated to (%d, %#x), want (%d, %#x)", got, m, fd, mask)
-		}
-		se.ch.Pages.Free(chunk)
-		if n := se.bad() - before; n != 0 {
-			t.Errorf("%d bad elements, want 0", n)
 		}
 	})
 }

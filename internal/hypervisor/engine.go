@@ -196,9 +196,8 @@ type pairShard struct {
 // flags and counts say when nothing can translate through it any more:
 // the guest's OpClose is the last job GuestLib issues for an fd, the
 // NSM's OpConnClosed is the last event ServiceLib emits for a cID (but
-// for the readiness entry a FlagReadyFollows close announces, and the
-// OpNewConns a listener's close counts), and a job ServiceLib answers is
-// answered exactly once (DESIGN.md §10, "mapping lifecycle").
+// for the OpNewConns a listener's close counts), and a job ServiceLib
+// answers is answered exactly once (DESIGN.md §10, "mapping lifecycle").
 type mapping struct {
 	fd  int32
 	cid uint32
@@ -206,18 +205,16 @@ type mapping struct {
 	// OpConnClosed translate only there.
 	shard int32
 	// owed counts forwarded jobs whose completion has not been
-	// translated yet: OpSend, OpSetSockOpt, OpPollCtl, OpBind and
-	// OpListen, the jobs ServiceLib always answers.
+	// translated yet: OpSend, OpSetSockOpt, OpBind and OpListen, the
+	// jobs ServiceLib always answers.
 	owed uint32
 	// acceptsDue is a listener's balance of OpNewConns: the listener's
 	// OpConnClosed adds how many ServiceLib announced (its Arg1), each
 	// one translated, riding the accepted flow's shard, takes one off.
 	acceptsDue int32
 	// guestClosed and nsmClosed record the translated OpClose and
-	// OpConnClosed. readyDue says the OpConnClosed carried
-	// FlagReadyFollows and the readiness entry reporting the close has
-	// not been translated yet.
-	guestClosed, nsmClosed, readyDue bool
+	// OpConnClosed.
+	guestClosed, nsmClosed bool
 }
 
 // install maps m's fd to its cID, in a recycled record when one is free.
@@ -236,12 +233,11 @@ func (ep *enginePair) install(m mapping) {
 }
 
 // settle retires record i once both sides have closed, every job
-// ServiceLib answers has been answered, every OpNewConn announced has
-// been translated, and the close's readiness entry, if one follows, has
-// passed.
+// ServiceLib answers has been answered, and every OpNewConn announced
+// has been translated.
 func (ep *enginePair) settle(i int32) {
 	m := &ep.recs[i]
-	if m.guestClosed && m.nsmClosed && m.owed == 0 && m.acceptsDue == 0 && !m.readyDue {
+	if m.guestClosed && m.nsmClosed && m.owed == 0 && m.acceptsDue == 0 {
 		ep.retire(i)
 	}
 }
@@ -281,8 +277,7 @@ func (sh *pairShard) lookupCID(cid uint32) (int32, bool) {
 
 // lookupAnyShard returns the index of cid's record, whatever its home
 // shard: the one exception to the affinity lookupFD and lookupCID hold,
-// for a listener's OpNewConn, which rides the accepted flow's shard, and
-// a readiness entry, which rides the shard its event was flushed on.
+// for a listener's OpNewConn, which rides the accepted flow's shard.
 func (ep *enginePair) lookupAnyShard(cid uint32) (int32, bool) {
 	ep.mu.Lock()
 	i, ok := ep.byCID[cid]
@@ -497,7 +492,7 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 		m := &ep.recs[i]
 		s.SetCID(m.cid)
 		switch s.Op() {
-		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpPollCtl, nqe.OpBind, nqe.OpListen:
+		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpBind, nqe.OpListen:
 			m.owed++
 		case nqe.OpClose:
 			m.guestClosed = true
@@ -603,8 +598,6 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		ep.install(mapping{fd: ep.nextFD, cid: uint32(s.Arg1()), shard: int32(sh.idx)})
 		s.SetArg1(uint64(uint32(ep.nextFD)))
 		ep.nextFD++
-	case nqe.OpReady:
-		return sh.translateReady(s)
 	default:
 		i, ok := sh.lookupCID(s.CID())
 		if !ok {
@@ -623,10 +616,9 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 			if !m.nsmClosed { // a repeat changes nothing
 				m.nsmClosed = true
 				m.acceptsDue += int32(s.Arg1())
-				m.readyDue = s.Flags()&nqe.FlagReadyFollows != 0
 				ep.settle(i)
 			}
-		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpPollCtl, nqe.OpBind, nqe.OpListen:
+		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpBind, nqe.OpListen:
 			// A completion: the job it answers is no longer owed.
 			if m.owed > 0 {
 				m.owed--
@@ -639,64 +631,6 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		ce.cfg.Tracer.Stamp(t, "engine.nsm-pump", 0)
 	}
 	return true
-}
-
-// translateReady rewrites a coalesced readiness event in place: every
-// packed cID becomes the guest's fd. A socket whose mapping is already
-// retired (both sides closed, nothing owed) is compacted out rather than
-// failing the whole batch — readiness is a hint, and a straggler entry
-// for a dead socket must not suppress wakeups for live ones. An event
-// left with no live entries is dropped and its chunk freed here (the
-// engine owns an NSM-sourced OpReady chunk exactly like an OpNewData
-// chunk).
-func (sh *pairShard) translateReady(s nqe.Slot) bool {
-	ep := sh.ep
-	ce := ep.engine
-	if s.DataLen() == 0 {
-		// Descriptorless single-socket form: the id rides the CID field.
-		i, ok := ep.lookupAnyShard(s.CID())
-		if !ok {
-			return false
-		}
-		s.SetFD(ep.recs[i].fd)
-		ep.readyPassed(i, uint32(s.Arg1()))
-		ce.stats.Translated++
-		return true
-	}
-	buf := ep.ch.Pages.Bytes(shm.Chunk{Offset: s.DataOff()})
-	n := int(s.Arg0())
-	if fit := int(s.DataLen()) / nqe.ReadyEntrySize; n > fit {
-		n = fit
-	}
-	kept := 0
-	for i := 0; i < n; i++ {
-		cid, mask := nqe.ReadyEntryAt(buf, i)
-		j, ok := ep.lookupAnyShard(cid)
-		if !ok {
-			continue
-		}
-		nqe.PutReadyEntry(buf[kept*nqe.ReadyEntrySize:], uint32(ep.recs[j].fd), mask)
-		kept++
-		ep.readyPassed(j, mask)
-	}
-	if kept == 0 {
-		ep.ch.Pages.Free(shm.Chunk{Offset: s.DataOff()})
-		return false
-	}
-	s.SetArg0(uint64(kept))
-	s.SetDataLen(uint32(kept * nqe.ReadyEntrySize))
-	ce.stats.Translated++
-	return true
-}
-
-// readyPassed notes a translated readiness entry for record i: the one
-// that reports the close is the last element a FlagReadyFollows close
-// promised, after which the mapping may retire.
-func (ep *enginePair) readyPassed(i int32, mask uint32) {
-	if m := &ep.recs[i]; m.readyDue && mask&nqe.ReadyClosed != 0 {
-		m.readyDue = false
-		ep.settle(i)
-	}
 }
 
 // RebindNSM retargets every channel served by oldID onto newID and
@@ -841,8 +775,7 @@ func (sh *pairShard) discardQueue(q *nkqueue.Queue) {
 func (sh *pairShard) discard(e *nqe.Element) {
 	sh.ep.engine.stats.DiscardedElements++
 	owns := (e.Op == nqe.OpSend && e.Source == nqe.FromVM) ||
-		(e.Op == nqe.OpNewData && e.Source == nqe.FromNSM) ||
-		(e.Op == nqe.OpReady && e.Source == nqe.FromNSM)
+		(e.Op == nqe.OpNewData && e.Source == nqe.FromNSM)
 	if owns && e.DataLen > 0 {
 		sh.ep.ch.Pages.Free(shm.Chunk{Offset: e.DataOff})
 	}

@@ -130,10 +130,9 @@ func TestEngineBatchDropsBadElementMidSpan(t *testing.T) {
 	}
 }
 
-// The NSM→VM direction drops mid-span too: an event for an unknown cID
-// right behind a translated run is counted and freed once, and a
-// readiness event with no live entry left is freed once — not again when
-// the pump resumes after the run.
+// The NSM→VM direction drops mid-span too: each event for an unknown cID
+// right behind a translated run is counted and its chunk freed once — not
+// again when the pump resumes after the run.
 func TestEngineBatchDropsNSMEventMidSpan(t *testing.T) {
 	se := newShardedEngine(t, 1)
 	se.socket(0, 5, 77)
@@ -145,13 +144,11 @@ func TestEngineBatchDropsNSMEventMidSpan(t *testing.T) {
 		}
 		return c.Offset
 	}
-	dead := alloc()
-	nqe.PutReadyEntry(pages.Bytes(shm.Chunk{Offset: dead}), 999, nqe.ReadyReadable)
 	for _, e := range []nqe.Element{
 		{Op: nqe.OpNewData, CID: 77, DataOff: alloc(), DataLen: 1, Seq: 1},
 		{Op: nqe.OpNewData, CID: 78, DataOff: alloc(), DataLen: 1, Seq: 2},
 		{Op: nqe.OpNewData, CID: 77, DataOff: alloc(), DataLen: 1, Seq: 3},
-		{Op: nqe.OpReady, DataOff: dead, DataLen: nqe.ReadyEntrySize, Arg0: 1, Seq: 4},
+		{Op: nqe.OpNewData, CID: 999, DataOff: alloc(), DataLen: 1, Seq: 4},
 		{Op: nqe.OpNewData, CID: 77, DataOff: alloc(), DataLen: 1, Seq: 5},
 	} {
 		e.Source, e.NSMID = nqe.FromNSM, 2
@@ -172,8 +169,8 @@ func TestEngineBatchDropsNSMEventMidSpan(t *testing.T) {
 	if len(seqs) != 3 || seqs[0] != 1 || seqs[1] != 3 || seqs[2] != 5 {
 		t.Fatalf("survivors = %v, want [1 3 5]", seqs)
 	}
-	if n := se.bad() - before; n != 1 {
-		t.Errorf("BadElements rose by %d, want 1", n)
+	if n := se.bad() - before; n != 2 {
+		t.Errorf("BadElements rose by %d, want 2", n)
 	}
 	if n := pages.LiveRefs(); n != 0 {
 		t.Errorf("%d live chunk refs, want 0", n)

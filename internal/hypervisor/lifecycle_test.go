@@ -11,9 +11,9 @@ import (
 )
 
 // A mapping's lifecycle (DESIGN.md §10): the engine retires a connection's
-// fd↔cID entry when the guest's OpClose, the NSM's OpConnClosed (and the
-// readiness entry a polled socket's close announces) and the completion
-// of every job it forwarded have all been translated — not on a timer.
+// fd↔cID entry when the guest's OpClose, the NSM's OpConnClosed and the
+// completion of every job it forwarded have all been translated — not on
+// a timer.
 // A listener's entry also waits for the OpNewConns its close counts.
 
 // TestMappingRetiresWithTheFlow runs 2 000 short flows, sixteen at a
@@ -276,9 +276,6 @@ func TestMappingRetiresOnLastElement(t *testing.T) {
 		return step{false, nqe.Element{Op: op, Source: nqe.FromNSM, NSMID: 2, CID: cid, Flags: flags}}
 	}
 	closed := fromNSM(nqe.OpConnClosed, 0)
-	closedPolled := fromNSM(nqe.OpConnClosed, nqe.FlagReadyFollows)
-	ready := fromNSM(nqe.OpReady, 0)
-	ready.e.Arg0, ready.e.Arg1 = 1, uint64(nqe.ReadyReadable|nqe.ReadyClosed)
 	// newEngine builds an engine with fd mapped to cid and returns a
 	// feeder that pushes one step, lets the engine pump it and discards
 	// what came out.
@@ -318,13 +315,9 @@ func TestMappingRetiresOnLastElement(t *testing.T) {
 		{"send completion after both closes", []step{
 			job(nqe.OpSend), job(nqe.OpClose), closed, fromNSM(nqe.OpSend, nqe.FlagCompletion),
 		}, 3},
-		{"option and poll answers after both closes", []step{
-			job(nqe.OpSetSockOpt), job(nqe.OpPollCtl), closed, job(nqe.OpClose),
-			fromNSM(nqe.OpPollCtl, nqe.FlagCompletion), fromNSM(nqe.OpSetSockOpt, nqe.FlagCompletion),
-		}, 5},
-		{"readiness entry after a polled socket's close", []step{
-			closedPolled, job(nqe.OpClose), ready,
-		}, 2},
+		{"option answer after both closes", []step{
+			job(nqe.OpSetSockOpt), closed, job(nqe.OpClose), fromNSM(nqe.OpSetSockOpt, nqe.FlagCompletion),
+		}, 3},
 		// A listener whose close announced no accepts (Arg1 0) retires
 		// like any socket; TestListenerRetiresByAcceptCount has the rest.
 		{"listener", []step{

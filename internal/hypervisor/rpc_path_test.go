@@ -331,3 +331,88 @@ func TestPollerDeterminism(t *testing.T) {
 		t.Error("no readable-readiness event in the trace")
 	}
 }
+
+// TestPollerOneNotificationPerEvent: a polled server learns of each
+// message from the OpNewData that carries it, and from nothing else. N
+// one-message round trips cost exactly N readable notifications, and the
+// engines translate as many elements as for a callback server on the
+// same schedule: the NSM sends nothing that a Poller alone asks for.
+func TestPollerOneNotificationPerEvent(t *testing.T) {
+	const (
+		trips = 50
+		msg   = 64
+	)
+	// run echoes trips messages, one per millisecond, and returns the
+	// server's poller events over the round trips and the elements both
+	// engines translated over the whole run.
+	run := func(polled bool) (events, translated uint64) {
+		c := newCluster(t, nil)
+		vma, vmb := c.nkPair(t, "cubic", "cubic")
+		srv, cli := vmb.Guest, vma.Guest
+
+		if polled {
+			pollEchoServer(t, srv, 80)
+		} else {
+			// The same echo on per-event callbacks.
+			sbuf := make([]byte, 4<<10)
+			echo := func(fd int32) {
+				for n, _ := srv.Recv(fd, sbuf); n > 0; n, _ = srv.Recv(fd, sbuf) {
+					srv.Send(fd, sbuf[:n])
+				}
+			}
+			var lfd int32
+			lfd = srv.Socket(guestlib.Callbacks{OnAcceptable: func() {
+				for fd, ok := srv.Accept(lfd); ok; fd, ok = srv.Accept(lfd) {
+					srv.SetCallbacks(fd, guestlib.Callbacks{OnReadable: func() { echo(fd) }})
+				}
+			}})
+			if err := srv.Listen(lfd, 80, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		in := make([]byte, 4<<10)
+		got := 0
+		established := false
+		var cfd int32
+		cfd = cli.Socket(guestlib.Callbacks{
+			OnEstablished: func(err error) { established = err == nil },
+			OnReadable: func() {
+				for n, _ := cli.Recv(cfd, in); n > 0; n, _ = cli.Recv(cfd, in) {
+					got += n
+				}
+			},
+		})
+		if err := cli.Connect(cfd, ipVMB, 80); err != nil {
+			t.Fatal(err)
+		}
+		c.loop.RunFor(10 * time.Millisecond)
+		if !established {
+			t.Fatal("the client never connected")
+		}
+
+		before := srv.Stats().PollerEvents
+		out := make([]byte, msg)
+		for i := 0; i < trips; i++ {
+			if n := cli.Send(cfd, out); n != msg {
+				t.Fatalf("round trip %d: sent %d of %d bytes", i, n, msg)
+			}
+			c.loop.RunFor(time.Millisecond)
+		}
+		if got != trips*msg {
+			t.Fatalf("the client read %d of %d echoed bytes", got, trips*msg)
+		}
+		events = srv.Stats().PollerEvents - before
+		translated = c.h1.Engine.Stats().Translated + c.h2.Engine.Stats().Translated
+		return events, translated
+	}
+
+	events, polled := run(true)
+	_, callback := run(false)
+	if events != trips {
+		t.Errorf("%d readable notifications for %d round trips, want one each", events, trips)
+	}
+	if polled != callback {
+		t.Errorf("the engines translated %d elements for the polled server and %d for the callback server, want the same", polled, callback)
+	}
+}

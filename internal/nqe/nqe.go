@@ -49,16 +49,6 @@ const (
 	OpConnClosed  // peer closed or connection reset; a listener's Arg1 counts the OpNewConns announced for it
 	OpSendCredit  // send buffer drained below the low-water mark
 	OpEstablished // a pending connect finished (success or Status error)
-
-	// Readiness fast path (DESIGN.md §11). OpPollCtl is a request that
-	// registers (Arg0=1) or deregisters (Arg0=0) a socket for coalesced
-	// readiness reporting; OpReady is the event that reports many ready
-	// sockets in one element. An OpReady with a data descriptor packs
-	// Arg0 ReadyEntry records into the chunk (translated id + event
-	// mask); the descriptorless fallback form carries a single socket in
-	// the id field and its mask in Arg1.
-	OpPollCtl
-	OpReady
 )
 
 var opNames = [...]string{
@@ -67,7 +57,6 @@ var opNames = [...]string{
 	OpClose: "close", OpSetSockOpt: "setsockopt", OpGetSockOpt: "getsockopt",
 	OpNewData: "new-data", OpNewConn: "new-conn", OpConnClosed: "conn-closed",
 	OpSendCredit: "send-credit", OpEstablished: "established",
-	OpPollCtl: "poll-ctl", OpReady: "ready",
 }
 
 func (o Op) String() string {
@@ -102,8 +91,7 @@ func (o Op) Valid() bool { return o > OpInvalid && int(o) < len(opNames) }
 // asynchronous events) rather than a job/completion pair.
 func (o Op) IsEvent() bool {
 	switch o {
-	case OpNewData, OpNewConn, OpConnClosed, OpSendCredit, OpEstablished,
-		OpReady:
+	case OpNewData, OpNewConn, OpConnClosed, OpSendCredit, OpEstablished:
 		return true
 	}
 	return false
@@ -112,12 +100,10 @@ func (o Op) IsEvent() bool {
 // IsConnEvent reports whether the op is a connection-lifecycle event.
 // §3.2 suggests implementing the queues "as priority queues to handle
 // connection events and data events separately to avoid the head of line
-// blocking"; connection events go to the high-priority ring. OpReady is
-// deliberately NOT a connection event: it announces data events already
-// in the ring and must not overtake them. For the same reason neither are
-// OpClose and OpConnClosed: each ends a stream whose OpSend or OpNewData
-// elements precede it in the data ring, and overtaking them would close
-// the stream before its last bytes.
+// blocking"; connection events go to the high-priority ring. OpClose
+// and OpConnClosed are deliberately NOT connection events: each ends a
+// stream whose OpSend or OpNewData elements precede it in the data ring,
+// and overtaking them would close the stream before its last bytes.
 func (o Op) IsConnEvent() bool {
 	switch o {
 	case OpSocket, OpBind, OpListen, OpConnect, OpAccept,
@@ -150,11 +136,6 @@ const (
 	FlagMoreData
 	// FlagPush asks the stack to push the data immediately (TCP PSH).
 	FlagPush
-	// FlagReadyFollows marks an OpConnClosed for a polled socket: the
-	// coalesced readiness entry that reports the close follows it on the
-	// same ring, and that entry, not the OpConnClosed, is the last
-	// element the NSM emits for the cID.
-	FlagReadyFollows
 )
 
 // Status is the errno-like result carried by completions and events.
@@ -360,9 +341,6 @@ func (s Slot) DataOff() uint64 { return binary.LittleEndian.Uint64(s[offDataOff:
 // DataLen returns the data descriptor's length without a full decode.
 func (s Slot) DataLen() uint32 { return binary.LittleEndian.Uint32(s[offDataLen:]) }
 
-// SetDataLen patches the data descriptor's length in place.
-func (s Slot) SetDataLen(v uint32) { binary.LittleEndian.PutUint32(s[offDataLen:], v) }
-
 // Trace returns the telemetry span id (0 = untraced).
 func (s Slot) Trace() uint32 { return binary.LittleEndian.Uint32(s[offTrace:]) }
 
@@ -371,9 +349,6 @@ func (s Slot) SetTrace(v uint32) { binary.LittleEndian.PutUint32(s[offTrace:], v
 
 // Arg0 returns the first operation argument.
 func (s Slot) Arg0() uint64 { return binary.LittleEndian.Uint64(s[offArg0:]) }
-
-// SetArg0 patches the first operation argument in place.
-func (s Slot) SetArg0(v uint64) { binary.LittleEndian.PutUint64(s[offArg0:], v) }
 
 // Arg1 returns the second operation argument.
 func (s Slot) Arg1() uint64 { return binary.LittleEndian.Uint64(s[offArg1:]) }
@@ -402,36 +377,14 @@ const (
 	SockOptPriority = 2
 )
 
-// Readiness masks carried by OpReady entries (ORed together).
+// Readiness masks a guest Poller reports per socket (ORed together),
+// derived from the events the socket receives (DESIGN.md §11).
 const (
 	ReadyReadable   uint32 = 1 << iota // data or EOF available to Recv
 	ReadyWritable                      // send capacity returned
 	ReadyAcceptable                    // a listener has pending accepts
 	ReadyClosed                        // the connection terminated
 )
-
-// ReadyEntrySize is the packed size of one OpReady payload entry:
-// little-endian id (cID on the NSM side, fd after engine translation)
-// followed by the readiness mask.
-const ReadyEntrySize = 8
-
-// PutReadyEntry packs one readiness entry into b.
-func PutReadyEntry(b []byte, id uint32, mask uint32) {
-	binary.LittleEndian.PutUint32(b, id)
-	binary.LittleEndian.PutUint32(b[4:], mask)
-}
-
-// ReadyEntryAt unpacks the i-th readiness entry of an OpReady payload.
-func ReadyEntryAt(b []byte, i int) (id uint32, mask uint32) {
-	e := b[i*ReadyEntrySize:]
-	return binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:])
-}
-
-// SetReadyEntryID patches the i-th entry's id in place (the engine's
-// cID→fd translation).
-func SetReadyEntryID(b []byte, i int, id uint32) {
-	binary.LittleEndian.PutUint32(b[i*ReadyEntrySize:], id)
-}
 
 // PackAddr packs an IPv4 address and port into an nqe argument.
 func PackAddr(ip [4]byte, port uint16) uint64 {

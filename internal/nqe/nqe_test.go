@@ -95,7 +95,7 @@ func TestOpClassification(t *testing.T) {
 		}
 	}
 	// A close ends a stream and must stay behind the stream's data.
-	for _, op := range []Op{OpSend, OpRecv, OpNewData, OpSendCredit, OpReady, OpClose, OpConnClosed} {
+	for _, op := range []Op{OpSend, OpRecv, OpNewData, OpSendCredit, OpClose, OpConnClosed} {
 		if op.IsConnEvent() {
 			t.Errorf("%v should be a data event", op)
 		}

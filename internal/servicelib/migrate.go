@@ -158,7 +158,6 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 		}
 		s.deliverData(cid, false)
 	}
-	s.flushAllReady()
 	return restored, nil
 }
 
@@ -183,8 +182,5 @@ func (s *ServiceLib) udpRecv(cid uint32, shard int) func(src ipv4.Addr, srcPort 
 			DataOff: chunk.Offset, DataLen: uint32(len(data)),
 			Arg0: nqe.PackAddr(src, srcPort),
 		})
-		if c := s.conns[cid]; c != nil && c.polled {
-			s.queueReady(shard, cid, nqe.ReadyReadable)
-		}
 	}
 }

@@ -66,16 +66,6 @@ const (
 	// batched interrupts in §3.2 and keeps the per-event overhead off
 	// the bulk datapath.
 	coalesceDelay = 5 * time.Microsecond
-	// readyDelay batches readiness transitions of polled sockets
-	// (DESIGN.md §11): when a socket registered via OpPollCtl becomes
-	// readable/acceptable/closed, its entry is queued and the shard
-	// waits this long for siblings before emitting one coalesced
-	// OpReady.
-	readyDelay = 2 * time.Microsecond
-	// readyPerChunk caps the (cID, mask) entries one OpReady packs into
-	// its chunk: 32 × ReadyEntrySize = 256 B, however large the chunk.
-	// A flush of more ready sockets emits one OpReady per 32.
-	readyPerChunk = 32
 )
 
 // Stats is a point-in-time copy of the ServiceLib counters.
@@ -100,10 +90,6 @@ type counters struct {
 	jobsProcessed, dataIn, dataOut telemetry.Counter
 	conns, accepts                 telemetry.Counter
 	txBytesCopied, rxBytesCopied   telemetry.Counter
-	// readyEvents counts OpReady elements emitted; readyIDs counts the
-	// socket entries they carried. IDs per event is the NSM-side
-	// coalescing ratio.
-	readyEvents, readyIDs telemetry.Counter
 }
 
 func (c *counters) register(m *telemetry.Scope) {
@@ -114,8 +100,6 @@ func (c *counters) register(m *telemetry.Scope) {
 	m.Counter("accepts", &c.accepts)
 	m.Counter("tx_bytes_copied", &c.txBytesCopied)
 	m.Counter("rx_bytes_copied", &c.rxBytesCopied)
-	m.Counter("ready_events", &c.readyEvents)
-	m.Counter("ready_ids", &c.readyIDs)
 }
 
 func (c *counters) snapshot() Stats {
@@ -143,10 +127,6 @@ type sendChunk struct {
 type connState struct {
 	svc *ServiceLib
 	cid uint32
-	// polled marks a socket registered for coalesced readiness via
-	// OpPollCtl; its transitions feed the shard's ready queue instead
-	// of relying on per-event guest callbacks.
-	polled bool
 	// shard is the channel shard this connection is pinned to: every
 	// nqe the connection ever emits or receives rides this shard's
 	// rings (flow affinity). Dialed connections keep the shard their
@@ -197,30 +177,19 @@ func (cs *connState) closed(err error) { cs.svc.connClosed(cs.cid, err) }
 func (cs *connState) receive(p []byte) int { return cs.svc.sinkData(cs, p) }
 
 type listenerState struct {
-	cid    uint32
-	shard  int // the listener socket's own shard (its control traffic)
-	lst    *tcp.Listener
-	polled bool
+	cid   uint32
+	shard int // the listener socket's own shard (its control traffic)
+	lst   *tcp.Listener
 	// announced counts the OpNewConns emitted for this listener; its
 	// OpConnClosed carries the count, so the engine keeps the mapping
 	// until every one of them, riding other shards, has been translated.
 	announced uint32
 }
 
-// readyShard is one shard's pending coalesced-readiness state: cIDs in
-// first-transition order plus their accumulated masks. The map is for
-// dedup only; emission order is the slice's, so runs stay seed-pure.
-// A flush clears both and keeps their storage.
-type readyShard struct {
-	order []uint32
-	mask  map[uint32]uint32
-	armed bool // a readyDelay flush is pending
-}
-
 // The coalescing windows are closure-free loop events: each handler is
 // the ServiceLib itself under a named type, and arg says which
-// connection (cID) or shard the window belongs to. A window is never
-// stopped; one that fires for a connection already gone finds no cID.
+// connection (cID) the window belongs to. A window is never stopped; one
+// that fires for a connection already gone finds no cID.
 
 // rxFlush ends a connection's receive coalescing window (armRxFlush).
 type rxFlush ServiceLib
@@ -231,17 +200,6 @@ func (h *rxFlush) HandleFrame(_ []byte, cid uint64) {
 		cs.flushPending = false
 	}
 	s.deliverData(uint32(cid), true)
-}
-
-// readyFlush ends a shard's readiness coalescing window (queueReady).
-type readyFlush ServiceLib
-
-func (h *readyFlush) HandleFrame(_ []byte, shard uint64) {
-	s := (*ServiceLib)(h)
-	s.ready[shard].armed = false
-	if !s.dead {
-		s.flushReady(int(shard))
-	}
 }
 
 // shaperRetry resumes a connection's send drain once the shaper has
@@ -267,9 +225,6 @@ type ServiceLib struct {
 	// shard; every pump retries them in order, so a data flood can
 	// delay but never lose a completion or connection event.
 	backlog []nkqueue.Backlog
-	// ready holds per-shard pending readiness of polled sockets,
-	// flushed as coalesced OpReady elements (DESIGN.md §11).
-	ready []readyShard
 	// connPool recycles connState objects under connection churn, the
 	// NSM half of the short-flow slab path.
 	connPool []*connState
@@ -300,7 +255,6 @@ func New(cfg Config) *ServiceLib {
 		conns:     make(map[uint32]*connState),
 		listeners: make(map[uint32]*listenerState),
 		backlog:   make([]nkqueue.Backlog, len(cfg.Pair.Shards)),
-		ready:     make([]readyShard, len(cfg.Pair.Shards)),
 		drain:     make([]nqe.Element, 64),
 	}
 	s.stats.register(cfg.Metrics)
@@ -389,114 +343,11 @@ func (s *ServiceLib) emitBatch(shard int, q nkchan.QueueKind, es []nqe.Element) 
 	s.kickEngine(shard)
 }
 
-// emitClosed emits a socket's OpConnClosed, carrying in Arg1 the
-// OpNewConns announced for a listener (0 for any other socket). For a
-// polled socket it also queues the readiness entry that reports the
-// close, which then leaves behind the OpConnClosed as the cID's last
-// element; FlagReadyFollows tells the engine to keep the mapping until
-// that entry has passed.
-func (s *ServiceLib) emitClosed(shard int, cid uint32, st nqe.Status, polled bool, announced uint32) {
-	e := nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: st, Arg1: uint64(announced)}
-	if polled {
-		e.Flags = nqe.FlagReadyFollows
-	}
-	s.emit(shard, nkchan.Receive, &e)
-	if polled {
-		s.queueReady(shard, cid, nqe.ReadyClosed)
-	}
-}
-
-// queueReady records a polled socket's readiness transition on its
-// shard's pending queue (deduped: a second transition before the flush
-// ORs into the same entry) and schedules the coalescing flush.
-func (s *ServiceLib) queueReady(shard int, cid uint32, mask uint32) {
-	if s.dead {
-		return
-	}
-	shard = s.cfg.Pair.ShardIndex(shard)
-	rs := &s.ready[shard]
-	if rs.mask == nil {
-		rs.mask = make(map[uint32]uint32)
-	}
-	if m, ok := rs.mask[cid]; ok {
-		rs.mask[cid] = m | mask
-	} else {
-		rs.mask[cid] = mask
-		rs.order = append(rs.order, cid)
-	}
-	if rs.armed {
-		return
-	}
-	rs.armed = true
-	s.cfg.Clock.AfterFrame(readyDelay, (*readyFlush)(s), nil, uint64(shard))
-}
-
-// flushReady drains one shard's pending readiness into coalesced
-// OpReady elements: up to readyPerChunk entries packed per huge-page
-// chunk, with a descriptorless single-entry form
-// when only one socket is ready (no chunk round trip for the sparse
-// case of exactly one). Emitted on the receive ring *after* the data
-// events it announces — OpReady is deliberately not a priority op, so
-// FIFO order guarantees the guest sees the data first.
-func (s *ServiceLib) flushReady(shard int) {
-	rs := &s.ready[shard]
-	if len(rs.order) == 0 {
-		return
-	}
-	s.emitReady(shard, rs.order, rs.mask)
-	rs.order = rs.order[:0]
-	clear(rs.mask)
-}
-
-// emitReady emits one shard's pending readiness, order and masks as
-// queueReady gathered them. Emission only pushes into rings and kicks
-// the engine, so nothing queues further readiness meanwhile.
-func (s *ServiceLib) emitReady(shard int, order []uint32, masks map[uint32]uint32) {
-	if len(order) == 1 {
-		cid := order[0]
-		s.stats.readyEvents.Inc()
-		s.stats.readyIDs.Inc()
-		s.emit(shard, nkchan.Receive, &nqe.Element{
-			Op: nqe.OpReady, CID: cid, Arg0: 1, Arg1: uint64(masks[cid]),
-		})
-		return
-	}
-	perChunk := min(readyPerChunk, s.cfg.Pair.ChunkSize()/nqe.ReadyEntrySize)
-	for len(order) > 0 {
-		n := min(len(order), perChunk)
-		chunk, ok := s.cfg.Pair.Pages.Alloc()
-		if !ok {
-			// Pool exhausted: fall back to descriptorless singles rather
-			// than dropping wakeups.
-			for _, cid := range order {
-				s.stats.readyEvents.Inc()
-				s.stats.readyIDs.Inc()
-				s.emit(shard, nkchan.Receive, &nqe.Element{
-					Op: nqe.OpReady, CID: cid, Arg0: 1, Arg1: uint64(masks[cid]),
-				})
-			}
-			return
-		}
-		buf := s.cfg.Pair.Pages.Bytes(chunk)
-		for i, cid := range order[:n] {
-			nqe.PutReadyEntry(buf[i*nqe.ReadyEntrySize:], cid, masks[cid])
-		}
-		s.stats.readyEvents.Inc()
-		s.stats.readyIDs.Add(uint64(n))
-		s.emit(shard, nkchan.Receive, &nqe.Element{
-			Op: nqe.OpReady, Arg0: uint64(n),
-			DataOff: chunk.Offset, DataLen: uint32(n * nqe.ReadyEntrySize),
-		})
-		order = order[n:]
-	}
-}
-
-// flushAllReady flushes every shard's pending readiness (pump tails and
-// teardown paths).
-func (s *ServiceLib) flushAllReady() {
-	for shard := range s.ready {
-		s.flushReady(shard)
-	}
+// emitClosed emits a socket's OpConnClosed, the last element ServiceLib
+// emits for the cID, carrying in Arg1 the OpNewConns announced for a
+// listener (0 for any other socket).
+func (s *ServiceLib) emitClosed(shard int, cid uint32, st nqe.Status, announced uint32) {
+	s.emit(shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: cid, Status: st, Arg1: uint64(announced)})
 }
 
 // newConnState takes a connState from the recycling pool (or the heap),
@@ -550,9 +401,6 @@ func (s *ServiceLib) pump(shard int) {
 			s.handleJob(shard, &s.drain[i])
 		}
 	}
-	// Readiness gathered while handling this batch rides out with it:
-	// one OpReady per shard per pump, however many sockets transitioned.
-	s.flushAllReady()
 	// The engine kicks this pump after draining the output rings, so
 	// this is where parked emissions find room again.
 	s.backlog[shard].Drain()
@@ -576,9 +424,6 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 		cs.cid, cs.shard, cs.isDgram = cid, shard, e.Arg0 == 1
 		s.conns[cid] = cs
 		s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSocket, CID: cid, Seq: e.Seq})
-
-	case nqe.OpPollCtl:
-		s.handlePollCtl(shard, e)
 
 	case nqe.OpBind:
 		s.handleBind(shard, e)
@@ -671,7 +516,7 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			// UDP has no close handshake: confirm immediately, the last
 			// event for this cID, which lets the engine retire the fd↔cID
 			// mapping.
-			s.emitClosed(cs.shard, e.CID, nqe.StatusOK, cs.polled, 0)
+			s.emitClosed(cs.shard, e.CID, nqe.StatusOK, 0)
 			s.freeConnState(cs)
 		} else if cs != nil && cs.conn != nil {
 			// Closing now would have connClosed free sends the guest was
@@ -692,7 +537,7 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			// cID closed, so the close is confirmed here, with the count
 			// of accepts announced: the engine keeps the mapping until the
 			// last of them, on its own shard, has been translated.
-			s.emitClosed(ls.shard, e.CID, nqe.StatusOK, ls.polled, ls.announced)
+			s.emitClosed(ls.shard, e.CID, nqe.StatusOK, ls.announced)
 		} else if cs != nil {
 			// A socket that never connected or bound: retire it and
 			// confirm the close like the UDP path.
@@ -701,32 +546,6 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			s.freeConnState(cs)
 		}
 	}
-}
-
-// handlePollCtl registers (Arg0=1) or deregisters (Arg0=0) a socket for
-// coalesced readiness reporting. Registration replays state the socket
-// already holds — a connection with buffered receive data or a listener
-// with pending accepts queues an immediate entry, so a poller attached
-// late never sleeps through events that predate it.
-func (s *ServiceLib) handlePollCtl(shard int, e *nqe.Element) {
-	reg := e.Arg0 == 1
-	if cs := s.conns[e.CID]; cs != nil {
-		cs.polled = reg
-		if reg && cs.conn != nil && cs.conn.ReadAvailable() > 0 {
-			s.queueReady(cs.shard, cs.cid, nqe.ReadyReadable)
-		}
-		s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpPollCtl, CID: e.CID, Seq: e.Seq, Status: nqe.StatusOK})
-		return
-	}
-	if ls := s.listeners[e.CID]; ls != nil {
-		ls.polled = reg
-		if reg && ls.lst.Pending() > 0 {
-			s.queueReady(ls.shard, ls.cid, nqe.ReadyAcceptable)
-		}
-		s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpPollCtl, CID: e.CID, Seq: e.Seq, Status: nqe.StatusOK})
-		return
-	}
-	s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpPollCtl, CID: e.CID, Seq: e.Seq, Status: nqe.StatusInvalid})
 }
 
 func (s *ServiceLib) handleConnect(e *nqe.Element) {
@@ -846,9 +665,6 @@ func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
 		for shard, es := range batch {
 			s.emitBatch(shard, nkchan.Receive, es)
 		}
-		if ls.polled {
-			s.queueReady(ls.shard, ls.cid, nqe.ReadyAcceptable)
-		}
 		// Deliver anything that arrived before the accepts; the OpNewConn
 		// batch is already in the rings (and rides the priority lane), so
 		// each connection's data events order behind its announcement.
@@ -885,7 +701,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 				s.emitRxChunk(cs)
 				if !cs.eofSent {
 					cs.eofSent = true
-					s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled, 0)
+					s.emitClosed(cs.shard, cid, nqe.StatusOK, 0)
 				}
 			}
 			return
@@ -910,7 +726,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 			s.cfg.Pair.Pages.Free(chunk)
 			if eof && !cs.eofSent {
 				cs.eofSent = true
-				s.emitClosed(cs.shard, cid, nqe.StatusOK, cs.polled, 0)
+				s.emitClosed(cs.shard, cid, nqe.StatusOK, 0)
 			}
 			return
 		}
@@ -920,9 +736,6 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 			Op: nqe.OpNewData, CID: cid,
 			DataOff: chunk.Offset, DataLen: uint32(n),
 		})
-		if cs.polled {
-			s.queueReady(cs.shard, cid, nqe.ReadyReadable)
-		}
 		flush = false // only the first read after a flush may be short
 	}
 }
@@ -974,9 +787,6 @@ func (s *ServiceLib) emitRxChunk(cs *connState) {
 		Op: nqe.OpNewData, CID: cs.cid,
 		DataOff: cs.rxChunk.Offset, DataLen: uint32(cs.rxFill),
 	})
-	if cs.polled {
-		s.queueReady(cs.shard, cs.cid, nqe.ReadyReadable)
-	}
 	cs.rxHave, cs.rxFill = false, 0
 }
 
@@ -1079,9 +889,7 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 	s.deliverData(cid, true)
 	if !cs.eofSent {
 		cs.eofSent = true
-		// A pending readiness entry outlives the connState: the ready
-		// queue carries (cid, mask) pairs, not pointers.
-		s.emitClosed(cs.shard, cid, statusFromErr(err), cs.polled, 0)
+		s.emitClosed(cs.shard, cid, statusFromErr(err), 0)
 	}
 	// deliverData flushed the open receive chunk if it held bytes; an
 	// empty one allocated but never filled would leak without this.
@@ -1147,16 +955,12 @@ func (s *ServiceLib) Crash() {
 	}
 	for shard := range s.backlog {
 		s.backlog[shard].Discard(func(e *nqe.Element) {
-			if (e.Op == nqe.OpNewData || e.Op == nqe.OpReady) && e.DataLen > 0 {
+			if e.Op == nqe.OpNewData && e.DataLen > 0 {
 				s.cfg.Pair.Pages.Free(shm.Chunk{Offset: e.DataOff})
 			}
 			s.cfg.Tracer.Drop(e.Trace)
 		})
 	}
-	// Pending readiness holds no chunks (they are allocated at flush
-	// time) — just drop the entries; a timer firing later finds the
-	// module dead and bails.
-	s.ready = make([]readyShard, s.nshards())
 	s.connPool = nil
 	s.conns = make(map[uint32]*connState)
 	s.listeners = make(map[uint32]*listenerState)

@@ -389,7 +389,7 @@ func TestOverlongDatagramRejectedWithoutAllocating(t *testing.T) {
 	}
 }
 
-// Every OpSend, OpSetSockOpt, OpPollCtl, OpBind and OpListen is answered
+// Every OpSend, OpSetSockOpt, OpBind and OpListen is answered
 // exactly once, whatever happens to its socket: the CoreEngine counts
 // the completions it is owed and retires a closed socket's fd↔cID mapping
 // only when none is left.
