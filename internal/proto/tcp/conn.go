@@ -180,11 +180,13 @@ type segMeta struct {
 
 // oooSeg is one buffered out-of-order segment. data is a pool frame
 // (framepool) the connection releases when the segment is merged,
-// dropped as a duplicate, or torn down.
+// dropped as a duplicate, or torn down. push keeps the sender's PSH, so
+// the segment still ends its message when a filled hole merges it.
 type oooSeg struct {
 	seq  uint32
 	data []byte
 	fin  bool
+	push bool
 }
 
 // Errors a connection ends with, reported to OnEstablished and OnClose.
@@ -251,7 +253,7 @@ type incarnation struct {
 	cfg       Config
 	cc        tcpcc.Algorithm
 	owner     Owner
-	sink      func(p []byte) int
+	sink      func(p []byte, push bool) int
 	oooBytes  int // payload held in the reorder queue
 	wantWrite bool
 	closed    bool
@@ -570,14 +572,26 @@ func (c *Conn) Read(p []byte) (n int, eof bool) {
 	return n, c.finRcvd && c.rcvBuf.Empty()
 }
 
-// SetReceiveSink installs a direct delivery path: in-order payload
+// SetPushSink installs a direct delivery path: in-order payload
 // arriving while rcvBuf is empty is offered to fn, which returns the
 // bytes it consumed. Consumed bytes never touch rcvBuf (the receive-side
 // copy is elided); any remainder falls back into rcvBuf, whose fill
 // closes the advertised window — so a sink that refuses (e.g. because
 // the shm receive window is exhausted) degrades into ordinary buffered
-// flow control rather than losing data. Pass nil to uninstall.
-func (c *Conn) SetReceiveSink(fn func(p []byte) int) { c.sink = fn }
+// flow control rather than losing data. push reports that p ends a
+// segment the sender marked PSH: no more data follows it for now, so a
+// sink that batches should hand its batch on. Pass nil to uninstall.
+func (c *Conn) SetPushSink(fn func(p []byte, push bool) int) { c.sink = fn }
+
+// SetReceiveSink is SetPushSink for a sink that does not batch and so
+// has no use for push boundaries.
+func (c *Conn) SetReceiveSink(fn func(p []byte) int) {
+	if fn == nil {
+		c.sink = nil
+		return
+	}
+	c.sink = func(p []byte, _ bool) int { return fn(p) }
+}
 
 // ReadAvailable returns the bytes ready for Read.
 func (c *Conn) ReadAvailable() int { return c.rcvBuf.Len() }
@@ -734,6 +748,10 @@ func (c *Conn) Input(h *Header, payload []byte, ceMarked bool) {
 		c.sndUna = h.Ack
 		c.inflight.ackUpTo(h.Ack)
 		c.sndWnd = int(h.Window) << c.peerWScale
+		// The SYN-ACK is acknowledged: its retransmission timer goes, as
+		// in inputSynSent, or a connection that only receives would fire
+		// it as a spurious RTO on the established connection.
+		c.stopRTO()
 		c.establish()
 		// Fall through to normal processing for any payload.
 	case StateTimeWait:
@@ -793,6 +811,7 @@ func (c *Conn) inputSynSent(h *Header) {
 func (c *Conn) processPayload(h *Header, payload []byte, ceMarked bool) {
 	seq := h.Seq
 	fin := h.Flags&FlagFIN != 0
+	push := h.Flags&FlagPSH != 0
 
 	// Trim data before rcvNxt (retransmitted overlap).
 	if seqLT(seq, c.rcvNxt) {
@@ -820,7 +839,7 @@ func (c *Conn) processPayload(h *Header, payload []byte, ceMarked bool) {
 	}
 
 	if seq == c.rcvNxt {
-		c.acceptInOrder(payload, fin)
+		c.acceptInOrder(payload, fin, push)
 	} else {
 		// Out of order: buffer everything that fits inside the window
 		// we advertised (dropping in-window data would manufacture
@@ -829,7 +848,7 @@ func (c *Conn) processPayload(h *Header, payload []byte, ceMarked bool) {
 		if len(payload) > 0 && c.oooBytes+len(payload) <= c.rcvBuf.Free() {
 			data := framepool.Clone(payload)
 			c.countCopyRx(len(payload))
-			c.insertOOO(oooSeg{seq: seq, data: data, fin: fin})
+			c.insertOOO(oooSeg{seq: seq, data: data, fin: fin, push: push})
 			c.lastOOOSeq = seq
 		}
 		c.sendAck()
@@ -851,8 +870,8 @@ func (c *Conn) processPayload(h *Header, payload []byte, ceMarked bool) {
 
 // acceptInOrder consumes payload at rcvNxt, then merges any contiguous
 // out-of-order segments.
-func (c *Conn) acceptInOrder(payload []byte, fin bool) {
-	n := c.deliverInOrder(payload)
+func (c *Conn) acceptInOrder(payload []byte, fin, push bool) {
+	n := c.deliverInOrder(payload, push)
 	if n < len(payload) {
 		return
 	}
@@ -884,7 +903,7 @@ func (c *Conn) mergeOOO() {
 			framepool.Put(s.data)
 			continue
 		}
-		m := c.deliverInOrder(s.data[skip:])
+		m := c.deliverInOrder(s.data[skip:], s.push)
 		framepool.Put(s.data)
 		if m < len(s.data)-skip {
 			break
@@ -904,13 +923,13 @@ func (c *Conn) mergeOOO() {
 
 // deliverInOrder accepts in-order payload at rcvNxt: first through the
 // receive sink (when installed and rcvBuf holds nothing older), then
-// into rcvBuf. Bytes beyond what either accepts are dropped; the
-// advertised window should prevent this, but a misbehaving peer must
-// not corrupt state.
-func (c *Conn) deliverInOrder(payload []byte) int {
+// into rcvBuf. push says the payload ends a PSH segment. Bytes beyond
+// what either accepts are dropped; the advertised window should prevent
+// this, but a misbehaving peer must not corrupt state.
+func (c *Conn) deliverInOrder(payload []byte, push bool) int {
 	total := 0
 	if c.sink != nil && len(payload) > 0 && c.rcvBuf.Empty() {
-		k := c.sink(payload)
+		k := c.sink(payload, push)
 		if k < 0 || k > len(payload) {
 			panic("tcp: receive sink consumed out of range")
 		}

@@ -14,7 +14,7 @@ import (
 // that disagree on the format must fail loudly and fall back to crash
 // semantics rather than resurrect a half-understood connection
 // (DESIGN.md §12).
-const ConnSnapshotVersion = 2
+const ConnSnapshotVersion = 3
 
 // ConnSnapshot is the complete serialized state of one TCP connection:
 // everything a fresh Conn on a different stack needs to continue the

@@ -20,7 +20,7 @@ var environment = map[string]string{
 	"cfg":                "the restoring stack's; Restore takes Local and Remote from the snapshot and MSS from ctrl",
 	"cc":                 "the restoring stack's instance; ConnSnapshot.CCState carries its internals",
 	"owner":              "the restoring stack registers itself with SetOwner",
-	"sink":               "a callback the owner reinstalls: servicelib.Migrate calls SetReceiveSink",
+	"sink":               "a callback the owner reinstalls: servicelib.Migrate calls SetPushSink",
 	"oooBytes":           "derived: Restore recounts it from the reorder queue it refills",
 	"wantWrite":          "application interest the owner re-arms: servicelib.Migrate calls pumpSend",
 	"closed":             "a snapshot is only ever taken of a live connection",

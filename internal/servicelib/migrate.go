@@ -139,7 +139,7 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 			return restored, fmt.Errorf("servicelib: restore cid %d: %w", cid, err)
 		}
 		cs.conn = conn
-		conn.SetReceiveSink(cs.sink)
+		conn.SetPushSink(cs.sink)
 		restored++
 		resumed = append(resumed, cid)
 	}

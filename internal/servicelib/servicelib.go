@@ -61,10 +61,13 @@ type Config struct {
 
 const (
 	// coalesceDelay batches receive-side data into full huge-page
-	// chunks: when less than one chunk is buffered, delivery waits up
-	// to this long for more. This is the nqe-level analogue of the
-	// batched interrupts in §3.2 and keeps the per-event overhead off
-	// the bulk datapath.
+	// chunks: when less than one chunk has arrived in the middle of a
+	// burst, delivery waits up to this long for more. This is the
+	// nqe-level analogue of the batched interrupts in §3.2 and keeps the
+	// per-event overhead off the bulk datapath. A segment the sender
+	// marked PSH ends the burst, and its chunk leaves at once (sinkData);
+	// only the buffered path, which runs when the sink refused bytes,
+	// waits out the window regardless (DESIGN.md §8).
 	coalesceDelay = 5 * time.Microsecond
 )
 
@@ -155,7 +158,7 @@ type connState struct {
 	// is safe because a connection calls back nothing after its OnClose,
 	// and connClosed — what that OnClose runs — is what frees cs.
 	opts stack.SocketOptions
-	sink func([]byte) int
+	sink func(p []byte, push bool) int
 }
 
 // The callbacks bound into a connState.
@@ -174,7 +177,7 @@ func (cs *connState) writable() { cs.svc.pumpSend(cs) }
 
 func (cs *connState) closed(err error) { cs.svc.connClosed(cs.cid, err) }
 
-func (cs *connState) receive(p []byte) int { return cs.svc.sinkData(cs, p) }
+func (cs *connState) receive(p []byte, push bool) int { return cs.svc.sinkData(cs, p, push) }
 
 type listenerState struct {
 	cid   uint32
@@ -191,7 +194,10 @@ type listenerState struct {
 // connection (cID) the window belongs to. A window is never stopped; one
 // that fires for a connection already gone finds no cID.
 
-// rxFlush ends a connection's receive coalescing window (armRxFlush).
+// rxFlush ends a connection's receive coalescing window (armRxFlush):
+// it emits what arrived mid-burst and was not topped off to a full
+// chunk or ended by a PSH segment within coalesceDelay. A window whose
+// chunk a PSH already emitted fires as a no-op.
 type rxFlush ServiceLib
 
 func (h *rxFlush) HandleFrame(_ []byte, cid uint64) {
@@ -564,7 +570,7 @@ func (s *ServiceLib) handleConnect(e *nqe.Element) {
 		return
 	}
 	cs.conn = conn
-	conn.SetReceiveSink(cs.sink)
+	conn.SetPushSink(cs.sink)
 	s.stats.conns.Inc()
 }
 
@@ -647,7 +653,7 @@ func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
 		cs.cid, cs.shard, cs.conn = cid, s.shardForConn(conn), conn
 		s.conns[cid] = cs
 		conn.SetCallbacks(cs.opts.OnReadable, cs.opts.OnWritable, cs.opts.OnClose)
-		conn.SetReceiveSink(cs.sink)
+		conn.SetPushSink(cs.sink)
 		s.stats.accepts.Inc()
 		ls.announced++
 		remote := conn.RemoteAddr()
@@ -712,6 +718,9 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 		s.emitRxChunk(cs)
 		// Coalesce sub-chunk dribbles: wait briefly for a full chunk so
 		// bulk transfers move one nqe per chunk, not one per segment.
+		// These bytes sit in rcvBuf because the sink refused them (no shm
+		// credit or no free chunk), so the VM is behind; and rcvBuf keeps
+		// no PSH boundaries. This path keeps its window even at a push.
 		if avail < chunkSize && !flush {
 			s.armRxFlush(cs)
 			return
@@ -746,7 +755,12 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 // back out. Refusing bytes (shm window exhausted, pool empty, dead
 // module) pushes them into the conn's rcvBuf, whose fill closes the TCP
 // window — ordinary flow control remains the backstop.
-func (s *ServiceLib) sinkData(cs *connState, p []byte) int {
+//
+// A partly filled chunk leaves at once when p ends a PSH segment and was
+// taken whole: the sender has nothing more queued, so waiting out the
+// coalescing window would only add its length to the message's latency.
+// Otherwise the chunk waits up to coalesceDelay to fill.
+func (s *ServiceLib) sinkData(cs *connState, p []byte, push bool) int {
 	if s.dead || cs.recvDebt >= s.cfg.RecvWindow {
 		return 0
 	}
@@ -770,7 +784,11 @@ func (s *ServiceLib) sinkData(cs *connState, p []byte) int {
 		}
 	}
 	if cs.rxHave && cs.rxFill > 0 {
-		s.armRxFlush(cs)
+		if push && len(p) == 0 {
+			s.emitRxChunk(cs)
+		} else {
+			s.armRxFlush(cs)
+		}
 	}
 	return consumed
 }

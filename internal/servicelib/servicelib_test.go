@@ -467,3 +467,41 @@ func TestEveryAnsweredJobAnsweredOnce(t *testing.T) {
 		}
 	})
 }
+
+// A segment the sender marked PSH ends its message: the sink emits the
+// partly filled chunk in the same event that delivered the bytes, and
+// arms no coalescing window. Bytes mid-burst still wait for one.
+func TestPushEmitsWithoutWindow(t *testing.T) {
+	h := newHarness(t, "cubic")
+	cid, peerConn := h.establish(t)
+	cs := h.svc.conns[cid]
+	newData := func() int {
+		n := 0
+		for _, ev := range h.events {
+			if ev.Op == nqe.OpNewData && ev.CID == cid {
+				n += int(ev.DataLen)
+			}
+		}
+		return n
+	}
+
+	peerConn.Write(make([]byte, 64)) // one segment, PSH
+	for cs.conn.Stats().BytesRcvd < 64 {
+		if !h.loop.Step() {
+			t.Fatal("loop ran dry")
+		}
+	}
+	if got := newData(); got != 64 || cs.flushPending {
+		t.Fatalf("as TCP took a PSH segment: %d B emitted, window armed %v; want 64 B and no window", got, cs.flushPending)
+	}
+
+	// Mid-burst bytes (no PSH) fill the chunk and wait for the window.
+	cs.receive(make([]byte, 100), false)
+	if got := newData(); got != 64 || !cs.flushPending {
+		t.Fatalf("mid-burst: %d B emitted, window armed %v; want 64 B and a window", got, cs.flushPending)
+	}
+	h.loop.RunFor(coalesceDelay)
+	if got := newData(); got != 164 {
+		t.Fatalf("after the window: %d B emitted, want 164", got)
+	}
+}
