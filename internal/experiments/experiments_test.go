@@ -323,8 +323,9 @@ func TestScaleoutGate(t *testing.T) {
 // exact function of the seed; the gate allows 10% slack on the rates
 // so intentional simulation retuning fails loudly instead of silently
 // rewriting the message-rate story. The amortization bound is the
-// tentpole claim: one coalesced OnReady must replace at least 2
-// per-event callback wakeups under sparse activity (measured: 8.0).
+// tentpole claim: one Poller wakeup, reporting every socket a batch of
+// events made ready, must replace at least 2 per-event callback
+// wakeups under sparse activity (measured: 8.0).
 // CI's rpc-smoke job runs exactly this test. (The suite simulates
 // ~10k TCP connections yet runs in ~1s of wall time: lazy byte-ring
 // allocation means idle connections never materialize their 1 MiB
@@ -333,8 +334,8 @@ func TestRPCGate(t *testing.T) {
 	// Baselines from BENCH_rpc.json (seed 4242, defaults: 32 echo conns
 	// × 64 B, 10k sparse conns × 200 bursts of 8, 16 churners × 20 ms).
 	const (
-		baselineRPS      = 531200.0
-		baselineChurn    = 163200.0
+		baselineRPS      = 637440.0
+		baselineChurn    = 164000.0
 		minAmortization  = 2.0
 		maxSparseLatency = 100 * time.Microsecond
 	)

@@ -179,7 +179,6 @@ type sockKind int
 const (
 	kindStream sockKind = iota
 	kindListener
-	kindDatagram
 )
 
 type sockState int
@@ -231,9 +230,6 @@ type socket struct {
 	eof      bool
 	closeErr error
 	accepts  fifo.Ring[int32]
-	// Datagram receive queue (datagram sockets only).
-	dgrams []datagram
-	bound  bool
 
 	// inStalled marks membership in GuestLib.stalled, making the stall
 	// queue O(ready) instead of a linear dedup scan per mark.
@@ -256,12 +252,6 @@ type socket struct {
 	connectStart sim.Time
 	closeStart   sim.Time
 	acceptedAt   sim.Time
-}
-
-type datagram struct {
-	src  ipv4.Addr
-	port uint16
-	data []byte
 }
 
 // recvSeg is one received chunk awaiting Recv: the socket holds the
@@ -463,95 +453,6 @@ func (g *GuestLib) Socket(cbs Callbacks) int32 {
 	g.sockets[fd] = s
 	g.post(pair, shard, &nqe.Element{Op: nqe.OpSocket, FD: fd})
 	return fd
-}
-
-// SocketDatagram creates a UDP socket served by the NSM's stack. The
-// datagram API is SendTo/RecvFrom; OnReadable fires per arrival.
-func (g *GuestLib) SocketDatagram(cbs Callbacks) int32 {
-	fd := g.nextFD
-	g.nextFD++
-	pair, shard := g.placeSocket()
-	s := g.newSocket()
-	s.fd, s.kind, s.cbs, s.credit, s.pair, s.shard = fd, kindDatagram, cbs, g.cfg.SendCredit, pair, shard
-	s.sockStart = g.cfg.Clock.Now()
-	g.sockets[fd] = s
-	g.post(pair, shard, &nqe.Element{Op: nqe.OpSocket, FD: fd, Arg0: 1 /* datagram */})
-	return fd
-}
-
-// BindUDP binds a datagram socket to a local port (0 = ephemeral).
-func (g *GuestLib) BindUDP(fd int32, port uint16) error {
-	s, err := g.datagram(fd)
-	if err != nil {
-		return err
-	}
-	if s.bound {
-		return fmt.Errorf("guestlib: fd %d already bound", fd)
-	}
-	s.bound = true
-	g.pushWhenReady(s, &nqe.Element{Op: nqe.OpBind, FD: fd, Arg0: uint64(port)})
-	return nil
-}
-
-// SendTo transmits one datagram. Datagrams are bounded by the shm
-// chunk size (one descriptor each); oversize payloads are refused.
-func (g *GuestLib) SendTo(fd int32, addr ipv4.Addr, port uint16, payload []byte) error {
-	s, err := g.datagram(fd)
-	if err != nil {
-		return err
-	}
-	if len(payload) > s.pair.ChunkSize() {
-		return fmt.Errorf("guestlib: datagram of %d bytes exceeds the %d-byte chunk", len(payload), s.pair.ChunkSize())
-	}
-	if !s.bound {
-		// BSD semantics: sending on an unbound datagram socket binds it
-		// to an ephemeral port implicitly.
-		if err := g.BindUDP(fd, 0); err != nil {
-			return err
-		}
-	}
-	chunk, ok := s.pair.Pages.Alloc()
-	if !ok {
-		return fmt.Errorf("guestlib: huge pages exhausted")
-	}
-	s.pair.Pages.Write(chunk, payload)
-	g.stats.txBytesCopied.Add(uint64(len(payload)))
-	e := &nqe.Element{
-		Op: nqe.OpSend, FD: fd,
-		DataOff: chunk.Offset, DataLen: uint32(len(payload)),
-		Arg0: nqe.PackAddr(addr, port),
-	}
-	if !g.pushWhenReadyData(s, e) {
-		s.pair.Pages.Free(chunk)
-		return fmt.Errorf("guestlib: job queue full")
-	}
-	g.stats.bytesSent.Add(uint64(len(payload)))
-	return nil
-}
-
-// pushWhenReadyData is pushWhenReady for descriptor-carrying elements:
-// they cannot be retried from a copy after the chunk is freed, so a
-// full queue is reported to the caller instead.
-func (g *GuestLib) pushWhenReadyData(s *socket, e *nqe.Element) bool {
-	if !s.ready {
-		s.deferred = append(s.deferred, *e)
-		return true
-	}
-	return g.push(s.pair, s.shard, e)
-}
-
-// RecvFrom pops one received datagram into buf.
-func (g *GuestLib) RecvFrom(fd int32, buf []byte) (n int, src ipv4.Addr, port uint16, ok bool) {
-	s := g.sockets[fd]
-	if s == nil || s.kind != kindDatagram || len(s.dgrams) == 0 {
-		return 0, ipv4.Addr{}, 0, false
-	}
-	d := s.dgrams[0]
-	s.dgrams = s.dgrams[1:]
-	n = copy(buf, d.data)
-	g.stats.rxBytesCopied.Add(uint64(n))
-	g.stats.bytesReceived.Add(uint64(n))
-	return n, d.src, d.port, true
 }
 
 // Connect begins a three-way handshake to remote through the NSM's
@@ -819,17 +720,6 @@ func (g *GuestLib) stream(fd int32) (*socket, error) {
 	return s, nil
 }
 
-func (g *GuestLib) datagram(fd int32) (*socket, error) {
-	s, err := g.open(fd)
-	if err != nil {
-		return nil, err
-	}
-	if s.kind != kindDatagram {
-		return nil, fmt.Errorf("guestlib: fd %d is not a datagram socket", fd)
-	}
-	return s, nil
-}
-
 // pump drains one pair's VM completion and receive queues in batches
 // (whole ring spans per pop, §3.2 "batched interrupts"). It runs on the
 // clock executor when the CoreEngine kicks the VM side.
@@ -963,7 +853,7 @@ func (p *Poller) Add(fd int32) error {
 	}
 	s.poller = p
 	var mask uint32
-	if s.recvQ.Len() > 0 || len(s.dgrams) > 0 || s.eof {
+	if s.recvQ.Len() > 0 || s.eof {
 		mask |= nqe.ReadyReadable
 	}
 	if s.accepts.Len() > 0 {
@@ -1081,14 +971,8 @@ func (g *GuestLib) handleCompletion(pair *nkchan.Pair, e *nqe.Element) {
 		if e.Status != nqe.StatusOK {
 			// The CoreEngine could not install the mapping (the NSM
 			// crashed or rejected the socket): dead on arrival. Deferred
-			// operations are dropped, and the chunk of each deferred
-			// datagram with them; the application learns through the
-			// usual terminal callbacks.
-			for i := range s.deferred {
-				if d := &s.deferred[i]; d.Op == nqe.OpSend {
-					s.pair.Pages.Free(shmChunk(d.DataOff))
-				}
-			}
+			// control operations are dropped; the application learns
+			// through the usual terminal callbacks.
 			s.deferred = s.deferred[:0]
 			wasConnecting := s.state == stConnecting
 			wasClosed := s.state == stClosed
@@ -1174,20 +1058,9 @@ func (g *GuestLib) handleEvent(pair *nkchan.Pair, shard int, e *nqe.Element) {
 			pair.Pages.Free(shmChunk(e.DataOff))
 			return
 		}
-		if s.kind == kindDatagram {
-			// Datagrams copy out immediately: each carries its source
-			// address and the queue is not a byte stream.
-			data := make([]byte, e.DataLen)
-			pair.Pages.Read(shmChunk(e.DataOff), data, int(e.DataLen))
-			g.stats.rxBytesCopied.Add(uint64(e.DataLen))
-			pair.Pages.Free(shmChunk(e.DataOff))
-			src, port := nqe.UnpackAddr(e.Arg0)
-			s.dgrams = append(s.dgrams, datagram{src: src, port: port, data: data})
-		} else {
-			// Streams keep the chunk: Recv copies straight from it into
-			// the application buffer, eliding the intermediate copy.
-			s.recvQ.Push(recvSeg{chunk: shmChunk(e.DataOff), size: int(e.DataLen)})
-		}
+		// The socket keeps the chunk: Recv copies straight from it into
+		// the application buffer, eliding the intermediate copy.
+		s.recvQ.Push(recvSeg{chunk: shmChunk(e.DataOff), size: int(e.DataLen)})
 		if s.poller != nil {
 			g.pollerNotify(s, nqe.ReadyReadable)
 		} else if s.cbs.OnReadable != nil {

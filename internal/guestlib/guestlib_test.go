@@ -355,11 +355,11 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestSendToFullQueueFreesChunk pins the ENOBUFS path: when the job
-// ring is full, SendTo must fail AND return the already-written
-// huge-page chunk to the pool — the descriptor never made it out, so
-// nobody else will ever free it.
-func TestSendToFullQueueFreesChunk(t *testing.T) {
+// TestSendFullQueueFreesChunk pins the ENOBUFS path: when the job ring
+// is full, Send must stop short AND return the already-written huge-page
+// chunk of the refused push to the pool — the descriptor never made it
+// out, so nobody else will ever free it.
+func TestSendFullQueueFreesChunk(t *testing.T) {
 	// A tiny job ring and no engine draining it, so sends back up.
 	pair, err := nkchan.NewPair(nkchan.Config{Queue: nkqueue.Config{Slots: 4}}, nil)
 	if err != nil {
@@ -368,7 +368,7 @@ func TestSendToFullQueueFreesChunk(t *testing.T) {
 	loop := sim.NewLoop()
 	g := New(Config{Clock: loop, VMID: 7, Pair: pair})
 
-	fd := g.SocketDatagram(Callbacks{})
+	fd := g.Socket(Callbacks{})
 	var e nqe.Element
 	if !pair.VMJob.Pop(&e) || e.Op != nqe.OpSocket {
 		t.Fatalf("expected OpSocket job, got %+v", e)
@@ -376,38 +376,34 @@ func TestSendToFullQueueFreesChunk(t *testing.T) {
 	done := nqe.Element{Op: nqe.OpSocket, FD: fd, Seq: e.Seq, Source: nqe.FromCore, Flags: nqe.FlagCompletion}
 	pair.VMCompletion.Push(&done)
 	pair.KickVM(0)
-	if err := g.BindUDP(fd, 5353); err != nil {
+	if err := g.Connect(fd, ipv4.Addr{10, 0, 0, 9}, 80); err != nil {
 		t.Fatal(err)
 	}
+	if !pair.VMJob.Pop(&e) || e.Op != nqe.OpConnect {
+		t.Fatalf("expected OpConnect job, got %+v", e)
+	}
+	est := nqe.Element{Op: nqe.OpEstablished, FD: fd, Status: nqe.StatusOK, Source: nqe.FromNSM}
+	pair.VMReceive.Push(&est)
+	pair.KickVM(0)
 
-	// The OpBind occupies one of the four slots; three sends fit.
-	payload := []byte("datagram")
-	sent := 0
-	for ; sent < 8; sent++ {
-		if err := g.SendTo(fd, ipv4.Addr{10, 0, 0, 9}, 53, payload); err != nil {
-			break
-		}
+	// The ring is empty again: four chunks fit, the fifth is refused.
+	chunk := pair.ChunkSize()
+	if n := g.Send(fd, make([]byte, 8*chunk)); n != 4*chunk {
+		t.Fatalf("Send took %d bytes before the ring filled, want %d", n, 4*chunk)
 	}
-	if sent == 8 {
-		t.Fatal("job ring never filled")
-	}
-	if sent != 3 {
-		t.Fatalf("sent %d datagrams before the ring filled, want 3", sent)
-	}
-
-	// Each queued send legitimately holds one chunk; the failed one
+	// Each queued send legitimately holds one chunk; the refused one
 	// must not.
 	pool := pair.Pages
-	if free, want := pool.FreeCount(), pool.Chunks()-sent; free != want {
-		t.Errorf("pool: %d free of %d, want %d (failed SendTo leaked its chunk)",
+	if free, want := pool.FreeCount(), pool.Chunks()-4; free != want {
+		t.Errorf("pool: %d free of %d, want %d (refused push leaked its chunk)",
 			free, pool.Chunks(), want)
 	}
 	// And the failure is stable, not a one-off: retry fails and still
 	// doesn't leak.
-	if err := g.SendTo(fd, ipv4.Addr{10, 0, 0, 9}, 53, payload); err == nil {
-		t.Fatal("SendTo succeeded on a full ring")
+	if n := g.Send(fd, []byte("more")); n != 0 {
+		t.Fatalf("Send took %d bytes on a full ring", n)
 	}
-	if free, want := pool.FreeCount(), pool.Chunks()-sent; free != want {
+	if free, want := pool.FreeCount(), pool.Chunks()-4; free != want {
 		t.Errorf("pool after retry: %d free, want %d", free, want)
 	}
 }
@@ -430,9 +426,8 @@ func TestNothingPostedAfterClose(t *testing.T) {
 	if err := p.Add(polled); err != nil {
 		t.Fatal(err)
 	}
-	dgram := ready(g.SocketDatagram(Callbacks{}))
 	early := g.Socket(Callbacks{}) // closed before its OpSocket completes
-	for _, fd := range []int32{stream, polled, dgram, early} {
+	for _, fd := range []int32{stream, polled, early} {
 		g.Close(fd)
 	}
 
@@ -447,8 +442,6 @@ func TestNothingPostedAfterClose(t *testing.T) {
 		{"SetSockOpt", func() error { return g.SetSockOpt(stream, nqe.SockOptNagle, 0) }},
 		{"Poller.Add", func() error { return p.Add(stream) }},
 		{"Poller.Remove", func() error { return p.Remove(polled) }},
-		{"BindUDP", func() error { return g.BindUDP(dgram, 53) }},
-		{"SendTo", func() error { return g.SendTo(dgram, peer, 53, []byte("late")) }},
 		{"Connect before ready", func() error { return g.Connect(early, peer, 80) }},
 		{"SetSockOpt before ready", func() error { return g.SetSockOpt(early, nqe.SockOptNagle, 0) }},
 	} {

@@ -205,8 +205,8 @@ type mapping struct {
 	// OpConnClosed translate only there.
 	shard int32
 	// owed counts forwarded jobs whose completion has not been
-	// translated yet: OpSend, OpSetSockOpt, OpBind and OpListen, the
-	// jobs ServiceLib always answers.
+	// translated yet: OpSend, OpSetSockOpt and OpListen, the jobs
+	// ServiceLib always answers.
 	owed uint32
 	// acceptsDue is a listener's balance of OpNewConns: the listener's
 	// OpConnClosed adds how many ServiceLib announced (its Arg1), each
@@ -492,7 +492,7 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 		m := &ep.recs[i]
 		s.SetCID(m.cid)
 		switch s.Op() {
-		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpBind, nqe.OpListen:
+		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpListen:
 			m.owed++
 		case nqe.OpClose:
 			m.guestClosed = true
@@ -618,7 +618,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 				m.acceptsDue += int32(s.Arg1())
 				ep.settle(i)
 			}
-		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpBind, nqe.OpListen:
+		case nqe.OpSend, nqe.OpSetSockOpt, nqe.OpListen:
 			// A completion: the job it answers is no longer owed.
 			if m.owed > 0 {
 				m.owed--

@@ -255,70 +255,6 @@ func TestSetSockOptThroughNSM(t *testing.T) {
 	}
 }
 
-// TestUDPDatagramsThroughNSM exercises the BSD datagram surface over
-// the NetKernel path: bind, sendto, recvfrom, including the implicit
-// bind on first send.
-func TestUDPDatagramsThroughNSM(t *testing.T) {
-	c := newCluster(t, nil)
-	vma, vmb := c.nkPair(t, "cubic", "cubic")
-
-	// Server: bound datagram socket on vmb:5353, echoing datagrams.
-	srv := vmb.Guest
-	var sfd int32
-	sfd = srv.SocketDatagram(guestlib.Callbacks{OnReadable: func() {
-		buf := make([]byte, 2048)
-		for {
-			n, src, srcPort, ok := srv.RecvFrom(sfd, buf)
-			if !ok {
-				return
-			}
-			srv.SendTo(sfd, src, srcPort, buf[:n])
-		}
-	}})
-	if err := srv.BindUDP(sfd, 5353); err != nil {
-		t.Fatal(err)
-	}
-
-	// Client: unbound socket; the first SendTo binds implicitly.
-	cli := vma.Guest
-	var got []byte
-	var cfd int32
-	cfd = cli.SocketDatagram(guestlib.Callbacks{OnReadable: func() {
-		buf := make([]byte, 2048)
-		n, src, _, ok := cli.RecvFrom(cfd, buf)
-		if ok {
-			if src != ipVMB {
-				t.Errorf("datagram from %v", src)
-			}
-			got = append(got, buf[:n]...)
-		}
-	}})
-	if err := cli.SendTo(cfd, ipVMB, 5353, []byte("nsaas datagram")); err != nil {
-		t.Fatal(err)
-	}
-	c.loop.RunFor(500 * time.Millisecond)
-	if string(got) != "nsaas datagram" {
-		t.Fatalf("echo returned %q", got)
-	}
-
-	// Oversize datagrams refused at the API.
-	if err := cli.SendTo(cfd, ipVMB, 5353, make([]byte, 9000)); err == nil {
-		t.Fatal("oversize datagram accepted")
-	}
-	// Stream ops on a datagram socket refused.
-	if err := cli.Connect(cfd, ipVMB, 80); err == nil {
-		t.Fatal("connect on datagram socket accepted")
-	}
-	// Close releases the port: rebinding on the server works after.
-	srv.Close(sfd)
-	c.loop.RunFor(100 * time.Millisecond)
-	sfd2 := srv.SocketDatagram(guestlib.Callbacks{})
-	if err := srv.BindUDP(sfd2, 5353); err != nil {
-		t.Fatal(err)
-	}
-	c.loop.RunFor(100 * time.Millisecond)
-}
-
 // Close on a socket whose sends still sit in ServiceLib's queue (the TCP
 // send buffer was full) must not drop them: the FIN goes out behind the
 // queued bytes, the receiver gets every byte and then EOF, and no

@@ -160,8 +160,8 @@ func (h *Host) cutover(old, next *NSM, opts MigrateOptions, m *Migration, done f
 	}
 
 	// The donor stack is empty of connections now; Kill clears its
-	// listeners and UDP demux and marks it dead for any straggler frame
-	// that races the attachment swap.
+	// listeners and marks it dead for any straggler frame that races the
+	// attachment swap.
 	old.Stack.Kill()
 
 	// Commit: the engine retargets the tenants' channels onto the

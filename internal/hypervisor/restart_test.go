@@ -181,34 +181,3 @@ func TestNSMCrashIsIsolated(t *testing.T) {
 		t.Fatalf("NSMResets = %d, want 1", c.h2.Engine.Stats().NSMResets)
 	}
 }
-
-// TestCrashFreesDeferredDatagram: a datagram sent before the socket's
-// mapping is installed waits in GuestLib with its chunk. When the NSM
-// crashes with the OpSocket in flight, the engine fails the socket, and
-// the deferred datagram's chunk must go back to the pool with it.
-func TestCrashFreesDeferredDatagram(t *testing.T) {
-	c := newCluster(t, nil)
-	vma, _ := c.nkPair(t, "cubic", "cubic")
-	g := vma.Guest
-	var closeErr error = errSentinel
-	before := c.h1.Engine.Stats().NqesVMToNSM
-	fd := g.SocketDatagram(guestlib.Callbacks{OnClose: func(err error) { closeErr = err }})
-	if err := g.SendTo(fd, ipVMB, 9, []byte("deferred")); err != nil {
-		t.Fatal(err)
-	}
-	stepUntil(t, c, func() bool { return c.h1.Engine.Stats().NqesVMToNSM > before })
-	c.h1.RestartNSM(vma.NSM)
-	c.loop.RunFor(2 * time.Second)
-
-	if closeErr == errSentinel || closeErr == nil {
-		t.Fatalf("OnClose = %v, want a reset error", closeErr)
-	}
-	for _, pair := range g.Pairs() {
-		if n := pair.Pages.LiveRefs(); n != 0 {
-			t.Errorf("%d live chunk refs after the crash, want 0", n)
-		}
-		if pair.Pages.FreeCount() != pair.Pages.Chunks() {
-			t.Errorf("leaked chunks: %d free of %d", pair.Pages.FreeCount(), pair.Pages.Chunks())
-		}
-	}
-}

@@ -33,15 +33,12 @@ const (
 
 	// Requests, VM → NSM.
 	OpSocket     // create a socket; completion carries the fd
-	OpBind       // bind to local address in Arg0
 	OpListen     // listen with backlog in Arg0
 	OpConnect    // connect to remote address in Arg0
-	OpAccept     // harvest an accepted connection
 	OpSend       // data descriptor points at payload
 	OpRecv       // credit: guest is ready for more data
 	OpClose      // close the connection
 	OpSetSockOpt // option in Arg0, value in Arg1
-	OpGetSockOpt // option in Arg0
 
 	// Events, NSM → VM (receive queue).
 	OpNewData     // data arrived; descriptor points at payload
@@ -52,9 +49,9 @@ const (
 )
 
 var opNames = [...]string{
-	OpInvalid: "invalid", OpSocket: "socket", OpBind: "bind", OpListen: "listen",
-	OpConnect: "connect", OpAccept: "accept", OpSend: "send", OpRecv: "recv",
-	OpClose: "close", OpSetSockOpt: "setsockopt", OpGetSockOpt: "getsockopt",
+	OpInvalid: "invalid", OpSocket: "socket", OpListen: "listen",
+	OpConnect: "connect", OpSend: "send", OpRecv: "recv",
+	OpClose: "close", OpSetSockOpt: "setsockopt",
 	OpNewData: "new-data", OpNewConn: "new-conn", OpConnClosed: "conn-closed",
 	OpSendCredit: "send-credit", OpEstablished: "established",
 }
@@ -106,8 +103,7 @@ func (o Op) IsEvent() bool {
 // and overtaking them would close the stream before its last bytes.
 func (o Op) IsConnEvent() bool {
 	switch o {
-	case OpSocket, OpBind, OpListen, OpConnect, OpAccept,
-		OpNewConn, OpEstablished:
+	case OpSocket, OpListen, OpConnect, OpNewConn, OpEstablished:
 		return true
 	}
 	return false
@@ -148,7 +144,6 @@ const (
 	StatusConnReset
 	StatusTimeout
 	StatusAddrInUse
-	StatusNotConnected
 	StatusClosed
 	StatusNoBuffers
 	StatusInvalid
@@ -160,8 +155,8 @@ const (
 var statusNames = [...]string{
 	StatusOK: "ok", StatusAgain: "again", StatusConnRefused: "connection refused",
 	StatusConnReset: "connection reset", StatusTimeout: "timeout",
-	StatusAddrInUse: "address in use", StatusNotConnected: "not connected",
-	StatusClosed: "closed", StatusNoBuffers: "no buffers", StatusInvalid: "invalid",
+	StatusAddrInUse: "address in use", StatusClosed: "closed",
+	StatusNoBuffers: "no buffers", StatusInvalid: "invalid",
 	StatusUnreachable: "unreachable", StatusMsgSize: "message too long",
 	StatusNotSupported: "not supported",
 }

@@ -89,7 +89,7 @@ func TestOpClassification(t *testing.T) {
 	}
 	// §3.2: connection events and data events are separated to avoid
 	// head-of-line blocking.
-	for _, op := range []Op{OpSocket, OpConnect, OpAccept, OpNewConn, OpEstablished} {
+	for _, op := range []Op{OpSocket, OpListen, OpConnect, OpNewConn, OpEstablished} {
 		if !op.IsConnEvent() {
 			t.Errorf("%v should be a connection event", op)
 		}

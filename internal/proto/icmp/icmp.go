@@ -1,6 +1,7 @@
 // Package icmp implements the ICMPv4 messages the stack uses: echo
 // (ping, which powers the pingmesh-style failure detector in
-// internal/mgmt), destination unreachable, and time exceeded.
+// internal/mgmt). Inbound errors (destination unreachable, time
+// exceeded) parse like any message; the stack sends none.
 package icmp
 
 import (
@@ -38,13 +39,6 @@ func (t Type) String() string {
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
 }
-
-// Destination-unreachable codes.
-const (
-	CodeNetUnreachable  = 0
-	CodeHostUnreachable = 1
-	CodePortUnreachable = 3
-)
 
 // Message is a decoded ICMP message. For echo messages ID and Seq are
 // meaningful; for errors Body carries the embedded offending datagram.
@@ -111,25 +105,4 @@ func EchoRequest(id, seq uint16, payload []byte) Message {
 // EchoReply builds the reply to a request message.
 func EchoReply(req Message) Message {
 	return Message{Type: TypeEchoReply, ID: req.ID, Seq: req.Seq, Body: req.Body}
-}
-
-// errorBody is how much of an offending datagram an error embeds: the
-// IP header + 8 bytes, per RFC 792.
-func errorBody(original []byte) []byte {
-	if len(original) > 28 {
-		return original[:28]
-	}
-	return original
-}
-
-// DestUnreachable builds a destination-unreachable error embedding the
-// start of the offending datagram.
-func DestUnreachable(code uint8, original []byte) Message {
-	return Message{Type: TypeDestUnreachable, Code: code, Body: errorBody(original)}
-}
-
-// TimeExceeded builds a TTL-expired error embedding the offending
-// datagram prefix.
-func TimeExceeded(original []byte) Message {
-	return Message{Type: TypeTimeExceeded, Body: errorBody(original)}
 }

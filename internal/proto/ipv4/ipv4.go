@@ -1,5 +1,5 @@
 // Package ipv4 implements the IPv4 header, checksumming, ECN codepoints,
-// and fragmentation/reassembly.
+// and fragmentation.
 package ipv4
 
 import (
@@ -17,7 +17,6 @@ const HeaderLen = 20
 const (
 	ProtoICMP = 1
 	ProtoTCP  = 6
-	ProtoUDP  = 17
 )
 
 // ECN codepoints (the two low bits of the TOS byte).

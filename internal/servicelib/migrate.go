@@ -6,13 +6,12 @@ import (
 
 	"netkernel/internal/nkchan"
 	"netkernel/internal/nqe"
-	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/stack"
 )
 
 // This file is the ServiceLib half of live NSM migration (DESIGN.md
 // §12): moving a pump's entire guest-facing state — connection IDs,
-// listeners, UDP bindings, queued send chunks, receive debt — onto a
+// listeners, queued send chunks, receive debt — onto a
 // successor stack without the guest observing anything. The huge pages
 // and rings belong to the VM↔engine channel, which survives the
 // migration untouched; only the stack side is rebuilt.
@@ -30,7 +29,7 @@ type MigrateOpts struct {
 // Migrate moves this pump's guest-facing state onto the successor
 // stack st, serving as module nsmID with congestion control cc. Every
 // TCP connection is serialized, silently detached from the donor, and
-// revived on st; listeners re-listen and UDP sockets re-bind there.
+// revived on st; listeners re-listen there.
 // Connection IDs, shard pinning, send queues, and flow-control debt
 // all survive in place, so the guest's descriptors keep working and
 // in-flight chunks replay on the revived sockets.
@@ -100,15 +99,6 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 	var resumed []uint32
 	for _, cid := range cids {
 		cs := s.conns[cid]
-		if cs.udp != nil {
-			port := cs.udp.Port()
-			sock, err := st.OpenUDP(port, s.udpRecv(cid, cs.shard))
-			if err != nil {
-				return restored, fmt.Errorf("servicelib: re-bind udp port %d: %w", port, err)
-			}
-			cs.udp = sock
-			continue
-		}
 		if cs.conn == nil {
 			continue // socket created but never connected: nothing stack-side
 		}
@@ -159,28 +149,4 @@ func (s *ServiceLib) Migrate(st *stack.Stack, nsmID uint32, cc string, opts Migr
 		s.deliverData(cid, false)
 	}
 	return restored, nil
-}
-
-// udpRecv builds the datagram receive path for socket cid on the given
-// shard: arriving datagrams go straight into huge-page chunks and
-// OpNewData events carrying the source address. Shared by the original
-// bind and the migration re-bind.
-func (s *ServiceLib) udpRecv(cid uint32, shard int) func(src ipv4.Addr, srcPort uint16, data []byte) {
-	return func(src ipv4.Addr, srcPort uint16, data []byte) {
-		if len(data) > s.cfg.Pair.ChunkSize() {
-			return // cannot represent; drop (UDP semantics)
-		}
-		chunk, ok := s.cfg.Pair.Pages.Alloc()
-		if !ok {
-			return // pool exhausted; drop (UDP semantics)
-		}
-		s.cfg.Pair.Pages.Write(chunk, data)
-		s.stats.rxBytesCopied.Add(uint64(len(data)))
-		s.stats.dataOut.Add(uint64(len(data)))
-		s.emit(shard, nkchan.Receive, &nqe.Element{
-			Op: nqe.OpNewData, CID: cid,
-			DataOff: chunk.Offset, DataLen: uint32(len(data)),
-			Arg0: nqe.PackAddr(src, srcPort),
-		})
-	}
 }

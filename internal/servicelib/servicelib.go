@@ -135,9 +135,7 @@ type connState struct {
 	// rings (flow affinity). Dialed connections keep the shard their
 	// OpSocket arrived on; accepted connections hash their 4-tuple.
 	shard        int
-	isDgram      bool
 	conn         *tcp.Conn
-	udp          *stack.UDPSocket // datagram sockets, set at bind
 	sendQ        fifo.Ring[sendChunk]
 	closePending bool // the guest closed with sendQ unsent: close once it drains
 	recvDebt     int  // bytes at the VM awaiting an OpRecv credit
@@ -427,12 +425,9 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 		s.nextCID++
 		cid := s.nextCID
 		cs := s.newConnState()
-		cs.cid, cs.shard, cs.isDgram = cid, shard, e.Arg0 == 1
+		cs.cid, cs.shard = cid, shard
 		s.conns[cid] = cs
 		s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSocket, CID: cid, Seq: e.Seq})
-
-	case nqe.OpBind:
-		s.handleBind(shard, e)
 
 	case nqe.OpConnect:
 		s.handleConnect(e)
@@ -453,34 +448,6 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			s.cfg.Pair.Pages.Free(shm.Chunk{Offset: e.DataOff})
 			s.cfg.Tracer.Drop(e.Trace)
 			s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSend, CID: e.CID, DataLen: e.DataLen, Status: nqe.StatusClosed})
-			return
-		}
-		if cs.isDgram {
-			// A datagram: one chunk, sent immediately to the address in
-			// Arg0, chunk returned to the pool.
-			chunk := shm.Chunk{Offset: e.DataOff}
-			if int(e.DataLen) > s.cfg.Pair.ChunkSize() {
-				// The length is guest-chosen: check it against the chunk
-				// before it sizes an allocation.
-				s.cfg.Pair.Pages.Free(chunk)
-				s.cfg.Tracer.Drop(e.Trace)
-				s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSend, CID: cs.cid, Status: nqe.StatusInvalid})
-				return
-			}
-			payload := make([]byte, e.DataLen)
-			s.cfg.Pair.Pages.Read(chunk, payload, int(e.DataLen))
-			s.stats.txBytesCopied.Add(uint64(e.DataLen))
-			s.cfg.Pair.Pages.Free(chunk)
-			if cs.udp == nil {
-				s.cfg.Tracer.Drop(e.Trace)
-				s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSend, CID: cs.cid, Status: nqe.StatusNotConnected})
-				return
-			}
-			ip, port := nqe.UnpackAddr(e.Arg0)
-			_ = cs.udp.SendTo(ip, port, payload)
-			s.stats.dataIn.Add(uint64(e.DataLen))
-			s.cfg.Tracer.End(e.Trace, "stack.tx")
-			s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSend, CID: cs.cid, DataLen: e.DataLen, Status: nqe.StatusOK})
 			return
 		}
 		cs.sendQ.Push(sendChunk{chunk: shm.Chunk{Offset: e.DataOff}, size: int(e.DataLen), trace: e.Trace})
@@ -516,15 +483,7 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 		s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpSetSockOpt, CID: e.CID, Seq: e.Seq, Status: status})
 
 	case nqe.OpClose:
-		if cs := s.conns[e.CID]; cs != nil && cs.udp != nil {
-			cs.udp.Close()
-			delete(s.conns, e.CID)
-			// UDP has no close handshake: confirm immediately, the last
-			// event for this cID, which lets the engine retire the fd↔cID
-			// mapping.
-			s.emitClosed(cs.shard, e.CID, nqe.StatusOK, 0)
-			s.freeConnState(cs)
-		} else if cs != nil && cs.conn != nil {
+		if cs := s.conns[e.CID]; cs != nil && cs.conn != nil {
 			// Closing now would have connClosed free sends the guest was
 			// told are queued; the FIN goes out behind them instead.
 			if cs.sendQ.Len() > 0 {
@@ -545,8 +504,8 @@ func (s *ServiceLib) handleJob(shard int, e *nqe.Element) {
 			// last of them, on its own shard, has been translated.
 			s.emitClosed(ls.shard, e.CID, nqe.StatusOK, ls.announced)
 		} else if cs != nil {
-			// A socket that never connected or bound: retire it and
-			// confirm the close like the UDP path.
+			// A socket that never connected: no TCP teardown will report
+			// it, so retire it and confirm the close here.
 			delete(s.conns, e.CID)
 			s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpConnClosed, CID: e.CID, Status: nqe.StatusOK})
 			s.freeConnState(cs)
@@ -566,7 +525,7 @@ func (s *ServiceLib) handleConnect(e *nqe.Element) {
 	opts.CC = s.cfg.CC
 	conn, err := s.cfg.Stack.Dial(tcp.AddrPort{Addr: ip, Port: port}, opts)
 	if err != nil {
-		s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpEstablished, CID: cs.cid, Status: nqe.StatusInvalid})
+		s.emit(cs.shard, nkchan.Receive, &nqe.Element{Op: nqe.OpEstablished, CID: cs.cid, Status: statusFromErr(err)})
 		return
 	}
 	cs.conn = conn
@@ -595,24 +554,6 @@ func (s *ServiceLib) handleListen(shard int, e *nqe.Element) {
 	s.listeners[e.CID] = ls
 	delete(s.conns, e.CID) // the cid now names a listener
 	lst.OnAcceptable = func() { s.NewAcceptCallback(ls) }
-}
-
-// handleBind binds a datagram socket's UDP port and installs the
-// receive path: arriving datagrams go straight into huge-page chunks
-// and OpNewData events carrying the source address.
-func (s *ServiceLib) handleBind(shard int, e *nqe.Element) {
-	cs := s.conns[e.CID]
-	if cs == nil || !cs.isDgram || cs.udp != nil {
-		s.emit(shard, nkchan.Completion, &nqe.Element{Op: nqe.OpBind, CID: e.CID, Seq: e.Seq, Status: nqe.StatusInvalid})
-		return
-	}
-	sock, err := s.cfg.Stack.OpenUDP(uint16(e.Arg0), s.udpRecv(cs.cid, cs.shard))
-	if err != nil {
-		s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpBind, CID: e.CID, Seq: e.Seq, Status: nqe.StatusAddrInUse})
-		return
-	}
-	cs.udp = sock
-	s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpBind, CID: e.CID, Seq: e.Seq, Status: nqe.StatusOK, Arg0: uint64(sock.Port())})
 }
 
 // resetBacklog resets every connection waiting in a closed listener's
@@ -969,7 +910,6 @@ func (s *ServiceLib) Crash() {
 		// hold as send spans are released when the hypervisor kills the
 		// module's stack (each reference was the span's own).
 		cs.conn = nil
-		cs.udp = nil
 	}
 	for shard := range s.backlog {
 		s.backlog[shard].Discard(func(e *nqe.Element) {
@@ -1007,6 +947,8 @@ func statusFromErr(err error) nqe.Status {
 		return nqe.StatusConnRefused
 	case errors.Is(err, tcp.ErrReset), errors.Is(err, tcp.ErrAborted):
 		return nqe.StatusConnReset
+	case errors.Is(err, tcp.ErrClosedBeforeEstablished):
+		return nqe.StatusClosed
 	case errors.As(err, &timeout) && timeout.Timeout():
 		return nqe.StatusTimeout
 	case errors.Is(err, stack.ErrNoRoute):

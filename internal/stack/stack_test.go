@@ -224,56 +224,6 @@ func TestListenerBacklogOverflowDropsSYN(t *testing.T) {
 	}
 }
 
-func TestUDPExchangeAndUnreachable(t *testing.T) {
-	p := newPair(t, fastLink(), nil)
-	var got []byte
-	var from ipv4.Addr
-	_, err := p.b.OpenUDP(53, func(src ipv4.Addr, srcPort uint16, data []byte) {
-		from = src
-		got = append([]byte(nil), data...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sock, err := p.a.OpenUDP(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sock.SendTo(ipB, 53, []byte("query")); err != nil {
-		t.Fatal(err)
-	}
-	p.loop.RunFor(100 * time.Millisecond)
-	if string(got) != "query" || from != ipA {
-		t.Fatalf("server got %q from %v", got, from)
-	}
-
-	// Datagram to an unbound port triggers ICMP port unreachable.
-	before := p.a.Stats().ICMPIn
-	sock.SendTo(ipB, 54, []byte("void"))
-	p.loop.RunFor(100 * time.Millisecond)
-	if p.a.Stats().ICMPIn != before+1 {
-		t.Fatal("no ICMP unreachable for unbound port")
-	}
-}
-
-func TestUDPFragmentationOverMTU(t *testing.T) {
-	p := newPair(t, fastLink(), nil)
-	var got []byte
-	p.b.OpenUDP(7000, func(_ ipv4.Addr, _ uint16, data []byte) {
-		got = append([]byte(nil), data...)
-	})
-	sock, _ := p.a.OpenUDP(0, nil)
-	big := make([]byte, 5000) // > 1500 MTU → 4 fragments
-	for i := range big {
-		big[i] = byte(i * 3)
-	}
-	sock.SendTo(ipB, 7000, big)
-	p.loop.RunFor(100 * time.Millisecond)
-	if !bytes.Equal(got, big) {
-		t.Fatalf("fragmented datagram: got %d bytes", len(got))
-	}
-}
-
 func TestPerCoreCPUBoundsSingleFlow(t *testing.T) {
 	// One core with 4 µs per packet caps a single flow at ≈3 Gbit/s
 	// even over a 10 Gbit/s link: the Figure 4 mechanism.

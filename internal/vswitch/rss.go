@@ -17,7 +17,7 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// TupleHash hashes a TCP/UDP 4-tuple direction-independently (FNV-1a
+// TupleHash hashes a TCP 4-tuple direction-independently (FNV-1a
 // over the canonically ordered endpoints). Both ends of a connection,
 // and both directions of its traffic, produce the same value.
 func TupleHash(aIP ipv4.Addr, aPort uint16, bIP ipv4.Addr, bPort uint16) uint32 {
@@ -33,7 +33,7 @@ func TupleHash(aIP ipv4.Addr, aPort uint16, bIP ipv4.Addr, bPort uint16) uint32 
 	return h
 }
 
-// PairHash hashes just the two IPs (for non-TCP/UDP traffic), with the
+// PairHash hashes just the two IPs (for non-TCP traffic), with the
 // same direction independence as TupleHash.
 func PairHash(aIP, bIP ipv4.Addr) uint32 {
 	if endpointLess(bIP, 0, aIP, 0) {
@@ -63,8 +63,9 @@ func ShardOf(hash uint32, n int) int {
 }
 
 // FrameShard steers an Ethernet frame to a shard by its flow fields.
-// Non-IPv4 frames (ARP) and fragments without a transport header fall
-// back to shard 0 — control traffic is rare and needs no spreading.
+// Non-IPv4 frames (ARP) fall back to shard 0 and non-TCP packets (ICMP)
+// to their address pair — control traffic is rare and needs no
+// spreading.
 // Because the endpoint ordering is canonical, a frame and its reply
 // land on the same shard.
 func FrameShard(frame []byte, n int) int {
@@ -82,11 +83,8 @@ func FrameShard(frame []byte, n int) int {
 	var src, dst ipv4.Addr
 	copy(src[:], frame[26:30])
 	copy(dst[:], frame[30:34])
-	proto := frame[23]
-	// Fragment offset nonzero → no transport header in this frame.
-	fragOff := (uint16(frame[20]&0x1f)<<8 | uint16(frame[21]))
 	transport := 14 + ihl
-	if (proto == 6 || proto == 17) && fragOff == 0 && len(frame) >= transport+4 {
+	if frame[23] == ipv4.ProtoTCP && len(frame) >= transport+4 {
 		sp := uint16(frame[transport])<<8 | uint16(frame[transport+1])
 		dp := uint16(frame[transport+2])<<8 | uint16(frame[transport+3])
 		return ShardOf(TupleHash(src, sp, dst, dp), n)
