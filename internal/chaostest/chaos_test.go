@@ -2,6 +2,7 @@ package chaostest
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 	"time"
 
@@ -193,4 +194,68 @@ func TestChaosDeterminism(t *testing.T) {
 	if len(a.Trace) == 0 {
 		t.Fatal("empty trace: the scenario recorded nothing")
 	}
+}
+
+// RunAndCheck executes the scenario and applies every invariant,
+// logging the trace on failure.
+func RunAndCheck(t *testing.T, seed uint64, prof Profile) *Result {
+	t.Helper()
+	res := RunAndReport(t, seed, prof)
+	if t.Failed() {
+		for _, line := range res.Trace {
+			t.Log(line)
+		}
+		t.Logf("reproduce with: go test ./internal/chaostest/ -run %s -chaos.seed=%d", t.Name(), seed)
+	}
+	return res
+}
+
+// Equal reports whether two results are identical — the determinism
+// contract: same seed, same trace, same stats.
+func Equal(a, b *Result) (string, bool) {
+	if len(a.Trace) != len(b.Trace) {
+		return fmt.Sprintf("trace length %d vs %d", len(a.Trace), len(b.Trace)), false
+	}
+	for i := range a.Trace {
+		if a.Trace[i] != b.Trace[i] {
+			return fmt.Sprintf("trace[%d]: %q vs %q", i, a.Trace[i], b.Trace[i]), false
+		}
+	}
+	if a.L12 != b.L12 || a.L21 != b.L21 {
+		return "link stats differ", false
+	}
+	if a.Sw1 != b.Sw1 || a.Sw2 != b.Sw2 {
+		return "switch stats differ", false
+	}
+	if a.Eng1 != b.Eng1 || a.Eng2 != b.Eng2 {
+		return "engine stats differ", false
+	}
+	if a.Migrated != b.Migrated || a.MigAborted != b.MigAborted ||
+		a.MigConns != b.MigConns || a.MigStall != b.MigStall {
+		return fmt.Sprintf("migration schedule diverged: %d/%d conns=%d stall=%v vs %d/%d conns=%d stall=%v",
+			a.Migrated, a.MigAborted, a.MigConns, a.MigStall,
+			b.Migrated, b.MigAborted, b.MigConns, b.MigStall), false
+	}
+	if a.ServerStats != b.ServerStats {
+		return fmt.Sprintf("post-migration server stack stats differ:\n  %+v\n  %+v", a.ServerStats, b.ServerStats), false
+	}
+	if len(a.Spans) != len(b.Spans) {
+		return fmt.Sprintf("span count %d vs %d", len(a.Spans), len(b.Spans)), false
+	}
+	for i := range a.Spans {
+		if a.Spans[i] != b.Spans[i] {
+			return fmt.Sprintf("span[%d]: %q vs %q", i, a.Spans[i], b.Spans[i]), false
+		}
+	}
+	if len(a.Conns) != len(b.Conns) {
+		return "conn counts differ", false
+	}
+	for i := range a.Conns {
+		ca, cb := a.Conns[i], b.Conns[i]
+		if ca.SentBytes != cb.SentBytes || ca.EchoedBytes != cb.EchoedBytes ||
+			ca.Established != cb.Established || ca.Closed != cb.Closed {
+			return fmt.Sprintf("conn %d outcomes differ", i), false
+		}
+	}
+	return "", true
 }

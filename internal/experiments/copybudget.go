@@ -21,6 +21,9 @@ import (
 	"netkernel/internal/telemetry"
 )
 
+// echoChunk is the echo's application write granularity.
+const echoChunk = 16 << 10
+
 // CopyBudgetConfig shapes the echo measurement.
 type CopyBudgetConfig struct {
 	// Warmup precedes the measured window, after the NSM boot wait
@@ -28,8 +31,6 @@ type CopyBudgetConfig struct {
 	Warmup time.Duration
 	// Window is the measured period (default 200 ms).
 	Window time.Duration
-	// EchoChunk is the application write granularity (default 16 KiB).
-	EchoChunk int
 	// Seed drives deterministic randomness (default 4242).
 	Seed uint64
 	// TraceSampleEvery arms per-nqe span tracing on both hosts (every
@@ -43,9 +44,6 @@ func (c *CopyBudgetConfig) fillDefaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = 200 * time.Millisecond
-	}
-	if c.EchoChunk <= 0 {
-		c.EchoChunk = 16 << 10
 	}
 	if c.Seed == 0 {
 		c.Seed = 4242
@@ -104,8 +102,8 @@ func RunCopyBudget(cfg CopyBudgetConfig) CopyBudgetResult {
 	w.Loop.RunFor(client.NSM.Profile.BootTime + 50*time.Millisecond)
 
 	const port = 9090
-	startEchoServer(server.Guest, port, cfg.EchoChunk)
-	echoed := startEchoClient(client.Guest, server.IP, port, cfg.EchoChunk)
+	startEchoServer(server.Guest, port, echoChunk)
+	echoed := startEchoClient(client.Guest, server.IP, port, echoChunk)
 
 	w.Loop.RunFor(cfg.Warmup)
 	cliBase, srvBase := client.CopyReport(), server.CopyReport()

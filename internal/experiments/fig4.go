@@ -7,40 +7,38 @@ import (
 	"netkernel/internal/netsim"
 )
 
+const (
+	// figure4MaxFlows is the end of Figure 4's x-axis: the sweep runs
+	// 1 to 3 flows.
+	figure4MaxFlows = 3
+	// figure4PerPacketCost calibrates the single-flow per-core ceiling:
+	// 470 ns/packet ≈ 25 Gbit/s of 1460-byte segments per core, matching
+	// the paper's single-flow point.
+	figure4PerPacketCost = 470 * time.Nanosecond
+)
+
 // Figure4Config parameterizes the Figure 4 reproduction: "Throughput
 // of TCP Cubic and NetKernel TCP Cubic NSM" on the 40 GbE testbed,
 // 1–3 flows. "We observe the NetKernel NSM achieves virtually same
 // throughput with running TCP Cubic natively in the VM. Both can
 // achieve line rate (∼37 Gbps) when there are more than two flows."
 type Figure4Config struct {
-	// Flows lists the flow counts to sweep (default 1, 2, 3).
-	Flows []int
 	// Warmup precedes measurement after establishment (default 400 ms:
 	// slow-start overshoot into the 4 MB switch buffer takes a few
 	// hundred milliseconds of recovery to clear).
 	Warmup time.Duration
 	// Window is the measurement period (default 200 ms).
 	Window time.Duration
-	// PerPacketCost calibrates the single-flow per-core ceiling.
-	// Default 470 ns/packet ≈ 25 Gbit/s of 1460-byte segments per
-	// core, matching the paper's single-flow point.
-	PerPacketCost time.Duration
 	// Seed drives deterministic randomness.
 	Seed uint64
 }
 
 func (c *Figure4Config) fillDefaults() {
-	if len(c.Flows) == 0 {
-		c.Flows = []int{1, 2, 3}
-	}
 	if c.Warmup <= 0 {
 		c.Warmup = 400 * time.Millisecond
 	}
 	if c.Window <= 0 {
 		c.Window = 200 * time.Millisecond
-	}
-	if c.PerPacketCost <= 0 {
-		c.PerPacketCost = 470 * time.Nanosecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 4
@@ -66,7 +64,7 @@ func RunFigure4(cfg Figure4Config) []Figure4Row {
 	lineRate := 40e9 * 1460 / 1538
 
 	var rows []Figure4Row
-	for _, flows := range cfg.Flows {
+	for flows := 1; flows <= figure4MaxFlows; flows++ {
 		native := runFig4Scenario(cfg, flows, hypervisor.ModeLegacy)
 		nsm := runFig4Scenario(cfg, flows, hypervisor.ModeNetKernel)
 		rows = append(rows, Figure4Row{
@@ -85,7 +83,7 @@ func RunFigure4(cfg Figure4Config) []Figure4Row {
 func runFig4Scenario(cfg Figure4Config, flows int, mode hypervisor.VMMode) float64 {
 	w := NewWorld(WorldConfig{
 		Link:          netsim.Testbed40G(),
-		PerPacketCost: cfg.PerPacketCost,
+		PerPacketCost: figure4PerPacketCost,
 		Cores:         8,
 		Seed:          cfg.Seed,
 		MinRTO:        10 * time.Millisecond,

@@ -11,10 +11,11 @@ package experiments
 //     the client the classic per-event callbacks, so one run covers
 //     both APIs end to end.
 //   - Sparse wakeups: SparseConns mostly-idle connections on one
-//     poller; bursts of BurstSize messages land on random connections
-//     and the poller must coalesce each burst into ~one OnReady. The
-//     identical scenario replayed with per-event callbacks is the
-//     baseline the ≥2x amortization gate compares against.
+//     poller; bursts of rpcBurstSize messages land on random
+//     connections and the poller must coalesce each burst into ~one
+//     OnReady. The identical scenario replayed with per-event
+//     callbacks is the baseline the ≥2x amortization gate compares
+//     against.
 //   - Churn: closed-loop connect→close cycles, the setup/teardown rate
 //     the socket/connState recycling pools exist for.
 //
@@ -32,12 +33,25 @@ import (
 	"netkernel/internal/sim"
 )
 
+const (
+	// rpcMsgBytes is the echo message size.
+	rpcMsgBytes = 64
+	// rpcBurstSize is how many connections receive a message per
+	// sparse-phase burst.
+	rpcBurstSize = 8
+	// rpcBurstGap separates the sparse phase's bursts.
+	rpcBurstGap = 100 * time.Microsecond
+	// rpcChurners is the churn phase's concurrent connect→close loop
+	// count. Each cycle burns one ephemeral port until its TIME_WAIT
+	// expires, so rpcChurners×ChurnWindow must stay well under the
+	// 16k-port range.
+	rpcChurners = 16
+)
+
 // RPCConfig shapes the message-rate measurement.
 type RPCConfig struct {
 	// Conns is the echo phase's closed-loop connection count (default 32).
 	Conns int
-	// MsgBytes is the echo message size (default 64).
-	MsgBytes int
 	// Warmup precedes the echo window (default 20 ms after boot).
 	Warmup time.Duration
 	// Window is the measured echo period (default 50 ms).
@@ -48,16 +62,6 @@ type RPCConfig struct {
 	// Bursts is how many activity bursts the sparse phase injects
 	// (default 200).
 	Bursts int
-	// BurstSize is how many connections receive a message per burst
-	// (default 8).
-	BurstSize int
-	// BurstGap separates bursts (default 100 µs).
-	BurstGap time.Duration
-	// Churners is the churn phase's concurrent connect→close loop count
-	// (default 16; each cycle burns one ephemeral port until its
-	// TIME_WAIT expires, so Churners×Window must stay well under the
-	// 16k-port range).
-	Churners int
 	// ChurnWindow is the measured churn period (default 20 ms).
 	ChurnWindow time.Duration
 	// Seed drives deterministic randomness (default 4242).
@@ -67,9 +71,6 @@ type RPCConfig struct {
 func (c *RPCConfig) fillDefaults() {
 	if c.Conns <= 0 {
 		c.Conns = 32
-	}
-	if c.MsgBytes <= 0 {
-		c.MsgBytes = 64
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = 20 * time.Millisecond
@@ -82,15 +83,6 @@ func (c *RPCConfig) fillDefaults() {
 	}
 	if c.Bursts <= 0 {
 		c.Bursts = 200
-	}
-	if c.BurstSize <= 0 {
-		c.BurstSize = 8
-	}
-	if c.BurstGap <= 0 {
-		c.BurstGap = 100 * time.Microsecond
-	}
-	if c.Churners <= 0 {
-		c.Churners = 16
 	}
 	if c.ChurnWindow <= 0 {
 		c.ChurnWindow = 20 * time.Millisecond
@@ -266,11 +258,11 @@ func runEcho(cfg RPCConfig) (uint64, float64) {
 	})
 
 	var rts uint64
-	msg := make([]byte, cfg.MsgBytes)
+	msg := make([]byte, rpcMsgBytes)
 	cliBuf := make([]byte, 4<<10)
 	for i := 0; i < cfg.Conns; i++ {
 		var fd int32
-		remaining := cfg.MsgBytes
+		remaining := rpcMsgBytes
 		fd = sg.Socket(guestlib.Callbacks{
 			OnEstablished: func(err error) {
 				if err == nil {
@@ -286,7 +278,7 @@ func runEcho(cfg RPCConfig) (uint64, float64) {
 					remaining -= n
 					for remaining <= 0 {
 						rts++
-						remaining += cfg.MsgBytes
+						remaining += rpcMsgBytes
 						sg.Send(fd, msg)
 					}
 				}
@@ -305,7 +297,7 @@ func runEcho(cfg RPCConfig) (uint64, float64) {
 }
 
 // runSparse builds SparseConns mostly-idle connections, injects
-// Bursts×BurstSize timestamped messages on random ones, and reports
+// Bursts×rpcBurstSize timestamped messages on random ones, and reports
 // (wakeups, events, mean send→drain latency) for the chosen server
 // mode. Both modes run the byte-identical client schedule.
 func runSparse(cfg RPCConfig, usePoller bool) (wakeups, events uint64, lat time.Duration) {
@@ -380,8 +372,8 @@ func runSparse(cfg RPCConfig, usePoller bool) (wakeups, events uint64, lat time.
 
 	rng := sim.NewRNG(cfg.Seed*7 + 11)
 	for b := 0; b < cfg.Bursts; b++ {
-		w.Loop.AfterFunc(time.Duration(b+1)*cfg.BurstGap, func() {
-			for k := 0; k < cfg.BurstSize; k++ {
+		w.Loop.AfterFunc(time.Duration(b+1)*rpcBurstGap, func() {
+			for k := 0; k < rpcBurstSize; k++ {
 				fd := fds[rng.Intn(len(fds))]
 				var msg [8]byte
 				binary.LittleEndian.PutUint64(msg[:], uint64(w.Loop.Now()))
@@ -389,7 +381,7 @@ func runSparse(cfg RPCConfig, usePoller bool) (wakeups, events uint64, lat time.
 			}
 		})
 	}
-	w.Loop.RunFor(time.Duration(cfg.Bursts+2)*cfg.BurstGap + 10*time.Millisecond)
+	w.Loop.RunFor(time.Duration(cfg.Bursts+2)*rpcBurstGap + 10*time.Millisecond)
 
 	st = rg.Stats()
 	if usePoller {
@@ -415,7 +407,7 @@ func runChurn(cfg RPCConfig) (uint64, float64) {
 	pollServer(rg, port, nil) // accept, drain, close on EOF
 
 	var cycles uint64
-	for i := 0; i < cfg.Churners; i++ {
+	for i := 0; i < rpcChurners; i++ {
 		var cycle func()
 		cycle = func() {
 			var fd int32
@@ -448,7 +440,7 @@ func runChurn(cfg RPCConfig) (uint64, float64) {
 // with the same seed.
 func RunRPC(cfg RPCConfig) RPCResult {
 	cfg.fillDefaults()
-	res := RPCResult{Conns: cfg.Conns, MsgBytes: cfg.MsgBytes, SparseConns: cfg.SparseConns}
+	res := RPCResult{Conns: cfg.Conns, MsgBytes: rpcMsgBytes, SparseConns: cfg.SparseConns}
 	res.RoundTrips, res.EchoRPS = runEcho(cfg)
 	res.PollerWakeups, res.PollerEvents, res.PollerLatency = runSparse(cfg, true)
 	res.CallbackWakeups, _, res.CallbackLatency = runSparse(cfg, false)

@@ -3,11 +3,11 @@ package experiments
 // Scale-out experiment (DESIGN.md §10): the journal version's headline
 // efficiency claim is many tenant VMs multiplexed onto one shared,
 // multi-queue NSM that spreads its packet processing across cores. The
-// measurement multiplexes VMs tenant VMs per host onto a single
-// multi-core NSM and opens FlowsPerVM bulk flows per tenant; RSS flow
-// steering (vswitch.TupleHash over the 4-tuple) pins each flow to a
-// channel shard and the NSM stack dispatches each flow's packets to
-// CPU core == shard. Shards=1 models the conference paper's
+// measurement multiplexes scaleoutVMs tenant VMs per host onto a
+// single multi-core NSM and opens scaleoutFlowsPerVM bulk flows per
+// tenant; RSS flow steering (vswitch.TupleHash over the 4-tuple) pins
+// each flow to a channel shard and the NSM stack dispatches each
+// flow's packets to CPU core == shard. Shards=1 models the conference paper's
 // single-queue NSM — every flow serialized on core 0, the scale-out
 // baseline — while Shards=N spreads the same offered load over N
 // cores. The NSM's CPU size is held constant across runs so the only
@@ -20,15 +20,18 @@ import (
 	"netkernel/internal/netsim"
 )
 
+const (
+	// scaleoutVMs is the tenant VM count per host.
+	scaleoutVMs = 8
+	// scaleoutFlowsPerVM is the concurrent bulk flows per tenant.
+	scaleoutFlowsPerVM = 4
+)
+
 // ScaleoutConfig shapes the many-VM/many-flow measurement.
 type ScaleoutConfig struct {
 	// Shards is the channel/stack shard count (default 1, the
 	// single-queue baseline).
 	Shards int
-	// VMs is the tenant VM count per host (default 8).
-	VMs int
-	// FlowsPerVM is the concurrent bulk flows per tenant (default 4).
-	FlowsPerVM int
 	// Cores sizes each NSM's dedicated CPU (default 4; identical for
 	// every shard count so runs differ only in steering).
 	Cores int
@@ -43,12 +46,6 @@ type ScaleoutConfig struct {
 func (c *ScaleoutConfig) fillDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.VMs <= 0 {
-		c.VMs = 8
-	}
-	if c.FlowsPerVM <= 0 {
-		c.FlowsPerVM = 4
 	}
 	if c.Cores <= 0 {
 		c.Cores = 4
@@ -78,9 +75,9 @@ type ScaleoutResult struct {
 	ShardConns []int
 }
 
-// RunScaleout multiplexes cfg.VMs tenants per host onto one shared
+// RunScaleout multiplexes scaleoutVMs tenants per host onto one shared
 // multi-core NSM each and measures aggregate goodput across
-// VMs×FlowsPerVM bulk flows.
+// scaleoutVMs×scaleoutFlowsPerVM bulk flows.
 func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 	cfg.fillDefaults()
 	w := NewWorld(WorldConfig{
@@ -100,7 +97,7 @@ func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 	// One multi-core NSM per host; tenant 0 boots it, the rest attach
 	// to it (ShareWith) and inherit its network identity.
 	mkTenants := func(h *hypervisor.Host, ip [4]byte) []*hypervisor.VM {
-		vms := make([]*hypervisor.VM, cfg.VMs)
+		vms := make([]*hypervisor.VM, scaleoutVMs)
 		var first *hypervisor.NSM
 		for i := range vms {
 			spec := hypervisor.NSMSpec{Form: hypervisor.FormVM, CC: "cubic", Cores: cfg.Cores}
@@ -125,13 +122,13 @@ func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 
 	w.Loop.RunFor(clients[0].NSM.Profile.BootTime + 50*time.Millisecond)
 
-	// FlowsPerVM bulk flows from each client tenant to its paired
+	// scaleoutFlowsPerVM bulk flows from each client tenant to its paired
 	// server tenant, every flow on its own port so the 4-tuples (and
 	// therefore the RSS shards) spread.
 	var flows []*Flow
-	for i := 0; i < cfg.VMs; i++ {
-		for j := 0; j < cfg.FlowsPerVM; j++ {
-			port := uint16(7000 + i*cfg.FlowsPerVM + j)
+	for i := 0; i < scaleoutVMs; i++ {
+		for j := 0; j < scaleoutFlowsPerVM; j++ {
+			port := uint16(7000 + i*scaleoutFlowsPerVM + j)
 			flows = append(flows, StartFlow(w, clients[i], servers[i], port))
 		}
 	}
@@ -140,7 +137,7 @@ func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 
 	res := ScaleoutResult{
 		Shards:       cfg.Shards,
-		VMs:          cfg.VMs,
+		VMs:          scaleoutVMs,
 		Flows:        len(flows),
 		AggregateBps: agg,
 	}

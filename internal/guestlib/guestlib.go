@@ -76,11 +76,9 @@ const DefaultSendCredit = 1 << 20
 type Config struct {
 	Clock sim.Clock
 	VMID  uint32
-	// Pair is the channel to the VM's NSM. For scale-out (§2.1 "scale
-	// out with more modules to support higher throughput"), Pairs
-	// lists one channel per NSM replica and sockets are spread across
-	// them round-robin; set either Pair or Pairs.
-	Pair  *nkchan.Pair
+	// Pairs lists the channels to the VM's NSM, one per NSM replica
+	// for scale-out (§2.1 "scale out with more modules to support
+	// higher throughput"); sockets are spread across them round-robin.
 	Pairs []*nkchan.Pair
 	// SendCredit bounds bytes in the huge pages awaiting the NSM per
 	// socket (default DefaultSendCredit): the shm-level send window.
@@ -300,9 +298,6 @@ type GuestLib struct {
 // New builds a GuestLib and wires it to its pairs' VM-side kicks.
 func New(cfg Config) *GuestLib {
 	pairs := cfg.Pairs
-	if len(pairs) == 0 && cfg.Pair != nil {
-		pairs = []*nkchan.Pair{cfg.Pair}
-	}
 	if cfg.Clock == nil || len(pairs) == 0 {
 		panic("guestlib: Config requires Clock and at least one Pair")
 	}

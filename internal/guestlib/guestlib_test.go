@@ -35,7 +35,7 @@ func newHarness(t *testing.T) *harness {
 			h.jobs = append(h.jobs, e)
 		}
 	}
-	h.g = New(Config{Clock: h.loop, VMID: 7, Pair: pair})
+	h.g = New(Config{Clock: h.loop, VMID: 7, Pairs: []*nkchan.Pair{pair}})
 	return h
 }
 
@@ -176,7 +176,7 @@ func TestSendCreditExhaustionAndWritable(t *testing.T) {
 			jobs = append(jobs, e)
 		}
 	}
-	g := New(Config{Clock: loop, VMID: 1, Pair: pair, SendCredit: 16 << 10})
+	g := New(Config{Clock: loop, VMID: 1, Pairs: []*nkchan.Pair{pair}, SendCredit: 16 << 10})
 	fd := g.Socket(Callbacks{})
 	e := nqe.Element{Op: nqe.OpSocket, FD: fd, Seq: jobs[0].Seq, Flags: nqe.FlagCompletion, Source: nqe.FromCore}
 	pair.VMCompletion.Push(&e)
@@ -366,7 +366,7 @@ func TestSendFullQueueFreesChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	loop := sim.NewLoop()
-	g := New(Config{Clock: loop, VMID: 7, Pair: pair})
+	g := New(Config{Clock: loop, VMID: 7, Pairs: []*nkchan.Pair{pair}})
 
 	fd := g.Socket(Callbacks{})
 	var e nqe.Element

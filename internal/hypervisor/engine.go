@@ -14,32 +14,27 @@ import (
 	"netkernel/internal/telemetry"
 )
 
+// nqeCopyCost is the per-element queue-to-queue copy cost; §4.2
+// measures ~12 ns on the prototype (and bench_test.go reproduces it on
+// real memory).
+const nqeCopyCost = 12 * time.Nanosecond
+
 // EngineConfig shapes the CoreEngine's cost model.
 type EngineConfig struct {
 	// NotifyLatency is the engine's own wakeup latency per batched
 	// interrupt (added to the NSM form's notify latency). Default
 	// 1 µs.
 	NotifyLatency time.Duration
-	// NqeCopyCost is the per-element queue-to-queue copy cost; §4.2
-	// measures ~12 ns on the prototype (and bench_test.go reproduces
-	// it on real memory). Default 12 ns.
-	NqeCopyCost time.Duration
 	// Batch caps how many nqes one pump drains per ring span. Larger
 	// batches amortize kicks and atomic publication over more
 	// elements (§3.2 "batched interrupts"); the queue itself bounds
 	// worst-case latency. Default 64.
 	Batch int
-	// Tracer, when set, stamps traced elements as they cross the
-	// engine ("engine.vm-pump" / "engine.nsm-pump" hops).
-	Tracer *telemetry.Tracer
 }
 
 func (c *EngineConfig) fillDefaults() {
 	if c.NotifyLatency <= 0 {
 		c.NotifyLatency = time.Microsecond
-	}
-	if c.NqeCopyCost <= 0 {
-		c.NqeCopyCost = 12 * time.Nanosecond
 	}
 	if c.Batch <= 0 {
 		c.Batch = 64
@@ -121,6 +116,10 @@ type CoreEngine struct {
 	cfg   EngineConfig
 	pairs []*enginePair
 	stats EngineStats
+	// tracer, when set, stamps traced elements as they cross the engine
+	// ("engine.vm-pump" / "engine.nsm-pump" hops); NewHost gives it the
+	// host's.
+	tracer *telemetry.Tracer
 }
 
 // NewCoreEngine builds the daemon.
@@ -411,7 +410,7 @@ func (sh *pairShard) pumpVM() {
 
 	if count > 0 || sh.toNSM.Len() > 0 || sh.rejected > 0 {
 		ce.stats.NqesVMToNSM += uint64(count)
-		cost := time.Duration(count) * ce.cfg.NqeCopyCost
+		cost := time.Duration(count) * nqeCopyCost
 		ce.clock.AfterFrame(ep.notify+cost, (*vmPumped)(sh), nil, sh.rejected)
 		sh.rejected = 0
 	}
@@ -501,7 +500,7 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 	}
 	ce.stats.Translated++
 	if t := s.Trace(); t != 0 {
-		ce.cfg.Tracer.Stamp(t, "engine.vm-pump", 0)
+		ce.tracer.Stamp(t, "engine.vm-pump", 0)
 	}
 	return true
 }
@@ -551,7 +550,7 @@ func (sh *pairShard) pumpNSM() {
 
 	if count > 0 || sh.toVM.Len() > 0 {
 		ce.stats.NqesNSMToVM += uint64(count)
-		cost := time.Duration(count) * ce.cfg.NqeCopyCost
+		cost := time.Duration(count) * nqeCopyCost
 		ce.clock.AfterFrame(ep.notify+cost, (*nsmPumped)(sh), nil, 0)
 	}
 }
@@ -628,7 +627,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 	}
 	ce.stats.Translated++
 	if t := s.Trace(); t != 0 {
-		ce.cfg.Tracer.Stamp(t, "engine.nsm-pump", 0)
+		ce.tracer.Stamp(t, "engine.nsm-pump", 0)
 	}
 	return true
 }
@@ -780,5 +779,5 @@ func (sh *pairShard) discard(e *nqe.Element) {
 		sh.ep.ch.Pages.Free(shm.Chunk{Offset: e.DataOff})
 	}
 	// A discarded element's span will never complete; abandon it.
-	sh.ep.engine.cfg.Tracer.Drop(e.Trace)
+	sh.ep.engine.tracer.Drop(e.Trace)
 }

@@ -20,6 +20,10 @@ import (
 	"netkernel/internal/vswitch"
 )
 
+// maskBits is the on-link prefix length: one flat 10/8 fabric,
+// everything on-link.
+const maskBits = 8
+
 // HostConfig parameterizes one physical host.
 type HostConfig struct {
 	Name  string
@@ -34,8 +38,6 @@ type HostConfig struct {
 	// RoundRobinCores pins flows to cores round-robin (see
 	// stack.Config.RoundRobinCores).
 	RoundRobinCores bool
-	// SwitchMode selects the overlay switch substrate.
-	SwitchMode vswitch.Mode
 	// Engine configures the CoreEngine cost model.
 	Engine EngineConfig
 	// Chan configures VM↔NSM channels.
@@ -52,23 +54,15 @@ type HostConfig struct {
 	Shards int
 
 	// TCP knobs inherited by every stack on the host.
-	MinRTO            time.Duration
-	MSL               time.Duration
-	DelayedAckTimeout time.Duration
-	SendBufSize       int
-	RecvBufSize       int
+	MinRTO      time.Duration
+	MSL         time.Duration
+	SendBufSize int
+	RecvBufSize int
 	// ShmWindow sizes the shared-memory flow-control windows
 	// (GuestLib send credit, ServiceLib receive window). Default 1 MiB;
 	// high-bandwidth-delay scenarios raise it alongside the TCP
 	// buffers.
 	ShmWindow int
-	// MaskBits is the on-link prefix length (default 8: one flat
-	// 10/8 fabric, everything on-link).
-	MaskBits int
-	// Metrics, when set, is the registry every component on this host
-	// publishes into (useful to aggregate several hosts); nil builds a
-	// private one, so Host.Metrics is never nil.
-	Metrics *telemetry.Registry
 	// HugePages, when set, is the huge-page pool every VM↔NSM pair on
 	// this host carves its units from (a testbed's hosts share one, so
 	// their pairs share pages); nil builds a private one, so
@@ -124,9 +118,6 @@ func NewHost(cfg HostConfig) *Host {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 8
 	}
-	if cfg.MaskBits == 0 {
-		cfg.MaskBits = 8
-	}
 	if cfg.Chan.Shards <= 0 && cfg.Shards > 1 {
 		cfg.Chan.Shards = cfg.Shards
 	}
@@ -142,19 +133,16 @@ func NewHost(cfg HostConfig) *Host {
 		nsms:      make(map[uint32]*NSM),
 		HugePages: cfg.HugePages,
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = telemetry.NewRegistry()
-	}
-	h.Metrics = cfg.Metrics
+	h.Metrics = telemetry.NewRegistry()
 	h.Tracer = telemetry.NewTracer(telemetry.TraceConfig{
 		Clock:       cfg.Clock,
 		SampleEvery: cfg.TraceSampleEvery,
 		Metrics:     h.Metrics.Scope("trace."),
 	})
-	h.cfg.Engine.Tracer = h.Tracer
 	h.NIC = netsim.NewNIC(cfg.Clock, h.newMAC())
-	h.Switch = vswitch.New(cfg.Clock, vswitch.Config{Mode: cfg.SwitchMode})
+	h.Switch = vswitch.New(cfg.Clock, vswitch.Config{})
 	h.Engine = NewCoreEngine(cfg.Clock, h.cfg.Engine)
+	h.Engine.tracer = h.Tracer
 	h.registerHostMetrics()
 
 	// The physical port is one switch port: frames from the wire enter
@@ -269,9 +257,6 @@ type NSMSpec struct {
 	// network stack module with more dedicated cores"); 0 uses the
 	// form default.
 	Cores int
-	// SRIOV attaches the NSM to a NIC virtual function, bypassing the
-	// host switch (§3.1).
-	SRIOV bool
 	// ShareWith multiplexes this VM onto an existing NSM instead of
 	// booting a new one (§2.1 "exploit the multiplexing gains by
 	// serving multiple tenant VMs with the same network stack module").
@@ -371,54 +356,43 @@ func (n *NSM) Tenants() int { return len(n.Services) }
 
 func (h *Host) stackConfig(name, cc string, cpu *netsim.CPU, rxShards int, metrics *telemetry.Scope) stack.Config {
 	return stack.Config{
-		RxShards:          rxShards,
-		Clock:             h.clock,
-		RNG:               sim.NewRNG(h.rng.Uint64()),
-		Name:              name,
-		CPU:               cpu,
-		PerPacketCost:     h.cfg.PerPacketCost,
-		RoundRobinCores:   h.cfg.RoundRobinCores,
-		DefaultCC:         cc,
-		MinRTO:            h.cfg.MinRTO,
-		MSL:               h.cfg.MSL,
-		DelayedAckTimeout: h.cfg.DelayedAckTimeout,
-		SendBufSize:       h.cfg.SendBufSize,
-		RecvBufSize:       h.cfg.RecvBufSize,
-		Metrics:           metrics,
+		RxShards:        rxShards,
+		Clock:           h.clock,
+		RNG:             sim.NewRNG(h.rng.Uint64()),
+		Name:            name,
+		CPU:             cpu,
+		PerPacketCost:   h.cfg.PerPacketCost,
+		RoundRobinCores: h.cfg.RoundRobinCores,
+		DefaultCC:       cc,
+		MinRTO:          h.cfg.MinRTO,
+		MSL:             h.cfg.MSL,
+		SendBufSize:     h.cfg.SendBufSize,
+		RecvBufSize:     h.cfg.RecvBufSize,
+		Metrics:         metrics,
 	}
 }
 
-// attachStack wires a stack to the fabric: a switch port normally, or
-// an SR-IOV virtual function for host bypass.
-func (h *Host) attachStack(s *stack.Stack, ip ipv4.Addr, sriov bool) {
-	h.makeAttachment(func() *stack.Stack { return s }, ip, sriov)(s)
+// attachStack wires a stack to the fabric through a switch port.
+func (h *Host) attachStack(s *stack.Stack, ip ipv4.Addr) {
+	h.makeAttachment(func() *stack.Stack { return s }, ip)(s)
 }
 
-// makeAttachment allocates a network identity (MAC, switch port or VF)
+// makeAttachment allocates a network identity (MAC and switch port)
 // whose inbound side delivers to whatever stack current() returns at
 // frame-arrival time, and returns a function that attaches a stack to
 // that identity. NSM restarts reuse the attachment so the rebooted
 // stack keeps the module's MAC, IP, and fabric port.
-func (h *Host) makeAttachment(current func() *stack.Stack, ip ipv4.Addr, sriov bool) func(*stack.Stack) {
+func (h *Host) makeAttachment(current func() *stack.Stack, ip ipv4.Addr) func(*stack.Stack) {
 	mac := ethernet.MAC(h.newMAC())
-	deliver := func(f []byte) {
+	port := h.Switch.AddPort(netsim.PortFunc(func(f []byte) {
 		if s := current(); s != nil {
 			s.DeliverFrame(f)
 		} else {
 			framepool.Put(f) // nothing attached: the frame dies here
 		}
-	}
-	var tx func([]byte)
-	if sriov {
-		vf := h.NIC.AddVF(netsim.MAC(mac))
-		vf.SetHandler(deliver)
-		tx = vf.Send
-	} else {
-		port := h.Switch.AddPort(netsim.PortFunc(deliver))
-		tx = port.Deliver
-	}
+	}))
 	return func(s *stack.Stack) {
-		s.AttachInterface(mac, ip, ethernet.MTU, h.cfg.MaskBits, ipv4.Addr{}, tx)
+		s.AttachInterface(mac, ip, ethernet.MTU, maskBits, ipv4.Addr{}, port.Deliver)
 	}
 }
 
@@ -430,7 +404,7 @@ func (h *Host) BootNSM(spec NSMSpec, ip ipv4.Addr) *NSM {
 	// Frames on the module's identity deliver through liveStack, so the
 	// attachment survives both crash-reboots (same module, fresh stack)
 	// and live migrations (successor module adopts the identity).
-	n.attach = h.makeAttachment(func() *stack.Stack { return n.liveStack() }, ip, spec.SRIOV)
+	n.attach = h.makeAttachment(func() *stack.Stack { return n.liveStack() }, ip)
 	n.attach(n.Stack)
 	return n
 }
@@ -529,7 +503,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 			fmt.Sprintf("%s/vm%d-%s", h.cfg.Name, vm.ID, cfg.Name),
 			cfg.Profile.DefaultCC(), h.CPU, 0, /* guests keep the legacy single-table stack */
 			h.Metrics.Scope(fmt.Sprintf("vm%d.stack.", vm.ID))))
-		h.attachStack(vm.Legacy, cfg.IP, false)
+		h.attachStack(vm.Legacy, cfg.IP)
 
 	case ModeNetKernel:
 		replicas := cfg.NSM.Replicas

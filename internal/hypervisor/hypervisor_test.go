@@ -332,35 +332,6 @@ func TestMultiplexingSharedNSM(t *testing.T) {
 	}
 }
 
-func TestSRIOVBypass(t *testing.T) {
-	c := newCluster(t, nil)
-	vma, err := c.h1.CreateVM(VMConfig{Name: "a", IP: ipVMA, Mode: ModeNetKernel,
-		NSM: NSMSpec{Form: FormModule, CC: "cubic", SRIOV: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vmb, _ := c.h2.CreateVM(VMConfig{Name: "b", IP: ipVMB, Mode: ModeNetKernel,
-		NSM: NSMSpec{Form: FormModule, CC: "cubic", SRIOV: true}})
-	c.loop.RunFor(50 * time.Millisecond)
-
-	if len(c.h1.NIC.VFs()) != 1 {
-		t.Fatalf("host1 has %d VFs, want 1", len(c.h1.NIC.VFs()))
-	}
-	lfd := vmb.Guest.Socket(guestlib.Callbacks{})
-	vmb.Guest.Listen(lfd, 80, 4)
-	var est error = errSentinel
-	cfd := vma.Guest.Socket(guestlib.Callbacks{OnEstablished: func(err error) { est = err }})
-	vma.Guest.Connect(cfd, ipVMB, 80)
-	c.loop.RunFor(300 * time.Millisecond)
-	if est != nil {
-		t.Fatalf("SR-IOV path connect: %v", est)
-	}
-	// Traffic bypassed the host switch: it never forwarded the flow.
-	if c.h1.Switch.Stats().Forwarded > 0 {
-		t.Fatalf("SR-IOV traffic crossed the vSwitch (%d frames)", c.h1.Switch.Stats().Forwarded)
-	}
-}
-
 func TestEngineRejectsUnknownFD(t *testing.T) {
 	c := newCluster(t, nil)
 	vma, _ := c.h1.CreateVM(VMConfig{Name: "a", IP: ipVMA, Mode: ModeNetKernel, NSM: moduleNSM("cubic")})

@@ -22,28 +22,22 @@ import (
 // resuming. GuestLib never notices; the guest's descriptors, credits,
 // and in-flight operations all survive.
 
+// stallBase and stallPerConn model the guest-visible cutover stall: the
+// engine gates the migrating tenants' channels for
+// stallBase + conns·stallPerConn of virtual time, the serialization
+// cost the prototype would pay.
+const (
+	stallBase    = 200 * time.Microsecond
+	stallPerConn = 2 * time.Microsecond
+)
+
 // MigrateOptions tunes Host.MigrateNSM.
 type MigrateOptions struct {
-	// StallBase and StallPerConn model the guest-visible cutover stall:
-	// the engine gates the migrating tenants' channels for
-	// StallBase + conns·StallPerConn of virtual time, the serialization
-	// cost the prototype would pay. Defaults 200 µs and 2 µs.
-	StallBase    time.Duration
-	StallPerConn time.Duration
 	// FailRestoreAfter, when > 0, injects a restore fault once that many
 	// connections have been revived on the successor, forcing the abort
 	// path: the migration falls back to crash-reboot semantics for the
 	// original module (testing).
 	FailRestoreAfter int
-}
-
-func (o *MigrateOptions) fillDefaults() {
-	if o.StallBase <= 0 {
-		o.StallBase = 200 * time.Microsecond
-	}
-	if o.StallPerConn <= 0 {
-		o.StallPerConn = 2 * time.Microsecond
-	}
 }
 
 // Migration is the record of one NSM migration.
@@ -87,7 +81,6 @@ func (h *Host) MigrateNSM(old *NSM, spec NSMSpec, opts MigrateOptions, done func
 	if spec.CC == "" {
 		spec.CC = old.CC
 	}
-	opts.fillDefaults()
 	next := h.bootDetachedNSM(spec)
 	m := &Migration{
 		From: old, To: next,
@@ -168,7 +161,7 @@ func (h *Host) cutover(old, next *NSM, opts MigrateOptions, m *Migration, done f
 	// successor and reopens them when the modeled stall elapses. After
 	// this point an abort is impossible — ResetNSM(old.ID) would match
 	// nothing.
-	stall := opts.StallBase + time.Duration(conns)*opts.StallPerConn
+	stall := stallBase + time.Duration(conns)*stallPerConn
 	m.Conns, m.Stall = conns, stall
 	m.ResumeAt = now.Add(stall)
 	h.Engine.RebindNSM(old.ID, next.ID, m.ResumeAt)

@@ -155,6 +155,9 @@ func TestNSMMigrateLive(t *testing.T) {
 	if rec.Stall <= 0 || rec.ResumeAt.Sub(rec.CutoverAt) != rec.Stall {
 		t.Fatalf("stall accounting broken: stall=%v cutover=%v resume=%v", rec.Stall, rec.CutoverAt, rec.ResumeAt)
 	}
+	if want := 200*time.Microsecond + time.Duration(rec.Conns)*2*time.Microsecond; rec.Stall != want {
+		t.Fatalf("stall %v for %d conns, want 200µs + 2µs per conn = %v", rec.Stall, rec.Conns, want)
+	}
 	if vmb.NSM != rec.To || vmb.NSM == old {
 		t.Fatal("VM still points at the donor module")
 	}

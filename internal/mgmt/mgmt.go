@@ -21,7 +21,6 @@ import (
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
-	"netkernel/internal/telemetry"
 )
 
 // MeshNode is one probe endpoint: a stack the provider controls (an
@@ -39,13 +38,10 @@ type MeshConfig struct {
 	Interval time.Duration
 	// Timeout per probe (default 500 ms).
 	Timeout time.Duration
-	// FailThreshold is how many consecutive losses mark a path down
-	// (default 3).
-	FailThreshold int
-	// OnPathDown / OnPathUp fire on state transitions.
-	OnPathDown func(from, to string)
-	OnPathUp   func(from, to string)
 }
+
+// failThreshold is how many consecutive probe losses mark a path down.
+const failThreshold = 3
 
 type pathKey struct{ from, to string }
 
@@ -75,9 +71,6 @@ func NewMesh(cfg MeshConfig, nodes []MeshNode) *Mesh {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 500 * time.Millisecond
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
 	}
 	m := &Mesh{cfg: cfg, nodes: nodes, paths: make(map[pathKey]*pathState)}
 	for _, a := range nodes {
@@ -126,21 +119,13 @@ func (m *Mesh) probe(a, b MeshNode) {
 		if err != nil {
 			st.lost++
 			st.consecFails++
-			if !st.down && st.consecFails >= m.cfg.FailThreshold {
+			if st.consecFails >= failThreshold {
 				st.down = true
-				if m.cfg.OnPathDown != nil {
-					m.cfg.OnPathDown(a.Name, b.Name)
-				}
 			}
 			return
 		}
 		st.consecFails = 0
-		if st.down {
-			st.down = false
-			if m.cfg.OnPathUp != nil {
-				m.cfg.OnPathUp(a.Name, b.Name)
-			}
-		}
+		st.down = false
 		st.rtts = append(st.rtts, rtt)
 		if len(st.rtts) > 128 {
 			st.rtts = st.rtts[1:]
@@ -179,12 +164,6 @@ func (m *Mesh) Report() []PathReport {
 	return out
 }
 
-// PathDown reports whether a directed path is currently marked down.
-func (m *Mesh) PathDown(from, to string) bool {
-	st := m.paths[pathKey{from, to}]
-	return st != nil && st.down
-}
-
 // ThroughputSLA tracks a tenant's achieved throughput against a
 // promised floor, sampled over fixed windows. The provider can only
 // offer this because it owns the stack (§2.1: "providers can now offer
@@ -210,17 +189,6 @@ func NewThroughputSLA(clock sim.Clock, name string, targetBps float64, window ti
 	return &ThroughputSLA{clock: clock, name: name, targetBps: targetBps, window: window, sample: sample}
 }
 
-// NewRegistrySLA builds a tracker that samples a cumulative byte
-// counter straight out of the host telemetry registry by metric name
-// (e.g. "vm1.r0.svc.data_in" for a tenant's egress), replacing
-// hand-fed sample closures. An unregistered metric samples as 0,
-// which reads as idle windows, not violations.
-func NewRegistrySLA(clock sim.Clock, reg *telemetry.Registry, metric, name string, targetBps float64, window time.Duration) *ThroughputSLA {
-	return NewThroughputSLA(clock, name, targetBps, window, func() uint64 {
-		return reg.CounterValue(metric)
-	})
-}
-
 // Start begins sampling.
 func (s *ThroughputSLA) Start() {
 	s.last = s.sample()
@@ -242,9 +210,6 @@ func (s *ThroughputSLA) tick() {
 		s.tick()
 	})
 }
-
-// Windows returns the number of completed windows.
-func (s *ThroughputSLA) Windows() int { return len(s.achieved) }
 
 // Compliance returns the fraction of windows meeting the target,
 // ignoring idle windows (no traffic means no demand, not a violation).

@@ -77,23 +77,25 @@ func TestMeshHealthyPathsStayUp(t *testing.T) {
 
 func TestMeshDetectsFailureAndRecovery(t *testing.T) {
 	loop, nodes, kill := threeNodeFabric(t)
-	var downs, ups []string
-	m := NewMesh(MeshConfig{
-		Clock: loop, Interval: 100 * time.Millisecond, Timeout: 50 * time.Millisecond,
-		FailThreshold: 3,
-		OnPathDown:    func(from, to string) { downs = append(downs, from+"→"+to) },
-		OnPathUp:      func(from, to string) { ups = append(ups, from+"→"+to) },
-	}, nodes)
+	m := NewMesh(MeshConfig{Clock: loop, Interval: 100 * time.Millisecond, Timeout: 50 * time.Millisecond}, nodes)
+	downs := func() (out []string) {
+		for _, r := range m.Report() {
+			if r.Down {
+				out = append(out, r.From+"→"+r.To)
+			}
+		}
+		return out
+	}
 	m.Start()
 	loop.RunFor(time.Second)
-	if len(downs) != 0 {
-		t.Fatalf("false positives before failure: %v", downs)
+	if d := downs(); len(d) != 0 {
+		t.Fatalf("false positives before failure: %v", d)
 	}
 
 	kill(2) // node c stops receiving
 	loop.RunFor(2 * time.Second)
 	if !m.PathDown("a", "c") || !m.PathDown("b", "c") {
-		t.Fatalf("paths to dead node not detected; downs=%v", downs)
+		t.Fatalf("paths to dead node not detected; downs=%v", downs())
 	}
 	if m.PathDown("a", "b") {
 		t.Fatal("healthy path misdetected")
@@ -103,10 +105,9 @@ func TestMeshDetectsFailureAndRecovery(t *testing.T) {
 	if !m.PathDown("c", "a") {
 		t.Fatal("deaf node's own probes should fail (reply path broken)")
 	}
-	if len(downs) < 4 {
-		t.Fatalf("down transitions %v", downs)
+	if d := downs(); len(d) != 4 {
+		t.Fatalf("down paths %v, want the 4 to and from c", d)
 	}
-	_ = ups
 	m.Stop()
 }
 
@@ -151,3 +152,12 @@ func TestThroughputSLAIdleWindowsIgnored(t *testing.T) {
 		t.Fatalf("idle tenant compliance = %v, want 1 (no demand)", sla.Compliance())
 	}
 }
+
+// PathDown reports whether a directed path is currently marked down.
+func (m *Mesh) PathDown(from, to string) bool {
+	st := m.paths[pathKey{from, to}]
+	return st != nil && st.down
+}
+
+// Windows returns the number of completed windows.
+func (s *ThroughputSLA) Windows() int { return len(s.achieved) }

@@ -46,12 +46,6 @@ func NewRollingUpgrade(h *hypervisor.Host, plan UpgradePlan, opts hypervisor.Mig
 	return u
 }
 
-// Pending returns how many modules are still waiting to migrate.
-func (u *RollingUpgrade) Pending() int { return len(u.queue) }
-
-// Running reports whether a migration is currently in flight.
-func (u *RollingUpgrade) Running() bool { return u.running }
-
 // Start begins the rolling upgrade; done, if non-nil, fires when the
 // last module has migrated (or every module was skipped).
 func (u *RollingUpgrade) Start(done func(*RollingUpgrade)) {

@@ -303,3 +303,6 @@ func TestConsolidateBillsOnlyExpensiveForms(t *testing.T) {
 		t.Fatalf("consolidated tenant lost data: err=%v echoed=%d/%d", c1.closeErr, len(c1.echoed), len(payload))
 	}
 }
+
+// Pending returns how many modules are still waiting to migrate.
+func (u *RollingUpgrade) Pending() int { return len(u.queue) }

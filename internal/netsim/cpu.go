@@ -94,22 +94,3 @@ func (c *CPU) TotalBusy() time.Duration {
 	}
 	return t
 }
-
-// Jobs returns the total number of dispatched work items.
-func (c *CPU) Jobs() uint64 {
-	var n uint64
-	for i := range c.cores {
-		n += c.cores[i].jobs
-	}
-	return n
-}
-
-// Utilization returns TotalBusy divided by cores×elapsed, the average
-// fraction of the CPU consumed since the epoch.
-func (c *CPU) Utilization() float64 {
-	elapsed := c.clock.Now().Duration()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.TotalBusy()) / (float64(elapsed) * float64(len(c.cores)))
-}

@@ -70,10 +70,6 @@ func (g *GilbertElliott) Lost(rng *sim.RNG) bool {
 	return rng.Bernoulli(p)
 }
 
-// Bad reports whether the chain is currently in the bad (bursty-loss)
-// state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // frameFate is the set of per-frame fault decisions, all drawn when the
 // frame is admitted so the RNG consumption order is timing-independent.
 // It is packed into one word so it can ride in the serialisation event's
@@ -150,15 +146,4 @@ func (l *Link) Down() bool { return l.down }
 func (l *Link) ScheduleFlap(at, outage time.Duration) {
 	l.clock.AfterFunc(at, func() { l.SetDown(true) })
 	l.clock.AfterFunc(at+outage, func() { l.SetDown(false) })
-}
-
-// Partition takes both directions of a duplex link down and returns the
-// heal function. Convenience for partition/heal scenarios.
-func Partition(ab, ba *Link) (heal func()) {
-	ab.SetDown(true)
-	ba.SetDown(true)
-	return func() {
-		ab.SetDown(false)
-		ba.SetDown(false)
-	}
 }

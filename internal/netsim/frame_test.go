@@ -125,36 +125,35 @@ func TestFramesLinkDuplicateIsPooledCopy(t *testing.T) {
 	}
 }
 
-// A NIC releases what it cannot hand to anyone — no wire, no handler on
-// the addressed function — and fans a broadcast out in pool copies.
+// A NIC releases what it cannot hand to anyone: with no wire, what it
+// sends; with no handler, what it receives, broadcast or not.
 func TestFramesNICWithoutReceiverRelease(t *testing.T) {
 	framepool.Poison(true)
 	defer framepool.Poison(false)
 	loop := sim.NewLoop()
 	nic := NewNIC(loop, MAC{2, 0, 0, 0, 0, 1})
-	vfMAC := MAC{2, 0, 0, 0, 0, 0x11}
-	vf := nic.AddVF(vfMAC)
 	live := framepool.Live()
 
 	nic.Send(poolFrame(MAC{}, 64))        // no wire
-	vf.Send(poolFrame(MAC{}, 64))         // shares it
-	nic.Deliver(poolFrame(vfMAC, 64))     // VF without a handler
-	nic.Deliver(poolFrame(nic.mac, 64))   // PF without a handler
+	nic.Deliver(poolFrame(nic.mac, 64))   // no handler
 	nic.Deliver(poolFrame(Broadcast, 64)) // nobody listens at all
 	if n := framepool.Live() - live; n != 0 {
 		t.Fatalf("%d frames with no receiver were not released", n)
 	}
 
 	var got [][]byte
-	vf.SetHandler(func(f []byte) { got = append(got, f) })
-	nic.Deliver(poolFrame(Broadcast, 64)) // VF gets its copy, the original dies at the PF
-	if len(got) != 1 || cap(got[0]) != framepool.Cap {
-		t.Fatalf("broadcast copy: %d deliveries", len(got))
+	nic.SetHandler(func(f []byte) { got = append(got, f) })
+	nic.Deliver(poolFrame(Broadcast, 64))             // handed over as is
+	nic.Deliver(poolFrame(MAC{8, 9, 9, 9, 9, 9}, 64)) // any destination
+	if len(got) != 2 || cap(got[0]) != framepool.Cap {
+		t.Fatalf("%d deliveries, want 2", len(got))
 	}
-	if n := framepool.Live() - live; n != 1 {
-		t.Fatalf("%d frames out after the broadcast, want 1 (the VF's copy)", n)
+	if n := framepool.Live() - live; n != 2 {
+		t.Fatalf("%d frames out, want the 2 the handler holds", n)
 	}
-	framepool.Put(got[0])
+	for _, f := range got {
+		framepool.Put(f)
+	}
 }
 
 // queueBytes is worked out once per link and is the value the per-frame

@@ -138,68 +138,6 @@ func TestLinkFrameOverheadSlowsGoodput(t *testing.T) {
 	}
 }
 
-func TestNICVFDemux(t *testing.T) {
-	loop := sim.NewLoop()
-	nic := NewNIC(loop, MAC{2, 0, 0, 0, 0, 1})
-	var pf, vf1, vf2 [][]byte
-	nic.SetHandler(func(f []byte) { pf = append(pf, f) })
-	v1 := nic.AddVF(MAC{2, 0, 0, 0, 0, 0x11})
-	v1.SetHandler(func(f []byte) { vf1 = append(vf1, f) })
-	v2 := nic.AddVF(MAC{2, 0, 0, 0, 0, 0x22})
-	v2.SetHandler(func(f []byte) { vf2 = append(vf2, f) })
-
-	frameTo := func(dst MAC) []byte {
-		f := make([]byte, 64)
-		copy(f, dst[:])
-		return f
-	}
-	nic.Deliver(frameTo(MAC{2, 0, 0, 0, 0, 0x11}))
-	nic.Deliver(frameTo(MAC{2, 0, 0, 0, 0, 0x22}))
-	nic.Deliver(frameTo(MAC{2, 0, 0, 0, 0, 1}))
-	nic.Deliver(frameTo(MAC{8, 9, 9, 9, 9, 9})) // unknown unicast → PF
-
-	if len(vf1) != 1 || len(vf2) != 1 {
-		t.Fatalf("VF demux: vf1=%d vf2=%d, want 1 each", len(vf1), len(vf2))
-	}
-	if len(pf) != 2 {
-		t.Fatalf("PF got %d frames, want 2 (own + unknown)", len(pf))
-	}
-}
-
-func TestNICBroadcastCopiesToAll(t *testing.T) {
-	loop := sim.NewLoop()
-	nic := NewNIC(loop, MAC{2, 0, 0, 0, 0, 1})
-	var got [][]byte
-	nic.SetHandler(func(f []byte) { got = append(got, f) })
-	v := nic.AddVF(MAC{2, 0, 0, 0, 0, 0x11})
-	v.SetHandler(func(f []byte) { got = append(got, f) })
-
-	f := make([]byte, 64)
-	copy(f, Broadcast[:])
-	nic.Deliver(f)
-	if len(got) != 2 {
-		t.Fatalf("broadcast reached %d functions, want 2", len(got))
-	}
-	// Copies must be independent: mutating one must not affect the other.
-	got[0][10] = 0xAA
-	if got[1][10] == 0xAA {
-		t.Fatal("broadcast recipients share one buffer")
-	}
-}
-
-func TestVFSendUsesSharedWire(t *testing.T) {
-	loop := sim.NewLoop()
-	nic := NewNIC(loop, MAC{2, 0, 0, 0, 0, 1})
-	var wire [][]byte
-	nic.AttachWire(PortFunc(func(f []byte) { wire = append(wire, f) }))
-	v := nic.AddVF(MAC{2, 0, 0, 0, 0, 0x11})
-	v.Send(make([]byte, 64))
-	nic.Send(make([]byte, 64))
-	if len(wire) != 2 {
-		t.Fatalf("wire saw %d frames, want 2", len(wire))
-	}
-}
-
 func TestCPUFIFOPerCore(t *testing.T) {
 	loop := sim.NewLoop()
 	cpu := NewCPU(loop, 2)
@@ -368,4 +306,23 @@ func TestFrameFatePacking(t *testing.T) {
 	if lost == 0 || dup == 0 || corrupt == 0 || jittered == 0 {
 		t.Fatalf("fates not exercised: lost %d dup %d corrupt %d jittered %d", lost, dup, corrupt, jittered)
 	}
+}
+
+// Jobs returns the total number of dispatched work items.
+func (c *CPU) Jobs() uint64 {
+	var n uint64
+	for i := range c.cores {
+		n += c.cores[i].jobs
+	}
+	return n
+}
+
+// Utilization returns TotalBusy divided by cores×elapsed, the average
+// fraction of the CPU consumed since the epoch.
+func (c *CPU) Utilization() float64 {
+	elapsed := c.clock.Now().Duration()
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(c.TotalBusy()) / (float64(elapsed) * float64(len(c.cores)))
 }

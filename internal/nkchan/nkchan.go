@@ -18,6 +18,10 @@ import (
 	"netkernel/internal/shm"
 )
 
+// chunkSize is the data-chunk granularity: 8 KB, the chunk size of
+// Figure 4's caption.
+const chunkSize = 8 << 10
+
 // Config shapes a channel.
 type Config struct {
 	// Queue configures the six queues of each shard; its Slots is per
@@ -29,9 +33,6 @@ type Config struct {
 	// when its hosts share one), only when a chunk on it is first
 	// touched (DESIGN.md §17).
 	HugePages int
-	// ChunkSize is the data-chunk granularity (default 8 KB, the chunk
-	// size of Figure 4's caption).
-	ChunkSize int
 	// Shards is the number of ring-set shards (default 1, the single-
 	// queue channel of the conference paper). The huge-page region and
 	// the slot reserve are shared across shards; ring sets are not.
@@ -41,9 +42,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.HugePages <= 0 {
 		c.HugePages = shm.DefaultPageCount
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 8 << 10
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -105,7 +103,7 @@ type Pair struct {
 // nil pool means a private one.
 func NewPair(cfg Config, pool *shm.Pool) (*Pair, error) {
 	cfg.fillDefaults()
-	pages, err := shm.NewHugePagesIn(pool, cfg.HugePages, cfg.ChunkSize)
+	pages, err := shm.NewHugePagesIn(pool, cfg.HugePages, chunkSize)
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,6 @@ const (
 	OpNewData     // data arrived; descriptor points at payload
 	OpNewConn     // a SYN completed on a listener; Arg0 is the peer address
 	OpConnClosed  // peer closed or connection reset; a listener's Arg1 counts the OpNewConns announced for it
-	OpSendCredit  // send buffer drained below the low-water mark
 	OpEstablished // a pending connect finished (success or Status error)
 )
 
@@ -53,7 +52,7 @@ var opNames = [...]string{
 	OpConnect: "connect", OpSend: "send", OpRecv: "recv",
 	OpClose: "close", OpSetSockOpt: "setsockopt",
 	OpNewData: "new-data", OpNewConn: "new-conn", OpConnClosed: "conn-closed",
-	OpSendCredit: "send-credit", OpEstablished: "established",
+	OpEstablished: "established",
 }
 
 func (o Op) String() string {
@@ -83,16 +82,6 @@ func (o Op) RxSpan() string { return rxSpans[o] }
 
 // Valid reports whether the op is a defined operation.
 func (o Op) Valid() bool { return o > OpInvalid && int(o) < len(opNames) }
-
-// IsEvent reports whether the op belongs on a receive queue (NSM→VM
-// asynchronous events) rather than a job/completion pair.
-func (o Op) IsEvent() bool {
-	switch o {
-	case OpNewData, OpNewConn, OpConnClosed, OpSendCredit, OpEstablished:
-		return true
-	}
-	return false
-}
 
 // IsConnEvent reports whether the op is a connection-lifecycle event.
 // §3.2 suggests implementing the queues "as priority queues to handle
@@ -139,25 +128,21 @@ type Status int32
 
 const (
 	StatusOK Status = iota
-	StatusAgain
 	StatusConnRefused
 	StatusConnReset
 	StatusTimeout
 	StatusAddrInUse
 	StatusClosed
-	StatusNoBuffers
 	StatusInvalid
 	StatusUnreachable
-	StatusMsgSize
 	StatusNotSupported
 )
 
 var statusNames = [...]string{
-	StatusOK: "ok", StatusAgain: "again", StatusConnRefused: "connection refused",
+	StatusOK: "ok", StatusConnRefused: "connection refused",
 	StatusConnReset: "connection reset", StatusTimeout: "timeout",
 	StatusAddrInUse: "address in use", StatusClosed: "closed",
-	StatusNoBuffers: "no buffers", StatusInvalid: "invalid",
-	StatusUnreachable: "unreachable", StatusMsgSize: "message too long",
+	StatusInvalid: "invalid", StatusUnreachable: "unreachable",
 	StatusNotSupported: "not supported",
 }
 
@@ -338,9 +323,6 @@ func (s Slot) DataLen() uint32 { return binary.LittleEndian.Uint32(s[offDataLen:
 
 // Trace returns the telemetry span id (0 = untraced).
 func (s Slot) Trace() uint32 { return binary.LittleEndian.Uint32(s[offTrace:]) }
-
-// SetTrace patches the telemetry span id in place.
-func (s Slot) SetTrace(v uint32) { binary.LittleEndian.PutUint32(s[offTrace:], v) }
 
 // Arg0 returns the first operation argument.
 func (s Slot) Arg0() uint64 { return binary.LittleEndian.Uint64(s[offArg0:]) }

@@ -8,7 +8,7 @@ import (
 func sample() Element {
 	return Element{
 		Op: OpSend, Flags: FlagCompletion | FlagPush, Source: FromVM,
-		VMID: 3, NSMID: 9, FD: 42, CID: 1007, Status: StatusAgain,
+		VMID: 3, NSMID: 9, FD: 42, CID: 1007, Status: StatusTimeout,
 		Seq: 0xdeadbeefcafe, DataOff: 8192 * 7, DataLen: 1448,
 		Arg0: 0x12345678, Arg1: 0x9abcdef0,
 	}
@@ -95,7 +95,7 @@ func TestOpClassification(t *testing.T) {
 		}
 	}
 	// A close ends a stream and must stay behind the stream's data.
-	for _, op := range []Op{OpSend, OpRecv, OpNewData, OpSendCredit, OpClose, OpConnClosed} {
+	for _, op := range []Op{OpSend, OpRecv, OpNewData, OpClose, OpConnClosed} {
 		if op.IsConnEvent() {
 			t.Errorf("%v should be a data event", op)
 		}
@@ -162,7 +162,7 @@ func TestSizeIsCacheLine(t *testing.T) {
 func TestSlotAccessorsMatchCodec(t *testing.T) {
 	e := Element{
 		Op: OpNewConn, Flags: FlagCompletion | FlagSync, Source: FromNSM,
-		VMID: 7, NSMID: 9, FD: -3, CID: 0xdeadbeef, Status: StatusAgain,
+		VMID: 7, NSMID: 9, FD: -3, CID: 0xdeadbeef, Status: StatusTimeout,
 		Seq: 1 << 40, DataOff: 4096, DataLen: 1448, Arg0: 42, Arg1: 99,
 	}
 	buf := make([]byte, Size)
@@ -202,4 +202,14 @@ func TestSlotValidateRejects(t *testing.T) {
 	if Slot(buf).Validate() == nil {
 		t.Fatal("bad source passed validation")
 	}
+}
+
+// IsEvent reports whether the op belongs on a receive queue (NSM→VM
+// asynchronous events) rather than a job/completion pair.
+func (o Op) IsEvent() bool {
+	switch o {
+	case OpNewData, OpNewConn, OpConnClosed, OpEstablished:
+		return true
+	}
+	return false
 }

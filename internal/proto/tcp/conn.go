@@ -79,8 +79,6 @@ type Config struct {
 	// the owning stack's lane, shared by all its connections because
 	// they share one MSL. Nil schedules it on Clock.
 	TimeWaitLane *sim.Lane
-	// DelayedAckTimeout bounds ack delay (default 40 ms).
-	DelayedAckTimeout time.Duration
 	// Nagle enables RFC 896 coalescing of small segments.
 	Nagle bool
 	// ISS, when non-nil, overrides the initial send sequence number.
@@ -130,9 +128,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MSL <= 0 {
 		c.MSL = time.Second
-	}
-	if c.DelayedAckTimeout <= 0 {
-		c.DelayedAckTimeout = 40 * time.Millisecond
 	}
 }
 
@@ -1106,7 +1101,11 @@ func (c *Conn) sendAck() {
 	c.transmit(h, nil, false)
 }
 
-func (c *Conn) armDelack() { c.delackTimer.Reset(c.cfg.DelayedAckTimeout) }
+// delayedAckTimeout bounds how long an ACK may be delayed (RFC 1122
+// allows up to 500 ms; 40 ms is Linux's minimum delayed-ACK timer).
+const delayedAckTimeout = 40 * time.Millisecond
+
+func (c *Conn) armDelack() { c.delackTimer.Reset(delayedAckTimeout) }
 
 func (c *Conn) onDelack() {
 	if !c.closed && c.unackedSegs > 0 {

@@ -3,13 +3,13 @@
 // needs to be strategically managed and optimized when we use a NSM to
 // serve multiple VMs concurrently while providing QoS guarantees."
 //
-// It offers three primitives:
+// It offers two primitives:
 //
 //   - TokenBucket: per-tenant rate enforcement (throughput SLAs, §2.1).
 //   - DRR: deficit-round-robin weighted sharing of one NSM's capacity
 //     across multiplexed tenant VMs.
-//   - ReplicaSet: scale-out flow placement across several NSM instances
-//     (§2.1 "scale out with more modules to support higher throughput").
+//
+// Scale-out replicas (§2.1) are placed round-robin by GuestLib.
 package sched
 
 import (
@@ -188,40 +188,4 @@ func (d *DRR) Next() (any, bool) {
 		f.deficit += f.quantum
 		d.current = f
 	}
-}
-
-// ReplicaSet places flows across NSM replicas by symmetric hash, so a
-// tenant scaling out keeps per-flow affinity.
-type ReplicaSet[T any] struct {
-	replicas []T
-}
-
-// NewReplicaSet builds a set.
-func NewReplicaSet[T any](replicas ...T) *ReplicaSet[T] {
-	return &ReplicaSet[T]{replicas: replicas}
-}
-
-// Add appends a replica (scale-out event).
-func (r *ReplicaSet[T]) Add(replica T) { r.replicas = append(r.replicas, replica) }
-
-// Len returns the replica count.
-func (r *ReplicaSet[T]) Len() int { return len(r.replicas) }
-
-// Pick selects the replica for a flow key (e.g. FNV of the 4-tuple).
-func (r *ReplicaSet[T]) Pick(flowHash uint32) T {
-	if len(r.replicas) == 0 {
-		panic("sched: empty replica set")
-	}
-	return r.replicas[int(flowHash)%len(r.replicas)]
-}
-
-// FlowHash hashes connection identifiers for Pick; it is symmetric in
-// the endpoints so both directions agree.
-func FlowHash(ipA, ipB [4]byte, portA, portB uint16) uint32 {
-	h := func(ip [4]byte, port uint16) uint32 {
-		v := uint32(ip[0])<<24 | uint32(ip[1])<<16 | uint32(ip[2])<<8 | uint32(ip[3])
-		return v*31 + uint32(port)
-	}
-	a, b := h(ipA, portA), h(ipB, portB)
-	return a ^ b
 }

@@ -161,44 +161,3 @@ func TestDRROversizeItem(t *testing.T) {
 		t.Fatalf("served %v", seen)
 	}
 }
-
-func TestReplicaSetAffinity(t *testing.T) {
-	rs := NewReplicaSet("nsm1", "nsm2", "nsm3")
-	if rs.Len() != 3 {
-		t.Fatal("Len broken")
-	}
-	h := FlowHash([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 5000, 80)
-	first := rs.Pick(h)
-	for i := 0; i < 10; i++ {
-		if rs.Pick(h) != first {
-			t.Fatal("same flow moved replicas")
-		}
-	}
-	// Symmetric: both directions land on the same replica.
-	h2 := FlowHash([4]byte{10, 0, 0, 2}, [4]byte{10, 0, 0, 1}, 80, 5000)
-	if h != h2 {
-		t.Fatal("FlowHash not symmetric")
-	}
-}
-
-func TestReplicaSetSpreads(t *testing.T) {
-	rs := NewReplicaSet(0, 1, 2, 3)
-	counts := make([]int, 4)
-	for port := uint16(0); port < 1000; port++ {
-		idx := rs.Pick(FlowHash([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 49152+port, 80))
-		counts[idx]++
-	}
-	for i, c := range counts {
-		if c < 150 {
-			t.Fatalf("replica %d got only %d of 1000 flows: %v", i, c, counts)
-		}
-	}
-}
-
-func TestReplicaSetGrowth(t *testing.T) {
-	rs := NewReplicaSet("a")
-	rs.Add("b")
-	if rs.Len() != 2 {
-		t.Fatal("Add broken")
-	}
-}

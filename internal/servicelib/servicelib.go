@@ -542,11 +542,7 @@ func (s *ServiceLib) handleListen(shard int, e *nqe.Element) {
 	port := uint16(e.Arg0)
 	backlog := int(e.Arg1)
 	lst, err := s.cfg.Stack.Listen(port, backlog, stack.SocketOptions{CC: s.cfg.CC})
-	status := nqe.StatusOK
-	if err != nil {
-		status = nqe.StatusAddrInUse
-	}
-	s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpListen, CID: e.CID, Seq: e.Seq, Status: status})
+	s.emit(cs.shard, nkchan.Completion, &nqe.Element{Op: nqe.OpListen, CID: e.CID, Seq: e.Seq, Status: statusFromErr(err)})
 	if err != nil {
 		return
 	}
@@ -953,6 +949,8 @@ func statusFromErr(err error) nqe.Status {
 		return nqe.StatusTimeout
 	case errors.Is(err, stack.ErrNoRoute):
 		return nqe.StatusUnreachable
+	case errors.Is(err, stack.ErrPortInUse), errors.Is(err, stack.ErrPortsExhausted):
+		return nqe.StatusAddrInUse
 	default:
 		return nqe.StatusInvalid
 	}

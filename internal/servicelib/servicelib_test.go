@@ -151,6 +151,32 @@ func TestConnectNoRouteStatus(t *testing.T) {
 	}
 }
 
+// A second listen on a port answers "address in use"; a listen that
+// fails for another reason does not.
+func TestListenStatus(t *testing.T) {
+	h := newHarness(t, "cubic")
+	listen := func(cid uint32) nqe.Status {
+		before := len(h.completions)
+		h.job(nqe.Element{Op: nqe.OpListen, CID: cid, Arg0: 80, Arg1: 4})
+		h.loop.RunFor(time.Millisecond)
+		if len(h.completions) != before+1 {
+			t.Fatalf("listen on cid %d: %d completions, want 1", cid, len(h.completions)-before)
+		}
+		return h.completions[before].Status
+	}
+	if st := listen(h.newSocket(t)); st != nqe.StatusOK {
+		t.Fatalf("first listen: %v", st)
+	}
+	if st := listen(h.newSocket(t)); st != nqe.StatusAddrInUse {
+		t.Fatalf("second listen on the port: %v, want %v", st, nqe.StatusAddrInUse)
+	}
+	cid := h.newSocket(t)
+	h.svc.cfg.Stack.Kill()
+	if st := listen(cid); st != nqe.StatusInvalid {
+		t.Fatalf("listen on a killed stack: %v, want %v", st, nqe.StatusInvalid)
+	}
+}
+
 func TestNSMUsesItsCC(t *testing.T) {
 	h := newHarness(t, "bbr")
 	h.peer.Listen(80, 4, stack.SocketOptions{})

@@ -35,6 +35,8 @@ func TestStatusFromErr(t *testing.T) {
 		{tcp.ErrClosedBeforeEstablished, "tcp: closed before establishment", nqe.StatusClosed},
 		{timeoutErr{}, "tcp: connection timed out", nqe.StatusTimeout},
 		{fmt.Errorf("stack nsm: %w to %v", stack.ErrNoRoute, ipv4.Addr{10, 0, 0, 9}), "stack nsm: no route to 10.0.0.9", nqe.StatusUnreachable},
+		{fmt.Errorf("stack nsm: port %d %w", 80, stack.ErrPortInUse), "stack nsm: port 80 already listening", nqe.StatusAddrInUse},
+		{fmt.Errorf("stack nsm: %w", stack.ErrPortsExhausted), "stack nsm: ephemeral ports exhausted", nqe.StatusAddrInUse},
 		{fmt.Errorf("stack nsm: killed"), "stack nsm: killed", nqe.StatusInvalid},
 		{fmt.Errorf("migrating: %w", tcp.ErrReset), "migrating: tcp: connection reset by peer", nqe.StatusConnReset},
 		{errors.New("anything else"), "anything else", nqe.StatusInvalid},

@@ -74,18 +74,9 @@ func NewRingIn(res *SlotReserve, slots, slotSize int) (*Ring, error) {
 // Cap returns the slot count.
 func (r *Ring) Cap() int { return int(r.mask + 1) }
 
-// SlotSize returns the slot size in bytes.
-func (r *Ring) SlotSize() int { return r.slotSize }
-
 // Len returns the number of occupied slots. It is approximate when
 // producer and consumer run concurrently but exact when quiescent.
 func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }
-
-// Empty reports whether no slot is occupied.
-func (r *Ring) Empty() bool { return r.tail.Load() == r.head.Load() }
-
-// Full reports whether every slot is occupied.
-func (r *Ring) Full() bool { return r.tail.Load()-r.head.Load() > r.mask }
 
 // span returns the n slots of s from position pos on.
 func (r *Ring) span(s *segment, end, pos uint64, n int) []byte {

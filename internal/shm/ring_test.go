@@ -385,3 +385,12 @@ func TestRingSPSCBatchConcurrent(t *testing.T) {
 		t.Fatal("SPSC batch exchange timed out")
 	}
 }
+
+// SlotSize returns the slot size in bytes.
+func (r *Ring) SlotSize() int { return r.slotSize }
+
+// Empty reports whether no slot is occupied.
+func (r *Ring) Empty() bool { return r.tail.Load() == r.head.Load() }
+
+// Full reports whether every slot is occupied.
+func (r *Ring) Full() bool { return r.tail.Load()-r.head.Load() > r.mask }

@@ -109,3 +109,14 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Perm returns a random permutation of [0, n).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}

@@ -60,12 +60,10 @@ type Config struct {
 	DefaultCC string
 
 	// TCP knobs passed through to connections.
-	MinRTO            time.Duration
-	MSL               time.Duration
-	DelayedAckTimeout time.Duration
-	SendBufSize       int
-	RecvBufSize       int
-	TTL               uint8
+	MinRTO      time.Duration
+	MSL         time.Duration
+	SendBufSize int
+	RecvBufSize int
 
 	// Metrics, when set, publishes every stack counter into the host
 	// telemetry registry under the scope's prefix (e.g.
@@ -77,9 +75,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.DefaultCC == "" {
 		c.DefaultCC = "cubic"
-	}
-	if c.TTL == 0 {
-		c.TTL = 64
 	}
 }
 
@@ -321,7 +316,7 @@ type Iface struct {
 
 // AttachInterface configures the stack's interface: its addresses, MTU,
 // the netmask length of the local subnet, the default gateway (zero for
-// none), and the transmit function (a netsim NIC, VF, or switch port).
+// none), and the transmit function (a netsim NIC or switch port).
 func (s *Stack) AttachInterface(mac ethernet.MAC, ip ipv4.Addr, mtu, maskBits int, gw ipv4.Addr, tx func(frame []byte)) *Iface {
 	if mtu <= 0 {
 		mtu = ethernet.MTU
@@ -391,8 +386,12 @@ func (s *Stack) nextHop(dst ipv4.Addr) (ipv4.Addr, error) {
 // the room the IPv4 and Ethernet headers are written into afterwards.
 const l4Offset = ethernet.HeaderLen + ipv4.HeaderLen
 
+// ttl is the IPv4 time-to-live of every packet the stack sends (64, the
+// Linux default).
+const ttl = 64
+
 // DeliverFrame is the interface's receive entry point; wire it to the
-// NIC/VF handler. Processing is charged to the configured CPU.
+// NIC or switch port handler. Processing is charged to the configured CPU.
 //
 // DeliverFrame consumes the frame: once the stack has processed it the
 // buffer goes back to the frame pool, so the caller must neither touch
@@ -592,7 +591,7 @@ func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, frame []byte) er
 	h := ipv4.Header{
 		TOS:   tos,
 		ID:    s.ipID,
-		TTL:   s.cfg.TTL,
+		TTL:   ttl,
 		Proto: proto,
 		Src:   s.iface.IP,
 		Dst:   dst,
@@ -682,9 +681,6 @@ func (s *Stack) Kill() {
 
 // Dead reports whether Kill has been called.
 func (s *Stack) Dead() bool { return s.dead }
-
-// ListenerCount returns the number of open listeners.
-func (s *Stack) ListenerCount() int { return len(s.listeners) }
 
 func lessTuple(a, b fourTuple) bool {
 	if a.localIP != b.localIP {

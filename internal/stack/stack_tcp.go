@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"errors"
 	"fmt"
 
 	"netkernel/internal/framepool"
@@ -24,6 +25,12 @@ type SocketOptions struct {
 	OnWritable    func()
 	OnClose       func(err error)
 }
+
+// ErrPortInUse reports a listen on a port that already has a listener.
+var ErrPortInUse = errors.New("already listening")
+
+// ErrPortsExhausted reports a dial that found no free ephemeral port.
+var ErrPortsExhausted = errors.New("ephemeral ports exhausted")
 
 // Dial opens an active TCP connection to remote. A remote with no route
 // fails at once with ErrNoRoute, as connect(2) fails with ENETUNREACH.
@@ -58,8 +65,11 @@ func (s *Stack) Listen(port uint16, backlog int, opts SocketOptions) (*tcp.Liste
 	if s.iface == nil {
 		return nil, fmt.Errorf("stack %s: no interface attached", s.cfg.Name)
 	}
+	if s.dead {
+		return nil, fmt.Errorf("stack %s: killed", s.cfg.Name)
+	}
 	if _, used := s.listeners[port]; used {
-		return nil, fmt.Errorf("stack %s: port %d already listening", s.cfg.Name, port)
+		return nil, fmt.Errorf("stack %s: port %d %w", s.cfg.Name, port, ErrPortInUse)
 	}
 	l := tcp.NewListener(tcp.AddrPort{Addr: s.iface.IP, Port: port}, backlog)
 	s.listeners[port] = &listenEntry{listener: l, opts: opts}
@@ -115,27 +125,26 @@ func (s *Stack) Conns(fn func(c *tcp.Conn)) {
 
 func (s *Stack) connConfig(k *tcpSock, local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, opts SocketOptions) tcp.Config {
 	cfg := tcp.Config{
-		Clock:             s.cfg.Clock,
-		RNG:               s.cfg.RNG,
-		Local:             local,
-		Remote:            remote,
-		MSS:               s.MSS(),
-		SendBufSize:       s.cfg.SendBufSize,
-		RecvBufSize:       s.cfg.RecvBufSize,
-		CC:                ccAlg,
-		MinRTO:            s.cfg.MinRTO,
-		MSL:               s.cfg.MSL,
-		TimeWaitLane:      &s.timeWait,
-		DelayedAckTimeout: s.cfg.DelayedAckTimeout,
-		Nagle:             opts.Nagle,
-		Output:            k.output,
-		OnEstablished:     opts.OnEstablished,
-		OnReadable:        opts.OnReadable,
-		OnWritable:        opts.OnWritable,
-		OnClose:           opts.OnClose,
-		CopiedTx:          &s.stats.tcpCopiedTx,
-		CopiedRx:          &s.stats.tcpCopiedRx,
-		Retrans:           &s.stats.tcpRetransmits,
+		Clock:         s.cfg.Clock,
+		RNG:           s.cfg.RNG,
+		Local:         local,
+		Remote:        remote,
+		MSS:           s.MSS(),
+		SendBufSize:   s.cfg.SendBufSize,
+		RecvBufSize:   s.cfg.RecvBufSize,
+		CC:            ccAlg,
+		MinRTO:        s.cfg.MinRTO,
+		MSL:           s.cfg.MSL,
+		TimeWaitLane:  &s.timeWait,
+		Nagle:         opts.Nagle,
+		Output:        k.output,
+		OnEstablished: opts.OnEstablished,
+		OnReadable:    opts.OnReadable,
+		OnWritable:    opts.OnWritable,
+		OnClose:       opts.OnClose,
+		CopiedTx:      &s.stats.tcpCopiedTx,
+		CopiedRx:      &s.stats.tcpCopiedRx,
+		Retrans:       &s.stats.tcpRetransmits,
 	}
 	if opts.SendBufSize > 0 {
 		cfg.SendBufSize = opts.SendBufSize
@@ -389,5 +398,5 @@ func (s *Stack) allocPort(remote tcp.AddrPort) (uint16, *uint32, error) {
 		}
 		return p, nil, nil
 	}
-	return 0, nil, fmt.Errorf("stack %s: ephemeral ports exhausted", s.cfg.Name)
+	return 0, nil, fmt.Errorf("stack %s: %w", s.cfg.Name, ErrPortsExhausted)
 }

@@ -97,9 +97,6 @@ func (b *BBR) Init(c *Control, now time.Duration) {
 // State returns the current state name, for tests and monitoring.
 func (b *BBR) State() string { return b.state.String() }
 
-// BtlBw returns the current bottleneck-bandwidth estimate in bytes/sec.
-func (b *BBR) BtlBw() float64 { return b.btlBw.max() }
-
 // OnAck implements Algorithm.
 func (b *BBR) OnAck(c *Control, s *AckSample) {
 	// Round accounting: a round trip elapses when a segment sent after

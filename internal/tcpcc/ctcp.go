@@ -53,10 +53,6 @@ func (ct *CTCP) Init(c *Control, _ time.Duration) {
 	c.SSThresh = 1 << 30
 }
 
-// Dwnd returns the delay-based window component in bytes (for tests and
-// monitoring).
-func (ct *CTCP) Dwnd() int { return int(ct.dwnd) }
-
 // OnAck implements Algorithm.
 func (ct *CTCP) OnAck(c *Control, s *AckSample) {
 	if c.InRecovery || s.BytesAcked <= 0 {

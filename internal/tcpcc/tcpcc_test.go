@@ -501,3 +501,10 @@ func TestAllAlgorithmsSurviveAckStorm(t *testing.T) {
 		}
 	}
 }
+
+// BtlBw returns the current bottleneck-bandwidth estimate in bytes/sec.
+func (b *BBR) BtlBw() float64 { return b.btlBw.max() }
+
+// Dwnd returns the delay-based window component in bytes (for tests and
+// monitoring).
+func (ct *CTCP) Dwnd() int { return int(ct.dwnd) }

@@ -61,14 +61,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Mean returns the average observed value (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // quantile returns the upper bound of the bucket containing quantile q.
 func (s HistogramSnapshot) quantile(q float64) uint64 {
 	if s.Count == 0 {

@@ -44,9 +44,6 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 // A Gauge is an atomic instantaneous value (may go down).
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds d (may be negative).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
@@ -184,16 +181,6 @@ func (r *Registry) Names() []string {
 	r.mu.Unlock()
 	sort.Strings(names)
 	return names
-}
-
-// NumMetrics returns the count of registered metric names.
-func (r *Registry) NumMetrics() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.counters) + len(r.gauges) + len(r.gaugeFns) + len(r.histos)
 }
 
 // Scope returns a registration helper that prefixes every name with

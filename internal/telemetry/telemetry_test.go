@@ -325,14 +325,14 @@ func TestTracerSpanLifecycle(t *testing.T) {
 // TestTracerCaps bounds both the active-span map and the done ring.
 func TestTracerCaps(t *testing.T) {
 	loop := sim.NewLoop()
-	tr := NewTracer(TraceConfig{Clock: loop, SampleEvery: 1, Cap: 8})
-	for i := 0; i < 100; i++ {
+	tr := NewTracer(TraceConfig{Clock: loop, SampleEvery: 1})
+	for i := 0; i < 4*traceCap; i++ {
 		if id := tr.Start("tx:send"); id != 0 {
 			tr.End(id, "done")
 		}
 	}
-	if got := len(tr.Completed()); got != 8 {
-		t.Fatalf("done ring holds %d, want cap 8", got)
+	if got := len(tr.Completed()); got != traceCap {
+		t.Fatalf("done ring holds %d, want cap %d", got, traceCap)
 	}
 	// The ring keeps the newest spans (oldest evicted first).
 	done := tr.Completed()
@@ -340,10 +340,13 @@ func TestTracerCaps(t *testing.T) {
 		t.Errorf("ring order wrong: first id %d, last id %d", done[0].ID, done[len(done)-1].ID)
 	}
 	// Active spans saturate at the cap instead of growing unboundedly.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 4*traceCap; i++ {
 		tr.Start("rx:new_data")
 	}
-	if n := tr.ActiveCount(); n > 8 {
-		t.Errorf("active map grew to %d, cap 8", n)
+	if n := tr.ActiveCount(); n > traceCap {
+		t.Errorf("active map grew to %d, cap %d", n, traceCap)
 	}
 }
+
+// Set stores v.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }

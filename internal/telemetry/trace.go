@@ -58,6 +58,10 @@ func (s Span) Format() string {
 	return b.String()
 }
 
+// traceCap bounds both a tracer's in-flight span map and its retained
+// completed-span ring.
+const traceCap = 256
+
 // TraceConfig shapes a Tracer.
 type TraceConfig struct {
 	// Clock stamps hops (required).
@@ -65,9 +69,6 @@ type TraceConfig struct {
 	// SampleEvery traces one in every N sampling-eligible operations;
 	// 0 (the default) disables tracing.
 	SampleEvery int
-	// Cap bounds both the in-flight span map and the retained
-	// completed-span ring (default 256 each).
-	Cap int
 	// Metrics, when set, receives a per-kind span-latency histogram
 	// ("span.<kind>_ns") observed at span end.
 	Metrics *Scope
@@ -83,7 +84,6 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	clock  sim.Clock
-	cap    int
 	scope  *Scope
 	nextID uint32
 	active map[uint32]*Span
@@ -92,12 +92,8 @@ type Tracer struct {
 
 // NewTracer builds a tracer.
 func NewTracer(cfg TraceConfig) *Tracer {
-	if cfg.Cap <= 0 {
-		cfg.Cap = 256
-	}
 	t := &Tracer{
 		clock:  cfg.Clock,
-		cap:    cfg.Cap,
 		scope:  cfg.Metrics,
 		active: make(map[uint32]*Span),
 	}
@@ -131,7 +127,7 @@ func (t *Tracer) Start(kind string) uint32 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.active) >= t.cap {
+	if len(t.active) >= traceCap {
 		return 0
 	}
 	t.nextID++
@@ -174,7 +170,7 @@ func (t *Tracer) End(id uint32, hop string) {
 	now := t.clock.Now()
 	sp.Hops = append(sp.Hops, Hop{Name: hop, At: now})
 	sp.End = now
-	if len(t.done) >= t.cap {
+	if len(t.done) >= traceCap {
 		copy(t.done, t.done[1:])
 		t.done = t.done[:len(t.done)-1]
 	}

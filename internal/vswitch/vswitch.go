@@ -2,10 +2,9 @@
 // MAC-learning switch connecting tenant vNICs, NSM ports, and the
 // physical NIC on one host.
 //
-// Two modes mirror the paper's deployment options: a software overlay
-// switch (OVS/Hyper-V-style, with a per-frame processing delay) and an
-// embedded hardware switch (SR-IOV path, zero switching cost — traffic
-// "can bypass the host to the physical NIC", §3.1).
+// It is the paper's software overlay switch (OVS/Hyper-V-style, with a
+// per-frame processing delay). The SR-IOV embedded switch of §3.1,
+// which forwards at zero cost, is not modelled: no experiment used it.
 package vswitch
 
 import (
@@ -16,34 +15,17 @@ import (
 	"netkernel/internal/sim"
 )
 
-// Mode selects the switching substrate.
-type Mode int
-
-// Modes.
 const (
-	// Software is a host software switch (vSwitch) with per-frame cost.
-	Software Mode = iota
-	// Embedded is a hardware embedded switch (SR-IOV), zero per-frame
-	// cost.
-	Embedded
+	// perFrameDelay is the software switch's processing latency per
+	// frame.
+	perFrameDelay = time.Microsecond
+	// agingTime bounds how long a learned MAC stays valid.
+	agingTime = 60 * time.Second
 )
 
-func (m Mode) String() string {
-	if m == Embedded {
-		return "embedded"
-	}
-	return "software"
-}
-
-// Config shapes a switch.
-type Config struct {
-	Mode Mode
-	// PerFrameDelay is the software-switch processing latency per
-	// frame (ignored in Embedded mode). Default 1 µs.
-	PerFrameDelay time.Duration
-	// AgingTime bounds how long a learned MAC stays valid. Default 60 s.
-	AgingTime time.Duration
-}
+// Config shapes a switch. It has no fields: every switch forwards after
+// perFrameDelay and ages entries after agingTime.
+type Config struct{}
 
 // Stats counts switch activity. Every frame entering the switch is
 // accounted exactly once: RxFrames == Forwarded + Flooded + Dropped.
@@ -65,11 +47,10 @@ type Stats struct {
 // Switch is a MAC-learning switch.
 type Switch struct {
 	clock sim.Clock
-	cfg   Config
 	ports []*Port
 	fdb   map[netsim.MAC]*fdbEntry
 	stats Stats
-	// delay is where frames sit out PerFrameDelay: the delay is fixed,
+	// delay is where frames sit out perFrameDelay: the delay is fixed,
 	// so they leave in arrival order behind one event-loop entry.
 	delay sim.Lane
 }
@@ -86,23 +67,14 @@ type fdbEntry struct {
 }
 
 // New builds a switch.
-func New(clock sim.Clock, cfg Config) *Switch {
-	if cfg.PerFrameDelay <= 0 {
-		cfg.PerFrameDelay = time.Microsecond
-	}
-	if cfg.AgingTime <= 0 {
-		cfg.AgingTime = 60 * time.Second
-	}
-	s := &Switch{clock: clock, cfg: cfg, fdb: make(map[netsim.MAC]*fdbEntry)}
+func New(clock sim.Clock, _ Config) *Switch {
+	s := &Switch{clock: clock, fdb: make(map[netsim.MAC]*fdbEntry)}
 	s.delay.Init(clock)
 	return s
 }
 
 // Stats returns a copy of the counters.
 func (s *Switch) Stats() Stats { return s.stats }
-
-// Mode returns the switching mode.
-func (s *Switch) Mode() Mode { return s.cfg.Mode }
 
 // Port is one switch port. Frames arriving from the attached device
 // enter through Deliver; frames leaving toward the device go to out.
@@ -128,16 +100,13 @@ func (s *Switch) lookup(mac netsim.MAC, last **fdbEntry) *fdbEntry {
 	return e
 }
 
-// AddPort attaches a device (NIC, VF handler, stack interface…) whose
+// AddPort attaches a device (NIC, stack interface…) whose
 // inbound side is out.
 func (s *Switch) AddPort(out netsim.Port) *Port {
 	p := &Port{sw: s, idx: len(s.ports), out: out}
 	s.ports = append(s.ports, p)
 	return p
 }
-
-// Ports returns the port count.
-func (s *Switch) Ports() int { return len(s.ports) }
 
 // Deliver implements netsim.Port: a frame entering the switch from this
 // port's device.
@@ -164,18 +133,13 @@ func (p *Port) Deliver(frame []byte) {
 			sw.stats.Learned++
 			e.port = p
 		}
-		e.expires = sw.clock.Now().Add(sw.cfg.AgingTime)
+		e.expires = sw.clock.Now().Add(agingTime)
 	}
-
-	if sw.cfg.Mode == Software {
-		sw.delay.AfterFrame(sw.cfg.PerFrameDelay, (*delayDone)(p), frame, 0)
-	} else {
-		p.forward(frame)
-	}
+	sw.delay.AfterFrame(perFrameDelay, (*delayDone)(p), frame, 0)
 }
 
 // delayDone is a Port as the handler of a frame that entered through it
-// and has now sat out the software switch's per-frame delay.
+// and has now sat out the switch's per-frame delay.
 type delayDone Port
 
 func (p *delayDone) HandleFrame(frame []byte, _ uint64) { (*Port)(p).forward(frame) }

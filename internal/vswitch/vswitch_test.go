@@ -25,9 +25,9 @@ var (
 	macC = netsim.MAC{2, 0, 0, 0, 0, 3}
 )
 
-func build(mode Mode) (*sim.Loop, *Switch, []*sink, []*Port) {
+func build() (*sim.Loop, *Switch, []*sink, []*Port) {
 	loop := sim.NewLoop()
-	sw := New(loop, Config{Mode: mode})
+	sw := New(loop, Config{})
 	sinks := []*sink{{}, {}, {}}
 	var ports []*Port
 	for _, s := range sinks {
@@ -37,7 +37,7 @@ func build(mode Mode) (*sim.Loop, *Switch, []*sink, []*Port) {
 }
 
 func TestFloodThenLearn(t *testing.T) {
-	loop, sw, sinks, ports := build(Embedded)
+	loop, sw, sinks, ports := build()
 	// A (port 0) → B: unknown, floods to ports 1 and 2.
 	ports[0].Deliver(frameFromTo(macA, macB))
 	loop.Run()
@@ -63,7 +63,7 @@ func TestFloodThenLearn(t *testing.T) {
 }
 
 func TestBroadcastFloodsCopies(t *testing.T) {
-	loop, _, sinks, ports := build(Embedded)
+	loop, _, sinks, ports := build()
 	ports[0].Deliver(frameFromTo(macA, netsim.Broadcast))
 	loop.Run()
 	if len(sinks[1].frames) != 1 || len(sinks[2].frames) != 1 {
@@ -76,7 +76,7 @@ func TestBroadcastFloodsCopies(t *testing.T) {
 }
 
 func TestHairpinSuppressed(t *testing.T) {
-	loop, _, sinks, ports := build(Embedded)
+	loop, _, sinks, ports := build()
 	ports[0].Deliver(frameFromTo(macA, macB)) // learn A on port 0
 	loop.Run()
 	ports[0].Deliver(frameFromTo(macB, macA)) // A reachable via ingress port
@@ -86,35 +86,29 @@ func TestHairpinSuppressed(t *testing.T) {
 	}
 }
 
+// A frame leaves the switch perFrameDelay after it entered, not before.
 func TestSoftwareModeAddsLatency(t *testing.T) {
-	loop, _, sinks, ports := build(Software)
+	loop, _, sinks, ports := build()
 	ports[0].Deliver(frameFromTo(macA, macB))
+	loop.RunFor(perFrameDelay - time.Nanosecond)
 	if len(sinks[1].frames) != 0 {
-		t.Fatal("software switch forwarded synchronously")
+		t.Fatal("switch forwarded before its per-frame delay")
 	}
-	loop.RunFor(2 * time.Microsecond)
+	loop.RunFor(time.Nanosecond)
 	if len(sinks[1].frames) != 1 {
-		t.Fatal("software switch never forwarded")
-	}
-}
-
-func TestEmbeddedModeIsSynchronous(t *testing.T) {
-	_, _, sinks, ports := build(Embedded)
-	ports[0].Deliver(frameFromTo(macA, macB))
-	if len(sinks[1].frames) != 1 {
-		t.Fatal("embedded switch deferred forwarding")
+		t.Fatal("switch never forwarded")
 	}
 }
 
 func TestFDBAging(t *testing.T) {
 	loop := sim.NewLoop()
-	sw := New(loop, Config{Mode: Embedded, AgingTime: time.Second})
+	sw := New(loop, Config{})
 	s0, s1, s2 := &sink{}, &sink{}, &sink{}
 	p0 := sw.AddPort(s0)
 	sw.AddPort(s1)
 	sw.AddPort(s2)
-	p0.Deliver(frameFromTo(macA, macB)) // learn A
-	loop.RunFor(2 * time.Second)        // age out
+	p0.Deliver(frameFromTo(macA, macB))  // learn A
+	loop.RunFor(agingTime + time.Second) // age out
 	// B → A: A's entry expired, must flood — s0 (A's port) still gets it,
 	// but so does s2, proving the unicast entry was not used.
 	sw.ports[1].Deliver(frameFromTo(macB, macA))
@@ -128,17 +122,11 @@ func TestFDBAging(t *testing.T) {
 }
 
 func TestShortFrameIgnored(t *testing.T) {
-	loop, sw, _, ports := build(Embedded)
+	loop, sw, _, ports := build()
 	ports[0].Deliver(make([]byte, 5))
 	loop.Run()
-	if sw.Stats().Flooded != 0 && sw.Stats().Forwarded != 0 {
-		t.Fatal("runt frame forwarded")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if Software.String() != "software" || Embedded.String() != "embedded" {
-		t.Fatal("Mode String broken")
+	if st := sw.Stats(); st.Flooded != 0 || st.Forwarded != 0 || st.Dropped != 1 {
+		t.Fatalf("runt frame not dropped: %+v", st)
 	}
 }
 
@@ -148,7 +136,7 @@ func TestModeString(t *testing.T) {
 // RxFrames == Forwarded + Flooded + Dropped.
 func TestStatsConservation(t *testing.T) {
 	loop := sim.NewLoop()
-	sw := New(loop, Config{Mode: Embedded, AgingTime: time.Second})
+	sw := New(loop, Config{})
 	sinks := []*sink{{}, {}, {}}
 	var ports []*Port
 	for _, s := range sinks {
@@ -156,6 +144,7 @@ func TestStatsConservation(t *testing.T) {
 	}
 
 	ports[0].Deliver(frameFromTo(macA, macB)) // unknown dst: flood, learn A
+	loop.Run()                                // before B is learned below
 	ports[1].Deliver(frameFromTo(macB, macA)) // known dst: unicast, learn B
 	ports[0].Deliver(make([]byte, 5))         // runt: dropped
 	ports[0].Deliver(frameFromTo(macC, macA)) // hairpin: A is on port 0, dropped
@@ -174,7 +163,7 @@ func TestStatsConservation(t *testing.T) {
 
 	// Let the FDB expire, then address the stale entry: the lookup must
 	// evict it (AgedOut) and fall back to flooding.
-	loop.RunFor(2 * time.Second)
+	loop.RunFor(agingTime + time.Second)
 	ports[1].Deliver(frameFromTo(macB, macA))
 	loop.Run()
 	st = sw.Stats()
@@ -193,7 +182,7 @@ func TestStatsConservation(t *testing.T) {
 // never enter the FDB as a forwarding target, even though frames sourced
 // from it would be absurd — a broadcast destination always floods.
 func TestBroadcastNeverLearnedAsDestination(t *testing.T) {
-	loop, sw, sinks, ports := build(Embedded)
+	loop, sw, sinks, ports := build()
 	ports[0].Deliver(frameFromTo(macA, netsim.Broadcast))
 	ports[1].Deliver(frameFromTo(macB, netsim.Broadcast))
 	loop.Run()
@@ -210,7 +199,7 @@ func TestBroadcastNeverLearnedAsDestination(t *testing.T) {
 // delay event: no allocation per frame.
 func TestAllocsPerFrame(t *testing.T) {
 	loop := sim.NewLoop()
-	sw := New(loop, Config{Mode: Software})
+	sw := New(loop, Config{})
 	got := 0
 	pa := sw.AddPort(netsim.PortFunc(func([]byte) {}))
 	pb := sw.AddPort(netsim.PortFunc(func([]byte) { got++ }))
@@ -233,18 +222,23 @@ func TestAllocsPerFrame(t *testing.T) {
 // a map lookup per frame would.
 func TestFDBPortCaches(t *testing.T) {
 	loop := sim.NewLoop()
-	sw := New(loop, Config{Mode: Embedded, AgingTime: time.Second})
+	sw := New(loop, Config{})
 	sinks := []*sink{{}, {}, {}}
 	var ports []*Port
 	for _, s := range sinks {
 		ports = append(ports, sw.AddPort(s))
 	}
+	// send lets each frame through the switch before the next enters.
+	send := func(p *Port, frame []byte) {
+		p.Deliver(frame)
+		loop.Run()
+	}
 	got := func() [3]int { return [3]int{len(sinks[0].frames), len(sinks[1].frames), len(sinks[2].frames)} }
 
 	// A on port 0 and B on port 1 talk until both ports hold both entries.
-	ports[0].Deliver(frameFromTo(macA, macB)) // flood
-	ports[1].Deliver(frameFromTo(macB, macA))
-	ports[0].Deliver(frameFromTo(macA, macB))
+	send(ports[0], frameFromTo(macA, macB)) // flood
+	send(ports[1], frameFromTo(macB, macA))
+	send(ports[0], frameFromTo(macA, macB))
 	if ports[0].lastSrc != sw.fdb[macA] || ports[0].lastDst != sw.fdb[macB] || ports[1].lastDst != sw.fdb[macA] {
 		t.Fatal("ports did not keep the entries of the flow they carry")
 	}
@@ -253,38 +247,38 @@ func TestFDBPortCaches(t *testing.T) {
 	}
 
 	// A moves to port 2: port 1's kept destination follows the entry.
-	ports[2].Deliver(frameFromTo(macA, macB))
-	ports[1].Deliver(frameFromTo(macB, macA))
+	send(ports[2], frameFromTo(macA, macB))
+	send(ports[1], frameFromTo(macB, macA))
 	if st := sw.Stats(); st.Learned != 3 || got() != [3]int{1, 3, 2} {
 		t.Fatalf("after the move: %+v, deliveries %v", st, got())
 	}
 	// And back: port 0 still holds A's entry as its last source, now
 	// pointing at port 2, and must count the move.
-	ports[0].Deliver(frameFromTo(macA, macB))
-	ports[1].Deliver(frameFromTo(macB, macA))
+	send(ports[0], frameFromTo(macA, macB))
+	send(ports[1], frameFromTo(macB, macA))
 	if st := sw.Stats(); st.Learned != 4 || got() != [3]int{2, 4, 2} {
 		t.Fatalf("after the move back: %+v, deliveries %v", st, got())
 	}
 
 	// Hairpin through the kept destination: twice, the second a cache hit.
-	ports[0].Deliver(frameFromTo(macC, macA))
-	ports[0].Deliver(frameFromTo(macC, macA))
+	send(ports[0], frameFromTo(macC, macA))
+	send(ports[0], frameFromTo(macC, macA))
 	if st := sw.Stats(); st.Dropped != 2 || st.Learned != 5 || got() != [3]int{2, 4, 2} {
 		t.Fatalf("hairpin: %+v, deliveries %v", st, got())
 	}
 
 	// Everything expires. Port 1's kept entry for A must be evicted and
 	// flooded past, not trusted...
-	loop.RunFor(2 * time.Second)
+	loop.RunFor(agingTime + time.Second)
 	stale := sw.fdb[macA]
-	ports[1].Deliver(frameFromTo(macB, macA))
+	send(ports[1], frameFromTo(macB, macA))
 	if st := sw.Stats(); st.AgedOut != 1 || st.Flooded != 2 || got() != [3]int{3, 4, 3} || stale.port != nil || sw.fdb[macA] != nil {
 		t.Fatalf("expiry: %+v, deliveries %v, evicted entry %+v", st, got(), stale)
 	}
 	// ...and when A speaks again, port 0's kept source is that evicted
 	// entry: A is learned anew, and port 1 forwards by the new entry.
-	ports[0].Deliver(frameFromTo(macA, macB))
-	ports[1].Deliver(frameFromTo(macB, macA))
+	send(ports[0], frameFromTo(macA, macB))
+	send(ports[1], frameFromTo(macB, macA))
 	if st := sw.Stats(); st.Learned != 6 || st.AgedOut != 1 || sw.fdb[macA] == stale || got() != [3]int{4, 5, 3} {
 		t.Fatalf("relearn: %+v, deliveries %v", st, got())
 	}

@@ -27,8 +27,7 @@ type (
 
 	// Migration is the record of one live NSM migration.
 	Migration = hypervisor.Migration
-	// MigrateOptions tunes a live migration (stall model, fault
-	// injection).
+	// MigrateOptions tunes a live migration (fault injection).
 	MigrateOptions = hypervisor.MigrateOptions
 	// RollingUpgrade migrates a host's NSMs one module at a time.
 	RollingUpgrade = mgmt.RollingUpgrade

@@ -7,7 +7,7 @@
 // The package is a facade over the full system in internal/: a
 // deterministic discrete-event substrate, a from-scratch TCP/IP stack
 // with pluggable congestion control (Reno, CUBIC, BBR, C-TCP, DCTCP),
-// simulated hosts with NICs/SR-IOV/virtual switches, the NetKernel
+// simulated hosts with NICs and virtual switches, the NetKernel
 // datapath (GuestLib, nqe queues, huge pages, CoreEngine, ServiceLib),
 // and the management plane (QoS scheduling, pingmesh failure
 // detection, usage metering and pricing).
@@ -47,7 +47,6 @@ import (
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
 	"netkernel/internal/tcpcc"
-	"netkernel/internal/vswitch"
 )
 
 // Re-exported types: the public surface keeps the internal package
@@ -62,8 +61,8 @@ type (
 	VMConfig = hypervisor.VMConfig
 	// NSM is a Network Stack Module instance.
 	NSM = hypervisor.NSM
-	// NSMSpec requests an NSM (form, congestion control, cores, SR-IOV,
-	// sharing, rate SLA).
+	// NSMSpec requests an NSM (form, congestion control, cores,
+	// sharing, replicas, rate SLA).
 	NSMSpec = hypervisor.NSMSpec
 	// NSMForm selects the module realization (VM, unikernel, container,
 	// hypervisor module).
@@ -151,7 +150,7 @@ type ClusterConfig struct {
 	// PerPacketCost models per-core packet processing (0 = free).
 	PerPacketCost time.Duration
 	// Host, when set, adjusts each host's config before construction
-	// (buffers, engine latencies, switch mode, …).
+	// (buffers, engine latencies, …).
 	Host func(cfg *HostConfig)
 }
 
@@ -184,7 +183,6 @@ func (c *Cluster) AddHost(name string) *Host {
 		Cores:           c.cfg.Cores,
 		PerPacketCost:   c.cfg.PerPacketCost,
 		RoundRobinCores: true,
-		SwitchMode:      vswitch.Software,
 		HugePages:       c.pages,
 	}
 	if c.cfg.Host != nil {
