@@ -92,7 +92,7 @@ func RunNotifyAblation() []NotifyRow {
 		w.Loop.RunFor(50 * time.Millisecond)
 
 		rtt := connectLatency(w, client, server, 7000)
-		fl := StartNetKernelFlow(w, client, server, 7001)
+		fl := StartFlow(w, client, server, 7001)
 		tput := MeasureGoodput(w, []*Flow{fl}, 100*time.Millisecond, 100*time.Millisecond)
 		rows = append(rows, NotifyRow{
 			Mode: tc.mode, NotifyLatency: lat, ConnectRTT: rtt,
@@ -133,7 +133,7 @@ func RunPriorityAblation() []PriorityRow {
 		w.Loop.RunFor(50 * time.Millisecond)
 
 		// Saturating bulk flow.
-		fl := StartNetKernelFlow(w, client, server, 7001)
+		fl := StartFlow(w, client, server, 7001)
 		w.Loop.RunFor(100 * time.Millisecond)
 
 		// Now time connection setups competing with the data flood.
@@ -183,7 +183,7 @@ func RunFormAblation() []FormRow {
 		w.Loop.RunFor(prof.BootTime + 50*time.Millisecond)
 
 		rtt := connectLatency(w, client, server, 7000)
-		fl := StartNetKernelFlow(w, client, server, 7001)
+		fl := StartFlow(w, client, server, 7001)
 		tput := MeasureGoodput(w, []*Flow{fl}, 100*time.Millisecond, 100*time.Millisecond)
 		rows = append(rows, FormRow{
 			Form: form, BootTime: prof.BootTime, ConnectRTT: rtt,
@@ -256,7 +256,7 @@ func RunMuxAblation() []MuxRow {
 
 		flows := make([]*Flow, tenants)
 		for i, vm := range vms {
-			flows[i] = StartNetKernelFlow(w, vm, server, uint16(7001+i))
+			flows[i] = StartFlow(w, vm, server, uint16(7001+i))
 		}
 		w.Loop.RunFor(100 * time.Millisecond)
 		start := make([]uint64, tenants)
@@ -315,7 +315,7 @@ func RunSyncAblation() []SyncRow {
 		}
 		server, _ := w.H2.CreateVM(hypervisor.VMConfig{Name: "s", IP: ReceiverIP, Mode: hypervisor.ModeNetKernel, NSM: spec})
 		w.Loop.RunFor(50 * time.Millisecond)
-		fl := StartNetKernelFlow(w, client, server, 7001)
+		fl := StartFlow(w, client, server, 7001)
 		tput := MeasureGoodput(w, []*Flow{fl}, 100*time.Millisecond, 200*time.Millisecond)
 		st := client.Guest.Stats()
 		return SyncRow{
@@ -378,7 +378,7 @@ func RunScaleOutAblation() []ScaleOutRow {
 		// module.
 		flows := make([]*Flow, replicas)
 		for i := range flows {
-			flows[i] = StartNetKernelFlow(w, sender, receiver, uint16(7001+i))
+			flows[i] = StartFlow(w, sender, receiver, uint16(7001+i))
 		}
 		rows = append(rows, ScaleOutRow{
 			Replicas:     replicas,

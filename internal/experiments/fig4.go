@@ -125,12 +125,7 @@ func runFig4Scenario(cfg Figure4Config, flows int, mode hypervisor.VMMode) float
 
 	fl := make([]*Flow, flows)
 	for i := 0; i < flows; i++ {
-		port := uint16(5001 + i)
-		if mode == hypervisor.ModeLegacy {
-			fl[i] = StartLegacyFlow(w, sender, receiver, port)
-		} else {
-			fl[i] = StartNetKernelFlow(w, sender, receiver, port)
-		}
+		fl[i] = StartFlow(w, sender, receiver, uint16(5001+i))
 	}
 	return MeasureGoodput(w, fl, cfg.Warmup, cfg.Window)
 }

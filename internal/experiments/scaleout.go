@@ -25,6 +25,15 @@ const (
 	scaleoutVMs = 8
 	// scaleoutFlowsPerVM is the concurrent bulk flows per tenant.
 	scaleoutFlowsPerVM = 4
+	// scaleoutCores sizes each NSM's dedicated CPU, identical for every
+	// shard count so runs differ only in steering.
+	scaleoutCores = 4
+	// scaleoutWarmup precedes the measured window of scaleoutWindow
+	// (after the NSM boot).
+	scaleoutWarmup = 50 * time.Millisecond
+	scaleoutWindow = 50 * time.Millisecond
+	// scaleoutSeed drives deterministic randomness.
+	scaleoutSeed = 4242
 )
 
 // ScaleoutConfig shapes the many-VM/many-flow measurement.
@@ -32,33 +41,6 @@ type ScaleoutConfig struct {
 	// Shards is the channel/stack shard count (default 1, the
 	// single-queue baseline).
 	Shards int
-	// Cores sizes each NSM's dedicated CPU (default 4; identical for
-	// every shard count so runs differ only in steering).
-	Cores int
-	// Warmup precedes the measured window (default 100 ms after boot).
-	Warmup time.Duration
-	// Window is the measured period (default 100 ms).
-	Window time.Duration
-	// Seed drives deterministic randomness (default 4242).
-	Seed uint64
-}
-
-func (c *ScaleoutConfig) fillDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Cores <= 0 {
-		c.Cores = 4
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 50 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 50 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 4242
-	}
 }
 
 // ScaleoutResult reports one run of the many-VM/many-flow measurement.
@@ -79,7 +61,9 @@ type ScaleoutResult struct {
 // multi-core NSM each and measures aggregate goodput across
 // scaleoutVMs×scaleoutFlowsPerVM bulk flows.
 func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
-	cfg.fillDefaults()
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
+	}
 	w := NewWorld(WorldConfig{
 		// Fat, short pipe: the 100G link never binds, so aggregate
 		// goodput is set by how many NSM cores the steering can keep
@@ -87,7 +71,7 @@ func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 		Link:          netsim.LinkConfig{Rate: 100 * netsim.Gbps, Delay: 20 * time.Microsecond, QueueBytes: 2 << 20},
 		PerPacketCost: 2 * time.Microsecond,
 		Cores:         8,
-		Seed:          cfg.Seed,
+		Seed:          scaleoutSeed,
 		MinRTO:        10 * time.Millisecond,
 		Mutate: func(hc *hypervisor.HostConfig) {
 			hc.Shards = cfg.Shards
@@ -100,7 +84,7 @@ func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 		vms := make([]*hypervisor.VM, scaleoutVMs)
 		var first *hypervisor.NSM
 		for i := range vms {
-			spec := hypervisor.NSMSpec{Form: hypervisor.FormVM, CC: "cubic", Cores: cfg.Cores}
+			spec := hypervisor.NSMSpec{Form: hypervisor.FormVM, CC: "cubic", Cores: scaleoutCores}
 			if first != nil {
 				spec = hypervisor.NSMSpec{ShareWith: first}
 			}
@@ -133,7 +117,7 @@ func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 		}
 	}
 
-	agg := MeasureGoodput(w, flows, cfg.Warmup, cfg.Window)
+	agg := MeasureGoodput(w, flows, scaleoutWarmup, scaleoutWindow)
 
 	res := ScaleoutResult{
 		Shards:       cfg.Shards,

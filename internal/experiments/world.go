@@ -210,16 +210,6 @@ func StartFlow(w *World, sender, receiver *hypervisor.VM, port uint16) *Flow {
 	return f
 }
 
-// StartLegacyFlow opens a bulk transfer between two legacy VMs.
-func StartLegacyFlow(w *World, sender, receiver *hypervisor.VM, port uint16) *Flow {
-	return StartFlow(w, sender, receiver, port)
-}
-
-// StartNetKernelFlow opens a bulk transfer between two NetKernel VMs.
-func StartNetKernelFlow(w *World, sender, receiver *hypervisor.VM, port uint16) *Flow {
-	return StartFlow(w, sender, receiver, port)
-}
-
 // MeasureGoodput runs warmup, then measures the flows' aggregate
 // receive rate over the window and returns bits per second.
 func MeasureGoodput(w *World, flows []*Flow, warmup, window time.Duration) float64 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"netkernel/internal/framepool"
 	"netkernel/internal/guestlib"
 	"netkernel/internal/netsim"
 	"netkernel/internal/nkchan"
@@ -330,25 +329,15 @@ type NSM struct {
 	// Restarts counts crash-reboot cycles.
 	Restarts int
 
-	// attach binds a stack to the module's fixed network identity
-	// (MAC, IP, fabric port); restarts reuse it.
-	attach func(*stack.Stack)
-	// migratedTo points at the successor after a live migration: frames
-	// arriving on this module's network identity chase the chain to the
-	// stack currently serving its connections.
-	migratedTo *NSM
+	// state is where the module is in its lifecycle, and migration the
+	// migration it is the donor of while migrating.
+	state     nsmState
+	migration *Migration
+	// ident is the network identity the module serves; a migration's
+	// successor gets the donor's at cutover.
+	ident *identity
 
 	host *Host
-}
-
-// liveStack resolves the stack currently serving this module's network
-// identity, chasing migration redirects.
-func (n *NSM) liveStack() *stack.Stack {
-	m := n
-	for m.migratedTo != nil {
-		m = m.migratedTo
-	}
-	return m.Stack
 }
 
 // Tenants returns how many VMs the module serves.
@@ -372,28 +361,29 @@ func (h *Host) stackConfig(name, cc string, cpu *netsim.CPU, rxShards int, metri
 	}
 }
 
-// attachStack wires a stack to the fabric through a switch port.
-func (h *Host) attachStack(s *stack.Stack, ip ipv4.Addr) {
-	h.makeAttachment(func() *stack.Stack { return s }, ip)(s)
+// identity is a network identity on the host's fabric — a MAC, an IP and
+// a switch port — and the stack serving it now: frames arriving on the
+// port deliver there. A module keeps its identity across reboots, and a
+// migration's cutover hands it to the successor.
+type identity struct {
+	mac     ethernet.MAC
+	ip      ipv4.Addr
+	port    *vswitch.Port
+	serving *stack.Stack
 }
 
-// makeAttachment allocates a network identity (MAC and switch port)
-// whose inbound side delivers to whatever stack current() returns at
-// frame-arrival time, and returns a function that attaches a stack to
-// that identity. NSM restarts reuse the attachment so the rebooted
-// stack keeps the module's MAC, IP, and fabric port.
-func (h *Host) makeAttachment(current func() *stack.Stack, ip ipv4.Addr) func(*stack.Stack) {
-	mac := ethernet.MAC(h.newMAC())
-	port := h.Switch.AddPort(netsim.PortFunc(func(f []byte) {
-		if s := current(); s != nil {
-			s.DeliverFrame(f)
-		} else {
-			framepool.Put(f) // nothing attached: the frame dies here
-		}
-	}))
-	return func(s *stack.Stack) {
-		s.AttachInterface(mac, ip, ethernet.MTU, maskBits, ipv4.Addr{}, port.Deliver)
-	}
+// newIdentity allocates a MAC and a switch port for ip.
+func (h *Host) newIdentity(ip ipv4.Addr) *identity {
+	id := &identity{mac: ethernet.MAC(h.newMAC()), ip: ip}
+	id.port = h.Switch.AddPort(netsim.PortFunc(func(f []byte) { id.serving.DeliverFrame(f) }))
+	return id
+}
+
+// serve makes s the stack serving the identity: s takes its addresses,
+// and frames arriving on it deliver to s.
+func (id *identity) serve(s *stack.Stack) {
+	id.serving = s
+	s.AttachInterface(id.mac, id.ip, ethernet.MTU, maskBits, ipv4.Addr{}, id.port.Deliver)
 }
 
 // BootNSM provisions a Network Stack Module (normally done implicitly
@@ -401,11 +391,8 @@ func (h *Host) makeAttachment(current func() *stack.Stack, ip ipv4.Addr) func(*s
 // network identity.
 func (h *Host) BootNSM(spec NSMSpec, ip ipv4.Addr) *NSM {
 	n := h.bootDetachedNSM(spec)
-	// Frames on the module's identity deliver through liveStack, so the
-	// attachment survives both crash-reboots (same module, fresh stack)
-	// and live migrations (successor module adopts the identity).
-	n.attach = h.makeAttachment(func() *stack.Stack { return n.liveStack() }, ip)
-	n.attach(n.Stack)
+	n.ident = h.newIdentity(ip)
+	n.ident.serve(n.Stack)
 	return n
 }
 
@@ -435,46 +422,17 @@ func (h *Host) bootDetachedNSM(spec NSMSpec) *NSM {
 		ReadyAt: h.clock.Now().Add(prof.BootTime),
 		host:    h,
 	}
-	// NSM stacks shard their connection tables to match the channel
-	// shard count (Shards <= 0 stays the legacy single-table stack).
-	n.Stack = stack.New(h.stackConfig(fmt.Sprintf("%s/nsm%d-%s", h.cfg.Name, n.ID, spec.CC), spec.CC, cpu,
-		h.cfg.Shards, h.Metrics.Scope(fmt.Sprintf("nsm%d.stack.", n.ID))))
+	n.Stack = h.nsmStack(n)
 	h.nsms[n.ID] = n
 	return n
 }
 
-// RestartNSM models the module process crashing and rebooting. The
-// failure is abrupt: tenant pumps die silently, the stack is torn down
-// without emitting RST or FIN (the process is gone, nothing is on the
-// wire), and the CoreEngine discards in-flight channel work, releases
-// fd↔cID mappings, and notifies each guest with a reset completion.
-// After the form's boot time a fresh stack with the module's original
-// network identity (same MAC, IP, and fabric port) comes up and the
-// pumps rebind to it; connection IDs and fds stay monotonic across the
-// reboot so stale references cannot alias new connections.
-func (h *Host) RestartNSM(n *NSM) {
-	for _, svc := range n.Services {
-		svc.Crash()
-	}
-	n.Stack.Kill()
-	n.ReadyAt = h.clock.Now().Add(n.Profile.BootTime)
-	h.Engine.ResetNSM(n.ID, n.ReadyAt)
-	n.Restarts++
-	h.clock.AfterFunc(n.Profile.BootTime, func() {
-		// Registration is last-wins, so the rebooted stack's counters
-		// take over the module's metric names (restarts zero them).
-		// The shard count is the host's fixed one, so the per-shard
-		// "s<i>.conns" gauge names re-register 1:1 — the registry's
-		// name set is identical before and after a reboot.
-		fresh := stack.New(h.stackConfig(
-			fmt.Sprintf("%s/nsm%d-%s", h.cfg.Name, n.ID, n.CC), n.CC, n.CPU,
-			h.cfg.Shards, h.Metrics.Scope(fmt.Sprintf("nsm%d.stack.", n.ID))))
-		n.attach(fresh)
-		n.Stack = fresh
-		for _, svc := range n.Services {
-			svc.Rebind(fresh)
-		}
-	})
+// nsmStack builds a stack for module n. NSM stacks shard their
+// connection tables to match the channel shard count (Shards <= 0 stays
+// the legacy single-table stack).
+func (h *Host) nsmStack(n *NSM) *stack.Stack {
+	return stack.New(h.stackConfig(fmt.Sprintf("%s/nsm%d-%s", h.cfg.Name, n.ID, n.CC), n.CC, n.CPU,
+		h.cfg.Shards, h.Metrics.Scope(fmt.Sprintf("nsm%d.stack.", n.ID))))
 }
 
 // CreateVM provisions a tenant VM. In NetKernel mode the CoreEngine
@@ -503,7 +461,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 			fmt.Sprintf("%s/vm%d-%s", h.cfg.Name, vm.ID, cfg.Name),
 			cfg.Profile.DefaultCC(), h.CPU, 0, /* guests keep the legacy single-table stack */
 			h.Metrics.Scope(fmt.Sprintf("vm%d.stack.", vm.ID))))
-		h.attachStack(vm.Legacy, cfg.IP)
+		h.newIdentity(cfg.IP).serve(vm.Legacy)
 
 	case ModeNetKernel:
 		replicas := cfg.NSM.Replicas

@@ -13,7 +13,6 @@ package servicelib
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"netkernel/internal/fifo"
@@ -154,9 +153,16 @@ type connState struct {
 	// method values bound once, when the struct is built, and kept while
 	// it recycles through connPool. Each call reads cs as it is now, which
 	// is safe because a connection calls back nothing after its OnClose,
-	// and connClosed — what that OnClose runs — is what frees cs.
+	// and connClosed — what that OnClose runs — is what frees cs. The one
+	// exception, a crash, frees cs first, but its stack dies in the same
+	// event, before cs can serve another connection: the dying connection
+	// calls back into a retired cs, whose cID 0 names nothing.
 	opts stack.SocketOptions
 	sink func(p []byte, push bool) int
+
+	// kept is the connection's snapshot between a migration's Detach
+	// and Attach.
+	kept *tcp.ConnSnapshot
 }
 
 // The callbacks bound into a connState.
@@ -241,7 +247,7 @@ type ServiceLib struct {
 	acceptBatch [][]nqe.Element
 	acceptCIDs  []uint32
 	// dead marks a crashed module: pumps and emissions are no-ops until
-	// Rebind attaches a replacement stack.
+	// Attach binds a rebooted stack.
 	dead bool
 }
 
@@ -846,22 +852,10 @@ func (s *ServiceLib) connClosed(cid uint32, err error) {
 		cs.eofSent = true
 		s.emitClosed(cs.shard, cid, statusFromErr(err), 0)
 	}
-	// deliverData flushed the open receive chunk if it held bytes; an
-	// empty one allocated but never filled would leak without this.
-	if cs.rxHave {
-		s.cfg.Pair.Pages.Free(cs.rxChunk)
-		cs.rxHave, cs.rxFill = false, 0
-	}
-	delete(s.conns, cid)
-	// The connection has ended and, with cs.conn cleared, nothing here
-	// will touch it again: the stack may rebuild it for the next one.
-	conn := cs.conn
-	cs.conn = nil
-	s.cfg.Stack.ReleaseConn(conn)
-	// Still-queued send chunks are released and answered here. (Chunks
-	// already handed to the conn as spans are released by the conn's own
-	// teardown.)
-	s.freeConnState(cs)
+	// The connection has ended and, released, nothing here will touch it
+	// again: the stack may rebuild it for the next one. (Chunks handed to
+	// the conn as send spans were released by the conn's own teardown.)
+	s.cfg.Stack.ReleaseConn(s.release(cs))
 }
 
 // dropSendQ returns a connection's still-queued send chunks to the pool,
@@ -879,57 +873,6 @@ func (s *ServiceLib) dropSendQ(cs *connState) {
 		})
 	}
 	cs.sendQ.Clear()
-}
-
-// Crash models the module process dying: all per-connection state
-// vanishes, queued send chunks and backlogged data events return to the
-// huge-page pool (the pages belong to the hypervisor, not the module),
-// and every subsequent pump, emission, or stray stack callback is a
-// no-op until Rebind. The caller is responsible for killing the
-// module's stack and resetting the CoreEngine's tables.
-func (s *ServiceLib) Crash() {
-	s.dead = true
-	cids := make([]uint32, 0, len(s.conns))
-	for cid := range s.conns {
-		cids = append(cids, cid)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
-	for _, cid := range cids {
-		cs := s.conns[cid]
-		s.dropSendQ(cs)
-		if cs.rxHave {
-			s.cfg.Pair.Pages.Free(cs.rxChunk)
-			cs.rxHave, cs.rxFill = false, 0
-		}
-		// Detach the sockets so timers still in flight (shaper retries,
-		// coalescing flushes) find nothing to drive. Chunks the conns
-		// hold as send spans are released when the hypervisor kills the
-		// module's stack (each reference was the span's own).
-		cs.conn = nil
-	}
-	for shard := range s.backlog {
-		s.backlog[shard].Discard(func(e *nqe.Element) {
-			if e.Op == nqe.OpNewData && e.DataLen > 0 {
-				s.cfg.Pair.Pages.Free(shm.Chunk{Offset: e.DataOff})
-			}
-			s.cfg.Tracer.Drop(e.Trace)
-		})
-	}
-	s.connPool = nil
-	s.conns = make(map[uint32]*connState)
-	s.listeners = make(map[uint32]*listenerState)
-}
-
-// Rebind attaches a rebooted module's fresh stack and resumes pumping,
-// draining any jobs that queued up during the outage. Connection IDs
-// stay monotonic across the restart, so stale references from before
-// the crash can never collide with new connections.
-func (s *ServiceLib) Rebind(st *stack.Stack) {
-	s.cfg.Stack = st
-	s.dead = false
-	for shard := range s.cfg.Pair.Shards {
-		s.pump(shard)
-	}
 }
 
 // statusFromErr maps stack errors onto the nqe status space carried

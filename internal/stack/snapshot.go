@@ -2,7 +2,6 @@ package stack
 
 import (
 	"fmt"
-	"sort"
 
 	"netkernel/internal/proto/tcp"
 )
@@ -24,32 +23,15 @@ import (
 // the successor stack's listener, which is simpler and no less correct
 // than migrating half a handshake.
 func (s *Stack) DrainSnapshots() []*tcp.ConnSnapshot {
-	var keys []fourTuple
-	for i := range s.connShards {
-		sh := &s.connShards[i]
-		sh.mu.RLock()
-		for k := range sh.conns {
-			keys = append(keys, k)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessTuple(keys[i], keys[j]) })
 	var snaps []*tcp.ConnSnapshot
-	for _, k := range keys {
-		c, ok := s.getConn(k)
-		if !ok || c == nil {
-			continue
+	s.eachConn(func(c *tcp.Conn) {
+		if c.State() != tcp.StateSynRcvd {
+			if snap := c.Snapshot(); snap != nil {
+				snaps = append(snaps, snap)
+			}
 		}
-		if c.State() == tcp.StateSynRcvd {
-			c.Detach()
-			continue
-		}
-		snap := c.Snapshot()
 		c.Detach()
-		if snap != nil {
-			snaps = append(snaps, snap)
-		}
-	}
+	})
 	return snaps
 }
 

@@ -647,24 +647,7 @@ func (s *Stack) Kill() {
 	}
 	s.dead = true
 	err := fmt.Errorf("stack %s: killed", s.cfg.Name)
-	// Collect before tearing down: each Kill fires the conn's owner
-	// hook, which deletes from the table. Sorted globally for
-	// determinism, regardless of which shard a flow lives on.
-	var keys []fourTuple
-	for i := range s.connShards {
-		sh := &s.connShards[i]
-		sh.mu.RLock()
-		for k := range sh.conns {
-			keys = append(keys, k)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessTuple(keys[i], keys[j]) })
-	for _, k := range keys {
-		if c, ok := s.getConn(k); ok && c != nil {
-			c.Kill(err)
-		}
-	}
+	s.eachConn(func(c *tcp.Conn) { c.Kill(err) })
 	for i := range s.connShards {
 		sh := &s.connShards[i]
 		sh.mu.Lock()
@@ -677,6 +660,28 @@ func (s *Stack) Kill() {
 	}
 	s.pings = make(map[uint32]*pingWaiter)
 	s.arpCache.Reset()
+}
+
+// eachConn calls fn on every connection, in global tuple order whatever
+// shard a flow lives on, so a kill or a migration replays from the
+// seed. The keys are collected first: fn may end the connection, whose
+// owner hook deletes it from the table.
+func (s *Stack) eachConn(fn func(c *tcp.Conn)) {
+	var keys []fourTuple
+	for i := range s.connShards {
+		sh := &s.connShards[i]
+		sh.mu.RLock()
+		for k := range sh.conns {
+			keys = append(keys, k)
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Slice(keys, func(i, j int) bool { return lessTuple(keys[i], keys[j]) })
+	for _, k := range keys {
+		if c, ok := s.getConn(k); ok && c != nil {
+			fn(c)
+		}
+	}
 }
 
 // Dead reports whether Kill has been called.

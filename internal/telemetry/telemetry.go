@@ -1,7 +1,8 @@
 // Package telemetry is the unified observability layer for the
 // NetKernel reproduction: a lock-cheap metrics registry (atomic
-// counters, gauges, and log-bucketed latency histograms) plus per-nqe
-// span tracing stamped in virtual time (trace.go).
+// counters, read-on-snapshot gauges, and log-bucketed latency
+// histograms) plus per-nqe span tracing stamped in virtual time
+// (trace.go).
 //
 // The paper's §5 argues that decoupling the stack from the guest gives
 // the provider a single vantage point for monitoring and diagnosis
@@ -41,15 +42,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// A Gauge is an atomic instantaneous value (may go down).
-type Gauge struct{ v atomic.Int64 }
-
-// Add adds d (may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // A Registry names metrics and snapshots them. Registration is
 // last-wins: re-registering a name replaces the previous metric, which
 // is what NSM restarts want (the fresh stack's counters take over the
@@ -57,7 +49,6 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	gaugeFns map[string]func() int64
 	histos   map[string]*Histogram
 }
@@ -66,7 +57,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() int64),
 		histos:   make(map[string]*Histogram),
 	}
@@ -98,22 +88,8 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.mu.Unlock()
 }
 
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// GaugeFunc publishes a read-on-snapshot gauge. The function is called
+// GaugeFunc publishes a read-on-snapshot gauge, an instantaneous value
+// that may go down. The function is called
 // during Snapshot with the registry lock held; it must not call back
 // into the registry.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
@@ -157,7 +133,7 @@ func (r *Registry) CounterValue(name string) uint64 {
 }
 
 // Names returns the sorted names of every registered metric, across
-// all four kinds. Restart-stability tests compare the name set before
+// all three kinds. Restart-stability tests compare the name set before
 // and after an NSM reboot: last-wins registration must swap metric
 // owners without growing or shrinking it.
 func (r *Registry) Names() []string {
@@ -165,11 +141,8 @@ func (r *Registry) Names() []string {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.histos))
+	names := make([]string, 0, len(r.counters)+len(r.gaugeFns)+len(r.histos))
 	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
 		names = append(names, name)
 	}
 	for name := range r.gaugeFns {
@@ -240,8 +213,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot
 }
 
-// Snapshot reads every metric. Counters and gauges are atomic loads;
-// gauge funcs run under the registry lock. Concurrent hot-path updates
+// Snapshot reads every metric. Counters are atomic loads; gauge funcs
+// run under the registry lock. Concurrent hot-path updates
 // keep going — a snapshot is a consistent-enough view, not a barrier.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
@@ -256,9 +229,6 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Load()
 	}
 	for name, fn := range r.gaugeFns {
 		s.Gauges[name] = fn()

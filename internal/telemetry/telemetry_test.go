@@ -16,10 +16,11 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(-7)
-	g.Add(10)
-	if got := g.Load(); got != 3 {
+	r := NewRegistry()
+	depth := int64(-7)
+	r.GaugeFunc("depth", func() int64 { return depth })
+	depth += 10
+	if got := r.Snapshot().Gauge("depth"); got != 3 {
 		t.Fatalf("gauge = %d, want 3", got)
 	}
 }
@@ -31,7 +32,7 @@ func TestRegistryScopesAndSnapshot(t *testing.T) {
 	scope.Counter("ops", &owned)
 	owned.Add(5)
 	r.Counter("loose").Inc()
-	r.Gauge("depth").Set(9)
+	r.GaugeFunc("depth", func() int64 { return 9 })
 	r.GaugeFunc("derived", func() int64 { return 11 })
 	scope.Child("q").GaugeFunc("len", func() int64 { return 3 })
 	r.Histogram("lat").Observe(100)
@@ -347,6 +348,3 @@ func TestTracerCaps(t *testing.T) {
 		t.Errorf("active map grew to %d, cap %d", n, traceCap)
 	}
 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
