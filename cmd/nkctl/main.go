@@ -1,7 +1,6 @@
 // Command nkctl boots a demonstration NetKernel cloud and reports on
-// it like an operator console: inventory, live traffic, the pingmesh
-// health matrix, per-tenant SLA compliance, and the §5 pricing models
-// applied to metered usage.
+// it like an operator console: inventory, live traffic, per-tenant SLA
+// compliance, and the §5 pricing models applied to metered usage.
 //
 // Usage:
 //
@@ -49,7 +48,6 @@ func main() {
 type cloud struct {
 	c       *netkernel.Cluster
 	h1, h2  *netkernel.Host
-	server  *netkernel.VM
 	vms     []*netkernel.VM
 	meters  []*pricing.Meter
 	started time.Duration
@@ -106,7 +104,7 @@ func buildCloud(traceEvery int) *cloud {
 		vms = append(vms, vm)
 	}
 	c.Run(500 * time.Millisecond) // boots
-	w := &cloud{c: c, h1: h1, h2: h2, server: server, vms: vms}
+	w := &cloud{c: c, h1: h1, h2: h2, vms: vms}
 	w.meters = startTraffic(c, server, vms)
 	return w
 }
@@ -114,7 +112,7 @@ func buildCloud(traceEvery int) *cloud {
 func demo() {
 	fmt.Println("nkctl: booting a two-host NetKernel cloud")
 	w := buildCloud(0)
-	c, h1, h2, server, vms := w.c, w.h1, w.h2, w.server, w.vms
+	c, h1, h2, vms := w.c, w.h1, w.h2, w.vms
 
 	fmt.Printf("\ninventory: host1 %d VMs / %d NSMs, host2 %d VMs / %d NSMs\n",
 		h1.VMs(), h1.NSMs(), h2.VMs(), h2.NSMs())
@@ -122,15 +120,6 @@ func demo() {
 		fmt.Printf("  nsm%-3d form=%-9s cc=%-6s tenants=%d mem=%dMB isolation=%s\n",
 			n.ID, n.Form, n.CC, n.Tenants(), n.Profile.MemoryMB, n.Profile.Isolation)
 	})
-
-	// Pingmesh across the provider-controlled stacks.
-	mesh := mgmt.NewMesh(mgmt.MeshConfig{
-		Clock: c.Clock(), Interval: 200 * time.Millisecond, Timeout: 100 * time.Millisecond,
-	}, []mgmt.MeshNode{
-		{Name: "host1/nsm", Stack: vms[0].NSM.Stack, IP: vms[0].IP},
-		{Name: "host2/nsm", Stack: server.NSM.Stack, IP: server.IP},
-	})
-	mesh.Start()
 
 	// Registry-fed SLA trackers (the registry samples each tenant's
 	// ServiceLib ingress; no hand-fed closures).
@@ -142,17 +131,6 @@ func demo() {
 	}
 
 	c.Run(*duration)
-	mesh.Stop()
-
-	fmt.Println("\npingmesh health matrix:")
-	for _, r := range mesh.Report() {
-		status := "up"
-		if r.Down {
-			status = "DOWN"
-		}
-		fmt.Printf("  %-12s → %-12s %-5s probes=%d lost=%d p50=%v p99=%v\n",
-			r.From, r.To, status, r.Sent, r.Lost, r.RTTp50, r.RTTp99)
-	}
 
 	fmt.Println("\nper-tenant usage and invoices:")
 	models := pricing.DefaultModels()

@@ -122,8 +122,9 @@ func TestPoisonOverwritesAndCatchesDoubleRelease(t *testing.T) {
 	Put(g)
 }
 
-// The pool is shared by every simulated host in the process, and under a
-// wall-clock domain those run on their own goroutines.
+// The pool is shared by every simulated host in the process, and
+// nothing stops two worlds of one process from running on their own
+// goroutines.
 func TestConcurrentGetPut(t *testing.T) {
 	drain()
 	live := Live()

@@ -114,7 +114,8 @@ type Stats struct {
 
 // counters is the live atomic form of Stats: management-plane readers
 // (VM.CopyReport, registry snapshots) may run on another goroutine
-// while the guest issues ops under a wall-clock domain.
+// than the loop the guest issues ops on, as the -race tests' monitors
+// do.
 type counters struct {
 	opsIssued, completions, events         telemetry.Counter
 	bytesSent, bytesReceived, creditStalls telemetry.Counter
@@ -860,7 +861,7 @@ func (p *Poller) Add(fd int32) error {
 	if mask != 0 {
 		g.pollerNotify(s, mask)
 		// Deliver on the executor, not synchronously under the caller.
-		g.cfg.Clock.Post(func() { g.deliverWakeups() })
+		g.cfg.Clock.AfterFunc(0, g.deliverWakeups)
 	}
 	return nil
 }

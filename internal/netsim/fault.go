@@ -135,9 +135,6 @@ func (l *Link) drawFate(frameBits int) frameFate {
 // up. Must be called from the clock's executor.
 func (l *Link) SetDown(down bool) { l.down = down }
 
-// Down reports whether the link is administratively down.
-func (l *Link) Down() bool { return l.down }
-
 // ScheduleFlap schedules the link to go down at virtual time `at` from
 // now and heal after `outage`. Flaps may overlap; the link is simply
 // down whenever any scheduled outage covers the current time is not

@@ -158,7 +158,7 @@ func TestLinkFlapDropsAndHeals(t *testing.T) {
 	if s.TxFrames == 0 || s.TxFrames+s.DownDrops != 30 {
 		t.Fatalf("TxFrames=%d DownDrops=%d, want them to sum to 30", s.TxFrames, s.DownDrops)
 	}
-	if l.Down() {
+	if l.down {
 		t.Fatal("link still down after scheduled heal")
 	}
 }

@@ -9,8 +9,7 @@
 // Both are link configurations here; see the presets in profiles.go.
 //
 // Everything in this package runs on a sim.Clock, so the fabric is
-// deterministic in the virtual-time domain and usable in the wall-clock
-// domain.
+// deterministic: a seed replays a run exactly.
 package netsim
 
 import (

@@ -324,9 +324,6 @@ func (s Slot) DataLen() uint32 { return binary.LittleEndian.Uint32(s[offDataLen:
 // Trace returns the telemetry span id (0 = untraced).
 func (s Slot) Trace() uint32 { return binary.LittleEndian.Uint32(s[offTrace:]) }
 
-// Arg0 returns the first operation argument.
-func (s Slot) Arg0() uint64 { return binary.LittleEndian.Uint64(s[offArg0:]) }
-
 // Arg1 returns the second operation argument.
 func (s Slot) Arg1() uint64 { return binary.LittleEndian.Uint64(s[offArg1:]) }
 

@@ -145,10 +145,10 @@ type Meter struct {
 	bytes   func() (out, in uint64)
 	conns   func() int
 
-	baseBusy          time.Duration
-	baseOut, baseIn   uint64
-	peakConns         int
-	sampling, stopped bool
+	baseBusy        time.Duration
+	baseOut, baseIn uint64
+	peakConns       int
+	sampling        bool
 }
 
 // NewMeter starts metering at the current instant.
@@ -172,9 +172,6 @@ func (m *Meter) StartSampling(every time.Duration) {
 	m.sampling = true
 	var tick func()
 	tick = func() {
-		if m.stopped {
-			return
-		}
 		if n := m.conns(); n > m.peakConns {
 			m.peakConns = n
 		}
@@ -182,9 +179,6 @@ func (m *Meter) StartSampling(every time.Duration) {
 	}
 	tick()
 }
-
-// Stop halts sampling.
-func (m *Meter) Stop() { m.stopped = true }
 
 // Snapshot returns the usage accumulated since the meter started.
 func (m *Meter) Snapshot() Usage {

@@ -110,7 +110,6 @@ func TestMeterAccumulates(t *testing.T) {
 	loop.RunFor(time.Second)
 	conns = 100 // dropped after the peak
 	loop.RunFor(time.Second)
-	m.Stop()
 
 	u := m.Snapshot()
 	if u.Period != 2*time.Second {

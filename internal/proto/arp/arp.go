@@ -172,7 +172,7 @@ func (c *Cache) armRetry(ip ipv4.Addr, p *pendingResolution) {
 		}
 		if p.attempts >= MaxRequests {
 			// Give up: tell the waiters; upper layers' own timers
-			// (TCP RTO, ping timeout) surface the failure.
+			// (TCP's RTO) surface the failure.
 			delete(c.pending, ip)
 			p.notify(ethernet.MAC{}, false)
 			return

@@ -674,8 +674,8 @@ func TestByteRing(t *testing.T) {
 // SACKs the final data segment, and a "sacked" FIN is skipped by every
 // retransmission path while trySend refuses to run post-FIN — the close
 // wedges into a no-op RTO loop until the backoff limit tears the
-// connection down. Reordered or lost closing segments (routine in the
-// wall-clock domain) trigger exactly that shape.
+// connection down. Reordered or lost closing segments (routine on a
+// lossy link) trigger exactly that shape.
 func TestLostFINRetransmitsDespiteSACK(t *testing.T) {
 	n := newTestNet(t)
 	var droppedData, droppedFIN bool

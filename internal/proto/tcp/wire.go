@@ -3,9 +3,8 @@
 //
 // This is the "network stack" a Network Stack Module hosts: the paper's
 // prototype ports the Linux 4.9 TCP/IP stack including BBR (§4.1); here
-// the equivalent from-scratch stack runs against a sim.Clock so it works
-// in virtual and wall-clock time (see DESIGN.md §2 for the
-// substitution).
+// the equivalent from-scratch stack runs against a sim.Clock, in virtual
+// time (see DESIGN.md §2 for the substitution).
 package tcp
 
 import (

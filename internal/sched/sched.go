@@ -28,15 +28,6 @@ type Shaper interface {
 	Refund(n int)
 }
 
-// Unlimited is a Shaper that always grants.
-type Unlimited struct{}
-
-// Take implements Shaper.
-func (Unlimited) Take(int) (bool, time.Duration) { return true, 0 }
-
-// Refund implements Shaper.
-func (Unlimited) Refund(int) {}
-
 // TokenBucket enforces an average rate with a burst allowance.
 type TokenBucket struct {
 	clock  sim.Clock
@@ -61,9 +52,6 @@ func NewTokenBucket(clock sim.Clock, bytesPerSec float64, burst int) *TokenBucke
 	}
 	return &TokenBucket{clock: clock, rate: bytesPerSec, burst: b, tokens: b, last: clock.Now()}
 }
-
-// Rate returns the configured rate in bytes/sec.
-func (tb *TokenBucket) Rate() float64 { return tb.rate }
 
 func (tb *TokenBucket) refill() {
 	now := tb.clock.Now()

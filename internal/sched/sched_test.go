@@ -71,15 +71,6 @@ func TestTokenBucketBurstCap(t *testing.T) {
 	}
 }
 
-func TestUnlimitedShaper(t *testing.T) {
-	var s Shaper = Unlimited{}
-	for i := 0; i < 100; i++ {
-		if ok, _ := s.Take(1 << 30); !ok {
-			t.Fatal("Unlimited denied")
-		}
-	}
-}
-
 func TestDRRWeightedShares(t *testing.T) {
 	d := NewDRR(1500)
 	heavy := d.AddFlow(2)

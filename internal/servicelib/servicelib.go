@@ -87,7 +87,7 @@ type Stats struct {
 
 // counters is the live atomic form of Stats: management-plane readers
 // (VM.CopyReport, registry snapshots) may run on another goroutine
-// while the module pumps under a wall-clock domain.
+// than the loop the module pumps on, as the -race tests' monitors do.
 type counters struct {
 	jobsProcessed, dataIn, dataOut telemetry.Counter
 	conns, accepts                 telemetry.Counter

@@ -26,10 +26,9 @@ type Chunk struct {
 // and, when that is empty, from a bump cursor over the chunks never
 // handed out. The chunks ever handed out are therefore exactly the
 // lowest peak-outstanding indexes, and a pair backs the units that peak
-// spans and no more. Production callers allocate from one goroutine
-// (the event loop, or a RealClock callback under its lock), so the
-// mutex is never contended there; it keeps the allocator safe for any
-// concurrent caller.
+// spans and no more. Production callers allocate from one goroutine,
+// the event loop's, so the mutex is never contended there; it keeps the
+// allocator safe for any concurrent caller.
 //
 // Chunks carry a reference count: Alloc hands out a chunk with one
 // reference, Retain adds one (e.g. while a TCP send buffer holds a span

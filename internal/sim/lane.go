@@ -27,11 +27,9 @@ import (
 // through to the Loop's ordinary insert, so correctness never rests on
 // the caller's FIFO claim — only the saving does.
 //
-// The owner embeds a Lane, calls Init once and never copies it. On a
-// Clock that is not a *Loop a lane passes everything straight through.
+// The owner embeds a Lane, calls Init once and never copies it.
 type Lane struct {
-	clock Clock
-	loop  *Loop // nil when clock is not a Loop
+	loop *Loop
 	// busy says the lane's head is pending, in loop slot `slot`; tail is
 	// when the event queued last comes due.
 	busy bool
@@ -59,11 +57,8 @@ func (ln *Lane) ev(k int) *laneEvent {
 	return &ln.q[k]
 }
 
-// Init binds the lane to its clock.
-func (ln *Lane) Init(clock Clock) {
-	ln.clock = clock
-	ln.loop, _ = clock.(*Loop)
-}
+// Init binds the lane to its clock, which must be a *Loop.
+func (ln *Lane) Init(clock Clock) { ln.loop = clock.(*Loop) }
 
 // AfterFrame schedules h.HandleFrame(frame, arg) the way
 // Clock.AfterFrame does.
@@ -72,7 +67,7 @@ func (ln *Lane) AfterFrame(d time.Duration, h FrameHandler, frame []byte, arg ui
 		c.handler, c.frame, c.arg = h, frame, arg
 		return
 	}
-	ln.clock.AfterFrame(d, h, frame, arg)
+	ln.loop.AfterFrame(d, h, frame, arg)
 }
 
 // AfterFunc schedules fn the way Clock.AfterFunc does. The Handle's Stop
@@ -82,19 +77,15 @@ func (ln *Lane) AfterFunc(d time.Duration, fn func()) Handle {
 		c.fn = fn
 		return Handle{loop: ln.loop, seq: ln.loop.seq, slot: ln.slot}
 	}
-	return ln.clock.AfterFunc(d, fn)
+	return ln.loop.AfterFunc(d, fn)
 }
 
 // push queues an event d from now at the lane's tail and returns its
 // empty callback for the caller to fill in, valid until the next push.
-// It returns nil, having drawn no sequence number, when the event is not
-// the lane's to hold: the clock is not a Loop, or the event is due
-// before the lane's tail.
+// It returns nil, having drawn no sequence number, when the event is
+// due before the lane's tail and so is not the lane's to hold.
 func (ln *Lane) push(d time.Duration) *callback {
 	l := ln.loop
-	if l == nil {
-		return nil
-	}
 	if d < 0 {
 		d = 0
 	}

@@ -150,34 +150,3 @@ func TestLaneEarlyEventFallsThrough(t *testing.T) {
 		t.Fatalf("the early event ran at %v, want 7ms", rec.at[2])
 	}
 }
-
-// Off the Loop a lane is the clock.
-func TestLaneOnRealClock(t *testing.T) {
-	c := NewRealClock()
-	var lane Lane
-	lane.Init(c)
-	done := make(chan uint64, 2)
-	lane.AfterFrame(time.Millisecond, argChan(done), nil, 7)
-	lane.AfterFunc(time.Millisecond, func() { done <- 8 })
-	stopped := lane.AfterFunc(time.Hour, func() { done <- 9 })
-	if !stopped.Stop() {
-		t.Fatal("Stop of a pending wall-clock event reported false")
-	}
-	sum := uint64(0)
-	for i := 0; i < 2; i++ {
-		select {
-		case v := <-done:
-			sum += v
-		case <-time.After(2 * time.Second):
-			t.Fatal("lane event never ran on the wall clock")
-		}
-	}
-	if sum != 15 {
-		t.Fatalf("events delivered %d, want 7 and 8", sum)
-	}
-}
-
-// argChan sends each frame event's arg on the channel.
-type argChan chan uint64
-
-func (p argChan) HandleFrame(_ []byte, arg uint64) { p <- arg }

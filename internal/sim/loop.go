@@ -99,13 +99,6 @@ func (l *Loop) AfterFrame(d time.Duration, h FrameHandler, frame []byte, arg uin
 	s.handler, s.frame, s.arg = h, frame, arg
 }
 
-// Post schedules fn to run at the current instant, after events already
-// pending for it.
-func (l *Loop) Post(fn func()) {
-	_, s := l.schedule(0)
-	s.fn = fn
-}
-
 // schedule draws the next sequence number and queues an empty event d
 // from now (negative d means now). The returned slot pointer is valid
 // until the next schedule.

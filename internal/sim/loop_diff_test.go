@@ -122,7 +122,7 @@ func (s *newSide) live() int {
 }
 func (s *newSide) step() bool      { return s.l.Step() }
 func (s *newSide) runUntil(t Time) { s.l.RunUntil(t) }
-func (s *newSide) post(fn func())  { s.l.Post(fn) }
+func (s *newSide) post(fn func())  { s.l.AfterFunc(0, fn) }
 func (s *newSide) after(d time.Duration, fn func()) func() bool {
 	return s.l.AfterFunc(d, fn).Stop
 }
@@ -408,9 +408,9 @@ type countFrames struct{ n int }
 func (c *countFrames) HandleFrame([]byte, uint64) { c.n++ }
 
 // TestAllocsEventCore gates the event core's allocation-free paths: a
-// timer's Reset and fire, a frame hop's schedule and run, a Post of a
-// func the caller already holds, and the same on a lane — schedule, run
-// and Stop, at the head and behind it.
+// timer's Reset and fire, a frame hop's schedule and run, a zero-delay
+// AfterFunc of a func the caller already holds, and the same on a lane —
+// schedule, run and Stop, at the head and behind it.
 func TestAllocsEventCore(t *testing.T) {
 	l := NewLoop()
 	fired := 0
@@ -426,7 +426,7 @@ func TestAllocsEventCore(t *testing.T) {
 	// Grow the heap, the slot table and the lane's ring first, as any
 	// running world has.
 	for i := 0; i < 64; i++ {
-		l.Post(posted)
+		l.AfterFunc(0, posted)
 		lane.AfterFunc(0, posted)
 	}
 	l.Run()
@@ -440,8 +440,8 @@ func TestAllocsEventCore(t *testing.T) {
 			l.AfterFrame(time.Microsecond, frames, frame, 7)
 			l.Step()
 		},
-		"Post(cached)": func() {
-			l.Post(posted)
+		"AfterFunc(0)+run": func() {
+			l.AfterFunc(0, posted)
 			l.Step()
 		},
 		"AfterFunc+Stop": func() {

@@ -38,11 +38,13 @@ func TestLoopSameInstantFIFO(t *testing.T) {
 	}
 }
 
+// A callback posted from a callback with zero delay runs at the
+// current instant.
 func TestLoopPostRunsAtCurrentInstant(t *testing.T) {
 	l := NewLoop()
 	var at Time = -1
 	l.AfterFunc(5*time.Millisecond, func() {
-		l.Post(func() { at = l.Now() })
+		l.AfterFunc(0, func() { at = l.Now() })
 	})
 	l.Run()
 	if at != Time(5*time.Millisecond) {
@@ -191,54 +193,6 @@ func TestLoopProcessedCount(t *testing.T) {
 	l.Run()
 	if l.Processed() != 7 {
 		t.Fatalf("Processed = %d, want 7", l.Processed())
-	}
-}
-
-func TestRealClockAfterFunc(t *testing.T) {
-	c := NewRealClock()
-	done := make(chan Time, 1)
-	c.AfterFunc(time.Millisecond, func() { done <- c.Now() })
-	select {
-	case at := <-done:
-		if at < Time(time.Millisecond) {
-			t.Fatalf("fired early: %v", at)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("timer never fired")
-	}
-}
-
-func TestRealClockSerialization(t *testing.T) {
-	c := NewRealClock()
-	counter := 0
-	done := make(chan struct{})
-	const n = 100
-	for i := 0; i < n; i++ {
-		c.Post(func() {
-			counter++ // safe only if Post serializes
-			if counter == n {
-				close(done)
-			}
-		})
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatalf("only %d of %d callbacks ran", counter, n)
-	}
-}
-
-func TestRealClockStop(t *testing.T) {
-	c := NewRealClock()
-	fired := make(chan struct{}, 1)
-	tm := c.AfterFunc(50*time.Millisecond, func() { fired <- struct{}{} })
-	if !tm.Stop() {
-		t.Fatal("Stop reported false for pending timer")
-	}
-	select {
-	case <-fired:
-		t.Fatal("stopped timer fired")
-	case <-time.After(100 * time.Millisecond):
 	}
 }
 

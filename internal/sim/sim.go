@@ -1,12 +1,12 @@
 // Package sim provides the time substrate shared by every NetKernel
 // component: a Clock interface, a deterministic discrete-event loop that
-// implements it in virtual time, a wall-clock implementation, and a
-// deterministic random number generator.
+// implements it in virtual time, and a deterministic random number
+// generator.
 //
 // All protocol code (the TCP/IP stack, the CoreEngine, the simulated
-// network fabric) is written against Clock, so the same state machines run
-// unchanged in the virtual-time domain (benchmark reproduction,
-// deterministic tests) and in the wall-clock domain (interactive use).
+// network fabric) is written against Clock, and every run — benchmark,
+// experiment, test — drives it on a Loop, so a seed replays a run
+// exactly.
 //
 // Callbacks scheduled on a Clock are serialized: no two callbacks of the
 // same Clock ever run concurrently, so state guarded by a Clock needs no
@@ -15,8 +15,8 @@ package sim
 
 import "time"
 
-// Time is an instant in nanoseconds since the clock's epoch (the start of
-// the simulation or the creation of the wall clock).
+// Time is an instant in nanoseconds since the clock's epoch, the start
+// of the simulation.
 type Time int64
 
 // Duration converts a Time to the time.Duration since the epoch.
@@ -53,8 +53,4 @@ type Clock interface {
 	// AfterFrame schedules h.HandleFrame(frame, arg) the way AfterFunc
 	// schedules fn.
 	AfterFrame(d time.Duration, h FrameHandler, frame []byte, arg uint64)
-
-	// Post schedules fn to run on the clock's executor as soon as
-	// possible. It is safe to call from any goroutine.
-	Post(fn func())
 }

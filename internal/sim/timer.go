@@ -6,7 +6,6 @@ import "time"
 // value: copying it is free and the zero Handle names nothing.
 type Handle struct {
 	loop *Loop
-	real *realTimer
 	seq  uint64
 	slot int32
 }
@@ -15,24 +14,12 @@ type Handle struct {
 // pending: false means it already ran (or has begun running) or was
 // already stopped.
 func (h Handle) Stop() bool {
-	switch {
-	case h.loop != nil:
-		return h.loop.cancel(h.slot, h.seq)
-	case h.real != nil:
-		return h.real.stop()
-	}
-	return false
+	return h.loop != nil && h.loop.cancel(h.slot, h.seq)
 }
 
 // Pending reports whether the callback is still waiting to run.
 func (h Handle) Pending() bool {
-	switch {
-	case h.loop != nil:
-		return h.loop.pending(h.slot, h.seq)
-	case h.real != nil:
-		return !h.real.done.Load()
-	}
-	return false
+	return h.loop != nil && h.loop.pending(h.slot, h.seq)
 }
 
 // An AfterFuncer schedules one-shot callbacks: a Clock, or a Lane.

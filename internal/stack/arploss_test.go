@@ -12,6 +12,13 @@ import (
 	"netkernel/internal/sim"
 )
 
+// errPending marks an OnEstablished callback that has not fired yet.
+var errPending = &pendingError{}
+
+type pendingError struct{}
+
+func (*pendingError) Error() string { return "pending" }
+
 // TestConnectSurvivesLostARP drops the very first frame of a
 // connection attempt — the ARP request — and verifies resolution
 // retries rescue the handshake (previously a permanent stall).

@@ -9,7 +9,6 @@ import (
 	"netkernel/internal/netsim"
 	"netkernel/internal/proto/arp"
 	"netkernel/internal/proto/ethernet"
-	"netkernel/internal/proto/icmp"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
 	"netkernel/internal/sim"
@@ -85,8 +84,8 @@ func checkFrames(t *testing.T, name string, got, want [][]byte) {
 
 // The in-place build puts exactly the bytes on the wire that
 // Header.Marshal → ipv4.Fragment → Ethernet header does, for every kind
-// of segment the connection emits and for ICMP, with the pool handing
-// out dirty buffers. A datagram larger than the MTU is refused.
+// of segment the connection emits, with the pool handing out dirty
+// buffers. A datagram larger than the MTU is refused.
 func TestFrameBytesMatchThreeCopyOracle(t *testing.T) {
 	poisonFrames(t)
 	payload := make([]byte, 1460)
@@ -118,11 +117,6 @@ func TestFrameBytesMatchThreeCopyOracle(t *testing.T) {
 		s.sendTCP(ipA, ipB, &h, seg.payload, seg.tos)
 		checkFrames(t, seg.name, *sent, want)
 	}
-
-	want := oracleFrames(t, s, ipv4.ProtoICMP, 0, icmp.EchoRequest(1, 1, payload[:56]).Marshal())
-	*sent = nil
-	s.Ping(ipB, payload[:56], time.Second, func(time.Duration, error) {})
-	checkFrames(t, "icmp echo", *sent, want)
 
 	// The stack does not fragment: a datagram larger than the MTU is
 	// refused, and its frame goes back to the pool unsent.
@@ -170,7 +164,9 @@ func TestKillDropsFramesQueuedOnCPU(t *testing.T) {
 	for port := uint16(81); port < 84; port++ {
 		s.DeliverFrame(synTo(t, port))
 	}
-	s.Ping(ipB, []byte("probe"), time.Second, func(time.Duration, error) {}) // ...and tx
+	if _, err := s.Dial(tcp.AddrPort{Addr: ipB, Port: 80}, SocketOptions{}); err != nil { // ...and tx
+		t.Fatal(err)
+	}
 	if st := s.Stats(); st.FramesIn != 3 || st.FramesOut != 1 || sent != 0 {
 		t.Fatalf("before the kill: frames in %d, out %d, on the wire %d; want 3, 1, 0 (all queued)", st.FramesIn, st.FramesOut, sent)
 	}
@@ -185,7 +181,7 @@ func TestKillDropsFramesQueuedOnCPU(t *testing.T) {
 		t.Errorf("queued rx frames: dropped_dead %d, dropped_no_socket %d, tcp_segs_in %d; want 3, 0, 0", st.DroppedDead, st.DroppedNoSocket, st.TCPSegsIn)
 	}
 	if st.IPOut != 1 {
-		t.Errorf("ip_out %d, want 1 (the echo request alone, no RST from the grave)", st.IPOut)
+		t.Errorf("ip_out %d, want 1 (the SYN alone, no RST from the grave)", st.IPOut)
 	}
 	if n := framepool.Live() - live; n != 0 {
 		t.Errorf("%d frames not released", n)
@@ -379,10 +375,6 @@ func frameKind(t *testing.T, f []byte) string {
 		case len(payload) == 0 && h.Opts.NumSACK == 3:
 			return "pure ACK with 3 SACK blocks"
 		}
-	case ipv4.ProtoICMP:
-		if m, err := icmp.Parse(seg); err == nil && full && m.Type == icmp.TypeEchoRequest {
-			return "MTU-sized ICMP echo"
-		}
 	}
 	return ""
 }
@@ -394,7 +386,6 @@ func TestEveryStackFrameIsPooled(t *testing.T) {
 	want := []string{
 		"ARP request", "ARP reply", "SYN with every option", "SYN-ACK with every option",
 		"full-MSS data segment", "pure ACK with 3 SACK blocks", "RST",
-		"MTU-sized ICMP echo",
 	}
 	seen := map[string]int{}
 	dataSegs := 0
@@ -434,8 +425,6 @@ func TestEveryStackFrameIsPooled(t *testing.T) {
 	if _, err := p.a.Dial(tcp.AddrPort{Addr: ipB, Port: 81}, SocketOptions{}); err != nil {
 		t.Fatal(err) // nobody listens on 81: b answers RST
 	}
-	mtuPayload := make([]byte, ethernet.MTU-ipv4.HeaderLen-icmp.HeaderLen)
-	p.a.Ping(ipB, mtuPayload, time.Second, func(time.Duration, error) {})
 	p.loop.RunFor(time.Second)
 
 	for _, kind := range want {

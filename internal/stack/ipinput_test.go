@@ -8,7 +8,6 @@ import (
 	"netkernel/internal/framepool"
 	"netkernel/internal/proto/arp"
 	"netkernel/internal/proto/ethernet"
-	"netkernel/internal/proto/icmp"
 	"netkernel/internal/proto/inet"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/proto/tcp"
@@ -34,9 +33,15 @@ func ipFrame(pkt []byte) []byte {
 	return f
 }
 
+// echoRequest is an ICMP echo request (type 8, id 1, seq 1) carrying
+// "ping", checksum included: a protocol the stack does not speak.
+var echoRequest = []byte{0x8, 0x0, 0x19, 0x2d, 0x0, 0x1, 0x0, 0x1, 'p', 'i', 'n', 'g'}
+
 // A fragment is dropped and counted, never held: the stack neither
 // fragments nor reassembles, so first fragments a peer never completes
-// pile up no state, and the segment inside one reaches no transport.
+// pile up no state, and the segment inside one reaches no transport. A
+// packet of a protocol other than TCP — an ICMP echo request — is
+// counted as dropped the same way, and never answered.
 func TestFragmentsDroppedNotHoarded(t *testing.T) {
 	s, sent := captureStack(t, 1500)
 	syn := tcp.Header{SrcPort: 40000, DstPort: 80, Seq: 1, Flags: tcp.FlagSYN, Window: 1000}
@@ -49,15 +54,20 @@ func TestFragmentsDroppedNotHoarded(t *testing.T) {
 	}
 	last := ipv4.Header{ID: 1, FragOff: 185, TTL: 64, Proto: ipv4.ProtoTCP, Src: ipB, Dst: ipA}
 	s.DeliverFrame(ipFrame(ipPacket(last, make([]byte, 64))))
+	echo := ipv4.Header{ID: 2, TTL: 64, Proto: ipv4.ProtoICMP, Src: ipB, Dst: ipA}
+	s.DeliverFrame(ipFrame(ipPacket(echo, echoRequest)))
 
 	if n := s.Stats().DroppedBadPacket - before; n != 1001 {
 		t.Errorf("dropped_bad_packet rose by %d, want 1001", n)
+	}
+	if n := s.Stats().DroppedNoSocket; n != 1 {
+		t.Errorf("dropped_no_socket is %d after an ICMP echo request, want 1", n)
 	}
 	if n := framepool.Live() - live; n != 0 {
 		t.Errorf("%d frames not released", n)
 	}
 	if len(*sent) != 0 || s.Stats().TCPSegsIn != 0 {
-		t.Errorf("a fragment reached TCP: %d frames answered, %d segments in", len(*sent), s.Stats().TCPSegsIn)
+		t.Errorf("a fragment or the echo request was answered or reached TCP: %d frames answered, %d segments in", len(*sent), s.Stats().TCPSegsIn)
 	}
 }
 
@@ -76,7 +86,7 @@ func FuzzDeliverFrame(f *testing.F) {
 	frag.Flags = ipv4.FlagMoreFrags
 	f.Add(ipPacket(frag, syn.Marshal(ipB, ipA, nil)))
 	h.Proto = ipv4.ProtoICMP
-	f.Add(ipPacket(h, icmp.EchoRequest(1, 1, []byte("ping")).Marshal()))
+	f.Add(ipPacket(h, echoRequest))
 	req := make([]byte, ethernet.HeaderLen+arp.PacketLen)
 	(&ethernet.Header{Dst: ethernet.Broadcast, Src: macB, Type: ethernet.TypeARP}).Marshal(req)
 	(&arp.Packet{Op: arp.OpRequest, SenderMAC: macB, SenderIP: ipB, TargetIP: ipA}).Marshal(req[ethernet.HeaderLen:])

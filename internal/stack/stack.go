@@ -1,7 +1,7 @@
 // Package stack assembles the protocol layers into a host network
 // stack: interfaces with ARP resolution, IPv4 input/output without
-// fragmentation, ICMP echo, and TCP connections with pluggable
-// congestion control.
+// fragmentation, and TCP connections with pluggable congestion control.
+// A packet of any other protocol is counted as dropped.
 //
 // A Stack instance is exactly what a Network Stack Module hosts (the
 // paper ports Linux 4.9's stack into its NSMs, §4.1) and also what the
@@ -83,7 +83,6 @@ type Stats struct {
 	FramesIn, FramesOut   uint64
 	IPIn, IPOut           uint64
 	TCPSegsIn             uint64
-	ICMPIn                uint64
 	DroppedNoRoute        uint64
 	DroppedBadPacket      uint64
 	DroppedNoSocket       uint64
@@ -111,13 +110,13 @@ type Stats struct {
 // counters is the live, atomically updated form of Stats. The stack's
 // frame path runs on netsim CPU cores and its counters are read by
 // management-plane callers (VM.CopyReport, Snapshot) that may sit on a
-// different goroutine under a wall-clock domain, so every hot-path
-// counter is an atomic telemetry.Counter rather than a plain field.
+// different goroutine than the loop, as the -race tests' monitors do,
+// so every hot-path counter is an atomic telemetry.Counter rather than
+// a plain field.
 type counters struct {
 	framesIn, framesOut      telemetry.Counter
 	ipIn, ipOut              telemetry.Counter
 	tcpSegsIn                telemetry.Counter
-	icmpIn                   telemetry.Counter
 	droppedNoRoute           telemetry.Counter
 	droppedBadPacket         telemetry.Counter
 	droppedNoSocket          telemetry.Counter
@@ -134,7 +133,6 @@ func (c *counters) register(m *telemetry.Scope) {
 	m.Counter("ip_in", &c.ipIn)
 	m.Counter("ip_out", &c.ipOut)
 	m.Counter("tcp_segs_in", &c.tcpSegsIn)
-	m.Counter("icmp_in", &c.icmpIn)
 	m.Counter("dropped_no_route", &c.droppedNoRoute)
 	m.Counter("dropped_bad_packet", &c.droppedBadPacket)
 	m.Counter("dropped_no_socket", &c.droppedNoSocket)
@@ -151,7 +149,6 @@ func (c *counters) snapshot() Stats {
 		FramesIn: c.framesIn.Load(), FramesOut: c.framesOut.Load(),
 		IPIn: c.ipIn.Load(), IPOut: c.ipOut.Load(),
 		TCPSegsIn:        c.tcpSegsIn.Load(),
-		ICMPIn:           c.icmpIn.Load(),
 		DroppedNoRoute:   c.droppedNoRoute.Load(),
 		DroppedBadPacket: c.droppedBadPacket.Load(),
 		DroppedNoSocket:  c.droppedNoSocket.Load(),
@@ -176,11 +173,9 @@ type Stack struct {
 	// management-plane readers (ConnCount, Conns) on other goroutines.
 	connShards []connShard
 	listeners  map[uint16]*listenEntry
-	pings      map[uint32]*pingWaiter
 
 	ipID     uint16
 	nextPort uint16
-	nextPing uint16
 	gateway  ipv4.Addr
 	maskBits int
 	stats    counters
@@ -280,7 +275,6 @@ func New(cfg Config) *Stack {
 		arpCache:   arp.NewCache(cfg.Clock, 0),
 		connShards: make([]connShard, nshards),
 		listeners:  make(map[uint16]*listenEntry),
-		pings:      make(map[uint32]*pingWaiter),
 		nextPort:   49152,
 	}
 	for i := range s.connShards {
@@ -542,14 +536,11 @@ func (s *Stack) processIPv4(pkt []byte) {
 		s.stats.droppedBadPacket.Inc()
 		return
 	}
-	switch h.Proto {
-	case ipv4.ProtoTCP:
-		s.processTCP(h.Src, payload, h.ECN() == ipv4.ECNCE)
-	case ipv4.ProtoICMP:
-		s.processICMP(h.Src, payload)
-	default:
+	if h.Proto != ipv4.ProtoTCP {
 		s.stats.droppedNoSocket.Inc()
+		return
 	}
+	s.processTCP(h.Src, payload, h.ECN() == ipv4.ECNCE)
 }
 
 // sendEthernet writes the Ethernet header into the first bytes of a
@@ -637,10 +628,10 @@ func (s *Stack) sendARPRequest(target ipv4.Addr) {
 
 // Kill models the stack's host process crashing: every connection is
 // torn down silently (no FIN, no RST — a dead process transmits
-// nothing), listeners and pending pings vanish, ARP
-// resolution timers stop, and any frame still in flight toward the
-// stack is dropped on arrival. Peers learn of the crash through their
-// own retransmission timers or from the successor stack's RSTs.
+// nothing), listeners vanish, ARP resolution timers stop, and any frame
+// still in flight toward the stack is dropped on arrival. Peers learn of
+// the crash through their own retransmission timers or from the
+// successor stack's RSTs.
 func (s *Stack) Kill() {
 	if s.dead {
 		return
@@ -655,10 +646,6 @@ func (s *Stack) Kill() {
 		sh.mu.Unlock()
 	}
 	s.listeners = make(map[uint16]*listenEntry)
-	for _, w := range s.pings {
-		w.timer.Stop()
-	}
-	s.pings = make(map[uint32]*pingWaiter)
 	s.arpCache.Reset()
 }
 

@@ -59,49 +59,6 @@ func fastLink() netsim.LinkConfig {
 	return netsim.LinkConfig{Rate: 1 * netsim.Gbps, Delay: time.Millisecond, QueueBytes: 1 << 20, FrameOverhead: netsim.EthernetOverhead}
 }
 
-func TestPingMeasuresRTT(t *testing.T) {
-	p := newPair(t, fastLink(), nil)
-	var rtt time.Duration
-	var perr error = errPending
-	p.a.Ping(ipB, []byte("probe"), time.Second, func(r time.Duration, err error) {
-		rtt, perr = r, err
-	})
-	p.loop.RunFor(time.Second)
-	if perr != nil {
-		t.Fatalf("ping: %v", perr)
-	}
-	// 2×1 ms propagation plus serialization; ARP adds a round trip
-	// before the echo but not to its timing.
-	if rtt < 2*time.Millisecond || rtt > 10*time.Millisecond {
-		t.Fatalf("rtt = %v, want ≈2ms", rtt)
-	}
-	if p.a.Stats().ARPRequests == 0 {
-		t.Fatal("first packet did not trigger ARP")
-	}
-	if p.b.Stats().ARPReply == 0 {
-		t.Fatal("peer did not answer ARP")
-	}
-}
-
-var errPending = &pendingError{}
-
-type pendingError struct{}
-
-func (*pendingError) Error() string { return "pending" }
-
-func TestPingTimeoutWhenPeerGone(t *testing.T) {
-	p := newPair(t, fastLink(), nil)
-	var perr error
-	// 10.0.0.99 does not exist: ARP never resolves.
-	p.a.Ping(ipv4.Addr{10, 0, 0, 99}, nil, 100*time.Millisecond, func(_ time.Duration, err error) {
-		perr = err
-	})
-	p.loop.RunFor(time.Second)
-	if perr == nil {
-		t.Fatal("ping to a ghost host did not time out")
-	}
-}
-
 // establishTCP dials b:port from a and returns both halves.
 func establishTCP(t *testing.T, p *pair, port uint16, opts SocketOptions, lopts SocketOptions) (client, server *tcp.Conn) {
 	t.Helper()

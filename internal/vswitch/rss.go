@@ -63,9 +63,8 @@ func ShardOf(hash uint32, n int) int {
 }
 
 // FrameShard steers an Ethernet frame to a shard by its flow fields.
-// Non-IPv4 frames (ARP) fall back to shard 0 and non-TCP packets (ICMP)
-// to their address pair — control traffic is rare and needs no
-// spreading.
+// Non-IPv4 frames (ARP) fall back to shard 0 and non-TCP packets to
+// their address pair — such traffic is rare and needs no spreading.
 // Because the endpoint ordering is canonical, a frame and its reply
 // land on the same shard.
 func FrameShard(frame []byte, n int) int {

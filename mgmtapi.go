@@ -13,15 +13,6 @@ import (
 // capabilities, re-exported for library users.
 
 type (
-	// PingMesh is an all-pairs ICMP prober with failure detection
-	// (Pingmesh-style, §5 "Centralized management and control").
-	PingMesh = mgmt.Mesh
-	// MeshNode is one probe endpoint.
-	MeshNode = mgmt.MeshNode
-	// MeshConfig shapes the prober.
-	MeshConfig = mgmt.MeshConfig
-	// PathReport summarizes one probed path.
-	PathReport = mgmt.PathReport
 	// ThroughputSLA tracks achieved vs promised tenant throughput.
 	ThroughputSLA = mgmt.ThroughputSLA
 
@@ -50,16 +41,6 @@ type (
 	MigrationPricer = pricing.MigrationPricer
 )
 
-// MigrateVM live-migrates the NSM serving vm onto a freshly booted
-// module built from spec — every tenant multiplexed onto that module
-// moves with it, no connection is lost, and the guest observes only a
-// bounded stall. spec.CC different from the module's hot-swaps every
-// migrated flow's congestion control mid-stream. done, if non-nil,
-// fires when the cutover (or its abort) completes.
-func MigrateVM(h *Host, vm *VM, spec NSMSpec, done func(*Migration)) (*Migration, error) {
-	return h.MigrateNSM(vm.NSM, spec, MigrateOptions{}, done)
-}
-
 // NewRollingUpgrade builds a driver that migrates every NSM on h, one
 // module at a time, billing each move through pricer.
 func NewRollingUpgrade(h *Host, plan UpgradePlan, opts MigrateOptions, pricer MigrationPricer) *RollingUpgrade {
@@ -74,15 +55,6 @@ func ConsolidateNSMs(h *Host, target NSMForm, rates pricing.PerInstance, opts Mi
 
 // DefaultMigrationPricer returns representative migration rates.
 func DefaultMigrationPricer() MigrationPricer { return pricing.DefaultMigrationPricer() }
-
-// NewPingMesh builds a prober over the given nodes.
-func NewPingMesh(cfg MeshConfig, nodes []MeshNode) *PingMesh { return mgmt.NewMesh(cfg, nodes) }
-
-// NewThroughputSLA builds a throughput-SLA tracker; sample must return
-// a cumulative byte counter.
-func NewThroughputSLA(c *Cluster, name string, targetBps float64, window time.Duration, sample func() uint64) *ThroughputSLA {
-	return mgmt.NewThroughputSLA(c.Clock(), name, targetBps, window, sample)
-}
 
 // NewVMThroughputSLA builds a tracker fed straight from the host
 // telemetry registry: it samples the tenant's ServiceLib ingress

@@ -9,8 +9,8 @@
 // with pluggable congestion control (Reno, CUBIC, BBR, C-TCP, DCTCP),
 // simulated hosts with NICs and virtual switches, the NetKernel
 // datapath (GuestLib, nqe queues, huge pages, CoreEngine, ServiceLib),
-// and the management plane (QoS scheduling, pingmesh failure
-// detection, usage metering and pricing).
+// and the management plane (QoS scheduling, SLA tracking, usage
+// metering and pricing).
 //
 // A minimal session:
 //

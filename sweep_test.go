@@ -20,13 +20,11 @@ import (
 // below netkernel/internal/.
 var sweepAllow = map[string]string{
 	// Kept while an open ROADMAP item decides its fate.
-	"sched.NewDRR":         "DRR waits on ROADMAP 4(d): wire it into ServiceLib or delete it",
-	"sched.DRR.AddFlow":    "DRR waits on ROADMAP 4(d)",
-	"sched.DRR.Next":       "DRR waits on ROADMAP 4(d)",
-	"sched.Flow.Served":    "DRR waits on ROADMAP 4(d)",
-	"sim.NewRealClock":     "the wall-clock domain moves under _test.go with ROADMAP 11(c)",
-	"sim.RealClock.Locked": "the wall-clock domain moves under _test.go with ROADMAP 11(c)",
-	"framepool.Poison":     "use-after-release checks of four packages' tests (ROADMAP 4(b))",
+	"sched.NewDRR":      "DRR waits on ROADMAP 4(d): wire it into ServiceLib or delete it",
+	"sched.DRR.AddFlow": "DRR waits on ROADMAP 4(d)",
+	"sched.DRR.Next":    "DRR waits on ROADMAP 4(d)",
+	"sched.Flow.Served": "DRR waits on ROADMAP 4(d)",
+	"framepool.Poison":  "use-after-release checks of four packages' tests (ROADMAP 4(b))",
 
 	// The guest socket API: calls a tenant may make that no workload does.
 	"guestlib.GuestLib.ReadAvailable": "guest socket API: FIONREAD",
