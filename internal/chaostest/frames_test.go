@@ -16,7 +16,7 @@ import (
 // is back in the pool after quiesce.
 func TestMain(m *testing.M) {
 	framepool.Poison(true)
-	os.Exit(m.Run())
+	os.Exit(withRecord(m))
 }
 
 // The converse of TestMain's bet: overwriting released frames changes
