@@ -120,7 +120,7 @@ func micro() {
 }
 
 func rpc() {
-	header("Message-rate fast path (DESIGN.md §11, BENCH_rpc.json)")
+	header("Message-rate fast path (DESIGN.md §11)")
 	cfg := experiments.RPCConfig{Seed: *seed}
 	if *quick {
 		cfg.Conns = 8

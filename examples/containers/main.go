@@ -18,6 +18,9 @@ import (
 	"netkernel"
 )
 
+// window is how long each phase is measured.
+const window = 250 * time.Millisecond
+
 func main() {
 	c := netkernel.NewCluster(netkernel.ClusterConfig{Seed: 3})
 	h1 := c.AddHost("host1")
@@ -76,16 +79,16 @@ func main() {
 		c.Clock().AfterFunc(100*time.Microsecond, probe)
 	}
 	probe()
-	c.Run(time.Second)
-	report(spark, *sparkBytes, time.Second)
+	c.Run(window)
+	report(spark, *sparkBytes, window)
 	fmt.Printf("      fabric during shuffle: %d CE marks, peak queue %d KB (threshold 90 KB)\n",
 		ab.Stats().ECNMarks, peakQ>>10)
 
 	// Phase 2: the web transfer, BBR.
 	webBytes := startSink(webClient, 80)
 	startBulk(web, webClient.IP, 80)
-	c.Run(time.Second)
-	report(web, *webBytes, time.Second)
+	c.Run(window)
+	report(web, *webBytes, window)
 
 	fmt.Println("\nwithout NSaaS both containers would share the host kernel's single stack.")
 }

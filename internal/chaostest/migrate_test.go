@@ -111,11 +111,7 @@ func TestMigrateDeterminism(t *testing.T) {
 	prof.Migrations = []MigrationPoint{{At: 1200 * time.Millisecond, CC: "bbr"}}
 	prof.TraceSampleEvery = 64
 	const seed = 4242
-	a := Run(seed, prof)
-	b := Run(seed, prof)
-	if diff, ok := Equal(a, b); !ok {
-		t.Fatalf("two migrating runs with seed %d diverged: %s", seed, diff)
-	}
+	a := replay(t, seed, prof)
 	if a.Migrated != len(prof.Migrations) {
 		t.Fatalf("only %d of %d migrations completed", a.Migrated, len(prof.Migrations))
 	}

@@ -17,11 +17,7 @@ func TestTraceDeterminism(t *testing.T) {
 	prof := lossyReorderLAN()
 	prof.TraceSampleEvery = 8
 	const seed = 1234
-	a := Run(seed, prof)
-	b := Run(seed, prof)
-	if diff, ok := Equal(a, b); !ok {
-		t.Fatalf("two traced runs with seed %d diverged: %s", seed, diff)
-	}
+	a := replay(t, seed, prof)
 	if len(a.Spans) == 0 {
 		t.Fatal("no completed spans: tracing sampled nothing")
 	}

@@ -20,8 +20,8 @@ package experiments
 //     the socket/connState recycling pools exist for.
 //
 // Everything runs in virtual time, so every number is an exact
-// function of the seed; BENCH_rpc.json records the committed baselines
-// and TestRPCGate enforces them.
+// function of the seed; TestRPCGate checks the result against the
+// package's exact record.
 
 import (
 	"encoding/binary"

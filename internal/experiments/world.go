@@ -6,8 +6,8 @@
 // queues, NSM forms, multiplexing, sync vs async).
 //
 // Each experiment returns typed rows; cmd/nkbench prints them in the
-// paper's format and bench_test.go exposes them as testing.B
-// benchmarks. EXPERIMENTS.md records paper-vs-measured values.
+// paper's format, and the tests check each virtual-time result against
+// testdata/record.txt. EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (

@@ -122,7 +122,7 @@ type counters struct {
 	txBytesCopied, rxBytesCopied           telemetry.Counter
 	// pollerWakeups counts OnReady invocations; pollerEvents counts the
 	// per-socket readiness notifications those wakeups amortized.
-	// events/wakeups is the measured coalescing ratio (BENCH_rpc.json).
+	// events/wakeups is the measured coalescing ratio (TestRPCGate).
 	pollerWakeups, pollerEvents telemetry.Counter
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // nqeCopyCost is the per-element queue-to-queue copy cost; §4.2
-// measures ~12 ns on the prototype (and bench_test.go reproduces it on
-// real memory).
+// measures ~12 ns on the prototype (and cmd/nkbench micro reproduces it
+// on real memory).
 const nqeCopyCost = 12 * time.Nanosecond
 
 // EngineConfig shapes the CoreEngine's cost model.

@@ -26,7 +26,7 @@
 //
 // The datapath cost the paper measures (Table 1 memory-copy latency, the
 // ~12 ns nqe copy) is memory-copy cost, which this package incurs for
-// real; the benchmarks in bench_test.go measure it with testing.B.
+// real; cmd/nkbench table1 and micro, and the benchmark's ladder, time it.
 package shm
 
 import (

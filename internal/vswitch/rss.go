@@ -33,18 +33,6 @@ func TupleHash(aIP ipv4.Addr, aPort uint16, bIP ipv4.Addr, bPort uint16) uint32 
 	return h
 }
 
-// PairHash hashes just the two IPs (for non-TCP traffic), with the
-// same direction independence as TupleHash.
-func PairHash(aIP, bIP ipv4.Addr) uint32 {
-	if endpointLess(bIP, 0, aIP, 0) {
-		aIP, bIP = bIP, aIP
-	}
-	h := uint32(fnvOffset32)
-	h = fnvBytes(h, aIP[:])
-	h = fnvBytes(h, bIP[:])
-	return h
-}
-
 // ShardOf folds a flow hash onto one of n shards. FNV-1a's low bits
 // stay correlated for correlated inputs — paired port allocators
 // handing out sequential (src, dst) ports can land every flow on one
@@ -62,9 +50,9 @@ func ShardOf(hash uint32, n int) int {
 	return int(hash % uint32(n))
 }
 
-// FrameShard steers an Ethernet frame to a shard by its flow fields.
-// Non-IPv4 frames (ARP) fall back to shard 0 and non-TCP packets to
-// their address pair — such traffic is rare and needs no spreading.
+// FrameShard steers an Ethernet frame to a shard by its TCP 4-tuple.
+// Everything else (ARP, a runt, a non-TCP packet, which the stack drops)
+// falls back to shard 0: such traffic is rare and needs no spreading.
 // Because the endpoint ordering is canonical, a frame and its reply
 // land on the same shard.
 func FrameShard(frame []byte, n int) int {
@@ -79,16 +67,16 @@ func FrameShard(frame []byte, n int) int {
 	if ihl < 20 || len(frame) < 14+ihl {
 		return 0
 	}
+	transport := 14 + ihl
+	if frame[23] != ipv4.ProtoTCP || len(frame) < transport+4 {
+		return 0
+	}
 	var src, dst ipv4.Addr
 	copy(src[:], frame[26:30])
 	copy(dst[:], frame[30:34])
-	transport := 14 + ihl
-	if frame[23] == ipv4.ProtoTCP && len(frame) >= transport+4 {
-		sp := uint16(frame[transport])<<8 | uint16(frame[transport+1])
-		dp := uint16(frame[transport+2])<<8 | uint16(frame[transport+3])
-		return ShardOf(TupleHash(src, sp, dst, dp), n)
-	}
-	return ShardOf(PairHash(src, dst), n)
+	sp := uint16(frame[transport])<<8 | uint16(frame[transport+1])
+	dp := uint16(frame[transport+2])<<8 | uint16(frame[transport+3])
+	return ShardOf(TupleHash(src, sp, dst, dp), n)
 }
 
 func endpointLess(aIP ipv4.Addr, aPort uint16, bIP ipv4.Addr, bPort uint16) bool {

@@ -46,7 +46,6 @@ import (
 	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
-	"netkernel/internal/tcpcc"
 )
 
 // Re-exported types: the public surface keeps the internal package
@@ -129,9 +128,6 @@ func Testbed40G() LinkConfig { return netsim.Testbed40G() }
 // with the given random loss probability.
 func WANPath(lossProb float64) LinkConfig { return netsim.WANPath(lossProb) }
 
-// CongestionControls lists the available stack flavors an NSM can host.
-func CongestionControls() []string { return tcpcc.Names() }
-
 // MarkCE is a LinkConfig.Marker that sets the ECN congestion-
 // experienced codepoint on an Ethernet frame's IPv4 packet (a no-op
 // for non-ECT traffic): the switch-side half of DCTCP.
@@ -160,7 +156,6 @@ type Cluster struct {
 	cfg    ClusterConfig
 	loop   *sim.Loop
 	pages  *shm.Pool
-	hosts  []*Host
 	nextID uint8
 }
 
@@ -188,9 +183,7 @@ func (c *Cluster) AddHost(name string) *Host {
 	if c.cfg.Host != nil {
 		c.cfg.Host(&hc)
 	}
-	h := hypervisor.NewHost(hc)
-	c.hosts = append(c.hosts, h)
-	return h
+	return hypervisor.NewHost(hc)
 }
 
 // ConnectHosts joins two hosts' physical NICs with a duplex link and
@@ -207,15 +200,9 @@ func (c *Cluster) ConnectHosts(a, b *Host, link LinkConfig) (ab, ba *Link) {
 // within it.
 func (c *Cluster) Run(d time.Duration) { c.loop.RunFor(d) }
 
-// RunUntilIdle executes every pending event (useful after shutdowns).
-func (c *Cluster) RunUntilIdle() { c.loop.Run() }
-
 // Now returns the current virtual time since cluster creation.
 func (c *Cluster) Now() time.Duration { return c.loop.Now().Duration() }
 
 // Clock exposes the cluster's clock for advanced wiring (management
 // probes, meters, custom timers).
 func (c *Cluster) Clock() sim.Clock { return c.loop }
-
-// Hosts returns the provisioned hosts in creation order.
-func (c *Cluster) Hosts() []*Host { return c.hosts }

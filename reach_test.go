@@ -91,8 +91,7 @@ var reachAllow = map[string]string{
 	"internal/shm/hugepages.go *HugePages.Retains":          "hypervisor's allocation test reads it",
 	"internal/shm/reserve.go *SlotReserve.Bytes":            "test helper, moves with 18(b)",
 	"internal/shm/ring.go *Ring.Cap":                        "test helper, moves with 18(b)",
-	"internal/sim/loop.go *Loop.Run":                        "Cluster.RunUntilIdle's body, and tests drain a loop with it",
-	"internal/sim/sim.go Time.String":                       "fmt.Stringer: formats values in test failures and cmd/ output",
+	"internal/sim/loop.go *Loop.Run":                        "tests in six packages drain a loop with it",
 	"internal/stack/coretable.go *coreTable.size":           "test helper, moves with 18(b)",
 	"internal/stack/stack.go *Stack.Clock":                  "test helper, moves with 18(b)",
 	"internal/stack/stack.go *Stack.DefaultCC":              "test helper, moves with 18(b)",
@@ -118,20 +117,16 @@ var reachAllow = map[string]string{
 	"internal/tcpcc/state.go *DCTCP.SaveState":              "a BBR, C-TCP or DCTCP snapshot; every migrate profile runs CUBIC, ROADMAP 19(a)",
 	"internal/tcpcc/state.go b2i":                           "a BBR, C-TCP or DCTCP snapshot; every migrate profile runs CUBIC, ROADMAP 19(a)",
 	"internal/tcpcc/tcpcc.go LossKind.String":               "fmt.Stringer: formats values in test failures and cmd/ output",
-	"internal/tcpcc/tcpcc.go Names":                         "CongestionControls' body",
+	"internal/tcpcc/tcpcc.go Names":                         "tcpcc.New's unknown-name error",
 	"internal/telemetry/telemetry.go *Registry.Counter":     "test helper, moves with 18(b)",
 	"internal/telemetry/telemetry.go Snapshot.Filter":       "VM.Snapshot and cmd/nkctl stats filter with it",
 	"internal/telemetry/telemetry.go Snapshot.String":       "cmd/nkctl stats prints it",
 	"internal/telemetry/trace.go *Tracer.ActiveCount":       "bench/trace.go calls it under -trace 1",
 	"internal/telemetry/trace.go *Tracer.Drop":              "a traced element the engine or ServiceLib discards; no traced harness discards one",
 	"internal/telemetry/trace.go *Tracer.SetSampleEvery":    "bench/trace.go calls it under -trace 1",
-	"internal/vswitch/rss.go PairHash":                      "FrameShard's branch for a non-TCP IPv4 packet, which no harness sends",
 	"mgmtapi.go ConsolidateNSMs":                            "§5 provider surface, ROADMAP 20(a)",
 	"mgmtapi.go DefaultMigrationPricer":                     "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
 	"mgmtapi.go NewRollingUpgrade":                          "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"netkernel.go *Cluster.Hosts":                           "public API that only its tests call",
-	"netkernel.go *Cluster.RunUntilIdle":                    "public API that only its tests call",
-	"netkernel.go CongestionControls":                       "public API that only its tests call",
 }
 
 // TestReachabilityLedger keeps unreached code at what reachAllow lists.

@@ -35,7 +35,7 @@ var sweepAllow = map[string]string{
 	// Test support that cannot move under _test.go: other packages'
 	// tests read it, or it is a test harness's entry point.
 	"chaostest.RunAndReport":         "the chaos harness's entry point; chaostest exists for its own tests",
-	"experiments.RunScaleout":        "paper artefact run by TestScaleoutGate and the root BenchmarkScaleout",
+	"experiments.RunScaleout":        "paper artefact run by TestScaleoutGate",
 	"netsim.LossyReorderLAN":         "chaos profile of chaostest's scenarios",
 	"netsim.WANPathGE":               "chaos profile of chaostest's scenarios",
 	"netsim.FaultConfig.DupProb":     "set by the chaos profile LossyReorderLAN",
