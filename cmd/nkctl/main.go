@@ -277,7 +277,7 @@ func startTraffic(c *netkernel.Cluster, server *netkernel.VM, vms []*netkernel.V
 		m := pricing.NewMeter(c.Clock(), nsm.Form.String(), nsm.CPU.Cores(), nsm.Profile.MemoryMB,
 			2e9,
 			func() time.Duration { return vm.NSM.CPU.TotalBusy() },
-			func() (uint64, uint64) { st := svc.Stats(); return st.DataIn, st.DataOut },
+			func() (uint64, uint64) { st := svc.Stats(); return uint64(st.DataIn), uint64(st.DataOut) },
 			func() int { return vm.NSM.Stack.ConnCount() },
 		)
 		m.StartSampling(100 * time.Millisecond)

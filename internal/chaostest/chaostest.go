@@ -42,6 +42,7 @@ import (
 	"netkernel/internal/shm"
 	"netkernel/internal/sim"
 	"netkernel/internal/stack"
+	"netkernel/internal/telemetry"
 	"netkernel/internal/vswitch"
 )
 
@@ -834,7 +835,7 @@ func (h *harness) checkTelemetry(t Reporter) {
 		snap := host.Snapshot()
 		sw := host.Switch.Stats()
 		eng := host.Engine.Stats()
-		gauges := map[string]uint64{
+		counters := map[string]telemetry.Counter{
 			"switch.rx_frames":          sw.RxFrames,
 			"switch.forwarded":          sw.Forwarded,
 			"switch.flooded":            sw.Flooded,
@@ -845,8 +846,8 @@ func (h *harness) checkTelemetry(t Reporter) {
 			"engine.bad_elements":       eng.BadElements,
 			"engine.discarded_elements": eng.DiscardedElements,
 		}
-		for metric, want := range gauges {
-			if got := snap.Gauge(metric); got != int64(want) {
+		for metric, want := range counters {
+			if got := snap.Counter(metric); got != uint64(want) {
 				t.Errorf("[seed %d] host %s: registry %s = %d, ground truth %d",
 					h.seed, name, metric, got, want)
 			}
@@ -869,7 +870,7 @@ func (h *harness) checkTelemetry(t Reporter) {
 			snap = h.h2.Snapshot()
 		}
 		prefix := fmt.Sprintf("nsm%d.stack.", nsm.ID)
-		counters := map[string]uint64{
+		counters := map[string]telemetry.Counter{
 			prefix + "dropped_no_route":   st.DroppedNoRoute,
 			prefix + "dropped_bad_packet": st.DroppedBadPacket,
 			prefix + "dropped_no_socket":  st.DroppedNoSocket,
@@ -879,7 +880,7 @@ func (h *harness) checkTelemetry(t Reporter) {
 			prefix + "frames_out":         st.FramesOut,
 		}
 		for metric, want := range counters {
-			if got := snap.Counter(metric); got != want {
+			if got := snap.Counter(metric); got != uint64(want) {
 				t.Errorf("[seed %d] registry %s = %d, stack ledger %d", h.seed, metric, got, want)
 			}
 		}
@@ -932,11 +933,11 @@ func (h *harness) checkTelemetry(t Reporter) {
 			}
 		}
 		st := donor.Stack.Stats()
-		for metric, want := range map[string]uint64{
+		for metric, want := range map[string]telemetry.Counter{
 			prefix + "frames_in":  st.FramesIn,
 			prefix + "frames_out": st.FramesOut,
 		} {
-			if got := snap.Counter(metric); got != want {
+			if got := snap.Counter(metric); got != uint64(want) {
 				t.Errorf("[seed %d] donor registry %s = %d, frozen ledger %d", h.seed, metric, got, want)
 			}
 		}

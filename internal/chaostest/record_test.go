@@ -3,6 +3,7 @@ package chaostest
 import (
 	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
 	"io/fs"
 	"maps"
@@ -26,9 +27,11 @@ import (
 // not recorded.
 
 // record is the committed record; observed is it with every value this
-// run computed, written to testdata/record.got when one moved.
+// run computed, written to testdata/record.got when one moved; checked
+// holds every key a test compared.
 var (
 	record, observed map[string]string
+	checked          = map[string]bool{}
 	moved            bool
 )
 
@@ -48,6 +51,9 @@ func withRecord(m *testing.M) int {
 	}
 	observed = maps.Clone(record)
 	code := m.Run()
+	if code == 0 && fullRun() {
+		code = orphans()
+	}
 	if moved {
 		lines := make([]string, 0, len(observed))
 		for k, v := range observed {
@@ -60,6 +66,35 @@ func withRecord(m *testing.M) int {
 		}
 	}
 	return code
+}
+
+// fullRun reports whether every recorded test ran: no -run or -skip
+// filter, no -short and no -chaos.seed.
+func fullRun() bool {
+	return flag.Lookup("test.run").Value.String() == "" &&
+		flag.Lookup("test.skip").Value.String() == "" && !testing.Short() && *chaosSeed == 0
+}
+
+// orphans fails a full run on each committed key no test checked, the
+// lines an artefact leaves behind when it is deleted, and drops them from
+// the record it writes.
+func orphans() int {
+	var keys []string
+	for k := range record {
+		if !checked[k] {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(os.Stderr, "record %s: committed, but no test checked it\n", k)
+		delete(observed, k)
+		moved = true
+	}
+	if len(keys) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // checkRecord compares what a test observed under name with the record,
@@ -79,6 +114,7 @@ func checkRecord(t *testing.T, name string, res *Result) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
+		checked[k] = true
 		old, had := record[k]
 		now, has := got[k]
 		if had && has && old == now {

@@ -385,7 +385,7 @@ func runSparse(cfg RPCConfig, usePoller bool) (wakeups, events uint64, lat time.
 
 	st = rg.Stats()
 	if usePoller {
-		wakeups, events = st.PollerWakeups-wake0, st.PollerEvents-ev0
+		wakeups, events = uint64(st.PollerWakeups-wake0), uint64(st.PollerEvents-ev0)
 	} else {
 		wakeups, events = cbWakeups-cb0, cbWakeups-cb0
 	}

@@ -58,16 +58,15 @@ func NewWorld(cfg WorldConfig) *World {
 	pages := shm.NewPool() // shared by both hosts (DESIGN.md §17)
 	mk := func(name string, id uint8) *hypervisor.Host {
 		hc := hypervisor.HostConfig{
-			Name:            name,
-			Clock:           loop,
-			RNG:             sim.NewRNG(cfg.Seed + uint64(id)),
-			HostID:          id,
-			Cores:           cfg.Cores,
-			PerPacketCost:   cfg.PerPacketCost,
-			RoundRobinCores: true,
-			MinRTO:          cfg.MinRTO,
-			MSL:             100 * time.Millisecond,
-			HugePages:       pages,
+			Name:          name,
+			Clock:         loop,
+			RNG:           sim.NewRNG(cfg.Seed + uint64(id)),
+			HostID:        id,
+			Cores:         cfg.Cores,
+			PerPacketCost: cfg.PerPacketCost,
+			MinRTO:        cfg.MinRTO,
+			MSL:           100 * time.Millisecond,
+			HugePages:     pages,
 		}
 		if cfg.Mutate != nil {
 			cfg.Mutate(&hc)

@@ -92,51 +92,27 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// Stats is a point-in-time copy of the GuestLib counters.
+// Stats is the GuestLib's live counter set, published under each
+// field's metric tag. Every field is an atomic telemetry.Counter:
+// management-plane readers (VM.CopyReport, registry snapshots) may run
+// on another goroutine than the loop the guest issues ops on.
 type Stats struct {
-	OpsIssued     uint64
-	Completions   uint64
-	Events        uint64
-	BytesSent     uint64
-	BytesReceived uint64
-	CreditStalls  uint64
+	OpsIssued     telemetry.Counter `metric:"ops_issued"`
+	Completions   telemetry.Counter `metric:"completions"`
+	Events        telemetry.Counter `metric:"events"`
+	BytesSent     telemetry.Counter `metric:"bytes_sent"`
+	BytesReceived telemetry.Counter `metric:"bytes_received"`
+	CreditStalls  telemetry.Counter `metric:"credit_stalls"`
 	// TxBytesCopied and RxBytesCopied count payload bytes this layer
 	// memcpy'd: application buffer → huge-page chunk on send, chunk →
 	// application buffer on receive. One copy per byte per direction —
 	// the socket-API boundary copies that cannot be elided.
-	TxBytesCopied uint64
-	RxBytesCopied uint64
+	TxBytesCopied telemetry.Counter `metric:"tx_bytes_copied"`
+	RxBytesCopied telemetry.Counter `metric:"rx_bytes_copied"`
 	// PollerWakeups counts OnReady invocations; PollerEvents the
 	// per-socket readiness notifications those wakeups amortized.
-	PollerWakeups uint64
-	PollerEvents  uint64
-}
-
-// counters is the live atomic form of Stats: management-plane readers
-// (VM.CopyReport, registry snapshots) may run on another goroutine
-// than the loop the guest issues ops on, as the -race tests' monitors
-// do.
-type counters struct {
-	opsIssued, completions, events         telemetry.Counter
-	bytesSent, bytesReceived, creditStalls telemetry.Counter
-	txBytesCopied, rxBytesCopied           telemetry.Counter
-	// pollerWakeups counts OnReady invocations; pollerEvents counts the
-	// per-socket readiness notifications those wakeups amortized.
-	// events/wakeups is the measured coalescing ratio (TestRPCGate).
-	pollerWakeups, pollerEvents telemetry.Counter
-}
-
-func (c *counters) register(m *telemetry.Scope) {
-	m.Counter("ops_issued", &c.opsIssued)
-	m.Counter("completions", &c.completions)
-	m.Counter("events", &c.events)
-	m.Counter("bytes_sent", &c.bytesSent)
-	m.Counter("bytes_received", &c.bytesReceived)
-	m.Counter("credit_stalls", &c.creditStalls)
-	m.Counter("tx_bytes_copied", &c.txBytesCopied)
-	m.Counter("rx_bytes_copied", &c.rxBytesCopied)
-	m.Counter("poller_wakeups", &c.pollerWakeups)
-	m.Counter("poller_events", &c.pollerEvents)
+	PollerWakeups telemetry.Counter `metric:"poller_wakeups"`
+	PollerEvents  telemetry.Counter `metric:"poller_events"`
 }
 
 // opLatency holds the per-op round-trip histograms (nanoseconds of
@@ -156,21 +132,6 @@ func (l *opLatency) register(m *telemetry.Scope) {
 	l.connectRTT = m.Histogram("connect_rtt_ns")
 	l.acceptWait = m.Histogram("accept_wait_ns")
 	l.closeRTT = m.Histogram("close_rtt_ns")
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		OpsIssued:     c.opsIssued.Load(),
-		Completions:   c.completions.Load(),
-		Events:        c.events.Load(),
-		BytesSent:     c.bytesSent.Load(),
-		BytesReceived: c.bytesReceived.Load(),
-		CreditStalls:  c.creditStalls.Load(),
-		TxBytesCopied: c.txBytesCopied.Load(),
-		RxBytesCopied: c.rxBytesCopied.Load(),
-		PollerWakeups: c.pollerWakeups.Load(),
-		PollerEvents:  c.pollerEvents.Load(),
-	}
 }
 
 type sockKind int
@@ -270,7 +231,7 @@ type GuestLib struct {
 	sockets   map[int32]*socket
 	nextFD    int32
 	seq       uint64
-	stats     counters
+	stats     Stats
 	latency   opLatency
 	// pollers lists every live Poller so the pump can deliver the one
 	// amortized OnReady wakeup per batch.
@@ -309,7 +270,7 @@ func New(cfg Config) *GuestLib {
 		cfg: cfg, pairs: pairs, sockets: make(map[int32]*socket), nextFD: 3,
 		drain: make([]nqe.Element, 64),
 	}
-	g.stats.register(cfg.Metrics)
+	cfg.Metrics.Publish(&g.stats)
 	g.latency.register(cfg.Metrics)
 	g.backlog.Wake = g.kickEngine
 	for _, p := range pairs {
@@ -363,7 +324,7 @@ func (g *GuestLib) Replicas() int { return len(g.pairs) }
 func (g *GuestLib) Pairs() []*nkchan.Pair { return g.pairs }
 
 // Stats returns a copy of the counters, read atomically.
-func (g *GuestLib) Stats() Stats { return g.stats.snapshot() }
+func (g *GuestLib) Stats() Stats { return telemetry.Load(&g.stats) }
 
 // prepare stamps e as this guest's next job and returns the job ring
 // (and its clamped shard index) the element rides.
@@ -385,7 +346,7 @@ func (g *GuestLib) prepare(pair *nkchan.Pair, shard int, e *nqe.Element) (*nkque
 // issued accounts for a job accepted on shard's ring; pushed says it is
 // in the ring already, so the engine pump that consumes it is kicked.
 func (g *GuestLib) issued(pair *nkchan.Pair, shard int, job *nkqueue.Queue, e *nqe.Element, pushed bool) {
-	g.stats.opsIssued.Inc()
+	g.stats.OpsIssued.Inc()
 	g.cfg.Tracer.Stamp(e.Trace, "guestlib.enqueue", int64(job.Len()))
 	if pushed && pair.KickEngineVM != nil {
 		pair.KickEngineVM(shard)
@@ -559,18 +520,18 @@ func (g *GuestLib) Send(fd int32, p []byte) int {
 	for len(p) > 0 {
 		if s.credit <= 0 {
 			g.markStalled(s)
-			g.stats.creditStalls.Inc()
+			g.stats.CreditStalls.Inc()
 			break
 		}
 		n := min(min(chunkSize, len(p)), s.credit)
 		chunk, ok := s.pair.Pages.Alloc()
 		if !ok {
 			g.markStalled(s)
-			g.stats.creditStalls.Inc()
+			g.stats.CreditStalls.Inc()
 			break
 		}
 		s.pair.Pages.Write(chunk, p[:n])
-		g.stats.txBytesCopied.Add(uint64(n))
+		g.stats.TxBytesCopied.Add(uint64(n))
 		e := &nqe.Element{
 			Op: nqe.OpSend, FD: fd,
 			DataOff: chunk.Offset, DataLen: uint32(n),
@@ -587,7 +548,7 @@ func (g *GuestLib) Send(fd int32, p []byte) int {
 		total += n
 		p = p[n:]
 	}
-	g.stats.bytesSent.Add(uint64(total))
+	g.stats.BytesSent.Add(uint64(total))
 	return total
 }
 
@@ -610,8 +571,8 @@ func (g *GuestLib) Recv(fd int32, buf []byte) (n int, eof bool) {
 		}
 	}
 	if n > 0 {
-		g.stats.rxBytesCopied.Add(uint64(n))
-		g.stats.bytesReceived.Add(uint64(n))
+		g.stats.RxBytesCopied.Add(uint64(n))
+		g.stats.BytesReceived.Add(uint64(n))
 		// Return receive credit so the NSM keeps reading (§3.2 recv()
 		// "simply checks and copies new data in the VM receive queue").
 		g.post(s.pair, s.shard, &nqe.Element{Op: nqe.OpRecv, FD: fd, Arg0: uint64(n)})
@@ -727,7 +688,7 @@ func (g *GuestLib) pump(pair *nkchan.Pair, shard int) {
 		if n == 0 {
 			break
 		}
-		g.stats.completions.Add(uint64(n))
+		g.stats.Completions.Add(uint64(n))
 		for i := range g.drain[:n] {
 			g.handleCompletion(pair, &g.drain[i])
 		}
@@ -737,7 +698,7 @@ func (g *GuestLib) pump(pair *nkchan.Pair, shard int) {
 		if n == 0 {
 			break
 		}
-		g.stats.events.Add(uint64(n))
+		g.stats.Events.Add(uint64(n))
 		for i := range g.drain[:n] {
 			g.handleEvent(pair, shard, &g.drain[i])
 		}
@@ -929,7 +890,7 @@ func (g *GuestLib) pollerNotify(s *socket, mask uint32) {
 	if p == nil || mask == 0 {
 		return
 	}
-	g.stats.pollerEvents.Inc()
+	g.stats.PollerEvents.Inc()
 	if s.pollMask == 0 {
 		p.ready.Push(s.fd)
 	}
@@ -949,7 +910,7 @@ func (g *GuestLib) deliverWakeups() {
 		if p.ready.Len() == 0 || p.OnReady == nil {
 			continue
 		}
-		g.stats.pollerWakeups.Inc()
+		g.stats.PollerWakeups.Inc()
 		p.OnReady()
 	}
 }

@@ -84,7 +84,7 @@ func (se *shardedEngine) socket(shard int, fd int32, cid uint32) {
 }
 
 // bad returns the engine's bad-element count.
-func (se *shardedEngine) bad() uint64 { return se.ce.Stats().BadElements }
+func (se *shardedEngine) bad() uint64 { return uint64(se.ce.Stats().BadElements) }
 
 // TestShardAffinityAtLookup: a flow's record answers only on the shard
 // the flow was installed on. A job, a completion, an OpConnClosed or an

@@ -127,7 +127,7 @@ func TestRefusedHandOffTakesNoReference(t *testing.T) {
 			retains += vm.Guest.Pairs()[0].Pages.Retains()
 			// A warm echo's only completions are OpSend's, one per
 			// chunk the NSM handed to TCP.
-			handedOff += vm.Guest.Stats().Completions
+			handedOff += uint64(vm.Guest.Stats().Completions)
 		}
 		return retains, handedOff
 	}

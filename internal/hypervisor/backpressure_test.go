@@ -202,7 +202,7 @@ func TestListenerCloseRacesAccept(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for vmb.Service.Stats().Accepts < uint64(tc.dialers) {
+			for uint64(vmb.Service.Stats().Accepts) < uint64(tc.dialers) {
 				if !c.loop.Step() {
 					t.Fatal("loop ran dry before the NSM accepted every connection")
 				}

@@ -41,16 +41,17 @@ func (c *EngineConfig) fillDefaults() {
 	}
 }
 
-// EngineStats counts CoreEngine activity.
+// EngineStats is the CoreEngine's live counter set, published under
+// each field's metric tag as "engine.<tag>".
 type EngineStats struct {
-	NqesVMToNSM uint64
-	NqesNSMToVM uint64
-	Translated  uint64
-	BadElements uint64
+	NqesVMToNSM telemetry.Counter `metric:"nqes_vm_to_nsm"`
+	NqesNSMToVM telemetry.Counter `metric:"nqes_nsm_to_vm"`
+	Translated  telemetry.Counter `metric:"translated"`
+	BadElements telemetry.Counter `metric:"bad_elements"`
 	// NSM crash handling (ResetNSM).
-	NSMResets         uint64
-	ResetConns        uint64 // mappings force-closed by a reset
-	DiscardedElements uint64 // in-flight nqes dropped by a reset
+	NSMResets         telemetry.Counter `metric:"nsm_resets"`
+	ResetConns        telemetry.Counter `metric:"reset_conns"`        // mappings force-closed by a reset
+	DiscardedElements telemetry.Counter `metric:"discarded_elements"` // in-flight nqes dropped by a reset
 }
 
 // Mappings returns the total live fd↔cID entries across pairs
@@ -128,8 +129,8 @@ func NewCoreEngine(clock sim.Clock, cfg EngineConfig) *CoreEngine {
 	return &CoreEngine{clock: clock, cfg: cfg}
 }
 
-// Stats returns a copy of the counters.
-func (ce *CoreEngine) Stats() EngineStats { return ce.stats }
+// Stats returns a copy of the counters, read atomically.
+func (ce *CoreEngine) Stats() EngineStats { return telemetry.Load(&ce.stats) }
 
 // Pairs returns the number of attached VM↔NSM channels.
 func (ce *CoreEngine) Pairs() int { return len(ce.pairs) }
@@ -409,7 +410,7 @@ func (sh *pairShard) pumpVM() {
 	count += sh.drain(sh.rings.VMJob, sh.rings.NSMJob, &sh.toNSM, sh.translateSlotToNSM)
 
 	if count > 0 || sh.toNSM.Len() > 0 || sh.rejected > 0 {
-		ce.stats.NqesVMToNSM += uint64(count)
+		ce.stats.NqesVMToNSM.Add(uint64(count))
 		cost := time.Duration(count) * nqeCopyCost
 		ce.clock.AfterFrame(ep.notify+cost, (*vmPumped)(sh), nil, sh.rejected)
 		sh.rejected = 0
@@ -471,7 +472,7 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 	ep := sh.ep
 	ce := ep.engine
 	if s.Validate() != nil || s.VMID() != ep.vmID {
-		ce.stats.BadElements++
+		ce.stats.BadElements.Inc()
 		return false
 	}
 	s.SetNSMID(ep.nsmID)
@@ -498,7 +499,7 @@ func (sh *pairShard) translateSlotToNSM(s nqe.Slot) bool {
 			ep.settle(i)
 		}
 	}
-	ce.stats.Translated++
+	ce.stats.Translated.Inc()
 	if t := s.Trace(); t != 0 {
 		ce.tracer.Stamp(t, "engine.vm-pump", 0)
 	}
@@ -522,7 +523,7 @@ func (ep *enginePair) sendDescriptorOK(s nqe.Slot) bool {
 // chunk owned by a live transfer. Any real chunk behind a bogus send
 // stays charged to the misbehaving guest's own credit.
 func (sh *pairShard) reject(s nqe.Slot) {
-	sh.ep.engine.stats.BadElements++
+	sh.ep.engine.stats.BadElements.Inc()
 	if sh.toVM.Push(sh.rings.VMCompletion, &nqe.Element{
 		Op: s.Op(), FD: s.FD(), Seq: s.Seq(), VMID: sh.ep.vmID,
 		Source: nqe.FromCore, Status: nqe.StatusInvalid,
@@ -549,7 +550,7 @@ func (sh *pairShard) pumpNSM() {
 	count += sh.drain(sh.rings.NSMReceive, sh.rings.VMReceive, &sh.toVM, sh.translateSlotToVM)
 
 	if count > 0 || sh.toVM.Len() > 0 {
-		ce.stats.NqesNSMToVM += uint64(count)
+		ce.stats.NqesNSMToVM.Add(uint64(count))
 		cost := time.Duration(count) * nqeCopyCost
 		ce.clock.AfterFrame(ep.notify+cost, (*nsmPumped)(sh), nil, 0)
 	}
@@ -573,7 +574,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		}
 		ep.mu.Unlock()
 		if !ok {
-			ce.stats.BadElements++
+			ce.stats.BadElements.Inc()
 			return false
 		}
 		m.cid = s.CID()
@@ -588,7 +589,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 		// new mapping may take its slot.
 		li, ok := ep.lookupAnyShard(s.CID())
 		if !ok {
-			ce.stats.BadElements++
+			ce.stats.BadElements.Inc()
 			return false
 		}
 		s.SetFD(ep.recs[li].fd)
@@ -600,7 +601,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 	default:
 		i, ok := sh.lookupCID(s.CID())
 		if !ok {
-			ce.stats.BadElements++
+			ce.stats.BadElements.Inc()
 			// A dropped data event's chunk has no other owner to free it.
 			pages, c := ep.ch.Pages, shm.Chunk{Offset: s.DataOff()}
 			if s.Op() == nqe.OpNewData && pages != nil && pages.Held(c) {
@@ -625,7 +626,7 @@ func (sh *pairShard) translateSlotToVM(s nqe.Slot) bool {
 			ep.settle(i)
 		}
 	}
-	ce.stats.Translated++
+	ce.stats.Translated.Inc()
 	if t := s.Trace(); t != 0 {
 		ce.tracer.Stamp(t, "engine.nsm-pump", 0)
 	}
@@ -681,7 +682,7 @@ func (ce *CoreEngine) ResetNSM(nsmID uint32, readyAt sim.Time) {
 
 func (ep *enginePair) reset(readyAt sim.Time) {
 	ce := ep.engine
-	ce.stats.NSMResets++
+	ce.stats.NSMResets.Inc()
 	ep.readyAt = readyAt
 	// Socket jobs already forwarded will never complete, and every mapped
 	// connection died with the module. The table empties; each shard
@@ -704,7 +705,7 @@ func (ep *enginePair) reset(readyAt sim.Time) {
 			Op: nqe.OpConnClosed, FD: fd, VMID: ep.vmID,
 			Source: nqe.FromCore, Status: nqe.StatusConnReset,
 		})
-		ce.stats.ResetConns++
+		ce.stats.ResetConns.Inc()
 	}
 	clear(ep.pendingFD)
 	clear(ep.byFD)
@@ -772,7 +773,7 @@ func (sh *pairShard) discardQueue(q *nkqueue.Queue) {
 // DataLen but its chunk was already freed when the module consumed the
 // data.
 func (sh *pairShard) discard(e *nqe.Element) {
-	sh.ep.engine.stats.DiscardedElements++
+	sh.ep.engine.stats.DiscardedElements.Inc()
 	owns := (e.Op == nqe.OpSend && e.Source == nqe.FromVM) ||
 		(e.Op == nqe.OpNewData && e.Source == nqe.FromNSM)
 	if owns && e.DataLen > 0 {

@@ -34,22 +34,19 @@ type HostConfig struct {
 	Cores int
 	// PerPacketCost models per-core stack processing (0 = free).
 	PerPacketCost time.Duration
-	// RoundRobinCores pins flows to cores round-robin (see
-	// stack.Config.RoundRobinCores).
-	RoundRobinCores bool
 	// Engine configures the CoreEngine cost model.
 	Engine EngineConfig
 	// Chan configures VM↔NSM channels.
 	Chan nkchan.Config
 	// Shards turns on the multi-queue datapath (the journal version's
 	// multi-core NSM): every VM↔NSM channel gets this many ring-set
-	// shards (unless Chan.Shards overrides it), each NSM stack shards
-	// its connection table RxShards-wise with RSS flow steering, and
-	// flows stay pinned to their shard for life. 0 (the default) is the
-	// conference paper's single-queue channel with legacy core
-	// steering; 1 models a single-queue NSM whose flows all share core
-	// 0 — the scale-out baseline. Fixed for the host's lifetime: NSM
-	// restarts reboot with the same shard count.
+	// shards, each NSM stack shards its connection table RxShards-wise
+	// with RSS flow steering, and flows stay pinned to their shard for
+	// life. 0 (the default) is the conference paper's single-queue
+	// channel with round-robin core pinning; 1 models a single-queue
+	// NSM whose flows all share core 0 — the scale-out baseline. Fixed
+	// for the host's lifetime: NSM restarts reboot with the same shard
+	// count. It overrides Chan.Shards.
 	Shards int
 
 	// TCP knobs inherited by every stack on the host.
@@ -117,9 +114,7 @@ func NewHost(cfg HostConfig) *Host {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 8
 	}
-	if cfg.Chan.Shards <= 0 && cfg.Shards > 1 {
-		cfg.Chan.Shards = cfg.Shards
-	}
+	cfg.Chan.Shards = cfg.Shards
 	if cfg.HugePages == nil {
 		cfg.HugePages = shm.NewPool()
 	}
@@ -140,9 +135,12 @@ func NewHost(cfg HostConfig) *Host {
 	})
 	h.NIC = netsim.NewNIC(cfg.Clock, h.newMAC())
 	h.Switch = vswitch.New(cfg.Clock, vswitch.Config{})
+	h.Switch.Publish(h.Metrics.Scope("switch."))
 	h.Engine = NewCoreEngine(cfg.Clock, h.cfg.Engine)
 	h.Engine.tracer = h.Tracer
-	h.registerHostMetrics()
+	eng := h.Metrics.Scope("engine.")
+	eng.Publish(&h.Engine.stats)
+	eng.GaugeFunc("mappings", func() int64 { return int64(h.Engine.Mappings()) })
 
 	// The physical port is one switch port: frames from the wire enter
 	// the switch through it; frames the switch sends out it reach the
@@ -150,30 +148,6 @@ func NewHost(cfg HostConfig) *Host {
 	uplink := h.Switch.AddPort(netsim.PortFunc(func(f []byte) { h.NIC.Send(f) }))
 	h.NIC.SetHandler(uplink.Deliver)
 	return h
-}
-
-// registerHostMetrics exposes the host-global counters (CoreEngine,
-// overlay switch) as snapshot-time gauges. EngineStats and
-// vswitch.Stats stay plain value structs (deterministic-replay tests
-// compare them wholesale), so the registry reads them through their
-// copying accessors instead of owning atomics.
-func (h *Host) registerHostMetrics() {
-	eng := h.Metrics.Scope("engine.")
-	eng.GaugeFunc("nqes_vm_to_nsm", func() int64 { return int64(h.Engine.Stats().NqesVMToNSM) })
-	eng.GaugeFunc("nqes_nsm_to_vm", func() int64 { return int64(h.Engine.Stats().NqesNSMToVM) })
-	eng.GaugeFunc("translated", func() int64 { return int64(h.Engine.Stats().Translated) })
-	eng.GaugeFunc("bad_elements", func() int64 { return int64(h.Engine.Stats().BadElements) })
-	eng.GaugeFunc("nsm_resets", func() int64 { return int64(h.Engine.Stats().NSMResets) })
-	eng.GaugeFunc("reset_conns", func() int64 { return int64(h.Engine.Stats().ResetConns) })
-	eng.GaugeFunc("discarded_elements", func() int64 { return int64(h.Engine.Stats().DiscardedElements) })
-	eng.GaugeFunc("mappings", func() int64 { return int64(h.Engine.Mappings()) })
-	sw := h.Metrics.Scope("switch.")
-	sw.GaugeFunc("rx_frames", func() int64 { return int64(h.Switch.Stats().RxFrames) })
-	sw.GaugeFunc("forwarded", func() int64 { return int64(h.Switch.Stats().Forwarded) })
-	sw.GaugeFunc("flooded", func() int64 { return int64(h.Switch.Stats().Flooded) })
-	sw.GaugeFunc("dropped", func() int64 { return int64(h.Switch.Stats().Dropped) })
-	sw.GaugeFunc("learned", func() int64 { return int64(h.Switch.Stats().Learned) })
-	sw.GaugeFunc("aged_out", func() int64 { return int64(h.Switch.Stats().AgedOut) })
 }
 
 // registerPairMetrics publishes one VM↔NSM channel's ring occupancy,
@@ -345,19 +319,18 @@ func (n *NSM) Tenants() int { return len(n.Services) }
 
 func (h *Host) stackConfig(name, cc string, cpu *netsim.CPU, rxShards int, metrics *telemetry.Scope) stack.Config {
 	return stack.Config{
-		RxShards:        rxShards,
-		Clock:           h.clock,
-		RNG:             sim.NewRNG(h.rng.Uint64()),
-		Name:            name,
-		CPU:             cpu,
-		PerPacketCost:   h.cfg.PerPacketCost,
-		RoundRobinCores: h.cfg.RoundRobinCores,
-		DefaultCC:       cc,
-		MinRTO:          h.cfg.MinRTO,
-		MSL:             h.cfg.MSL,
-		SendBufSize:     h.cfg.SendBufSize,
-		RecvBufSize:     h.cfg.RecvBufSize,
-		Metrics:         metrics,
+		RxShards:      rxShards,
+		Clock:         h.clock,
+		RNG:           sim.NewRNG(h.rng.Uint64()),
+		Name:          name,
+		CPU:           cpu,
+		PerPacketCost: h.cfg.PerPacketCost,
+		DefaultCC:     cc,
+		MinRTO:        h.cfg.MinRTO,
+		MSL:           h.cfg.MSL,
+		SendBufSize:   h.cfg.SendBufSize,
+		RecvBufSize:   h.cfg.RecvBufSize,
+		Metrics:       metrics,
 	}
 }
 
@@ -616,20 +589,20 @@ func (vm *VM) CopyReport() CopyReport {
 	var r CopyReport
 	if vm.Guest != nil {
 		gs := vm.Guest.Stats()
-		r.PayloadTx = gs.BytesSent
-		r.PayloadRx = gs.BytesReceived
-		r.GuestTxCopied = gs.TxBytesCopied
-		r.GuestRxCopied = gs.RxBytesCopied
+		r.PayloadTx = uint64(gs.BytesSent)
+		r.PayloadRx = uint64(gs.BytesReceived)
+		r.GuestTxCopied = uint64(gs.TxBytesCopied)
+		r.GuestRxCopied = uint64(gs.RxBytesCopied)
 	}
 	for _, svc := range vm.Services {
 		ss := svc.Stats()
-		r.ServiceTxCopied += ss.TxBytesCopied
-		r.ServiceRxCopied += ss.RxBytesCopied
+		r.ServiceTxCopied += uint64(ss.TxBytesCopied)
+		r.ServiceRxCopied += uint64(ss.RxBytesCopied)
 	}
 	addStack := func(st stack.Stats) {
-		r.TCPTxCopied += st.TCPCopiedTx
-		r.TCPRxCopied += st.TCPCopiedRx
-		r.FrameTxCopied += st.FrameCopiedTx
+		r.TCPTxCopied += uint64(st.TCPCopiedTx)
+		r.TCPRxCopied += uint64(st.TCPCopiedRx)
+		r.FrameTxCopied += uint64(st.FrameCopiedTx)
 	}
 	for _, n := range vm.NSMs {
 		addStack(n.Stack.Stats())

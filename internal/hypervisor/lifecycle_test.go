@@ -337,7 +337,7 @@ func TestMappingRetiresOnLastElement(t *testing.T) {
 					t.Fatalf("after step %d (%v): %d mappings, want %d", i, st.e.Op, n, want)
 				}
 			}
-			if n := ce.Stats().Translated - before; n != uint64(len(tc.steps)) {
+			if n := uint64(ce.Stats().Translated - before); n != uint64(len(tc.steps)) {
 				t.Errorf("translated %d of %d elements", n, len(tc.steps))
 			}
 			if n := ce.Stats().BadElements; n != 0 {

@@ -402,8 +402,8 @@ func TestPollerOneNotificationPerEvent(t *testing.T) {
 		if got != trips*msg {
 			t.Fatalf("the client read %d of %d echoed bytes", got, trips*msg)
 		}
-		events = srv.Stats().PollerEvents - before
-		translated = c.h1.Engine.Stats().Translated + c.h2.Engine.Stats().Translated
+		events = uint64(srv.Stats().PollerEvents - before)
+		translated = uint64(c.h1.Engine.Stats().Translated + c.h2.Engine.Stats().Translated)
 		return events, translated
 	}
 

@@ -10,12 +10,12 @@ import (
 
 // TestCopyReportConcurrentWithPipeline is the -race gate for the
 // observability counters: a monitoring goroutine hammers
-// VM.CopyReport() and the NSM stacks' Stats() — the two surfaces that
-// used to read hot-path fields bare — while the event loop pumps a
-// bulk transfer on the test goroutine. Every counter those accessors
-// touch must be an atomic; before the migration this test fails under
-// `go test -race` with reads in CopyReport racing writes in
-// guestlib/servicelib/stack hot paths.
+// VM.CopyReport(), both hosts' registry Snapshot() and every layer's
+// Stats() — GuestLib, ServiceLib, the NSM stacks, the CoreEngine and
+// the switch — while the event loop pumps a bulk transfer on the test
+// goroutine. Every counter those surfaces touch must be an atomic; a
+// plain counter field fails this test under `go test -race`, its read
+// in the monitor racing its write on the hot path.
 func TestCopyReportConcurrentWithPipeline(t *testing.T) {
 	c := newCluster(t, nil)
 	vma, vmb := c.nkPair(t, "cubic", "cubic")
@@ -93,6 +93,12 @@ func TestCopyReportConcurrentWithPipeline(t *testing.T) {
 				for _, svc := range vm.Services {
 					_ = svc.Stats()
 				}
+				_ = vm.Guest.Stats()
+			}
+			for _, h := range []*Host{c.h1, c.h2} {
+				_ = h.Snapshot()
+				_ = h.Engine.Stats()
+				_ = h.Switch.Stats()
 			}
 		}
 	}()

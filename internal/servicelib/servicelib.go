@@ -70,50 +70,22 @@ const (
 	coalesceDelay = 5 * time.Microsecond
 )
 
-// Stats is a point-in-time copy of the ServiceLib counters.
+// Stats is the ServiceLib's live counter set, published under each
+// field's metric tag. Every field is an atomic telemetry.Counter:
+// management-plane readers (VM.CopyReport, registry snapshots) may run
+// on another goroutine than the loop the module pumps on.
 type Stats struct {
-	JobsProcessed uint64
-	DataIn        uint64 // bytes VM→NSM (sends)
-	DataOut       uint64 // bytes NSM→VM (receives)
-	Conns         uint64
-	Accepts       uint64
+	JobsProcessed telemetry.Counter `metric:"jobs_processed"`
+	DataIn        telemetry.Counter `metric:"data_in"`  // bytes VM→NSM (sends)
+	DataOut       telemetry.Counter `metric:"data_out"` // bytes NSM→VM (receives)
+	Conns         telemetry.Counter `metric:"conns"`
+	Accepts       telemetry.Counter `metric:"accepts"`
 	// TxBytesCopied and RxBytesCopied count payload bytes this layer
 	// memcpy'd. On the streaming path Tx stays zero (chunks are handed
 	// to the TCP conn as owned spans) and Rx counts exactly one copy
 	// per byte: reassembled wire payload → huge-page chunk.
-	TxBytesCopied uint64
-	RxBytesCopied uint64
-}
-
-// counters is the live atomic form of Stats: management-plane readers
-// (VM.CopyReport, registry snapshots) may run on another goroutine
-// than the loop the module pumps on, as the -race tests' monitors do.
-type counters struct {
-	jobsProcessed, dataIn, dataOut telemetry.Counter
-	conns, accepts                 telemetry.Counter
-	txBytesCopied, rxBytesCopied   telemetry.Counter
-}
-
-func (c *counters) register(m *telemetry.Scope) {
-	m.Counter("jobs_processed", &c.jobsProcessed)
-	m.Counter("data_in", &c.dataIn)
-	m.Counter("data_out", &c.dataOut)
-	m.Counter("conns", &c.conns)
-	m.Counter("accepts", &c.accepts)
-	m.Counter("tx_bytes_copied", &c.txBytesCopied)
-	m.Counter("rx_bytes_copied", &c.rxBytesCopied)
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		JobsProcessed: c.jobsProcessed.Load(),
-		DataIn:        c.dataIn.Load(),
-		DataOut:       c.dataOut.Load(),
-		Conns:         c.conns.Load(),
-		Accepts:       c.accepts.Load(),
-		TxBytesCopied: c.txBytesCopied.Load(),
-		RxBytesCopied: c.rxBytesCopied.Load(),
-	}
+	TxBytesCopied telemetry.Counter `metric:"tx_bytes_copied"`
+	RxBytesCopied telemetry.Counter `metric:"rx_bytes_copied"`
 }
 
 type sendChunk struct {
@@ -230,7 +202,7 @@ type ServiceLib struct {
 	conns     map[uint32]*connState
 	listeners map[uint32]*listenerState
 	nextCID   uint32
-	stats     counters
+	stats     Stats
 	// backlog holds emissions that found their ring full, one per
 	// shard; every pump retries them in order, so a data flood can
 	// delay but never lose a completion or connection event.
@@ -267,7 +239,7 @@ func New(cfg Config) *ServiceLib {
 		backlog:   make([]nkqueue.Backlog, len(cfg.Pair.Shards)),
 		drain:     make([]nqe.Element, 64),
 	}
-	s.stats.register(cfg.Metrics)
+	cfg.Metrics.Publish(&s.stats)
 	for i := range s.backlog {
 		s.backlog[i].Wake = func(*nkqueue.Queue) { s.kickEngine(i) }
 	}
@@ -290,7 +262,7 @@ func (s *ServiceLib) shardForConn(conn *tcp.Conn) int {
 }
 
 // Stats returns a copy of the counters, read atomically.
-func (s *ServiceLib) Stats() Stats { return s.stats.snapshot() }
+func (s *ServiceLib) Stats() Stats { return telemetry.Load(&s.stats) }
 
 // CC returns the module's congestion-control name.
 func (s *ServiceLib) CC() string { return s.cfg.CC }
@@ -406,7 +378,7 @@ func (s *ServiceLib) pump(shard int) {
 		if n == 0 {
 			break
 		}
-		s.stats.jobsProcessed.Add(uint64(n))
+		s.stats.JobsProcessed.Add(uint64(n))
 		for i := range s.drain[:n] {
 			s.handleJob(shard, &s.drain[i])
 		}
@@ -536,7 +508,7 @@ func (s *ServiceLib) handleConnect(e *nqe.Element) {
 	}
 	cs.conn = conn
 	conn.SetPushSink(cs.sink)
-	s.stats.conns.Inc()
+	s.stats.Conns.Inc()
 }
 
 func (s *ServiceLib) handleListen(shard int, e *nqe.Element) {
@@ -597,7 +569,7 @@ func (s *ServiceLib) NewAcceptCallback(ls *listenerState) {
 		s.conns[cid] = cs
 		conn.SetCallbacks(cs.opts.OnReadable, cs.opts.OnWritable, cs.opts.OnClose)
 		conn.SetPushSink(cs.sink)
-		s.stats.accepts.Inc()
+		s.stats.Accepts.Inc()
 		ls.announced++
 		remote := conn.RemoteAddr()
 		if batch == nil {
@@ -683,7 +655,7 @@ func (s *ServiceLib) deliverData(cid uint32, flush bool) {
 			return
 		}
 		cs.recvDebt += n
-		s.stats.dataOut.Add(uint64(n))
+		s.stats.DataOut.Add(uint64(n))
 		s.emit(cs.shard, nkchan.Receive, &nqe.Element{
 			Op: nqe.OpNewData, CID: cid,
 			DataOff: chunk.Offset, DataLen: uint32(n),
@@ -721,7 +693,7 @@ func (s *ServiceLib) sinkData(cs *connState, p []byte, push bool) int {
 		cs.rxFill += n
 		consumed += n
 		p = p[n:]
-		s.stats.rxBytesCopied.Add(uint64(n))
+		s.stats.RxBytesCopied.Add(uint64(n))
 		if cs.rxFill == chunkSize {
 			s.emitRxChunk(cs)
 		}
@@ -743,7 +715,7 @@ func (s *ServiceLib) emitRxChunk(cs *connState) {
 		return
 	}
 	cs.recvDebt += cs.rxFill
-	s.stats.dataOut.Add(uint64(cs.rxFill))
+	s.stats.DataOut.Add(uint64(cs.rxFill))
 	s.emit(cs.shard, nkchan.Receive, &nqe.Element{
 		Op: nqe.OpNewData, CID: cs.cid,
 		DataOff: cs.rxChunk.Offset, DataLen: uint32(cs.rxFill),
@@ -806,7 +778,7 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 				}
 				return // send buffer full (or conn closing); OnWritable resumes
 			}
-			s.stats.dataIn.Add(uint64(head.size))
+			s.stats.DataIn.Add(uint64(head.size))
 			s.cfg.Tracer.End(head.trace, "stack.tx")
 			pages.Free(chunk) // the queue's reference; the span keeps its own
 			s.emit(cs.shard, nkchan.Completion, &nqe.Element{
@@ -823,7 +795,7 @@ func (s *ServiceLib) pumpSend(cs *connState) {
 			s.cfg.Shaper.Refund(len(data) - n)
 		}
 		head.off += n
-		s.stats.dataIn.Add(uint64(n))
+		s.stats.DataIn.Add(uint64(n))
 		if head.off < head.size {
 			return // socket buffer full; OnWritable resumes
 		}

@@ -1,6 +1,6 @@
 package stack
 
-// coreTable is the RoundRobinCores steering history: the core each flow
+// coreTable is the round-robin steering history: the core each flow
 // hash drew when first seen. A Go map would spend about 18 B an entry on
 // a 4-byte key and a core that fits in a byte; this table spends 64 B per
 // 12 entries at a load between 7/12 and 7/8 (6.7 B an entry at the 32 770

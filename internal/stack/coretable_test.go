@@ -130,19 +130,19 @@ func TestCoreTableMatchesMap(t *testing.T) {
 // A CPU wider than a byte's 256 cores cannot be steered round-robin.
 func TestSteeringRefusesWideCPU(t *testing.T) {
 	loop := sim.NewLoop()
-	New(Config{Clock: loop, Name: "ok", CPU: netsim.NewCPU(loop, 256), RoundRobinCores: true})
+	New(Config{Clock: loop, Name: "ok", CPU: netsim.NewCPU(loop, 256)})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New accepted RoundRobinCores on 257 cores")
+			t.Fatal("New accepted a 257-core CPU")
 		}
 	}()
-	New(Config{Clock: loop, Name: "wide", CPU: netsim.NewCPU(loop, 257), RoundRobinCores: true})
+	New(Config{Clock: loop, Name: "wide", CPU: netsim.NewCPU(loop, 257)})
 }
 
 func steeredStack() *Stack {
 	loop := sim.NewLoop()
 	return New(Config{Clock: loop, RNG: sim.NewRNG(1), Name: "a",
-		CPU: netsim.NewCPU(loop, 4), PerPacketCost: 470 * time.Nanosecond, RoundRobinCores: true})
+		CPU: netsim.NewCPU(loop, 4), PerPacketCost: 470 * time.Nanosecond})
 }
 
 // A frame of a flow already steered, and the first frame of a flow that

@@ -293,7 +293,7 @@ func TestFrameCopyLedger(t *testing.T) {
 	if cs.Retransmits == 0 {
 		t.Fatal("a 2% loss link produced no retransmission: the test does not cover them")
 	}
-	if tx := p.a.Stats().FrameCopiedTx; tx != cs.BytesSent {
+	if tx := uint64(p.a.Stats().FrameCopiedTx); tx != cs.BytesSent {
 		t.Errorf("sender copied %d bytes into frames for %d payload bytes sent (%.3f per byte), want exactly 1",
 			tx, cs.BytesSent, float64(tx)/float64(cs.BytesSent))
 	}

@@ -36,23 +36,20 @@ type Config struct {
 	Name string
 
 	// CPU, when set, charges PerPacketCost of core time per packet in
-	// each direction, with flows steered to cores RSS-style. This is
-	// the per-core processing model behind Figure 4's single-flow cap.
+	// each direction. This is the per-core processing model behind
+	// Figure 4's single-flow cap. An unsharded stack pins each new flow
+	// to the least-recently-assigned core, so up to Cores() concurrent
+	// flows never share one (manual pinning, as the paper's testbed
+	// does); it steers to at most 256 cores.
 	CPU           *netsim.CPU
 	PerPacketCost time.Duration
-	// RoundRobinCores steers each new flow to the least-recently-
-	// assigned core instead of hashing, guaranteeing up to NumCores
-	// concurrent flows never share a core (manual pinning, as the
-	// paper's testbed does). Hash steering (the default) is what
-	// commodity RSS gives. It steers to at most 256 cores.
-	RoundRobinCores bool
 	// RxShards, when > 0, runs the stack in sharded (multi-queue NSM)
 	// mode: the TCP connection table is split into RxShards shards
 	// keyed by the canonical vswitch 4-tuple hash, and each frame is
 	// dispatched to CPU core == its flow's shard, so shard i's
 	// connection state is only ever touched from core i. RxShards=1
-	// models a single-queue NSM (every flow on core 0); 0 keeps the
-	// seed's legacy behavior (one table, rssHash core steering).
+	// models a single-queue NSM (every flow on core 0); 0 keeps one
+	// table with round-robin core pinning.
 	RxShards int
 
 	// DefaultCC names the congestion control used when a dial or
@@ -78,25 +75,32 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Stats is a point-in-time copy of the stack counters.
+// Stats is the stack's live counter set, published under each field's
+// metric tag. The frame path runs on netsim CPU cores while
+// management-plane callers (VM.CopyReport, Snapshot) may read from
+// another goroutine, so every field is an atomic telemetry.Counter.
 type Stats struct {
-	FramesIn, FramesOut   uint64
-	IPIn, IPOut           uint64
-	TCPSegsIn             uint64
-	DroppedNoRoute        uint64
-	DroppedBadPacket      uint64
-	DroppedNoSocket       uint64
-	DroppedDead           uint64 // frames arriving after Kill
-	ARPRequests, ARPReply uint64
+	FramesIn         telemetry.Counter `metric:"frames_in"`
+	FramesOut        telemetry.Counter `metric:"frames_out"`
+	IPIn             telemetry.Counter `metric:"ip_in"`
+	IPOut            telemetry.Counter `metric:"ip_out"`
+	TCPSegsIn        telemetry.Counter `metric:"tcp_segs_in"`
+	DroppedNoRoute   telemetry.Counter `metric:"dropped_no_route"`
+	DroppedBadPacket telemetry.Counter `metric:"dropped_bad_packet"`
+	DroppedNoSocket  telemetry.Counter `metric:"dropped_no_socket"`
+	DroppedDead      telemetry.Counter `metric:"dropped_dead"` // frames arriving after Kill
+	ARPRequests      telemetry.Counter `metric:"arp_requests"`
+	ARPReply         telemetry.Counter `metric:"arp_replies"`
 	// TCPCopiedTx and TCPCopiedRx aggregate the TCP layer's payload
 	// memcpy counters across every connection this stack has hosted,
 	// including ones already torn down (the per-conn Stats die with the
 	// conn; the copy-budget accounting needs the cumulative view).
-	TCPCopiedTx, TCPCopiedRx uint64
+	TCPCopiedTx telemetry.Counter `metric:"tcp_copied_tx"`
+	TCPCopiedRx telemetry.Counter `metric:"tcp_copied_rx"`
 	// TCPRetransmits aggregates every hosted connection's retransmitted
 	// segments (RTO and fast retransmit), cumulatively like the copy
 	// ledger.
-	TCPRetransmits uint64
+	TCPRetransmits telemetry.Counter `metric:"tcp_retransmits"`
 	// FrameCopiedTx counts transport payload bytes copied into a frame
 	// buffer — the one copy between the transport's send buffer and the
 	// wire (DESIGN.md §15). It extends the copy ledger below TCP; there is
@@ -104,60 +108,7 @@ type Stats struct {
 	// nothing. Read it here: it is deliberately not published in the
 	// telemetry registry, whose name set the benchmark's model digest
 	// hashes.
-	FrameCopiedTx uint64
-}
-
-// counters is the live, atomically updated form of Stats. The stack's
-// frame path runs on netsim CPU cores and its counters are read by
-// management-plane callers (VM.CopyReport, Snapshot) that may sit on a
-// different goroutine than the loop, as the -race tests' monitors do,
-// so every hot-path counter is an atomic telemetry.Counter rather than
-// a plain field.
-type counters struct {
-	framesIn, framesOut      telemetry.Counter
-	ipIn, ipOut              telemetry.Counter
-	tcpSegsIn                telemetry.Counter
-	droppedNoRoute           telemetry.Counter
-	droppedBadPacket         telemetry.Counter
-	droppedNoSocket          telemetry.Counter
-	droppedDead              telemetry.Counter
-	arpRequests, arpReply    telemetry.Counter
-	tcpCopiedTx, tcpCopiedRx telemetry.Counter
-	tcpRetransmits           telemetry.Counter
-	frameCopiedTx            telemetry.Counter
-}
-
-func (c *counters) register(m *telemetry.Scope) {
-	m.Counter("frames_in", &c.framesIn)
-	m.Counter("frames_out", &c.framesOut)
-	m.Counter("ip_in", &c.ipIn)
-	m.Counter("ip_out", &c.ipOut)
-	m.Counter("tcp_segs_in", &c.tcpSegsIn)
-	m.Counter("dropped_no_route", &c.droppedNoRoute)
-	m.Counter("dropped_bad_packet", &c.droppedBadPacket)
-	m.Counter("dropped_no_socket", &c.droppedNoSocket)
-	m.Counter("dropped_dead", &c.droppedDead)
-	m.Counter("arp_requests", &c.arpRequests)
-	m.Counter("arp_replies", &c.arpReply)
-	m.Counter("tcp_copied_tx", &c.tcpCopiedTx)
-	m.Counter("tcp_copied_rx", &c.tcpCopiedRx)
-	m.Counter("tcp_retransmits", &c.tcpRetransmits)
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		FramesIn: c.framesIn.Load(), FramesOut: c.framesOut.Load(),
-		IPIn: c.ipIn.Load(), IPOut: c.ipOut.Load(),
-		TCPSegsIn:        c.tcpSegsIn.Load(),
-		DroppedNoRoute:   c.droppedNoRoute.Load(),
-		DroppedBadPacket: c.droppedBadPacket.Load(),
-		DroppedNoSocket:  c.droppedNoSocket.Load(),
-		DroppedDead:      c.droppedDead.Load(),
-		ARPRequests:      c.arpRequests.Load(), ARPReply: c.arpReply.Load(),
-		TCPCopiedTx: c.tcpCopiedTx.Load(), TCPCopiedRx: c.tcpCopiedRx.Load(),
-		TCPRetransmits: c.tcpRetransmits.Load(),
-		FrameCopiedTx:  c.frameCopiedTx.Load(),
-	}
+	FrameCopiedTx telemetry.Counter
 }
 
 // Stack is one host's network stack.
@@ -178,9 +129,9 @@ type Stack struct {
 	nextPort uint16
 	gateway  ipv4.Addr
 	maskBits int
-	stats    counters
+	stats    Stats
 
-	// flowCore is the RoundRobinCores assignment table: every flow hash
+	// flowCore is the round-robin assignment table: every flow hash
 	// ever seen keeps the core it first drew, a byte in a compact table
 	// (New refuses a CPU of more than 256 cores).
 	flowCore coreTable
@@ -263,8 +214,8 @@ func New(cfg Config) *Stack {
 	if cfg.RNG == nil {
 		cfg.RNG = sim.NewRNG(0x5eed)
 	}
-	if cfg.RoundRobinCores && cfg.CPU != nil && cfg.CPU.Cores() > maxSteeredCores {
-		panic(fmt.Sprintf("stack: RoundRobinCores steers to at most %d cores, CPU has %d", maxSteeredCores, cfg.CPU.Cores()))
+	if cfg.CPU != nil && cfg.CPU.Cores() > maxSteeredCores {
+		panic(fmt.Sprintf("stack: round-robin pinning steers to at most %d cores, CPU has %d", maxSteeredCores, cfg.CPU.Cores()))
 	}
 	nshards := cfg.RxShards
 	if nshards < 1 {
@@ -282,7 +233,7 @@ func New(cfg Config) *Stack {
 	}
 	s.timeWait.Init(cfg.Clock)
 	s.arpCache.Request = s.sendARPRequest
-	s.stats.register(cfg.Metrics)
+	cfg.Metrics.Publish(&s.stats)
 	if cfg.Metrics != nil && cfg.RxShards > 0 {
 		// Per-shard live-connection gauges (DESIGN.md §10 naming:
 		// <scope>.s<i>.conns), so steering skew is observable.
@@ -326,7 +277,7 @@ func (s *Stack) Interface() *Iface { return s.iface }
 
 // Stats returns a copy of the stack counters, read atomically — safe
 // to call from any goroutine while the data path runs.
-func (s *Stack) Stats() Stats { return s.stats.snapshot() }
+func (s *Stack) Stats() Stats { return telemetry.Load(&s.stats) }
 
 // Name returns the stack's label.
 func (s *Stack) Name() string { return s.cfg.Name }
@@ -392,9 +343,9 @@ const ttl = 64
 // the slice again nor deliver it anywhere else. Everything the protocol
 // layers keep (TCP receive and reorder buffers) is copied out first.
 func (s *Stack) DeliverFrame(frame []byte) {
-	s.stats.framesIn.Inc()
+	s.stats.FramesIn.Inc()
 	if s.dead {
-		s.stats.droppedDead.Inc()
+		s.stats.DroppedDead.Inc()
 		framepool.Put(frame)
 		return
 	}
@@ -417,7 +368,7 @@ type (
 
 func (s *rxDone) HandleFrame(frame []byte, _ uint64) {
 	if s.dead {
-		s.stats.droppedDead.Inc()
+		s.stats.DroppedDead.Inc()
 	} else {
 		(*Stack)(s).processFrame(frame)
 	}
@@ -433,7 +384,8 @@ func (s *txDone) HandleFrame(frame []byte, _ uint64) {
 }
 
 // frameCore picks the CPU core charged for a frame: the flow's shard
-// in sharded mode (core i owns shard i), else legacy RSS steering.
+// in sharded mode (core i owns shard i), else the core its flow is
+// pinned to.
 func (s *Stack) frameCore(frame []byte) int {
 	if s.cfg.RxShards > 0 {
 		return vswitch.FrameShard(frame, s.cfg.RxShards)
@@ -441,13 +393,10 @@ func (s *Stack) frameCore(frame []byte) int {
 	return s.coreFor(rssHash(frame))
 }
 
-// coreFor maps a flow hash to a core: directly (RSS) or via a
-// round-robin assignment table (manual pinning). It runs only for a
-// frame charged to cfg.CPU.
+// coreFor maps a flow hash to its core through the round-robin
+// assignment table (manual pinning). It runs only for a frame charged to
+// cfg.CPU.
 func (s *Stack) coreFor(hash uint32) int {
-	if !s.cfg.RoundRobinCores {
-		return int(hash)
-	}
 	if core, ok := s.flowCore.get(hash); ok {
 		return int(core)
 	}
@@ -460,7 +409,7 @@ func (s *Stack) coreFor(hash uint32) int {
 	return int(core)
 }
 
-// rssHash steers a frame to a core by hashing its flow fields, like NIC
+// rssHash keys a frame's flow by hashing its flow fields, like NIC
 // receive-side scaling: all segments of one flow share a core.
 func rssHash(frame []byte) uint32 {
 	// IPv4 src/dst live at 26..34, ports at 34..38 of an Ethernet frame.
@@ -478,7 +427,7 @@ func rssHash(frame []byte) uint32 {
 func (s *Stack) processFrame(frame []byte) {
 	eh, payload, err := ethernet.Parse(frame)
 	if err != nil {
-		s.stats.droppedBadPacket.Inc()
+		s.stats.DroppedBadPacket.Inc()
 		return
 	}
 	if eh.Dst != s.iface.MAC && !eh.Dst.IsBroadcast() {
@@ -490,20 +439,20 @@ func (s *Stack) processFrame(frame []byte) {
 	case ethernet.TypeIPv4:
 		s.processIPv4(payload)
 	default:
-		s.stats.droppedBadPacket.Inc()
+		s.stats.DroppedBadPacket.Inc()
 	}
 }
 
 func (s *Stack) processARP(pkt []byte) {
 	p, err := arp.Parse(pkt)
 	if err != nil {
-		s.stats.droppedBadPacket.Inc()
+		s.stats.DroppedBadPacket.Inc()
 		return
 	}
 	// Opportunistic learning.
 	s.arpCache.Learn(p.SenderIP, p.SenderMAC)
 	if p.Op == arp.OpRequest && p.TargetIP == s.iface.IP {
-		s.stats.arpReply.Inc()
+		s.stats.ARPReply.Inc()
 		s.sendARP(p.SenderMAC, &arp.Packet{
 			Op:        arp.OpReply,
 			SenderMAC: s.iface.MAC,
@@ -523,21 +472,21 @@ func (s *Stack) sendARP(dst ethernet.MAC, p *arp.Packet) {
 func (s *Stack) processIPv4(pkt []byte) {
 	h, payload, err := ipv4.Parse(pkt)
 	if err != nil {
-		s.stats.droppedBadPacket.Inc()
+		s.stats.DroppedBadPacket.Inc()
 		return
 	}
 	if h.Dst != s.iface.IP {
 		return // we are a host, not a router
 	}
-	s.stats.ipIn.Inc()
+	s.stats.IPIn.Inc()
 	if h.Flags&ipv4.FlagMoreFrags != 0 || h.FragOff != 0 {
 		// The stack never fragments, and a fragment is not reassembled:
 		// nothing of it is kept.
-		s.stats.droppedBadPacket.Inc()
+		s.stats.DroppedBadPacket.Inc()
 		return
 	}
 	if h.Proto != ipv4.ProtoTCP {
-		s.stats.droppedNoSocket.Inc()
+		s.stats.DroppedNoSocket.Inc()
 		return
 	}
 	s.processTCP(h.Src, payload, h.ECN() == ipv4.ECNCE)
@@ -553,7 +502,7 @@ func (s *Stack) sendEthernet(dst ethernet.MAC, typ ethernet.EtherType, frame []b
 	}
 	eh := ethernet.Header{Dst: dst, Src: s.iface.MAC, Type: typ}
 	eh.Marshal(frame)
-	s.stats.framesOut.Inc()
+	s.stats.FramesOut.Inc()
 	if s.cfg.CPU != nil && s.cfg.PerPacketCost > 0 {
 		s.cfg.CPU.DispatchFrame(s.frameCore(frame), s.cfg.PerPacketCost, (*txDone)(s), frame, 0)
 		return
@@ -570,7 +519,7 @@ func (s *Stack) sendEthernet(dst ethernet.MAC, typ ethernet.EtherType, frame []b
 func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, frame []byte) error {
 	hop, err := s.nextHop(dst)
 	if err != nil {
-		s.stats.droppedNoRoute.Inc()
+		s.stats.DroppedNoRoute.Inc()
 		framepool.Put(frame)
 		return err
 	}
@@ -589,7 +538,7 @@ func (s *Stack) sendIPv4(dst ipv4.Addr, proto uint8, tos uint8, frame []byte) er
 	}
 	h.TotalLen = uint16(len(frame) - ethernet.HeaderLen)
 	h.Marshal(frame[ethernet.HeaderLen:])
-	s.stats.ipOut.Inc()
+	s.stats.IPOut.Inc()
 	s.sendFrame(hop, frame)
 	return nil
 }
@@ -617,7 +566,7 @@ func (s *Stack) sendFrame(hop ipv4.Addr, frame []byte) {
 }
 
 func (s *Stack) sendARPRequest(target ipv4.Addr) {
-	s.stats.arpRequests.Inc()
+	s.stats.ARPRequests.Inc()
 	s.sendARP(ethernet.Broadcast, &arp.Packet{
 		Op:        arp.OpRequest,
 		SenderMAC: s.iface.MAC,

@@ -14,8 +14,6 @@ import (
 type SocketOptions struct {
 	// CC names the congestion control ("" = stack default).
 	CC string
-	// SendBufSize / RecvBufSize override the stack defaults when > 0.
-	SendBufSize, RecvBufSize int
 	// Nagle enables small-segment coalescing.
 	Nagle bool
 
@@ -124,7 +122,7 @@ func (s *Stack) Conns(fn func(c *tcp.Conn)) {
 }
 
 func (s *Stack) connConfig(k *tcpSock, local, remote tcp.AddrPort, ccAlg tcpcc.Algorithm, opts SocketOptions) tcp.Config {
-	cfg := tcp.Config{
+	return tcp.Config{
 		Clock:         s.cfg.Clock,
 		RNG:           s.cfg.RNG,
 		Local:         local,
@@ -142,17 +140,10 @@ func (s *Stack) connConfig(k *tcpSock, local, remote tcp.AddrPort, ccAlg tcpcc.A
 		OnReadable:    opts.OnReadable,
 		OnWritable:    opts.OnWritable,
 		OnClose:       opts.OnClose,
-		CopiedTx:      &s.stats.tcpCopiedTx,
-		CopiedRx:      &s.stats.tcpCopiedRx,
-		Retrans:       &s.stats.tcpRetransmits,
+		CopiedTx:      &s.stats.TCPCopiedTx,
+		CopiedRx:      &s.stats.TCPCopiedRx,
+		Retrans:       &s.stats.TCPRetransmits,
 	}
-	if opts.SendBufSize > 0 {
-		cfg.SendBufSize = opts.SendBufSize
-	}
-	if opts.RecvBufSize > 0 {
-		cfg.RecvBufSize = opts.RecvBufSize
-	}
-	return cfg
 }
 
 // tcpSock is the stack's side of one connection object: the Conn and
@@ -278,7 +269,7 @@ func (k *tcpSock) handshakeDone(err error) {
 func (s *Stack) sendTCP(src, dst ipv4.Addr, h *tcp.Header, payload []byte, tos uint8) {
 	frame := framepool.Get(l4Offset + h.Len() + len(payload))
 	h.MarshalInto(src, dst, frame[l4Offset:], payload)
-	s.stats.frameCopiedTx.Add(uint64(len(payload)))
+	s.stats.FrameCopiedTx.Add(uint64(len(payload)))
 	// Routing errors surface as drops; TCP's own retransmission handles
 	// transient ones.
 	_ = s.sendIPv4(dst, ipv4.ProtoTCP, tos, frame)
@@ -287,10 +278,10 @@ func (s *Stack) sendTCP(src, dst ipv4.Addr, h *tcp.Header, payload []byte, tos u
 func (s *Stack) processTCP(src ipv4.Addr, seg []byte, ce bool) {
 	h, payload, err := tcp.Parse(src, s.iface.IP, seg)
 	if err != nil {
-		s.stats.droppedBadPacket.Inc()
+		s.stats.DroppedBadPacket.Inc()
 		return
 	}
-	s.stats.tcpSegsIn.Inc()
+	s.stats.TCPSegsIn.Inc()
 	key := fourTuple{s.iface.IP, h.DstPort, src, h.SrcPort}
 	if conn, ok := s.getConn(key); ok {
 		s.inInput = conn
@@ -318,7 +309,7 @@ func (s *Stack) processTCP(src ipv4.Addr, seg []byte, ce bool) {
 			return
 		}
 	}
-	s.stats.droppedNoSocket.Inc()
+	s.stats.DroppedNoSocket.Inc()
 	s.sendRST(src, &h, len(payload))
 }
 

@@ -23,7 +23,7 @@ var steeringGolden = []string{
 	"tx 49156>80 core 0", "rx 80>49156 core 1",
 }
 
-// RoundRobinCores pins flows to cores by first sight: each flow hash
+// An unsharded stack pins flows to cores by first sight: each flow hash
 // draws the next core of a 4-core CPU, wrapping at Cores(); a flow's two
 // directions hash apart and so draw separately; every later frame of a
 // direction is charged to the core it drew; and a 4-tuple reused after
@@ -33,7 +33,7 @@ func TestRoundRobinCoresSteering(t *testing.T) {
 	loop := sim.NewLoop()
 	mk := func(name string, seed uint64) *Stack {
 		return New(Config{Clock: loop, RNG: sim.NewRNG(seed), Name: name, MSL: 10 * time.Millisecond,
-			CPU: netsim.NewCPU(loop, 4), PerPacketCost: 470 * time.Nanosecond, RoundRobinCores: true})
+			CPU: netsim.NewCPU(loop, 4), PerPacketCost: 470 * time.Nanosecond})
 	}
 	a, b := mk("a", 1), mk("b", 2)
 

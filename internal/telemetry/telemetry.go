@@ -21,26 +21,59 @@ package telemetry
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// A Counter is a monotonically increasing atomic counter. The zero
-// value is ready to use; components embed Counters by value and
-// register pointers so the hot-path update is one atomic add with no
-// map lookup or lock.
-type Counter struct{ v atomic.Uint64 }
+// A Counter is a monotonically increasing count whose pointer methods
+// are atomic, so it may be read from any goroutine while its owner's
+// hot path adds to it. A layer's Stats struct of Counters is its live
+// counter set: the hot path updates a field with one atomic add and no
+// map lookup or lock, Publish names the fields in a registry, and Load
+// copies them out.
+//
+// sync/atomic needs a Counter 8-byte aligned on 32-bit targets, which
+// only the first word of an allocation is sure to be; Publish and Load
+// panic on a field that is not.
+type Counter uint64
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { atomic.AddUint64((*uint64)(c), 1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) { atomic.AddUint64((*uint64)(c), n) }
 
 // Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
+func (c *Counter) Load() uint64 { return atomic.LoadUint64((*uint64)(c)) }
+
+// Load returns an atomic copy of *stats, a struct whose every field is a
+// Counter: what a layer's Stats accessor returns.
+func Load[T any](stats *T) T {
+	var out T
+	dst := reflect.ValueOf(&out).Elem()
+	src := reflect.ValueOf(stats).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetUint(counterAt(src, i).Load())
+	}
+	return out
+}
+
+// counterAt returns field i of the struct v as a Counter, checking its
+// type and alignment.
+func counterAt(v reflect.Value, i int) *Counter {
+	f := v.Field(i).Addr()
+	c, ok := f.Interface().(*Counter)
+	if !ok {
+		panic(fmt.Sprintf("telemetry: %s.%s is not a Counter", v.Type(), v.Type().Field(i).Name))
+	}
+	if f.Pointer()%8 != 0 {
+		panic(fmt.Sprintf("telemetry: %s.%s is not 8-byte aligned", v.Type(), v.Type().Field(i).Name))
+	}
+	return c
+}
 
 // A Registry names metrics and snapshots them. Registration is
 // last-wins: re-registering a name replaces the previous metric, which
@@ -66,13 +99,13 @@ func NewRegistry() *Registry {
 // a nil registry hands back an unregistered standalone counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return &Counter{}
+		return new(Counter)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{}
+		c = new(Counter)
 		r.counters[name] = c
 	}
 	return c
@@ -187,6 +220,19 @@ func (s *Scope) Counter(name string, c *Counter) {
 		return
 	}
 	s.r.RegisterCounter(s.prefix+name, c)
+}
+
+// Publish registers each field of *stats, a struct of Counters, under
+// the scope by its `metric:"name"` tag, the metric's only name. An
+// untagged field stays unpublished.
+func (s *Scope) Publish(stats any) {
+	v := reflect.ValueOf(stats).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		c := counterAt(v, i)
+		if name := v.Type().Field(i).Tag.Get("metric"); name != "" {
+			s.Counter(name, c)
+		}
+	}
 }
 
 // GaugeFunc publishes a read-on-snapshot gauge under the scope.

@@ -25,6 +25,43 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
+// Publish names each tagged Counter of a stats struct by its tag and
+// leaves an untagged one out; Load copies every field without
+// allocating; a field that is not a Counter is refused.
+func TestPublishAndLoad(t *testing.T) {
+	var st struct {
+		In  Counter `metric:"in"`
+		Out Counter `metric:"out"`
+		Own Counter
+	}
+	r := NewRegistry()
+	r.Scope("x").Publish(&st)
+	st.In.Add(3)
+	st.Out.Inc()
+	st.Own.Add(7)
+	if got := strings.Join(r.Names(), " "); got != "x.in x.out" {
+		t.Errorf("published %q, want \"x.in x.out\"", got)
+	}
+	if snap := r.Snapshot(); snap.Counter("x.in") != 3 || snap.Counter("x.out") != 1 {
+		t.Errorf("snapshot %v, want x.in 3 and x.out 1", snap.Counters)
+	}
+	if got := Load(&st); got.In != 3 || got.Out != 1 || got.Own != 7 {
+		t.Errorf("Load = %+v, want {In:3 Out:1 Own:7}", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Load(&st) }); n != 0 {
+		t.Errorf("Load: %v allocs, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Publish accepted a field that is not a Counter")
+		}
+	}()
+	var bad struct {
+		N uint64 `metric:"n"`
+	}
+	r.Scope("y").Publish(&bad)
+}
+
 func TestRegistryScopesAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	var owned Counter

@@ -13,6 +13,7 @@ import (
 	"netkernel/internal/framepool"
 	"netkernel/internal/netsim"
 	"netkernel/internal/sim"
+	"netkernel/internal/telemetry"
 )
 
 const (
@@ -27,21 +28,22 @@ const (
 // perFrameDelay and ages entries after agingTime.
 type Config struct{}
 
-// Stats counts switch activity. Every frame entering the switch is
-// accounted exactly once: RxFrames == Forwarded + Flooded + Dropped.
+// Stats is the switch's live counter set, published under each field's
+// metric tag. Every frame entering the switch is accounted exactly
+// once: RxFrames == Forwarded + Flooded + Dropped.
 type Stats struct {
 	// RxFrames counts frames entering the switch from any port.
-	RxFrames  uint64
-	Forwarded uint64
-	Flooded   uint64
+	RxFrames  telemetry.Counter `metric:"rx_frames"`
+	Forwarded telemetry.Counter `metric:"forwarded"`
+	Flooded   telemetry.Counter `metric:"flooded"`
 	// Dropped counts frames discarded without forwarding: runts
 	// shorter than an Ethernet header, and frames whose learned
 	// destination is the ingress port itself (hairpin suppression).
-	Dropped uint64
-	Learned uint64
+	Dropped telemetry.Counter `metric:"dropped"`
+	Learned telemetry.Counter `metric:"learned"`
 	// AgedOut counts FDB entries evicted because a lookup found them
 	// expired.
-	AgedOut uint64
+	AgedOut telemetry.Counter `metric:"aged_out"`
 }
 
 // Switch is a MAC-learning switch.
@@ -73,8 +75,12 @@ func New(clock sim.Clock, _ Config) *Switch {
 	return s
 }
 
-// Stats returns a copy of the counters.
-func (s *Switch) Stats() Stats { return s.stats }
+// Stats returns a copy of the counters, read atomically.
+func (s *Switch) Stats() Stats { return telemetry.Load(&s.stats) }
+
+// Publish registers the switch's counters under m (e.g.
+// "switch.forwarded").
+func (s *Switch) Publish(m *telemetry.Scope) { m.Publish(&s.stats) }
 
 // Port is one switch port. Frames arriving from the attached device
 // enter through Deliver; frames leaving toward the device go to out.
@@ -112,9 +118,9 @@ func (s *Switch) AddPort(out netsim.Port) *Port {
 // port's device.
 func (p *Port) Deliver(frame []byte) {
 	sw := p.sw
-	sw.stats.RxFrames++
+	sw.stats.RxFrames.Inc()
 	if len(frame) < 12 {
-		sw.stats.Dropped++
+		sw.stats.Dropped.Inc()
 		framepool.Put(frame)
 		return
 	}
@@ -130,7 +136,7 @@ func (p *Port) Deliver(frame []byte) {
 			p.lastSrc = e
 		}
 		if e.port != p {
-			sw.stats.Learned++
+			sw.stats.Learned.Inc()
 			e.port = p
 		}
 		e.expires = sw.clock.Now().Add(agingTime)
@@ -154,21 +160,21 @@ func (p *Port) forward(frame []byte) {
 	if e := sw.lookup(dst, &p.lastDst); e != nil {
 		if sw.clock.Now() < e.expires {
 			if e.port != p {
-				sw.stats.Forwarded++
+				sw.stats.Forwarded.Inc()
 				e.port.out.Deliver(frame)
 			} else {
-				sw.stats.Dropped++ // hairpin: destination is the ingress port
+				sw.stats.Dropped.Inc() // hairpin: destination is the ingress port
 				framepool.Put(frame)
 			}
 			return
 		}
 		// Expired entry: evict it and fall through to flooding.
-		sw.stats.AgedOut++
+		sw.stats.AgedOut.Inc()
 		delete(sw.fdb, dst)
 		e.port = nil
 	}
 	// Unknown or broadcast: flood a copy to every other port.
-	sw.stats.Flooded++
+	sw.stats.Flooded.Inc()
 	for _, q := range sw.ports {
 		if q != p {
 			q.out.Deliver(framepool.Clone(frame))

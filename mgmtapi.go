@@ -80,7 +80,7 @@ func MeterNSM(c *Cluster, vm *VM, slaBps float64) *Meter {
 	svc := vm.Service
 	return pricing.NewMeter(c.Clock(), nsm.Form.String(), nsm.CPU.Cores(), nsm.Profile.MemoryMB, slaBps,
 		func() time.Duration { return vm.NSM.CPU.TotalBusy() },
-		func() (uint64, uint64) { st := svc.Stats(); return st.DataIn, st.DataOut },
+		func() (uint64, uint64) { st := svc.Stats(); return uint64(st.DataIn), uint64(st.DataOut) },
 		func() int { return vm.NSM.Stack.ConnCount() },
 	)
 }

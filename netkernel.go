@@ -171,14 +171,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 func (c *Cluster) AddHost(name string) *Host {
 	c.nextID++
 	hc := HostConfig{
-		Name:            name,
-		Clock:           c.loop,
-		RNG:             sim.NewRNG(c.cfg.Seed + uint64(c.nextID)),
-		HostID:          c.nextID,
-		Cores:           c.cfg.Cores,
-		PerPacketCost:   c.cfg.PerPacketCost,
-		RoundRobinCores: true,
-		HugePages:       c.pages,
+		Name:          name,
+		Clock:         c.loop,
+		RNG:           sim.NewRNG(c.cfg.Seed + uint64(c.nextID)),
+		HostID:        c.nextID,
+		Cores:         c.cfg.Cores,
+		PerPacketCost: c.cfg.PerPacketCost,
+		HugePages:     c.pages,
 	}
 	if c.cfg.Host != nil {
 		c.cfg.Host(&hc)
