@@ -141,7 +141,7 @@ func rpc() {
 
 func fig4() {
 	header("Figure 4: Throughput of TCP Cubic and NetKernel TCP Cubic NSM (40GbE)")
-	cfg := experiments.Figure4Config{Seed: *seed}
+	cfg := experiments.Figure4Config{}
 	if *quick {
 		cfg.Warmup = 100 * time.Millisecond
 		cfg.Window = 100 * time.Millisecond

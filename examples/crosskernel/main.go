@@ -45,6 +45,8 @@ func main() {
 }
 
 // run measures one scenario's upload throughput in bits per second.
+// The sender runs the same program on its NSM or its own stack: only
+// the VM's mode and congestion control differ.
 func run(useNSM bool, profile netkernel.GuestProfile, cc string) float64 {
 	c := netkernel.NewCluster(netkernel.ClusterConfig{Seed: 5})
 	beijing := c.AddHost("beijing")
@@ -58,47 +60,42 @@ func run(useNSM bool, profile netkernel.GuestProfile, cc string) float64 {
 	})
 	must(err)
 	var received uint64
-	listener, err := client.Legacy.Listen(443, 4, netkernel.SocketOptions{})
-	must(err)
-	listener.OnAcceptable = func() {
-		conn, ok := listener.Accept()
+	cs := client.Sockets
+	lfd := cs.Socket(netkernel.Callbacks{})
+	must(cs.SetCallbacks(lfd, netkernel.Callbacks{OnAcceptable: func() {
+		fd, ok := cs.Accept(lfd)
 		if !ok {
 			return
 		}
 		buf := make([]byte, 256<<10)
-		drain := func() {
+		must(cs.SetCallbacks(fd, netkernel.Callbacks{OnReadable: func() {
 			for {
-				n, _ := conn.Read(buf)
+				n, _ := cs.Recv(fd, buf)
 				if n == 0 {
 					return
 				}
 				received += uint64(n)
 			}
-		}
-		conn.SetCallbacks(drain, nil, nil)
-	}
+		}}))
+	}}))
+	must(cs.Listen(lfd, 443, 4))
 
 	// The sending server in Beijing, per scenario.
+	mode := netkernel.ModeLegacy
 	if useNSM {
-		server, err := beijing.CreateVM(netkernel.VMConfig{
-			Name: "server", IP: netkernel.IP("10.0.1.1"), Profile: profile,
-			Mode: netkernel.ModeNetKernel,
-			NSM:  netkernel.NSMSpec{Form: netkernel.FormVM, CC: cc},
-		})
-		must(err)
-		c.Run(4 * time.Second) // NSM VM boot
-		uploadViaGuestLib(server, client.IP)
-	} else {
-		server, err := beijing.CreateVM(netkernel.VMConfig{
-			Name: "server", IP: netkernel.IP("10.0.1.1"), Profile: profile,
-			Mode: netkernel.ModeLegacy,
-		})
-		must(err)
-		if cc != "" {
-			server.Legacy.SetDefaultCC(cc) // a Linux guest with BBR built in
-		}
-		uploadViaLegacyStack(server, client.IP)
+		mode = netkernel.ModeNetKernel
 	}
+	server, err := beijing.CreateVM(netkernel.VMConfig{
+		Name: "server", IP: netkernel.IP("10.0.1.1"), Profile: profile, Mode: mode,
+		NSM: netkernel.NSMSpec{Form: netkernel.FormVM, CC: cc},
+	})
+	must(err)
+	if useNSM {
+		c.Run(4 * time.Second) // NSM VM boot
+	} else if cc != "" {
+		server.Legacy.SetDefaultCC(cc) // a Linux guest with BBR built in
+	}
+	upload(server.Sockets, client.IP)
 
 	c.Run(warmup)
 	start := received
@@ -108,40 +105,21 @@ func run(useNSM bool, profile netkernel.GuestProfile, cc string) float64 {
 
 var payload = make([]byte, 64<<10)
 
-// uploadViaGuestLib pumps data through the NetKernel socket surface.
-func uploadViaGuestLib(server *netkernel.VM, dst netkernel.Addr) {
-	g := server.Guest
+// upload pumps data to dst through the VM's socket API.
+func upload(s netkernel.Sockets, dst netkernel.Addr) {
 	var fd int32
 	pump := func() {
-		for g.Send(fd, payload) > 0 {
+		for s.Send(fd, payload) > 0 {
 		}
 	}
-	fd = g.Socket(netkernel.Callbacks{
+	fd = s.Socket(netkernel.Callbacks{
 		OnEstablished: func(err error) {
 			must(err)
 			pump()
 		},
 		OnWritable: pump,
 	})
-	must(g.Connect(fd, dst, 443))
-}
-
-// uploadViaLegacyStack pumps data through the in-guest stack.
-func uploadViaLegacyStack(server *netkernel.VM, dst netkernel.Addr) {
-	var conn *netkernel.Conn
-	pump := func() {
-		for conn.Write(payload) > 0 {
-		}
-	}
-	var err error
-	conn, err = server.Legacy.Dial(netkernel.AddrPort{Addr: dst, Port: 443}, netkernel.SocketOptions{
-		OnEstablished: func(err error) {
-			must(err)
-			pump()
-		},
-		OnWritable: pump,
-	})
-	must(err)
+	must(s.Connect(fd, dst, 443))
 }
 
 func must(err error) {

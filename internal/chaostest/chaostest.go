@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,6 +38,7 @@ import (
 	"netkernel/internal/guestlib"
 	"netkernel/internal/hypervisor"
 	"netkernel/internal/netsim"
+	"netkernel/internal/nkchan"
 	"netkernel/internal/nkqueue"
 	"netkernel/internal/proto/ipv4"
 	"netkernel/internal/shm"
@@ -217,6 +219,57 @@ type harness struct {
 	// creation; untraced scenarios re-check it after quiesce so NSM
 	// restarts provably neither leak nor duplicate metric names.
 	namesBoot map[string][]string
+
+	// legacy runs both VMs on their in-guest stacks, and shared puts the
+	// server VM on the module of another tenant booted first: the
+	// transparency test's variants (transparency_test.go). The seeded
+	// scenarios set neither.
+	legacy, shared bool
+	// srvConns is every connection the server accepted.
+	srvConns []*srvConn
+}
+
+// appLog is what the application saw of one end of a connection, less
+// the timing: the error class of each call and callback, in order, and
+// the first OnReadable or OnWritable to reach the fd after its Close.
+// Counts of OnReadable and OnWritable are timing and are not logged.
+type appLog struct {
+	events []string
+	closed bool
+}
+
+func (a *appLog) add(event string, err error) {
+	if err != nil {
+		event += ":err"
+	}
+	a.events = append(a.events, event)
+}
+
+// once logs event the first time it happens.
+func (a *appLog) once(event string) {
+	if !slices.Contains(a.events, event) {
+		a.add(event, nil)
+	}
+}
+
+// callback notes an OnReadable or OnWritable: news only if it reaches
+// the fd after the application closed it.
+func (a *appLog) callback(kind string) {
+	if a.closed {
+		a.once("late " + kind)
+	}
+}
+
+// eof notes a Recv's EOF flag.
+func (a *appLog) eof(eof bool) {
+	if eof {
+		a.once("eof")
+	}
+}
+
+func (a *appLog) close() {
+	a.closed = true
+	a.add("close", nil)
 }
 
 type cconn struct {
@@ -231,6 +284,7 @@ type cconn struct {
 	closed      bool
 	closeErr    error
 	watchdog    sim.Handle
+	app         appLog
 }
 
 // srvConn tracks one accepted connection on the server.
@@ -241,6 +295,8 @@ type srvConn struct {
 	hdr     []byte // first bytes, until the header parses
 	echo    []byte // bytes received but not yet echoed back
 	closing bool
+	got     []byte // every byte received
+	app     appLog
 }
 
 func (h *harness) tracef(format string, args ...interface{}) {
@@ -299,14 +355,25 @@ func (h *harness) run() *Result {
 	h.h2.NIC.AttachWire(h.l21)
 
 	spec := hypervisor.NSMSpec{Form: hypervisor.FormModule, CC: "cubic"}
-	var err error
-	h.client, err = h.h1.CreateVM(hypervisor.VMConfig{Name: "cli", IP: clientIP, Mode: hypervisor.ModeNetKernel, NSM: spec})
-	if err != nil {
-		panic(err)
+	mode := hypervisor.ModeNetKernel
+	if h.legacy {
+		mode = hypervisor.ModeLegacy
 	}
-	h.server, err = h.h2.CreateVM(hypervisor.VMConfig{Name: "srv", IP: serverIP, Mode: hypervisor.ModeNetKernel, NSM: spec})
-	if err != nil {
-		panic(err)
+	vm := func(host *hypervisor.Host, name string, ip ipv4.Addr, spec hypervisor.NSMSpec) *hypervisor.VM {
+		v, err := host.CreateVM(hypervisor.VMConfig{Name: name, IP: ip, Mode: mode, NSM: spec})
+		if err != nil {
+			panic(err)
+		}
+		return v
+	}
+	h.client = vm(h.h1, "cli", clientIP, spec)
+	if h.shared {
+		// The first tenant's module serves serverIP; the server VM is the
+		// second tenant on it.
+		spec.ShareWith = vm(h.h2, "tenant", serverIP, spec).NSM
+		h.server = vm(h.h2, "srv", ipv4.Addr{10, 0, 2, 2}, spec)
+	} else {
+		h.server = vm(h.h2, "srv", serverIP, spec)
 	}
 	h.wireChannelFaults()
 	h.namesBoot = map[string][]string{
@@ -348,12 +415,14 @@ func (h *harness) run() *Result {
 		L12:   h.l12.Stats(), L21: h.l21.Stats(),
 		Sw1: h.h1.Switch.Stats(), Sw2: h.h2.Switch.Stats(),
 		Eng1: h.h1.Engine.Stats(), Eng2: h.h2.Engine.Stats(),
-		Pending:  h.loop.Pending(),
-		Restarts: h.server.NSM.Restarts,
+		Pending: h.loop.Pending(),
 
 		Migrated: h.migrated, MigAborted: h.migAborted,
 		MigConns: h.migConns, MigStall: h.migStall,
-		ServerStats: h.server.NSM.Stack.Stats(),
+		ServerStats: serving(h.server).Stats(),
+	}
+	if h.server.NSM != nil {
+		res.Restarts = h.server.NSM.Restarts
 	}
 	for _, host := range []*hypervisor.Host{h.h1, h.h2} {
 		for _, sp := range host.Tracer.Completed() {
@@ -375,6 +444,22 @@ func (h *harness) run() *Result {
 	return res
 }
 
+// serving returns the stack serving vm: its module's, or its own.
+func serving(vm *hypervisor.VM) *stack.Stack {
+	if vm.NSM != nil {
+		return vm.NSM.Stack
+	}
+	return vm.Legacy
+}
+
+// pairs returns vm's channels to its module, none for a legacy VM.
+func pairs(vm *hypervisor.VM) []*nkchan.Pair {
+	if vm.Guest == nil {
+		return nil
+	}
+	return vm.Guest.Pairs()
+}
+
 // wireChannelFaults installs the queue-stall fault on every ring of
 // both VM↔NSM channels, drawing from the fault RNG. An injected stall
 // can swallow the very push whose completion would have been the next
@@ -388,7 +473,7 @@ func (h *harness) wireChannelFaults() {
 		return
 	}
 	for _, vm := range []*hypervisor.VM{h.client, h.server} {
-		for _, pair := range vm.Guest.Pairs() {
+		for _, pair := range pairs(vm) {
 			for si := range pair.Shards {
 				rekickArmed := false
 				rekick := func() {
@@ -423,7 +508,7 @@ func (h *harness) wireChannelFaults() {
 // startServer installs a listener that echoes every connection's bytes
 // back and re-listens after an NSM crash kills it.
 func (h *harness) startServer() {
-	g := h.server.Guest
+	g := h.server.Sockets
 	var lfd int32
 	lfd = g.Socket(guestlib.Callbacks{
 		OnAcceptable: func() {
@@ -450,8 +535,9 @@ func (h *harness) startServer() {
 }
 
 func (h *harness) serveConn(fd int32) {
-	g := h.server.Guest
+	g := h.server.Sockets
 	sc := &srvConn{fd: fd, need: -1}
+	h.srvConns = append(h.srvConns, sc)
 	h.tracef("server: accepted fd=%d", fd)
 
 	pushEcho := func() {
@@ -465,14 +551,17 @@ func (h *harness) serveConn(fd int32) {
 		if sc.need >= 0 && sc.rcvd == sc.need && !sc.closing {
 			sc.closing = true
 			h.tracef("server: fd=%d echoed %d bytes, closing", sc.fd, sc.need)
+			sc.app.close()
 			g.Close(sc.fd)
 		}
 	}
 	read := func() {
 		for {
 			n, eof := g.Recv(sc.fd, h.recvBuf)
+			sc.app.eof(eof)
 			if n > 0 {
 				sc.rcvd += n
+				sc.got = append(sc.got, h.recvBuf[:n]...)
 				sc.echo = append(sc.echo, h.recvBuf[:n]...)
 				if sc.need < 0 {
 					sc.hdr = append(sc.hdr, h.recvBuf[:n]...)
@@ -487,22 +576,25 @@ func (h *harness) serveConn(fd int32) {
 					// The client quit early (watchdog, reset): release
 					// our side too.
 					sc.closing = true
+					sc.app.close()
 					g.Close(sc.fd)
 				}
 				return
 			}
 		}
 	}
-	g.SetCallbacks(fd, guestlib.Callbacks{
+	err := g.SetCallbacks(fd, guestlib.Callbacks{
 		// Echo after every drain: OnWritable alone only fires on a
 		// stalled→writable transition, which never happens if the
 		// first Send is never attempted.
-		OnReadable: func() { read(); pushEcho() },
-		OnWritable: pushEcho,
+		OnReadable: func() { sc.app.callback("readable"); read(); pushEcho() },
+		OnWritable: func() { sc.app.callback("writable"); pushEcho() },
 		OnClose: func(err error) {
+			sc.app.add("onclose", err)
 			h.tracef("server: fd=%d closed (%v) after %d bytes", sc.fd, err, sc.rcvd)
 		},
 	})
+	sc.app.add("accept", err)
 	read()
 	pushEcho()
 }
@@ -540,7 +632,7 @@ func (h *harness) migrateServer(mp MigrationPoint) {
 // it echoed verbatim, close cleanly.
 func (h *harness) startConn(i int) {
 	h.checkTables(i)
-	g := h.client.Guest
+	g := h.client.Sockets
 	body := make([]byte, 1+h.wrng.Intn(h.prof.MaxBody))
 	for j := 0; j+8 <= len(body); j += 8 {
 		binary.BigEndian.PutUint64(body[j:], h.wrng.Uint64())
@@ -565,6 +657,7 @@ func (h *harness) startConn(i int) {
 	}
 	c.fd = g.Socket(guestlib.Callbacks{
 		OnEstablished: func(err error) {
+			c.app.add("established", err)
 			if err != nil {
 				c.estErr = err
 				h.tracef("conn %d: establish failed (%v)", c.id, err)
@@ -574,16 +667,19 @@ func (h *harness) startConn(i int) {
 			h.tracef("conn %d: established, sending %d bytes", c.id, len(c.payload))
 			pushMore()
 		},
-		OnWritable: pushMore,
+		OnWritable: func() { c.app.callback("writable"); pushMore() },
 		OnReadable: func() {
+			c.app.callback("readable")
 			for {
 				n, eof := g.Recv(c.fd, h.recvBuf)
+				c.app.eof(eof)
 				if n > 0 {
 					c.echoed = append(c.echoed, h.recvBuf[:n]...)
 				}
 				if n == 0 {
 					if eof && !c.closed {
 						h.tracef("conn %d: echo complete (%d bytes), closing", c.id, len(c.echoed))
+						c.app.close()
 						g.Close(c.fd)
 					}
 					return
@@ -591,6 +687,7 @@ func (h *harness) startConn(i int) {
 			}
 		},
 		OnClose: func(err error) {
+			c.app.add("onclose", err)
 			c.closed = true
 			c.closeErr = err
 			c.watchdog.Stop()
@@ -598,13 +695,16 @@ func (h *harness) startConn(i int) {
 		},
 	})
 	h.tracef("conn %d: connect fd=%d", c.id, c.fd)
-	if err := g.Connect(c.fd, serverIP, chaosPort); err != nil {
+	err := g.Connect(c.fd, serverIP, chaosPort)
+	c.app.add("connect", err)
+	if err != nil {
 		c.estErr = err
 		return
 	}
 	c.watchdog = h.loop.AfterFunc(h.prof.Watchdog, func() {
 		if !c.closed {
 			h.tracef("conn %d: watchdog close", c.id)
+			c.app.close()
 			g.Close(c.fd)
 		}
 	})
@@ -631,10 +731,11 @@ func (h *harness) checkTables(i int) {
 func (h *harness) closeStragglers() {
 	for _, c := range h.conns {
 		if !c.closed {
-			h.client.Guest.Close(c.fd)
+			c.app.close()
+			h.client.Sockets.Close(c.fd)
 		}
 	}
-	h.server.Guest.Close(h.lfd)
+	h.server.Sockets.Close(h.lfd)
 }
 
 // A Reporter receives invariant violations: a *testing.T, or a seed
@@ -706,7 +807,7 @@ func (h *harness) checkPools(t Reporter) {
 		t.Errorf("[seed %d] %d frame buffers not released after quiesce", h.seed, n)
 	}
 	for _, vm := range []*hypervisor.VM{h.client, h.server} {
-		for i, pair := range vm.Guest.Pairs() {
+		for i, pair := range pairs(vm) {
 			if pair.Pages.FreeCount() != pair.Pages.Chunks() {
 				t.Errorf("[seed %d] %s pair %d leaked chunks: %d free of %d",
 					h.seed, vm.Name, i, pair.Pages.FreeCount(), pair.Pages.Chunks())
@@ -731,7 +832,7 @@ func (h *harness) checkPools(t Reporter) {
 	// reserve is either held by a ring or on its free list, none lost
 	// and none in both.
 	for _, vm := range []*hypervisor.VM{h.client, h.server} {
-		for i, pair := range vm.Guest.Pairs() {
+		for i, pair := range pairs(vm) {
 			for si, r := range pair.Shards {
 				for qi, q := range []*nkqueue.Queue{r.VMJob, r.VMCompletion, r.VMReceive, r.NSMJob, r.NSMCompletion, r.NSMReceive} {
 					if n := q.Len(); n != 0 {
@@ -754,7 +855,7 @@ func (h *harness) checkPools(t Reporter) {
 	// fill, with no slack page, even after a migration or restart.
 	resident := map[*shm.Pool]int{h.h1.HugePages: 0, h.h2.HugePages: 0} // bytes
 	for host, vm := range map[*hypervisor.Host]*hypervisor.VM{h.h1: h.client, h.h2: h.server} {
-		for _, pair := range vm.Guest.Pairs() {
+		for _, pair := range pairs(vm) {
 			resident[host.HugePages] += pair.Pages.Resident() * pair.Pages.UnitSize()
 		}
 	}
@@ -777,12 +878,12 @@ func (h *harness) checkPools(t Reporter) {
 	if h.tableErr != "" {
 		t.Errorf("[seed %d] %s", h.seed, h.tableErr)
 	}
-	if h.tableLive == 0 {
+	if h.tableLive == 0 && !h.legacy {
 		t.Errorf("[seed %d] the table checks during the workload saw no live mapping", h.seed)
 	}
-	for _, nsm := range []*hypervisor.NSM{h.client.NSM, h.server.NSM} {
-		if n := nsm.Stack.ConnCount(); n != 0 {
-			t.Errorf("[seed %d] stack %s holds %d connections after quiesce", h.seed, nsm.Stack.Name(), n)
+	for _, vm := range []*hypervisor.VM{h.client, h.server} {
+		if st := serving(vm); st.ConnCount() != 0 {
+			t.Errorf("[seed %d] stack %s holds %d connections after quiesce", h.seed, st.Name(), st.ConnCount())
 		}
 	}
 	// Migration donors: every connection either moved to the successor
@@ -814,7 +915,7 @@ func (h *harness) checkPools(t Reporter) {
 func (h *harness) checkTelemetry(t Reporter) {
 	t.Helper()
 	for _, vm := range []*hypervisor.VM{h.client, h.server} {
-		for i, pair := range vm.Guest.Pairs() {
+		for i, pair := range pairs(vm) {
 			pair.EnsureShards()
 			for si := range pair.Shards {
 				r := &pair.Shards[si]
@@ -864,6 +965,9 @@ func (h *harness) checkTelemetry(t Reporter) {
 		}
 	}
 	for _, nsm := range []*hypervisor.NSM{h.client.NSM, h.server.NSM} {
+		if nsm == nil {
+			continue // a legacy VM's stack has no module scope
+		}
 		st := nsm.Stack.Stats()
 		snap := h.h1.Snapshot()
 		if nsm == h.server.NSM {
@@ -985,7 +1089,14 @@ func (h *harness) checkTelemetry(t Reporter) {
 // violation to r.
 func RunAndReport(r Reporter, seed uint64, prof Profile) *Result {
 	r.Helper()
-	h := newHarness(seed, prof)
+	return newHarness(seed, prof).report(r)
+}
+
+// report runs the harness's scenario and reports every invariant
+// violation to r.
+func (h *harness) report(r Reporter) *Result {
+	r.Helper()
+	seed, prof := h.seed, h.prof
 	res := h.run()
 	Check(r, res)
 	h.checkPools(r)

@@ -146,9 +146,9 @@ func RunPriorityAblation() []PriorityRow {
 			}
 			total += d
 		}
-		start := fl.Received()
+		start := fl.Received
 		w.Loop.RunFor(100 * time.Millisecond)
-		tput := float64(fl.Received()-start) * 8 / 0.1
+		tput := float64(fl.Received-start) * 8 / 0.1
 		rows = append(rows, PriorityRow{
 			Priority:       priority,
 			ConnectLatency: total / attempts,
@@ -261,7 +261,7 @@ func RunMuxAblation() []MuxRow {
 		w.Loop.RunFor(100 * time.Millisecond)
 		start := make([]uint64, tenants)
 		for i, f := range flows {
-			start[i] = f.Received()
+			start[i] = f.Received
 		}
 		const window = 200 * time.Millisecond
 		w.Loop.RunFor(window)
@@ -274,7 +274,7 @@ func RunMuxAblation() []MuxRow {
 		})
 		row.NSMs = len(mem)
 		for i, f := range flows {
-			bps := float64(f.Received()-start[i]) * 8 / window.Seconds()
+			bps := float64(f.Received-start[i]) * 8 / window.Seconds()
 			row.PerTenantBps = append(row.PerTenantBps, bps)
 			row.AggregateBps += bps
 		}

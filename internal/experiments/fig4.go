@@ -29,8 +29,6 @@ type Figure4Config struct {
 	Warmup time.Duration
 	// Window is the measurement period (default 200 ms).
 	Window time.Duration
-	// Seed drives deterministic randomness.
-	Seed uint64
 }
 
 func (c *Figure4Config) fillDefaults() {
@@ -39,9 +37,6 @@ func (c *Figure4Config) fillDefaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = 200 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 4
 	}
 }
 
@@ -85,7 +80,6 @@ func runFig4Scenario(cfg Figure4Config, flows int, mode hypervisor.VMMode) float
 		Link:          netsim.Testbed40G(),
 		PerPacketCost: figure4PerPacketCost,
 		Cores:         8,
-		Seed:          cfg.Seed,
 		MinRTO:        10 * time.Millisecond,
 		Mutate: func(hc *hypervisor.HostConfig) {
 			// 40 GbE needs deep buffers: at ~0.5 ms of shm/queueing
@@ -96,29 +90,19 @@ func runFig4Scenario(cfg Figure4Config, flows int, mode hypervisor.VMMode) float
 		},
 	})
 
-	var sender, receiver *hypervisor.VM
-	var err error
-	switch mode {
-	case hypervisor.ModeLegacy:
-		sender, err = w.H1.CreateVM(hypervisor.VMConfig{Name: "snd", IP: SenderIP, Mode: mode})
-		if err == nil {
-			receiver, err = w.H2.CreateVM(hypervisor.VMConfig{Name: "rcv", IP: ReceiverIP, Mode: mode})
-		}
-	case hypervisor.ModeNetKernel:
-		// The prototype's NSM form: a full VM (1 core per prototype;
-		// here cores scale with flows as §2.1's scale-up describes,
-		// since one 470 ns/pkt core cannot exceed ~25 Gbit/s).
-		spec := hypervisor.NSMSpec{Form: hypervisor.FormVM, CC: "cubic", Cores: 8}
-		sender, err = w.H1.CreateVM(hypervisor.VMConfig{Name: "snd", IP: SenderIP, Mode: mode, NSM: spec})
-		if err == nil {
-			receiver, err = w.H2.CreateVM(hypervisor.VMConfig{Name: "rcv", IP: ReceiverIP, Mode: mode, NSM: spec})
-		}
+	// The NSM is the prototype's form, a full VM (1 core per prototype;
+	// here cores scale with flows as §2.1's scale-up describes, since one
+	// 470 ns/pkt core cannot exceed ~25 Gbit/s). A legacy VM has none.
+	spec := hypervisor.NSMSpec{Form: hypervisor.FormVM, CC: "cubic", Cores: 8}
+	var receiver *hypervisor.VM
+	sender, err := w.H1.CreateVM(hypervisor.VMConfig{Name: "snd", IP: SenderIP, Mode: mode, NSM: spec})
+	if err == nil {
+		receiver, err = w.H2.CreateVM(hypervisor.VMConfig{Name: "rcv", IP: ReceiverIP, Mode: mode, NSM: spec})
 	}
 	if err != nil {
 		panic(err)
 	}
-
-	if mode == hypervisor.ModeNetKernel {
+	if sender.NSM != nil {
 		// Let the NSM VMs boot before traffic starts.
 		w.Loop.RunFor(sender.NSM.Profile.BootTime + 50*time.Millisecond)
 	}

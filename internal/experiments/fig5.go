@@ -84,11 +84,9 @@ func runFig5Scenario(cfg Figure5Config, scenario string) float64 {
 
 	// The sending server in Beijing, per scenario.
 	var sender *hypervisor.VM
-	netkernelMode := false
 	switch scenario {
 	case "BBR NSM":
 		// Windows guest whose traffic runs BBR because its NSM does.
-		netkernelMode = true
 		sender, err = w.H1.CreateVM(hypervisor.VMConfig{
 			Name: "server-beijing", IP: SenderIP, Mode: hypervisor.ModeNetKernel,
 			Profile: guestlib.ProfileWindows,
@@ -118,12 +116,9 @@ func runFig5Scenario(cfg Figure5Config, scenario string) float64 {
 		panic(err)
 	}
 
-	var fl *Flow
-	if netkernelMode {
+	if sender.NSM != nil {
 		w.Loop.RunFor(sender.NSM.Profile.BootTime + 100*time.Millisecond)
-		fl = StartFlow(w, sender, receiver, 443)
-	} else {
-		fl = StartFlow(w, sender, receiver, 443)
 	}
+	fl := StartFlow(w, sender, receiver, 443)
 	return MeasureGoodput(w, []*Flow{fl}, cfg.Warmup, cfg.Duration)
 }

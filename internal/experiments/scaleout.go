@@ -126,7 +126,7 @@ func RunScaleout(cfg ScaleoutConfig) ScaleoutResult {
 		AggregateBps: agg,
 	}
 	for _, f := range flows {
-		if f.Established() {
+		if f.Established {
 			res.Established++
 		}
 	}

@@ -17,10 +17,8 @@ import (
 	"netkernel/internal/hypervisor"
 	"netkernel/internal/netsim"
 	"netkernel/internal/proto/ipv4"
-	"netkernel/internal/proto/tcp"
 	"netkernel/internal/shm"
 	"netkernel/internal/sim"
-	"netkernel/internal/stack"
 )
 
 // World is a two-host testbed: the paper's pair of Xeon servers joined
@@ -88,15 +86,14 @@ var (
 )
 
 // Flow is one measured bulk-transfer flow: a self-pumping sender and a
-// counting receiver. It abstracts over the legacy (in-guest stack) and
-// NetKernel (GuestLib) APIs so both Figure 4 bars use identical
-// traffic logic.
+// counting receiver, one program over vm.Sockets whichever stack serves
+// each VM, so both Figure 4 bars run identical traffic logic.
 type Flow struct {
 	// Received is the receiver-side cumulative payload byte count.
-	Received func() uint64
+	Received uint64
 	// Established reports whether the connection completed its
 	// handshake.
-	Established func() bool
+	Established bool
 }
 
 // chunk is the application write granularity.
@@ -106,105 +103,55 @@ const appChunk = 64 << 10
 var pumpBuf = make([]byte, appChunk)
 
 // StartFlow opens a bulk transfer from sender to receiver on the given
-// port, picking the legacy or NetKernel API per VM mode — so mixed
-// scenarios (a NetKernel server talking to a plain client, as in
-// Figure 5) work naturally.
+// port. Either VM may be legacy or NetKernel, so mixed scenarios (a
+// NetKernel server talking to a plain client, as in Figure 5) work
+// naturally.
 func StartFlow(w *World, sender, receiver *hypervisor.VM, port uint16) *Flow {
 	f := &Flow{}
-	var received uint64
-	var established bool
-	f.Received = func() uint64 { return received }
-	f.Established = func() bool { return established }
 
 	// Receiver side: accept and drain, counting payload bytes.
-	if receiver.Mode == hypervisor.ModeLegacy {
-		l, err := receiver.Legacy.Listen(port, 16, stack.SocketOptions{})
-		if err != nil {
-			panic(err)
+	rg := receiver.Sockets
+	lfd := rg.Socket(guestlib.Callbacks{})
+	buf := make([]byte, 256<<10)
+	rg.SetCallbacks(lfd, guestlib.Callbacks{OnAcceptable: func() {
+		fd, ok := rg.Accept(lfd)
+		if !ok {
+			return
 		}
-		buf := make([]byte, 256<<10)
-		l.OnAcceptable = func() {
-			conn, ok := l.Accept()
-			if !ok {
-				return
-			}
-			drain := func() {
-				for {
-					n, _ := conn.Read(buf)
-					if n == 0 {
-						return
-					}
-					received += uint64(n)
+		drain := func() {
+			for {
+				n, _ := rg.Recv(fd, buf)
+				if n == 0 {
+					return
 				}
+				f.Received += uint64(n)
 			}
-			conn.SetCallbacks(drain, nil, nil)
-			drain()
 		}
-	} else {
-		rg := receiver.Guest
-		lfd := rg.Socket(guestlib.Callbacks{})
-		buf := make([]byte, 256<<10)
-		rg.SetCallbacks(lfd, guestlib.Callbacks{OnAcceptable: func() {
-			fd, ok := rg.Accept(lfd)
-			if !ok {
-				return
-			}
-			drain := func() {
-				for {
-					n, _ := rg.Recv(fd, buf)
-					if n == 0 {
-						return
-					}
-					received += uint64(n)
-				}
-			}
-			rg.SetCallbacks(fd, guestlib.Callbacks{OnReadable: drain})
-			drain()
-		}})
-		if err := rg.Listen(lfd, port, 16); err != nil {
-			panic(err)
-		}
+		rg.SetCallbacks(fd, guestlib.Callbacks{OnReadable: drain})
+		drain()
+	}})
+	if err := rg.Listen(lfd, port, 16); err != nil {
+		panic(err)
 	}
 
 	// Sender side: connect, then keep the pipe full.
-	if sender.Mode == hypervisor.ModeLegacy {
-		var conn *tcp.Conn
-		pump := func() {
-			for conn.Write(pumpBuf) > 0 {
+	sg := sender.Sockets
+	var fd int32
+	pump := func() {
+		for sg.Send(fd, pumpBuf) > 0 {
+		}
+	}
+	fd = sg.Socket(guestlib.Callbacks{
+		OnEstablished: func(err error) {
+			if err == nil {
+				f.Established = true
+				pump()
 			}
-		}
-		var err error
-		conn, err = sender.Legacy.Dial(tcp.AddrPort{Addr: receiver.IP, Port: port}, stack.SocketOptions{
-			OnEstablished: func(err error) {
-				if err == nil {
-					established = true
-					pump()
-				}
-			},
-			OnWritable: pump,
-		})
-		if err != nil {
-			panic(err)
-		}
-	} else {
-		sg := sender.Guest
-		var fd int32
-		pump := func() {
-			for sg.Send(fd, pumpBuf) > 0 {
-			}
-		}
-		fd = sg.Socket(guestlib.Callbacks{
-			OnEstablished: func(err error) {
-				if err == nil {
-					established = true
-					pump()
-				}
-			},
-			OnWritable: pump,
-		})
-		if err := sg.Connect(fd, receiver.IP, port); err != nil {
-			panic(err)
-		}
+		},
+		OnWritable: pump,
+	})
+	if err := sg.Connect(fd, receiver.IP, port); err != nil {
+		panic(err)
 	}
 	return f
 }
@@ -215,12 +162,12 @@ func MeasureGoodput(w *World, flows []*Flow, warmup, window time.Duration) float
 	w.Loop.RunFor(warmup)
 	start := make([]uint64, len(flows))
 	for i, f := range flows {
-		start[i] = f.Received()
+		start[i] = f.Received
 	}
 	w.Loop.RunFor(window)
 	var total uint64
 	for i, f := range flows {
-		total += f.Received() - start[i]
+		total += f.Received - start[i]
 	}
 	return float64(total) * 8 / window.Seconds()
 }

@@ -267,6 +267,9 @@ type VM struct {
 	IP      ipv4.Addr
 	Mode    VMMode
 
+	// Sockets is the socket API the VM's applications call, in either
+	// mode: Guest in NetKernel mode, an adapter over Legacy otherwise.
+	Sockets Sockets
 	// Guest is the NetKernel-mode socket surface (nil in legacy mode).
 	Guest *guestlib.GuestLib
 	// Service is this VM's ServiceLib pump inside its (first) NSM (nil
@@ -435,6 +438,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 			cfg.Profile.DefaultCC(), h.CPU, 0, /* guests keep the legacy single-table stack */
 			h.Metrics.Scope(fmt.Sprintf("vm%d.stack.", vm.ID))))
 		h.newIdentity(cfg.IP).serve(vm.Legacy)
+		vm.Sockets = &legacySockets{stack: vm.Legacy, socks: map[int32]*legacySock{}}
 
 	case ModeNetKernel:
 		replicas := cfg.NSM.Replicas
@@ -498,6 +502,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 			Metrics:    h.Metrics.Scope(fmt.Sprintf("vm%d.guest.", vm.ID)),
 			Tracer:     h.Tracer,
 		})
+		vm.Sockets = vm.Guest
 
 	default:
 		return nil, fmt.Errorf("hypervisor: unknown VM mode %d", cfg.Mode)

@@ -260,7 +260,9 @@ func TestNetKernelTalksToLegacy(t *testing.T) {
 	}
 	c.loop.RunFor(50 * time.Millisecond)
 
-	vmb.Legacy.Listen(80, 4, stack.SocketOptions{})
+	if err := vmb.Sockets.Listen(vmb.Sockets.Socket(guestlib.Callbacks{}), 80, 4); err != nil {
+		t.Fatal(err)
+	}
 	var est error = errSentinel
 	cfd := vma.Guest.Socket(guestlib.Callbacks{OnEstablished: func(err error) { est = err }})
 	vma.Guest.Connect(cfd, ipVMB, 80)

@@ -79,8 +79,6 @@ type Config struct {
 	// the owning stack's lane, shared by all its connections because
 	// they share one MSL. Nil schedules it on Clock.
 	TimeWaitLane *sim.Lane
-	// Nagle enables RFC 896 coalescing of small segments.
-	Nagle bool
 	// ISS, when non-nil, overrides the initial send sequence number.
 	// The port recycler uses it to start a connection that reuses a
 	// TIME_WAIT port pair beyond the predecessor's final sequence, so
@@ -310,7 +308,7 @@ type tcb struct {
 
 	// Pacing and coalescing.
 	paceNext sim.Time
-	nagle    bool // RFC 896; starts as Config.Nagle
+	nagle    bool // RFC 896; off until SetNagle
 
 	// timeWaitDeadline is when the TIME_WAIT timer fires; a migrated
 	// connection keeps it instead of restarting 2·MSL.
@@ -365,7 +363,7 @@ func (c *Conn) rebuild(cfg Config) {
 	if c.cfg.Clock != nil && !c.closed {
 		panic("tcp: rebuilding a connection that has not ended")
 	}
-	c.incarnation = incarnation{tcb: tcb{rto: time.Second, nagle: cfg.Nagle}, cfg: cfg, cc: cfg.CC}
+	c.incarnation = incarnation{tcb: tcb{rto: time.Second}, cfg: cfg, cc: cfg.CC}
 	c.gen++
 	c.sndBuf.reset(cfg.SendBufSize)
 	c.rcvBuf.reset(cfg.RecvBufSize)

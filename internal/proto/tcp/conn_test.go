@@ -536,10 +536,10 @@ func TestECNNotNegotiatedForLossBasedCC(t *testing.T) {
 func TestNagleCoalescesSmallWrites(t *testing.T) {
 	run := func(nagle bool) int {
 		n := newTestNet(t)
-		n.dialPair("reno", "reno", func(cfg *Config, side string) {
-			cfg.Nagle = nagle
-		})
+		n.dialPair("reno", "reno", nil)
 		n.establish()
+		n.a.SetNagle(nagle)
+		n.b.SetNagle(nagle)
 		base := n.segsAB
 		for i := 0; i < 50; i++ {
 			n.a.Write([]byte("x"))

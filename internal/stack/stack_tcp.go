@@ -14,8 +14,6 @@ import (
 type SocketOptions struct {
 	// CC names the congestion control ("" = stack default).
 	CC string
-	// Nagle enables small-segment coalescing.
-	Nagle bool
 
 	// Callbacks, delivered on the stack's clock executor.
 	OnEstablished func(err error)
@@ -134,7 +132,6 @@ func (s *Stack) connConfig(k *tcpSock, local, remote tcp.AddrPort, ccAlg tcpcc.A
 		MinRTO:        s.cfg.MinRTO,
 		MSL:           s.cfg.MSL,
 		TimeWaitLane:  &s.timeWait,
-		Nagle:         opts.Nagle,
 		Output:        k.output,
 		OnEstablished: opts.OnEstablished,
 		OnReadable:    opts.OnReadable,

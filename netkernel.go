@@ -28,7 +28,7 @@
 //		NSM: netkernel.NSMSpec{Form: netkernel.FormVM, CC: "cubic"},
 //	})
 //
-//	// … use server.Guest / client.Guest (the socket API) and c.Run().
+//	// … use server.Sockets / client.Sockets (the socket API) and c.Run().
 //
 // See examples/ for complete programs and DESIGN.md for the system
 // inventory.
@@ -78,17 +78,12 @@ type (
 	// GuestProfile names the guest OS flavor (its legacy stack's
 	// default congestion control).
 	GuestProfile = guestlib.GuestProfile
+	// Sockets is a VM's socket API, the same calls in either mode.
+	Sockets = hypervisor.Sockets
 	// Conn is a TCP connection of a legacy in-guest stack.
 	Conn = tcp.Conn
-	// Listener is a legacy-stack TCP listener.
-	Listener = tcp.Listener
-	// SocketOptions shape legacy-stack sockets (congestion control,
-	// buffers, callbacks).
-	SocketOptions = stack.SocketOptions
 	// Stack is a host network stack (legacy guests and NSMs run one).
 	Stack = stack.Stack
-	// AddrPort is an IPv4 endpoint.
-	AddrPort = tcp.AddrPort
 	// Addr is an IPv4 address.
 	Addr = ipv4.Addr
 	// LinkConfig shapes a physical link (rate, delay, loss, queue).

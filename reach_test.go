@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"flag"
 	"go/ast"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -227,6 +229,54 @@ func TestReachAllowIsCurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsCiteDeclaredTests keeps the docs' pointers live: every Test*,
+// Benchmark* or Fuzz* name that README.md, DESIGN.md or EXPERIMENTS.md
+// cites must be declared by some _test.go file. A trailing * in the doc
+// cites every name with that prefix, and at least one must exist.
+func TestDocsCiteDeclaredTests(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testDecl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range docCite.FindAllIndex(src, -1) {
+			cite := string(src[at[0]:at[1]])
+			name, prefix := strings.CutSuffix(cite, "*")
+			found := declared[name]
+			for d := range declared {
+				found = found || prefix && strings.HasPrefix(d, name)
+			}
+			if !found {
+				t.Errorf("%s:%d cites %s, which no _test.go declares", doc, bytes.Count(src[:at[0]], []byte("\n"))+1, cite)
+			}
+		}
+	}
+}
+
+var (
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	docCite  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
+)
 
 // covdataName names a function the way `go tool covdata func` does:
 // "Func", "Type.Method" or "*Type.Method".

@@ -30,7 +30,6 @@ var sweepAllow = map[string]string{
 	"guestlib.GuestLib.ReadAvailable": "guest socket API: FIONREAD",
 	"guestlib.GuestLib.SetSockOpt":    "guest socket API: setsockopt",
 	"guestlib.Poller.Remove":          "guest socket API: epoll_ctl(EPOLL_CTL_DEL)",
-	"stack.SocketOptions.Nagle":       "legacy socket API: TCP_NODELAY off at dial, as SetSockOpt sets it for a NetKernel guest",
 
 	// Test support that cannot move under _test.go: other packages'
 	// tests read it, or it is a test harness's entry point.
