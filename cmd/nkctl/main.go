@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"netkernel"
-	"netkernel/internal/mgmt"
 	"netkernel/internal/pricing"
 )
 
@@ -177,10 +176,10 @@ func runTrace() {
 	}
 }
 
-// runMigrate boots the demo cloud, runs traffic, then rolling-upgrades
-// every NSM on host1 onto fresh modules running -cc (a live
-// congestion-control hot-swap for every in-flight connection), billing
-// each move, and proves the traffic kept flowing.
+// runMigrate boots the demo cloud, runs traffic, then migrates every
+// NSM on host1, one module at a time in ID order, onto a fresh module
+// running -cc (a live congestion-control hot-swap for every in-flight
+// connection), and proves the traffic kept flowing.
 func runMigrate() {
 	fmt.Println("nkctl: booting a two-host NetKernel cloud")
 	w := buildCloud(0)
@@ -192,28 +191,26 @@ func runMigrate() {
 		before[i] = m.Snapshot().BytesOut
 	}
 
-	fmt.Printf("\nrolling upgrade: migrating %d NSMs on host1 to cc=%s\n", h1.NSMs(), *migCC)
-	pricer := netkernel.DefaultMigrationPricer()
-	up := netkernel.NewRollingUpgrade(h1, func(n *netkernel.NSM) (netkernel.NSMSpec, bool) {
-		return netkernel.NSMSpec{Form: n.Form, CC: *migCC}, true
-	}, netkernel.MigrateOptions{}, pricer)
-	upgrading := true
-	up.Start(func(*netkernel.RollingUpgrade) { upgrading = false })
-	for upgrading {
-		c.Run(100 * time.Millisecond) // successor boot times vary by form
-	}
-	c.Run(*duration / 2)
-
-	for _, m := range up.Migrations {
+	fmt.Printf("\nmigrating %d NSMs on host1 to cc=%s, one at a time\n", h1.NSMs(), *migCC)
+	var modules []*netkernel.NSM
+	h1.EachNSM(func(n *netkernel.NSM) { modules = append(modules, n) })
+	for _, n := range modules {
+		var m *netkernel.Migration
+		if _, err := h1.MigrateNSM(n, netkernel.NSMSpec{Form: n.Form, CC: *migCC}, netkernel.MigrateOptions{}, func(done *netkernel.Migration) { m = done }); err != nil {
+			fmt.Printf("  nsm%-3d refused: %v\n", n.ID, err)
+			continue
+		}
+		for m == nil {
+			c.Run(100 * time.Millisecond) // successor boot times vary by form
+		}
 		status := "ok"
 		if m.Aborted {
 			status = fmt.Sprintf("ABORTED (%v)", m.Err)
 		}
-		fmt.Printf("  nsm%-3d → nsm%-3d %-7s vms=%d conns=%d stall=%v bill=%v\n",
-			m.From.ID, m.To.ID, status, m.VMs, m.Conns, m.Stall,
-			pricer.Price(mgmt.MigrationBill(m)))
+		fmt.Printf("  nsm%-3d → nsm%-3d %-7s vms=%d conns=%d stall=%v\n",
+			m.From.ID, m.To.ID, status, m.VMs, m.Conns, m.Stall)
 	}
-	fmt.Printf("  total bill %v (%d migrated, %d skipped)\n", up.Bill, len(up.Migrations), up.Skipped)
+	c.Run(*duration / 2)
 
 	fmt.Println("\npost-migration traffic (bytes out since cutover):")
 	for i, m := range w.meters {

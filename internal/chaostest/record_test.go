@@ -69,9 +69,9 @@ func withRecord(m *testing.M) int {
 }
 
 // fullRun reports whether every recorded test ran: no -run or -skip
-// filter, no -short and no -chaos.seed.
+// filter, no -short and no -chaos.seed. A -list run runs no test.
 func fullRun() bool {
-	return flag.Lookup("test.run").Value.String() == "" &&
+	return flag.Lookup("test.list").Value.String() == "" && flag.Lookup("test.run").Value.String() == "" &&
 		flag.Lookup("test.skip").Value.String() == "" && !testing.Short() && *chaosSeed == 0
 }
 

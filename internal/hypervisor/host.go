@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"netkernel/internal/guestlib"
@@ -95,8 +96,10 @@ type Host struct {
 	// use; disabled unless HostConfig.TraceSampleEvery > 0).
 	Tracer *telemetry.Tracer
 
-	vms  map[uint32]*VM
-	nsms map[uint32]*NSM
+	vms map[uint32]*VM
+	// nsms holds the host's modules in ascending ID order: IDs are
+	// issued in order and each new module is appended.
+	nsms []*NSM
 
 	nextVMID  uint32
 	nextNSMID uint32
@@ -124,7 +127,6 @@ func NewHost(cfg HostConfig) *Host {
 		rng:       cfg.RNG,
 		CPU:       netsim.NewCPU(cfg.Clock, cfg.Cores),
 		vms:       make(map[uint32]*VM),
-		nsms:      make(map[uint32]*NSM),
 		HugePages: cfg.HugePages,
 	}
 	h.Metrics = telemetry.NewRegistry()
@@ -399,7 +401,7 @@ func (h *Host) bootDetachedNSM(spec NSMSpec) *NSM {
 		host:    h,
 	}
 	n.Stack = h.nsmStack(n)
-	h.nsms[n.ID] = n
+	h.nsms = append(h.nsms, n)
 	return n
 }
 
@@ -518,11 +520,16 @@ func (h *Host) VMs() int { return len(h.vms) }
 // NSMs returns the host's NSM count.
 func (h *Host) NSMs() int { return len(h.nsms) }
 
-// EachNSM visits every NSM (accounting, scheduling).
+// EachNSM visits every NSM in ascending ID order.
 func (h *Host) EachNSM(fn func(*NSM)) {
 	for _, n := range h.nsms {
 		fn(n)
 	}
+}
+
+// removeNSM drops n from the host's modules, keeping their order.
+func (h *Host) removeNSM(n *NSM) {
+	h.nsms = slices.DeleteFunc(h.nsms, func(m *NSM) bool { return m == n })
 }
 
 // CopyReport aggregates the data-path memcpy counters across one VM's

@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"netkernel/internal/proto/tcp"
@@ -87,7 +88,7 @@ type Migration struct {
 // crash while the module's migration successor boots aborts the
 // migration.
 func (h *Host) RestartNSM(n *NSM) {
-	if h.nsms[n.ID] != n || n.state == nsmBooting {
+	if !slices.Contains(h.nsms, n) || n.state == nsmBooting {
 		return
 	}
 	if m := n.migration; m != nil {
@@ -109,7 +110,7 @@ func (h *Host) crash(n *NSM) {
 	}
 	if m := n.migration; m != nil {
 		m.To.Stack.Kill()
-		delete(h.nsms, m.To.ID)
+		h.removeNSM(m.To)
 		n.migration = nil
 	}
 	n.Stack.Kill()
@@ -150,7 +151,7 @@ func (h *Host) reboot(n *NSM) {
 // The returned Migration is live: its cutover fields fill in when the
 // cutover runs.
 func (h *Host) MigrateNSM(old *NSM, spec NSMSpec, opts MigrateOptions, done func(*Migration)) (*Migration, error) {
-	if old == nil || h.nsms[old.ID] != old {
+	if !slices.Contains(h.nsms, old) {
 		return nil, fmt.Errorf("hypervisor: migration source is not a module of this host")
 	}
 	if old.state != nsmServing {
@@ -255,7 +256,7 @@ func (h *Host) cutover(m *Migration) {
 	next.Restarts = old.Restarts
 	next.state = nsmServing
 	old.Services, old.migration = nil, nil
-	delete(h.nsms, old.ID)
+	h.removeNSM(old)
 	for _, vm := range h.vms {
 		for i, n := range vm.NSMs {
 			if n == old {

@@ -2,10 +2,12 @@ package hypervisor
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"netkernel/internal/guestlib"
+	"netkernel/internal/proto/ipv4"
 )
 
 // echoSrv wires a byte-echo server on g: every accepted connection's
@@ -365,4 +367,175 @@ func TestNSMMigrateAbortFallsBackToCrash(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMigrateServing100VMs is the scale gate: one module multiplexes
+// 100 tenant VMs, each mid-way through a paced echo transfer, and one
+// live migration moves the module to a new build (hot-swapping every
+// flow's congestion control to BBR). Zero connection loss: every
+// tenant's echo completes byte-exactly, no close callback fires, and
+// the one migration record moves all 100 VMs and their 100 connections.
+func TestMigrateServing100VMs(t *testing.T) {
+	const tenants = 100
+	c := newCluster(t, nil)
+	server, err := c.h2.CreateVM(VMConfig{Name: "server", IP: ipVMB, Mode: ModeNetKernel, NSM: moduleNSM("cubic")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vms []*VM
+	var shared *NSM
+	for i := 0; i < tenants; i++ {
+		spec := NSMSpec{Form: FormModule, CC: "cubic", ShareWith: shared}
+		vm, err := c.h1.CreateVM(VMConfig{Name: "tenant", IP: ipVMA, Mode: ModeNetKernel, NSM: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared == nil {
+			shared = vm.NSM
+		}
+		vms = append(vms, vm)
+	}
+	c.loop.RunFor(50 * time.Millisecond) // module boot
+	startEcho(t, server.Guest, 7000)
+
+	// Each tenant sends 128 KB in 2 KB chunks every 2 ms, so every
+	// transfer spans the migration.
+	payload := bytes.Repeat([]byte("netkernel migration payload blk "), 4096)
+	type client struct {
+		fd       int32
+		sent     int
+		echoed   []byte
+		closeErr error
+	}
+	clients := make([]*client, tenants)
+	for i, vm := range vms {
+		g, cl := vm.Guest, &client{closeErr: errSentinel}
+		buf := make([]byte, 16384)
+		cl.fd = g.Socket(guestlib.Callbacks{
+			OnReadable: func() {
+				for {
+					n, _ := g.Recv(cl.fd, buf)
+					if n == 0 {
+						return
+					}
+					cl.echoed = append(cl.echoed, buf[:n]...)
+				}
+			},
+			OnClose: func(err error) { cl.closeErr = err },
+		})
+		if err := g.Connect(cl.fd, ipVMB, 7000); err != nil {
+			t.Fatal(err)
+		}
+		var tick func()
+		tick = func() {
+			cl.sent += g.Send(cl.fd, payload[cl.sent:min(cl.sent+2048, len(payload))])
+			if cl.sent < len(payload) {
+				c.loop.AfterFunc(2*time.Millisecond, tick)
+			}
+		}
+		c.loop.AfterFunc(2*time.Millisecond, tick)
+		clients[i] = cl
+		c.loop.RunFor(100 * time.Microsecond) // stagger dials so the backlog never overflows
+	}
+	c.loop.RunFor(20 * time.Millisecond) // everyone mid-transfer
+
+	if n := c.h1.NSMs(); n != 1 {
+		t.Fatalf("host1 has %d modules, want the 1 shared module", n)
+	}
+	var m *Migration
+	if _, err := c.h1.MigrateNSM(shared, moduleNSM("bbr"), MigrateOptions{}, func(done *Migration) { m = done }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50 && m == nil; i++ {
+		c.loop.RunFor(10 * time.Millisecond)
+	}
+	if m == nil {
+		t.Fatal("migration never completed")
+	}
+	c.loop.RunFor(2 * time.Second) // drain the transfers
+
+	if m.Aborted {
+		t.Fatalf("migration aborted: %v", m.Err)
+	}
+	if m.VMs != tenants || m.Conns != tenants {
+		t.Fatalf("migration moved %d VMs and %d conns, want %d of each", m.VMs, m.Conns, tenants)
+	}
+	for i, vm := range vms {
+		if vm.NSM != m.To {
+			t.Fatalf("tenant %d not rebound to the successor", i)
+		}
+	}
+	if m.To.CC != "bbr" {
+		t.Fatalf("successor CC = %q, want the hot-swapped bbr", m.To.CC)
+	}
+	lost := 0
+	for i, cl := range clients {
+		if cl.closeErr != errSentinel {
+			t.Errorf("tenant %d connection closed across migration: %v", i, cl.closeErr)
+			lost++
+		} else if !bytes.Equal(cl.echoed, payload) {
+			t.Errorf("tenant %d echo not byte-exact: %d of %d bytes", i, len(cl.echoed), len(payload))
+			lost++
+		}
+		if lost > 3 {
+			t.Fatal("... and more")
+		}
+	}
+}
+
+// TestEachNSMInIDOrder boots six modules, migrates the first, and checks
+// that EachNSM visits the host's modules in ascending ID order on every
+// call, the successor last, without allocating: callers that walk the
+// modules once per probe or migration rely on both.
+func TestEachNSMInIDOrder(t *testing.T) {
+	c := newCluster(t, nil)
+	var vms []*VM
+	for i := 0; i < 6; i++ {
+		vm, err := c.h1.CreateVM(VMConfig{Name: "tenant", IP: ipv4.Addr{10, 0, 1, byte(1 + i)}, Mode: ModeNetKernel, NSM: moduleNSM("cubic")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	c.loop.RunFor(50 * time.Millisecond) // module boot
+	order := func() []uint32 {
+		var ids []uint32
+		c.h1.EachNSM(func(n *NSM) { ids = append(ids, n.ID) })
+		return ids
+	}
+	check := func(want []uint32) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			if got := order(); !slices.Equal(got, want) {
+				t.Fatalf("EachNSM visit %d: %v, want %v", i, got, want)
+			}
+		}
+		var last uint32
+		ascending := true
+		visit := func(n *NSM) {
+			ascending = ascending && n.ID > last
+			last = n.ID
+		}
+		if a := testing.AllocsPerRun(100, func() { last = 0; c.h1.EachNSM(visit) }); a != 0 || !ascending {
+			t.Fatalf("EachNSM: %v allocations per call, ascending=%v; want 0 and true", a, ascending)
+		}
+	}
+	var want []uint32
+	for _, vm := range vms {
+		want = append(want, vm.NSM.ID)
+	}
+	if !slices.IsSorted(want) {
+		t.Fatalf("modules booted with IDs %v, want them ascending", want)
+	}
+	check(want)
+
+	var m *Migration
+	if _, err := c.h1.MigrateNSM(vms[0].NSM, moduleNSM("cubic"), MigrateOptions{}, func(done *Migration) { m = done }); err != nil {
+		t.Fatal(err)
+	}
+	c.loop.RunFor(100 * time.Millisecond)
+	if m == nil || m.Aborted {
+		t.Fatalf("migration did not complete: %+v", m)
+	}
+	check(append(want[1:], m.To.ID))
 }

@@ -1,14 +1,9 @@
 // Package mgmt provides the centralized management plane the paper
 // argues NSaaS enables (§5 "Centralized management and control"):
 // since the provider now owns the stack, it can hold each tenant to a
-// promised rate and move modules under live traffic.
-//
-// Two pieces:
-//
-//   - ThroughputSLA: per-tenant achieved-vs-promised throughput
-//     tracking, the basis for §2.1's "meaningful SLAs".
-//   - RollingUpgrade: live-migrates a host's modules one at a time,
-//     billing each move.
+// promised rate. ThroughputSLA tracks each tenant's achieved against its
+// promised throughput, the basis for §2.1's "meaningful SLAs". Moving a
+// module under live traffic is the hypervisor's Host.MigrateNSM.
 package mgmt
 
 import (

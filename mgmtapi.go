@@ -20,10 +20,6 @@ type (
 	Migration = hypervisor.Migration
 	// MigrateOptions tunes a live migration (fault injection).
 	MigrateOptions = hypervisor.MigrateOptions
-	// RollingUpgrade migrates a host's NSMs one module at a time.
-	RollingUpgrade = mgmt.RollingUpgrade
-	// UpgradePlan decides, per module, whether and how to migrate it.
-	UpgradePlan = mgmt.UpgradePlan
 
 	// Meter samples a tenant's NSM resource usage.
 	Meter = pricing.Meter
@@ -35,26 +31,7 @@ type (
 	InvoiceLine = pricing.InvoiceLine
 	// MicroUSD is integer money (millionths of a dollar).
 	MicroUSD = pricing.MicroUSD
-	// MigrationEvent is the billable shape of one live migration.
-	MigrationEvent = pricing.MigrationEvent
-	// MigrationPricer prices migration events.
-	MigrationPricer = pricing.MigrationPricer
 )
-
-// NewRollingUpgrade builds a driver that migrates every NSM on h, one
-// module at a time, billing each move through pricer.
-func NewRollingUpgrade(h *Host, plan UpgradePlan, opts MigrateOptions, pricer MigrationPricer) *RollingUpgrade {
-	return mgmt.NewRollingUpgrade(h, plan, opts, pricer)
-}
-
-// ConsolidateNSMs builds a rolling upgrade that packs every module
-// billing higher than target (under rates) onto the target form.
-func ConsolidateNSMs(h *Host, target NSMForm, rates pricing.PerInstance, opts MigrateOptions, pricer MigrationPricer) *RollingUpgrade {
-	return mgmt.Consolidate(h, target, rates, opts, pricer)
-}
-
-// DefaultMigrationPricer returns representative migration rates.
-func DefaultMigrationPricer() MigrationPricer { return pricing.DefaultMigrationPricer() }
 
 // NewVMThroughputSLA builds a tracker fed straight from the host
 // telemetry registry: it samples the tenant's ServiceLib ingress

@@ -36,12 +36,6 @@ var reachAllow = map[string]string{
 	"internal/hypervisor/host.go *VM.Snapshot":              "test helper, moves with 18(b)",
 	"internal/hypervisor/host.go VMMode.String":             "fmt.Stringer: formats values in test failures and cmd/ output",
 	"internal/mgmt/mgmt.go *ThroughputSLA.String":           "cmd/nkctl prints each tenant's SLA",
-	"internal/mgmt/migrate.go *RollingUpgrade.Start":        "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"internal/mgmt/migrate.go *RollingUpgrade.record":       "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"internal/mgmt/migrate.go *RollingUpgrade.step":         "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"internal/mgmt/migrate.go Consolidate":                  "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"internal/mgmt/migrate.go MigrationBill":                "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"internal/mgmt/migrate.go NewRollingUpgrade":            "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
 	"internal/netsim/cpu.go *CPU.Dispatch":                  "bench/ladder.go calls it, ROADMAP 2(h)",
 	"internal/netsim/netsim.go BitsPerSec.String":           "fmt.Stringer: formats values in test failures and cmd/ output",
 	"internal/netsim/nic.go MAC.String":                     "fmt.Stringer: formats values in test failures and cmd/ output",
@@ -50,8 +44,6 @@ var reachAllow = map[string]string{
 	"internal/nqe/nqe.go *Element.String":                   "fmt.Stringer: formats values in test failures and cmd/ output",
 	"internal/nqe/nqe.go *Element.Validate":                 "nqe's tests and fuzzer check decoded elements; the engine validates a Slot",
 	"internal/nqe/nqe.go Slot.Flags":                        "test helper, moves with 18(b)",
-	"internal/pricing/migration.go DefaultMigrationPricer":  "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"internal/pricing/migration.go MigrationPricer.Price":   "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
 	"internal/pricing/pricing.go *Meter.StartSampling":      "cmd/nkctl samples its meters' peak connections",
 	"internal/proto/arp/arp.go *Cache.Len":                  "test helper, moves with 18(b)",
 	"internal/proto/arp/arp.go *Cache.Pending":              "test helper, moves with 18(b)",
@@ -79,12 +71,6 @@ var reachAllow = map[string]string{
 	"internal/proto/tcp/snapshot.go *ConnSnapshot.State":    "the cutover's carry of unowned TIME_WAIT connections; no migration leaves one",
 	"internal/proto/tcp/wire.go *Header.Marshal":            "the tests' frame oracle and bench/ladder.go, ROADMAP 10(e)",
 	"internal/proto/tcp/wire.go Flags.String":               "fmt.Stringer: formats values in test failures and cmd/ output",
-	"internal/sched/sched.go *DRR.AddFlow":                  "DRR waits on ROADMAP 20(b)",
-	"internal/sched/sched.go *DRR.Next":                     "DRR waits on ROADMAP 20(b)",
-	"internal/sched/sched.go *Flow.Enqueue":                 "DRR waits on ROADMAP 20(b)",
-	"internal/sched/sched.go *Flow.Len":                     "DRR waits on ROADMAP 20(b)",
-	"internal/sched/sched.go *Flow.Served":                  "DRR waits on ROADMAP 20(b)",
-	"internal/sched/sched.go NewDRR":                        "DRR waits on ROADMAP 20(b)",
 	"internal/servicelib/servicelib.go *ServiceLib.CC":      "test helper, moves with 18(b)",
 	"internal/servicelib/servicelib.go resetBacklog":        "ServiceLib's refusal path, ROADMAP 19(a)",
 	"internal/shm/hugepages.go *HugePages.AllocSized":       "bench/ladder.go calls it, ROADMAP 2(h)",
@@ -126,9 +112,6 @@ var reachAllow = map[string]string{
 	"internal/telemetry/trace.go *Tracer.ActiveCount":       "bench/trace.go calls it under -trace 1",
 	"internal/telemetry/trace.go *Tracer.Drop":              "a traced element the engine or ServiceLib discards; no traced harness discards one",
 	"internal/telemetry/trace.go *Tracer.SetSampleEvery":    "bench/trace.go calls it under -trace 1",
-	"mgmtapi.go ConsolidateNSMs":                            "§5 provider surface, ROADMAP 20(a)",
-	"mgmtapi.go DefaultMigrationPricer":                     "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
-	"mgmtapi.go NewRollingUpgrade":                          "§5 provider surface that only cmd/nkctl migrate runs, ROADMAP 20(a)/(c)",
 }
 
 // TestReachabilityLedger keeps unreached code at what reachAllow lists.

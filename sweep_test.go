@@ -20,11 +20,7 @@ import (
 // below netkernel/internal/.
 var sweepAllow = map[string]string{
 	// Kept while an open ROADMAP item decides its fate.
-	"sched.NewDRR":      "DRR waits on ROADMAP 20(b): wire it into ServiceLib or delete it",
-	"sched.DRR.AddFlow": "DRR waits on ROADMAP 20(b)",
-	"sched.DRR.Next":    "DRR waits on ROADMAP 20(b)",
-	"sched.Flow.Served": "DRR waits on ROADMAP 20(b)",
-	"framepool.Poison":  "use-after-release checks of four packages' tests (ROADMAP 4(b))",
+	"framepool.Poison": "use-after-release checks of four packages' tests (ROADMAP 4(b))",
 
 	// The guest socket API: calls a tenant may make that no workload does.
 	"guestlib.GuestLib.ReadAvailable": "guest socket API: FIONREAD",
